@@ -11,7 +11,8 @@ A field f supports:
     f(X)        -> (rows,) values in [0, 1]
     f.grad(X)   -> (rows, dim) gradients
     f.dim       -> expected point dimension
-Ramps additionally expose ``superlevel(u)`` returning the test set {f > u}.
+Ramps additionally expose ``superlevel(u)`` returning the test set {f > u};
+all superlevel sets of one field share one scalar per point.
 """
 
 from __future__ import annotations
@@ -105,6 +106,9 @@ class LinearRamp:
         return np.where(on[:, None], self.xi / self.width, 0.0)
 
     def superlevel(self, u: float) -> HalfSpace:
+        """{<x, xi> >= lo + u (hi - lo)}.  All superlevel sets of one ramp
+        share one scalar, <x, xi>, and differ only in threshold; content
+        estimation sorts that scalar once for all of them."""
         if not 0.0 <= u < 1.0:
             raise ValueError("superlevel threshold must lie in [0, 1)")
         return HalfSpace(self.xi, self.lo + u * self.width)
@@ -139,6 +143,9 @@ class RadialRamp:
         return np.where(on[:, None], unit / self.width, 0.0)
 
     def superlevel(self, u: float) -> BallComplement:
+        """{|x|_2 >= lo + u (hi - lo)}.  All superlevel sets of one ramp
+        share one scalar, |x|_2, and differ only in threshold; content
+        estimation sorts that scalar once for all of them."""
         if not 0.0 <= u < 1.0:
             raise ValueError("superlevel threshold must lie in [0, 1)")
         return BallComplement(self.lo + u * self.width)
@@ -169,6 +176,10 @@ class DistanceRamp:
         return np.where(on[:, None], -self.set_.dist_grad(X) / self.s, 0.0)
 
     def superlevel(self, u: float):
+        """The (r + s(1 - u))-enlargement of A.  All superlevel sets of one
+        ramp are enlargements of A, so they share A's scalar and differ
+        only in threshold; content estimation sorts that scalar once for
+        all of them."""
         if not 0.0 <= u < 1.0:
             raise ValueError("superlevel threshold must lie in [0, 1)")
         return self.set_.enlarged(self.r + self.s * (1.0 - u))

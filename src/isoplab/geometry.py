@@ -177,17 +177,25 @@ class HalfSpace:
             raise ValueError("half-space direction must be a unit vector")
         object.__setattr__(self, "xi", xi)
 
+    @property
+    def threshold(self) -> float:
+        return self.t
+
+    def scalar(self, X) -> np.ndarray:
+        """<x, xi> per row; the set is {scalar >= threshold}, and so is
+        every enlargement of it, at its own threshold."""
+        return np.asarray(X, dtype=float) @ self.xi
+
     def indicator(self, X) -> np.ndarray:
-        return np.asarray(X, dtype=float) @ self.xi >= self.t
+        return self.scalar(X) >= self.t
 
     def dist(self, X) -> np.ndarray:
         """Euclidean distance to the set (0 inside)."""
-        return np.maximum(self.t - np.asarray(X, dtype=float) @ self.xi, 0.0)
+        return np.maximum(self.t - self.scalar(X), 0.0)
 
     def dist_grad(self, X) -> np.ndarray:
         """Gradient rows of dist (unit vectors a.e. where dist > 0)."""
-        X = np.asarray(X, dtype=float)
-        outside = (X @ self.xi < self.t)[:, None]
+        outside = (self.scalar(X) < self.t)[:, None]
         return np.where(outside, -self.xi, 0.0)
 
     def enlarged(self, eps: float) -> "HalfSpace":
@@ -220,15 +228,24 @@ class BallComplement:
 
     r: float
 
+    @property
+    def threshold(self) -> float:
+        return self.r
+
+    def scalar(self, X) -> np.ndarray:
+        """|x|_2 per row; the set is {scalar >= threshold}, and so is every
+        enlargement of it, at its own threshold."""
+        return lp_norm(X, 2.0)
+
     def indicator(self, X) -> np.ndarray:
-        return lp_norm(X, 2.0) >= self.r
+        return self.scalar(X) >= self.r
 
     def dist(self, X) -> np.ndarray:
-        return np.maximum(self.r - lp_norm(X, 2.0), 0.0)
+        return np.maximum(self.r - self.scalar(X), 0.0)
 
     def dist_grad(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        nrm = lp_norm(X, 2.0)
+        nrm = self.scalar(X)
         outside = (nrm < self.r) & (nrm > 0.0)
         unit = X / np.where(nrm == 0.0, 1.0, nrm)[:, None]
         return np.where(outside[:, None], -unit, 0.0)

@@ -58,6 +58,7 @@ from .montecarlo import (
     estimate_measure,
     estimate_median_and_phi,
     estimate_tail,
+    grad_mass_from_batch,
     integrate_grad,
     mean_ci,
     verdict_geq,
@@ -289,12 +290,13 @@ def _entropy_term(a: float) -> float:
     return float(-special.xlogy(a, a) - special.xlogy(1.0 - a, 1.0 - a))
 
 
-def _ball_mass(points: np.ndarray, params: PBallParams, r: float
+def _ball_mass(norms: Optional[np.ndarray], params: PBallParams, r: float
                ) -> tuple[float, bool]:
-    """V{|x|_2 <= r}: exact for p = 2, empirical otherwise."""
+    """V{|x|_2 <= r}: exact for p = 2, otherwise empirical from the batch's
+    Euclidean norms (which p = 2 does not need, and may pass as None)."""
     if params.p == 2.0:
         return (min(r, 1.0) ** params.n if r > 0.0 else 0.0), True
-    frac = float((lp_norm(points, 2.0) <= r).mean())
+    frac = float((norms <= r).mean())
     return frac, False
 
 
@@ -319,8 +321,9 @@ def _check_enlargement_bound(name: str, p: float, n: int, sets, r_grid,
         analytic = set_.analytic_boundary(params)
         ce = content_from_batch(batch, set_, ladder, analytic)
         lhs = ce.extrapolated
+        norms = None if p == 2.0 else lp_norm(batch.points, 2.0)
         for r in r_grid:
-            mass, exact_mass = _ball_mass(batch.points, params, r)
+            mass, exact_mass = _ball_mass(norms, params, r)
             if mass <= 0.0:
                 reports.append(_row(name, p, n, r, a, lhs, 0.0, INCONCLUSIVE))
                 continue
@@ -644,8 +647,10 @@ def check_coarea(p: float, n: int, phi_catalog=None,
         integral |grad phi|_2 dV  >=  integral_0^1 content{phi > u} du,
 
     the u-integral taken over a 64-point midpoint grid of content
-    estimates sharing one batch.  For the plateau catalog both sides agree
-    (the inequality is an identity there), so rows are consistency-graded.
+    estimates sharing one batch.  The superlevel sets of one field share one
+    scalar, so the batch is sorted once per field for all 64 levels.  For
+    the plateau catalog both sides agree (the inequality is an identity
+    there), so rows are consistency-graded.
     Rows: param1 = catalog index, param2 = 0.
     """
     params = PBallParams(p, n)
@@ -658,17 +663,15 @@ def check_coarea(p: float, n: int, phi_catalog=None,
     for i, phi in enumerate(phi_catalog):
         lhs = integrate_grad(sampler, phi, count, child_seed(seed, 2 * i))
         batch = sampler(count, child_seed(seed, 2 * i + 1))
-        vals = np.empty(64)
-        errs = np.empty(64)
-        for k in range(64):
-            level = phi.superlevel((k + 0.5) / 64.0)
-            if level is None:
-                vals[k] = 0.0
-                errs[k] = 0.0
-                continue
-            ce = content_from_batch(batch, level, ladder)
-            vals[k] = ce.extrapolated.mean
-            errs[k] = ce.extrapolated.std_err
+        levels = [phi.superlevel((k + 0.5) / 64.0) for k in range(64)]
+        live = [k for k, level in enumerate(levels) if level is not None]
+        vals = np.zeros(64)
+        errs = np.zeros(64)
+        if live:
+            ests = content_from_batch(batch, [levels[k] for k in live], ladder)
+            for k, ce in zip(live, ests):
+                vals[k] = ce.extrapolated.mean
+                errs[k] = ce.extrapolated.std_err
         # contents at nearby levels share the batch, so errors are summed
         # rather than quadrature-added
         rhs = EstimateCI(float(vals.mean()), float(errs.mean()), count)
@@ -685,9 +688,10 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     (1/s) V{r < dist <= r + s} exactly; along the internal ladder
     (s 2^j, r 4^j), j = 3..0, the value converges to the boundary content
     of A.  Ladder rows (param1 = r_j, param2 = s_j) grade the structural
-    identity on a shared batch; the summary row (param1 = param2 = 0)
-    compares the finest rung to the analytic boundary mass (when known)
-    with 3 sigma + 3% slack.
+    identity on one batch per rung; the summary row (param1 = param2 = 0)
+    compares the finest rung to the analytic boundary mass, or, when the
+    set has no closed form, to the Monte Carlo content of the finest rung's
+    batch, with 3 sigma + 3% slack.
     """
     params = PBallParams(p, n)
     if r <= 0.0 or s <= 0.0:
@@ -695,22 +699,19 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     sampler = ball_sampler(params)
     name = "check_functional_equivalence"
     reports = []
-    final = None
     for j in (3, 2, 1, 0):
         r_j, s_j = r * 4 ** j, s * 2 ** j
         phi = DistanceRamp(set_, n, r_j, s_j)
-        sub = child_seed(seed, j)
-        lhs = integrate_grad(sampler, phi, count, sub)
-        batch = sampler(count, sub)  # identical points by determinism
+        batch = sampler(count, child_seed(seed, j))
+        lhs = grad_mass_from_batch(batch, phi)
         shell = float(phi.ramp_indicator(batch.points).mean()) / s_j
         reports.append(_row(name, p, n, r_j, s_j, lhs, shell,
                             verdict_geq(lhs, shell, "consistent")))
-        if j == 0:
-            final = lhs
+    # the loop ends on j = 0: lhs and batch are the finest rung's
+    final = lhs
     analytic = set_.analytic_boundary(params)
     if analytic is None:
-        ce = content_from_batch(sampler(count, child_seed(seed, 0)), set_,
-                                default_eps_ladder(p, n))
+        ce = content_from_batch(batch, set_, default_eps_ladder(p, n))
         analytic = ce.extrapolated.mean
     gap = abs(final.mean - analytic)
     ok = gap <= 3.0 * final.std_err + 0.03 * analytic

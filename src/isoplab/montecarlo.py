@@ -13,7 +13,10 @@ distance and one-sided enlargement,
     content(A) = lim_{eps -> 0+} (mu{dist(., A) <= eps} - mu(A)) / eps,
 
 approximated on a decreasing epsilon ladder with a weighted-least-squares
-intercept standing in for the limit.
+intercept standing in for the limit.  Every test set is {s >= threshold}
+for one scalar s per point, and so is each of its enlargements; the
+scalar is sorted once per batch and every rung count is read off the
+sorted array.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "MedianEstimate",
     "estimate_median_and_phi",
     "integrate_grad",
+    "grad_mass_from_batch",
     "write_estimates_csv",
     "RARE_COUNT",
 ]
@@ -194,21 +198,48 @@ def _wls_intercept(xs: np.ndarray, ys: np.ndarray, ses: np.ndarray) -> tuple[flo
 
 
 def content_from_batch(batch, set_, eps_ladder: Sequence[float],
-                       analytic: Optional[float] = None) -> ContentEstimate:
-    """Enlargement quotients of one batch for every ladder epsilon."""
+                       analytic: Optional[float] = None):
+    """Enlargement quotients of one batch for every ladder epsilon.
+
+    The counts come from one sorted scalar per point: a set is
+    {set_.scalar >= set_.threshold}, and its eps-enlargement thresholds the
+    same scalar at set_.enlarged(eps).threshold, so with s the sorted scalar
+    the rung count #{threshold - eps <= s < threshold} is
+
+        searchsorted(s, threshold, "left") - searchsorted(s, lower, "left"),
+
+    the same integer as comparing every point against both thresholds.
+
+    ``set_`` may also be a list or tuple of sets sharing one scalar (the
+    superlevel sets of one field): the scalar is then sorted once for all of
+    them, and a list of estimates, one per set, is returned.
+    """
     eps = np.asarray(list(eps_ladder), dtype=float)
     if eps.size == 0 or np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
         raise ValueError("eps ladder must be positive and strictly decreasing")
-    base = np.asarray(set_.indicator(batch.points), dtype=bool)
+    many = isinstance(set_, (list, tuple))
+    sets = list(set_) if many else [set_]
+    lead = sets[0]
+    for other in sets[1:]:
+        if type(other) is not type(lead) or not np.array_equal(
+                getattr(other, "xi", None), getattr(lead, "xi", None)):
+            raise ValueError("sets of one call must share one scalar")
+    s = np.sort(lead.scalar(batch.points))
+    tops = np.array([m.threshold for m in sets], dtype=float)
+    lows = np.array([[m.enlarged(float(e)).threshold for e in eps]
+                     for m in sets], dtype=float)
+    counts = (np.searchsorted(s, tops, "left")[:, None]
+              - np.searchsorted(s, lows, "left"))
     n = batch.count
+    out = [_content_from_counts(eps, row, n, analytic) for row in counts]
+    return out if many else out[0]
+
+
+def _content_from_counts(eps: np.ndarray, counts: np.ndarray, n: int,
+                         analytic: Optional[float]) -> ContentEstimate:
     rungs = []
-    counts = []
-    for e in eps:
-        grown = np.asarray(set_.enlarged(float(e)).indicator(batch.points),
-                           dtype=bool)
-        k = int((grown & ~base).sum())
-        counts.append(k)
-        ci = bernoulli_ci(k, n)
+    for e, k in zip(eps, counts):
+        ci = bernoulli_ci(int(k), n)
         rungs.append((float(e), EstimateCI(ci.mean / e, ci.std_err / e, n)))
     if len(rungs) >= 2:
         xs = eps
@@ -219,7 +250,7 @@ def content_from_batch(batch, set_, eps_ladder: Sequence[float],
     else:
         extrapolated = rungs[-1][1]
     return ContentEstimate(tuple(rungs), extrapolated, analytic,
-                           inconclusive=not any(counts))
+                           inconclusive=not counts.any())
 
 
 def estimate_content(sampler, set_, eps_ladder: Sequence[float],
@@ -333,15 +364,21 @@ def _lipschitz_spot_check(functional, pts: np.ndarray, vals: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def integrate_grad(sampler, f, count: int, seed: int, power: int = 1) -> EstimateCI:
-    """Monte Carlo estimate of the integral of |grad f|_2^power.
+    """Monte Carlo estimate of the integral of |grad f|_2^power over a fresh
+    batch ``sampler(count, seed)``; see grad_mass_from_batch."""
+    return grad_mass_from_batch(sampler(count, seed), f, power)
+
+
+def grad_mass_from_batch(batch, f, power: int = 1) -> EstimateCI:
+    """Mean of |grad f|_2^power over the points of one batch.
 
     Fields exposing an exact .grad are evaluated in one vectorized call;
     anything else goes through the finite-difference grad_norm point by
     point.  Samples with a non-finite gradient are dropped, and more than
     0.1% of them aborts the estimate.
     """
-    batch = sampler(count, seed)
     pts = batch.points
+    count = batch.count
     g = getattr(f, "grad", None)
     if g is not None:
         norms = np.linalg.norm(np.asarray(g(pts), dtype=float), axis=1)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from isoplab.fields import ConstantField
+from isoplab.fields import ConstantField, DistanceRamp
 from isoplab.geometry import (
+    BallComplement,
     HalfSpace,
     PBallParams,
     coordinate_half_space,
@@ -25,6 +26,7 @@ from isoplab.inequality_suite import (
     PASS,
     CheckReport,
     ConcentrationCurve,
+    _default_plateau_catalog,
     InequalityReport,
     check_barthe_dimensional,
     check_bobkov_inequality,
@@ -46,7 +48,13 @@ from isoplab.inequality_suite import (
     theorem1_rhs,
     verify_cutoff_chain,
 )
-from isoplab.montecarlo import EstimateCI
+from isoplab.montecarlo import (
+    EstimateCI,
+    _wls_intercept,
+    bernoulli_ci,
+    content_from_batch,
+)
+from isoplab.sampling import child_seed, sample_ball
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +386,43 @@ def test_coarea_constant_field_row():
     assert row.verdict == PASS
 
 
+def _loop_content_mean(batch, set_, ladder) -> float:
+    # extrapolated content with rung counts from a per-rung indicator loop
+    X = batch.points
+    base = set_.indicator(X)
+    eps = np.asarray(ladder, dtype=float)
+    ys, ses = [], []
+    for e in eps:
+        k = int((set_.enlarged(float(e)).indicator(X) & ~base).sum())
+        ci = bernoulli_ci(k, batch.count)
+        ys.append(ci.mean / e)
+        ses.append(ci.std_err / e)
+    return _wls_intercept(eps, np.array(ys), np.array(ses))[0]
+
+
+@pytest.mark.parametrize("catalog", ["default", "distance_ramp"])
+def test_coarea_rhs_matches_per_level_indicator_loop(catalog):
+    p, n, count, seed = 1.5, 3, 3000, 27
+    params = PBallParams(p, n)
+    if catalog == "default":
+        phis = _default_plateau_catalog(params, count, seed)
+        rep = check_coarea(p, n, None, count, seed)
+    else:
+        phis = [DistanceRamp(coordinate_half_space(params, 0.5), n, 0.05, 0.2),
+                DistanceRamp(BallComplement(0.8), n, 0.05, 0.2)]
+        rep = check_coarea(p, n, phis, count, seed)
+    ladder = default_eps_ladder(p, n)
+    assert len(rep.reports) == len(phis)
+    for i, (phi, row) in enumerate(zip(phis, rep.reports)):
+        batch = sample_ball(params, count, child_seed(seed, 2 * i + 1))
+        vals = np.zeros(64)
+        for k in range(64):
+            vals[k] = _loop_content_mean(
+                batch, phi.superlevel((k + 0.5) / 64.0), ladder)
+        assert row.rhs > 0.0
+        assert row.rhs == float(vals.mean())
+
+
 def test_functional_equivalence_identity_rows():
     params = PBallParams(2.0, 2)
     hs = coordinate_half_space(params, 0.5)
@@ -394,6 +439,23 @@ def test_functional_equivalence_identity_rows():
     assert summary.verdict == PASS
     assert rep.constants["reference"] == pytest.approx(2.0 / np.pi)
     assert rep.constants["limit"] == pytest.approx(2.0 / np.pi, rel=0.05)
+
+
+@pytest.mark.parametrize("set_", [BallComplement(0.6),
+                                  HalfSpace(np.array([0.6, 0.8]), 0.1)])
+def test_functional_equivalence_without_closed_form(set_):
+    p, n, count, seed = 1.5, 2, 4000, 29
+    params = PBallParams(p, n)
+    assert set_.analytic_boundary(params) is None
+    rep = check_functional_equivalence(p, n, set_, r=0.002, s=0.04,
+                                       count=count, seed=seed)
+    # the reference is the content of the finest rung's batch, child seed 0
+    batch = sample_ball(params, count, child_seed(seed, 0))
+    ref = content_from_batch(batch, set_, default_eps_ladder(p, n))
+    summary = rep.reports[-1]
+    assert summary.params[2:] == (0.0, 0.0)
+    assert summary.rhs == ref.extrapolated.mean
+    assert rep.constants["reference"] == ref.extrapolated.mean
 
 
 def test_functional_equivalence_offset_validation():

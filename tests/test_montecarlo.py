@@ -5,7 +5,7 @@ against exact boundary values, tail and median machinery, gradient integrals.
 import numpy as np
 import pytest
 
-from isoplab.fields import ConstantField, LinearRamp
+from isoplab.fields import ConstantField, DistanceRamp, LinearRamp, RadialRamp
 from isoplab.geometry import (
     BallComplement,
     HalfSpace,
@@ -31,7 +31,7 @@ from isoplab.montecarlo import (
     verdict_leq,
     write_estimates_csv,
 )
-from isoplab.sampling import ball_sampler, sample_ball
+from isoplab.sampling import SampleBatch, ball_sampler, sample_ball
 
 
 def test_estimate_ci_interval():
@@ -166,6 +166,77 @@ def test_content_analytic_requires_value():
     assert est.analytic is None
     with pytest.raises(ValueError):
         est.consistent_with_analytic()
+
+
+def _tie_batch(set_, ladder, embed):
+    """Points whose scalar lies exactly on the set's threshold and on every
+    rung's lower threshold, next to them and between them, with a different
+    multiplicity at each tie so that a wrong searchsorted side shows."""
+    top = set_.threshold
+    lows = [set_.enlarged(e).threshold for e in ladder]
+    values = [top] * 3 + [np.nextafter(top, -np.inf)] * 2
+    values += [np.nextafter(top, np.inf), top + 1.0, lows[-1] - 1.0]
+    for j, low in enumerate(lows):
+        values += [low] * (j + 1)
+        values += [np.nextafter(low, -np.inf), np.nextafter(low, np.inf),
+                   0.5 * (low + top)]
+    X = np.array([embed(v) for v in values])
+    batch = SampleBatch("V_PN", X.shape[1], X.shape[0], 0, X)
+    # the ties are real: the set's own scalar hits every threshold exactly
+    assert set([top] + lows) <= set(set_.scalar(X).tolist())
+    return batch
+
+
+def _loop_counts(batch, set_, ladder):
+    # the per-rung indicator loop content_from_batch once ran, as reference
+    X = batch.points
+    return [int((set_.enlarged(e).indicator(X) & ~set_.indicator(X)).sum())
+            for e in ladder]
+
+
+def _rung_counts(est, n):
+    return [round(q.mean * e * n) for e, q in est.per_epsilon]
+
+
+@pytest.mark.parametrize("set_, embed", [
+    (HalfSpace(np.array([1.0, 0.0]), 0.3), lambda v: [v, 0.25]),
+    (HalfSpace(np.array([0.0, -1.0]), -0.2), lambda v: [0.5, -v]),
+    (BallComplement(0.6), lambda v: [0.0, v]),
+])
+def test_content_counts_on_exact_ties_match_indicator_loop(set_, embed):
+    ladder = [0.2, 0.1, 0.05, 0.01]
+    batch = _tie_batch(set_, ladder, embed)
+    est = content_from_batch(batch, set_, ladder)
+    reference = _loop_counts(batch, set_, ladder)
+    assert _rung_counts(est, batch.count) == reference
+    assert min(reference) > 0
+
+
+def test_content_shared_scalar_sets_match_one_at_a_time():
+    params = PBallParams(1.5, 3)
+    batch = sample_ball(params, 3000, seed=53)
+    ladder = [0.04, 0.02, 0.01]
+    hs = coordinate_half_space(params, 0.4)
+    families = [
+        LinearRamp(np.array([0.6, 0.0, 0.8]), -0.2, 0.3),
+        RadialRamp(3, 0.4, 0.7),
+        DistanceRamp(hs, 3, 0.05, 0.2),
+        DistanceRamp(BallComplement(0.7), 3, 0.05, 0.2),
+    ]
+    for phi in families:
+        levels = [phi.superlevel((k + 0.5) / 8.0) for k in range(8)]
+        together = content_from_batch(batch, levels, ladder)
+        assert len(together) == len(levels)
+        for level, est in zip(levels, together):
+            alone = content_from_batch(batch, level, ladder)
+            assert est == alone
+            assert _rung_counts(est, batch.count) == _loop_counts(
+                batch, level, ladder)
+    with pytest.raises(ValueError):
+        content_from_batch(batch, [hs, BallComplement(0.5)], ladder)
+    with pytest.raises(ValueError):
+        content_from_batch(batch, [hs, HalfSpace(np.array([0.0, 1.0, 0.0]),
+                                                 0.1)], ladder)
 
 
 def test_estimate_tail_levels_and_rare_flag():
