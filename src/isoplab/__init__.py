@@ -24,7 +24,6 @@ from .geometry import (
     marginal_quantile,
     marginal_second_moment,
     marginal_sf,
-    operator_norm,
 )
 from .inequality_suite import (
     CheckReport,

@@ -45,7 +45,6 @@ __all__ = [
     "JacobianResult",
     "jacobian_T",
     "jacobian_op_norms",
-    "operator_norm",
     "CutoffParams",
     "cutoff_h1",
     "cutoff_h2",
@@ -148,15 +147,12 @@ def marginal_isf(params: PBallParams, a):
 def marginal_second_moment(params: PBallParams) -> float:
     """sigma^2(p, n) = integral of t^2 against the coordinate marginal.
 
-    Computed by adaptive quadrature; the closed form
-    B(3/p, (n-1)/p + 1) / B(1/p, (n-1)/p + 1) is used as a cross-check in the
-    test suite.
+    With s = |t|^p the marginal becomes a Beta(1/p, b) law, b = (n-1)/p + 1,
+    so sigma^2 = E s^(2/p) = B(3/p, b) / B(1/p, b).
     """
-    from scipy.integrate import quad
-
-    val, err = quad(lambda t: t * t * marginal_density(params, t), 0.0, 1.0,
-                    epsabs=1e-14, epsrel=1e-12, limit=200)
-    return 2.0 * val
+    p, n = params.p, params.n
+    b = (n - 1.0) / p + 1.0
+    return float(np.exp(special.betaln(3.0 / p, b) - special.betaln(1.0 / p, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,50 +305,48 @@ class JacobianResult:
                 f"{self.lemma1_bound!r}")
 
 
-def _jacobian_matrices(Z: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stacked Jacobians for rows of Z; returns (matrices, |z|_p, |T(z)|_2)."""
+def _differential_terms(Z, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, w, |z|_p) for rows z = (x, y) of Z, w_i = sign(z_i) |z_i|^(p-1).
+
+    The differential is DT(z) = ([I|0] - x w^T / |z|_p^p) / |z|_p; at p = 1,
+    w = sign(z), which is 0 on the kink set.
+    """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    count, dim = Z.shape
-    n = dim - 1
     nz = lp_norm(Z, p)
     if np.any(nz == 0.0):
         raise ValueError("Jacobian undefined at z = 0")
-    X = Z[:, :n]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.sign(Z) * np.abs(Z) ** (p - 1.0)
-    if p == 1.0:
-        w = np.sign(Z)  # |z|^0 taken as 1 off the kink set
-    mats = np.zeros((count, n, dim))
-    idx = np.arange(n)
-    mats[:, idx, idx] = 1.0
-    mats -= X[:, :, None] * w[:, None, :] / (nz ** p)[:, None, None]
-    mats /= nz[:, None, None]
-    t2 = np.sqrt(np.square(X).sum(axis=1)) / nz
-    return mats, nz, t2
+    w = np.sign(Z) * np.abs(Z) ** (p - 1.0)
+    return Z[:, :-1], w, nz
 
 
-def operator_norm(mat: np.ndarray, method: str = "auto") -> float:
-    """Largest singular value; power iteration avoids full SVD for large n."""
-    if method == "auto":
-        method = "svd" if min(mat.shape) <= 512 else "power"
-    if method == "svd":
-        return float(np.linalg.svd(mat, compute_uv=False)[0])
-    if method != "power":
-        raise ValueError(f"unknown operator-norm method {method!r}")
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(10 ** 4):
-        w = mat.T @ (mat @ v)
-        s = np.linalg.norm(w)
-        if s == 0.0:
-            return 0.0
-        v = w / s
-        if abs(s - prev) <= 1e-10 * max(s, 1.0):
-            break
-        prev = s
-    return float(np.sqrt(s))
+def _op_norms_and_bounds(x: np.ndarray, w: np.ndarray, nz: np.ndarray,
+                         p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Largest singular value of DT(z) per row, in closed form, and its bound.
+
+    |z|_p^2 DT DT^T = I + S with S = beta x x^T - (b x^T + x b^T),
+    b = w_{1..n} / |z|_p^p and beta = |w|_2^2 / |z|_p^(2p).  S vanishes off
+    span{x, b}; there its eigenvalues are those of [[beta, -1], [-1, 0]] G,
+    G the Gram matrix of (x, b), whose determinant -det G is <= 0.  So the top
+    eigenvalue is >= 0 and, for n >= 2, is also the top one of S.
+    """
+    n = x.shape[1]
+    xx = np.square(x).sum(axis=1)
+    bounds = (1.0 + n ** ((2.0 - p) / (2.0 * p)) * np.sqrt(xx) / nz) / nz
+    nzp = nz ** p
+    if n == 1:
+        # no direction orthogonal to x: the differential is a single row
+        row = -x * w / nzp[:, None]
+        row[:, 0] += 1.0
+        return np.sqrt(np.square(row).sum(axis=1)) / nz, bounds
+    b = w[:, :-1] / nzp[:, None]
+    xb = (x * b).sum(axis=1)
+    tr = np.square(w).sum(axis=1) / nzp ** 2 * xx - 2.0 * xb
+    gram = np.maximum(xx * np.square(b).sum(axis=1) - xb * xb, 0.0)
+    root = np.sqrt(tr * tr + 4.0 * gram)
+    # for tr < 0 the root 2 gram / (root - tr) avoids cancellation
+    top = np.where(tr >= 0.0, 0.5 * (tr + root),
+                   2.0 * gram / np.where(tr < 0.0, root - tr, 1.0))
+    return np.sqrt(1.0 + top) / nz, bounds
 
 
 def jacobian_T(z, p: float) -> JacobianResult:
@@ -366,22 +360,16 @@ def jacobian_T(z, p: float) -> JacobianResult:
     z = np.asarray(z, dtype=float)
     if p < 2.0 and np.any(z == 0.0) and np.any(z[:-1] != 0.0):
         raise KinkError("coordinate of z is exactly 0 with p < 2")
-    mats, nz, t2 = _jacobian_matrices(z, p)
-    n = mats.shape[1]
-    kappa = (2.0 - p) / (2.0 * p)
-    op = operator_norm(mats[0])
-    bound = float((1.0 + n ** kappa * t2[0]) / nz[0])
-    return JacobianResult(mats[0], op, bound)
+    x, w, nz = _differential_terms(z, p)
+    n = x.shape[1]
+    matrix = (np.eye(n, n + 1) - x[0][:, None] * w[0] / nz[0] ** p) / nz[0]
+    ops, bounds = _op_norms_and_bounds(x, w, nz, p)
+    return JacobianResult(matrix, float(ops[0]), float(bounds[0]))
 
 
 def jacobian_op_norms(Z, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (op_norm, bound) over rows of Z; used for violation scans."""
-    mats, nz, t2 = _jacobian_matrices(Z, p)
-    n = mats.shape[1]
-    kappa = (2.0 - p) / (2.0 * p)
-    ops = np.linalg.svd(mats, compute_uv=False)[:, 0]
-    bounds = (1.0 + n ** kappa * t2) / nz
-    return ops, bounds
+    return _op_norms_and_bounds(*_differential_terms(Z, p), p)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 from . import measures1d
 from .fields import (
@@ -479,11 +478,11 @@ def check_sz_concentration(p: float, n: int, functional, t_grid,
 
 @dataclass(frozen=True)
 class ConcentrationCurve:
-    """Numeric deviation curve psi against its closed-form upper bound.
+    """Exact deviation curve psi against its closed-form upper bound.
 
     psi solves psi'(u) = -[c n^{1/p} u log^{1-1/p}(1/u)]^{-1} with
-    psi(1/2) = 0; the bound column is [log(1/2u)/(c1 n)]^{1/p} with
-    c1 = (c/p)^p.
+    psi(1/2) = 0, so psi(u) = p/(c n^{1/p}) [log^{1/p}(1/u) - log^{1/p} 2];
+    the bound column is [log(1/2u)/(c1 n)]^{1/p} with c1 = (c/p)^p.
     """
 
     u_grid: np.ndarray
@@ -498,10 +497,10 @@ class ConcentrationCurve:
 
 def concentration_from_isoperimetry(c: float, p: float, n: int,
                                     u_grid) -> ConcentrationCurve:
-    """Integrate the deviation ODE and verify the closed-form bound.
+    """Evaluate the deviation curve psi and verify the closed-form bound.
 
-    Raises RuntimeError if the numeric curve exceeds the bound by more than
-    1e-6 relative slack anywhere (it cannot, by concavity of t -> t^{1/p}).
+    Raises RuntimeError if psi exceeds the bound by more than 1e-6 relative
+    slack anywhere (it cannot, by concavity of t -> t^{1/p}).
     """
     if c <= 0.0:
         raise ValueError("profile constant c must be positive")
@@ -509,23 +508,20 @@ def concentration_from_isoperimetry(c: float, p: float, n: int,
     u_grid = np.asarray([float(u) for u in u_grid])
     if u_grid.size == 0 or np.any(u_grid <= 0.0) or np.any(u_grid > 0.5):
         raise ValueError("u grid must lie in (0, 1/2]")
-    scale = c * n ** (1.0 / p)
-
-    def integrand(v: float) -> float:
-        return 1.0 / (scale * v * np.log(1.0 / v) ** (1.0 - 1.0 / p))
-
-    c1 = (c / p) ** p
-    numeric = np.empty(u_grid.size)
-    bound = np.empty(u_grid.size)
-    for i, u in enumerate(u_grid):
-        val, _ = quad(integrand, u, 0.5, epsabs=1e-14, epsrel=1e-12, limit=400)
-        numeric[i] = val
-        bound[i] = (np.log(1.0 / (2.0 * u)) / (c1 * n)) ** (1.0 / p)
-        if numeric[i] > bound[i] * (1.0 + 1e-6) + 1e-15:
-            raise RuntimeError(
-                f"deviation curve exceeds its closed-form bound at u={u}: "
-                f"{numeric[i]!r} > {bound[i]!r}")
-    return ConcentrationCurve(u_grid, numeric, bound)
+    # log^{1/p}(1/u) - log^{1/p} 2 with d = log(1/2u) factored out, so that
+    # psi(1/2) = 0 exactly and nothing cancels near u = 1/2
+    d = np.log(1.0 / (2.0 * u_grid))
+    log2 = math.log(2.0)
+    psi = (p / (c * n ** (1.0 / p)) * log2 ** (1.0 / p)
+           * np.expm1(np.log1p(d / log2) / p))
+    bound = (d / ((c / p) ** p * n)) ** (1.0 / p)
+    over = np.flatnonzero(psi > bound * (1.0 + 1e-6) + 1e-15)
+    if over.size:
+        i = over[0]
+        raise RuntimeError(
+            f"deviation curve exceeds its closed-form bound at u={u_grid[i]}: "
+            f"{psi[i]!r} > {bound[i]!r}")
+    return ConcentrationCurve(u_grid, psi, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +669,7 @@ def check_coarea(p: float, n: int, phi_catalog=None,
                 vals[k] = ce.extrapolated.mean
                 errs[k] = ce.extrapolated.std_err
         # contents at nearby levels share the batch, so errors are summed
-        # rather than quadrature-added
+        # rather than combined as a root sum of squares
         rhs = EstimateCI(float(vals.mean()), float(errs.mean()), count)
         reports.append(_row(name, p, n, i, 0.0, lhs, rhs.mean,
                             verdict_geq(lhs, rhs, "consistent")))
@@ -890,16 +886,7 @@ def isotropy_constants(p: float, n: int) -> IsotropyConstants:
     C(n,p) B_p^n has volume 1; its covariance is (C(n,p) sigma)^2 I with
     sigma^2 the marginal second moment, so L_K = C(n,p) sigma.
     """
-    import warnings
-    from scipy.integrate import IntegrationWarning
-
-    params = PBallParams(p, n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            sigma2 = marginal_second_moment(params)
-        except IntegrationWarning as exc:
-            raise RuntimeError(f"second-moment quadrature failed: {exc}")
+    sigma2 = marginal_second_moment(PBallParams(p, n))
     c_np = math.exp(-ball_log_volume(p, n) / n)
     return IsotropyConstants(float(c_np), float(c_np * math.sqrt(sigma2)))
 

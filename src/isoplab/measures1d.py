@@ -19,9 +19,8 @@ For log-concave measures half-lines are extremal, so J is the true
 isoperimetric profile.  ``profile_comparison`` measures J against the model
 shape a * log(1/a)^(1-1/p) that governs the small-mass regime of this family.
 
-CDFs are evaluated through the regularized incomplete gamma function and
-quantiles through monotone bracketed root-finding with a Newton polish
-(closed forms are used where available).
+CDFs and quantiles are closed forms: the regularized incomplete gamma
+function and its inverse, or elementary functions.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 __all__ = [
     "LogConcave1D",
@@ -44,8 +42,6 @@ __all__ = [
     "bobkov_profile",
     "profile_comparison",
 ]
-
-_QUANTILE_XTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -93,46 +89,6 @@ class ProfileComparison:
         object.__setattr__(self, "nu_ratio_min", float(np.min(self.nu_ratios)))
 
 
-def _bracket(cdf, support, a):
-    """Find [lo, hi] inside the support with cdf(lo) <= a <= cdf(hi)."""
-    lo, hi = support
-    if np.isfinite(lo):
-        t_lo = lo
-    else:
-        t_lo = -1.0
-        while cdf(t_lo) > a:
-            t_lo *= 2.0
-            if t_lo < -1e300:
-                raise RuntimeError("quantile bracket ran off the left end")
-    if np.isfinite(hi):
-        t_hi = hi
-    else:
-        t_hi = 1.0
-        while cdf(t_hi) < a:
-            t_hi *= 2.0
-            if t_hi > 1e300:
-                raise RuntimeError("quantile bracket ran off the right end")
-    return t_lo, t_hi
-
-
-def _root_quantile(m_name, cdf, density, support, a):
-    """Bracketed monotone root-finding for F^{-1}(a), then one guarded Newton step."""
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"quantile level must be in (0,1), got {a!r}")
-    try:
-        t_lo, t_hi = _bracket(cdf, support, a)
-        t = brentq(lambda t: cdf(t) - a, t_lo, t_hi,
-                   xtol=_QUANTILE_XTOL, rtol=4.0 * np.finfo(float).eps)
-    except (RuntimeError, ValueError) as exc:
-        raise RuntimeError(f"quantile of {m_name} failed to converge at a={a!r}: {exc}") from exc
-    f = density(t)
-    if np.isfinite(f) and f > 0.0:
-        t_new = t - (cdf(t) - a) / f
-        if support[0] < t_new < support[1] and abs(cdf(t_new) - a) < abs(cdf(t) - a):
-            t = t_new
-    return t
-
-
 def make_mu_p(p: float) -> LogConcave1D:
     """Symmetric exponential-power measure on R, density exp(-|t|^p)/(2 Gamma(1+1/p))."""
     if not 1.0 <= p <= 2.0:
@@ -147,13 +103,15 @@ def make_mu_p(p: float) -> LogConcave1D:
         out = 0.5 * (1.0 + np.sign(t) * special.gammainc(1.0 / p, np.abs(t) ** p))
         return out if out.ndim else float(out)
 
-    name = f"mu_{p:g}"
-    support = (-np.inf, np.inf)
-
     def quantile(a):
-        return _root_quantile(name, cdf, lambda t: np.exp(log_density(t)), support, a)
+        # |X|^p is Gamma(1/p, 1): invert the tail on the side of the median
+        # that holds a
+        if not 0.0 < a < 1.0:
+            raise ValueError(f"quantile level must be in (0,1), got {a!r}")
+        tail = special.gammainccinv(1.0 / p, 2.0 * min(a, 1.0 - a))
+        return float(np.sign(a - 0.5) * tail ** (1.0 / p))
 
-    return LogConcave1D(name, support, log_density, cdf, quantile)
+    return LogConcave1D(f"mu_{p:g}", (-np.inf, np.inf), log_density, cdf, quantile)
 
 
 def make_nu_p(p: float) -> LogConcave1D:

@@ -263,3 +263,13 @@ def test_cli_out_dir_precedence(tmp_path):
     assert res.returncode == 0
     assert (flag_dir / "summary.json").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_import_needs_neither_integrate_nor_optimize():
+    code = ("import sys, isoplab, isoplab.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -130,11 +130,11 @@ def test_n1_marginal_is_uniform():
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("n", [2, 5, 16])
-def test_second_moment_closed_form(p, n):
-    # B(3/p, (n-1)/p + 1) / B(1/p, (n-1)/p + 1)
-    b = (n - 1.0) / p + 1.0
-    expected = special.beta(3.0 / p, b) / special.beta(1.0 / p, b)
-    assert abs(marginal_second_moment(PBallParams(p, n)) - expected) < 1e-10
+def test_second_moment_against_quadrature(p, n):
+    params = PBallParams(p, n)
+    val, err = quad(lambda t: t * t * marginal_density(params, t), 0.0, 1.0,
+                    epsabs=1e-14, epsrel=1e-12, limit=200)
+    assert abs(marginal_second_moment(params) - 2.0 * val) < 1e-10
 
 
 def test_second_moment_frozen_values():
@@ -276,6 +276,8 @@ def test_jacobian_matches_finite_differences(p, n):
         scale = np.abs(fd).max()
         assert np.abs(res.matrix - fd).max() < 1e-6 * max(scale, 1.0)
         assert res.op_norm <= res.lemma1_bound + 1e-9
+        svd = np.linalg.svd(res.matrix, compute_uv=False)[0]
+        assert abs(res.op_norm - svd) <= 1e-12 * svd
 
 
 def test_jacobian_kink_raises_for_p_below_two():
@@ -309,16 +311,28 @@ def test_operator_norm_bound_holds_on_product_samples(p):
     assert abs(bounds[17] - res.lemma1_bound) < 1e-12
 
 
-def test_operator_norm_methods_agree():
-    rng = np.random.default_rng(2)
-    from isoplab.geometry import operator_norm
-    for shape in [(3, 4), (30, 40)]:
-        m = rng.standard_normal(shape)
-        svd = operator_norm(m, method="svd")
-        pow_ = operator_norm(m, method="power")
-        assert abs(svd - pow_) < 1e-8 * max(svd, 1.0)
-    with pytest.raises(ValueError):
-        operator_norm(np.eye(2), method="bogus")
+def _explicit_jacobian(z, p):
+    # DT(z) = ([I|0] - x w^T / |z|_p^p) / |z|_p, w_i = sign(z_i)|z_i|^(p-1)
+    n = z.size - 1
+    nz = np.sum(np.abs(z) ** p) ** (1.0 / p)
+    w = np.sign(z) * np.abs(z) ** (p - 1.0)
+    return (np.eye(n, n + 1) - np.outer(z[:n], w) / nz ** p) / nz
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_operator_norm_closed_form_matches_svd(p, n):
+    Z = sample_product(PBallParams(p, n), 200, seed=5).points
+    Z[0, :n] = 0.0                 # x = 0: the differential is [I|0]/|z|_p
+    Z[1, :] = 1.0                  # all coordinates equal: x parallel to w
+    if p == 1.0:
+        Z[2, 0] = 0.0              # zero coordinates, where w = sign(z) = 0
+        Z[3, -1] = 0.0
+    ops, bounds = jacobian_op_norms(Z, p)
+    svd = np.array([np.linalg.svd(_explicit_jacobian(z, p),
+                                  compute_uv=False)[0] for z in Z])
+    np.testing.assert_allclose(ops, svd, rtol=1e-12, atol=0.0)
+    assert np.all(ops <= bounds + 1e-9)
 
 
 # ---------------------------------------------------------------------------

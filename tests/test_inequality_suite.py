@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy import special
+from scipy.integrate import quad
 
 from isoplab.fields import ConstantField, DistanceRamp
 from isoplab.geometry import (
@@ -280,6 +281,21 @@ def test_concentration_curve_p2_antiderivative():
     # psi(1/2) = 0
     at_half = concentration_from_isoperimetry(c, 2.0, n, [0.5])
     assert abs(at_half.psi_numeric[0]) < 1e-14
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5])
+def test_concentration_curve_against_quadrature(p):
+    # psi(u) = integral over [u, 1/2] of 1/(c n^{1/p} v log^{1-1/p}(1/v))
+    c, n = 0.9, 3
+    scale = c * n ** (1.0 / p)
+    us = [0.45, 0.25, 0.1, 0.01, 1e-4]
+    curve = concentration_from_isoperimetry(c, p, n, us)
+    for u, psi in zip(us, curve.psi_numeric):
+        val, _ = quad(lambda v: 1.0 / (scale * v * np.log(1.0 / v)
+                                       ** (1.0 - 1.0 / p)),
+                      u, 0.5, epsabs=1e-14, epsrel=1e-12, limit=400)
+        assert abs(psi - val) <= 1e-10 * val, (u, psi, val)
+    assert np.all(curve.psi_numeric <= curve.psi_closed_form)
 
 
 def test_concentration_curve_validation():
