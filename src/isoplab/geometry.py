@@ -113,13 +113,23 @@ def marginal_density(params: PBallParams, t):
     return out if out.ndim else float(out)
 
 
+def _marginal_shape(params: PBallParams) -> tuple[float, float]:
+    # |x_1|^p is Beta(1/p, (n-1)/p + 1) distributed under V_{p,n}
+    return 1.0 / params.p, (params.n - 1.0) / params.p + 1.0
+
+
+def _marginal_tail(params: PBallParams, t):
+    """V{x_1 >= |t|}, from the complemented incomplete beta function so that
+    the tail keeps its relative accuracy as |t| -> 1."""
+    x = np.minimum(np.abs(t), 1.0) ** params.p
+    return 0.5 * special.betaincc(*_marginal_shape(params), x)
+
+
 def marginal_cdf(params: PBallParams, t):
     """Marginal CDF via the regularized incomplete beta function."""
-    p, n = params.p, params.n
     t = np.asarray(t, dtype=float)
-    x = np.minimum(np.abs(t), 1.0) ** p
-    half = 0.5 * special.betainc(1.0 / p, (n - 1.0) / p + 1.0, x)
-    out = 0.5 + np.sign(t) * half
+    tail = _marginal_tail(params, t)
+    out = np.where(t > 0.0, 1.0 - tail, tail)
     return out if out.ndim else float(out)
 
 
@@ -129,19 +139,24 @@ def marginal_sf(params: PBallParams, t):
 
 
 def marginal_quantile(params: PBallParams, a):
-    """Inverse of the marginal CDF, exact via the inverse incomplete beta."""
-    p, n = params.p, params.n
+    """Inverse of the marginal CDF, exact via the inverse complemented
+    incomplete beta function of the tail on a's side of the median."""
     a = np.asarray(a, dtype=float)
     if np.any((a <= 0.0) | (a >= 1.0)):
         raise ValueError("marginal quantile level must be in (0,1)")
-    x = special.betaincinv(1.0 / p, (n - 1.0) / p + 1.0, np.abs(2.0 * a - 1.0))
-    out = np.sign(a - 0.5) * x ** (1.0 / p)
+    shape = _marginal_shape(params)
+    tail = 2.0 * np.minimum(a, 1.0 - a)
+    # a tail below the mass beyond 1 - 2^-53 puts |t|^p within rounding of 1,
+    # the only float left to return (betainccinv gives nan far below it)
+    edge = special.betaincc(*shape, 1.0 - 2.0 ** -53)
+    x = np.where(tail > edge, special.betainccinv(*shape, tail), 1.0)
+    out = np.sign(a - 0.5) * x ** (1.0 / params.p)
     return out if out.ndim else float(out)
 
 
 def marginal_isf(params: PBallParams, a):
-    """t with V{x_1 >= t} = a."""
-    return marginal_quantile(params, 1.0 - np.asarray(a, dtype=float))
+    """t with V{x_1 >= t} = a; equals -marginal_quantile(a) by symmetry."""
+    return -marginal_quantile(params, a)
 
 
 def marginal_second_moment(params: PBallParams) -> float:

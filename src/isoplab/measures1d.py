@@ -99,13 +99,14 @@ def make_mu_p(p: float) -> LogConcave1D:
         return -np.abs(t) ** p - log_norm
 
     def cdf(t):
+        # |X|^p is Gamma(1/p, 1); each tail keeps its relative accuracy
         t = np.asarray(t, dtype=float)
-        out = 0.5 * (1.0 + np.sign(t) * special.gammainc(1.0 / p, np.abs(t) ** p))
+        tail = 0.5 * special.gammaincc(1.0 / p, np.abs(t) ** p)
+        out = np.where(t > 0.0, 1.0 - tail, tail)
         return out if out.ndim else float(out)
 
     def quantile(a):
-        # |X|^p is Gamma(1/p, 1): invert the tail on the side of the median
-        # that holds a
+        # invert the tail on the side of the median that holds a
         if not 0.0 < a < 1.0:
             raise ValueError(f"quantile level must be in (0,1), got {a!r}")
         tail = special.gammainccinv(1.0 / p, 2.0 * min(a, 1.0 - a))

@@ -107,6 +107,46 @@ def test_marginal_quantile_round_trip():
         assert abs(marginal_sf(params, marginal_isf(params, 0.2)) - 0.2) < 1e-10
 
 
+TAIL_LEVELS = (1e-300, 1e-30, 1e-18)
+
+
+def test_marginal_upper_tail_keeps_relative_accuracy():
+    params = PBallParams(1.5, 16)
+    b = 15.0 / 1.5 + 1.0
+    for t in (0.9, 0.97, 0.99):
+        expected = 0.5 * special.betaincc(1.0 / 1.5, b, t ** 1.5)
+        val, err = quad(lambda s: marginal_density(params, s), t, 1.0,
+                        epsabs=0.0, epsrel=1e-12)
+        assert abs(val - expected) <= 1e-10 * expected
+        assert abs(marginal_sf(params, t) - expected) <= 1e-13 * expected
+        assert marginal_cdf(params, -t) == marginal_sf(params, t)
+
+
+def test_marginal_quantile_tails_round_trip():
+    params = PBallParams(1.5, 16)
+    for a in TAIL_LEVELS[1:]:
+        t = marginal_quantile(params, a)
+        assert abs(marginal_cdf(params, t) - a) <= 1e-12 * a
+        assert marginal_isf(params, a) == -t
+        assert abs(marginal_sf(params, -t) - a) <= 1e-12 * a
+    # |t| = 1 - O(1e-27) rounds to 1, which is the nearest float
+    assert marginal_quantile(params, 1e-300) == -1.0
+    assert marginal_isf(params, 1e-300) == 1.0
+    # p = 1, n = 2: the marginal is the tent, F(t) = (1 + t)^2 / 2 for t <= 0
+    tent = PBallParams(1.0, 2)
+    for a in TAIL_LEVELS + (1e-6, 0.3):
+        assert abs(marginal_quantile(tent, a) - (np.sqrt(2.0 * a) - 1.0)) < 1e-15
+        assert abs(marginal_isf(tent, a) - (1.0 - np.sqrt(2.0 * a))) < 1e-15
+
+
+@pytest.mark.parametrize("p", [1.0, 1.05, 1.25, 1.5, 2.0])
+def test_marginal_quantile_finite_at_the_smallest_levels(p):
+    for n in (1, 2, 5, 8, 16, 64):
+        t = marginal_quantile(PBallParams(p, n), np.array(TAIL_LEVELS))
+        assert np.all(np.isfinite(t)) and np.all((-1.0 <= t) & (t < 0.0))
+        assert np.all(np.diff(t) >= 0.0)
+
+
 def test_marginal_quantile_level_validation():
     with pytest.raises(ValueError):
         marginal_quantile(PBallParams(2.0, 2), 0.0)

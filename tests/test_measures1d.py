@@ -76,6 +76,23 @@ def test_quantile_round_trip(maker):
         assert abs(m.cdf(m.quantile(a)) - a) < 1e-10, (m.name, a)
 
 
+@pytest.mark.parametrize("p", P_GRID)
+def test_mu_p_lower_tail_round_trips_to_relative_accuracy(p):
+    mu = make_mu_p(p)
+    for a in (1e-300, 1e-30, 1e-18):
+        assert abs(mu.cdf(mu.quantile(a)) - a) <= 1e-12 * a
+
+
+def test_mu_p_tail_quantiles_against_closed_forms():
+    # mu_1 is Laplace(1/2): F^{-1}(a) = log(2a) for a <= 1/2; mu_2 is
+    # N(0, 1/2): F^{-1}(a) = -erfcinv(2a)
+    for a in (1e-300, 1e-30, 1e-18, 0.2):
+        expected = np.log(2.0 * a)
+        assert abs(make_mu_p(1.0).quantile(a) - expected) <= 1e-13 * abs(expected)
+        expected = -special.erfcinv(2.0 * a)
+        assert abs(make_mu_p(2.0).quantile(a) - expected) <= 1e-13 * abs(expected)
+
+
 def test_quantile_rejects_bad_levels():
     mu = make_mu_p(1.5)
     for a in (0.0, 1.0, -0.1, 2.0):
