@@ -165,8 +165,8 @@ def marginal_second_moment(params: PBallParams) -> float:
     With s = |t|^p the marginal becomes a Beta(1/p, b) law, b = (n-1)/p + 1,
     so sigma^2 = E s^(2/p) = B(3/p, b) / B(1/p, b).
     """
-    p, n = params.p, params.n
-    b = (n - 1.0) / p + 1.0
+    p = params.p
+    _, b = _marginal_shape(params)
     return float(np.exp(special.betaln(3.0 / p, b) - special.betaln(1.0 / p, b)))
 
 
