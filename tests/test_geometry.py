@@ -170,7 +170,8 @@ def test_n1_marginal_is_uniform():
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("n", [2, 5, 16])
-def test_second_moment_against_quadrature(p, n):
+def test_second_moment_closed_form(p, n):
+    # the library's beta-function ratio against quadrature of t^2 f(t)
     params = PBallParams(p, n)
     val, err = quad(lambda t: t * t * marginal_density(params, t), 0.0, 1.0,
                     epsabs=1e-14, epsrel=1e-12, limit=200)
