@@ -1,9 +1,10 @@
 """Draw uniform points from an l_p ball two ways and compare marginals.
 
-The fast path pushes a product of Gamma-type coordinates through
-T(z) = x / |z|_p; the slow path draws uniform points from the grid cells
-of side 1/m that meet the ball and rejects those outside it.  Both target
-the same normalized volume measure, so their coordinate marginals agree.
+The fast path pushes a product of mu_p coordinates (density proportional
+to exp(-|t|^p)) and one nu_p coordinate through T(z) = x / |z|_p; the
+slow path draws uniform points from the grid cells of side 1/m that meet
+the ball and rejects those outside it.  Both target the same normalized
+volume measure, so their coordinate marginals agree.
 """
 
 import numpy as np

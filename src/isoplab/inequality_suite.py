@@ -39,7 +39,6 @@ from .geometry import (
     CutoffParams,
     PBallParams,
     ball_log_volume,
-    bgmn_map,
     coordinate_half_space,
     jacobian_op_norms,
     lp_norm,
@@ -806,8 +805,8 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     ball = sample_ball(params, count, child_seed(seed, 0))
     prod = sample_product(params, count, child_seed(seed, 1))
     X, Z = ball.points, prod.points
-    XT = bgmn_map(Z, p)
     nzp = lp_norm(Z, p)
+    XT = Z[:, :-1] / nzp[:, None]       # T(Z), sharing the one norm pass
     kappa = _kappa(p)
     slope1 = c.c1 * n ** kappa
     c3 = c.c1 / (c.c1 + 2.0)

@@ -2,13 +2,19 @@
 
 The product measure puts mu_p = exp(-|t|^p)/(2 Gamma(1+1/p)) on the first n
 coordinates and nu_p (density p t^{p-1} exp(-t^p) on t >= 0) on the last one.
-Coordinates are realized as S * G^{1/p} with G ~ Gamma(1/p, 1) and S a fair
-sign, and the last coordinate as E^{1/p} with E ~ Exp(1).  Normalizing by the
-l_p norm then yields exact uniform samples on B_p^n.  The independent
-oracle at small n is a rejection sampler from a grid envelope: the cells of
-side 1/m in the positive orthant that meet the ball, each drawn with equal
-probability, a uniform point inside it kept when it lies in the ball, and
-fair signs attached.
+A mu_p coordinate is drawn exactly from the cheapest law available: a normal
+with variance 1/2 at p = 2, a Laplace variate (the difference of two Exp(1))
+at p = 1, and otherwise G^{1/p} U with G ~ Gamma(1+1/p, 1) and U uniform on
+(-1, 1), since Gamma(1/p) =d Gamma(1+1/p) |U|^p.  The last coordinate is
+E^{1/p} with E ~ Exp(1).  Normalizing by the l_p norm then yields exact
+uniform samples on B_p^n (Barthe, Guedon, Mendelson and Naor); the ball
+sampler forms s = sum |g_i|^p + E from the same draws in one pass and
+scales each row by s^{-1/p}, so its points are the push-forward of the
+product batch with the same (params, count, seed, chunk_size).  The
+independent oracle at small n is a rejection sampler from a grid envelope:
+the cells of side 1/m in the positive orthant that meet the ball, each drawn
+with equal probability, a uniform point inside it kept when it lies in the
+ball, and fair signs attached.
 
 Determinism: a batch is produced in fixed-size chunks, each driven by its own
 PCG64 generator seeded from (seed, chunk index), so identical (params, count,
@@ -87,6 +93,31 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _chunk_bounds(count: int, chunk_size: int):
+    """(chunk index, first row, end row) of each generator chunk."""
+    for ci in range(0, -(-count // chunk_size)):
+        lo = ci * chunk_size
+        yield ci, lo, min(lo + chunk_size, count)
+
+
+def _factor_chunk(rng: np.random.Generator, rows: int, p: float, n: int):
+    """One chunk's draws: a (rows, n) block of mu_p coordinates, then the
+    Exp(1) column whose p-th root is the nu_p coordinate."""
+    if p == 2.0:
+        g = rng.standard_normal((rows, n))
+        g *= math.sqrt(0.5)
+    elif p == 1.0:
+        g = rng.standard_exponential((rows, n))
+        g -= rng.standard_exponential((rows, n))
+    else:
+        # |g|^p = G |U|^p ~ Gamma(1/p), and U carries a fair sign
+        g = rng.standard_gamma(1.0 + 1.0 / p, (rows, n))
+        g **= 1.0 / p
+        g *= rng.uniform(-1.0, 1.0, (rows, n))
+    e = rng.standard_exponential(rows)
+    return g, e
+
+
 def sample_product(params: PBallParams, count: int, seed: int,
                    chunk_size: int = DEFAULT_CHUNK) -> SampleBatch:
     """count independent points of the product law on R^(n+1)."""
@@ -94,33 +125,30 @@ def sample_product(params: PBallParams, count: int, seed: int,
         raise ValueError("count must be >= 1")
     p, n = params.p, params.n
     out = np.empty((count, n + 1))
-    inv_p = 1.0 / p
-    for ci in range(0, -(-count // chunk_size)):
-        lo = ci * chunk_size
-        hi = min(lo + chunk_size, count)
-        rows = hi - lo
-        rng = _chunk_rng(seed, ci)
-        # draw order per chunk: gamma block, sign block, exponential column
-        g = rng.gamma(inv_p, 1.0, size=(rows, n))
-        if p != 1.0:
-            g **= inv_p
-        sg = rng.random((rows, n))
-        g[sg < 0.5] *= -1.0
-        e = rng.exponential(1.0, size=rows)
-        if p != 1.0:
-            e **= inv_p
+    for ci, lo, hi in _chunk_bounds(count, chunk_size):
+        g, e = _factor_chunk(_chunk_rng(seed, ci), hi - lo, p, n)
         out[lo:hi, :n] = g
-        out[lo:hi, n] = e
+        out[lo:hi, n] = e if p == 1.0 else e ** (1.0 / p)
     return SampleBatch("MU_PN", n + 1, count, seed, out, chunk_size)
 
 
 def sample_ball(params: PBallParams, count: int, seed: int,
                 chunk_size: int = DEFAULT_CHUNK) -> SampleBatch:
-    """count uniform points on B_p^n via the normalization push-forward."""
-    prod = sample_product(params, count, seed, chunk_size)
-    pts = bgmn_map(prod.points, params.p)
-    _check_ball_norms(pts, params.p)
-    return SampleBatch("V_PN", params.n, count, seed, pts, chunk_size)
+    """count uniform points on B_p^n via the normalization push-forward.
+
+    Each chunk draws what ``sample_product`` draws and maps it to
+    g / (sum |g_i|^p + E)^{1/p}, i.e. T(z) of the same product rows.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    p, n = params.p, params.n
+    out = np.empty((count, n))
+    for ci, lo, hi in _chunk_bounds(count, chunk_size):
+        g, s = _factor_chunk(_chunk_rng(seed, ci), hi - lo, p, n)
+        s += _pow_p(np.abs(g), p).sum(axis=1)
+        np.multiply(g, (s ** (-1.0 / p))[:, None], out=out[lo:hi])
+    _check_ball_norms(out, p)
+    return SampleBatch("V_PN", n, count, seed, out, chunk_size)
 
 
 def _check_ball_norms(pts: np.ndarray, p: float):

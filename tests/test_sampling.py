@@ -1,8 +1,10 @@
-"""Samplers: determinism, chunk layout, distributional correctness against
-the exact marginal CDF, the rejection oracle and its grid envelope, and CSV
-round-trips."""
+"""Samplers: determinism, chunk layout, the factor laws of every mu_p
+branch, the ball sampler as the push-forward of the product stream, the
+norm guard, distributional correctness against the exact marginal CDF, the
+rejection oracle and its grid envelope, and CSV round-trips."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ from scipy import stats
 
 from isoplab.geometry import (
     PBallParams,
+    bgmn_map,
     lp_norm,
     marginal_cdf,
     marginal_second_moment,
 )
 from isoplab.sampling import (
     DEFAULT_CHUNK,
+    _check_ball_norms,
     _grid_cells,
     SampleBatch,
     ball_sampler,
@@ -85,7 +89,11 @@ def test_batch_shape_validation():
         sample_product(PARAMS, 0, seed=1)
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+# every branch of the factor law: p = 1, p = 2, and the Gamma(1+1/p) one
+FACTOR_PS = [1.0, 1.25, 1.5, 1.75, 2.0]
+
+
+@pytest.mark.parametrize("p", FACTOR_PS)
 def test_product_marginals_match_the_one_dim_laws(p):
     from isoplab.measures1d import make_mu_p, make_nu_p
     n = 3
@@ -94,6 +102,54 @@ def test_product_marginals_match_the_one_dim_laws(p):
     d_nu = stats.kstest(pts[:, n], make_nu_p(p).cdf).statistic
     assert d_mu < 0.015
     assert d_nu < 0.015
+
+
+@pytest.mark.parametrize("p", FACTOR_PS)
+def test_product_powers_follow_gamma_and_exponential_laws(p):
+    # |z_j|^p ~ Gamma(1/p) for every mu_p coordinate (the n columns of a row
+    # are independent, so they are pooled) and z_{n+1}^p ~ Exp(1)
+    n = 3
+    pts = sample_product(PBallParams(p, n), 200_000, seed=53).points
+    gam = (np.abs(pts[:, :n]) ** p).ravel()
+    assert stats.kstest(gam, stats.gamma(1.0 / p).cdf).pvalue > 1e-3
+    assert stats.kstest(pts[:, n] ** p, stats.expon.cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("p", FACTOR_PS)
+def test_product_signs_are_fair_and_independent_of_magnitude(p):
+    n = 3
+    coords = sample_product(PBallParams(p, n), 100_000, seed=59).points[:, :n]
+    coords = coords.ravel()
+    big = np.abs(coords) > np.median(np.abs(coords))
+    for part in (coords, coords[big], coords[~big]):
+        share = (part < 0.0).mean()
+        assert abs(share - 0.5) < 4.0 * math.sqrt(0.25 / part.size), share
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 2.0])
+def test_ball_is_the_push_forward_of_the_product_stream(p):
+    # same (params, count, seed, chunk_size): V_PN is T of the MU_PN rows,
+    # across the chunk boundaries at rows 256 and 512
+    params = PBallParams(p, 3)
+    ball = sample_ball(params, 600, seed=61, chunk_size=256).points
+    prod = sample_product(params, 600, seed=61, chunk_size=256).points
+    want = bgmn_map(prod, p)
+    rel = np.abs(ball - want) / np.abs(want)
+    assert rel.max() <= 1e-14
+
+
+def test_ball_rejects_empty_batches():
+    with pytest.raises(ValueError):
+        sample_ball(PARAMS, 0, seed=1)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_ball_norm_guard_trips_beyond_its_tolerance(p):
+    v = np.array([[0.3, -0.5, 0.2], [0.1, 0.1, 0.1]])
+    unit = v / lp_norm(v, p)[:, None]
+    _check_ball_norms(unit * (1.0 + 1e-13), p)
+    with pytest.raises(RuntimeError):
+        _check_ball_norms(unit * (1.0 + 1e-11), p)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
