@@ -8,9 +8,11 @@ gradient rows, exact off a measure-zero kink set, so Monte Carlo integrands
 need no finite differences.
 
 A field f supports:
-    f(X)        -> (rows,) values in [0, 1]
-    f.grad(X)   -> (rows, dim) gradients
-    f.dim       -> expected point dimension
+    f(X)                  -> (rows,) values in [0, 1]
+    f.grad(X)             -> (rows, dim) gradients
+    f.value_and_grad(X)   -> (f(X), f.grad(X)), bit for bit, from one
+                             evaluation of the field's scalar per point
+    f.dim                 -> expected point dimension
 Ramps additionally expose ``superlevel(u)`` returning the test set {f > u};
 all superlevel sets of one field share one scalar per point.
 """
@@ -27,6 +29,9 @@ from .geometry import (
 )
 
 __all__ = [
+    "value_and_grad",
+    "product_value_and_grad",
+    "push_forward_grad",
     "LinearRamp",
     "RadialRamp",
     "DistanceRamp",
@@ -49,6 +54,39 @@ def _rows(X, dim: int) -> np.ndarray:
     return X
 
 
+def value_and_grad(f, X):
+    """(f(X), f.grad(X)): from one ``f.value_and_grad`` call when the field
+    has one, else from its two methods (fields defined outside this
+    module need only the first two entries of the protocol)."""
+    vg = getattr(f, "value_and_grad", None)
+    if vg is not None:
+        return vg(X)
+    return f(X), f.grad(X)
+
+
+def product_value_and_grad(a, b):
+    """(values, gradients) of the product of two fields, given each
+    factor's (values, gradients) on the same points."""
+    (av, ag), (bv, bg) = a, b
+    return av * bv, av[:, None] * bg + bv[:, None] * ag
+
+
+def push_forward_grad(Z, X, nz, v, p: float):
+    """Gradient at rows z of f o T, T(z) = z_{1..n} / |z|_p, given X = T(Z),
+    nz = |z|_p and v = grad f(X): the adjoint differential applied to v."""
+    if p == 1.0:
+        w = np.sign(Z)
+    else:
+        w = np.sign(Z) * np.abs(Z) ** (p - 1.0)
+    dot = np.einsum("ij,ij->i", X, v)
+    out = np.zeros_like(Z)
+    out[:, :-1] = v
+    out /= nz[:, None]
+    # adjoint of (delta_ij - z_j w_i / |z|^p) / |z| applied to v
+    out -= (dot / nz ** p)[:, None] * w
+    return out
+
+
 class ConstantField:
     """f identically equal to ``value``; gradient zero."""
 
@@ -64,7 +102,11 @@ class ConstantField:
         return np.full(_rows(X, self.dim).shape[0], self.value)
 
     def grad(self, X):
-        return np.zeros_like(_rows(X, self.dim))
+        return self.value_and_grad(X)[1]
+
+    def value_and_grad(self, X):
+        X = _rows(X, self.dim)
+        return np.full(X.shape[0], self.value), np.zeros_like(X)
 
     def superlevel(self, u: float):
         # {const > u} is everything or nothing; boundary content is 0 either
@@ -96,14 +138,20 @@ class LinearRamp:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def __call__(self, X):
-        t = _rows(X, self.dim) @ self.xi
+    def _of_scalar(self, t):
         return np.clip((t - self.lo) / self.width, 0.0, 1.0)
 
+    def __call__(self, X):
+        return self._of_scalar(_rows(X, self.dim) @ self.xi)
+
     def grad(self, X):
+        return self.value_and_grad(X)[1]
+
+    def value_and_grad(self, X):
         t = _rows(X, self.dim) @ self.xi
         on = (t > self.lo) & (t < self.hi)
-        return np.where(on[:, None], self.xi / self.width, 0.0)
+        return (self._of_scalar(t),
+                np.where(on[:, None], self.xi / self.width, 0.0))
 
     def superlevel(self, u: float) -> HalfSpace:
         """{<x, xi> >= lo + u (hi - lo)}.  All superlevel sets of one ramp
@@ -130,17 +178,23 @@ class RadialRamp:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def __call__(self, X):
-        r = lp_norm(_rows(X, self.dim), 2.0)
+    def _of_scalar(self, r):
         return np.clip((r - self.lo) / self.width, 0.0, 1.0)
 
+    def __call__(self, X):
+        return self._of_scalar(lp_norm(_rows(X, self.dim), 2.0))
+
     def grad(self, X):
+        return self.value_and_grad(X)[1]
+
+    def value_and_grad(self, X):
         X = _rows(X, self.dim)
         r = lp_norm(X, 2.0)
         on = (r > self.lo) & (r < self.hi)
         with np.errstate(invalid="ignore", divide="ignore"):
             unit = np.where(r[:, None] > 0.0, X / np.where(r == 0.0, 1.0, r)[:, None], 0.0)
-        return np.where(on[:, None], unit / self.width, 0.0)
+        return (self._of_scalar(r),
+                np.where(on[:, None], unit / self.width, 0.0))
 
     def superlevel(self, u: float) -> BallComplement:
         """{|x|_2 >= lo + u (hi - lo)}.  All superlevel sets of one ramp
@@ -165,15 +219,20 @@ class DistanceRamp:
         self.r = float(r)
         self.s = float(s)
 
-    def __call__(self, X):
-        d = self.set_.dist(_rows(X, self.dim))
+    def _of_scalar(self, d):
         return np.clip(1.0 - (d - self.r) / self.s, 0.0, 1.0)
 
+    def __call__(self, X):
+        return self._of_scalar(self.set_.dist(_rows(X, self.dim)))
+
     def grad(self, X):
-        X = _rows(X, self.dim)
-        d = self.set_.dist(X)
+        return self.value_and_grad(X)[1]
+
+    def value_and_grad(self, X):
+        d, dg = self.set_.dist_and_grad(_rows(X, self.dim))
         on = (d > self.r) & (d < self.r + self.s)
-        return np.where(on[:, None], -self.set_.dist_grad(X) / self.s, 0.0)
+        return (self._of_scalar(d),
+                np.where(on[:, None], -dg / self.s, 0.0))
 
     def superlevel(self, u: float):
         """The (r + s(1 - u))-enlargement of A.  All superlevel sets of one
@@ -206,16 +265,22 @@ class CutoffH1Field:
         self.lo = 1.0 / self.slope
         self.hi = 2.0 / self.slope
 
-    def __call__(self, X):
-        r = lp_norm(_rows(X, self.dim), 2.0)
+    def _of_scalar(self, r):
         return np.clip(2.0 - self.slope * r, 0.0, 1.0)
 
+    def __call__(self, X):
+        return self._of_scalar(lp_norm(_rows(X, self.dim), 2.0))
+
     def grad(self, X):
+        return self.value_and_grad(X)[1]
+
+    def value_and_grad(self, X):
         X = _rows(X, self.dim)
         r = lp_norm(X, 2.0)
         on = (r > self.lo) & (r < self.hi)
         unit = X / np.where(r == 0.0, 1.0, r)[:, None]
-        return np.where(on[:, None], -self.slope * unit, 0.0)
+        return (self._of_scalar(r),
+                np.where(on[:, None], -self.slope * unit, 0.0))
 
 
 class CutoffH2Field:
@@ -233,11 +298,16 @@ class CutoffH2Field:
         self.lo = 1.0 / self.scale
         self.hi = 2.0 / self.scale
 
-    def __call__(self, Z):
-        r = lp_norm(_rows(Z, self.dim), self.p)
+    def _of_scalar(self, r):
         return np.clip(self.scale * r - 1.0, 0.0, 1.0)
 
+    def __call__(self, Z):
+        return self._of_scalar(lp_norm(_rows(Z, self.dim), self.p))
+
     def grad(self, Z):
+        return self.value_and_grad(Z)[1]
+
+    def value_and_grad(self, Z):
         Z = _rows(Z, self.dim)
         r = lp_norm(Z, self.p)
         on = (r > self.lo) & (r < self.hi)
@@ -246,7 +316,8 @@ class CutoffH2Field:
         else:
             w = np.sign(Z) * np.abs(Z) ** (self.p - 1.0)
             unit = w / np.where(r == 0.0, 1.0, r)[:, None] ** (self.p - 1.0)
-        return np.where(on[:, None], self.scale * unit, 0.0)
+        return (self._of_scalar(r),
+                np.where(on[:, None], self.scale * unit, 0.0))
 
 
 class ProductField:
@@ -265,8 +336,11 @@ class ProductField:
         return self.f(X) * self.g(X)
 
     def grad(self, X):
-        return (self.f(X)[:, None] * self.g.grad(X)
-                + self.g(X)[:, None] * self.f.grad(X))
+        return self.value_and_grad(X)[1]
+
+    def value_and_grad(self, X):
+        return product_value_and_grad(value_and_grad(self.f, X),
+                                      value_and_grad(self.g, X))
 
 
 class PushForwardField:
@@ -290,22 +364,14 @@ class PushForwardField:
         return self.f(Z[:, :-1] / nz[:, None])
 
     def grad(self, Z):
+        return self.value_and_grad(Z)[1]
+
+    def value_and_grad(self, Z):
         Z = _rows(Z, self.dim)
-        p = self.p
-        nz = lp_norm(Z, p)
+        nz = lp_norm(Z, self.p)
         X = Z[:, :-1] / nz[:, None]
-        v = self.f.grad(X)
-        if p == 1.0:
-            w = np.sign(Z)
-        else:
-            w = np.sign(Z) * np.abs(Z) ** (p - 1.0)
-        dot = np.einsum("ij,ij->i", X, v)
-        out = np.zeros_like(Z)
-        out[:, :-1] = v
-        out /= nz[:, None]
-        # adjoint of (delta_ij - z_j w_i / |z|^p) / |z| applied to v
-        out -= (dot / nz ** p)[:, None] * w
-        return out
+        values, v = value_and_grad(self.f, X)
+        return values, push_forward_grad(Z, X, nz, v, self.p)
 
 
 # ---------------------------------------------------------------------------

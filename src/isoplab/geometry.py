@@ -29,6 +29,7 @@ from scipy import special
 __all__ = [
     "PBallParams",
     "KinkError",
+    "row_sum",
     "lp_norm",
     "ball_volume",
     "ball_log_volume",
@@ -73,14 +74,45 @@ class PBallParams:
             raise ValueError(f"dimension must be >= 1, got {self.n!r}")
 
 
+# rows narrower than this are summed column by column in ``row_sum``
+SHORT_ROW = 8
+
+
+def row_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``a.sum(axis)`` of a float array, bit for bit, and faster on short rows.
+
+    A 2-D array with 1 to SHORT_ROW - 1 columns, summed along its last axis,
+    is summed column by column: +0.0 plus column 0, then each further
+    column left to right.  That is the order in which numpy adds rows this
+    short, so the result is bit-equal to ``a.sum(axis)`` in every layout
+    (C- or F-ordered, column slices), signed zeros, infinities and nans
+    included; tests pin this on the installed numpy.  At SHORT_ROW columns
+    and more numpy sums a contiguous row pairwise with 8 accumulators, which
+    rounds differently, so those rows, and every other shape or axis, go
+    through ``a.sum(axis)`` itself.
+    """
+    if a.ndim == 2 and axis in (1, -1) and 0 < a.shape[1] < SHORT_ROW:
+        out = a[:, 0] + 0.0
+        for j in range(1, a.shape[1]):
+            out += a[:, j]
+        return out
+    return a.sum(axis)
+
+
 def lp_norm(x, p: float, axis: int = -1):
-    """l_p norm along ``axis``; fast paths for p in {1, 2}."""
+    """l_p norm along ``axis``; fast paths for p in {1, 2}.
+
+    The sum goes through ``row_sum``, so the result is bit-equal to
+    summing with ``np.sum``; at p = 2 it is also bit-equal to
+    ``np.linalg.norm(x, axis=axis)``, which computes sqrt(sum x*x) in the
+    same order.
+    """
     x = np.asarray(x, dtype=float)
     if p == 1.0:
-        return np.abs(x).sum(axis=axis)
+        return row_sum(np.abs(x), axis)
     if p == 2.0:
-        return np.sqrt(np.square(x).sum(axis=axis))
-    return (np.abs(x) ** p).sum(axis=axis) ** (1.0 / p)
+        return np.sqrt(row_sum(np.square(x), axis))
+    return row_sum(np.abs(x) ** p, axis) ** (1.0 / p)
 
 
 def ball_log_volume(p: float, n: int) -> float:
@@ -206,8 +238,13 @@ class HalfSpace:
 
     def dist_grad(self, X) -> np.ndarray:
         """Gradient rows of dist (unit vectors a.e. where dist > 0)."""
-        outside = (self.scalar(X) < self.t)[:, None]
-        return np.where(outside, -self.xi, 0.0)
+        return self.dist_and_grad(X)[1]
+
+    def dist_and_grad(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(dist, dist_grad) from one pass of the scalar."""
+        s = self.scalar(X)
+        outside = (s < self.t)[:, None]
+        return np.maximum(self.t - s, 0.0), np.where(outside, -self.xi, 0.0)
 
     def enlarged(self, eps: float) -> "HalfSpace":
         # {dist <= eps} is again a half-space with threshold shifted by eps
@@ -255,11 +292,16 @@ class BallComplement:
         return np.maximum(self.r - self.scalar(X), 0.0)
 
     def dist_grad(self, X) -> np.ndarray:
+        return self.dist_and_grad(X)[1]
+
+    def dist_and_grad(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """(dist, dist_grad) from one pass of the scalar."""
         X = np.asarray(X, dtype=float)
         nrm = self.scalar(X)
         outside = (nrm < self.r) & (nrm > 0.0)
         unit = X / np.where(nrm == 0.0, 1.0, nrm)[:, None]
-        return np.where(outside[:, None], -unit, 0.0)
+        return (np.maximum(self.r - nrm, 0.0),
+                np.where(outside[:, None], -unit, 0.0))
 
     def enlarged(self, eps: float) -> "BallComplement":
         return BallComplement(self.r - eps)
@@ -345,18 +387,18 @@ def _op_norms_and_bounds(x: np.ndarray, w: np.ndarray, nz: np.ndarray,
     eigenvalue is >= 0 and, for n >= 2, is also the top one of S.
     """
     n = x.shape[1]
-    xx = np.square(x).sum(axis=1)
+    xx = row_sum(np.square(x))
     bounds = (1.0 + n ** ((2.0 - p) / (2.0 * p)) * np.sqrt(xx) / nz) / nz
     nzp = nz ** p
     if n == 1:
         # no direction orthogonal to x: the differential is a single row
         row = -x * w / nzp[:, None]
         row[:, 0] += 1.0
-        return np.sqrt(np.square(row).sum(axis=1)) / nz, bounds
+        return np.sqrt(row_sum(np.square(row))) / nz, bounds
     b = w[:, :-1] / nzp[:, None]
-    xb = (x * b).sum(axis=1)
-    tr = np.square(w).sum(axis=1) / nzp ** 2 * xx - 2.0 * xb
-    gram = np.maximum(xx * np.square(b).sum(axis=1) - xb * xb, 0.0)
+    xb = row_sum(x * b)
+    tr = row_sum(np.square(w)) / nzp ** 2 * xx - 2.0 * xb
+    gram = np.maximum(xx * row_sum(np.square(b)) - xb * xb, 0.0)
     root = np.sqrt(tr * tr + 4.0 * gram)
     # for tr < 0 the root 2 gram / (root - tr) avoids cancellation
     top = np.where(tr >= 0.0, 0.5 * (tr + root),

@@ -30,10 +30,11 @@ from .fields import (
     DistanceRamp,
     EuclideanNorm,
     LinearRamp,
-    ProductField,
-    PushForwardField,
     RadialRamp,
     functional_catalog,
+    product_value_and_grad,
+    push_forward_grad,
+    value_and_grad,
 )
 from .geometry import (
     CutoffParams,
@@ -45,6 +46,7 @@ from .geometry import (
     marginal_density,
     marginal_isf,
     marginal_second_moment,
+    row_sum,
 )
 from .montecarlo import (
     FAIL,
@@ -597,7 +599,7 @@ def check_lemma5(A: float, alpha: float, N: int, eps_grid,
         raise ValueError("eps grid must be positive")
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
-    sums = rng.gamma(shape, 1.0, size=(trials, N)).sum(axis=1)
+    sums = row_sum(rng.gamma(shape, 1.0, size=(trials, N)))
     name = "check_lemma5"
     p_report = 1.0 / shape
     reports = []
@@ -797,10 +799,7 @@ def verify_cutoff_chain(p: float, n: int, f=None,
         xi[0] = 1.0
         f = LinearRamp(xi, 0.0, float(marginal_isf(params, 0.2)))
     h1 = CutoffH1Field(p, n, c)
-    fh1 = ProductField(f, h1)
-    g = PushForwardField(fh1, p)
     h2 = CutoffH2Field(p, n, c)
-    gh2 = ProductField(g, h2)
 
     ball = sample_ball(params, count, child_seed(seed, 0))
     prod = sample_product(params, count, child_seed(seed, 1))
@@ -813,16 +812,23 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     c4 = c3 / c.c2
     a_level = math.exp(-big_c * n ** (p / 2.0))
 
-    def norms(field, pts):
-        return np.linalg.norm(field.grad(pts), axis=1)
+    # each field is evaluated once per point set; the products f h1 and
+    # g h2 and the push-forward g = (f h1) o T are formed from those passes
+    # with the arithmetic of ProductField and PushForwardField
+    f_X = value_and_grad(f, X)
+    fh1_X = product_value_and_grad(f_X, h1.value_and_grad(X))
+    f_T = value_and_grad(f, XT)
+    fh1_T = product_value_and_grad(f_T, h1.value_and_grad(XT))
+    g_Z = fh1_T[0], push_forward_grad(Z, XT, nzp, fh1_T[1], p)
+    gh2_Z = product_value_and_grad(g_Z, h2.value_and_grad(Z))
 
-    gf_X = norms(f, X)
-    gfh1_X = norms(fh1, X)
+    gf_X = lp_norm(f_X[1], 2.0)
+    gfh1_X = lp_norm(fh1_X[1], 2.0)
     err1 = slope1 * (lp_norm(X, 2.0) >= 1.0 / slope1)
-    gfh1_T = norms(fh1, XT)
-    gg = norms(g, Z)
-    ggh2 = norms(gh2, Z)
-    gf_T = norms(f, XT)
+    gfh1_T = lp_norm(fh1_T[1], 2.0)
+    gg = lp_norm(g_Z[1], 2.0)
+    ggh2 = lp_norm(gh2_Z[1], 2.0)
+    gf_T = lp_norm(f_T[1], 2.0)
     scale2 = 2.0 * n ** (1.0 / p) / c.c2
     err2 = 2.0 * n ** kappa * (nzp <= scale2)
 
@@ -841,7 +847,7 @@ def verify_cutoff_chain(p: float, n: int, f=None,
         reports.append(_row(name, p, n, link, 0.0, est, 0.0,
                             verdict_geq(est, 0.0, "strict")))
 
-    plateau_vals = gh2(Z)
+    plateau_vals = gh2_Z[0]
     m_one = bernoulli_ci(int((plateau_vals >= 1.0 - 1e-12).sum()), count)
     m_zero = bernoulli_ci(int((plateau_vals <= 1e-12).sum()), count)
     reports.append(_row(name, p, n, 6, 0.0, m_one, 0.5 * a_level,
@@ -858,7 +864,7 @@ def verify_cutoff_chain(p: float, n: int, f=None,
 
     # the plateau mass has a closed form: T(z) and |z|_p are independent,
     # and |z|_p^p is Gamma(n/p + 1, 1)
-    v_f1 = float((np.asarray(f(X)) >= 1.0 - 1e-12).mean())
+    v_f1 = float((np.asarray(f_X[0]) >= 1.0 - 1e-12).mean())
     plateau_oracle = v_f1 * float(special.gammaincc(n / p + 1.0, scale2 ** p))
     constants = {
         "c3": c3,

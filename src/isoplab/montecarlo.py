@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import grad_norm
+from .geometry import grad_norm, lp_norm
 
 __all__ = [
     "PASS",
@@ -381,7 +381,7 @@ def grad_mass_from_batch(batch, f, power: int = 1) -> EstimateCI:
     count = batch.count
     g = getattr(f, "grad", None)
     if g is not None:
-        norms = np.linalg.norm(np.asarray(g(pts), dtype=float), axis=1)
+        norms = lp_norm(g(pts), 2.0)
     else:
         norms = np.empty(count)
         for idx in range(count):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PBallParams, ball_volume, bgmn_map, lp_norm
+from .geometry import PBallParams, ball_volume, bgmn_map, lp_norm, row_sum
 
 __all__ = [
     "SampleBatch",
@@ -145,7 +145,7 @@ def sample_ball(params: PBallParams, count: int, seed: int,
     out = np.empty((count, n))
     for ci, lo, hi in _chunk_bounds(count, chunk_size):
         g, s = _factor_chunk(_chunk_rng(seed, ci), hi - lo, p, n)
-        s += _pow_p(np.abs(g), p).sum(axis=1)
+        s += row_sum(g * g if p == 2.0 else _pow_p(np.abs(g), p))
         np.multiply(g, (s ** (-1.0 / p))[:, None], out=out[lo:hi])
     _check_ball_norms(out, p)
     return SampleBatch("V_PN", n, count, seed, out, chunk_size)

@@ -20,6 +20,7 @@ from isoplab.fields import (
     PushForwardField,
     RadialRamp,
     functional_catalog,
+    value_and_grad,
 )
 from isoplab.geometry import (
     BALL_TOL,
@@ -44,6 +45,7 @@ from isoplab.geometry import (
     marginal_quantile,
     marginal_second_moment,
     marginal_sf,
+    row_sum,
 )
 from isoplab.sampling import sample_ball, sample_product
 
@@ -197,6 +199,61 @@ def test_lp_norm_fast_paths():
     np.testing.assert_allclose(lp_norm(x, 1.0), [7.0, 2.0])
     np.testing.assert_allclose(lp_norm(x, 1.5),
                                (np.abs(x) ** 1.5).sum(axis=1) ** (1 / 1.5))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def _mixed_magnitudes(rows, cols, seed):
+    # signed values spread from 1e-16 to 1e16, so the summation order shows
+    rng = np.random.default_rng(seed)
+    return (rng.choice([-1.0, 1.0], (rows, cols))
+            * 10.0 ** rng.uniform(-16.0, 16.0, (rows, cols)))
+
+
+@pytest.mark.parametrize("width", range(1, 8))
+def test_row_sum_is_bit_equal_to_numpy_on_short_rows(width):
+    a = _mixed_magnitudes(200_000, width, seed=width)
+    wide = _mixed_magnitudes(200_000, width + 1, seed=100 + width)
+    for arr in (a, np.asfortranarray(a), wide[:, :-1], wide[:, 1:]):
+        assert _same_bits(row_sum(arr), np.sum(arr, axis=1))
+        assert _same_bits(row_sum(arr, axis=1), np.sum(arr, axis=1))
+
+
+def test_row_sum_special_values_are_bit_equal():
+    vals = [-0.0, 0.0, 1.0, -1.0, 1e-300, -1e300, np.inf, -np.inf, np.nan]
+    for width in (1, 2, 3):
+        grid = np.stack(np.meshgrid(*[vals] * width, indexing="ij"), axis=-1)
+        rows = grid.reshape(-1, width)
+        with np.errstate(invalid="ignore"):
+            assert _same_bits(row_sum(rows), rows.sum(axis=1))
+
+
+def test_row_sum_falls_back_to_numpy():
+    for width in (8, 9, 16):
+        a = _mixed_magnitudes(1000, width, seed=width)
+        for arr in (a, np.asfortranarray(a)):
+            assert _same_bits(row_sum(arr), arr.sum(axis=1))
+    v = _mixed_magnitudes(1, 50, seed=3)[0]
+    assert _same_bits(row_sum(v), v.sum())
+    a = _mixed_magnitudes(500, 4, seed=4)
+    assert _same_bits(row_sum(a, axis=0), a.sum(axis=0))
+    assert _same_bits(row_sum(np.empty((3, 0))), np.zeros(3))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_lp_norm_is_bit_equal_to_numpy_sums(p):
+    for width in (1, 2, 4, 7, 8, 9):
+        x = _mixed_magnitudes(5000, width, seed=width) * 1e-150
+        ref = (np.abs(x) ** p).sum(axis=1) ** (1.0 / p)
+        if p == 1.0:
+            ref = np.abs(x).sum(axis=1)
+        if p == 2.0:
+            ref = np.linalg.norm(x, axis=1)
+        assert _same_bits(lp_norm(x, p), ref)
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +619,71 @@ def test_push_forward_gradient_matches_finite_differences(p):
     _assert_grad_matches(push, Z[on], tol=2e-6)
     # values are invariant under scaling of z
     np.testing.assert_allclose(push(Z), push(3.0 * Z), atol=1e-12)
+
+
+class _CallAndGradOnly:
+    """A field with only the two basic protocol methods."""
+
+    vectorized = True
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def __call__(self, X):
+        return np.clip(X[:, 0] + 0.5, 0.0, 1.0)
+
+    def grad(self, X):
+        on = (X[:, 0] > -0.5) & (X[:, 0] < 0.5)
+        return np.where(on[:, None], np.eye(1, self.dim), 0.0)
+
+
+def _assert_value_and_grad_bit_equal(field, X):
+    vals, grads = field.value_and_grad(X)
+    assert _same_bits(vals, field(X))
+    assert _same_bits(grads, field.grad(X))
+    # not vacuous: some points sit on a ramp
+    assert np.any((vals > 0.0) & (vals < 1.0)) or isinstance(field, ConstantField)
+    assert np.any(grads != 0.0) or isinstance(field, ConstantField)
+
+
+def test_value_and_grad_matches_call_and_grad_on_ball_fields():
+    n = 3
+    rng = np.random.default_rng(61)
+    X = rng.standard_normal((3000, n)) * 0.6
+    xi = np.array([0.6, 0.0, 0.8])
+    fields = [
+        ConstantField(n, 0.25),
+        LinearRamp(xi, -0.2, 0.3),
+        RadialRamp(n, 0.3, 0.9),
+        DistanceRamp(HalfSpace(xi, 0.2), n, 0.05, 0.3),
+        DistanceRamp(BallComplement(0.8), n, 0.05, 0.3),
+        CutoffH1Field(1.5, n),
+        ProductField(LinearRamp(xi, -0.2, 0.3), _CallAndGradOnly(n)),
+    ]
+    for field in fields:
+        _assert_value_and_grad_bit_equal(field, X)
+    vals, grads = value_and_grad(_CallAndGradOnly(n), X)
+    assert _same_bits(vals, _CallAndGradOnly(n)(X))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_value_and_grad_matches_on_the_chain_composition(p):
+    n = 3
+    params = PBallParams(p, n)
+    Z = sample_product(params, 4000, seed=63).points
+    xi = np.zeros(n)
+    xi[0] = 1.0
+    f = LinearRamp(xi, 0.0, float(marginal_isf(params, 0.2)))
+    h1 = CutoffH1Field(p, n)
+    h2 = CutoffH2Field(p, n)
+    chain = ProductField(PushForwardField(ProductField(f, h1), p), h2)
+    for field in (h2, chain):
+        _assert_value_and_grad_bit_equal(field, Z)
+    # the product rule in the order ProductField has always used
+    g = chain.f
+    ref = g(Z)[:, None] * h2.grad(Z) + h2(Z)[:, None] * g.grad(Z)
+    assert _same_bits(chain.grad(Z), ref)
+    _assert_value_and_grad_bit_equal(h1, sample_ball(params, 4000, seed=64).points * 2.0)
 
 
 def test_constant_field():

@@ -12,12 +12,25 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from isoplab.fields import ConstantField, DistanceRamp
+import isoplab.fields
+import isoplab.geometry
+import isoplab.inequality_suite
+from isoplab.fields import (
+    ConstantField,
+    CutoffH1Field,
+    CutoffH2Field,
+    DistanceRamp,
+    LinearRamp,
+    ProductField,
+    PushForwardField,
+)
 from isoplab.geometry import (
     BallComplement,
+    CutoffParams,
     HalfSpace,
     PBallParams,
     coordinate_half_space,
+    lp_norm,
     marginal_density,
     marginal_isf,
 )
@@ -54,8 +67,9 @@ from isoplab.montecarlo import (
     _wls_intercept,
     bernoulli_ci,
     content_from_batch,
+    mean_ci,
 )
-from isoplab.sampling import child_seed, sample_ball
+from isoplab.sampling import child_seed, sample_ball, sample_product
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +538,74 @@ def test_cutoff_chain_p1():
     rep = verify_cutoff_chain(1.0, 2, count=20000, seed=31)
     assert rep.verdicts()[FAIL] == 0
     assert rep.constants["transfer_violations"] == 0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_cutoff_chain_rows_equal_the_composed_fields(p):
+    # reference: every gradient from the composed field objects, each
+    # evaluated on its own; the chain's shared passes must give the same bits
+    n, count, seed = 3, 4000, 17
+    params = PBallParams(p, n)
+    rep = verify_cutoff_chain(p, n, count=count, seed=seed)
+    xi = np.zeros(n)
+    xi[0] = 1.0
+    f = LinearRamp(xi, 0.0, float(marginal_isf(params, 0.2)))
+    h1 = CutoffH1Field(p, n, CutoffParams())
+    fh1 = ProductField(f, h1)
+    g = PushForwardField(fh1, p)
+    gh2 = ProductField(g, CutoffH2Field(p, n, CutoffParams()))
+    X = sample_ball(params, count, child_seed(seed, 0)).points
+    Z = sample_product(params, count, child_seed(seed, 1)).points
+    nzp = lp_norm(Z, p)
+    XT = Z[:, :-1] / nzp[:, None]
+
+    def norms(field, pts):
+        return np.linalg.norm(field.grad(pts), axis=1)
+
+    kappa = (2.0 - p) / (2.0 * p)
+    c3 = 1.0 / 3.0
+    gg = norms(g, Z)
+    ggh2 = norms(gh2, Z)
+    err1 = h1.slope * (lp_norm(X, 2.0) >= 1.0 / h1.slope)
+    err2 = 2.0 * n ** kappa * (nzp <= 2.0 * n ** (1.0 / p))
+    diffs = {
+        1: norms(f, X) - norms(fh1, X) + err1,
+        2: norms(fh1, XT) - c3 * gg * nzp,
+        3: gg * nzp - n ** (1.0 / p) * ggh2 + err2,
+    }
+    diffs[4] = diffs[2] + c3 * diffs[3]
+    diffs[5] = (norms(f, XT) - c3 * n ** (1.0 / p) * ggh2
+                + 0.5 * math.exp(-4.0 * n ** (p / 2.0)))
+    by_link = {int(r.params[2]): r for r in rep.reports}
+    for link, diff in diffs.items():
+        assert by_link[link].lhs == mean_ci(diff)
+    plateau = gh2(Z)
+    assert by_link[6].lhs == bernoulli_ci(
+        int((plateau >= 1.0 - 1e-12).sum()), count)
+    assert by_link[7].lhs == bernoulli_ci(int((plateau <= 1e-12).sum()), count)
+    v_f1 = float((f(X) >= 1.0 - 1e-12).mean())
+    assert rep.constants["plateau_oracle"] == v_f1 * float(
+        special.gammaincc(n / p + 1.0, (2.0 * n ** (1.0 / p)) ** p))
+
+
+def test_cutoff_chain_evaluates_each_norm_of_the_product_batch_once(monkeypatch):
+    # |z|_p passes over the (count, n + 1) product batch: the chain's own
+    # (which also gives T(Z) and the push-forward's gradient), the h2
+    # cut-off's and the Jacobian scan's; recomputing |z|_p per field and
+    # per method took 9
+    p, n, count = 1.5, 4, 3000
+    real = isoplab.geometry.lp_norm
+    calls = []
+
+    def counting(x, p_, axis=-1):
+        calls.append((np.shape(x), p_))
+        return real(x, p_, axis)
+
+    for module in (isoplab.fields, isoplab.inequality_suite, isoplab.geometry):
+        monkeypatch.setattr(module, "lp_norm", counting)
+    rep = verify_cutoff_chain(p, n, count=count, seed=5)
+    assert len(rep.reports) == 8
+    assert calls.count(((count, n + 1), p)) == 3
 
 
 # ---------------------------------------------------------------------------
