@@ -13,6 +13,9 @@ A field f supports:
     f.value_and_grad(X)   -> (f(X), f.grad(X)), bit for bit, from one
                              evaluation of the field's scalar per point
     f.dim                 -> expected point dimension
+Products and push-forwards evaluate each factor once through its
+``value_and_grad``; ``product_value_and_grad`` and ``push_forward_grad`` hold
+their arithmetic for callers that already have the factors' passes.
 Ramps additionally expose ``superlevel(u)`` returning the test set {f > u};
 all superlevel sets of one field share one scalar per point.
 """
@@ -29,7 +32,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "value_and_grad",
     "product_value_and_grad",
     "push_forward_grad",
     "LinearRamp",
@@ -52,16 +54,6 @@ def _rows(X, dim: int) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != dim:
         raise ValueError(f"expected points of shape (rows, {dim}), got {X.shape}")
     return X
-
-
-def value_and_grad(f, X):
-    """(f(X), f.grad(X)): from one ``f.value_and_grad`` call when the field
-    has one, else from its two methods (fields defined outside this
-    module need only the first two entries of the protocol)."""
-    vg = getattr(f, "value_and_grad", None)
-    if vg is not None:
-        return vg(X)
-    return f(X), f.grad(X)
 
 
 def product_value_and_grad(a, b):
@@ -339,8 +331,8 @@ class ProductField:
         return self.value_and_grad(X)[1]
 
     def value_and_grad(self, X):
-        return product_value_and_grad(value_and_grad(self.f, X),
-                                      value_and_grad(self.g, X))
+        return product_value_and_grad(self.f.value_and_grad(X),
+                                      self.g.value_and_grad(X))
 
 
 class PushForwardField:
@@ -370,7 +362,7 @@ class PushForwardField:
         Z = _rows(Z, self.dim)
         nz = lp_norm(Z, self.p)
         X = Z[:, :-1] / nz[:, None]
-        values, v = value_and_grad(self.f, X)
+        values, v = self.f.value_and_grad(X)
         return values, push_forward_grad(Z, X, nz, v, self.p)
 
 

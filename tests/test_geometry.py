@@ -20,7 +20,6 @@ from isoplab.fields import (
     PushForwardField,
     RadialRamp,
     functional_catalog,
-    value_and_grad,
 )
 from isoplab.geometry import (
     BALL_TOL,
@@ -621,22 +620,6 @@ def test_push_forward_gradient_matches_finite_differences(p):
     np.testing.assert_allclose(push(Z), push(3.0 * Z), atol=1e-12)
 
 
-class _CallAndGradOnly:
-    """A field with only the two basic protocol methods."""
-
-    vectorized = True
-
-    def __init__(self, dim):
-        self.dim = dim
-
-    def __call__(self, X):
-        return np.clip(X[:, 0] + 0.5, 0.0, 1.0)
-
-    def grad(self, X):
-        on = (X[:, 0] > -0.5) & (X[:, 0] < 0.5)
-        return np.where(on[:, None], np.eye(1, self.dim), 0.0)
-
-
 def _assert_value_and_grad_bit_equal(field, X):
     vals, grads = field.value_and_grad(X)
     assert _same_bits(vals, field(X))
@@ -658,12 +641,9 @@ def test_value_and_grad_matches_call_and_grad_on_ball_fields():
         DistanceRamp(HalfSpace(xi, 0.2), n, 0.05, 0.3),
         DistanceRamp(BallComplement(0.8), n, 0.05, 0.3),
         CutoffH1Field(1.5, n),
-        ProductField(LinearRamp(xi, -0.2, 0.3), _CallAndGradOnly(n)),
     ]
     for field in fields:
         _assert_value_and_grad_bit_equal(field, X)
-    vals, grads = value_and_grad(_CallAndGradOnly(n), X)
-    assert _same_bits(vals, _CallAndGradOnly(n)(X))
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
