@@ -816,22 +816,27 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     c4 = c3 / c.c2
     a_level = math.exp(-big_c * n ** (p / 2.0))
 
-    # the arithmetic of ProductField and PushForwardField on these passes
-    # gives the same bits as evaluating the composed fields
-    f_X = f.value_and_grad(X)
-    fh1_X = product_value_and_grad(f_X, h1.value_and_grad(X))
-    f_T = f.value_and_grad(XT)
-    fh1_T = product_value_and_grad(f_T, h1.value_and_grad(XT))
-    g_Z = fh1_T[0], push_forward_grad(Z, XT, nzp, fh1_T[1], p)
-    gh2_Z = product_value_and_grad(g_Z, h2.value_and_grad(Z))
-
-    gf_X = lp_norm(f_X[1], 2.0)
-    gfh1_X = lp_norm(fh1_X[1], 2.0)
+    # f, h1 and h2 are each evaluated once per point set; f h1, its
+    # push-forward g and g h2 are formed from those passes with the
+    # arithmetic of ProductField and PushForwardField, which gives the same
+    # bits as the composed fields.  Gradient rows are reduced to norms as
+    # soon as they are used, so no more than two batches of them are alive.
+    fv, fg = f.value_and_grad(X)
+    v_f1 = float((fv >= 1.0 - 1e-12).mean())
+    gf_X = lp_norm(fg, 2.0)
+    gfh1_X = lp_norm(product_value_and_grad((fv, fg), h1.value_and_grad(X))[1], 2.0)
+    fv, fg = f.value_and_grad(XT)
+    gf_T = lp_norm(fg, 2.0)
+    gv, fg = product_value_and_grad((fv, fg), h1.value_and_grad(XT))
+    gfh1_T = lp_norm(fg, 2.0)
+    gg_rows = push_forward_grad(Z, XT, nzp, fg, p)
+    del fv, fg
+    gg = lp_norm(gg_rows, 2.0)
+    plateau_vals, gh2_rows = product_value_and_grad((gv, gg_rows), h2.value_and_grad(Z))
+    del gg_rows
+    ggh2 = lp_norm(gh2_rows, 2.0)
+    del gh2_rows
     err1 = slope1 * (lp_norm(X, 2.0) >= 1.0 / slope1)
-    gfh1_T = lp_norm(fh1_T[1], 2.0)
-    gg = lp_norm(g_Z[1], 2.0)
-    ggh2 = lp_norm(gh2_Z[1], 2.0)
-    gf_T = lp_norm(f_T[1], 2.0)
     scale2 = 2.0 * n ** (1.0 / p) / c.c2
     err2 = 2.0 * n ** kappa * (nzp <= scale2)
 
@@ -850,7 +855,6 @@ def verify_cutoff_chain(p: float, n: int, f=None,
         reports.append(_row(name, p, n, link, 0.0, est, 0.0,
                             verdict_geq(est, 0.0, "strict")))
 
-    plateau_vals = gh2_Z[0]
     m_one = bernoulli_ci(int((plateau_vals >= 1.0 - 1e-12).sum()), count)
     m_zero = bernoulli_ci(int((plateau_vals <= 1e-12).sum()), count)
     reports.append(_row(name, p, n, 6, 0.0, m_one, 0.5 * a_level,
@@ -867,7 +871,6 @@ def verify_cutoff_chain(p: float, n: int, f=None,
 
     # the plateau mass has a closed form: T(z) and |z|_p are independent,
     # and |z|_p^p is Gamma(n/p + 1, 1)
-    v_f1 = float((f_X[0] >= 1.0 - 1e-12).mean())
     plateau_oracle = v_f1 * float(special.gammaincc(n / p + 1.0, scale2 ** p))
     constants = {
         "c3": c3,
