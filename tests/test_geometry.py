@@ -246,7 +246,7 @@ def test_row_sum_falls_back_to_numpy():
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_lp_norm_is_bit_equal_to_numpy_sums(p):
     for width in (1, 2, 4, 7, 8, 9):
-        x = _mixed_magnitudes(5000, width, seed=width) * 1e-150
+        x = _mixed_magnitudes(5000, width, seed=width)
         ref = (np.abs(x) ** p).sum(axis=1) ** (1.0 / p)
         if p == 1.0:
             ref = np.abs(x).sum(axis=1)
