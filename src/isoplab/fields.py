@@ -13,6 +13,10 @@ A field f supports:
     f.value_and_grad(X)   -> (f(X), f.grad(X)), bit for bit, from one
                              evaluation of the field's scalar per point
     f.dim                 -> expected point dimension
+Rows are independent: a row's value and gradient depend only on that row,
+bit for bit, whatever the other rows of X are.  Callers rely on this to
+evaluate a batch block by block (``grad_mass_from_batch`` and
+``verify_cutoff_chain`` do), so a custom field must keep it too.
 Products and push-forwards evaluate each factor once through its
 ``value_and_grad``; ``product_value_and_grad`` and ``push_forward_grad`` hold
 their arithmetic for callers that already have the factors' passes.

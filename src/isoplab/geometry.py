@@ -29,6 +29,8 @@ from scipy import special
 __all__ = [
     "PBallParams",
     "KinkError",
+    "BLOCK_ROWS",
+    "map_row_blocks",
     "row_sum",
     "lp_norm",
     "ball_volume",
@@ -76,6 +78,26 @@ class PBallParams:
 
 # rows narrower than this are summed column by column in ``row_sum``
 SHORT_ROW = 8
+# rows per block of a row-wise pass: one (BLOCK_ROWS, 4) temporary is
+# 256 KB, so a block's temporaries stay in L2 and their memory is reused
+BLOCK_ROWS = 8192
+
+
+def map_row_blocks(fn, inputs, outputs) -> None:
+    """Fill per-row ``outputs`` from ``fn`` over blocks of BLOCK_ROWS rows.
+
+    ``fn`` receives the same row block of every array in ``inputs`` and
+    returns one array per output, each holding a value per row of the
+    block, which is written into that output's rows.  Only the block's
+    temporaries are alive at a time, and the outputs equal one call of
+    ``fn`` on whole arrays as long as each row's values depend on that row
+    alone.
+    """
+    rows = inputs[0].shape[0]
+    for lo in range(0, rows, BLOCK_ROWS):
+        block = slice(lo, lo + BLOCK_ROWS)
+        for out, values in zip(outputs, fn(*(a[block] for a in inputs))):
+            out[block] = values
 
 
 def row_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -99,20 +121,31 @@ def row_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return a.sum(axis)
 
 
+def _lp_norm_direct(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
+    if p == 1.0:
+        return row_sum(np.abs(x), axis)
+    if p == 2.0:
+        return np.sqrt(row_sum(np.square(x), axis))
+    return row_sum(np.abs(x) ** p, axis) ** (1.0 / p)
+
+
 def lp_norm(x, p: float, axis: int = -1):
     """l_p norm along ``axis``; fast paths for p in {1, 2}.
 
     The sum goes through ``row_sum``, so the result is bit-equal to
     summing with ``np.sum``; at p = 2 it is also bit-equal to
     ``np.linalg.norm(x, axis=axis)``, which computes sqrt(sum x*x) in the
-    same order.
+    same order.  Row norms of a 2-D array with more than BLOCK_ROWS rows
+    are taken block by block through ``map_row_blocks``, so at most one
+    block of |x| and |x|^p is alive beside the result; every other shape
+    or axis is computed in one pass.
     """
     x = np.asarray(x, dtype=float)
-    if p == 1.0:
-        return row_sum(np.abs(x), axis)
-    if p == 2.0:
-        return np.sqrt(row_sum(np.square(x), axis))
-    return row_sum(np.abs(x) ** p, axis) ** (1.0 / p)
+    if x.ndim != 2 or axis not in (1, -1) or x.shape[0] <= BLOCK_ROWS:
+        return _lp_norm_direct(x, p, axis)
+    out = np.empty(x.shape[0])
+    map_row_blocks(lambda block: (_lp_norm_direct(block, p),), [x], [out])
+    return out
 
 
 def ball_log_volume(p: float, n: int) -> float:

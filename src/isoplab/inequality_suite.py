@@ -42,6 +42,7 @@ from .geometry import (
     coordinate_half_space,
     jacobian_op_norms,
     lp_norm,
+    map_row_blocks,
     marginal_density,
     marginal_isf,
     marginal_second_moment,
@@ -793,9 +794,11 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     only with zero violations).
 
     f is a field on R^n with ``value_and_grad`` (see ``fields``), by default
-    a ramp along the first coordinate.  Each field is evaluated once per
-    batch: the chain's own |z|_p gives T(Z), and g and g h2 are assembled
-    from the factor passes.
+    a ramp along the first coordinate; like every field it must be
+    row-wise.  Each field is evaluated once per point: the chain's own
+    |z|_p gives T(Z), g and g h2 are assembled from the factor passes, and
+    the per-point work runs over blocks of BLOCK_ROWS rows into per-point
+    columns, from which the means, counts and the Jacobian scan are taken.
     """
     params = PBallParams(p, n)
     if f is None:
@@ -808,35 +811,41 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     ball = sample_ball(params, count, child_seed(seed, 0))
     prod = sample_product(params, count, child_seed(seed, 1))
     X, Z = ball.points, prod.points
-    nzp = lp_norm(Z, p)
-    XT = Z[:, :-1] / nzp[:, None]       # T(Z), sharing the one norm pass
     kappa = _kappa(p)
     slope1 = c.c1 * n ** kappa
     c3 = c.c1 / (c.c1 + 2.0)
     c4 = c3 / c.c2
     a_level = math.exp(-big_c * n ** (p / 2.0))
 
-    # f, h1 and h2 are each evaluated once per point set; f h1, its
-    # push-forward g and g h2 are formed from those passes with the
-    # arithmetic of ProductField and PushForwardField, which gives the same
-    # bits as the composed fields.  Gradient rows are reduced to norms as
-    # soon as they are used, so no more than two batches of them are alive.
-    fv, fg = f.value_and_grad(X)
-    v_f1 = float((fv >= 1.0 - 1e-12).mean())
-    gf_X = lp_norm(fg, 2.0)
-    gfh1_X = lp_norm(product_value_and_grad((fv, fg), h1.value_and_grad(X))[1], 2.0)
-    fv, fg = f.value_and_grad(XT)
-    gf_T = lp_norm(fg, 2.0)
-    gv, fg = product_value_and_grad((fv, fg), h1.value_and_grad(XT))
-    gfh1_T = lp_norm(fg, 2.0)
-    gg_rows = push_forward_grad(Z, XT, nzp, fg, p)
-    del fv, fg
-    gg = lp_norm(gg_rows, 2.0)
-    plateau_vals, gh2_rows = product_value_and_grad((gv, gg_rows), h2.value_and_grad(Z))
-    del gg_rows
-    ggh2 = lp_norm(gh2_rows, 2.0)
-    del gh2_rows
-    err1 = slope1 * (lp_norm(X, 2.0) >= 1.0 / slope1)
+    def per_point(Xb, Zb):
+        # f, h1 and h2 are each evaluated once per point set; f h1, its
+        # push-forward g and g h2 are formed from those passes with the
+        # arithmetic of ProductField and PushForwardField, which gives the
+        # same bits as the composed fields.  T(Z) shares the one |z|_p pass.
+        nzp = lp_norm(Zb, p)
+        XT = Zb[:, :-1] / nzp[:, None]
+        fv, fg = f.value_and_grad(Xb)
+        f_one = fv >= 1.0 - 1e-12
+        gf_X = lp_norm(fg, 2.0)
+        gfh1_X = lp_norm(product_value_and_grad((fv, fg), h1.value_and_grad(Xb))[1], 2.0)
+        fv, fg = f.value_and_grad(XT)
+        gf_T = lp_norm(fg, 2.0)
+        gv, fg = product_value_and_grad((fv, fg), h1.value_and_grad(XT))
+        gfh1_T = lp_norm(fg, 2.0)
+        gg_rows = push_forward_grad(Zb, XT, nzp, fg, p)
+        plateau, gh2_rows = product_value_and_grad((gv, gg_rows), h2.value_and_grad(Zb))
+        return (nzp, f_one, gf_X, gfh1_X, gf_T, gfh1_T, lp_norm(gg_rows, 2.0),
+                lp_norm(gh2_rows, 2.0), plateau, lp_norm(Xb, 2.0) >= 1.0 / slope1)
+
+    # the per-point part runs block by block (fields are row-wise), so only
+    # one block of gradient rows is alive; the rest reads these columns
+    cols = [np.empty(count, dtype=bool if k in (1, 9) else float)
+            for k in range(10)]
+    map_row_blocks(per_point, [X, Z], cols)
+    (nzp, f_one, gf_X, gfh1_X, gf_T, gfh1_T, gg, ggh2, plateau_vals,
+     x_big) = cols
+    v_f1 = float(f_one.mean())
+    err1 = slope1 * x_big
     scale2 = 2.0 * n ** (1.0 / p) / c.c2
     err2 = 2.0 * n ** kappa * (nzp <= scale2)
 

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import grad_norm, lp_norm
+from .geometry import grad_norm, lp_norm, map_row_blocks
 
 __all__ = [
     "PASS",
@@ -372,16 +372,18 @@ def integrate_grad(sampler, f, count: int, seed: int, power: int = 1) -> Estimat
 def grad_mass_from_batch(batch, f, power: int = 1) -> EstimateCI:
     """Mean of |grad f|_2^power over the points of one batch.
 
-    Fields exposing an exact .grad are evaluated in one vectorized call;
-    anything else goes through the finite-difference grad_norm point by
-    point.  Samples with a non-finite gradient are dropped, and more than
-    0.1% of them aborts the estimate.
+    Fields exposing an exact .grad are evaluated vectorized, one block of
+    rows at a time (``map_row_blocks``), and each block's gradient rows are
+    reduced to norms at once; anything else goes through the
+    finite-difference grad_norm point by point.  Samples with a non-finite
+    gradient are dropped, and more than 0.1% of them aborts the estimate.
     """
     pts = batch.points
     count = batch.count
     g = getattr(f, "grad", None)
     if g is not None:
-        norms = lp_norm(g(pts), 2.0)
+        norms = np.empty(count)
+        map_row_blocks(lambda block: (lp_norm(g(block), 2.0),), [pts], [norms])
     else:
         norms = np.empty(count)
         for idx in range(count):

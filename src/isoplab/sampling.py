@@ -30,7 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PBallParams, ball_volume, bgmn_map, lp_norm, row_sum
+from .geometry import (
+    BLOCK_ROWS,
+    PBallParams,
+    ball_volume,
+    bgmn_map,
+    lp_norm,
+    row_sum,
+)
 
 __all__ = [
     "SampleBatch",
@@ -100,20 +107,34 @@ def _chunk_bounds(count: int, chunk_size: int):
         yield ci, lo, min(lo + chunk_size, count)
 
 
-def _factor_chunk(rng: np.random.Generator, rows: int, p: float, n: int):
+def _factor_chunk(rng: np.random.Generator, rows: int, p: float, n: int,
+                  out=None):
     """One chunk's draws: a (rows, n) block of mu_p coordinates, then the
-    Exp(1) column whose p-th root is the nu_p coordinate."""
+    Exp(1) column whose p-th root is the nu_p coordinate.
+
+    The mu_p block is drawn into ``out`` when given (a C-contiguous
+    (rows, n) array), else into a new array, and returned.  Its second
+    draw block (U at 1 < p < 2, the second Exp(1) at p = 1) is drawn and
+    applied BLOCK_ROWS rows at a time; the generator fills arrays element
+    by element in C order, so the stream and the values are those of one
+    (rows, n) draw.
+    """
+    g = np.empty((rows, n)) if out is None else out
     if p == 2.0:
-        g = rng.standard_normal((rows, n))
+        rng.standard_normal(out=g)
         g *= math.sqrt(0.5)
     elif p == 1.0:
-        g = rng.standard_exponential((rows, n))
-        g -= rng.standard_exponential((rows, n))
+        rng.standard_exponential(out=g)
+        for lo in range(0, rows, BLOCK_ROWS):
+            block = g[lo:lo + BLOCK_ROWS]
+            block -= rng.standard_exponential(block.shape)
     else:
         # |g|^p = G |U|^p ~ Gamma(1/p), and U carries a fair sign
-        g = rng.standard_gamma(1.0 + 1.0 / p, (rows, n))
+        rng.standard_gamma(1.0 + 1.0 / p, out=g)
         g **= 1.0 / p
-        g *= rng.uniform(-1.0, 1.0, (rows, n))
+        for lo in range(0, rows, BLOCK_ROWS):
+            block = g[lo:lo + BLOCK_ROWS]
+            block *= rng.uniform(-1.0, 1.0, block.shape)
     e = rng.standard_exponential(rows)
     return g, e
 
@@ -136,17 +157,23 @@ def sample_ball(params: PBallParams, count: int, seed: int,
                 chunk_size: int = DEFAULT_CHUNK) -> SampleBatch:
     """count uniform points on B_p^n via the normalization push-forward.
 
-    Each chunk draws what ``sample_product`` draws and maps it to
-    g / (sum |g_i|^p + E)^{1/p}, i.e. T(z) of the same product rows.
+    Each chunk draws what ``sample_product`` draws, with the mu_p block
+    going straight into the chunk's rows of the output, and maps it to
+    g / (sum |g_i|^p + E)^{1/p}, i.e. T(z) of the same product rows.  The
+    sum, its power and the scaling run in place over blocks of BLOCK_ROWS
+    rows, so no temporary is larger than a block beside the E column.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     p, n = params.p, params.n
     out = np.empty((count, n))
     for ci, lo, hi in _chunk_bounds(count, chunk_size):
-        g, s = _factor_chunk(_chunk_rng(seed, ci), hi - lo, p, n)
-        s += row_sum(g * g if p == 2.0 else _pow_p(np.abs(g), p))
-        np.multiply(g, (s ** (-1.0 / p))[:, None], out=out[lo:hi])
+        g, s = _factor_chunk(_chunk_rng(seed, ci), hi - lo, p, n, out[lo:hi])
+        for b in range(0, hi - lo, BLOCK_ROWS):
+            gb, sb = g[b:b + BLOCK_ROWS], s[b:b + BLOCK_ROWS]
+            sb += row_sum(gb * gb if p == 2.0 else _pow_p(np.abs(gb), p))
+            sb **= -1.0 / p
+            gb *= sb[:, None]
     _check_ball_norms(out, p)
     return SampleBatch("V_PN", n, count, seed, out, chunk_size)
 

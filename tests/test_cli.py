@@ -185,6 +185,25 @@ def test_run_threads_reproduce_serial_bytes(tmp_path):
             (tmp_path / "pool" / name).read_bytes(), name
 
 
+def test_run_threads_reproduce_serial_bytes_above_one_block(tmp_path):
+    # 20000 samples span several row blocks of every blocked pass
+    def cfg(out_dir, threads):
+        return RunConfig(
+            experiments=["verify_cutoff_chain", "check_coarea",
+                         "check_functional_equivalence", "check_sz_tail"],
+            p_grid=[1.0, 1.5], n_grid=[4], samples=20000,
+            out_dir=str(out_dir), threads=threads)
+
+    run(cfg(tmp_path / "serial", 1))
+    run(cfg(tmp_path / "pool", 2))
+    names = sorted(os.listdir(tmp_path / "serial"))
+    assert names == sorted(os.listdir(tmp_path / "pool"))
+    assert len(names) == 9
+    for name in names:
+        assert (tmp_path / "serial" / name).read_bytes() == \
+            (tmp_path / "pool" / name).read_bytes(), name
+
+
 def test_run_rejects_unwritable_out_dir(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")

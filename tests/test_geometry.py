@@ -23,6 +23,7 @@ from isoplab.fields import (
 )
 from isoplab.geometry import (
     BALL_TOL,
+    BLOCK_ROWS,
     BallComplement,
     CutoffParams,
     HalfSpace,
@@ -245,14 +246,23 @@ def test_row_sum_falls_back_to_numpy():
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_lp_norm_is_bit_equal_to_numpy_sums(p):
-    for width in (1, 2, 4, 7, 8, 9):
-        x = _mixed_magnitudes(5000, width, seed=width)
-        ref = (np.abs(x) ** p).sum(axis=1) ** (1.0 / p)
+    # one block (5000 rows) and two blocks plus a partial one, in C order,
+    # F order and as a column slice; every norm is taken before any is
+    # compared, so a buffer shared across calls shows
+    cases = []
+    for rows in (5000, 2 * BLOCK_ROWS + 17):
+        for width in (1, 2, 4, 7, 8, 9, 64):
+            x = _mixed_magnitudes(rows, width, seed=width)
+            wide = _mixed_magnitudes(rows, width + 1, seed=100 + width)
+            for arr in (x, np.asfortranarray(x), wide[:, 1:]):
+                cases.append((arr, lp_norm(arr, p)))
+    for arr, got in cases:
+        ref = (np.abs(arr) ** p).sum(axis=1) ** (1.0 / p)
         if p == 1.0:
-            ref = np.abs(x).sum(axis=1)
+            ref = np.abs(arr).sum(axis=1)
         if p == 2.0:
-            ref = np.linalg.norm(x, axis=1)
-        assert _same_bits(lp_norm(x, p), ref)
+            ref = np.linalg.norm(arr, axis=1)
+        assert _same_bits(got, ref), (arr.shape, arr.flags.f_contiguous)
 
 
 # ---------------------------------------------------------------------------

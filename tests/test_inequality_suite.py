@@ -25,6 +25,7 @@ from isoplab.fields import (
     PushForwardField,
 )
 from isoplab.geometry import (
+    BLOCK_ROWS,
     BallComplement,
     CutoffParams,
     HalfSpace,
@@ -543,8 +544,15 @@ def test_cutoff_chain_p1():
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_cutoff_chain_rows_equal_the_composed_fields(p):
     # reference: every gradient from the composed field objects, each
-    # evaluated on its own; the chain's shared passes must give the same bits
-    n, count, seed = 3, 4000, 17
+    # evaluated on its own over the whole batch; the chain's shared,
+    # row-blocked passes must give the same bits, in one block and across
+    # two blocks plus a partial one
+    for count in (4000, 2 * BLOCK_ROWS + 17):
+        _assert_chain_rows_equal_composed_fields(p, count)
+
+
+def _assert_chain_rows_equal_composed_fields(p, count):
+    n, seed = 3, 17
     params = PBallParams(p, n)
     rep = verify_cutoff_chain(p, n, count=count, seed=seed)
     xi = np.zeros(n)

@@ -5,8 +5,18 @@ against exact boundary values, tail and median machinery, gradient integrals.
 import numpy as np
 import pytest
 
-from isoplab.fields import ConstantField, DistanceRamp, LinearRamp, RadialRamp
+from isoplab.fields import (
+    ConstantField,
+    CutoffH1Field,
+    CutoffH2Field,
+    DistanceRamp,
+    LinearRamp,
+    ProductField,
+    PushForwardField,
+    RadialRamp,
+)
 from isoplab.geometry import (
+    BLOCK_ROWS,
     BallComplement,
     HalfSpace,
     PBallParams,
@@ -25,13 +35,19 @@ from isoplab.montecarlo import (
     estimate_measure,
     estimate_median_and_phi,
     estimate_tail,
+    grad_mass_from_batch,
     integrate_grad,
     mean_ci,
     verdict_geq,
     verdict_leq,
     write_estimates_csv,
 )
-from isoplab.sampling import SampleBatch, ball_sampler, sample_ball
+from isoplab.sampling import (
+    SampleBatch,
+    ball_sampler,
+    sample_ball,
+    sample_product,
+)
 
 
 def test_estimate_ci_interval():
@@ -289,6 +305,34 @@ def test_integrate_grad_exact_for_linear_ramp():
     assert est.std_err == 0.0
     sq = integrate_grad(sampler, ramp, 2000, seed=37, power=2)
     assert sq.mean == pytest.approx(0.0625)
+
+
+def _every_field_class(p, n):
+    xi = np.zeros(n)
+    xi[0] = 1.0
+    ramp = LinearRamp(xi, 0.0, 0.3)
+    h1 = CutoffH1Field(p, n)
+    on_ball = [ConstantField(n, 0.5), ramp, RadialRamp(n, 0.3, 0.7),
+               DistanceRamp(HalfSpace(xi, 0.2), n, 0.05, 0.1),
+               DistanceRamp(BallComplement(0.6), n, 0.05, 0.1), h1,
+               ProductField(ramp, h1)]
+    on_product = [CutoffH2Field(p, n), PushForwardField(ProductField(ramp, h1), p)]
+    return on_ball, on_product
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_grad_mass_is_the_mean_of_whole_batch_gradient_norms(p):
+    # two row blocks and a partial one: blocked gradients give the bits of
+    # one whole-batch grad call (np.linalg.norm equals lp_norm(., 2) bitwise)
+    n, count = 3, 2 * BLOCK_ROWS + 17
+    params = PBallParams(p, n)
+    ball = sample_ball(params, count, seed=47)
+    prod = sample_product(params, count, seed=48)
+    on_ball, on_product = _every_field_class(p, n)
+    for batch, fields in ((ball, on_ball), (prod, on_product)):
+        for f in fields:
+            want = mean_ci(np.linalg.norm(f.grad(batch.points), axis=1))
+            assert grad_mass_from_batch(batch, f) == want, type(f).__name__
 
 
 def test_integrate_grad_drops_zero_gradient_fields():

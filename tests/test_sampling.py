@@ -11,6 +11,7 @@ import pytest
 from scipy import stats
 
 from isoplab.geometry import (
+    BLOCK_ROWS,
     PBallParams,
     bgmn_map,
     lp_norm,
@@ -136,6 +137,43 @@ def test_ball_is_the_push_forward_of_the_product_stream(p):
     want = bgmn_map(prod, p)
     rel = np.abs(ball - want) / np.abs(want)
     assert rel.max() <= 1e-14
+
+
+def _one_shot_ball_chunk(p, n, rows, seed, chunk_index):
+    # the ball formula in one shot from raw generator calls: the whole
+    # (rows, n) g block, then the U or second Exp(1) block, then E
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))))
+    if p == 2.0:
+        g = rng.standard_normal((rows, n))
+        g *= math.sqrt(0.5)
+    elif p == 1.0:
+        g = rng.standard_exponential((rows, n))
+        g -= rng.standard_exponential((rows, n))
+    else:
+        g = rng.standard_gamma(1.0 + 1.0 / p, (rows, n))
+        g **= 1.0 / p
+        g *= rng.uniform(-1.0, 1.0, (rows, n))
+    e = rng.standard_exponential(rows)
+    s = e + np.sum(np.abs(g) ** p, axis=1)
+    return g * (s ** (-1.0 / p))[:, None]
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0])
+def test_ball_is_bit_equal_to_the_one_shot_formula(p):
+    # two chunks, each ending in a partial row block: blocked in-place
+    # drawing and scaling must not move a bit; every batch is checked only
+    # after all of them are drawn, so a buffer shared across calls shows
+    chunk = 2 * BLOCK_ROWS + 100
+    count = chunk + BLOCK_ROWS + 17
+    drawn = {(n, seed): sample_ball(PBallParams(p, n), count, seed, chunk)
+             for n in (1, 3, 7) for seed in (71, 72)}
+    for (n, seed), batch in drawn.items():
+        want = np.concatenate([
+            _one_shot_ball_chunk(p, n, chunk, seed, 0),
+            _one_shot_ball_chunk(p, n, count - chunk, seed, 1)])
+        assert np.array_equal(batch.points.view(np.uint64),
+                              want.view(np.uint64)), (n, seed)
 
 
 def test_ball_rejects_empty_batches():
