@@ -6,6 +6,7 @@ expensive grids at full sample sizes.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -466,10 +467,53 @@ def test_functional_equivalence_identity_rows():
         assert abs(row.lhs.mean - row.rhs) <= 1e-9 * max(row.rhs, 1.0)
         assert row.verdict == PASS
     summary = rep.reports[4]
-    assert summary.rhs == pytest.approx(2.0 / np.pi, rel=1e-12)
+    # the summary row grades against the finest rung's exact shell value
+    r, s = 0.0025 * w, 0.05 * w
+    shell = (hs.enlarged(r + s).analytic_measure(params)
+             - hs.enlarged(r).analytic_measure(params)) / s
+    assert summary.rhs == pytest.approx(shell, rel=1e-12)
     assert summary.verdict == PASS
     assert rep.constants["reference"] == pytest.approx(2.0 / np.pi)
     assert rep.constants["limit"] == pytest.approx(2.0 / np.pi, rel=0.05)
+
+
+def _cli_equivalence(p, n, set_, count, seed):
+    # the CLI's offsets: r = 0.0025 w and s = 0.05 w, w = n^(-kappa)
+    w = n ** (-(2.0 - p) / (2.0 * p))
+    return check_functional_equivalence(p, n, set_, 0.0025 * w, 0.05 * w,
+                                        count, seed)
+
+
+@pytest.mark.parametrize("seed", [10010, 10017])
+def test_functional_equivalence_summary_is_unbiased(seed):
+    # at p = 1, n = 4 the finest rung's expectation is 0.9595 times the
+    # boundary mass; graded against the boundary mass these seeds FAILed
+    params = PBallParams(1.0, 4)
+    hs = coordinate_half_space(params, 0.5)
+    rep = _cli_equivalence(1.0, 4, hs, 10 ** 5, seed)
+    summary = rep.reports[-1]
+    assert summary.verdict == PASS
+    assert summary.rhs == pytest.approx(
+        0.9595 * hs.analytic_boundary(params), rel=1e-4)
+    assert rep.constants["reference"] == hs.analytic_boundary(params)
+
+
+@dataclass(frozen=True)
+class _MisstatedHalfSpace(HalfSpace):
+    # a half-space whose closed-form measure is 10% too large
+    def analytic_measure(self, params):
+        return 1.1 * super().analytic_measure(params)
+
+    def enlarged(self, eps):
+        return _MisstatedHalfSpace(self.xi, self.t - eps)
+
+
+def test_functional_equivalence_summary_fails_on_a_wrong_measure():
+    params = PBallParams(1.0, 4)
+    good = coordinate_half_space(params, 0.5)
+    bad = _MisstatedHalfSpace(good.xi, good.t)
+    rep = _cli_equivalence(1.0, 4, bad, 10 ** 5, 10000)
+    assert rep.reports[-1].verdict == FAIL
 
 
 @pytest.mark.parametrize("set_", [BallComplement(0.6),
