@@ -842,16 +842,18 @@ def verify_cutoff_chain(p: float, n: int, f=None,
         gfh1_T = lp_norm(fg, 2.0)
         gg_rows = push_forward_grad(Zb, XT, nzp, fg, p)
         plateau, gh2_rows = product_value_and_grad((gv, gg_rows), h2.value_and_grad(Zb))
-        return (nzp, f_one, gf_X, gfh1_X, gf_T, gfh1_T, lp_norm(gg_rows, 2.0),
-                lp_norm(gh2_rows, 2.0), plateau, lp_norm(Xb, 2.0) >= 1.0 / slope1)
+        return (nzp, gf_X, gfh1_X, gf_T, gfh1_T, lp_norm(gg_rows, 2.0),
+                lp_norm(gh2_rows, 2.0), plateau,
+                f_one, lp_norm(Xb, 2.0) >= 1.0 / slope1)
 
     # the per-point part runs block by block (fields are row-wise), so only
-    # one block of gradient rows is alive; the rest reads these columns
-    cols = [np.empty(count, dtype=bool if k in (1, 9) else float)
-            for k in range(10)]
+    # one block of gradient rows is alive; the rest reads these columns:
+    # eight of floats, then two of flags
+    cols = ([np.empty(count) for _ in range(8)]
+            + [np.empty(count, dtype=bool) for _ in range(2)])
     map_row_blocks(per_point, [X, Z], cols)
-    (nzp, f_one, gf_X, gfh1_X, gf_T, gfh1_T, gg, ggh2, plateau_vals,
-     x_big) = cols
+    (nzp, gf_X, gfh1_X, gf_T, gfh1_T, gg, ggh2, plateau_vals,
+     f_one, x_big) = cols
     v_f1 = float(f_one.mean())
     err1 = slope1 * x_big
     scale2 = 2.0 * n ** (1.0 / p) / c.c2
