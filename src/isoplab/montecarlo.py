@@ -381,11 +381,10 @@ def grad_mass_from_batch(batch, f, power: int = 1) -> EstimateCI:
     pts = batch.points
     count = batch.count
     g = getattr(f, "grad", None)
+    norms = np.empty(count)
     if g is not None:
-        norms = np.empty(count)
         map_row_blocks(lambda block: (lp_norm(g(block), 2.0),), [pts], [norms])
     else:
-        norms = np.empty(count)
         for idx in range(count):
             try:
                 norms[idx] = grad_norm(f, pts[idx])
