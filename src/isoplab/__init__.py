@@ -72,7 +72,6 @@ from .montecarlo import (
     mean_ci,
     verdict_geq,
     verdict_leq,
-    write_estimates_csv,
 )
 from .sampling import (
     SampleBatch,

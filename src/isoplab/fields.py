@@ -3,16 +3,17 @@
 The verification checks integrate gradient norms of [0,1]-valued plateau
 functions (ramps of half-spaces, radial ramps, cut-offs, and their products
 and push-forwards under the normalization map).  Every field here consumes a
-(rows, dim) array and returns per-row values; ``grad`` returns the full
-gradient rows, exact off a measure-zero kink set, so Monte Carlo integrands
-need no finite differences.
+(rows, dim) array and returns per-row values and full gradient rows, exact
+off a measure-zero kink set, so Monte Carlo integrands need no finite
+differences.
 
-A field f supports:
-    f(X)                  -> (rows,) values in [0, 1]
-    f.grad(X)             -> (rows, dim) gradients
-    f.value_and_grad(X)   -> (f(X), f.grad(X)), bit for bit, from one
-                             evaluation of the field's scalar per point
+A field class defines one evaluation, ``value_and_grad``, and the dimension:
+    f.value_and_grad(X)   -> ((rows,) values in [0, 1], (rows, dim) gradients)
+                             from one evaluation of the field's scalar per point
     f.dim                 -> expected point dimension
+The shared base supplies the two halves of that pass:
+    f(X)                  -> f.value_and_grad(X)[0]
+    f.grad(X)             -> f.value_and_grad(X)[1]
 Rows are independent: a row's value and gradient depend only on that row,
 bit for bit, whatever the other rows of X are.  Callers rely on this to
 evaluate a batch block by block (``grad_mass_from_batch`` and
@@ -83,22 +84,25 @@ def push_forward_grad(Z, X, nz, v, p: float):
     return out
 
 
-class ConstantField:
-    """f identically equal to ``value``; gradient zero."""
+class _Field:
+    """Base of every field: a subclass defines ``value_and_grad`` and
+    ``dim``, and f(X) and f.grad(X) are the two halves of that pass."""
 
-    vectorized = True
+    def __call__(self, X):
+        return self.value_and_grad(X)[0]
+
+    def grad(self, X):
+        return self.value_and_grad(X)[1]
+
+
+class ConstantField(_Field):
+    """f identically equal to ``value``; gradient zero."""
 
     def __init__(self, dim: int, value: float = 0.0):
         if not 0.0 <= value <= 1.0:
             raise ValueError("constant plateau value must lie in [0, 1]")
         self.dim = dim
         self.value = float(value)
-
-    def __call__(self, X):
-        return np.full(_rows(X, self.dim).shape[0], self.value)
-
-    def grad(self, X):
-        return self.value_and_grad(X)[1]
 
     def value_and_grad(self, X):
         X = _rows(X, self.dim)
@@ -110,14 +114,12 @@ class ConstantField:
         return None
 
 
-class LinearRamp:
+class LinearRamp(_Field):
     """clip((<x, xi> - lo) / (hi - lo), 0, 1) for a unit direction xi.
 
     Identically 0 on {<x,xi> <= lo} and 1 on {<x,xi> >= hi}; the gradient is
     xi / (hi - lo) strictly between the thresholds and zero elsewhere.
     """
-
-    vectorized = True
 
     def __init__(self, xi, lo: float, hi: float):
         xi = np.asarray(xi, dtype=float)
@@ -134,19 +136,10 @@ class LinearRamp:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def _of_scalar(self, t):
-        return np.clip((t - self.lo) / self.width, 0.0, 1.0)
-
-    def __call__(self, X):
-        return self._of_scalar(_rows(X, self.dim) @ self.xi)
-
-    def grad(self, X):
-        return self.value_and_grad(X)[1]
-
     def value_and_grad(self, X):
         t = _rows(X, self.dim) @ self.xi
         on = (t > self.lo) & (t < self.hi)
-        return (self._of_scalar(t),
+        return (np.clip((t - self.lo) / self.width, 0.0, 1.0),
                 np.where(on[:, None], self.xi / self.width, 0.0))
 
     def superlevel(self, u: float) -> HalfSpace:
@@ -158,10 +151,8 @@ class LinearRamp:
         return HalfSpace(self.xi, self.lo + u * self.width)
 
 
-class RadialRamp:
+class RadialRamp(_Field):
     """clip((|x|_2 - lo) / (hi - lo), 0, 1) with 0 < lo < hi."""
-
-    vectorized = True
 
     def __init__(self, dim: int, lo: float, hi: float):
         if not 0.0 < lo < hi:
@@ -174,22 +165,13 @@ class RadialRamp:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def _of_scalar(self, r):
-        return np.clip((r - self.lo) / self.width, 0.0, 1.0)
-
-    def __call__(self, X):
-        return self._of_scalar(lp_norm(_rows(X, self.dim), 2.0))
-
-    def grad(self, X):
-        return self.value_and_grad(X)[1]
-
     def value_and_grad(self, X):
         X = _rows(X, self.dim)
         r = lp_norm(X, 2.0)
         on = (r > self.lo) & (r < self.hi)
         with np.errstate(invalid="ignore", divide="ignore"):
             unit = np.where(r[:, None] > 0.0, X / np.where(r == 0.0, 1.0, r)[:, None], 0.0)
-        return (self._of_scalar(r),
+        return (np.clip((r - self.lo) / self.width, 0.0, 1.0),
                 np.where(on[:, None], unit / self.width, 0.0))
 
     def superlevel(self, u: float) -> BallComplement:
@@ -201,11 +183,9 @@ class RadialRamp:
         return BallComplement(self.lo + u * self.width)
 
 
-class DistanceRamp:
+class DistanceRamp(_Field):
     """clip(1 - (dist(x, A) - r) / s, 0, 1): 1 on the r-enlargement of A,
     ramping to 0 across the shell r < dist <= r + s."""
-
-    vectorized = True
 
     def __init__(self, set_, dim: int, r: float, s: float):
         if r < 0.0 or s <= 0.0:
@@ -215,19 +195,10 @@ class DistanceRamp:
         self.r = float(r)
         self.s = float(s)
 
-    def _of_scalar(self, d):
-        return np.clip(1.0 - (d - self.r) / self.s, 0.0, 1.0)
-
-    def __call__(self, X):
-        return self._of_scalar(self.set_.dist(_rows(X, self.dim)))
-
-    def grad(self, X):
-        return self.value_and_grad(X)[1]
-
     def value_and_grad(self, X):
         d, dg = self.set_.dist_and_grad(_rows(X, self.dim))
         on = (d > self.r) & (d < self.r + self.s)
-        return (self._of_scalar(d),
+        return (np.clip(1.0 - (d - self.r) / self.s, 0.0, 1.0),
                 np.where(on[:, None], -dg / self.s, 0.0))
 
     def superlevel(self, u: float):
@@ -245,10 +216,13 @@ class DistanceRamp:
         return ((d > self.r) & (d < self.r + self.s)).astype(float)
 
 
-class CutoffH1Field:
-    """The large-|x|_2 cut-off as a field on R^n."""
+class CutoffH1Field(_Field):
+    """h1(x) = clip(2 - c1 n^kappa |x|_2, 0, 1), kappa = (2-p)/(2p), on R^n;
+    kills large |x|_2.
 
-    vectorized = True
+    Identically 1 on {|x|_2 <= 1/(c1 n^kappa)} and 0 on
+    {|x|_2 >= 2/(c1 n^kappa)}; on the ramp |grad h1|_2 = c1 n^kappa.
+    """
 
     def __init__(self, p: float, n: int, c: CutoffParams = CutoffParams()):
         self.p = p
@@ -257,32 +231,27 @@ class CutoffH1Field:
         self.dim = n
         kappa = (2.0 - p) / (2.0 * p)
         self.slope = c.c1 * n ** kappa
-        # value = clip(2 - slope*|x|_2, 0, 1): ramp on 1/slope < |x|_2 < 2/slope
+        # ramp on 1/slope < |x|_2 < 2/slope
         self.lo = 1.0 / self.slope
         self.hi = 2.0 / self.slope
-
-    def _of_scalar(self, r):
-        return np.clip(2.0 - self.slope * r, 0.0, 1.0)
-
-    def __call__(self, X):
-        return self._of_scalar(lp_norm(_rows(X, self.dim), 2.0))
-
-    def grad(self, X):
-        return self.value_and_grad(X)[1]
 
     def value_and_grad(self, X):
         X = _rows(X, self.dim)
         r = lp_norm(X, 2.0)
         on = (r > self.lo) & (r < self.hi)
         unit = X / np.where(r == 0.0, 1.0, r)[:, None]
-        return (self._of_scalar(r),
+        return (np.clip(2.0 - self.slope * r, 0.0, 1.0),
                 np.where(on[:, None], -self.slope * unit, 0.0))
 
 
-class CutoffH2Field:
-    """The small-|z|_p cut-off as a field on R^(n+1)."""
+class CutoffH2Field(_Field):
+    """h2(z) = clip(c2 n^(-1/p) |z|_p - 1, 0, 1) on R^(n+1); kills small |z|_p.
 
-    vectorized = True
+    Identically 0 on {|z|_p <= n^(1/p)/c2} and 1 on {|z|_p >= 2 n^(1/p)/c2};
+    |grad h2|_2 <= c2 (n+1)^kappa n^(-1/p) everywhere (Hoelder over the n+1
+    coordinates of z, using 2(p-1) <= p), with equality when all coordinates
+    of z agree.  The weaker c2 sqrt(2/n) suffices for every error budget here.
+    """
 
     def __init__(self, p: float, n: int, c: CutoffParams = CutoffParams()):
         self.p = p
@@ -290,18 +259,9 @@ class CutoffH2Field:
         self.c = c
         self.dim = n + 1
         self.scale = c.c2 * n ** (-1.0 / p)
-        # value = clip(scale*|z|_p - 1, 0, 1): ramp on 1/scale < |z|_p < 2/scale
+        # ramp on 1/scale < |z|_p < 2/scale
         self.lo = 1.0 / self.scale
         self.hi = 2.0 / self.scale
-
-    def _of_scalar(self, r):
-        return np.clip(self.scale * r - 1.0, 0.0, 1.0)
-
-    def __call__(self, Z):
-        return self._of_scalar(lp_norm(_rows(Z, self.dim), self.p))
-
-    def grad(self, Z):
-        return self.value_and_grad(Z)[1]
 
     def value_and_grad(self, Z):
         Z = _rows(Z, self.dim)
@@ -312,14 +272,12 @@ class CutoffH2Field:
         else:
             w = np.sign(Z) * np.abs(Z) ** (self.p - 1.0)
             unit = w / np.where(r == 0.0, 1.0, r)[:, None] ** (self.p - 1.0)
-        return (self._of_scalar(r),
+        return (np.clip(self.scale * r - 1.0, 0.0, 1.0),
                 np.where(on[:, None], self.scale * unit, 0.0))
 
 
-class ProductField:
+class ProductField(_Field):
     """Pointwise product of two fields on the same space."""
-
-    vectorized = True
 
     def __init__(self, f, g):
         if f.dim != g.dim:
@@ -328,18 +286,12 @@ class ProductField:
         self.g = g
         self.dim = f.dim
 
-    def __call__(self, X):
-        return self.f(X) * self.g(X)
-
-    def grad(self, X):
-        return self.value_and_grad(X)[1]
-
     def value_and_grad(self, X):
         return product_value_and_grad(self.f.value_and_grad(X),
                                       self.g.value_and_grad(X))
 
 
-class PushForwardField:
+class PushForwardField(_Field):
     """f composed with the normalization map: value(z) = f(z_{1..n} / |z|_p).
 
     The gradient applies the adjoint differential to the gradient of f, so
@@ -347,20 +299,10 @@ class PushForwardField:
     |.|_p off the sampled set are measure zero).
     """
 
-    vectorized = True
-
     def __init__(self, f, p: float):
         self.f = f
         self.p = p
         self.dim = f.dim + 1
-
-    def __call__(self, Z):
-        Z = _rows(Z, self.dim)
-        nz = lp_norm(Z, self.p)
-        return self.f(Z[:, :-1] / nz[:, None])
-
-    def grad(self, Z):
-        return self.value_and_grad(Z)[1]
 
     def value_and_grad(self, Z):
         Z = _rows(Z, self.dim)
@@ -377,7 +319,6 @@ class PushForwardField:
 class CoordinateFunctional:
     """F(x) = x_i."""
 
-    vectorized = True
     lipschitz_constant = 1.0
 
     def __init__(self, dim: int, index: int = 0):
@@ -393,7 +334,6 @@ class CoordinateFunctional:
 class DirectionalFunctional:
     """F(x) = <x, theta> with |theta|_2 = 1."""
 
-    vectorized = True
     lipschitz_constant = 1.0
 
     def __init__(self, theta):
@@ -410,7 +350,6 @@ class DirectionalFunctional:
 class EuclideanNorm:
     """F(x) = |x|_2."""
 
-    vectorized = True
     lipschitz_constant = 1.0
 
     def __init__(self, dim: int):

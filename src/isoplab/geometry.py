@@ -1,5 +1,6 @@
 """Geometry of the unit ball of l_p^n: volumes, marginals, test sets, the
-normalization map and its differential, and the two radial cut-offs.
+normalization map and its differential, and the constants of the two
+radial cut-offs.
 
 Throughout, V_{p,n} denotes the uniform probability measure on the unit ball
 
@@ -49,9 +50,6 @@ __all__ = [
     "jacobian_T",
     "jacobian_op_norms",
     "CutoffParams",
-    "cutoff_h1",
-    "cutoff_h2",
-    "grad_norm",
 ]
 
 # closed-ball membership tolerance for indicator-style predicates
@@ -269,12 +267,9 @@ class HalfSpace:
         """Euclidean distance to the set (0 inside)."""
         return np.maximum(self.t - self.scalar(X), 0.0)
 
-    def dist_grad(self, X) -> np.ndarray:
-        """Gradient rows of dist (unit vectors a.e. where dist > 0)."""
-        return self.dist_and_grad(X)[1]
-
     def dist_and_grad(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """(dist, dist_grad) from one pass of the scalar."""
+        """(dist, gradient rows of dist) from one pass of the scalar; the
+        rows are unit vectors a.e. where dist > 0."""
         s = self.scalar(X)
         outside = (s < self.t)[:, None]
         return np.maximum(self.t - s, 0.0), np.where(outside, -self.xi, 0.0)
@@ -324,11 +319,8 @@ class BallComplement:
     def dist(self, X) -> np.ndarray:
         return np.maximum(self.r - self.scalar(X), 0.0)
 
-    def dist_grad(self, X) -> np.ndarray:
-        return self.dist_and_grad(X)[1]
-
     def dist_and_grad(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """(dist, dist_grad) from one pass of the scalar."""
+        """(dist, gradient rows of dist) from one pass of the scalar."""
         X = np.asarray(X, dtype=float)
         nrm = self.scalar(X)
         outside = (nrm < self.r) & (nrm > 0.0)
@@ -468,8 +460,9 @@ def jacobian_op_norms(Z, p: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CutoffParams:
-    """Constants of the two cut-offs; both ramps have unit width in the
-    rescaled radial variable."""
+    """Constants of the two cut-offs, ``fields.CutoffH1Field`` and
+    ``fields.CutoffH2Field``; both ramps have unit width in the rescaled
+    radial variable."""
 
     c1: float = 1.0
     c2: float = 1.0
@@ -477,64 +470,3 @@ class CutoffParams:
     def __post_init__(self):
         if self.c1 <= 0.0 or self.c2 <= 0.0:
             raise ValueError("cut-off constants must be positive")
-
-
-def cutoff_h1(X, p: float, n: int, c: CutoffParams = CutoffParams()):
-    """h1(x) = clip(2 - c1 n^((2-p)/(2p)) |x|_2, 0, 1); kills large |x|_2.
-
-    Identically 1 on {|x|_2 <= 1/(c1 n^kappa)} and 0 on {|x|_2 >= 2/(c1 n^kappa)};
-    on the ramp |grad h1|_2 = c1 n^kappa, kappa = (2-p)/(2p).
-    """
-    kappa = (2.0 - p) / (2.0 * p)
-    return np.clip(2.0 - c.c1 * n ** kappa * lp_norm(X, 2.0), 0.0, 1.0)
-
-
-def cutoff_h2(Z, p: float, n: int, c: CutoffParams = CutoffParams()):
-    """h2(z) = clip(c2 n^(-1/p) |z|_p - 1, 0, 1); kills small |z|_p.
-
-    Identically 0 on {|z|_p <= n^(1/p)/c2} and 1 on {|z|_p >= 2 n^(1/p)/c2};
-    |grad h2|_2 <= c2 (n+1)^kappa n^(-1/p) everywhere (Hoelder over the n+1
-    coordinates of z, using 2(p-1) <= p), with equality when all coordinates
-    of z agree.  The weaker c2 sqrt(2/n) suffices for every error budget here.
-    """
-    return np.clip(c.c2 * n ** (-1.0 / p) * lp_norm(Z, p) - 1.0, 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient norm
-# ---------------------------------------------------------------------------
-
-def grad_norm(f, x, step: float = 1e-6) -> float:
-    """|grad f(x)|_2, analytically when f exposes .grad, else by differences.
-
-    Piecewise-linear kinks are resolved by comparing one-sided differences:
-    when forward and backward gradients disagree, the larger norm is returned,
-    which is the relevant value for plateau ramps.
-    """
-    x = np.asarray(x, dtype=float)
-    g = getattr(f, "grad", None)
-    if g is not None:
-        out = float(np.linalg.norm(np.asarray(g(x[None, :]))[0]))
-        if not np.isfinite(out):
-            raise FloatingPointError(f"non-finite gradient at {x!r}")
-        return out
-    if getattr(f, "vectorized", False):
-        fun = lambda pt: float(np.asarray(f(pt[None, :])).reshape(()))
-    else:
-        fun = lambda pt: float(f(pt))
-    h = step * (1.0 + np.linalg.norm(x))
-    d = x.size
-    gf = np.empty(d)
-    gb = np.empty(d)
-    f0 = fun(x)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        gf[i] = (fun(x + e) - f0) / h
-        gb[i] = (f0 - fun(x - e)) / h
-    if not (np.all(np.isfinite(gf)) and np.all(np.isfinite(gb))):
-        raise FloatingPointError(f"non-finite difference quotient at {x!r}")
-    scale = 1.0 + np.abs(gf).max() + np.abs(gb).max()
-    if np.abs(gf - gb).max() <= 1e-3 * scale:
-        return float(np.linalg.norm(0.5 * (gf + gb)))
-    return float(max(np.linalg.norm(gf), np.linalg.norm(gb)))

@@ -318,8 +318,7 @@ def _check_enlargement_bound(name: str, p: float, n: int, sets, r_grid,
         a = set_.analytic_measure(params)
         if a is None:
             a = estimate_measure(batch, set_).mean
-        analytic = set_.analytic_boundary(params)
-        ce = content_from_batch(batch, set_, ladder, analytic)
+        ce = content_from_batch(batch, set_, ladder)
         lhs = ce.extrapolated
         norms = None if p == 2.0 else lp_norm(batch.points, 2.0)
         for r in r_grid:

@@ -54,7 +54,6 @@ class LogConcave1D:
     """
 
     name: str
-    support: tuple[float, float]
     log_density: Callable
     cdf: Callable
     quantile: Callable
@@ -112,7 +111,7 @@ def make_mu_p(p: float) -> LogConcave1D:
         tail = special.gammainccinv(1.0 / p, 2.0 * min(a, 1.0 - a))
         return float(np.sign(a - 0.5) * tail ** (1.0 / p))
 
-    return LogConcave1D(f"mu_{p:g}", (-np.inf, np.inf), log_density, cdf, quantile)
+    return LogConcave1D(f"mu_{p:g}", log_density, cdf, quantile)
 
 
 def make_nu_p(p: float) -> LogConcave1D:
@@ -142,7 +141,7 @@ def make_nu_p(p: float) -> LogConcave1D:
             raise ValueError(f"quantile level must be in (0,1), got {a!r}")
         return (-np.log1p(-a)) ** (1.0 / p)
 
-    return LogConcave1D(f"nu_{p:g}", (0.0, np.inf), log_density, cdf, quantile)
+    return LogConcave1D(f"nu_{p:g}", log_density, cdf, quantile)
 
 
 def make_gamma(shape: float) -> LogConcave1D:
@@ -170,7 +169,7 @@ def make_gamma(shape: float) -> LogConcave1D:
             raise ValueError(f"quantile level must be in (0,1), got {a!r}")
         return float(special.gammaincinv(shape, a))
 
-    return LogConcave1D(f"gamma_{shape:g}", (0.0, np.inf), log_density, cdf, quantile,
+    return LogConcave1D(f"gamma_{shape:g}", log_density, cdf, quantile,
                         log_concave=shape >= 1.0)
 
 
@@ -192,7 +191,7 @@ def make_exponential() -> LogConcave1D:
             raise ValueError(f"quantile level must be in (0,1), got {a!r}")
         return -np.log1p(-a)
 
-    return LogConcave1D("exp_1", (0.0, np.inf), log_density, cdf, quantile)
+    return LogConcave1D("exp_1", log_density, cdf, quantile)
 
 
 def bobkov_profile(m: LogConcave1D, a: float) -> ProfilePoint:

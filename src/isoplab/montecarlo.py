@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import grad_norm, lp_norm, map_row_blocks
+from .geometry import lp_norm, map_row_blocks
 
 __all__ = [
     "PASS",
@@ -48,7 +48,6 @@ __all__ = [
     "estimate_median_and_phi",
     "integrate_grad",
     "grad_mass_from_batch",
-    "write_estimates_csv",
     "RARE_COUNT",
 ]
 
@@ -69,7 +68,6 @@ class EstimateCI:
     mean: float
     std_err: float
     n_samples: int
-    confidence: float = 0.997
 
     @property
     def lo(self) -> float:
@@ -372,24 +370,15 @@ def integrate_grad(sampler, f, count: int, seed: int, power: int = 1) -> Estimat
 def grad_mass_from_batch(batch, f, power: int = 1) -> EstimateCI:
     """Mean of |grad f|_2^power over the points of one batch.
 
-    Fields exposing an exact .grad are evaluated vectorized, one block of
-    rows at a time (``map_row_blocks``), and each block's gradient rows are
-    reduced to norms at once; anything else goes through the
-    finite-difference grad_norm point by point.  Samples with a non-finite
-    gradient are dropped, and more than 0.1% of them aborts the estimate.
+    f is a field (see ``fields``): its exact ``grad`` is evaluated one block
+    of rows at a time (``map_row_blocks``), and each block's gradient rows
+    are reduced to norms at once.  Samples with a non-finite gradient are
+    dropped, and more than 0.1% of them aborts the estimate.
     """
-    pts = batch.points
     count = batch.count
-    g = getattr(f, "grad", None)
     norms = np.empty(count)
-    if g is not None:
-        map_row_blocks(lambda block: (lp_norm(g(block), 2.0),), [pts], [norms])
-    else:
-        for idx in range(count):
-            try:
-                norms[idx] = grad_norm(f, pts[idx])
-            except FloatingPointError:
-                norms[idx] = np.nan
+    map_row_blocks(lambda block: (lp_norm(f.grad(block), 2.0),),
+                   [batch.points], [norms])
     finite = np.isfinite(norms)
     bad = count - int(finite.sum())
     if bad > 1e-3 * count:
@@ -400,19 +389,3 @@ def grad_mass_from_batch(batch, f, power: int = 1) -> EstimateCI:
     if power != 1:
         kept = kept ** power
     return mean_ci(kept)
-
-
-# ---------------------------------------------------------------------------
-# CSV persistence
-# ---------------------------------------------------------------------------
-
-def write_estimates_csv(rows, path):
-    """Rows (quantity, p, n, param, EstimateCI, verdict) in a fixed schema."""
-    with open(path, "w", newline="") as fh:
-        fh.write("quantity,p,n,param,mean,std_err,n_samples,verdict\n")
-        for quantity, p, n, param, est, verdict in rows:
-            fh.write(",".join([
-                str(quantity), repr(float(p)), str(int(n)), repr(float(param)),
-                repr(float(est.mean)), repr(float(est.std_err)),
-                str(int(est.n_samples)), str(verdict),
-            ]) + "\n")

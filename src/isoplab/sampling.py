@@ -61,9 +61,6 @@ GRID_SIDE = 8                    # finest envelope grid: cells of side 1/8
 GRID_CELLS = 1 << 21             # most cells in an envelope table
 BALL_OVERSHOOT = 1e-12           # tolerated |x|_p excess on ball batches
 
-# batches carrying points of the named ball law (norm invariant enforced)
-_BALL_TAGS = ("V_PN", "REJECTION_V_PN")
-
 
 @dataclass(frozen=True)
 class SampleBatch:

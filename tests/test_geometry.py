@@ -33,9 +33,6 @@ from isoplab.geometry import (
     ball_volume,
     bgmn_map,
     coordinate_half_space,
-    cutoff_h1,
-    cutoff_h2,
-    grad_norm,
     jacobian_T,
     jacobian_op_norms,
     lp_norm,
@@ -291,7 +288,7 @@ def test_half_space_dist_grad_is_unit_outside():
     hs = HalfSpace(np.array([0.6, 0.8]), 0.25)
     rng = np.random.default_rng(4)
     X = rng.standard_normal((200, 2))
-    g = hs.dist_grad(X)
+    g = hs.dist_and_grad(X)[1]
     outside = hs.dist(X) > 0.0
     np.testing.assert_allclose(np.linalg.norm(g[outside], axis=1), 1.0)
     assert np.all(g[~outside] == 0.0)
@@ -446,6 +443,18 @@ def test_operator_norm_closed_form_matches_svd(p, n):
 # cut-offs
 # ---------------------------------------------------------------------------
 
+def _h1_closed_form(X, p, n, c1=1.0):
+    # clip(2 - c1 n^kappa |x|_2, 0, 1), kappa = (2-p)/(2p)
+    kappa = (2.0 - p) / (2.0 * p)
+    return np.clip(2.0 - c1 * n ** kappa * np.linalg.norm(X, axis=1), 0.0, 1.0)
+
+
+def _h2_closed_form(Z, p, n, c2=1.0):
+    # clip(c2 n^(-1/p) |z|_p - 1, 0, 1)
+    norms = np.sum(np.abs(Z) ** p, axis=1) ** (1.0 / p)
+    return np.clip(c2 * n ** (-1.0 / p) * norms - 1.0, 0.0, 1.0)
+
+
 def test_cutoff_h1_plateau_and_ramp():
     p, n = 1.5, 4
     kappa = (2.0 - p) / (2.0 * p)
@@ -456,12 +465,15 @@ def test_cutoff_h1_plateau_and_ramp():
     outer[0, 0] = 3.0 / slope
     mid = np.zeros((1, n))
     mid[0, 0] = 1.5 / slope
-    assert cutoff_h1(inner, p, n) == 1.0
-    assert cutoff_h1(outer, p, n) == 0.0
-    assert abs(cutoff_h1(mid, p, n)[0] - 0.5) < 1e-12
     field = CutoffH1Field(p, n)
-    X = np.vstack([inner, mid, outer])
-    np.testing.assert_allclose(field(X), cutoff_h1(X, p, n))
+    assert field(inner)[0] == 1.0
+    assert field(outer)[0] == 0.0
+    assert abs(field(mid)[0] - 0.5) < 1e-12
+    X = np.vstack([inner, mid, outer,
+                   2.0 * sample_ball(PBallParams(p, n), 2000, seed=12).points])
+    want = _h1_closed_form(X, p, n)
+    assert np.any((want > 0.0) & (want < 1.0))
+    np.testing.assert_allclose(field(X), want)
     # on the ramp the gradient norm is exactly the slope
     assert abs(np.linalg.norm(field.grad(mid)[0]) - slope) < 1e-12
 
@@ -473,11 +485,11 @@ def test_cutoff_h2_plateau_and_gradient_bound():
     lo[0, 0] = 0.5 / scale
     hi = np.zeros((1, n + 1))
     hi[0, 0] = 2.5 / scale
-    assert cutoff_h2(lo, p, n) == 0.0
-    assert cutoff_h2(hi, p, n) == 1.0
     field = CutoffH2Field(p, n)
+    assert field(lo)[0] == 0.0
+    assert field(hi)[0] == 1.0
     Z = sample_product(PBallParams(p, n), 10 ** 4, seed=13).points
-    np.testing.assert_allclose(field(Z), cutoff_h2(Z, p, n))
+    np.testing.assert_allclose(field(Z), _h2_closed_form(Z, p, n))
     kappa = (2.0 - p) / (2.0 * p)
     bound = (n + 1.0) ** kappa * n ** (-1.0 / p)
     norms = np.linalg.norm(field.grad(Z), axis=1)
@@ -490,26 +502,22 @@ def test_cutoff_h2_plateau_and_gradient_bound():
 def test_cutoff_scaling_constants():
     p, n = 2.0, 9
     c = CutoffParams(c1=2.0, c2=0.5)
+    h1 = CutoffH1Field(p, n, c)
+    h2 = CutoffH2Field(p, n, c)
     x = np.zeros((1, n))
     x[0, 0] = 0.4 / (2.0 * 1.0)  # kappa = 0 at p = 2
-    assert cutoff_h1(x, p, n, c) == 1.0
+    assert h1(x)[0] == 1.0
     z = np.zeros((1, n + 1))
     z[0, 0] = 1.9 * np.sqrt(float(n)) / 0.5
-    assert abs(cutoff_h2(z, p, n, c)[0] - 0.9) < 1e-12
+    assert abs(h2(z)[0] - 0.9) < 1e-12
+    # both ramps follow their closed forms at these constants
+    t = np.linspace(0.0, 1.5, 31)[:, None]
+    X = t * np.full(n, n ** -0.5)
+    np.testing.assert_allclose(h1(X), _h1_closed_form(X, p, n, c1=2.0))
+    Z = t * np.full(n + 1, 4.0 * np.sqrt(float(n)) / 0.5 / np.sqrt(n + 1.0))
+    np.testing.assert_allclose(h2(Z), _h2_closed_form(Z, p, n, c2=0.5))
     with pytest.raises(ValueError):
         CutoffParams(c1=0.0)
-
-
-def test_grad_norm_helper_paths():
-    ramp = LinearRamp(np.array([1.0, 0.0]), 0.0, 0.5)
-    x = np.array([0.25, 3.0])
-    assert abs(grad_norm(ramp, x) - 2.0) < 1e-12
-    # plain callable: finite differences
-    f = lambda pt: float(np.dot(pt, pt))
-    assert abs(grad_norm(f, np.array([0.3, -0.4])) - 1.0) < 1e-5
-    # piecewise-linear kink: returns the larger one-sided slope
-    hinge = lambda pt: float(max(pt[0], 0.0))
-    assert abs(grad_norm(hinge, np.array([0.0, 0.0])) - 1.0) < 1e-5
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from isoplab.montecarlo import (
     mean_ci,
     verdict_geq,
     verdict_leq,
-    write_estimates_csv,
 )
 from isoplab.sampling import (
     SampleBatch,
@@ -54,7 +53,6 @@ def test_estimate_ci_interval():
     e = EstimateCI(1.0, 0.1, 100)
     assert e.lo == pytest.approx(0.7)
     assert e.hi == pytest.approx(1.3)
-    assert e.confidence == 0.997
 
 
 def test_mean_ci_basics():
@@ -283,7 +281,6 @@ def test_median_of_radius_on_the_disc():
 
 def test_lipschitz_spot_check_catches_liars():
     class Liar:
-        vectorized = True
         lipschitz_constant = 1.0
         dim = 2
 
@@ -343,7 +340,6 @@ def test_integrate_grad_drops_zero_gradient_fields():
 
 def test_integrate_grad_aborts_on_non_finite():
     class Broken:
-        vectorized = True
         dim = 2
 
         def __call__(self, X):
@@ -355,15 +351,9 @@ def test_integrate_grad_aborts_on_non_finite():
     sampler = ball_sampler(PBallParams(2.0, 2))
     with pytest.raises(RuntimeError):
         integrate_grad(sampler, Broken(), 1000, seed=43)
-
-
-def test_estimates_csv_schema(tmp_path):
-    path = tmp_path / "est.csv"
-    rows = [("tail", 1.5, 4, 0.25, EstimateCI(0.125, 0.0125, 800), PASS)]
-    write_estimates_csv(rows, path)
-    text = path.read_text().splitlines()
-    assert text[0] == "quantity,p,n,param,mean,std_err,n_samples,verdict"
-    assert text[1] == "tail,1.5,4,0.25,0.125,0.0125,800,PASS"
+    # a plain callable has no exact gradient to integrate
+    with pytest.raises(AttributeError):
+        integrate_grad(sampler, lambda X: np.zeros(len(X)), 1000, seed=43)
 
 
 def test_rare_count_constant():
