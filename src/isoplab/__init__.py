@@ -64,7 +64,6 @@ from .montecarlo import (
     MedianEstimate,
     bernoulli_ci,
     content_from_batch,
-    estimate_content,
     estimate_measure,
     estimate_median_and_phi,
     estimate_tail,
@@ -77,13 +76,11 @@ from .sampling import (
     SampleBatch,
     ball_sampler,
     child_seed,
-    product_sampler,
     read_points_csv,
     rejection_sample_ball,
     rejection_sampler,
     sample_ball,
     sample_product,
-    scaled_sampler,
     write_batch_csv,
 )
 

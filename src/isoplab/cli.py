@@ -142,12 +142,8 @@ def _parse_float(key, lineno, value) -> float:
 # check registry and per-job runners
 # ---------------------------------------------------------------------------
 
-def _kappa(p: float) -> float:
-    return (2.0 - p) / (2.0 * p)
-
-
 def _scaled(grid, p, n) -> list:
-    w = n ** (-_kappa(p))
+    w = n ** (-iq._kappa(p))
     return [m * w for m in grid]
 
 
@@ -215,9 +211,8 @@ def _run_coarea(cfg, p, n, seed):
 
 def _run_equivalence(cfg, p, n, seed):
     set_ = coordinate_half_space(PBallParams(p, n), 0.5)
-    w = n ** (-_kappa(p))
-    return iq.check_functional_equivalence(p, n, set_, 0.0025 * w, 0.05 * w,
-                                           cfg.samples, seed)
+    r, s = _scaled((0.0025, 0.05), p, n)
+    return iq.check_functional_equivalence(p, n, set_, r, s, cfg.samples, seed)
 
 
 def _run_l2_form(cfg, p, n, seed):

@@ -16,7 +16,7 @@ The shared base supplies the two halves of that pass:
     f.grad(X)             -> f.value_and_grad(X)[1]
 Rows are independent: a row's value and gradient depend only on that row,
 bit for bit, whatever the other rows of X are.  Callers rely on this to
-evaluate a batch block by block (``grad_mass_from_batch`` and
+evaluate a batch block by block (``montecarlo.integrate_grad`` and
 ``verify_cutoff_chain`` do), so a custom field must keep it too.
 Products and push-forwards evaluate each factor once through its
 ``value_and_grad``; ``product_value_and_grad`` and ``push_forward_grad`` hold

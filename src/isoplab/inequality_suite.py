@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import special
@@ -28,7 +28,6 @@ from .fields import (
     CutoffH1Field,
     CutoffH2Field,
     DistanceRamp,
-    EuclideanNorm,
     LinearRamp,
     RadialRamp,
     functional_catalog,
@@ -58,19 +57,12 @@ from .montecarlo import (
     estimate_measure,
     estimate_median_and_phi,
     estimate_tail,
-    grad_mass_from_batch,
     integrate_grad,
     mean_ci,
     verdict_geq,
     verdict_leq,
 )
-from .sampling import (
-    ball_sampler,
-    child_seed,
-    sample_ball,
-    sample_product,
-    scaled_sampler,
-)
+from .sampling import child_seed, sample_ball, sample_product
 
 __all__ = [
     "InequalityReport",
@@ -396,8 +388,8 @@ def check_sz_tail(p: float, n: int, t_grid, count: int, seed: int) -> CheckRepor
     levels = _quantile_levels(t_grid, "t_grid")
     calib = sample_ball(params, count, child_seed(seed, 0))
     thresholds = np.quantile(lp_norm(calib.points, 2.0), levels)
-    tails = estimate_tail(ball_sampler(params), EuclideanNorm(n), thresholds,
-                          count, child_seed(seed, 1))
+    batch = sample_ball(params, count, child_seed(seed, 1))
+    tails = estimate_tail(lp_norm(batch.points, 2.0), thresholds)
     name = "check_sz_tail"
     t_lo = SZ_T0 * n ** (-_kappa(p))
     slopes = []
@@ -439,16 +431,15 @@ def check_sz_concentration(p: float, n: int, functional, t_grid,
     if isinstance(functional, str):
         functional = functional_catalog(functional, n)
     levels = _quantile_levels(t_grid, "t_grid")
-    sampler = ball_sampler(params)
-    calib = sampler(count, child_seed(seed, 0))
+    calib = sample_ball(params, count, child_seed(seed, 0))
     vals = np.asarray(functional(calib.points), dtype=float)
     if vals.max() == vals.min():
         raise ValueError("functional is constant on the sample; "
                          "no concentration to measure")
     med0 = float(np.median(vals))
     h_grid = [float(np.quantile(vals, q)) - med0 for q in levels]
-    _, curve = estimate_median_and_phi(sampler, functional, h_grid, count,
-                                       child_seed(seed, 1))
+    batch = sample_ball(params, count, child_seed(seed, 1))
+    _, curve = estimate_median_and_phi(batch, functional, h_grid)
     name = "check_sz_concentration"
     slopes = []
     for h, est, rare in curve:
@@ -650,15 +641,15 @@ def check_coarea(p: float, n: int, phi_catalog=None,
     Rows: param1 = catalog index, param2 = 0.
     """
     params = PBallParams(p, n)
-    sampler = ball_sampler(params)
     if phi_catalog is None:
         phi_catalog = _default_plateau_catalog(params, count, seed)
     ladder = default_eps_ladder(p, n)
     name = "check_coarea"
     reports = []
     for i, phi in enumerate(phi_catalog):
-        lhs = integrate_grad(sampler, phi, count, child_seed(seed, 2 * i))
-        batch = sampler(count, child_seed(seed, 2 * i + 1))
+        lhs = integrate_grad(
+            sample_ball(params, count, child_seed(seed, 2 * i)), phi)
+        batch = sample_ball(params, count, child_seed(seed, 2 * i + 1))
         levels = [phi.superlevel((k + 0.5) / 64.0) for k in range(64)]
         live = [k for k, level in enumerate(levels) if level is not None]
         vals = np.zeros(64)
@@ -697,14 +688,13 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     params = PBallParams(p, n)
     if r <= 0.0 or s <= 0.0:
         raise ValueError("enlargement offsets r, s must be positive")
-    sampler = ball_sampler(params)
     name = "check_functional_equivalence"
     reports = []
     for j in (3, 2, 1, 0):
         r_j, s_j = r * 4 ** j, s * 2 ** j
         phi = DistanceRamp(set_, n, r_j, s_j)
-        batch = sampler(count, child_seed(seed, j))
-        lhs = grad_mass_from_batch(batch, phi)
+        batch = sample_ball(params, count, child_seed(seed, j))
+        lhs = integrate_grad(batch, phi)
         shell = float(phi.ramp_indicator(batch.points).mean()) / s_j
         reports.append(_row(name, p, n, r_j, s_j, lhs, shell,
                             verdict_geq(lhs, shell, "consistent")))
@@ -752,13 +742,13 @@ def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckRepor
     c_hat = check_theorem1(p, n, grid).constants["c_hat"]
     xi = np.zeros(n)
     xi[0] = 1.0
-    sampler = ball_sampler(params)
     name = "check_l2_form"
     reports = []
     fitted = []
     for i, a in enumerate(grid):
         phi = LinearRamp(xi, 0.0, float(marginal_isf(params, a)))
-        lhs = integrate_grad(sampler, phi, count, child_seed(seed, i), power=2)
+        batch = sample_ball(params, count, child_seed(seed, i))
+        lhs = integrate_grad(batch, phi, power=2)
         rhs = c_hat ** 2 * n ** (2.0 / p) / _dyadic_sum(p, a)
         c1_row = lhs.mean / (n ** (2.0 / p) * a
                              * math.log(1.0 / a) ** (2.0 - 2.0 / p))
@@ -956,11 +946,10 @@ def check_paouris_tail(p: float, n: int, t_grid, count: int,
     params = PBallParams(p, n)
     levels = _quantile_levels(t_grid, "t_grid")
     c_np, l_k = isotropy_constants(p, n)
-    sampler = scaled_sampler(ball_sampler(params), c_np)
-    calib = sampler(count, child_seed(seed, 0))
-    thresholds = np.quantile(lp_norm(calib.points, 2.0), levels)
-    tails = estimate_tail(sampler, EuclideanNorm(n), thresholds, count,
-                          child_seed(seed, 1))
+    calib = sample_ball(params, count, child_seed(seed, 0))
+    thresholds = np.quantile(lp_norm(calib.points * c_np, 2.0), levels)
+    batch = sample_ball(params, count, child_seed(seed, 1))
+    tails = estimate_tail(lp_norm(batch.points * c_np, 2.0), thresholds)
     t_min = PAOURIS_T0 * l_k * math.sqrt(n)
     slopes = [l_k * (-math.log(est.mean)) / t
               for t, est, rare in tails

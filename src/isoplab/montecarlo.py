@@ -17,12 +17,16 @@ intercept standing in for the limit.  Every test set is {s >= threshold}
 for one scalar s per point, and so is each of its enlargements; the
 scalar is sorted once per batch and every rung count is read off the
 sorted array.
+
+Estimators draw nothing: each takes a SampleBatch (or the per-point values
+computed from one) that the caller drew, so a (params, count, seed) batch
+is drawn once however many estimates read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,14 +44,12 @@ __all__ = [
     "estimate_measure",
     "ContentEstimate",
     "content_from_batch",
-    "estimate_content",
     "TailPoint",
     "estimate_tail",
     "PhiPoint",
     "MedianEstimate",
     "estimate_median_and_phi",
     "integrate_grad",
-    "grad_mass_from_batch",
     "RARE_COUNT",
 ]
 
@@ -175,14 +177,7 @@ class ContentEstimate:
 
     per_epsilon: tuple = field(repr=False)
     extrapolated: EstimateCI = None
-    analytic: Optional[float] = None
     inconclusive: bool = False
-
-    def consistent_with_analytic(self) -> bool:
-        if self.analytic is None:
-            raise ValueError("no analytic boundary value attached")
-        slack = _CI_WIDTH * self.extrapolated.std_err + 0.02 * abs(self.analytic)
-        return abs(self.extrapolated.mean - self.analytic) <= slack
 
 
 def _wls_intercept(xs: np.ndarray, ys: np.ndarray, ses: np.ndarray) -> tuple[float, float]:
@@ -195,8 +190,7 @@ def _wls_intercept(xs: np.ndarray, ys: np.ndarray, ses: np.ndarray) -> tuple[flo
     return float(beta[0]), float(np.sqrt(cov[0, 0]))
 
 
-def content_from_batch(batch, set_, eps_ladder: Sequence[float],
-                       analytic: Optional[float] = None):
+def content_from_batch(batch, set_, eps_ladder: Sequence[float]):
     """Enlargement quotients of one batch for every ladder epsilon.
 
     The counts come from one sorted scalar per point: a set is
@@ -229,12 +223,12 @@ def content_from_batch(batch, set_, eps_ladder: Sequence[float],
     counts = (np.searchsorted(s, tops, "left")[:, None]
               - np.searchsorted(s, lows, "left"))
     n = batch.count
-    out = [_content_from_counts(eps, row, n, analytic) for row in counts]
+    out = [_content_from_counts(eps, row, n) for row in counts]
     return out if many else out[0]
 
 
-def _content_from_counts(eps: np.ndarray, counts: np.ndarray, n: int,
-                         analytic: Optional[float]) -> ContentEstimate:
+def _content_from_counts(eps: np.ndarray, counts: np.ndarray,
+                         n: int) -> ContentEstimate:
     rungs = []
     for e, k in zip(eps, counts):
         ci = bernoulli_ci(int(k), n)
@@ -247,25 +241,8 @@ def _content_from_counts(eps: np.ndarray, counts: np.ndarray, n: int,
         extrapolated = EstimateCI(b0, se0, n)
     else:
         extrapolated = rungs[-1][1]
-    return ContentEstimate(tuple(rungs), extrapolated, analytic,
+    return ContentEstimate(tuple(rungs), extrapolated,
                            inconclusive=not counts.any())
-
-
-def estimate_content(sampler, set_, eps_ladder: Sequence[float],
-                     count: int, seed: int,
-                     analytic: Optional[float] = None) -> ContentEstimate:
-    """Boundary content of a set under the sampler's law.
-
-    When the sampler carries its ball parameters and the set knows its exact
-    boundary mass, that value is attached for downstream consistency checks.
-    """
-    batch = sampler(count, seed)
-    if analytic is None:
-        params = getattr(sampler, "params", None)
-        oracle = getattr(set_, "analytic_boundary", None)
-        if params is not None and oracle is not None:
-            analytic = oracle(params)
-    return content_from_batch(batch, set_, eps_ladder, analytic)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +255,14 @@ class TailPoint(NamedTuple):
     rare: bool
 
 
-def estimate_tail(sampler, functional, thresholds: Sequence[float],
-                  count: int, seed: int) -> list[TailPoint]:
-    """P{functional >= t} for each threshold; sparse counts flagged rare."""
+def estimate_tail(values, thresholds: Sequence[float]) -> list[TailPoint]:
+    """P{F >= t} for each threshold, from the per-point values F of one
+    batch; sparse counts are flagged rare."""
     thresholds = [float(t) for t in thresholds]
     if not all(np.isfinite(thresholds)):
         raise ValueError("thresholds must be finite")
-    batch = sampler(count, seed)
-    vals = np.asarray(functional(batch.points), dtype=float)
+    vals = np.asarray(values, dtype=float)
+    count = vals.size
     out = []
     for t in thresholds:
         k = int((vals >= t).sum())
@@ -309,21 +286,20 @@ class MedianEstimate:
     n_samples: int
 
 
-def estimate_median_and_phi(sampler, functional, h_grid: Sequence[float],
-                            count: int, seed: int
+def estimate_median_and_phi(batch, functional, h_grid: Sequence[float]
                             ) -> tuple[MedianEstimate, list[PhiPoint]]:
-    """Empirical median of a 1-Lipschitz functional and its upper-tail curve
-    phi(h) = P{F > median + h}.
+    """Empirical median of a 1-Lipschitz functional over one batch and its
+    upper-tail curve phi(h) = P{F > median + h}.
 
     Lipschitz continuity is the caller's promise; it is spot-checked on ~100
-    random sample pairs and a violation raises ValueError.
+    random sample pairs, drawn from the batch's seed, and a violation raises
+    ValueError.
     """
-    batch = sampler(count, seed)
-    pts = batch.points
+    pts, count = batch.points, batch.count
     vals = np.asarray(functional(pts), dtype=float)
     if vals.shape != (count,):
         raise ValueError("functional must map the batch to one real per row")
-    _lipschitz_spot_check(functional, pts, vals, seed)
+    _lipschitz_spot_check(functional, pts, vals, batch.seed)
     order = np.sort(vals)
     med = 0.5 * (order[(count - 1) // 2] + order[count // 2])
     half = 0.5 * count
@@ -361,14 +337,9 @@ def _lipschitz_spot_check(functional, pts: np.ndarray, vals: np.ndarray,
 # gradient integrals
 # ---------------------------------------------------------------------------
 
-def integrate_grad(sampler, f, count: int, seed: int, power: int = 1) -> EstimateCI:
-    """Monte Carlo estimate of the integral of |grad f|_2^power over a fresh
-    batch ``sampler(count, seed)``; see grad_mass_from_batch."""
-    return grad_mass_from_batch(sampler(count, seed), f, power)
-
-
-def grad_mass_from_batch(batch, f, power: int = 1) -> EstimateCI:
-    """Mean of |grad f|_2^power over the points of one batch.
+def integrate_grad(batch, f, power: int = 1) -> EstimateCI:
+    """Monte Carlo estimate of the integral of |grad f|_2^power: its mean
+    over the points of one batch.
 
     f is a field (see ``fields``): its exact ``grad`` is evaluated one block
     of rows at a time (``map_row_blocks``), and each block's gradient rows

@@ -34,7 +34,6 @@ from .geometry import (
     BLOCK_ROWS,
     PBallParams,
     ball_volume,
-    bgmn_map,
     lp_norm,
     row_sum,
 )
@@ -46,11 +45,8 @@ __all__ = [
     "sample_product",
     "sample_ball",
     "rejection_sample_ball",
-    "bgmn_map",
-    "product_sampler",
     "ball_sampler",
     "rejection_sampler",
-    "scaled_sampler",
     "write_batch_csv",
     "read_points_csv",
 ]
@@ -67,9 +63,8 @@ class SampleBatch:
     """Seeded, tagged points from one named measure.
 
     measure_tag is MU_PN (product space, dim n+1), V_PN (push-forward ball
-    law), REJECTION_V_PN (rejection-oracle ball law), or SCALED_V_PN for a
-    linearly rescaled ball batch.  chunk_size records the generation layout
-    so parallel and serial runs reconcile.
+    law) or REJECTION_V_PN (rejection-oracle ball law).  chunk_size records
+    the generation layout so parallel and serial runs reconcile.
     """
 
     measure_tag: str
@@ -296,43 +291,15 @@ def rejection_sample_ball(params: PBallParams, count: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# sampler factories: estimators consume (count, seed) -> SampleBatch
+# sampler factories: (count, seed) -> SampleBatch for one ball law
 # ---------------------------------------------------------------------------
 
-def product_sampler(params: PBallParams):
-    def sampler(count: int, seed: int) -> SampleBatch:
-        return sample_product(params, count, seed)
-    sampler.params = params
-    sampler.dim = params.n + 1
-    return sampler
-
-
 def ball_sampler(params: PBallParams):
-    def sampler(count: int, seed: int) -> SampleBatch:
-        return sample_ball(params, count, seed)
-    sampler.params = params
-    sampler.dim = params.n
-    return sampler
+    return lambda count, seed: sample_ball(params, count, seed)
 
 
 def rejection_sampler(params: PBallParams):
-    def sampler(count: int, seed: int) -> SampleBatch:
-        return rejection_sample_ball(params, count, seed)
-    sampler.params = params
-    sampler.dim = params.n
-    return sampler
-
-
-def scaled_sampler(base, factor: float):
-    """Points of ``base`` multiplied by ``factor`` (rescaled ball laws)."""
-    def sampler(count: int, seed: int) -> SampleBatch:
-        batch = base(count, seed)
-        return SampleBatch("SCALED_V_PN", batch.dim, batch.count, batch.seed,
-                           batch.points * factor, batch.chunk_size)
-    sampler.params = getattr(base, "params", None)
-    sampler.dim = getattr(base, "dim", None)
-    sampler.factor = factor
-    return sampler
+    return lambda count, seed: rejection_sample_ball(params, count, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Row-wise passes run over blocks of BLOCK_ROWS rows, so besides their
 output they hold only a block's temporaries.  Building whole-batch
 temporaries instead (3.5-4.25x the output for sample_ball, 5-8x the result
-for lp_norm, 2.25x the batch for grad_mass_from_batch) fails these bounds.
+for lp_norm, 2.25x the batch for integrate_grad) fails these bounds.
 """
 
 import tracemalloc
@@ -13,7 +13,7 @@ import pytest
 
 from isoplab.fields import LinearRamp
 from isoplab.geometry import PBallParams, lp_norm
-from isoplab.montecarlo import grad_mass_from_batch
+from isoplab.montecarlo import integrate_grad
 from isoplab.sampling import sample_ball
 
 ROWS, N = 10 ** 5, 4
@@ -44,5 +44,5 @@ def test_lp_norm_peak_is_near_its_result(p):
 def test_grad_mass_peak_is_below_the_batch():
     batch = sample_ball(PBallParams(1.5, N), ROWS, 7)
     ramp = LinearRamp(np.eye(N)[0], 0.0, 0.3)
-    peak = _traced_peak(lambda: grad_mass_from_batch(batch, ramp))
+    peak = _traced_peak(lambda: integrate_grad(batch, ramp))
     assert peak <= 1.0 * ROWS * N * 8, peak

@@ -21,7 +21,6 @@ from isoplab.geometry import (
     HalfSpace,
     PBallParams,
     coordinate_half_space,
-    marginal_density,
 )
 from isoplab.montecarlo import (
     FAIL,
@@ -31,11 +30,9 @@ from isoplab.montecarlo import (
     EstimateCI,
     bernoulli_ci,
     content_from_batch,
-    estimate_content,
     estimate_measure,
     estimate_median_and_phi,
     estimate_tail,
-    grad_mass_from_batch,
     integrate_grad,
     mean_ci,
     verdict_geq,
@@ -43,7 +40,6 @@ from isoplab.montecarlo import (
 )
 from isoplab.sampling import (
     SampleBatch,
-    ball_sampler,
     sample_ball,
     sample_product,
 )
@@ -129,13 +125,16 @@ def test_estimate_measure_half_space():
 
 def test_content_matches_exact_boundary_value():
     params = PBallParams(2.0, 2)
-    sampler = ball_sampler(params)
+    batch = sample_ball(params, 200000, seed=11)
     hs = coordinate_half_space(params, 0.5)
     ladder = [0.04, 0.02, 0.01, 0.005]
-    est = estimate_content(sampler, hs, ladder, 200000, seed=11)
-    # the sampler's params and the set's oracle meet: analytic = 2/pi
-    assert est.analytic == pytest.approx(2.0 / np.pi)
-    assert est.consistent_with_analytic()
+    est = content_from_batch(batch, hs, ladder)
+    # the half-disc's exact boundary mass is 2/pi; the estimate lies within
+    # 3 standard errors plus 2% of it
+    exact = hs.analytic_boundary(params)
+    assert exact == pytest.approx(2.0 / np.pi)
+    slack = 3.0 * est.extrapolated.std_err + 0.02 * exact
+    assert abs(est.extrapolated.mean - exact) <= slack
     assert len(est.per_epsilon) == 4
     assert not est.inconclusive
 
@@ -169,17 +168,6 @@ def test_content_ladder_validation():
     for bad in ([], [0.0, -0.1], [0.01, 0.02], [0.02, 0.02]):
         with pytest.raises(ValueError):
             content_from_batch(batch, hs, bad)
-
-
-def test_content_analytic_requires_value():
-    params = PBallParams(1.5, 2)
-    batch = sample_ball(params, 1000, seed=19)
-    bc = BallComplement(0.5)  # no closed form away from p = 2
-    est = content_from_batch(batch, bc, [0.02, 0.01],
-                             analytic=bc.analytic_measure(params))
-    assert est.analytic is None
-    with pytest.raises(ValueError):
-        est.consistent_with_analytic()
 
 
 def _tie_batch(set_, ladder, embed):
@@ -255,23 +243,20 @@ def test_content_shared_scalar_sets_match_one_at_a_time():
 
 def test_estimate_tail_levels_and_rare_flag():
     params = PBallParams(2.0, 2)
-    sampler = ball_sampler(params)
-    norm = lambda X: np.linalg.norm(X, axis=1)
-    pts = estimate_tail(sampler, norm, [0.5, 0.9999], 5000, seed=23)
+    radii = np.linalg.norm(sample_ball(params, 5000, seed=23).points, axis=1)
+    pts = estimate_tail(radii, [0.5, 0.9999])
     # exact radial law: P{|x| >= t} = 1 - t^2
     assert abs(pts[0].estimate.mean - 0.75) <= 4.0 * pts[0].estimate.std_err
     assert not pts[0].rare
     assert pts[1].rare  # expected count ~ 1
     with pytest.raises(ValueError):
-        estimate_tail(sampler, norm, [np.inf], 100, seed=1)
+        estimate_tail(radii[:100], [np.inf])
 
 
 def test_median_of_radius_on_the_disc():
     from isoplab.fields import EuclideanNorm
-    params = PBallParams(2.0, 2)
-    sampler = ball_sampler(params)
-    med, curve = estimate_median_and_phi(sampler, EuclideanNorm(2),
-                                         [0.0, 0.1], 40000, seed=29)
+    batch = sample_ball(PBallParams(2.0, 2), 40000, seed=29)
+    med, curve = estimate_median_and_phi(batch, EuclideanNorm(2), [0.0, 0.1])
     # P{|x| <= t} = t^2, so the median radius is 1/sqrt(2)
     assert med.ci_lo <= 2.0 ** -0.5 <= med.ci_hi
     assert abs(med.value - 2.0 ** -0.5) < 0.01
@@ -287,20 +272,19 @@ def test_lipschitz_spot_check_catches_liars():
         def __call__(self, X):
             return 5.0 * np.asarray(X)[:, 0]
 
-    sampler = ball_sampler(PBallParams(2.0, 2))
+    batch = sample_ball(PBallParams(2.0, 2), 2000, seed=31)
     with pytest.raises(ValueError):
-        estimate_median_and_phi(sampler, Liar(), [0.0], 2000, seed=31)
+        estimate_median_and_phi(batch, Liar(), [0.0])
 
 
 def test_integrate_grad_exact_for_linear_ramp():
     # |grad| of a full-width ramp is constant, so the estimate is exact
-    params = PBallParams(2.0, 2)
-    sampler = ball_sampler(params)
+    batch = sample_ball(PBallParams(2.0, 2), 2000, seed=37)
     ramp = LinearRamp(np.array([1.0, 0.0]), -2.0, 2.0)
-    est = integrate_grad(sampler, ramp, 2000, seed=37)
+    est = integrate_grad(batch, ramp)
     assert est.mean == pytest.approx(0.25)
     assert est.std_err == 0.0
-    sq = integrate_grad(sampler, ramp, 2000, seed=37, power=2)
+    sq = integrate_grad(batch, ramp, power=2)
     assert sq.mean == pytest.approx(0.0625)
 
 
@@ -329,12 +313,12 @@ def test_grad_mass_is_the_mean_of_whole_batch_gradient_norms(p):
     for batch, fields in ((ball, on_ball), (prod, on_product)):
         for f in fields:
             want = mean_ci(np.linalg.norm(f.grad(batch.points), axis=1))
-            assert grad_mass_from_batch(batch, f) == want, type(f).__name__
+            assert integrate_grad(batch, f) == want, type(f).__name__
 
 
 def test_integrate_grad_drops_zero_gradient_fields():
-    sampler = ball_sampler(PBallParams(2.0, 2))
-    est = integrate_grad(sampler, ConstantField(2, 0.5), 500, seed=41)
+    batch = sample_ball(PBallParams(2.0, 2), 500, seed=41)
+    est = integrate_grad(batch, ConstantField(2, 0.5))
     assert est.mean == 0.0
 
 
@@ -348,12 +332,12 @@ def test_integrate_grad_aborts_on_non_finite():
         def grad(self, X):
             return np.full_like(np.asarray(X, dtype=float), np.nan)
 
-    sampler = ball_sampler(PBallParams(2.0, 2))
+    batch = sample_ball(PBallParams(2.0, 2), 1000, seed=43)
     with pytest.raises(RuntimeError):
-        integrate_grad(sampler, Broken(), 1000, seed=43)
+        integrate_grad(batch, Broken())
     # a plain callable has no exact gradient to integrate
     with pytest.raises(AttributeError):
-        integrate_grad(sampler, lambda X: np.zeros(len(X)), 1000, seed=43)
+        integrate_grad(batch, lambda X: np.zeros(len(X)))
 
 
 def test_rare_count_constant():

@@ -25,13 +25,11 @@ from isoplab.sampling import (
     SampleBatch,
     ball_sampler,
     child_seed,
-    product_sampler,
     read_points_csv,
     rejection_sample_ball,
     rejection_sampler,
     sample_ball,
     sample_product,
-    scaled_sampler,
     write_batch_csv,
 )
 
@@ -265,24 +263,14 @@ def test_rejection_bit_determinism():
         d, rejection_sample_ball(params, 500, seed=43).points)
 
 
-def test_sampler_factories_expose_params():
-    for factory in (product_sampler, ball_sampler, rejection_sampler):
-        s = factory(PBallParams(2.0, 2))
-        assert s.params == PBallParams(2.0, 2)
-        batch = s(500, 3)
-        assert batch.count == 500
-        assert batch.points.shape[1] == s.dim
-    assert product_sampler(PBallParams(2.0, 2)).dim == 3
-    assert ball_sampler(PBallParams(2.0, 2)).dim == 2
-
-
-def test_scaled_sampler():
-    base = ball_sampler(PBallParams(2.0, 3))
-    s = scaled_sampler(base, 2.5)
-    assert s.factor == 2.5
-    b = s(400, 7)
-    assert b.measure_tag == "SCALED_V_PN"
-    np.testing.assert_allclose(b.points, base(400, 7).points * 2.5)
+def test_sampler_factories_return_the_samplers_bits():
+    params = PBallParams(1.5, 3)
+    for factory, sample in ((ball_sampler, sample_ball),
+                            (rejection_sampler, rejection_sample_ball)):
+        got = factory(params)(500, 3)
+        want = sample(params, 500, 3)
+        assert (got.measure_tag, got.seed) == (want.measure_tag, 3)
+        assert got.points.tobytes() == want.points.tobytes()
 
 
 def test_csv_round_trip(tmp_path):
