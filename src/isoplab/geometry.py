@@ -21,6 +21,7 @@ which the test suite checks for violations sample by sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +32,7 @@ __all__ = [
     "PBallParams",
     "KinkError",
     "BLOCK_ROWS",
+    "block_rows",
     "map_row_blocks",
     "row_sum",
     "lp_norm",
@@ -76,24 +78,33 @@ class PBallParams:
 
 # rows narrower than this are summed column by column in ``row_sum``
 SHORT_ROW = 8
-# rows per block of a row-wise pass: one (BLOCK_ROWS, 4) temporary is
-# 256 KB, so a block's temporaries stay in L2 and their memory is reused
+# most rows in a block of a row-wise pass; a block also holds at most
+# BLOCK_ROWS * 4 values per row-shaped temporary (``block_rows``), which
+# is 256 KB, so a block's temporaries stay in L2 and their memory is reused
 BLOCK_ROWS = 8192
 
 
-def map_row_blocks(fn, inputs, outputs) -> None:
-    """Fill per-row ``outputs`` from ``fn`` over blocks of BLOCK_ROWS rows.
+def block_rows(width: int) -> int:
+    """Rows per block of a row-wise pass over rows of ``width`` values:
+    BLOCK_ROWS for rows of up to 4 values, fewer for wider rows so that a
+    block holds at most BLOCK_ROWS * 4 values, and at least one row."""
+    return max(1, min(BLOCK_ROWS, BLOCK_ROWS * 4 // max(width, 1)))
 
-    ``fn`` receives the same row block of every array in ``inputs`` and
-    returns one array per output, each holding a value per row of the
-    block, which is written into that output's rows.  Only the block's
-    temporaries are alive at a time, and the outputs equal one call of
-    ``fn`` on whole arrays as long as each row's values depend on that row
-    alone.
+
+def map_row_blocks(fn, inputs, outputs) -> None:
+    """Fill per-row ``outputs`` from ``fn`` over blocks of rows.
+
+    Blocks have ``block_rows`` of the widest input's row width.  ``fn``
+    receives the same row block of every array in ``inputs`` and returns
+    one array per output, each holding a value per row of the block, which
+    is written into that output's rows.  Only the block's temporaries are
+    alive at a time, and the outputs equal one call of ``fn`` on whole
+    arrays as long as each row's values depend on that row alone.
     """
     rows = inputs[0].shape[0]
-    for lo in range(0, rows, BLOCK_ROWS):
-        block = slice(lo, lo + BLOCK_ROWS)
+    step = block_rows(max(math.prod(a.shape[1:]) for a in inputs))
+    for lo in range(0, rows, step):
+        block = slice(lo, lo + step)
         for out, values in zip(outputs, fn(*(a[block] for a in inputs))):
             out[block] = values
 
@@ -133,13 +144,14 @@ def lp_norm(x, p: float, axis: int = -1):
     The sum goes through ``row_sum``, so the result is bit-equal to
     summing with ``np.sum``; at p = 2 it is also bit-equal to
     ``np.linalg.norm(x, axis=axis)``, which computes sqrt(sum x*x) in the
-    same order.  Row norms of a 2-D array with more than BLOCK_ROWS rows
-    are taken block by block through ``map_row_blocks``, so at most one
-    block of |x| and |x|^p is alive beside the result; every other shape
-    or axis is computed in one pass.
+    same order.  Row norms of a 2-D array with more rows than
+    ``block_rows`` of its width are taken block by block through
+    ``map_row_blocks``, so at most one block of |x| and |x|^p is alive
+    beside the result; every other shape or axis is computed in one pass.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or axis not in (1, -1) or x.shape[0] <= BLOCK_ROWS:
+    if (x.ndim != 2 or axis not in (1, -1)
+            or x.shape[0] <= block_rows(x.shape[1])):
         return _lp_norm_direct(x, p, axis)
     out = np.empty(x.shape[0])
     map_row_blocks(lambda block: (_lp_norm_direct(block, p),), [x], [out])
@@ -450,8 +462,17 @@ def jacobian_T(z, p: float) -> JacobianResult:
 
 
 def jacobian_op_norms(Z, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (op_norm, bound) over rows of Z; used for violation scans."""
-    return _op_norms_and_bounds(*_differential_terms(Z, p), p)
+    """Vectorized (op_norm, bound) over rows of Z; used for violation scans.
+
+    The rows are taken in blocks through ``map_row_blocks``, so only one
+    block's differential terms are alive beside the two results.
+    """
+    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    ops, bounds = np.empty(Z.shape[0]), np.empty(Z.shape[0])
+    map_row_blocks(
+        lambda block: _op_norms_and_bounds(*_differential_terms(block, p), p),
+        [Z], [ops, bounds])
+    return ops, bounds
 
 
 # ---------------------------------------------------------------------------

@@ -794,8 +794,9 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     a ramp along the first coordinate; like every field it must be
     row-wise.  Each field is evaluated once per point: the chain's own
     |z|_p gives T(Z), g and g h2 are assembled from the factor passes, and
-    the per-point work runs over blocks of BLOCK_ROWS rows into per-point
-    columns, from which the means, counts and the Jacobian scan are taken.
+    the per-point work runs over row blocks of ``map_row_blocks`` (at most
+    BLOCK_ROWS * 4 values per block of Z) into per-point columns, from
+    which the means, counts and the Jacobian scan are taken.
     """
     params = PBallParams(p, n)
     if f is None:

@@ -19,8 +19,15 @@ ball, and fair signs attached.
 Determinism: a batch is produced in fixed-size chunks, each driven by its own
 PCG64 generator seeded from (seed, chunk index), so identical (params, count,
 seed, chunk_size) give bit-identical points and chunks may be generated in
-any order or in parallel.  Rejection chunks are sized from count and the
-envelope's acceptance rate, with chunk_size as the upper bound.
+any order or in parallel.  A rejection chunk always draws chunk_size
+candidates, so its accepted rows do not depend on count either, and a
+rejection batch of k points is the first k points of any larger batch with
+the same (params, seed, chunk_size).
+
+Memory: the ball sampler's row-wise passes over a chunk step by
+``geometry.block_rows(n)`` rows, so no temporary beside the output and
+the E column holds more than BLOCK_ROWS * 4 values, however wide the rows
+are; the rejection oracle holds its output and one chunk of candidates.
 """
 
 from __future__ import annotations
@@ -31,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
-    BLOCK_ROWS,
     PBallParams,
     ball_volume,
+    block_rows,
     lp_norm,
     row_sum,
 )
@@ -52,7 +59,7 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK = 1 << 18          # product-measure rows per generator chunk
-REJECTION_CHUNK = 1 << 20        # envelope candidates per chunk, at most
+REJECTION_CHUNK = 1 << 16        # envelope candidates per rejection chunk
 GRID_SIDE = 8                    # finest envelope grid: cells of side 1/8
 GRID_CELLS = 1 << 21             # most cells in an envelope table
 BALL_OVERSHOOT = 1e-12           # tolerated |x|_p excess on ball batches
@@ -107,25 +114,26 @@ def _factor_chunk(rng: np.random.Generator, rows: int, p: float, n: int,
     The mu_p block is drawn into ``out`` when given (a C-contiguous
     (rows, n) array), else into a new array, and returned.  Its second
     draw block (U at 1 < p < 2, the second Exp(1) at p = 1) is drawn and
-    applied BLOCK_ROWS rows at a time; the generator fills arrays element
-    by element in C order, so the stream and the values are those of one
-    (rows, n) draw.
+    applied ``block_rows(n)`` rows at a time; the generator fills arrays
+    element by element in C order, so the stream and the values are those
+    of one (rows, n) draw.
     """
     g = np.empty((rows, n)) if out is None else out
+    step = block_rows(n)
     if p == 2.0:
         rng.standard_normal(out=g)
         g *= math.sqrt(0.5)
     elif p == 1.0:
         rng.standard_exponential(out=g)
-        for lo in range(0, rows, BLOCK_ROWS):
-            block = g[lo:lo + BLOCK_ROWS]
+        for lo in range(0, rows, step):
+            block = g[lo:lo + step]
             block -= rng.standard_exponential(block.shape)
     else:
         # |g|^p = G |U|^p ~ Gamma(1/p), and U carries a fair sign
         rng.standard_gamma(1.0 + 1.0 / p, out=g)
         g **= 1.0 / p
-        for lo in range(0, rows, BLOCK_ROWS):
-            block = g[lo:lo + BLOCK_ROWS]
+        for lo in range(0, rows, step):
+            block = g[lo:lo + step]
             block *= rng.uniform(-1.0, 1.0, block.shape)
     e = rng.standard_exponential(rows)
     return g, e
@@ -152,17 +160,19 @@ def sample_ball(params: PBallParams, count: int, seed: int,
     Each chunk draws what ``sample_product`` draws, with the mu_p block
     going straight into the chunk's rows of the output, and maps it to
     g / (sum |g_i|^p + E)^{1/p}, i.e. T(z) of the same product rows.  The
-    sum, its power and the scaling run in place over blocks of BLOCK_ROWS
-    rows, so no temporary is larger than a block beside the E column.
+    sum, its power and the scaling run in place over blocks of
+    ``block_rows(n)`` rows, so no temporary is larger than a block beside
+    the E column, and the peak stays near the output at any n.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     p, n = params.p, params.n
     out = np.empty((count, n))
+    step = block_rows(n)
     for ci, lo, hi in _chunk_bounds(count, chunk_size):
         g, s = _factor_chunk(_chunk_rng(seed, ci), hi - lo, p, n, out[lo:hi])
-        for b in range(0, hi - lo, BLOCK_ROWS):
-            gb, sb = g[b:b + BLOCK_ROWS], s[b:b + BLOCK_ROWS]
+        for b in range(0, hi - lo, step):
+            gb, sb = g[b:b + step], s[b:b + step]
             sb += row_sum(gb * gb if p == 2.0 else _pow_p(np.abs(gb), p))
             sb **= -1.0 / p
             gb *= sb[:, None]
@@ -256,14 +266,18 @@ def rejection_sample_ball(params: PBallParams, count: int, seed: int,
                           chunk_size: int = REJECTION_CHUNK) -> SampleBatch:
     """Brute-force uniform sampler on B_p^n: the push-forward oracle.
 
-    Exact rejection from the grid envelope of ``_grid_envelope``; each chunk
-    draws enough candidates for count points at the envelope's expected
-    acceptance, at most chunk_size of them.  Only practical at small n:
-    refuses n > 10, and refuses outright when the *cube* acceptance
-    Vol(B_p^n)/2^n drops below 1e-6, whatever the envelope's acceptance.
+    Exact rejection from the grid envelope of ``_grid_envelope``: chunk ci
+    draws exactly chunk_size candidates from its own generator, and its
+    accepted rows go, in order, into the output until count are in.  A
+    fixed number of candidates per chunk keeps the law exact and makes a
+    batch of k points the first k points of every larger batch with the
+    same (params, seed, chunk_size); memory is the output plus one chunk.
+    Only practical at small n: refuses n > 10, and refuses outright when
+    the *cube* acceptance Vol(B_p^n)/2^n drops below 1e-6, whatever the
+    envelope's acceptance.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if count < 1 or chunk_size < 1:
+        raise ValueError("count and chunk_size must be >= 1")
     p, n = params.p, params.n
     if n > 10:
         raise ValueError(f"rejection sampler limited to n <= 10, got n={n}")
@@ -273,19 +287,14 @@ def rejection_sample_ball(params: PBallParams, count: int, seed: int,
             f"estimated acceptance rate {acceptance:.3e} below 1e-6 "
             f"for p={p}, n={n}")
     m, cells = _grid_envelope(p, n)
-    envelope_acceptance = acceptance * m ** n / cells.shape[1]
-    # four standard deviations of headroom make a second chunk rare
-    wanted = count + 4.0 * math.sqrt(count) + 16.0
-    rows = min(chunk_size, math.ceil(wanted / envelope_acceptance))
-    got = []
-    have = 0
-    ci = 0
+    pts = np.empty((count, n))
+    have = ci = 0
     while have < count:
-        acc = _rejection_chunk(_chunk_rng(seed, ci), rows, p, m, cells)
-        got.append(acc)
-        have += acc.shape[0]
+        acc = _rejection_chunk(_chunk_rng(seed, ci), chunk_size, p, m, cells)
+        take = min(acc.shape[0], count - have)
+        pts[have:have + take] = acc[:take]
+        have += take
         ci += 1
-    pts = np.concatenate(got, axis=0)[:count]
     _check_ball_norms(pts, p)
     return SampleBatch("REJECTION_V_PN", n, count, seed, pts, chunk_size)
 

@@ -29,9 +29,13 @@ from isoplab.geometry import (
     HalfSpace,
     KinkError,
     PBallParams,
+    _differential_terms,
+    _lp_norm_direct,
+    _op_norms_and_bounds,
     ball_log_volume,
     ball_volume,
     bgmn_map,
+    block_rows,
     coordinate_half_space,
     jacobian_T,
     jacobian_op_norms,
@@ -41,6 +45,7 @@ from isoplab.geometry import (
     marginal_isf,
     marginal_quantile,
     marginal_second_moment,
+    map_row_blocks,
     marginal_sf,
     row_sum,
 )
@@ -262,6 +267,43 @@ def test_lp_norm_is_bit_equal_to_numpy_sums(p):
         assert _same_bits(got, ref), (arr.shape, arr.flags.f_contiguous)
 
 
+def test_block_rows_caps_the_values_per_block():
+    assert [block_rows(w) for w in (1, 4, 5, 64, 65, 1024, 32768, 10 ** 6)] \
+        == [BLOCK_ROWS, BLOCK_ROWS, 6553, 512, 504, 32, 1, 1]
+    for width in range(1, 2000):
+        rows = block_rows(width)
+        assert rows * width <= 4 * BLOCK_ROWS or rows == 1, width
+        assert rows == BLOCK_ROWS or (rows + 1) * width > 4 * BLOCK_ROWS
+
+
+def test_map_row_blocks_steps_by_the_widest_input():
+    seen = []
+
+    def fn(narrow, wide):
+        seen.append((narrow.shape[0], wide.shape[0]))
+        return (wide.sum(axis=1) + narrow,)
+
+    narrow, wide = np.arange(1000.0), np.ones((1000, 100))
+    out = np.empty(1000)
+    map_row_blocks(fn, [narrow, wide], [out])
+    step = block_rows(100)
+    assert seen == [(step, step)] * (1000 // step) + [(1000 % step,) * 2]
+    assert np.array_equal(out, narrow + 100.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_wide_lp_norm_is_bit_equal_to_the_direct_pass(p):
+    # wide rows are normed block_rows(n) rows at a time; three blocks plus a
+    # partial one, in C order, F order and as a column slice
+    for n in (64, 1024):
+        rows = 3 * block_rows(n) + 17
+        x = _mixed_magnitudes(rows, n, seed=n)
+        wide = _mixed_magnitudes(rows, n + 1, seed=n + 1)
+        for arr in (x, np.asfortranarray(x), wide[:, 1:]):
+            assert _same_bits(lp_norm(arr, p), _lp_norm_direct(arr, p)), \
+                (n, arr.flags.f_contiguous)
+
+
 # ---------------------------------------------------------------------------
 # test sets
 # ---------------------------------------------------------------------------
@@ -437,6 +479,20 @@ def test_operator_norm_closed_form_matches_svd(p, n):
                                   compute_uv=False)[0] for z in Z])
     np.testing.assert_allclose(ops, svd, rtol=1e-12, atol=0.0)
     assert np.all(ops <= bounds + 1e-9)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_blocked_operator_norms_are_bit_equal_to_one_pass(p):
+    # rows of n + 1 values go block_rows(n + 1) at a time (8192 at n = 1,
+    # 504 at n = 64); two blocks plus a partial one
+    for n in (1, 2, 8, 64):
+        rows = 2 * block_rows(n + 1) + 17
+        Z = sample_product(PBallParams(p, n), rows, seed=n).points
+        ops, bounds = jacobian_op_norms(Z, p)
+        want_ops, want_bounds = _op_norms_and_bounds(
+            *_differential_terms(Z, p), p)
+        assert _same_bits(ops, want_ops), n
+        assert _same_bits(bounds, want_bounds), n
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
-"""Traced peak allocation of the row-blocked hot paths at 10^5 rows, n = 4.
+"""Traced peak allocation of the row-blocked hot paths.
 
-Row-wise passes run over blocks of BLOCK_ROWS rows, so besides their
-output they hold only a block's temporaries.  Building whole-batch
-temporaries instead (3.5-4.25x the output for sample_ball, 5-8x the result
-for lp_norm, 2.25x the batch for integrate_grad) fails these bounds.
+Row-wise passes run over blocks of ``block_rows(width)`` rows, so besides
+their output they hold only a block's temporaries, at most BLOCK_ROWS * 4
+values each, however wide the rows are.  At 10^5 rows, n = 4, building
+whole-batch temporaries instead (3.5-4.25x the output for sample_ball, 5-8x
+the result for lp_norm, 2.25x the batch for integrate_grad) fails these
+bounds; at n = 1024, blocks of BLOCK_ROWS rows regardless of width (3x the
+output for sample_ball and for the Bobkov check) fail them too.  The
+rejection oracle holds its output plus one fixed-size chunk of candidates;
+sizing one chunk from count instead (5.5-13.8x the output) fails its bound.
 """
 
 import tracemalloc
@@ -12,9 +17,11 @@ import numpy as np
 import pytest
 
 from isoplab.fields import LinearRamp
-from isoplab.geometry import PBallParams, lp_norm
+from isoplab.geometry import (PBallParams, coordinate_half_space,
+                              jacobian_op_norms, lp_norm)
+from isoplab.inequality_suite import check_bobkov_inequality
 from isoplab.montecarlo import integrate_grad
-from isoplab.sampling import sample_ball
+from isoplab.sampling import rejection_sample_ball, sample_ball, sample_product
 
 ROWS, N = 10 ** 5, 4
 
@@ -34,6 +41,12 @@ def test_sample_ball_peak_is_near_its_output(p):
     assert peak <= 2.0 * ROWS * N * 8, peak
 
 
+def test_wide_sample_ball_peak_is_near_its_output():
+    rows, n = 3000, 1024
+    peak = _traced_peak(lambda: sample_ball(PBallParams(1.5, n), rows, 3))
+    assert peak <= 1.25 * rows * n * 8, peak
+
+
 @pytest.mark.parametrize("p", [1.5, 2.0])
 def test_lp_norm_peak_is_near_its_result(p):
     x = sample_ball(PBallParams(p, N), ROWS, 5).points
@@ -46,3 +59,26 @@ def test_grad_mass_peak_is_below_the_batch():
     ramp = LinearRamp(np.eye(N)[0], 0.0, 0.3)
     peak = _traced_peak(lambda: integrate_grad(batch, ramp))
     assert peak <= 1.0 * ROWS * N * 8, peak
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_rejection_peak_is_near_its_output(p):
+    n = 6
+    peak = _traced_peak(lambda: rejection_sample_ball(PBallParams(p, n),
+                                                      ROWS, 9))
+    assert peak <= 4.0 * ROWS * n * 8, peak
+
+
+def test_operator_norm_scan_peak_is_below_the_batch():
+    Z = sample_product(PBallParams(1.5, 64), 10 ** 4, 11).points
+    peak = _traced_peak(lambda: jacobian_op_norms(Z, 1.5))
+    assert peak <= 0.5 * Z.nbytes, peak
+
+
+def test_wide_bobkov_check_peak_is_near_its_batch():
+    # the check holds its batch, per-point scalars and one block at a time
+    count, params = 5000, PBallParams(1.5, 1024)
+    hs = coordinate_half_space(params, 0.2)
+    peak = _traced_peak(lambda: check_bobkov_inequality(
+        params.p, params.n, [hs], [1.0], count, 13))
+    assert peak <= 1.2 * count * params.n * 8, peak

@@ -14,6 +14,7 @@ from isoplab.geometry import (
     BLOCK_ROWS,
     PBallParams,
     bgmn_map,
+    block_rows,
     lp_norm,
     marginal_cdf,
     marginal_second_moment,
@@ -174,6 +175,22 @@ def test_ball_is_bit_equal_to_the_one_shot_formula(p):
                               want.view(np.uint64)), (n, seed)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_wide_ball_is_bit_equal_to_the_one_shot_formula(p):
+    # wide rows are drawn and scaled block_rows(n) rows at a time (512 at
+    # n = 64, 32 at n = 1024); two chunks, each ending in a partial block
+    for n in (64, 1024):
+        step = block_rows(n)
+        chunk = 2 * step + 5
+        count = chunk + step + 17
+        batch = sample_ball(PBallParams(p, n), count, 73, chunk)
+        want = np.concatenate([
+            _one_shot_ball_chunk(p, n, chunk, 73, 0),
+            _one_shot_ball_chunk(p, n, count - chunk, 73, 1)])
+        assert np.array_equal(batch.points.view(np.uint64),
+                              want.view(np.uint64)), n
+
+
 def test_ball_rejects_empty_batches():
     with pytest.raises(ValueError):
         sample_ball(PARAMS, 0, seed=1)
@@ -218,6 +235,9 @@ def test_rejection_second_moment():
 def test_rejection_refuses_hopeless_cases():
     with pytest.raises(ValueError):
         rejection_sample_ball(PBallParams(1.0, 12), 10, seed=0)
+    # an empty chunk accepts nothing, so the chunk loop would never end
+    with pytest.raises(ValueError):
+        rejection_sample_ball(PBallParams(1.0, 2), 10, seed=0, chunk_size=0)
     # n = 10, p = 1: cube acceptance Vol(B_1^10)/2^10 = 1/10! < 1e-6
     with pytest.raises(RuntimeError):
         rejection_sample_ball(PBallParams(1.0, 10), 10, seed=0)
@@ -250,17 +270,35 @@ def test_rejection_marginal_where_the_envelope_is_loosest():
 
 def test_rejection_bit_determinism():
     params = PBallParams(1.5, 4)
-    # a small chunk bound forces several chunks per batch
+    # a small chunk size forces several chunks per batch
     a = rejection_sample_ball(params, 3000, seed=43, chunk_size=1000)
     b = rejection_sample_ball(params, 3000, seed=43, chunk_size=1000)
     assert a.chunk_size == 1000
     np.testing.assert_array_equal(a.points, b.points)
     c = rejection_sample_ball(params, 3000, seed=44, chunk_size=1000)
     assert not np.array_equal(a.points, c.points)
-    # the default bound: one chunk sized from count and the acceptance
+    # the default chunk size
     d = rejection_sample_ball(params, 500, seed=43).points
     np.testing.assert_array_equal(
         d, rejection_sample_ball(params, 500, seed=43).points)
+
+
+def test_rejection_batches_are_prefixes_of_larger_batches():
+    # every chunk draws chunk_size candidates whatever count is, so a batch
+    # of k points is the first k points of a larger one; a chunk of 250
+    # candidates at p = 1, n = 6 accepts about 30 points, so these counts
+    # take from one to about 33 chunks
+    params = PBallParams(1.0, 6)
+    batches = {k: rejection_sample_ball(params, k, seed=47, chunk_size=250)
+               for k in (1, 100, 300, 1000)}
+    for k, batch in batches.items():
+        again = rejection_sample_ball(params, k, seed=47, chunk_size=250)
+        assert again.points.tobytes() == batch.points.tobytes(), k
+        for larger in batches.values():
+            if larger.count > k:
+                assert np.array_equal(larger.points[:k], batch.points), k
+    other = rejection_sample_ball(params, 1000, seed=47, chunk_size=251)
+    assert not np.array_equal(other.points[:300], batches[300].points)
 
 
 def test_sampler_factories_return_the_samplers_bits():
