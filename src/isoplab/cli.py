@@ -187,7 +187,7 @@ def _run_concentration(cfg, p, n, seed):
     name = "concentration_from_isoperimetry"
     rows = tuple(
         iq.InequalityReport(name, (float(p), int(n), float(u), 0.0),
-                            float(num), float(bound), "PASS", c_hat)
+                            float(num), float(bound), "PASS")
         for u, num, bound in zip(curve.u_grid, curve.psi_numeric,
                                  curve.psi_closed_form))
     return iq.CheckReport(name, rows, {"c_hat": c_hat})
@@ -285,7 +285,7 @@ REGISTRY = {
         "Dirichlet energy of plateau ramps against the dyadic bound",
         _run_l2_form),
     "verify_cutoff_chain": (
-        "every link of the localization chain on shared batches",
+        "every link of the localization chain on one product batch",
         _run_chain),
     "isotropy_constants": (
         "volume-one rescaling factor and isotropic constant", _run_isotropy),

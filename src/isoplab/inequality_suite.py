@@ -10,8 +10,12 @@ Conventions shared by all checks:
   default grids are expected to produce zero FAIL verdicts;
 * unknown universal constants are never asserted numerically: each check
   fits the best empirical constant and records it in CheckReport.constants;
-* checks derive all randomness from (seed, subtask index) through
-  child_seed, so reports are reproducible bit for bit.
+* one grading batch per call, drawn from seed through child_seed (a ball
+  batch at child 0, a product batch at child 1) and read by every row;
+  ball points beside a product batch Z are T(Z), exactly uniform on
+  B_p^n.  Only thresholds placed on held-out points (the three tail
+  checks, check_coarea's radial radii at p != 2) come from one more
+  batch.  Reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -112,7 +116,6 @@ class InequalityReport:
     lhs: object
     rhs: float
     verdict: str
-    fitted_constant: Optional[float] = None
 
     def __post_init__(self):
         if self.verdict not in (PASS, FAIL, INCONCLUSIVE):
@@ -148,9 +151,9 @@ class CheckReport:
         return out
 
 
-def _row(name, p, n, p1, p2, lhs, rhs, verdict, fitted=None) -> InequalityReport:
+def _row(name, p, n, p1, p2, lhs, rhs, verdict) -> InequalityReport:
     return InequalityReport(name, (float(p), int(n), float(p1), float(p2)),
-                            lhs, float(rhs), verdict, fitted)
+                            lhs, float(rhs), verdict)
 
 
 def default_eps_ladder(p: float, n: int) -> list:
@@ -188,21 +191,25 @@ def check_theorem1(p: float, n: int, a_grid, sets=None,
     admissible constant, and the fitted c_hat is their minimum.  Explicit
     ``sets`` (a list of (label, a -> TestSet) families) switch the left
     side to Monte Carlo content and additionally record whether coordinate
-    half-spaces attain the family minimum (within CI) at each level.
+    half-spaces attain the family minimum (within CI) at each level.  The
+    Monte Carlo rows of every level and family read one batch.
 
     Rows: param1 = a, param2 = family index.
     """
     params = PBallParams(p, n)
     grid = _validate_levels(a_grid, "a_grid")
     families = sets
+    batch = None
     if families is None:
         families = [("coordinate", lambda a: coordinate_half_space(params, a))]
+    else:
+        batch = sample_ball(params, count, child_seed(seed, 0))
     name = "check_theorem1"
     ladder = default_eps_ladder(p, n)
     reports = []
     ratios = []
     argmin_hits = 0
-    for ai, a in enumerate(grid):
+    for a in grid:
         rhs = theorem1_rhs(p, n, a)
         level_rows = []
         for fi, (label, family) in enumerate(families):
@@ -214,17 +221,14 @@ def check_theorem1(p: float, n: int, a_grid, sets=None,
             if exact is not None:
                 lhs = float(exact)
                 verdict = PASS if lhs > 0.0 else FAIL
-                fitted = lhs / rhs
+                ratios.append(lhs / rhs)
             else:
-                batch = sample_ball(params, count,
-                                    child_seed(seed, ai * len(families) + fi))
                 ce = content_from_batch(batch, set_, ladder)
                 lhs = ce.extrapolated
                 verdict = (INCONCLUSIVE if ce.inconclusive
                            else verdict_geq(lhs, 0.0, "strict"))
-                fitted = lhs.mean / rhs
-            ratios.append(fitted)
-            level_rows.append(_row(name, p, n, a, fi, lhs, rhs, verdict, fitted))
+                ratios.append(lhs.mean / rhs)
+            level_rows.append(_row(name, p, n, a, fi, lhs, rhs, verdict))
         if len(families) > 1:
             # coordinate family is near-extremal: record whether any family
             # confidently undercuts family 0 at this level
@@ -268,7 +272,7 @@ def check_product_isoperimetry(p: float, n: int, a_grid) -> CheckReport:
             lhs = float(law.density(law.quantile(1.0 - a)))
             ratios.append(lhs / rhs)
             reports.append(_row(name, p, n, a, tag, lhs, rhs,
-                                PASS if lhs > 0.0 else FAIL, lhs / rhs))
+                                PASS if lhs > 0.0 else FAIL))
     return CheckReport(name, tuple(reports),
                        {"c_hat": min(ratios), "ratio_max": max(ratios)})
 
@@ -282,14 +286,13 @@ def _entropy_term(a: float) -> float:
     return float(-special.xlogy(a, a) - special.xlogy(1.0 - a, 1.0 - a))
 
 
-def _ball_mass(norms: Optional[np.ndarray], params: PBallParams, r: float
-               ) -> tuple[float, bool]:
+def _ball_mass(norms: Optional[np.ndarray], params: PBallParams,
+               r: float) -> float:
     """V{|x|_2 <= r}: exact for p = 2, otherwise empirical from the batch's
     Euclidean norms (which p = 2 does not need, and may pass as None)."""
     if params.p == 2.0:
-        return (min(r, 1.0) ** params.n if r > 0.0 else 0.0), True
-    frac = float((norms <= r).mean())
-    return frac, False
+        return min(r, 1.0) ** params.n if r > 0.0 else 0.0
+    return float((norms <= r).mean())
 
 
 def _check_enlargement_bound(name: str, p: float, n: int, sets, r_grid,
@@ -303,18 +306,18 @@ def _check_enlargement_bound(name: str, p: float, n: int, sets, r_grid,
         raise ValueError("r grid must be positive")
     ladder = list(eps_ladder) if eps_ladder is not None else \
         default_eps_ladder(p, n)
+    batch = sample_ball(params, count, child_seed(seed, 0))
+    norms = None if p == 2.0 else lp_norm(batch.points, 2.0)
+    masses = [_ball_mass(norms, params, r) for r in r_grid]
     reports = []
     slacks = []
-    for si, set_ in enumerate(sets):
-        batch = sample_ball(params, count, child_seed(seed, si))
+    for set_ in sets:
         a = set_.analytic_measure(params)
         if a is None:
             a = estimate_measure(batch, set_).mean
         ce = content_from_batch(batch, set_, ladder)
         lhs = ce.extrapolated
-        norms = None if p == 2.0 else lp_norm(batch.points, 2.0)
-        for r in r_grid:
-            mass, exact_mass = _ball_mass(norms, params, r)
+        for r, mass in zip(r_grid, masses):
             if mass <= 0.0:
                 reports.append(_row(name, p, n, r, a, lhs, 0.0, INCONCLUSIVE))
                 continue
@@ -410,7 +413,7 @@ def check_sz_tail(p: float, n: int, t_grid, count: int, seed: int) -> CheckRepor
             continue
         rhs = math.exp(-c_hat * n * t ** p)
         reports.append(_row(name, p, n, t, in_range, est, rhs,
-                            verdict_leq(est, rhs, "consistent"), c_hat))
+                            verdict_leq(est, rhs, "consistent")))
     constants = {"c_hat": c_hat, "thresholds": [float(t) for t in thresholds]}
     return CheckReport(name, tuple(reports), constants)
 
@@ -459,7 +462,7 @@ def check_sz_concentration(p: float, n: int, functional, t_grid,
         else:
             rhs = 0.5 * math.exp(-c1_hat * n * h ** p)
             reports.append(_row(name, p, n, h, 1.0, est, rhs,
-                                verdict_leq(est, rhs, "consistent"), c1_hat))
+                                verdict_leq(est, rhs, "consistent")))
     return CheckReport(name, tuple(reports), {"c1_hat": c1_hat})
 
 
@@ -529,13 +532,14 @@ def check_lemma4(p: float, n: int, count: int, seed: int) -> CheckReport:
     not yet good enough (INCONCLUSIVE).  Rows: param1 = C2, param2 = 0 for
     the ball event, 1 for the product event; rhs is the C1 = 1 target.
     constants records the smallest calibrated rung per C1 in {1, 2}, or
-    None when the target sits below Monte Carlo resolution.
+    None when the target sits below Monte Carlo resolution.  Both events
+    read one product batch Z: the ball points are x = T(z), exactly
+    uniform on B_p^n, so |x|_2 = |z_{1..n}|_2 / |z|_p.
     """
     params = PBallParams(p, n)
-    ball = sample_ball(params, count, child_seed(seed, 0))
-    prod = sample_product(params, count, child_seed(seed, 1))
-    norms2 = lp_norm(ball.points, 2.0)
-    normsp = lp_norm(prod.points, p)
+    Z = sample_product(params, count, child_seed(seed, 1)).points
+    normsp = lp_norm(Z, p)
+    norms2 = lp_norm(Z[:, :-1], 2.0) / normsp
     kappa = _kappa(p)
     name = "check_lemma4"
     reports = []
@@ -634,10 +638,10 @@ def check_coarea(p: float, n: int, phi_catalog=None,
         integral |grad phi|_2 dV  >=  integral_0^1 content{phi > u} du,
 
     the u-integral taken over a 64-point midpoint grid of content
-    estimates sharing one batch.  The superlevel sets of one field share one
-    scalar, so the batch is sorted once per field for all 64 levels.  For
-    the plateau catalog both sides agree (the inequality is an identity
-    there), so rows are consistency-graded.
+    estimates.  Both sides of every field read one batch.  The superlevel
+    sets of one field share one scalar, so the batch is sorted once per
+    field for all 64 levels.  For the plateau catalog both sides agree (the
+    inequality is an identity there), so rows are consistency-graded.
     Rows: param1 = catalog index, param2 = 0.
     """
     params = PBallParams(p, n)
@@ -645,11 +649,10 @@ def check_coarea(p: float, n: int, phi_catalog=None,
         phi_catalog = _default_plateau_catalog(params, count, seed)
     ladder = default_eps_ladder(p, n)
     name = "check_coarea"
+    batch = sample_ball(params, count, child_seed(seed, 0))
     reports = []
     for i, phi in enumerate(phi_catalog):
-        lhs = integrate_grad(
-            sample_ball(params, count, child_seed(seed, 2 * i)), phi)
-        batch = sample_ball(params, count, child_seed(seed, 2 * i + 1))
+        lhs = integrate_grad(batch, phi)
         levels = [phi.superlevel((k + 0.5) / 64.0) for k in range(64)]
         live = [k for k, level in enumerate(levels) if level is not None]
         vals = np.zeros(64)
@@ -675,30 +678,29 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     (1/s) V{r < dist <= r + s} exactly; along the internal ladder
     (s 2^j, r 4^j), j = 3..0, the value converges to the boundary content
     of A.  Ladder rows (param1 = r_j, param2 = s_j) grade the structural
-    identity on one batch per rung.  The summary row (param1 = param2 = 0)
+    identity, every rung on one batch.  The summary row (param1 = param2 = 0)
     grades the finest rung, with 3 sigma + 3% slack, against its exact
     expectation [V(A_{r+s}) - V(A_r)]/s when the set's enlargements have
     closed-form measures; this shell value sits below the boundary mass by
     a bias of order (n-1)/p (r + s/2), which alone made the row FAIL on a
     few seeds.  Without closed-form measures the row falls back to the
     analytic boundary mass, and without that to the Monte Carlo content of
-    the finest rung's batch.  constants["reference"] is that boundary
-    value in every case.
+    the batch.  constants["reference"] is that boundary value in every case.
     """
     params = PBallParams(p, n)
     if r <= 0.0 or s <= 0.0:
         raise ValueError("enlargement offsets r, s must be positive")
     name = "check_functional_equivalence"
+    batch = sample_ball(params, count, child_seed(seed, 0))
     reports = []
     for j in (3, 2, 1, 0):
         r_j, s_j = r * 4 ** j, s * 2 ** j
         phi = DistanceRamp(set_, n, r_j, s_j)
-        batch = sample_ball(params, count, child_seed(seed, j))
         lhs = integrate_grad(batch, phi)
         shell = float(phi.ramp_indicator(batch.points).mean()) / s_j
         reports.append(_row(name, p, n, r_j, s_j, lhs, shell,
                             verdict_geq(lhs, shell, "consistent")))
-    # the loop ends on j = 0: lhs and batch are the finest rung's
+    # the loop ends on j = 0: lhs is the finest rung's
     final = lhs
     reference = set_.analytic_boundary(params)
     if reference is None:
@@ -710,8 +712,7 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     gap = abs(final.mean - target)
     ok = gap <= 3.0 * final.std_err + 0.03 * target
     reports.append(_row(name, p, n, 0.0, 0.0, final, target,
-                        PASS if ok else FAIL,
-                        final.mean / target if target > 0 else None))
+                        PASS if ok else FAIL))
     return CheckReport(name, tuple(reports), {"limit": final.mean,
                                               "reference": float(reference)})
 
@@ -729,10 +730,11 @@ def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckRepor
 
     For each a < 1/2, phi ramps from the median hyperplane to the level-a
     quantile, so V{phi = 0} = 1/2 and V{phi = 1} = a.  lhs is the Monte
-    Carlo integral of |grad phi|^2; rhs chains the fitted profile constant
-    through the dyadic decomposition: rhs = c_hat^2 n^{2/p} / S(a) with
-    S(a) the dyadic sum.  The per-row fitted constant is the implied
-    c1_hat = lhs / [n^{2/p} a log^{2-2/p}(1/a)].  Rows: param1 = a.
+    Carlo integral of |grad phi|^2 over one batch shared by all levels;
+    rhs chains the fitted profile constant through the dyadic
+    decomposition: rhs = c_hat^2 n^{2/p} / S(a) with S(a) the dyadic sum.
+    Each level implies c1 = lhs / [n^{2/p} a log^{2-2/p}(1/a)], and
+    c1_hat is their minimum.  Rows: param1 = a.
     """
     params = PBallParams(p, n)
     grid = [float(a) for a in a_grid]
@@ -743,18 +745,17 @@ def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckRepor
     xi = np.zeros(n)
     xi[0] = 1.0
     name = "check_l2_form"
+    batch = sample_ball(params, count, child_seed(seed, 0))
     reports = []
     fitted = []
-    for i, a in enumerate(grid):
+    for a in grid:
         phi = LinearRamp(xi, 0.0, float(marginal_isf(params, a)))
-        batch = sample_ball(params, count, child_seed(seed, i))
         lhs = integrate_grad(batch, phi, power=2)
         rhs = c_hat ** 2 * n ** (2.0 / p) / _dyadic_sum(p, a)
-        c1_row = lhs.mean / (n ** (2.0 / p) * a
-                             * math.log(1.0 / a) ** (2.0 - 2.0 / p))
-        fitted.append(c1_row)
+        fitted.append(lhs.mean / (n ** (2.0 / p) * a
+                                  * math.log(1.0 / a) ** (2.0 - 2.0 / p)))
         reports.append(_row(name, p, n, a, 0.0, lhs, rhs,
-                            verdict_geq(lhs, rhs, "strict"), c1_row))
+                            verdict_geq(lhs, rhs, "strict")))
     return CheckReport(name, tuple(reports),
                        {"c1_hat": min(fitted), "c_from_profile": c_hat})
 
@@ -767,7 +768,7 @@ def verify_cutoff_chain(p: float, n: int, f=None,
                         c: CutoffParams = CutoffParams(),
                         count: int = 10 ** 4, seed: int = 0,
                         big_c: float = 4.0) -> CheckReport:
-    """Grade every link of the localization chain on shared batches.
+    """Grade every link of the localization chain on one product batch.
 
     With h1 the large-|x|_2 cut-off on the ball, h2 the small-|z|_p cut-off
     on the product space, g = (f h1) o T and kappa = (2-p)/(2p):
@@ -790,13 +791,15 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     |grad g(z)| <= |D*T(z)| |grad(f h1)(T z)| on up to 10^4 points (PASS
     only with zero violations).
 
-    f is a field on R^n with ``value_and_grad`` (see ``fields``), by default
-    a ramp along the first coordinate; like every field it must be
-    row-wise.  Each field is evaluated once per point: the chain's own
-    |z|_p gives T(Z), g and g h2 are assembled from the factor passes, and
-    the per-point work runs over row blocks of ``map_row_blocks`` (at most
-    BLOCK_ROWS * 4 values per block of Z) into per-point columns, from
-    which the means, counts and the Jacobian scan are taken.
+    Ball integrals read X = T(Z) of the product batch Z, exactly uniform
+    on B_p^n (Barthe, Guedon, Mendelson and Naor).  f is a field on R^n
+    with ``value_and_grad`` (see ``fields``), by default a ramp along the
+    first coordinate; like every field it must be row-wise.  Each field is
+    evaluated once per point: the chain's own |z|_p gives T(Z), g and g h2
+    are assembled from the factor passes, and the per-point work runs over
+    row blocks of ``map_row_blocks`` (at most BLOCK_ROWS * 4 values per
+    block of Z) into per-point columns, from which the means, counts and
+    the Jacobian scan are taken.
     """
     params = PBallParams(p, n)
     if f is None:
@@ -806,51 +809,45 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     h1 = CutoffH1Field(p, n, c)
     h2 = CutoffH2Field(p, n, c)
 
-    ball = sample_ball(params, count, child_seed(seed, 0))
-    prod = sample_product(params, count, child_seed(seed, 1))
-    X, Z = ball.points, prod.points
+    Z = sample_product(params, count, child_seed(seed, 1)).points
     kappa = _kappa(p)
     slope1 = c.c1 * n ** kappa
     c3 = c.c1 / (c.c1 + 2.0)
     c4 = c3 / c.c2
     a_level = math.exp(-big_c * n ** (p / 2.0))
 
-    def per_point(Xb, Zb):
-        # f, h1 and h2 are each evaluated once per point set; f h1, its
+    def per_point(Zb):
+        # f, h1 and h2 are each evaluated once per point; f h1, its
         # push-forward g and g h2 are formed from those passes with the
         # arithmetic of ProductField and PushForwardField, which gives the
         # same bits as the composed fields.  T(Z) shares the one |z|_p pass.
         nzp = lp_norm(Zb, p)
         XT = Zb[:, :-1] / nzp[:, None]
-        fv, fg = f.value_and_grad(Xb)
-        f_one = fv >= 1.0 - 1e-12
-        gf_X = lp_norm(fg, 2.0)
-        gfh1_X = lp_norm(product_value_and_grad((fv, fg), h1.value_and_grad(Xb))[1], 2.0)
         fv, fg = f.value_and_grad(XT)
+        f_one = fv >= 1.0 - 1e-12
         gf_T = lp_norm(fg, 2.0)
         gv, fg = product_value_and_grad((fv, fg), h1.value_and_grad(XT))
         gfh1_T = lp_norm(fg, 2.0)
         gg_rows = push_forward_grad(Zb, XT, nzp, fg, p)
         plateau, gh2_rows = product_value_and_grad((gv, gg_rows), h2.value_and_grad(Zb))
-        return (nzp, gf_X, gfh1_X, gf_T, gfh1_T, lp_norm(gg_rows, 2.0),
+        return (nzp, gf_T, gfh1_T, lp_norm(gg_rows, 2.0),
                 lp_norm(gh2_rows, 2.0), plateau,
-                f_one, lp_norm(Xb, 2.0) >= 1.0 / slope1)
+                f_one, lp_norm(XT, 2.0) >= 1.0 / slope1)
 
     # the per-point part runs block by block (fields are row-wise), so only
     # one block of gradient rows is alive; the rest reads these columns:
-    # eight of floats, then two of flags
-    cols = ([np.empty(count) for _ in range(8)]
+    # six of floats, then two of flags
+    cols = ([np.empty(count) for _ in range(6)]
             + [np.empty(count, dtype=bool) for _ in range(2)])
-    map_row_blocks(per_point, [X, Z], cols)
-    (nzp, gf_X, gfh1_X, gf_T, gfh1_T, gg, ggh2, plateau_vals,
-     f_one, x_big) = cols
+    map_row_blocks(per_point, [Z], cols)
+    nzp, gf_T, gfh1_T, gg, ggh2, plateau_vals, f_one, x_big = cols
     v_f1 = float(f_one.mean())
     err1 = slope1 * x_big
     scale2 = 2.0 * n ** (1.0 / p) / c.c2
     err2 = 2.0 * n ** kappa * (nzp <= scale2)
 
     diffs = {
-        1: gf_X - gfh1_X + err1,
+        1: gf_T - gfh1_T + err1,
         2: gfh1_T - c3 * gg * nzp,
         3: gg * nzp - (n ** (1.0 / p) / c.c2) * ggh2 + err2,
     }
@@ -930,7 +927,7 @@ def check_kls(p: float, n: int, a_grid) -> CheckReport:
         rhs = a / l_k
         ratios.append(lhs / rhs)
         reports.append(_row(name, p, n, a, 0.0, lhs, rhs,
-                            PASS if lhs > 0.0 else FAIL, lhs / rhs))
+                            PASS if lhs > 0.0 else FAIL))
     return CheckReport(name, tuple(reports),
                        {"c0_hat": min(ratios), "l_k": l_k, "c_np": c_np})
 
@@ -966,7 +963,7 @@ def check_paouris_tail(p: float, n: int, t_grid, count: int,
             continue
         rhs = math.exp(-c_hat * t / l_k)
         reports.append(_row(name, p, n, t, in_range, est, rhs,
-                            verdict_leq(est, rhs, "consistent"), c_hat))
+                            verdict_leq(est, rhs, "consistent")))
     return CheckReport(name, tuple(reports),
                        {"c_hat": c_hat, "l_k": l_k, "c_np": c_np,
                         "t_min": t_min})

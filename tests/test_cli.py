@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from isoplab import inequality_suite
 from isoplab.cli import (
     REGISTRY,
     ConfigError,
@@ -202,6 +203,37 @@ def test_run_threads_reproduce_serial_bytes_above_one_block(tmp_path):
     for name in names:
         assert (tmp_path / "serial" / name).read_bytes() == \
             (tmp_path / "pool" / name).read_bytes(), name
+
+
+def test_default_run_draws_one_grading_batch_per_job(tmp_path, monkeypatch):
+    # every job draws one grading batch; only thresholds placed on held-out
+    # points (the three tail checks, co-area's radial radii at p != 2) add
+    # one more.  Drawing per set, rung, level or field, and a ball batch
+    # beside the product batch, took 148 ball and 12 product draws
+    job = [None]
+    draws = []
+    for sampler in ("sample_ball", "sample_product"):
+        def counting(*args, _real=getattr(inequality_suite, sampler),
+                     _sampler=sampler, **kw):
+            draws.append((job[0], _sampler))
+            return _real(*args, **kw)
+        monkeypatch.setattr(inequality_suite, sampler, counting)
+    for name, (tag, runner) in list(REGISTRY.items()):
+        def tracked(cfg, p, n, seed, _name=name, _runner=runner):
+            job[0] = (_name, p, n)
+            return _runner(cfg, p, n, seed)
+        monkeypatch.setitem(REGISTRY, name, (tag, tracked))
+    assert run(RunConfig(out_dir=str(tmp_path))) == 0
+    assert sum(s == "sample_ball" for _, s in draws) == 70
+    assert sum(s == "sample_product" for _, s in draws) == 12
+    held_out = {"check_sz_tail", "check_sz_concentration",
+                "check_paouris_tail"}
+    per_job = {}
+    for j, _ in draws:
+        per_job[j] = per_job.get(j, 0) + 1
+    for (name, p, n), k in per_job.items():
+        extra = name in held_out or (name == "check_coarea" and p != 2.0)
+        assert k == 1 + extra, (name, p, n, k)
 
 
 def test_run_rejects_unwritable_out_dir(tmp_path):

@@ -445,8 +445,9 @@ def test_coarea_rhs_matches_per_level_indicator_loop(catalog):
         rep = check_coarea(p, n, phis, count, seed)
     ladder = default_eps_ladder(p, n)
     assert len(rep.reports) == len(phis)
-    for i, (phi, row) in enumerate(zip(phis, rep.reports)):
-        batch = sample_ball(params, count, child_seed(seed, 2 * i + 1))
+    # both sides of every field read the check's one batch, child seed 0
+    batch = sample_ball(params, count, child_seed(seed, 0))
+    for phi, row in zip(phis, rep.reports):
         vals = np.zeros(64)
         for k in range(64):
             vals[k] = _loop_content_mean(
@@ -524,7 +525,7 @@ def test_functional_equivalence_without_closed_form(set_):
     assert set_.analytic_boundary(params) is None
     rep = check_functional_equivalence(p, n, set_, r=0.002, s=0.04,
                                        count=count, seed=seed)
-    # the reference is the content of the finest rung's batch, child seed 0
+    # the reference is the content of the check's one batch, child seed 0
     batch = sample_ball(params, count, child_seed(seed, 0))
     ref = content_from_batch(batch, set_, default_eps_ladder(p, n))
     summary = rep.reports[-1]
@@ -588,9 +589,10 @@ def test_cutoff_chain_p1():
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_cutoff_chain_rows_equal_the_composed_fields(p):
     # reference: every gradient from the composed field objects, each
-    # evaluated on its own over the whole batch; the chain's shared,
-    # row-blocked passes must give the same bits, in one block and across
-    # two blocks plus a partial one
+    # evaluated on its own over the whole batch, with the ball points read
+    # as X = T(Z) of the product batch; the chain's shared, row-blocked
+    # passes must give the same bits, in one block and across two blocks
+    # plus a partial one
     for count in (4000, 2 * BLOCK_ROWS + 17):
         _assert_chain_rows_equal_composed_fields(p, count)
 
@@ -606,10 +608,9 @@ def _assert_chain_rows_equal_composed_fields(p, count):
     fh1 = ProductField(f, h1)
     g = PushForwardField(fh1, p)
     gh2 = ProductField(g, CutoffH2Field(p, n, CutoffParams()))
-    X = sample_ball(params, count, child_seed(seed, 0)).points
     Z = sample_product(params, count, child_seed(seed, 1)).points
     nzp = lp_norm(Z, p)
-    XT = Z[:, :-1] / nzp[:, None]
+    X = Z[:, :-1] / nzp[:, None]
 
     def norms(field, pts):
         return np.linalg.norm(field.grad(pts), axis=1)
@@ -622,11 +623,11 @@ def _assert_chain_rows_equal_composed_fields(p, count):
     err2 = 2.0 * n ** kappa * (nzp <= 2.0 * n ** (1.0 / p))
     diffs = {
         1: norms(f, X) - norms(fh1, X) + err1,
-        2: norms(fh1, XT) - c3 * gg * nzp,
+        2: norms(fh1, X) - c3 * gg * nzp,
         3: gg * nzp - n ** (1.0 / p) * ggh2 + err2,
     }
     diffs[4] = diffs[2] + c3 * diffs[3]
-    diffs[5] = (norms(f, XT) - c3 * n ** (1.0 / p) * ggh2
+    diffs[5] = (norms(f, X) - c3 * n ** (1.0 / p) * ggh2
                 + 0.5 * math.exp(-4.0 * n ** (p / 2.0)))
     by_link = {int(r.params[2]): r for r in rep.reports}
     for link, diff in diffs.items():

@@ -19,7 +19,9 @@ import pytest
 from isoplab.fields import LinearRamp
 from isoplab.geometry import (PBallParams, coordinate_half_space,
                               jacobian_op_norms, lp_norm)
-from isoplab.inequality_suite import check_bobkov_inequality
+from isoplab.inequality_suite import (check_bobkov_inequality,
+                                      check_functional_equivalence,
+                                      check_lemma4, verify_cutoff_chain)
 from isoplab.montecarlo import integrate_grad
 from isoplab.sampling import rejection_sample_ball, sample_ball, sample_product
 
@@ -82,3 +84,29 @@ def test_wide_bobkov_check_peak_is_near_its_batch():
     peak = _traced_peak(lambda: check_bobkov_inequality(
         params.p, params.n, [hs], [1.0], count, 13))
     assert peak <= 1.2 * count * params.n * 8, peak
+
+
+WIDE = PBallParams(1.5, 1024)
+WIDE_COUNT = 3000
+WIDE_BATCH = WIDE_COUNT * WIDE.n * 8
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify_cutoff_chain(WIDE.p, WIDE.n, count=WIDE_COUNT, seed=15),
+    lambda: check_lemma4(WIDE.p, WIDE.n, WIDE_COUNT, 15),
+], ids=["chain", "lemma4"])
+def test_wide_product_checks_hold_no_ball_batch(check):
+    # the product batch peaks near 2x while drawn; its ball points are
+    # T(Z), so no ball batch sits beside it (3.0x with one)
+    peak = _traced_peak(check)
+    assert peak <= 2.2 * WIDE_BATCH, peak / WIDE_BATCH
+
+
+def test_wide_equivalence_check_holds_one_batch():
+    # all four rungs read one batch; a batch per rung held the old rung's
+    # batch while the next one was drawn (2.0x)
+    w = WIDE.n ** (-(2.0 - WIDE.p) / (2.0 * WIDE.p))
+    hs = coordinate_half_space(WIDE, 0.5)
+    peak = _traced_peak(lambda: check_functional_equivalence(
+        WIDE.p, WIDE.n, hs, 0.0025 * w, 0.05 * w, WIDE_COUNT, 15))
+    assert peak <= 1.2 * WIDE_BATCH, peak / WIDE_BATCH
