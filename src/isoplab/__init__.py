@@ -74,10 +74,12 @@ from .montecarlo import (
 )
 from .sampling import (
     SampleBatch,
+    ball_blocks,
     ball_sampler,
     child_seed,
     read_points_csv,
     rejection_sample_ball,
+    product_blocks,
     rejection_sampler,
     sample_ball,
     sample_product,

@@ -16,8 +16,8 @@ The shared base supplies the two halves of that pass:
     f.grad(X)             -> f.value_and_grad(X)[1]
 Rows are independent: a row's value and gradient depend only on that row,
 bit for bit, whatever the other rows of X are.  Callers rely on this to
-evaluate a batch block by block (``montecarlo.integrate_grad`` and
-``verify_cutoff_chain`` do), so a custom field must keep it too.
+evaluate a batch block by block (``montecarlo.integrate_grad`` and every
+check's streamed pass do), so a custom field must keep it too.
 Products and push-forwards evaluate each factor once through its
 ``value_and_grad``; ``product_value_and_grad`` and ``push_forward_grad`` hold
 their arithmetic for callers that already have the factors' passes.

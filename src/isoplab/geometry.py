@@ -39,6 +39,7 @@ __all__ = [
     "ball_volume",
     "ball_log_volume",
     "marginal_density",
+    "marginal_level_density",
     "marginal_cdf",
     "marginal_sf",
     "marginal_quantile",
@@ -94,19 +95,32 @@ def block_rows(width: int) -> int:
 def map_row_blocks(fn, inputs, outputs) -> None:
     """Fill per-row ``outputs`` from ``fn`` over blocks of rows.
 
-    Blocks have ``block_rows`` of the widest input's row width.  ``fn``
-    receives the same row block of every array in ``inputs`` and returns
-    one array per output, each holding a value per row of the block, which
-    is written into that output's rows.  Only the block's temporaries are
-    alive at a time, and the outputs equal one call of ``fn`` on whole
-    arrays as long as each row's values depend on that row alone.
+    ``inputs`` is either a list of in-memory arrays with one row per
+    output row, taken in blocks of ``block_rows`` of the widest input's row
+    width, or a block stream: an iterable of (first row, block) pairs, a
+    block being one array or a tuple of arrays, such as the samplers'
+    ``product_blocks`` and ``ball_blocks``.  ``fn`` receives the arrays of
+    one block and returns one array per output, each holding a value per
+    row of the block, which is written into that output's rows.  Only the
+    block's temporaries are alive at a time, and the outputs equal one call
+    of ``fn`` on whole arrays as long as each row's values depend on that
+    row alone.
     """
-    rows = inputs[0].shape[0]
-    step = block_rows(max(math.prod(a.shape[1:]) for a in inputs))
-    for lo in range(0, rows, step):
-        block = slice(lo, lo + step)
-        for out, values in zip(outputs, fn(*(a[block] for a in inputs))):
-            out[block] = values
+    if isinstance(inputs, (list, tuple)):
+        inputs = _array_blocks(inputs)
+    for lo, block in inputs:
+        if not isinstance(block, tuple):
+            block = (block,)
+        rows = slice(lo, lo + block[0].shape[0])
+        for out, values in zip(outputs, fn(*block)):
+            out[rows] = values
+
+
+def _array_blocks(arrays):
+    """(first row, tuple of row blocks) over arrays of equal row count."""
+    step = block_rows(max(math.prod(a.shape[1:]) for a in arrays))
+    for lo in range(0, arrays[0].shape[0], step):
+        yield lo, tuple(a[lo:lo + step] for a in arrays)
 
 
 def row_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -188,6 +202,26 @@ def marginal_density(params: PBallParams, t):
     return out if out.ndim else float(out)
 
 
+def marginal_level_density(params: PBallParams, a) -> np.ndarray:
+    """f(t_a): the marginal density at the level-a quantile t_a, where
+    V{x_1 >= t_a} = a, for a in (0, 1).
+
+    It is read off the complementary variable u = 1 - |t_a|^p: the tail
+    V{x_1 >= t} is I_u((n-1)/p + 1, 1/p) / 2, so u = betaincinv((n-1)/p + 1,
+    1/p, 2a) and f(t_a) = exp(-log_norm + ((n-1)/p) log u).  Unlike
+    ``marginal_density(marginal_isf(a))`` it keeps its relative accuracy
+    where t_a rounds to 1, down to a = 1e-300.
+    """
+    p, n = params.p, params.n
+    a = np.asarray(a, dtype=float)
+    if np.any((a <= 0.0) | (a >= 1.0)):
+        raise ValueError("marginal level must be in (0,1)")
+    b = (n - 1.0) / p
+    u = special.betaincinv(b + 1.0, 1.0 / p, 2.0 * np.minimum(a, 1.0 - a))
+    out = np.exp(b * np.log(u) - _marginal_log_norm(p, n))
+    return out if out.ndim else float(out)
+
+
 def _marginal_shape(params: PBallParams) -> tuple[float, float]:
     # |x_1|^p is Beta(1/p, (n-1)/p + 1) distributed under V_{p,n}
     return 1.0 / params.p, (params.n - 1.0) / params.p + 1.0
@@ -251,10 +285,16 @@ def marginal_second_moment(params: PBallParams) -> float:
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """A = {x : <x, xi> >= t} with |xi|_2 = 1."""
+    """A = {x : <x, xi> >= t} with |xi|_2 = 1.
+
+    ``level`` is the V-measure a the set was built at, when known
+    (``coordinate_half_space`` sets it); the exact boundary mass is then
+    taken from a, which stays accurate where t rounds to 1.
+    """
 
     xi: np.ndarray
     t: float
+    level: Optional[float] = None
 
     def __post_init__(self):
         xi = np.asarray(self.xi, dtype=float)
@@ -305,6 +345,8 @@ class HalfSpace:
     def analytic_boundary(self, params: PBallParams) -> Optional[float]:
         if self._coordinate() is None:
             return None
+        if self.level is not None:
+            return marginal_level_density(params, self.level)
         if abs(self.t) > 1.0:
             return 0.0
         return float(marginal_density(params, self.t))
@@ -360,7 +402,7 @@ def coordinate_half_space(params: PBallParams, a: float, axis: int = 0) -> HalfS
     """The coordinate half-space {x_axis >= t} with V-measure exactly a."""
     xi = np.zeros(params.n)
     xi[axis] = 1.0
-    return HalfSpace(xi, float(marginal_isf(params, a)))
+    return HalfSpace(xi, float(marginal_isf(params, a)), float(a))
 
 
 # ---------------------------------------------------------------------------

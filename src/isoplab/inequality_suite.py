@@ -15,7 +15,12 @@ Conventions shared by all checks:
   ball points beside a product batch Z are T(Z), exactly uniform on
   B_p^n.  Only thresholds placed on held-out points (the three tail
   checks, check_coarea's radial radii at p != 2) come from one more
-  batch.  Reports are reproducible bit for bit.
+  batch.  Reports are reproducible bit for bit;
+* batches are streamed, never held: a check reads its draws block by
+  block (``sampling.ball_blocks`` / ``product_blocks``) and keeps only
+  per-point columns of count values (set scalars, |x|_2, gradient norms,
+  link terms), from which every row is estimated.  Its memory is those
+  columns plus one block, whatever n is.
 """
 
 from __future__ import annotations
@@ -39,15 +44,17 @@ from .fields import (
     push_forward_grad,
 )
 from .geometry import (
+    BallComplement,
     CutoffParams,
     PBallParams,
     ball_log_volume,
+    block_rows,
     coordinate_half_space,
     jacobian_op_norms,
     lp_norm,
     map_row_blocks,
-    marginal_density,
     marginal_isf,
+    marginal_level_density,
     marginal_second_moment,
     row_sum,
 )
@@ -56,17 +63,20 @@ from .montecarlo import (
     INCONCLUSIVE,
     PASS,
     EstimateCI,
+    PairRows,
     bernoulli_ci,
     content_from_batch,
     estimate_measure,
     estimate_median_and_phi,
     estimate_tail,
     integrate_grad,
+    lipschitz_pairs,
     mean_ci,
+    scalar_groups,
     verdict_geq,
     verdict_leq,
 )
-from .sampling import child_seed, sample_ball, sample_product
+from .sampling import ball_blocks, child_seed, product_blocks
 
 __all__ = [
     "InequalityReport",
@@ -166,6 +176,43 @@ def _kappa(p: float) -> float:
     return (2.0 - p) / (2.0 * p)
 
 
+def _columns(fn, stream, count: int, kinds=(float,)) -> list:
+    """Per-point columns, one of count values per dtype in ``kinds``,
+    filled by ``fn`` over the blocks of ``stream``."""
+    cols = [np.empty(count, dtype=kind) for kind in kinds]
+    map_row_blocks(fn, stream, cols)
+    return cols
+
+
+def _ball_stream(params: PBallParams, count: int, seed: int, child: int):
+    return ball_blocks(params, count, child_seed(seed, child))
+
+
+def _scalar_columns(sets, stream, count: int) -> list:
+    """One scalar column per set, filled in one pass over ``stream``; sets
+    sharing a scalar share its column."""
+    groups = scalar_groups(sets)
+    cols = _columns(lambda X: tuple(sets[g[0]].scalar(X) for g in groups),
+                    stream, count, (float,) * len(groups))
+    out = [None] * len(sets)
+    for col, group in zip(cols, groups):
+        for k in group:
+            out[k] = col
+    return out
+
+
+def _contents(sets, scalars, ladder) -> list:
+    """ContentEstimate per set, one ``content_from_batch`` call (one sort)
+    per shared scalar column."""
+    out = [None] * len(sets)
+    for group in scalar_groups(sets):
+        ests = content_from_batch(scalars[group[0]],
+                                  [sets[k] for k in group], ladder)
+        for k, est in zip(group, ests):
+            out[k] = est
+    return out
+
+
 # ---------------------------------------------------------------------------
 # profile lower bound on the ball (order-sharpness scan)
 # ---------------------------------------------------------------------------
@@ -199,31 +246,35 @@ def check_theorem1(p: float, n: int, a_grid, sets=None,
     params = PBallParams(p, n)
     grid = _validate_levels(a_grid, "a_grid")
     families = sets
-    batch = None
     if families is None:
         families = [("coordinate", lambda a: coordinate_half_space(params, a))]
-    else:
-        batch = sample_ball(params, count, child_seed(seed, 0))
     name = "check_theorem1"
     ladder = default_eps_ladder(p, n)
+    level_sets = [[family(a) for _, family in families] for a in grid]
+    exact = {}
+    for set_ in (s for row in level_sets for s in row):
+        oracle = getattr(set_, "analytic_boundary", None)
+        exact[id(set_)] = None if oracle is None else oracle(params)
+    mc_sets = [s for row in level_sets for s in row if exact[id(s)] is None]
+    contents = {}
+    if mc_sets:
+        scalars = _scalar_columns(mc_sets, _ball_stream(params, count, seed, 0),
+                                  count)
+        contents = {id(s): ce for s, ce in
+                    zip(mc_sets, _contents(mc_sets, scalars, ladder))}
     reports = []
     ratios = []
     argmin_hits = 0
-    for a in grid:
+    for a, row_sets in zip(grid, level_sets):
         rhs = theorem1_rhs(p, n, a)
         level_rows = []
-        for fi, (label, family) in enumerate(families):
-            set_ = family(a)
-            exact = None
-            oracle = getattr(set_, "analytic_boundary", None)
-            if oracle is not None:
-                exact = oracle(params)
-            if exact is not None:
-                lhs = float(exact)
+        for fi, set_ in enumerate(row_sets):
+            if exact[id(set_)] is not None:
+                lhs = float(exact[id(set_)])
                 verdict = PASS if lhs > 0.0 else FAIL
                 ratios.append(lhs / rhs)
             else:
-                ce = content_from_batch(batch, set_, ladder)
+                ce = contents[id(set_)]
                 lhs = ce.extrapolated
                 verdict = (INCONCLUSIVE if ce.inconclusive
                            else verdict_geq(lhs, 0.0, "strict"))
@@ -289,7 +340,8 @@ def _entropy_term(a: float) -> float:
 def _ball_mass(norms: Optional[np.ndarray], params: PBallParams,
                r: float) -> float:
     """V{|x|_2 <= r}: exact for p = 2, otherwise empirical from the batch's
-    Euclidean norms (which p = 2 does not need, and may pass as None)."""
+    column of Euclidean norms (which p = 2 does not need, and may pass as
+    None)."""
     if params.p == 2.0:
         return min(r, 1.0) ** params.n if r > 0.0 else 0.0
     return float((norms <= r).mean())
@@ -306,16 +358,23 @@ def _check_enlargement_bound(name: str, p: float, n: int, sets, r_grid,
         raise ValueError("r grid must be positive")
     ladder = list(eps_ladder) if eps_ladder is not None else \
         default_eps_ladder(p, n)
-    batch = sample_ball(params, count, child_seed(seed, 0))
-    norms = None if p == 2.0 else lp_norm(batch.points, 2.0)
+    # one pass: a scalar column per shared scalar of the sets, and |x|_2
+    # (as one more "set", the ball complement's scalar) unless p = 2
+    stream = _ball_stream(params, count, seed, 0)
+    norms = None
+    if p == 2.0:
+        scalars = _scalar_columns(sets, stream, count)
+    else:
+        *scalars, norms = _scalar_columns(list(sets) + [BallComplement(1.0)],
+                                          stream, count)
     masses = [_ball_mass(norms, params, r) for r in r_grid]
     reports = []
     slacks = []
-    for set_ in sets:
+    for set_, scalar, ce in zip(sets, scalars,
+                                _contents(sets, scalars, ladder)):
         a = set_.analytic_measure(params)
         if a is None:
-            a = estimate_measure(batch, set_).mean
-        ce = content_from_batch(batch, set_, ladder)
+            a = estimate_measure(scalar, set_).mean
         lhs = ce.extrapolated
         for r, mass in zip(r_grid, masses):
             if mass <= 0.0:
@@ -389,10 +448,13 @@ def check_sz_tail(p: float, n: int, t_grid, count: int, seed: int) -> CheckRepor
     """
     params = PBallParams(p, n)
     levels = _quantile_levels(t_grid, "t_grid")
-    calib = sample_ball(params, count, child_seed(seed, 0))
-    thresholds = np.quantile(lp_norm(calib.points, 2.0), levels)
-    batch = sample_ball(params, count, child_seed(seed, 1))
-    tails = estimate_tail(lp_norm(batch.points, 2.0), thresholds)
+
+    def radii(child):
+        return _columns(lambda X: (lp_norm(X, 2.0),),
+                        _ball_stream(params, count, seed, child), count)[0]
+
+    thresholds = np.quantile(radii(0), levels)
+    tails = estimate_tail(radii(1), thresholds)
     name = "check_sz_tail"
     t_lo = SZ_T0 * n ** (-_kappa(p))
     slopes = []
@@ -418,6 +480,15 @@ def check_sz_tail(p: float, n: int, t_grid, count: int, seed: int) -> CheckRepor
     return CheckReport(name, tuple(reports), constants)
 
 
+def _gathering(stream, index: np.ndarray, out: np.ndarray):
+    """Pass ``stream`` through, copying its rows at the sorted row indices
+    ``index`` into ``out`` on the way."""
+    for lo, block in stream:
+        lo_k, hi_k = np.searchsorted(index, [lo, lo + block.shape[0]])
+        out[lo_k:hi_k] = block[index[lo_k:hi_k] - lo]
+        yield lo, block
+
+
 def check_sz_concentration(p: float, n: int, functional, t_grid,
                            count: int, seed: int) -> CheckReport:
     """Upper-tail curve of a 1-Lipschitz functional around its median,
@@ -434,15 +505,26 @@ def check_sz_concentration(p: float, n: int, functional, t_grid,
     if isinstance(functional, str):
         functional = functional_catalog(functional, n)
     levels = _quantile_levels(t_grid, "t_grid")
-    calib = sample_ball(params, count, child_seed(seed, 0))
-    vals = np.asarray(functional(calib.points), dtype=float)
+
+    def values(X):
+        return (functional(X),)
+
+    vals, = _columns(values, _ball_stream(params, count, seed, 0), count)
     if vals.max() == vals.min():
         raise ValueError("functional is constant on the sample; "
                          "no concentration to measure")
     med0 = float(np.median(vals))
     h_grid = [float(np.quantile(vals, q)) - med0 for q in levels]
-    batch = sample_ball(params, count, child_seed(seed, 1))
-    _, curve = estimate_median_and_phi(batch, functional, h_grid)
+    # the grading batch keeps its F column and only the rows that the
+    # Lipschitz spot check's pairs index
+    i, j = lipschitz_pairs(child_seed(seed, 1), count)
+    want = np.union1d(i, j)
+    rows = np.empty((want.size, n))
+    vals, = _columns(values, _gathering(_ball_stream(params, count, seed, 1),
+                                        want, rows), count)
+    pairs = PairRows(i, j, rows[np.searchsorted(want, i)],
+                     rows[np.searchsorted(want, j)])
+    _, curve = estimate_median_and_phi(vals, functional, h_grid, pairs)
     name = "check_sz_concentration"
     slopes = []
     for h, est, rare in curve:
@@ -537,9 +619,14 @@ def check_lemma4(p: float, n: int, count: int, seed: int) -> CheckReport:
     uniform on B_p^n, so |x|_2 = |z_{1..n}|_2 / |z|_p.
     """
     params = PBallParams(p, n)
-    Z = sample_product(params, count, child_seed(seed, 1)).points
-    normsp = lp_norm(Z, p)
-    norms2 = lp_norm(Z[:, :-1], 2.0) / normsp
+
+    def norms(Z):
+        nzp = lp_norm(Z, p)
+        return nzp, lp_norm(Z[:, :-1], 2.0) / nzp
+
+    normsp, norms2 = _columns(
+        norms, product_blocks(params, count, child_seed(seed, 1)), count,
+        (float, float))
     kappa = _kappa(p)
     name = "check_lemma4"
     reports = []
@@ -593,7 +680,12 @@ def check_lemma5(A: float, alpha: float, N: int, eps_grid,
         raise ValueError("eps grid must be positive")
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
-    sums = row_sum(rng.gamma(shape, 1.0, size=(trials, N)))
+    # the (trials, N) Gamma matrix in row blocks from the one generator,
+    # which fills them in C order: the values of one whole draw
+    step = block_rows(N)
+    blocks = ((lo, rng.gamma(shape, 1.0, size=(min(step, trials - lo), N)))
+              for lo in range(0, trials, step))
+    sums, = _columns(lambda G: (row_sum(G),), blocks, trials)
     name = "check_lemma5"
     p_report = 1.0 / shape
     reports = []
@@ -624,8 +716,8 @@ def _default_plateau_catalog(params: PBallParams, count: int, seed: int) -> list
     if p == 2.0:
         lo, hi = 0.3 ** (1.0 / n), 0.7 ** (1.0 / n)
     else:
-        calib = sample_ball(params, count, child_seed(seed, 10 ** 6))
-        radii = lp_norm(calib.points, 2.0)
+        radii, = _columns(lambda X: (lp_norm(X, 2.0),),
+                          _ball_stream(params, count, seed, 10 ** 6), count)
         lo, hi = np.quantile(radii, [0.3, 0.7])
     fields.append(RadialRamp(n, float(lo), float(hi)))
     return fields
@@ -649,17 +741,31 @@ def check_coarea(p: float, n: int, phi_catalog=None,
         phi_catalog = _default_plateau_catalog(params, count, seed)
     ladder = default_eps_ladder(p, n)
     name = "check_coarea"
-    batch = sample_ball(params, count, child_seed(seed, 0))
-    reports = []
-    for i, phi in enumerate(phi_catalog):
-        lhs = integrate_grad(batch, phi)
+    live_sets = []
+    for phi in phi_catalog:
         levels = [phi.superlevel((k + 0.5) / 64.0) for k in range(64)]
-        live = [k for k, level in enumerate(levels) if level is not None]
+        live_sets.append([(k, s) for k, s in enumerate(levels)
+                          if s is not None])
+
+    def per_point(X):
+        # per field: |grad phi|_2, then its levels' shared scalar
+        out = []
+        for phi, live in zip(phi_catalog, live_sets):
+            out.append(lp_norm(phi.grad(X), 2.0))
+            if live:
+                out.append(live[0][1].scalar(X))
+        return out
+
+    cols = iter(_columns(per_point, _ball_stream(params, count, seed, 0), count,
+                         (float,) * sum(1 + bool(live) for live in live_sets)))
+    reports = []
+    for i, (phi, live) in enumerate(zip(phi_catalog, live_sets)):
+        lhs = integrate_grad(next(cols), phi)
         vals = np.zeros(64)
         errs = np.zeros(64)
         if live:
-            ests = content_from_batch(batch, [levels[k] for k in live], ladder)
-            for k, ce in zip(live, ests):
+            ests = content_from_batch(next(cols), [s for _, s in live], ladder)
+            for (k, _), ce in zip(live, ests):
                 vals[k] = ce.extrapolated.mean
                 errs[k] = ce.extrapolated.std_err
         # contents at nearby levels share the batch, so errors are summed
@@ -691,20 +797,29 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     if r <= 0.0 or s <= 0.0:
         raise ValueError("enlargement offsets r, s must be positive")
     name = "check_functional_equivalence"
-    batch = sample_ball(params, count, child_seed(seed, 0))
+    rungs = [DistanceRamp(set_, n, r * 4 ** j, s * 2 ** j) for j in (3, 2, 1, 0)]
+    reference = set_.analytic_boundary(params)
+
+    def per_point(X):
+        # per rung |grad phi|_2 and the shell flag, then A's scalar when
+        # the reference is the batch's own content
+        out = [v for phi in rungs
+               for v in (lp_norm(phi.grad(X), 2.0), phi.ramp_indicator(X))]
+        return out + ([set_.scalar(X)] if reference is None else [])
+
+    cols = _columns(per_point, _ball_stream(params, count, seed, 0), count,
+                    (float, bool) * len(rungs)
+                    + ((float,) if reference is None else ()))
     reports = []
-    for j in (3, 2, 1, 0):
-        r_j, s_j = r * 4 ** j, s * 2 ** j
-        phi = DistanceRamp(set_, n, r_j, s_j)
-        lhs = integrate_grad(batch, phi)
-        shell = float(phi.ramp_indicator(batch.points).mean()) / s_j
-        reports.append(_row(name, p, n, r_j, s_j, lhs, shell,
+    for k, phi in enumerate(rungs):
+        lhs = integrate_grad(cols[2 * k], phi)
+        shell = float(cols[2 * k + 1].mean()) / phi.s
+        reports.append(_row(name, p, n, phi.r, phi.s, lhs, shell,
                             verdict_geq(lhs, shell, "consistent")))
     # the loop ends on j = 0: lhs is the finest rung's
     final = lhs
-    reference = set_.analytic_boundary(params)
     if reference is None:
-        ce = content_from_batch(batch, set_, default_eps_ladder(p, n))
+        ce = content_from_batch(cols[-1], set_, default_eps_ladder(p, n))
         reference = ce.extrapolated.mean
     inner = set_.enlarged(r).analytic_measure(params)
     outer = set_.enlarged(r + s).analytic_measure(params)
@@ -745,12 +860,14 @@ def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckRepor
     xi = np.zeros(n)
     xi[0] = 1.0
     name = "check_l2_form"
-    batch = sample_ball(params, count, child_seed(seed, 0))
+    ramps = [LinearRamp(xi, 0.0, float(marginal_isf(params, a))) for a in grid]
+    norms = _columns(lambda X: [lp_norm(phi.grad(X), 2.0) for phi in ramps],
+                     _ball_stream(params, count, seed, 0), count,
+                     (float,) * len(ramps))
     reports = []
     fitted = []
-    for a in grid:
-        phi = LinearRamp(xi, 0.0, float(marginal_isf(params, a)))
-        lhs = integrate_grad(batch, phi, power=2)
+    for a, phi, col in zip(grid, ramps, norms):
+        lhs = integrate_grad(col, phi, power=2)
         rhs = c_hat ** 2 * n ** (2.0 / p) / _dyadic_sum(p, a)
         fitted.append(lhs.mean / (n ** (2.0 / p) * a
                                   * math.log(1.0 / a) ** (2.0 - 2.0 / p)))
@@ -796,10 +913,11 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     with ``value_and_grad`` (see ``fields``), by default a ramp along the
     first coordinate; like every field it must be row-wise.  Each field is
     evaluated once per point: the chain's own |z|_p gives T(Z), g and g h2
-    are assembled from the factor passes, and the per-point work runs over
-    row blocks of ``map_row_blocks`` (at most BLOCK_ROWS * 4 values per
-    block of Z) into per-point columns, from which the means, counts and
-    the Jacobian scan are taken.
+    are assembled from the factor passes.  Z is streamed
+    (``product_blocks``, at most BLOCK_ROWS * 4 values per block) and never
+    held: each block's link differences and flags go into per-point
+    columns, from which the means and counts are taken, and the Jacobian
+    scan runs on the first 10^4 rows as they stream past.
     """
     params = PBallParams(p, n)
     if f is None:
@@ -809,14 +927,21 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     h1 = CutoffH1Field(p, n, c)
     h2 = CutoffH2Field(p, n, c)
 
-    Z = sample_product(params, count, child_seed(seed, 1)).points
     kappa = _kappa(p)
     slope1 = c.c1 * n ** kappa
     c3 = c.c1 / (c.c1 + 2.0)
     c4 = c3 / c.c2
     a_level = math.exp(-big_c * n ** (p / 2.0))
+    scale2 = 2.0 * n ** (1.0 / p) / c.c2
+    m = min(count, 10 ** 4)
 
-    def per_point(Zb):
+    def scanned(stream):
+        # the Jacobian scan's operator norms ride along with the first m rows
+        for lo, Zb in stream:
+            ops = jacobian_op_norms(Zb[:m - lo], p)[0] if lo < m else np.empty(0)
+            yield lo, (Zb, ops)
+
+    def per_point(Zb, ops):
         # f, h1 and h2 are each evaluated once per point; f h1, its
         # push-forward g and g h2 are formed from those passes with the
         # arithmetic of ProductField and PushForwardField, which gives the
@@ -829,52 +954,46 @@ def verify_cutoff_chain(p: float, n: int, f=None,
         gv, fg = product_value_and_grad((fv, fg), h1.value_and_grad(XT))
         gfh1_T = lp_norm(fg, 2.0)
         gg_rows = push_forward_grad(Zb, XT, nzp, fg, p)
-        plateau, gh2_rows = product_value_and_grad((gv, gg_rows), h2.value_and_grad(Zb))
-        return (nzp, gf_T, gfh1_T, lp_norm(gg_rows, 2.0),
-                lp_norm(gh2_rows, 2.0), plateau,
-                f_one, lp_norm(XT, 2.0) >= 1.0 / slope1)
+        plateau, gh2_rows = product_value_and_grad((gv, gg_rows),
+                                                   h2.value_and_grad(Zb))
+        gg, ggh2 = lp_norm(gg_rows, 2.0), lp_norm(gh2_rows, 2.0)
+        err1 = slope1 * (lp_norm(XT, 2.0) >= 1.0 / slope1)
+        err2 = 2.0 * n ** kappa * (nzp <= scale2)
+        d2 = gfh1_T - c3 * gg * nzp
+        d3 = gg * nzp - (n ** (1.0 / p) / c.c2) * ggh2 + err2
+        transfer_rhs = ops * gfh1_T[:ops.size]
+        bad = np.zeros(nzp.size, dtype=bool)
+        bad[:ops.size] = gg[:ops.size] > transfer_rhs + 1e-9 * (1.0 + transfer_rhs)
+        return (gf_T - gfh1_T + err1, d2, d3, d2 + c3 * d3,
+                gf_T - c4 * n ** (1.0 / p) * ggh2 + 0.5 * a_level,
+                plateau >= 1.0 - 1e-12, plateau <= 1e-12, f_one, bad)
 
-    # the per-point part runs block by block (fields are row-wise), so only
-    # one block of gradient rows is alive; the rest reads these columns:
-    # six of floats, then two of flags
-    cols = ([np.empty(count) for _ in range(6)]
-            + [np.empty(count, dtype=bool) for _ in range(2)])
-    map_row_blocks(per_point, [Z], cols)
-    nzp, gf_T, gfh1_T, gg, ggh2, plateau_vals, f_one, x_big = cols
-    v_f1 = float(f_one.mean())
-    err1 = slope1 * x_big
-    scale2 = 2.0 * n ** (1.0 / p) / c.c2
-    err2 = 2.0 * n ** kappa * (nzp <= scale2)
-
-    diffs = {
-        1: gf_T - gfh1_T + err1,
-        2: gfh1_T - c3 * gg * nzp,
-        3: gg * nzp - (n ** (1.0 / p) / c.c2) * ggh2 + err2,
-    }
-    diffs[4] = diffs[2] + c3 * diffs[3]
-    diffs[5] = gf_T - c4 * n ** (1.0 / p) * ggh2 + 0.5 * a_level
+    # the product batch is streamed block by block (fields are row-wise),
+    # so only one block of it and of its gradient rows is alive; the rows
+    # read these columns: the five link differences, then four flags
+    *diffs, plateau_one, plateau_zero, f_one, transfer_bad = _columns(
+        per_point, scanned(product_blocks(params, count, child_seed(seed, 1))),
+        count, (float,) * 5 + (bool,) * 4)
 
     name = "verify_cutoff_chain"
     reports = []
-    for link in (1, 2, 3, 4, 5):
-        est = mean_ci(diffs[link])
+    for link, diff in enumerate(diffs, start=1):
+        est = mean_ci(diff)
         reports.append(_row(name, p, n, link, 0.0, est, 0.0,
                             verdict_geq(est, 0.0, "strict")))
 
-    m_one = bernoulli_ci(int((plateau_vals >= 1.0 - 1e-12).sum()), count)
-    m_zero = bernoulli_ci(int((plateau_vals <= 1e-12).sum()), count)
+    m_one = bernoulli_ci(int(plateau_one.sum()), count)
+    m_zero = bernoulli_ci(int(plateau_zero.sum()), count)
     reports.append(_row(name, p, n, 6, 0.0, m_one, 0.5 * a_level,
                         verdict_geq(m_one, 0.5 * a_level, "strict")))
     reports.append(_row(name, p, n, 7, 0.0, m_zero, 0.5,
                         verdict_geq(m_zero, 0.5, "strict")))
 
-    m = min(count, 10 ** 4)
-    ops, _ = jacobian_op_norms(Z[:m], p)
-    transfer_rhs = ops * gfh1_T[:m]
-    bad = int((gg[:m] > transfer_rhs + 1e-9 * (1.0 + transfer_rhs)).sum())
+    bad = int(transfer_bad.sum())
     reports.append(_row(name, p, n, 8, 0.0, bernoulli_ci(bad, m), 0.0,
                         PASS if bad == 0 else FAIL))
 
+    v_f1 = float(f_one.mean())
     # the plateau mass has a closed form: T(z) and |z|_p are independent,
     # and |z|_p^p is Gamma(n/p + 1, 1)
     plateau_oracle = v_f1 * float(special.gammaincc(n / p + 1.0, scale2 ** p))
@@ -912,8 +1031,8 @@ def check_kls(p: float, n: int, a_grid) -> CheckReport:
     """Half-space Cheeger ratios on the isotropically rescaled ball vs a/L_K.
 
     Exact oracle: rescaling by C(n,p) divides boundary mass by C(n,p), so
-    lhs = marginal_density(t_a)/C(n,p) and the ratio sigma f(t_a)/a is
-    scale-invariant.  Rows: param1 = a; fitted c0_hat = min ratio.
+    lhs = f(t_a)/C(n,p), f(t_a) = ``marginal_level_density(a)``, and the
+    ratio sigma f(t_a)/a is scale-invariant.  Rows: param1 = a; fitted c0_hat = min ratio.
     """
     params = PBallParams(p, n)
     grid = _validate_levels(a_grid, "a_grid")
@@ -922,8 +1041,7 @@ def check_kls(p: float, n: int, a_grid) -> CheckReport:
     reports = []
     ratios = []
     for a in grid:
-        t = marginal_isf(params, a)
-        lhs = float(marginal_density(params, t)) / c_np
+        lhs = marginal_level_density(params, a) / c_np
         rhs = a / l_k
         ratios.append(lhs / rhs)
         reports.append(_row(name, p, n, a, 0.0, lhs, rhs,
@@ -944,10 +1062,13 @@ def check_paouris_tail(p: float, n: int, t_grid, count: int,
     params = PBallParams(p, n)
     levels = _quantile_levels(t_grid, "t_grid")
     c_np, l_k = isotropy_constants(p, n)
-    calib = sample_ball(params, count, child_seed(seed, 0))
-    thresholds = np.quantile(lp_norm(calib.points * c_np, 2.0), levels)
-    batch = sample_ball(params, count, child_seed(seed, 1))
-    tails = estimate_tail(lp_norm(batch.points * c_np, 2.0), thresholds)
+
+    def radii(child):
+        return _columns(lambda X: (lp_norm(X * c_np, 2.0),),
+                        _ball_stream(params, count, seed, child), count)[0]
+
+    thresholds = np.quantile(radii(0), levels)
+    tails = estimate_tail(radii(1), thresholds)
     t_min = PAOURIS_T0 * l_k * math.sqrt(n)
     slopes = [l_k * (-math.log(est.mean)) / t
               for t, est, rare in tails

@@ -18,9 +18,15 @@ for one scalar s per point, and so is each of its enlargements; the
 scalar is sorted once per batch and every rung count is read off the
 sorted array.
 
-Estimators draw nothing: each takes a SampleBatch (or the per-point values
-computed from one) that the caller drew, so a (params, count, seed) batch
-is drawn once however many estimates read it.
+Estimators draw nothing: each reads one per-point column, the values of
+its scalar, gradient norm or functional at every drawn point.  A caller
+passes either that column, filled by its own pass over a block stream
+(``sampling.ball_blocks``) together with every other column it needs, or
+the drawn points (a SampleBatch or an array), from which the estimator
+fills the column itself, block by block through
+``geometry.map_row_blocks``.  Either way a (params, count, seed) batch is
+drawn once however many estimates read it, and only its columns need to
+persist.
 """
 
 from __future__ import annotations
@@ -50,6 +56,9 @@ __all__ = [
     "MedianEstimate",
     "estimate_median_and_phi",
     "integrate_grad",
+    "scalar_groups",
+    "lipschitz_pairs",
+    "PairRows",
     "RARE_COUNT",
 ]
 
@@ -154,15 +163,26 @@ def verdict_leq(lhs: EstimateCI, rhs, mode: str = "strict") -> str:
 # set measures and boundary content
 # ---------------------------------------------------------------------------
 
-def estimate_measure(batch, set_) -> EstimateCI:
-    """Empirical measure of a test set under the batch's law."""
-    xi = getattr(set_, "xi", None)
-    if xi is not None and np.asarray(xi).size != batch.dim:
-        raise ValueError(
-            f"set dimension {np.asarray(xi).size} does not match batch "
-            f"dimension {batch.dim}")
-    ind = np.asarray(set_.indicator(batch.points), dtype=bool)
-    return bernoulli_ci(int(ind.sum()), batch.count)
+def _per_point(source, fn) -> np.ndarray:
+    """The column of fn's values at every point of ``source``.
+
+    A 1-D array is such a column already and is returned as it is; a
+    SampleBatch or a (rows, dim) array of points has ``fn`` mapped over
+    blocks of its rows.
+    """
+    if isinstance(source, np.ndarray) and source.ndim == 1:
+        return source
+    pts = np.asarray(getattr(source, "points", source), dtype=float)
+    out = np.empty(pts.shape[0])
+    map_row_blocks(lambda block: (fn(block),), [pts], [out])
+    return out
+
+
+def estimate_measure(source, set_) -> EstimateCI:
+    """Empirical measure of a test set {scalar >= threshold} from the drawn
+    points or the column of the set's scalar."""
+    s = _per_point(source, set_.scalar)
+    return bernoulli_ci(int((s >= set_.threshold).sum()), s.size)
 
 
 @dataclass(frozen=True)
@@ -181,17 +201,43 @@ class ContentEstimate:
 
 
 def _wls_intercept(xs: np.ndarray, ys: np.ndarray, ses: np.ndarray) -> tuple[float, float]:
-    # generalized least squares for y = b0 + b1 x, weights 1/se^2
+    """Intercept of y = b0 + b1 x by least squares with weights 1/se^2, and
+    its standard error, in closed form from sums centred at the weighted
+    mean of x: b1 = sum w dx y / sum w dx^2, b0 = ybar - b1 xbar, and
+    var b0 = 1/sum w + xbar^2 / sum w dx^2."""
     w = 1.0 / np.square(ses)
-    design = np.column_stack([np.ones_like(xs), xs])
-    xtw = design.T * w
-    cov = np.linalg.inv(xtw @ design)
-    beta = cov @ (xtw @ ys)
-    return float(beta[0]), float(np.sqrt(cov[0, 0]))
+    sw = w.sum()
+    xbar = (w @ xs) / sw
+    dx = xs - xbar
+    sxx = w @ np.square(dx)
+    b1 = (w * dx) @ ys / sxx
+    b0 = (w @ ys) / sw - b1 * xbar
+    return float(b0), float(np.sqrt(1.0 / sw + xbar * xbar / sxx))
 
 
-def content_from_batch(batch, set_, eps_ladder: Sequence[float]):
-    """Enlargement quotients of one batch for every ladder epsilon.
+def _shares_scalar(a, b) -> bool:
+    return type(a) is type(b) and np.array_equal(getattr(a, "xi", None),
+                                                 getattr(b, "xi", None))
+
+
+def scalar_groups(sets) -> list:
+    """Indices of ``sets`` grouped by the one scalar each thresholds, in
+    order of first appearance; the sets of a group can share one
+    ``content_from_batch`` call and one column."""
+    groups = []
+    for k, set_ in enumerate(sets):
+        for group in groups:
+            if _shares_scalar(sets[group[0]], set_):
+                group.append(k)
+                break
+        else:
+            groups.append([k])
+    return groups
+
+
+def content_from_batch(source, set_, eps_ladder: Sequence[float]):
+    """Enlargement quotients of one batch for every ladder epsilon, from
+    the drawn points or the column of the set's scalar.
 
     The counts come from one sorted scalar per point: a set is
     {set_.scalar >= set_.threshold}, and its eps-enlargement thresholds the
@@ -212,17 +258,15 @@ def content_from_batch(batch, set_, eps_ladder: Sequence[float]):
     many = isinstance(set_, (list, tuple))
     sets = list(set_) if many else [set_]
     lead = sets[0]
-    for other in sets[1:]:
-        if type(other) is not type(lead) or not np.array_equal(
-                getattr(other, "xi", None), getattr(lead, "xi", None)):
-            raise ValueError("sets of one call must share one scalar")
-    s = np.sort(lead.scalar(batch.points))
+    if not all(_shares_scalar(lead, other) for other in sets[1:]):
+        raise ValueError("sets of one call must share one scalar")
+    s = np.sort(_per_point(source, lead.scalar))
     tops = np.array([m.threshold for m in sets], dtype=float)
     lows = np.array([[m.enlarged(float(e)).threshold for e in eps]
                      for m in sets], dtype=float)
     counts = (np.searchsorted(s, tops, "left")[:, None]
               - np.searchsorted(s, lows, "left"))
-    n = batch.count
+    n = s.size
     out = [_content_from_counts(eps, row, n) for row in counts]
     return out if many else out[0]
 
@@ -286,20 +330,43 @@ class MedianEstimate:
     n_samples: int
 
 
-def estimate_median_and_phi(batch, functional, h_grid: Sequence[float]
+class PairRows(NamedTuple):
+    """The pairs of the Lipschitz spot check in one batch: row indices i
+    and j (``lipschitz_pairs``) and the points at those rows."""
+
+    i: np.ndarray
+    j: np.ndarray
+    rows_i: np.ndarray
+    rows_j: np.ndarray
+
+
+def lipschitz_pairs(seed: int, count: int, pairs: int = 100):
+    """Row indices (i, j) of the spot check's pairs in a batch of count
+    points drawn from seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
+                                                       spawn_key=(10 ** 6,)))
+    return (rng.integers(0, count, size=pairs),
+            rng.integers(0, count, size=pairs))
+
+
+def estimate_median_and_phi(source, functional, h_grid: Sequence[float],
+                            pairs: PairRows = None
                             ) -> tuple[MedianEstimate, list[PhiPoint]]:
     """Empirical median of a 1-Lipschitz functional over one batch and its
     upper-tail curve phi(h) = P{F > median + h}.
 
-    Lipschitz continuity is the caller's promise; it is spot-checked on ~100
-    random sample pairs, drawn from the batch's seed, and a violation raises
-    ValueError.
+    ``source`` is a SampleBatch, or the column of F over a batch drawn from
+    a seed together with ``pairs``, that batch's rows at
+    ``lipschitz_pairs(seed, count)``.  Lipschitz continuity is the
+    caller's promise; it is spot-checked on those ~100 sample pairs (drawn
+    from the batch's seed), and a violation raises ValueError.
     """
-    pts, count = batch.points, batch.count
-    vals = np.asarray(functional(pts), dtype=float)
-    if vals.shape != (count,):
-        raise ValueError("functional must map the batch to one real per row")
-    _lipschitz_spot_check(functional, pts, vals, batch.seed)
+    vals = _per_point(source, functional)
+    count = vals.size
+    if pairs is None:
+        i, j = lipschitz_pairs(source.seed, count)
+        pairs = PairRows(i, j, source.points[i], source.points[j])
+    _lipschitz_spot_check(functional, vals, pairs)
     order = np.sort(vals)
     med = 0.5 * (order[(count - 1) // 2] + order[count // 2])
     half = 0.5 * count
@@ -315,17 +382,12 @@ def estimate_median_and_phi(batch, functional, h_grid: Sequence[float]
     return median, curve
 
 
-def _lipschitz_spot_check(functional, pts: np.ndarray, vals: np.ndarray,
-                          seed: int, pairs: int = 100):
+def _lipschitz_spot_check(functional, vals: np.ndarray, pairs: PairRows):
     lip = float(getattr(functional, "lipschitz_constant", 1.0))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(10 ** 6,)))
-    n = pts.shape[0]
-    i = rng.integers(0, n, size=pairs)
-    j = rng.integers(0, n, size=pairs)
-    gaps = np.abs(vals[i] - vals[j])
-    dists = np.linalg.norm(pts[i] - pts[j], axis=1)
-    bad = gaps > lip * dists + 1e-9 * (1.0 + np.abs(vals[i]))
+    vi, vj = vals[pairs.i], vals[pairs.j]
+    gaps = np.abs(vi - vj)
+    dists = np.linalg.norm(pairs.rows_i - pairs.rows_j, axis=1)
+    bad = gaps > lip * dists + 1e-9 * (1.0 + np.abs(vi))
     if np.any(bad):
         w = int(np.flatnonzero(bad)[0])
         raise ValueError(
@@ -337,19 +399,19 @@ def _lipschitz_spot_check(functional, pts: np.ndarray, vals: np.ndarray,
 # gradient integrals
 # ---------------------------------------------------------------------------
 
-def integrate_grad(batch, f, power: int = 1) -> EstimateCI:
+def integrate_grad(source, f, power: int = 1) -> EstimateCI:
     """Monte Carlo estimate of the integral of |grad f|_2^power: its mean
     over the points of one batch.
 
-    f is a field (see ``fields``): its exact ``grad`` is evaluated one block
-    of rows at a time (``map_row_blocks``), and each block's gradient rows
-    are reduced to norms at once.  Samples with a non-finite gradient are
-    dropped, and more than 0.1% of them aborts the estimate.
+    f is a field (see ``fields``).  Given the drawn points, its exact
+    ``grad`` is evaluated one block of rows at a time, and each block's
+    gradient rows are reduced to norms at once; given the column of those
+    norms, filled by a caller's own pass, the column is read as it is.
+    Samples with a non-finite gradient are dropped, and more than 0.1% of
+    them aborts the estimate.
     """
-    count = batch.count
-    norms = np.empty(count)
-    map_row_blocks(lambda block: (lp_norm(f.grad(block), 2.0),),
-                   [batch.points], [norms])
+    norms = _per_point(source, lambda block: lp_norm(f.grad(block), 2.0))
+    count = norms.size
     finite = np.isfinite(norms)
     bad = count - int(finite.sum())
     if bad > 1e-3 * count:

@@ -8,26 +8,38 @@ at p = 1, and otherwise G^{1/p} U with G ~ Gamma(1+1/p, 1) and U uniform on
 (-1, 1), since Gamma(1/p) =d Gamma(1+1/p) |U|^p.  The last coordinate is
 E^{1/p} with E ~ Exp(1).  Normalizing by the l_p norm then yields exact
 uniform samples on B_p^n (Barthe, Guedon, Mendelson and Naor); the ball
-sampler forms s = sum |g_i|^p + E from the same draws in one pass and
+sampler forms s = sum |g_i|^p + E from the same draws row by row and
 scales each row by s^{-1/p}, so its points are the push-forward of the
-product batch with the same (params, count, seed, chunk_size).  The
+product rows with the same (params, count, seed, chunk_size).  The
 independent oracle at small n is a rejection sampler from a grid envelope:
 the cells of side 1/m in the positive orthant that meet the ball, each drawn
 with equal probability, a uniform point inside it kept when it lies in the
 ball, and fair signs attached.
 
-Determinism: a batch is produced in fixed-size chunks, each driven by its own
-PCG64 generator seeded from (seed, chunk index), so identical (params, count,
-seed, chunk_size) give bit-identical points and chunks may be generated in
-any order or in parallel.  A rejection chunk always draws chunk_size
-candidates, so its accepted rows do not depend on count either, and a
-rejection batch of k points is the first k points of any larger batch with
-the same (params, seed, chunk_size).
+Streams: the product and ball laws are drawn as block streams,
+``product_blocks`` and ``ball_blocks``, of (first row, block) pairs of
+``geometry.block_rows(n + 1)`` rows; ``sample_product`` and ``sample_ball``
+draw those same streams into the rows of one array.  A consumer that needs
+only per-point values reads the stream block by block and keeps a column
+per value, so it never holds a (count, n) batch.  The ball-norm guard runs
+on every ball block.
 
-Memory: the ball sampler's row-wise passes over a chunk step by
-``geometry.block_rows(n)`` rows, so no temporary beside the output and
-the E column holds more than BLOCK_ROWS * 4 values, however wide the rows
-are; the rejection oracle holds its output and one chunk of candidates.
+Determinism: rows come in fixed-size chunks of chunk_size rows.  Each chunk
+has one PCG64 generator per draw role (the mu_p block, the second draw
+block, that is U or the second Exp(1), and E), the children of
+SeedSequence(seed, spawn_key=(chunk index,)), and each role is filled in C
+order from its own generator.  So identical (params, count, seed,
+chunk_size) give bit-identical points, whatever the block size; chunks may
+be generated in any order or in parallel; and a batch of k rows is the
+first k rows of every larger batch with the same (params, seed,
+chunk_size).  A rejection chunk always draws chunk_size candidates from one
+generator, so its accepted rows do not depend on count either, and a
+rejection batch has the same prefix property.
+
+Memory: a block stream holds one block and its draw temporaries, at most
+BLOCK_ROWS * 4 values each, however wide the rows are; the samplers hold
+their output beside that, and the rejection oracle its output and one
+chunk of candidates.
 """
 
 from __future__ import annotations
@@ -49,6 +61,8 @@ __all__ = [
     "SampleBatch",
     "DEFAULT_CHUNK",
     "child_seed",
+    "product_blocks",
+    "ball_blocks",
     "sample_product",
     "sample_ball",
     "rejection_sample_ball",
@@ -99,6 +113,14 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _role_rngs(seed: int, chunk_index: int) -> tuple:
+    """One generator per draw role of a product-law chunk: the mu_p block,
+    the second draw block (U, or the second Exp(1) at p = 1) and E."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    return tuple(np.random.Generator(np.random.PCG64(child))
+                 for child in ss.spawn(3))
+
+
 def _chunk_bounds(count: int, chunk_size: int):
     """(chunk index, first row, end row) of each generator chunk."""
     for ci in range(0, -(-count // chunk_size)):
@@ -106,77 +128,124 @@ def _chunk_bounds(count: int, chunk_size: int):
         yield ci, lo, min(lo + chunk_size, count)
 
 
-def _factor_chunk(rng: np.random.Generator, rows: int, p: float, n: int,
-                  out=None):
-    """One chunk's draws: a (rows, n) block of mu_p coordinates, then the
-    Exp(1) column whose p-th root is the nu_p coordinate.
+def _factor_rows(rngs: tuple, g: np.ndarray, p: float,
+                 scratch: np.ndarray = None) -> np.ndarray:
+    """Fill the C-contiguous (rows, n) block ``g`` with mu_p coordinates and
+    return the rows' Exp(1) column, whose p-th root is the nu_p coordinate.
 
-    The mu_p block is drawn into ``out`` when given (a C-contiguous
-    (rows, n) array), else into a new array, and returned.  Its second
-    draw block (U at 1 < p < 2, the second Exp(1) at p = 1) is drawn and
-    applied ``block_rows(n)`` rows at a time; the generator fills arrays
-    element by element in C order, so the stream and the values are those
-    of one (rows, n) draw.
+    The second draw block goes into ``scratch``, a C-contiguous array of
+    g's shape whose values are not kept, or into a new array.  Each role
+    draws from its own generator, and a generator fills an array element
+    by element in C order, so the rows of consecutive blocks are those of
+    one draw over all of them, whatever the block sizes.
     """
-    g = np.empty((rows, n)) if out is None else out
-    step = block_rows(n)
+    rg, ru, re = rngs
     if p == 2.0:
-        rng.standard_normal(out=g)
+        rg.standard_normal(out=g)
         g *= math.sqrt(0.5)
-    elif p == 1.0:
-        rng.standard_exponential(out=g)
-        for lo in range(0, rows, step):
-            block = g[lo:lo + step]
-            block -= rng.standard_exponential(block.shape)
     else:
-        # |g|^p = G |U|^p ~ Gamma(1/p), and U carries a fair sign
-        rng.standard_gamma(1.0 + 1.0 / p, out=g)
-        g **= 1.0 / p
-        for lo in range(0, rows, step):
-            block = g[lo:lo + step]
-            block *= rng.uniform(-1.0, 1.0, block.shape)
-    e = rng.standard_exponential(rows)
-    return g, e
+        v = np.empty_like(g) if scratch is None else scratch
+        if p == 1.0:
+            rg.standard_exponential(out=g)
+            ru.standard_exponential(out=v)
+            g -= v
+        else:
+            # |g|^p = G |U|^p ~ Gamma(1/p), and U carries a fair sign; U is
+            # 2 u - 1, the bits of uniform(-1, 1) from the same stream
+            rg.standard_gamma(1.0 + 1.0 / p, out=g)
+            g **= 1.0 / p
+            ru.random(out=v)
+            v *= 2.0
+            v -= 1.0
+            g *= v
+    return re.standard_exponential(g.shape[0])
+
+
+def _product_rows(rngs: tuple, block: np.ndarray, p: float) -> None:
+    """Product-law rows (g, E^{1/p}) into a C-contiguous (rows, n + 1)
+    block; the block's own memory holds the second draw block until g is
+    copied in."""
+    rows, n = block.shape[0], block.shape[1] - 1
+    g = np.empty((rows, n))
+    e = _factor_rows(rngs, g, p, block.reshape(-1)[:rows * n].reshape(rows, n))
+    block[:, :-1] = g
+    np.power(e, 1.0 / p, out=block[:, -1])
+
+
+def _ball_rows(rngs: tuple, g: np.ndarray, p: float) -> None:
+    """Ball rows g / (sum |g_i|^p + E)^{1/p}, T of the same product rows,
+    drawn and scaled in place in a (rows, n) block g, then norm-guarded."""
+    s = _factor_rows(rngs, g, p)
+    s += row_sum(g * g if p == 2.0 else _pow_p(np.abs(g), p))
+    s **= -1.0 / p
+    g *= s[:, None]
+    _check_ball_norms(g, p)
+
+
+def _row_blocks(params: PBallParams, count: int, seed: int, chunk_size: int,
+                fill, width: int, out=None):
+    """(first row, block) pairs of ``block_rows(n + 1)`` rows, filled by
+    ``fill`` from the role generators of their chunk; blocks are new
+    arrays, or the rows of ``out`` when it is given."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    step = block_rows(params.n + 1)
+
+    def blocks():
+        for ci, lo, hi in _chunk_bounds(count, chunk_size):
+            rngs = _role_rngs(seed, ci)
+            for b in range(lo, hi, step):
+                rows = min(step, hi - b)
+                block = (np.empty((rows, width)) if out is None
+                         else out[b:b + rows])
+                fill(rngs, block, params.p)
+                yield b, block
+    return blocks()
+
+
+def product_blocks(params: PBallParams, count: int, seed: int,
+                   chunk_size: int = DEFAULT_CHUNK):
+    """The rows of ``sample_product(params, count, seed, chunk_size)`` as
+    (first row, (rows, n + 1) block) pairs of ``block_rows(n + 1)`` rows,
+    drawn one block at a time."""
+    return _row_blocks(params, count, seed, chunk_size, _product_rows,
+                       params.n + 1)
+
+
+def ball_blocks(params: PBallParams, count: int, seed: int,
+                chunk_size: int = DEFAULT_CHUNK):
+    """The rows of ``sample_ball(params, count, seed, chunk_size)`` as
+    (first row, (rows, n) block) pairs of ``block_rows(n + 1)`` rows, drawn
+    one block at a time; every block passes the ball-norm guard."""
+    return _row_blocks(params, count, seed, chunk_size, _ball_rows, params.n)
 
 
 def sample_product(params: PBallParams, count: int, seed: int,
                    chunk_size: int = DEFAULT_CHUNK) -> SampleBatch:
-    """count independent points of the product law on R^(n+1)."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    p, n = params.p, params.n
+    """count independent points of the product law on R^(n+1): the
+    ``product_blocks`` stream drawn into the rows of one array."""
+    n = params.n
     out = np.empty((count, n + 1))
-    for ci, lo, hi in _chunk_bounds(count, chunk_size):
-        g, e = _factor_chunk(_chunk_rng(seed, ci), hi - lo, p, n)
-        out[lo:hi, :n] = g
-        out[lo:hi, n] = e if p == 1.0 else e ** (1.0 / p)
+    for _ in _row_blocks(params, count, seed, chunk_size, _product_rows,
+                         n + 1, out):
+        pass    # each block is drawn into its rows of out
     return SampleBatch("MU_PN", n + 1, count, seed, out, chunk_size)
 
 
 def sample_ball(params: PBallParams, count: int, seed: int,
                 chunk_size: int = DEFAULT_CHUNK) -> SampleBatch:
-    """count uniform points on B_p^n via the normalization push-forward.
+    """count uniform points on B_p^n via the normalization push-forward:
+    the ``ball_blocks`` stream drawn into the rows of one array.
 
-    Each chunk draws what ``sample_product`` draws, with the mu_p block
-    going straight into the chunk's rows of the output, and maps it to
-    g / (sum |g_i|^p + E)^{1/p}, i.e. T(z) of the same product rows.  The
-    sum, its power and the scaling run in place over blocks of
-    ``block_rows(n)`` rows, so no temporary is larger than a block beside
-    the E column, and the peak stays near the output at any n.
+    Each block's mu_p rows are drawn straight into its rows of the output
+    and mapped there to g / (sum |g_i|^p + E)^{1/p}, i.e. T(z) of the same
+    product rows, so no temporary is larger than a block and the peak
+    stays near the output at any n.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    p, n = params.p, params.n
+    n = params.n
     out = np.empty((count, n))
-    step = block_rows(n)
-    for ci, lo, hi in _chunk_bounds(count, chunk_size):
-        g, s = _factor_chunk(_chunk_rng(seed, ci), hi - lo, p, n, out[lo:hi])
-        for b in range(0, hi - lo, step):
-            gb, sb = g[b:b + step], s[b:b + step]
-            sb += row_sum(gb * gb if p == 2.0 else _pow_p(np.abs(gb), p))
-            sb **= -1.0 / p
-            gb *= sb[:, None]
-    _check_ball_norms(out, p)
+    for _ in _row_blocks(params, count, seed, chunk_size, _ball_rows, n, out):
+        pass    # each block is drawn and mapped in its rows of out
     return SampleBatch("V_PN", n, count, seed, out, chunk_size)
 
 

@@ -206,13 +206,13 @@ def test_run_threads_reproduce_serial_bytes_above_one_block(tmp_path):
 
 
 def test_default_run_draws_one_grading_batch_per_job(tmp_path, monkeypatch):
-    # every job draws one grading batch; only thresholds placed on held-out
-    # points (the three tail checks, co-area's radial radii at p != 2) add
-    # one more.  Drawing per set, rung, level or field, and a ball batch
-    # beside the product batch, took 148 ball and 12 product draws
+    # every job streams one grading batch; only thresholds placed on
+    # held-out points (the three tail checks, co-area's radial radii at
+    # p != 2) add one more.  Drawing per set, rung, level or field, and a
+    # ball batch beside the product batch, took 148 ball and 12 product draws
     job = [None]
     draws = []
-    for sampler in ("sample_ball", "sample_product"):
+    for sampler in ("ball_blocks", "product_blocks"):
         def counting(*args, _real=getattr(inequality_suite, sampler),
                      _sampler=sampler, **kw):
             draws.append((job[0], _sampler))
@@ -224,8 +224,8 @@ def test_default_run_draws_one_grading_batch_per_job(tmp_path, monkeypatch):
             return _runner(cfg, p, n, seed)
         monkeypatch.setitem(REGISTRY, name, (tag, tracked))
     assert run(RunConfig(out_dir=str(tmp_path))) == 0
-    assert sum(s == "sample_ball" for _, s in draws) == 70
-    assert sum(s == "sample_product" for _, s in draws) == 12
+    assert sum(s == "ball_blocks" for _, s in draws) == 70
+    assert sum(s == "product_blocks" for _, s in draws) == 12
     held_out = {"check_sz_tail", "check_sz_concentration",
                 "check_paouris_tail"}
     per_job = {}

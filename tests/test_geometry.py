@@ -5,6 +5,8 @@ Closed-form oracles are evaluated inline (scipy.special / quad); finite
 differences validate every analytic gradient away from kink sets.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import special
@@ -43,6 +45,7 @@ from isoplab.geometry import (
     marginal_cdf,
     marginal_density,
     marginal_isf,
+    marginal_level_density,
     marginal_quantile,
     marginal_second_moment,
     map_row_blocks,
@@ -164,6 +167,51 @@ def test_marginal_density_domain():
         marginal_density(params, 1.0 + 2 * BALL_TOL)
     # sampler overshoot within BALL_TOL clamps to density 0
     assert marginal_density(params, 1.0 + 0.5 * BALL_TOL) == 0.0
+
+
+def _ball3_boundary(a):
+    # p = 2, n = 3: density 3/4 (1 - t^2) and tail a = v^2 (3 - v) / 4 with
+    # v = 1 - t; that cubic's root in (0, 1] is v = sqrt(3) sin d + 2
+    # sin^2(d/2), d = (2/3) arcsin(sqrt(a)), which does not cancel as a -> 0
+    d = (2.0 / 3.0) * math.asin(math.sqrt(a))
+    v = math.sqrt(3.0) * math.sin(d) + 2.0 * math.sin(0.5 * d) ** 2
+    return 0.75 * v * (2.0 - v)
+
+
+def test_ball3_closed_form_solves_its_cubic():
+    for a in (1e-6, 0.01, 0.2, 0.5):
+        d = (2.0 / 3.0) * math.asin(math.sqrt(a))
+        v = math.sqrt(3.0) * math.sin(d) + 2.0 * math.sin(0.5 * d) ** 2
+        assert v * v * (3.0 - v) / 4.0 == pytest.approx(a, rel=1e-13)
+        assert _ball3_boundary(a) == pytest.approx(
+            marginal_density(PBallParams(2.0, 3), 1.0 - v), rel=1e-13)
+
+
+@pytest.mark.parametrize("a", [1e-30, 1e-100, 1e-300])
+def test_boundary_mass_at_tiny_levels_matches_closed_forms(a):
+    # t_a rounds to 1 at these levels, so the density at t_a read as
+    # (1 - |t_a|^p)^((n-1)/p) is off by 2% at 1e-30 and 0 below
+    for params, want in ((PBallParams(1.0, 2), math.sqrt(2.0 * a)),
+                         (PBallParams(2.0, 3), _ball3_boundary(a))):
+        got = coordinate_half_space(params, a).analytic_boundary(params)
+        assert got == pytest.approx(want, rel=1e-12), params
+        assert marginal_level_density(params, a) == got
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_level_density_agrees_with_the_density_at_the_quantile(p):
+    # where t_a is far from 1 both routes are accurate; the density is even
+    levels = np.array([1e-8, 1e-4, 0.1, 0.3, 0.5])
+    for n in (1, 2, 5, 64, 1024):
+        params = PBallParams(p, n)
+        got = marginal_level_density(params, levels)
+        want = marginal_density(params, marginal_isf(params, levels))
+        np.testing.assert_allclose(got, want, rtol=1e-11)
+        np.testing.assert_allclose(
+            marginal_level_density(params, 1.0 - levels[2:]), got[2:],
+            rtol=1e-13)
+    with pytest.raises(ValueError):
+        marginal_level_density(PBallParams(p, 2), 0.0)
 
 
 def test_n1_marginal_is_uniform():

@@ -35,6 +35,7 @@ from isoplab.geometry import (
     lp_norm,
     marginal_density,
     marginal_isf,
+    marginal_level_density,
 )
 from isoplab.inequality_suite import (
     FAIL,
@@ -69,6 +70,8 @@ from isoplab.montecarlo import (
     _wls_intercept,
     bernoulli_ci,
     content_from_batch,
+    estimate_median_and_phi,
+    estimate_tail,
     mean_ci,
 )
 from isoplab.sampling import child_seed, sample_ball, sample_product
@@ -147,6 +150,21 @@ def test_theorem1_band_constants():
     assert rep.verdicts()[FAIL] == 0
 
 
+def test_theorem1_and_kls_hold_down_to_the_smallest_levels():
+    # t_a rounds to 1 below a ~ 1e-17 at these (p, n); the exact rows
+    # still read the boundary mass at level a (p = 2, n = 4, a = 1e-80
+    # used to raise ZeroDivisionError)
+    grid = [1e-300, 1e-80, 1e-30, 0.5]
+    for p, n in ((2.0, 4), (1.0, 2), (1.5, 1024)):
+        params = PBallParams(p, n)
+        for rep in (check_theorem1(p, n, grid), check_kls(p, n, grid)):
+            assert rep.verdicts() == {PASS: 4, FAIL: 0, INCONCLUSIVE: 0}
+            assert all(r.lhs > 0.0 for r in rep.reports)
+        rows = check_theorem1(p, n, grid).reports
+        assert [r.lhs for r in rows] == [
+            marginal_level_density(params, a) for a in grid]
+
+
 def test_theorem1_level_validation():
     with pytest.raises(ValueError):
         check_theorem1(2.0, 2, [0.6])
@@ -223,6 +241,30 @@ def test_enlargement_r_grid_validation():
         check_bobkov_inequality(2.0, 2, hs, r_grid=[-1.0], count=1000, seed=0)
 
 
+def test_enlargement_sorts_each_shared_scalar_once(monkeypatch):
+    # the CLI's half-spaces all threshold x_1: one column and one sort for
+    # the three of them, and the same estimates as one set at a time
+    p, n, count, seed = 1.5, 3, 5000, 7
+    params = PBallParams(p, n)
+    sets = [coordinate_half_space(params, a) for a in (0.1, 0.25, 0.5)]
+    sets += [BallComplement(0.6), coordinate_half_space(params, 0.3, axis=1)]
+    ladder = default_eps_ladder(p, n)
+    calls = []
+    real = isoplab.inequality_suite.content_from_batch
+
+    def counting(source, set_, eps):
+        calls.append(len(set_))
+        return real(source, set_, eps)
+
+    monkeypatch.setattr(isoplab.inequality_suite, "content_from_batch",
+                        counting)
+    rep = check_bobkov_inequality(p, n, sets, [1.0], count, seed)
+    assert calls == [3, 1, 1]
+    batch = sample_ball(params, count, child_seed(seed, 0))
+    for row, set_ in zip(rep.reports, sets):
+        assert row.lhs == real(batch, set_, ladder).extrapolated
+
+
 def test_bobkov_never_fails_on_defaults():
     params = PBallParams(1.0, 2)
     sets = [coordinate_half_space(params, a) for a in (0.1, 0.25, 0.5)]
@@ -269,6 +311,55 @@ def test_sz_concentration_shape():
     # below-median offsets carry no claim
     below = [r for r in rep.reports if r.params[2] < 0.0]
     assert all(r.verdict == PASS and r.rhs == 1.0 for r in below)
+
+
+# two row blocks and a partial one of the n = 3 streams
+STREAM_COUNT = 2 * BLOCK_ROWS + 17
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_streamed_tail_checks_equal_the_batch_recipe(p):
+    # the checks read their draws block by block; the rows must be those of
+    # the same recipe on whole sample_ball batches of the same child seeds
+    n, count, seed, levels = 3, STREAM_COUNT, 37, [0.5, 0.9, 0.99]
+    params = PBallParams(p, n)
+    calib, batch = (sample_ball(params, count, child_seed(seed, k)).points
+                    for k in (0, 1))
+    rep = check_sz_tail(p, n, levels, count, seed)
+    want = estimate_tail(lp_norm(batch, 2.0),
+                         np.quantile(lp_norm(calib, 2.0), levels))
+    assert [r.lhs for r in rep.reports] == [t.estimate for t in want]
+    F = isoplab.fields.CoordinateFunctional(n)
+    rep = check_sz_concentration(p, n, "coordinate", levels, count, seed)
+    med0 = float(np.median(F(calib)))
+    _, curve = estimate_median_and_phi(
+        sample_ball(params, count, child_seed(seed, 1)), F,
+        [float(np.quantile(F(calib), q)) - med0 for q in levels])
+    assert [r.lhs for r in rep.reports] == [c.estimate for c in curve]
+
+
+def test_sz_concentration_spot_checks_the_streamed_pairs():
+    class Liar(isoplab.fields.CoordinateFunctional):
+        def __call__(self, X):
+            return 5.0 * super().__call__(X)
+
+    with pytest.raises(ValueError, match="Lipschitz"):
+        check_sz_concentration(1.5, 3, Liar(3), [0.5, 0.9], STREAM_COUNT, 41)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_streamed_lemma4_equals_the_batch_recipe(p):
+    n, count, seed = 3, STREAM_COUNT, 43
+    Z = sample_product(PBallParams(p, n), count, child_seed(seed, 1)).points
+    normsp = lp_norm(Z, p)
+    norms2 = lp_norm(Z[:, :-1], 2.0) / normsp
+    rep = check_lemma4(p, n, count, seed)
+    kappa = (2.0 - p) / (2.0 * p)
+    want = []
+    for c2 in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0):
+        want += [bernoulli_ci(int((norms2 >= c2 * n ** -kappa).sum()), count),
+                 bernoulli_ci(int((normsp <= n ** (1.0 / p) / c2).sum()), count)]
+    assert [r.lhs for r in rep.reports] == want
 
 
 def test_sz_concentration_rejects_constant_functionals():

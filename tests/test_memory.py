@@ -9,7 +9,17 @@ bounds; at n = 1024, blocks of BLOCK_ROWS rows regardless of width (3x the
 output for sample_ball and for the Bobkov check) fail them too.  The
 rejection oracle holds its output plus one fixed-size chunk of candidates;
 sizing one chunk from count instead (5.5-13.8x the output) fails its bound.
+
+The checks stream their draws and keep only per-point columns, so their
+peaks do not grow with n at a fixed count; holding the (count, n) batch
+(the chain peaked at 763 MB at n = 1024, 2x10^4 points) fails these
+bounds.  sample_product draws its second draw block into its own output
+rows; a whole mu_p block beside the output (2.2x) fails its bound, and so
+does the Gamma matrix of check_lemma5 held whole (13 MB at N = 16, 10^5
+trials).
 """
+
+import math
 
 import tracemalloc
 
@@ -21,7 +31,8 @@ from isoplab.geometry import (PBallParams, coordinate_half_space,
                               jacobian_op_norms, lp_norm)
 from isoplab.inequality_suite import (check_bobkov_inequality,
                                       check_functional_equivalence,
-                                      check_lemma4, verify_cutoff_chain)
+                                      check_lemma4, check_lemma5,
+                                      verify_cutoff_chain)
 from isoplab.montecarlo import integrate_grad
 from isoplab.sampling import rejection_sample_ball, sample_ball, sample_product
 
@@ -41,6 +52,33 @@ def _traced_peak(fn) -> int:
 def test_sample_ball_peak_is_near_its_output(p):
     peak = _traced_peak(lambda: sample_ball(PBallParams(p, N), ROWS, 3))
     assert peak <= 2.0 * ROWS * N * 8, peak
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_sample_product_peak_is_near_its_output(p):
+    params = PBallParams(p, N)
+    peak = _traced_peak(lambda: sample_product(params, ROWS, 3))
+    assert peak <= 1.1 * ROWS * (N + 1) * 8, peak
+
+
+def test_lemma5_peak_holds_no_gamma_matrix():
+    # N = 16 summands of Gamma(1/3), 10^5 trials: the sums column is 0.8 MB
+    alpha = 2.0 / 3.0
+    peak = _traced_peak(lambda: check_lemma5(
+        1.0 / math.gamma(1.0 - alpha), alpha, 16, [0.05, 0.1, 0.2], ROWS, 7))
+    assert peak <= 1.5e6, peak
+
+
+@pytest.mark.parametrize("check", [
+    lambda n: verify_cutoff_chain(1.5, n, count=20000, seed=15),
+    lambda n: check_bobkov_inequality(
+        1.5, n, [coordinate_half_space(PBallParams(1.5, n), 0.2)], [1.0],
+        20000, 13),
+], ids=["chain", "bobkov"])
+def test_streamed_check_peak_does_not_grow_with_n(check):
+    narrow = _traced_peak(lambda: check(4))
+    wide = _traced_peak(lambda: check(1024))
+    assert wide <= 1.25 * narrow, wide / narrow
 
 
 def test_wide_sample_ball_peak_is_near_its_output():
@@ -96,8 +134,8 @@ WIDE_BATCH = WIDE_COUNT * WIDE.n * 8
     lambda: check_lemma4(WIDE.p, WIDE.n, WIDE_COUNT, 15),
 ], ids=["chain", "lemma4"])
 def test_wide_product_checks_hold_no_ball_batch(check):
-    # the product batch peaks near 2x while drawn; its ball points are
-    # T(Z), so no ball batch sits beside it (3.0x with one)
+    # the product batch is streamed and its ball points are T(Z), so
+    # neither batch is held (3.0x with a ball batch beside a product batch)
     peak = _traced_peak(check)
     assert peak <= 2.2 * WIDE_BATCH, peak / WIDE_BATCH
 

@@ -28,13 +28,17 @@ from isoplab.montecarlo import (
     PASS,
     RARE_COUNT,
     EstimateCI,
+    PairRows,
+    _wls_intercept,
     bernoulli_ci,
     content_from_batch,
     estimate_measure,
     estimate_median_and_phi,
     estimate_tail,
     integrate_grad,
+    lipschitz_pairs,
     mean_ci,
+    scalar_groups,
     verdict_geq,
     verdict_leq,
 )
@@ -241,6 +245,49 @@ def test_content_shared_scalar_sets_match_one_at_a_time():
                                                  0.1)], ladder)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_wls_intercept_matches_lstsq_on_weighted_rows(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 9))
+    xs = np.sort(rng.uniform(1e-3, 0.2, k))[::-1]
+    ys = rng.normal(0.5, 0.1, k)
+    ses = rng.uniform(0.01, 0.3, k)
+    # rows of the design and the data scaled by sqrt(w) = 1/se
+    design = np.column_stack([np.ones(k), xs]) / ses[:, None]
+    beta = np.linalg.lstsq(design, ys / ses, rcond=None)[0]
+    cov = np.linalg.inv(design.T @ design)
+    b0, se0 = _wls_intercept(xs, ys, ses)
+    assert b0 == pytest.approx(beta[0], rel=1e-12, abs=1e-12)
+    assert se0 == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-12)
+
+
+def test_scalar_groups_follow_the_shared_scalar():
+    e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    sets = [HalfSpace(e0, 0.1), BallComplement(0.5), HalfSpace(e1, 0.2),
+            HalfSpace(e0, -0.3), BallComplement(0.9)]
+    assert scalar_groups(sets) == [[0, 3], [1, 4], [2]]
+
+
+def test_estimators_read_a_column_as_they_read_the_batch():
+    params = PBallParams(1.5, 3)
+    batch = sample_ball(params, 3000, seed=59)
+    X = batch.points
+    hs = coordinate_half_space(params, 0.3)
+    ladder = [0.04, 0.02, 0.01]
+    assert estimate_measure(hs.scalar(X), hs) == estimate_measure(batch, hs)
+    assert content_from_batch(hs.scalar(X), hs, ladder) == \
+        content_from_batch(batch, hs, ladder)
+    ramp = LinearRamp(np.array([0.6, 0.0, 0.8]), -0.2, 0.3)
+    norms = np.linalg.norm(ramp.grad(X), axis=1)
+    assert integrate_grad(norms, ramp) == integrate_grad(batch, ramp)
+    from isoplab.fields import EuclideanNorm
+    F = EuclideanNorm(3)
+    i, j = lipschitz_pairs(batch.seed, batch.count)
+    pairs = PairRows(i, j, X[i], X[j])
+    assert estimate_median_and_phi(F(X), F, [0.0, 0.1], pairs) == \
+        estimate_median_and_phi(batch, F, [0.0, 0.1])
+
+
 def test_estimate_tail_levels_and_rare_flag():
     params = PBallParams(2.0, 2)
     radii = np.linalg.norm(sample_ball(params, 5000, seed=23).points, axis=1)
@@ -275,6 +322,12 @@ def test_lipschitz_spot_check_catches_liars():
     batch = sample_ball(PBallParams(2.0, 2), 2000, seed=31)
     with pytest.raises(ValueError):
         estimate_median_and_phi(batch, Liar(), [0.0])
+    # a value column is checked on the pair rows its caller gathered
+    i, j = lipschitz_pairs(batch.seed, batch.count)
+    X = batch.points
+    with pytest.raises(ValueError):
+        estimate_median_and_phi(Liar()(X), Liar(), [0.0],
+                                PairRows(i, j, X[i], X[j]))
 
 
 def test_integrate_grad_exact_for_linear_ramp():

@@ -1,6 +1,7 @@
-"""Samplers: determinism, chunk layout, the factor laws of every mu_p
-branch, the ball sampler as the push-forward of the product stream, the
-norm guard, distributional correctness against the exact marginal CDF, the
+"""Samplers: determinism, chunk layout, the prefix and block-size
+invariance of the per-role streams, the block streams, the factor laws of
+every mu_p branch, the ball sampler as the push-forward of the product
+stream, the norm guard, distributional correctness against the exact marginal CDF, the
 rejection oracle and its grid envelope, and CSV round-trips."""
 
 import itertools
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from isoplab import geometry, sampling
 from isoplab.geometry import (
     BLOCK_ROWS,
     PBallParams,
@@ -24,8 +26,10 @@ from isoplab.sampling import (
     _check_ball_norms,
     _grid_cells,
     SampleBatch,
+    ball_blocks,
     ball_sampler,
     child_seed,
+    product_blocks,
     read_points_csv,
     rejection_sample_ball,
     rejection_sampler,
@@ -56,12 +60,13 @@ def test_bit_determinism():
 
 
 def test_full_chunks_are_count_invariant():
-    # every completed chunk is a pure function of (seed, chunk index); only
-    # the trailing partial chunk depends on where count lands inside it
+    # every completed chunk is a pure function of (seed, chunk index), and
+    # each draw role fills its rows in order from its own generator, so the
+    # trailing partial chunk is the start of the full one
     a = sample_product(PARAMS, 600, seed=1, chunk_size=256).points
     b = sample_product(PARAMS, 520, seed=1, chunk_size=256).points
     np.testing.assert_array_equal(a[:512], b[:512])
-    assert not np.array_equal(a[512:520], b[512:520])
+    np.testing.assert_array_equal(a[512:520], b[512:520])
 
 
 def test_chunk_layout_is_part_of_the_contract():
@@ -139,21 +144,23 @@ def test_ball_is_the_push_forward_of_the_product_stream(p):
 
 
 def _one_shot_ball_chunk(p, n, rows, seed, chunk_index):
-    # the ball formula in one shot from raw generator calls: the whole
-    # (rows, n) g block, then the U or second Exp(1) block, then E
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))))
+    # the ball formula in one shot from raw generator calls, one generator
+    # per draw role: the whole (rows, n) g block, the whole U or second
+    # Exp(1) block, and the E column
+    rg, ru, re = (np.random.Generator(np.random.PCG64(child)) for child in
+                  np.random.SeedSequence(entropy=seed,
+                                         spawn_key=(chunk_index,)).spawn(3))
     if p == 2.0:
-        g = rng.standard_normal((rows, n))
+        g = rg.standard_normal((rows, n))
         g *= math.sqrt(0.5)
     elif p == 1.0:
-        g = rng.standard_exponential((rows, n))
-        g -= rng.standard_exponential((rows, n))
+        g = rg.standard_exponential((rows, n))
+        g -= ru.standard_exponential((rows, n))
     else:
-        g = rng.standard_gamma(1.0 + 1.0 / p, (rows, n))
+        g = rg.standard_gamma(1.0 + 1.0 / p, (rows, n))
         g **= 1.0 / p
-        g *= rng.uniform(-1.0, 1.0, (rows, n))
-    e = rng.standard_exponential(rows)
+        g *= ru.uniform(-1.0, 1.0, (rows, n))
+    e = re.standard_exponential(rows)
     s = e + np.sum(np.abs(g) ** p, axis=1)
     return g * (s ** (-1.0 / p))[:, None]
 
@@ -189,6 +196,64 @@ def test_wide_ball_is_bit_equal_to_the_one_shot_formula(p):
             _one_shot_ball_chunk(p, n, count - chunk, 73, 1)])
         assert np.array_equal(batch.points.view(np.uint64),
                               want.view(np.uint64)), n
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("sample", [sample_ball, sample_product])
+def test_batches_are_prefixes_of_larger_batches(sample, p):
+    # k rows inside the partial second chunk are the first k rows of every
+    # larger batch, in the partial chunk and beyond it
+    params = PBallParams(p, 3)
+    batches = {k: sample(params, k, 79, 256).points
+               for k in (1, 300, 511, 512, 700)}
+    for k, pts in batches.items():
+        for larger in batches.values():
+            if larger.shape[0] > k:
+                assert np.array_equal(larger[:k], pts), k
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("sample", [sample_ball, sample_product])
+def test_bits_do_not_depend_on_the_block_size(sample, p, monkeypatch):
+    # blocks of block_rows(n + 1) rows: 8192, 6 and 1 at n = 3, 15 at n = 64
+    for n, count in ((3, 20000), (64, 1000)):
+        params = PBallParams(p, n)
+        want = sample(params, count, 83, 3000).points
+        for rows in (24, 3):
+            monkeypatch.setattr(geometry, "BLOCK_ROWS", rows)
+            got = sample(params, count, 83, 3000).points
+            assert np.array_equal(got.view(np.uint64),
+                                  want.view(np.uint64)), (n, rows)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_block_streams_are_the_batches_rows(p):
+    params = PBallParams(p, 5)
+    step = block_rows(params.n + 1)
+    count, chunk = 3 * step + 50, 2 * step + 20
+    for stream, sample in ((ball_blocks, sample_ball),
+                           (product_blocks, sample_product)):
+        pairs = list(stream(params, count, 89, chunk))
+        firsts = [lo for lo, _ in pairs]
+        # blocks restart at every chunk boundary
+        assert firsts == [0, step, 2 * step, chunk, chunk + step]
+        rows = np.concatenate([block for _, block in pairs])
+        assert np.array_equal(rows, sample(params, count, 89, chunk).points)
+    with pytest.raises(ValueError):
+        ball_blocks(params, 0, 89)
+
+
+def test_ball_guard_covers_every_streamed_block(monkeypatch):
+    checked = []
+    real = sampling._check_ball_norms
+    monkeypatch.setattr(sampling, "_check_ball_norms",
+                        lambda pts, p: checked.append(len(pts)) or real(pts, p))
+    params = PBallParams(1.5, 3)
+    count = 2 * block_rows(4) + 10
+    for _ in ball_blocks(params, count, 97):
+        pass
+    assert checked == [block_rows(4), block_rows(4), 10]
 
 
 def test_ball_rejects_empty_batches():
