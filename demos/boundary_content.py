@@ -9,19 +9,27 @@ intercept by weighted least squares.  On the disc the half-space
 
 import math
 
+import numpy as np
+
 from isoplab import (
     PBallParams,
-    ball_sampler,
+    ball_blocks,
     content_from_batch,
     coordinate_half_space,
     default_eps_ladder,
 )
+from isoplab.geometry import map_row_blocks
 
 params = PBallParams(2.0, 2)
 half = coordinate_half_space(params, 0.5)
-batch = ball_sampler(params)(200_000, seed=7)
+count = 200_000
 
-est = content_from_batch(batch, half, default_eps_ladder(2.0, 2))
+# the estimator reads one value per point, the set's scalar x_1; the
+# points stream past block by block and only that column is kept
+scalars = np.empty(count)
+map_row_blocks(lambda X: (half.scalar(X),), ball_blocks(params, count, 7),
+               [scalars])
+est = content_from_batch(scalars, half, default_eps_ladder(2.0, 2))
 exact = half.analytic_boundary(params)
 print("ladder rungs (eps, quotient, stderr):")
 for eps, q in est.per_epsilon:

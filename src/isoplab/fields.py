@@ -15,9 +15,11 @@ The shared base supplies the two halves of that pass:
     f(X)                  -> f.value_and_grad(X)[0]
     f.grad(X)             -> f.value_and_grad(X)[1]
 Rows are independent: a row's value and gradient depend only on that row,
-bit for bit, whatever the other rows of X are.  Callers rely on this to
-evaluate a batch block by block (``montecarlo.integrate_grad`` and every
-check's streamed pass do), so a custom field must keep it too.
+bit for bit, whatever the other rows of X are.  Every check relies on this
+to evaluate its batch block by block (``geometry.map_row_blocks``), so a
+custom field must keep it too; inner products <x, xi> go through
+``geometry.row_dot`` for that reason, since BLAS ``X @ xi`` rounds a row
+differently with the number of rows in the call.
 Products and push-forwards evaluate each factor once through its
 ``value_and_grad``; ``product_value_and_grad`` and ``push_forward_grad`` hold
 their arithmetic for callers that already have the factors' passes.
@@ -34,6 +36,7 @@ from .geometry import (
     CutoffParams,
     HalfSpace,
     lp_norm,
+    row_dot,
 )
 
 __all__ = [
@@ -137,7 +140,7 @@ class LinearRamp(_Field):
         return self.hi - self.lo
 
     def value_and_grad(self, X):
-        t = _rows(X, self.dim) @ self.xi
+        t = row_dot(_rows(X, self.dim), self.xi)
         on = (t > self.lo) & (t < self.hi)
         return (np.clip((t - self.lo) / self.width, 0.0, 1.0),
                 np.where(on[:, None], self.xi / self.width, 0.0))
@@ -209,11 +212,6 @@ class DistanceRamp(_Field):
         if not 0.0 <= u < 1.0:
             raise ValueError("superlevel threshold must lie in [0, 1)")
         return self.set_.enlarged(self.r + self.s * (1.0 - u))
-
-    def ramp_indicator(self, X) -> np.ndarray:
-        """1 exactly where the gradient is nonzero."""
-        d = self.set_.dist(_rows(X, self.dim))
-        return ((d > self.r) & (d < self.r + self.s)).astype(float)
 
 
 class CutoffH1Field(_Field):
@@ -344,7 +342,7 @@ class DirectionalFunctional:
         self.dim = theta.size
 
     def __call__(self, X):
-        return _rows(X, self.dim) @ self.theta
+        return row_dot(_rows(X, self.dim), self.theta)
 
 
 class EuclideanNorm:

@@ -35,6 +35,7 @@ __all__ = [
     "block_rows",
     "map_row_blocks",
     "row_sum",
+    "row_dot",
     "lp_norm",
     "ball_volume",
     "ball_log_volume",
@@ -142,6 +143,19 @@ def row_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
             out += a[:, j]
         return out
     return a.sum(axis)
+
+
+def row_dot(X, v: np.ndarray) -> np.ndarray:
+    """<x, v> for every row x of X, each row reduced in one fixed order.
+
+    The rows are made C-contiguous and reduced by ``np.einsum``, whose
+    order of additions depends only on the row length, so a row's result
+    depends on that row alone, bit for bit, whatever the other rows and
+    the block size are.  BLAS ``X @ v`` does not promise this: its result
+    for one row moves by rounding with the number of rows of the call.
+    For a coordinate v the one nonzero product is the result, exactly.
+    """
+    return np.einsum("ij,j->i", np.ascontiguousarray(X, dtype=float), v)
 
 
 def _lp_norm_direct(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
@@ -310,7 +324,7 @@ class HalfSpace:
     def scalar(self, X) -> np.ndarray:
         """<x, xi> per row; the set is {scalar >= threshold}, and so is
         every enlargement of it, at its own threshold."""
-        return np.asarray(X, dtype=float) @ self.xi
+        return row_dot(X, self.xi)
 
     def indicator(self, X) -> np.ndarray:
         return self.scalar(X) >= self.t

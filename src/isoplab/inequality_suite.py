@@ -284,8 +284,6 @@ def check_theorem1(p: float, n: int, a_grid, sets=None,
             # coordinate family is near-extremal: record whether any family
             # confidently undercuts family 0 at this level
             base = level_rows[0]
-            base_hi = (base.lhs.hi if isinstance(base.lhs, EstimateCI)
-                       else base.lhs_mean)
             undercut = any(
                 (r.lhs.hi if isinstance(r.lhs, EstimateCI) else r.lhs_mean)
                 < base.lhs_mean - 3.0 * base.lhs_stderr
@@ -760,7 +758,7 @@ def check_coarea(p: float, n: int, phi_catalog=None,
                          (float,) * sum(1 + bool(live) for live in live_sets)))
     reports = []
     for i, (phi, live) in enumerate(zip(phi_catalog, live_sets)):
-        lhs = integrate_grad(next(cols), phi)
+        lhs = integrate_grad(next(cols))
         vals = np.zeros(64)
         errs = np.zeros(64)
         if live:
@@ -801,19 +799,19 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     reference = set_.analytic_boundary(params)
 
     def per_point(X):
-        # per rung |grad phi|_2 and the shell flag, then A's scalar when
-        # the reference is the batch's own content
-        out = [v for phi in rungs
-               for v in (lp_norm(phi.grad(X), 2.0), phi.ramp_indicator(X))]
+        # per rung |grad phi|_2, then A's scalar when the reference is the
+        # batch's own content
+        out = [lp_norm(phi.grad(X), 2.0) for phi in rungs]
         return out + ([set_.scalar(X)] if reference is None else [])
 
     cols = _columns(per_point, _ball_stream(params, count, seed, 0), count,
-                    (float, bool) * len(rungs)
-                    + ((float,) if reference is None else ()))
+                    (float,) * (len(rungs) + (reference is None)))
     reports = []
-    for k, phi in enumerate(rungs):
-        lhs = integrate_grad(cols[2 * k], phi)
-        shell = float(cols[2 * k + 1].mean()) / phi.s
+    for phi, norms in zip(rungs, cols):
+        lhs = integrate_grad(norms)
+        # the gradient, -grad dist / s, is nonzero exactly on the shell
+        # r < dist < r + s, almost everywhere
+        shell = float((norms > 0.0).mean()) / phi.s
         reports.append(_row(name, p, n, phi.r, phi.s, lhs, shell,
                             verdict_geq(lhs, shell, "consistent")))
     # the loop ends on j = 0: lhs is the finest rung's
@@ -867,7 +865,7 @@ def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckRepor
     reports = []
     fitted = []
     for a, phi, col in zip(grid, ramps, norms):
-        lhs = integrate_grad(col, phi, power=2)
+        lhs = integrate_grad(col, power=2)
         rhs = c_hat ** 2 * n ** (2.0 / p) / _dyadic_sum(p, a)
         fitted.append(lhs.mean / (n ** (2.0 / p) * a
                                   * math.log(1.0 / a) ** (2.0 - 2.0 / p)))

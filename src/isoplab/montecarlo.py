@@ -18,15 +18,13 @@ for one scalar s per point, and so is each of its enlargements; the
 scalar is sorted once per batch and every rung count is read off the
 sorted array.
 
-Estimators draw nothing: each reads one per-point column, the values of
-its scalar, gradient norm or functional at every drawn point.  A caller
-passes either that column, filled by its own pass over a block stream
-(``sampling.ball_blocks``) together with every other column it needs, or
-the drawn points (a SampleBatch or an array), from which the estimator
-fills the column itself, block by block through
-``geometry.map_row_blocks``.  Either way a (params, count, seed) batch is
-drawn once however many estimates read it, and only its columns need to
-persist.
+Estimators draw nothing and see no points: each reads one per-point
+column, a 1-D array of the values of its scalar, gradient norm or
+functional at every drawn point.  The caller fills that column by its own
+pass over a block stream (``sampling.ball_blocks``) together with every
+other column it needs, so a (params, count, seed) batch is drawn once
+however many estimates read it, and only its columns need to persist.
+A 2-D array or a SampleBatch is rejected rather than read as values.
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-from .geometry import lp_norm, map_row_blocks
 
 __all__ = [
     "PASS",
@@ -163,25 +159,19 @@ def verdict_leq(lhs: EstimateCI, rhs, mode: str = "strict") -> str:
 # set measures and boundary content
 # ---------------------------------------------------------------------------
 
-def _per_point(source, fn) -> np.ndarray:
-    """The column of fn's values at every point of ``source``.
-
-    A 1-D array is such a column already and is returned as it is; a
-    SampleBatch or a (rows, dim) array of points has ``fn`` mapped over
-    blocks of its rows.
-    """
-    if isinstance(source, np.ndarray) and source.ndim == 1:
-        return source
-    pts = np.asarray(getattr(source, "points", source), dtype=float)
-    out = np.empty(pts.shape[0])
-    map_row_blocks(lambda block: (fn(block),), [pts], [out])
-    return out
+def _column(values) -> np.ndarray:
+    """``values`` itself when it is a 1-D array of per-point values; points
+    (a SampleBatch or a 2-D array) raise ValueError."""
+    if not (isinstance(values, np.ndarray) and values.ndim == 1):
+        shape = getattr(values, "shape", type(values).__name__)
+        raise ValueError(f"expected a 1-D per-point column, got {shape}")
+    return values
 
 
-def estimate_measure(source, set_) -> EstimateCI:
-    """Empirical measure of a test set {scalar >= threshold} from the drawn
-    points or the column of the set's scalar."""
-    s = _per_point(source, set_.scalar)
+def estimate_measure(scalars, set_) -> EstimateCI:
+    """Empirical measure of a test set {scalar >= threshold} from the column
+    of the set's scalar over one batch."""
+    s = _column(scalars)
     return bernoulli_ci(int((s >= set_.threshold).sum()), s.size)
 
 
@@ -235,9 +225,9 @@ def scalar_groups(sets) -> list:
     return groups
 
 
-def content_from_batch(source, set_, eps_ladder: Sequence[float]):
+def content_from_batch(scalars, set_, eps_ladder: Sequence[float]):
     """Enlargement quotients of one batch for every ladder epsilon, from
-    the drawn points or the column of the set's scalar.
+    the column of the set's scalar over that batch.
 
     The counts come from one sorted scalar per point: a set is
     {set_.scalar >= set_.threshold}, and its eps-enlargement thresholds the
@@ -260,7 +250,7 @@ def content_from_batch(source, set_, eps_ladder: Sequence[float]):
     lead = sets[0]
     if not all(_shares_scalar(lead, other) for other in sets[1:]):
         raise ValueError("sets of one call must share one scalar")
-    s = np.sort(_per_point(source, lead.scalar))
+    s = np.sort(_column(scalars))
     tops = np.array([m.threshold for m in sets], dtype=float)
     lows = np.array([[m.enlarged(float(e)).threshold for e in eps]
                      for m in sets], dtype=float)
@@ -305,7 +295,7 @@ def estimate_tail(values, thresholds: Sequence[float]) -> list[TailPoint]:
     thresholds = [float(t) for t in thresholds]
     if not all(np.isfinite(thresholds)):
         raise ValueError("thresholds must be finite")
-    vals = np.asarray(values, dtype=float)
+    vals = _column(values)
     count = vals.size
     out = []
     for t in thresholds:
@@ -349,23 +339,19 @@ def lipschitz_pairs(seed: int, count: int, pairs: int = 100):
             rng.integers(0, count, size=pairs))
 
 
-def estimate_median_and_phi(source, functional, h_grid: Sequence[float],
-                            pairs: PairRows = None
+def estimate_median_and_phi(values, functional, h_grid: Sequence[float],
+                            pairs: PairRows
                             ) -> tuple[MedianEstimate, list[PhiPoint]]:
     """Empirical median of a 1-Lipschitz functional over one batch and its
     upper-tail curve phi(h) = P{F > median + h}.
 
-    ``source`` is a SampleBatch, or the column of F over a batch drawn from
-    a seed together with ``pairs``, that batch's rows at
-    ``lipschitz_pairs(seed, count)``.  Lipschitz continuity is the
-    caller's promise; it is spot-checked on those ~100 sample pairs (drawn
-    from the batch's seed), and a violation raises ValueError.
+    ``values`` is the column of F over a batch drawn from a seed, and
+    ``pairs`` that batch's rows at ``lipschitz_pairs(seed, count)``.
+    Lipschitz continuity is the caller's promise; it is spot-checked on
+    those ~100 sample pairs, and a violation raises ValueError.
     """
-    vals = _per_point(source, functional)
+    vals = _column(values)
     count = vals.size
-    if pairs is None:
-        i, j = lipschitz_pairs(source.seed, count)
-        pairs = PairRows(i, j, source.points[i], source.points[j])
     _lipschitz_spot_check(functional, vals, pairs)
     order = np.sort(vals)
     med = 0.5 * (order[(count - 1) // 2] + order[count // 2])
@@ -399,18 +385,15 @@ def _lipschitz_spot_check(functional, vals: np.ndarray, pairs: PairRows):
 # gradient integrals
 # ---------------------------------------------------------------------------
 
-def integrate_grad(source, f, power: int = 1) -> EstimateCI:
+def integrate_grad(norms, power: int = 1) -> EstimateCI:
     """Monte Carlo estimate of the integral of |grad f|_2^power: its mean
-    over the points of one batch.
+    over one batch, from the column of |grad f|_2 at the batch's points
+    (a field's exact gradient rows reduced to norms by the caller's pass).
 
-    f is a field (see ``fields``).  Given the drawn points, its exact
-    ``grad`` is evaluated one block of rows at a time, and each block's
-    gradient rows are reduced to norms at once; given the column of those
-    norms, filled by a caller's own pass, the column is read as it is.
     Samples with a non-finite gradient are dropped, and more than 0.1% of
     them aborts the estimate.
     """
-    norms = _per_point(source, lambda block: lp_norm(f.grad(block), 2.0))
+    norms = _column(norms)
     count = norms.size
     finite = np.isfinite(norms)
     bad = count - int(finite.sum())

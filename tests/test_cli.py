@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from isoplab import inequality_suite
+from isoplab import geometry, inequality_suite
 from isoplab.cli import (
     REGISTRY,
     ConfigError,
@@ -203,6 +203,23 @@ def test_run_threads_reproduce_serial_bytes_above_one_block(tmp_path):
     for name in names:
         assert (tmp_path / "serial" / name).read_bytes() == \
             (tmp_path / "pool" / name).read_bytes(), name
+
+
+def test_run_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    # every check at n = 2 and 9; BLOCK_ROWS = 97 cuts each 1000-point
+    # pass into blocks of at most 97 rows instead of one block
+    def cfg(out_dir):
+        return RunConfig(n_grid=[2, 9], samples=1000, out_dir=str(out_dir))
+
+    run(cfg(tmp_path / "default"))
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", 97)
+    run(cfg(tmp_path / "small"))
+    names = sorted(os.listdir(tmp_path / "default"))
+    assert names == sorted(os.listdir(tmp_path / "small"))
+    assert len(names) == 33
+    for name in names:
+        assert (tmp_path / "default" / name).read_bytes() == \
+            (tmp_path / "small" / name).read_bytes(), name
 
 
 def test_default_run_draws_one_grading_batch_per_job(tmp_path, monkeypatch):

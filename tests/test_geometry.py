@@ -12,10 +12,12 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
+from isoplab import geometry
 from isoplab.fields import (
     ConstantField,
     CutoffH1Field,
     CutoffH2Field,
+    DirectionalFunctional,
     DistanceRamp,
     LinearRamp,
     ProductField,
@@ -50,9 +52,10 @@ from isoplab.geometry import (
     marginal_second_moment,
     map_row_blocks,
     marginal_sf,
+    row_dot,
     row_sum,
 )
-from isoplab.sampling import sample_ball, sample_product
+from isoplab.sampling import ball_blocks, sample_ball, sample_product
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +353,50 @@ def test_wide_lp_norm_is_bit_equal_to_the_direct_pass(p):
         for arr in (x, np.asfortranarray(x), wide[:, 1:]):
             assert _same_bits(lp_norm(arr, p), _lp_norm_direct(arr, p)), \
                 (n, arr.flags.f_contiguous)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 64, 1024])
+def test_row_dot_depends_on_the_row_alone(n):
+    # every row in C order, F order, as a column slice and alone gives
+    # the same bits; BLAS X @ v does not, nor einsum on F-ordered rows
+    rows = 300
+    x = _mixed_magnitudes(rows, n, seed=n)
+    wide = _mixed_magnitudes(rows, n + 1, seed=n + 1)
+    wide[:, :n] = x
+    v = np.random.default_rng(n).standard_normal(n)
+    want = row_dot(x, v)
+    for arr in (np.asfortranarray(x), wide[:, :n]):
+        assert _same_bits(row_dot(arr, v), want), arr.flags.f_contiguous
+    assert _same_bits([row_dot(x[k:k + 1], v)[0] for k in range(rows)], want)
+    # a coordinate direction reads its coordinate, exactly
+    e = np.zeros(n)
+    e[n // 2] = 1.0
+    assert np.array_equal(row_dot(x, e), x[:, n // 2])
+
+
+@pytest.mark.parametrize("n", [8, 64, 1024])
+def test_oblique_columns_do_not_depend_on_the_block_size(n, monkeypatch):
+    # <x, xi> along the diagonal, streamed from ball_blocks into columns,
+    # keeps its bits under blocks of 3 or 1 rows (BLOCK_ROWS = 7); formed
+    # as BLAS X @ xi it moved in 43-90% of the rows, by up to 1.1e-16
+    params = PBallParams(1.5, n)
+    xi = np.full(n, n ** -0.5)
+    hs = HalfSpace(xi, 0.0)
+    ramp = LinearRamp(xi, -0.02, 0.02)
+    F = DirectionalFunctional(xi)
+
+    def columns():
+        count = 1000
+        cols = [np.empty(count) for _ in range(3)]
+        map_row_blocks(lambda X: (hs.scalar(X), ramp(X), F(X)),
+                       ball_blocks(params, count, 97), cols)
+        return cols
+
+    want = columns()
+    monkeypatch.setattr(geometry, "BLOCK_ROWS", 7)
+    for got, ref, name in zip(columns(), want, ("HalfSpace", "LinearRamp",
+                                                "DirectionalFunctional")):
+        assert _same_bits(got, ref), name
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +733,9 @@ def test_distance_ramp_gradient_indicator_and_superlevel():
     d = hs.dist(X)
     on = (d > 0.11) & (d < 0.29)
     _assert_grad_matches(ramp, X[on])
+    # the gradient is nonzero exactly on the shell r < dist < r + s
     np.testing.assert_array_equal(
-        ramp.ramp_indicator(X), ((d > 0.1) & (d < 0.3)).astype(float))
+        np.linalg.norm(ramp.grad(X), axis=1) > 0.0, (d > 0.1) & (d < 0.3))
     # superlevel(u) = enlargement by r + s(1-u)
     sup = ramp.superlevel(0.25)
     np.testing.assert_array_equal(sup.indicator(X), d <= 0.1 + 0.2 * 0.75)

@@ -33,6 +33,7 @@ from isoplab.geometry import (
     PBallParams,
     coordinate_half_space,
     lp_norm,
+    map_row_blocks,
     marginal_density,
     marginal_isf,
     marginal_level_density,
@@ -67,14 +68,23 @@ from isoplab.inequality_suite import (
 )
 from isoplab.montecarlo import (
     EstimateCI,
+    PairRows,
     _wls_intercept,
     bernoulli_ci,
     content_from_batch,
     estimate_median_and_phi,
     estimate_tail,
+    lipschitz_pairs,
     mean_ci,
 )
 from isoplab.sampling import child_seed, sample_ball, sample_product
+
+
+def _column(fn, points):
+    """fn's value at every row of points, filled one row block at a time."""
+    out = np.empty(points.shape[0])
+    map_row_blocks(lambda X: (fn(X),), [points], [out])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +188,35 @@ def test_theorem1_with_explicit_families():
     params = PBallParams(2.0, 2)
     diag = np.array([1.0, 1.0]) / math.sqrt(2.0)
 
+    def coordinate(a):
+        return coordinate_half_space(params, a)
+
     def rotated(a):
         return HalfSpace(diag, float(marginal_isf(params, a)))
 
     rep = check_theorem1(2.0, 2, [0.25, 0.5],
-                         sets=[("coordinate",
-                                lambda a: coordinate_half_space(params, a)),
-                               ("rotated", rotated)],
+                         sets=[("coordinate", coordinate), ("rotated", rotated)],
                          count=4000, seed=1)
     assert len(rep.reports) == 4
-    share = rep.constants["argmin_coordinate_share"]
-    assert 0.0 <= share <= 1.0
+    assert rep.constants["argmin_coordinate_share"] == 1.0
     # family index is recorded in param2
     assert [r.params[3] for r in rep.reports] == [0.0, 1.0, 0.0, 1.0]
+    # on B_1^2, <x, diag> is uniform on [-1/sqrt 2, 1/sqrt 2], so the
+    # diagonal half-space of measure a has threshold (1 - 2a)/sqrt 2 and
+    # boundary mass 1/sqrt 2 at every a; the coordinate one has sqrt(2a):
+    # 0.447 at a = 0.1, where it is the minimum, and 1 at a = 1/2, where
+    # the diagonal undercuts it
+    params = PBallParams(1.0, 2)
+
+    def diagonal(a):
+        return HalfSpace(diag, (1.0 - 2.0 * a) / math.sqrt(2.0))
+
+    for seed in (1, 2, 3):
+        rep = check_theorem1(1.0, 2, [0.1, 0.5],
+                             sets=[("coordinate", coordinate),
+                                   ("diagonal", diagonal)],
+                             count=20000, seed=seed)
+        assert rep.constants["argmin_coordinate_share"] == 0.5, seed
 
 
 def test_product_isoperimetry_exact_ratios():
@@ -262,7 +288,8 @@ def test_enlargement_sorts_each_shared_scalar_once(monkeypatch):
     assert calls == [3, 1, 1]
     batch = sample_ball(params, count, child_seed(seed, 0))
     for row, set_ in zip(rep.reports, sets):
-        assert row.lhs == real(batch, set_, ladder).extrapolated
+        assert row.lhs == real(_column(set_.scalar, batch.points), set_,
+                               ladder).extrapolated
 
 
 def test_bobkov_never_fails_on_defaults():
@@ -332,9 +359,11 @@ def test_streamed_tail_checks_equal_the_batch_recipe(p):
     F = isoplab.fields.CoordinateFunctional(n)
     rep = check_sz_concentration(p, n, "coordinate", levels, count, seed)
     med0 = float(np.median(F(calib)))
+    i, j = lipschitz_pairs(child_seed(seed, 1), count)
     _, curve = estimate_median_and_phi(
-        sample_ball(params, count, child_seed(seed, 1)), F,
-        [float(np.quantile(F(calib), q)) - med0 for q in levels])
+        _column(F, batch), F,
+        [float(np.quantile(F(calib), q)) - med0 for q in levels],
+        PairRows(i, j, batch[i], batch[j]))
     assert [r.lhs for r in rep.reports] == [c.estimate for c in curve]
 
 
@@ -618,7 +647,8 @@ def test_functional_equivalence_without_closed_form(set_):
                                        count=count, seed=seed)
     # the reference is the content of the check's one batch, child seed 0
     batch = sample_ball(params, count, child_seed(seed, 0))
-    ref = content_from_batch(batch, set_, default_eps_ladder(p, n))
+    ref = content_from_batch(_column(set_.scalar, batch.points), set_,
+                             default_eps_ladder(p, n))
     summary = rep.reports[-1]
     assert summary.params[2:] == (0.0, 0.0)
     assert summary.rhs == ref.extrapolated.mean

@@ -4,7 +4,7 @@ Row-wise passes run over blocks of ``block_rows(width)`` rows, so besides
 their output they hold only a block's temporaries, at most BLOCK_ROWS * 4
 values each, however wide the rows are.  At 10^5 rows, n = 4, building
 whole-batch temporaries instead (3.5-4.25x the output for sample_ball, 5-8x
-the result for lp_norm, 2.25x the batch for integrate_grad) fails these
+the result for lp_norm, 2.25x the batch for a gradient-norm pass) fails these
 bounds; at n = 1024, blocks of BLOCK_ROWS rows regardless of width (3x the
 output for sample_ball and for the Bobkov check) fail them too.  The
 rejection oracle holds its output plus one fixed-size chunk of candidates;
@@ -28,7 +28,7 @@ import pytest
 
 from isoplab.fields import LinearRamp
 from isoplab.geometry import (PBallParams, coordinate_half_space,
-                              jacobian_op_norms, lp_norm)
+                              jacobian_op_norms, lp_norm, map_row_blocks)
 from isoplab.inequality_suite import (check_bobkov_inequality,
                                       check_functional_equivalence,
                                       check_lemma4, check_lemma5,
@@ -95,9 +95,17 @@ def test_lp_norm_peak_is_near_its_result(p):
 
 
 def test_grad_mass_peak_is_below_the_batch():
+    # the pass that fills the gradient-norm column, then the mean over it
     batch = sample_ball(PBallParams(1.5, N), ROWS, 7)
     ramp = LinearRamp(np.eye(N)[0], 0.0, 0.3)
-    peak = _traced_peak(lambda: integrate_grad(batch, ramp))
+
+    def grad_mass():
+        norms = np.empty(ROWS)
+        map_row_blocks(lambda X: (lp_norm(ramp.grad(X), 2.0),),
+                       [batch.points], [norms])
+        return integrate_grad(norms)
+
+    peak = _traced_peak(grad_mass)
     assert peak <= 1.0 * ROWS * N * 8, peak
 
 

@@ -1,5 +1,8 @@
 """Estimators: interval coverage, verdict grading, content extrapolation
 against exact boundary values, tail and median machinery, gradient integrals.
+
+The estimators read per-point columns only; each test fills its columns
+from drawn points block by block, as the checks do from their streams.
 """
 
 import numpy as np
@@ -10,6 +13,7 @@ from isoplab.fields import (
     CutoffH1Field,
     CutoffH2Field,
     DistanceRamp,
+    EuclideanNorm,
     LinearRamp,
     ProductField,
     PushForwardField,
@@ -21,6 +25,8 @@ from isoplab.geometry import (
     HalfSpace,
     PBallParams,
     coordinate_half_space,
+    lp_norm,
+    map_row_blocks,
 )
 from isoplab.montecarlo import (
     FAIL,
@@ -47,6 +53,23 @@ from isoplab.sampling import (
     sample_ball,
     sample_product,
 )
+
+
+def _column(fn, points):
+    """fn's value at every row of points, filled one row block at a time."""
+    out = np.empty(points.shape[0])
+    map_row_blocks(lambda X: (fn(X),), [points], [out])
+    return out
+
+
+def _grad_norms(f, points):
+    return _column(lambda X: lp_norm(f.grad(X), 2.0), points)
+
+
+def _pairs(batch):
+    """The spot check's pairs of a batch: lipschitz_pairs of its seed."""
+    i, j = lipschitz_pairs(batch.seed, batch.count)
+    return PairRows(i, j, batch.points[i], batch.points[j])
 
 
 def test_estimate_ci_interval():
@@ -121,10 +144,11 @@ def test_estimate_measure_half_space():
     params = PBallParams(2.0, 2)
     batch = sample_ball(params, 50000, seed=3)
     hs = coordinate_half_space(params, 0.3)
-    est = estimate_measure(batch, hs)
+    est = estimate_measure(_column(hs.scalar, batch.points), hs)
     assert abs(est.mean - 0.3) <= 4.0 * est.std_err
+    # a set of another dimension has no column on these points
     with pytest.raises(ValueError):
-        estimate_measure(batch, HalfSpace(np.array([1.0, 0.0, 0.0]), 0.1))
+        _column(HalfSpace(np.array([1.0, 0.0, 0.0]), 0.1).scalar, batch.points)
 
 
 def test_content_matches_exact_boundary_value():
@@ -132,7 +156,7 @@ def test_content_matches_exact_boundary_value():
     batch = sample_ball(params, 200000, seed=11)
     hs = coordinate_half_space(params, 0.5)
     ladder = [0.04, 0.02, 0.01, 0.005]
-    est = content_from_batch(batch, hs, ladder)
+    est = content_from_batch(_column(hs.scalar, batch.points), hs, ladder)
     # the half-disc's exact boundary mass is 2/pi; the estimate lies within
     # 3 standard errors plus 2% of it
     exact = hs.analytic_boundary(params)
@@ -147,7 +171,7 @@ def test_content_single_rung_and_quotient_values():
     params = PBallParams(2.0, 2)
     batch = sample_ball(params, 20000, seed=13)
     hs = coordinate_half_space(params, 0.25)
-    one = content_from_batch(batch, hs, [0.02])
+    one = content_from_batch(_column(hs.scalar, batch.points), hs, [0.02])
     assert one.extrapolated == one.per_epsilon[0][1]
     # quotient = (measure growth) / eps, by hand
     base = hs.indicator(batch.points).sum()
@@ -160,7 +184,8 @@ def test_content_empty_enlargement_is_inconclusive():
     params = PBallParams(2.0, 2)
     batch = sample_ball(params, 1000, seed=17)
     far = HalfSpace(np.array([1.0, 0.0]), 5.0)
-    est = content_from_batch(batch, far, [0.02, 0.01])
+    est = content_from_batch(_column(far.scalar, batch.points), far,
+                             [0.02, 0.01])
     assert est.inconclusive
     assert est.extrapolated.mean == 0.0
 
@@ -169,9 +194,10 @@ def test_content_ladder_validation():
     params = PBallParams(2.0, 2)
     batch = sample_ball(params, 100, seed=1)
     hs = coordinate_half_space(params, 0.5)
+    scalars = _column(hs.scalar, batch.points)
     for bad in ([], [0.0, -0.1], [0.01, 0.02], [0.02, 0.02]):
         with pytest.raises(ValueError):
-            content_from_batch(batch, hs, bad)
+            content_from_batch(scalars, hs, bad)
 
 
 def _tie_batch(set_, ladder, embed):
@@ -212,7 +238,7 @@ def _rung_counts(est, n):
 def test_content_counts_on_exact_ties_match_indicator_loop(set_, embed):
     ladder = [0.2, 0.1, 0.05, 0.01]
     batch = _tie_batch(set_, ladder, embed)
-    est = content_from_batch(batch, set_, ladder)
+    est = content_from_batch(_column(set_.scalar, batch.points), set_, ladder)
     reference = _loop_counts(batch, set_, ladder)
     assert _rung_counts(est, batch.count) == reference
     assert min(reference) > 0
@@ -231,18 +257,21 @@ def test_content_shared_scalar_sets_match_one_at_a_time():
     ]
     for phi in families:
         levels = [phi.superlevel((k + 0.5) / 8.0) for k in range(8)]
-        together = content_from_batch(batch, levels, ladder)
+        scalars = _column(levels[0].scalar, batch.points)
+        together = content_from_batch(scalars, levels, ladder)
         assert len(together) == len(levels)
         for level, est in zip(levels, together):
-            alone = content_from_batch(batch, level, ladder)
+            alone = content_from_batch(_column(level.scalar, batch.points),
+                                       level, ladder)
             assert est == alone
             assert _rung_counts(est, batch.count) == _loop_counts(
                 batch, level, ladder)
+    scalars = _column(hs.scalar, batch.points)
     with pytest.raises(ValueError):
-        content_from_batch(batch, [hs, BallComplement(0.5)], ladder)
+        content_from_batch(scalars, [hs, BallComplement(0.5)], ladder)
     with pytest.raises(ValueError):
-        content_from_batch(batch, [hs, HalfSpace(np.array([0.0, 1.0, 0.0]),
-                                                 0.1)], ladder)
+        content_from_batch(scalars, [hs, HalfSpace(np.array([0.0, 1.0, 0.0]),
+                                                   0.1)], ladder)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -268,24 +297,25 @@ def test_scalar_groups_follow_the_shared_scalar():
     assert scalar_groups(sets) == [[0, 3], [1, 4], [2]]
 
 
-def test_estimators_read_a_column_as_they_read_the_batch():
+def test_estimators_reject_points():
+    # points are not a column: read as one, a (rows, dim) array would be
+    # sorted and counted as rows * dim values
     params = PBallParams(1.5, 3)
-    batch = sample_ball(params, 3000, seed=59)
-    X = batch.points
+    batch = sample_ball(params, 200, seed=59)
     hs = coordinate_half_space(params, 0.3)
-    ladder = [0.04, 0.02, 0.01]
-    assert estimate_measure(hs.scalar(X), hs) == estimate_measure(batch, hs)
-    assert content_from_batch(hs.scalar(X), hs, ladder) == \
-        content_from_batch(batch, hs, ladder)
-    ramp = LinearRamp(np.array([0.6, 0.0, 0.8]), -0.2, 0.3)
-    norms = np.linalg.norm(ramp.grad(X), axis=1)
-    assert integrate_grad(norms, ramp) == integrate_grad(batch, ramp)
-    from isoplab.fields import EuclideanNorm
     F = EuclideanNorm(3)
-    i, j = lipschitz_pairs(batch.seed, batch.count)
-    pairs = PairRows(i, j, X[i], X[j])
-    assert estimate_median_and_phi(F(X), F, [0.0, 0.1], pairs) == \
-        estimate_median_and_phi(batch, F, [0.0, 0.1])
+    estimators = [
+        lambda v: estimate_measure(v, hs),
+        lambda v: content_from_batch(v, hs, [0.04, 0.02]),
+        lambda v: integrate_grad(v),
+        lambda v: estimate_median_and_phi(v, F, [0.0], _pairs(batch)),
+        lambda v: estimate_tail(v, [0.5]),
+    ]
+    for estimate in estimators:
+        estimate(_column(F, batch.points))
+        for points in (batch, batch.points):
+            with pytest.raises(ValueError):
+                estimate(points)
 
 
 def test_estimate_tail_levels_and_rare_flag():
@@ -301,9 +331,10 @@ def test_estimate_tail_levels_and_rare_flag():
 
 
 def test_median_of_radius_on_the_disc():
-    from isoplab.fields import EuclideanNorm
     batch = sample_ball(PBallParams(2.0, 2), 40000, seed=29)
-    med, curve = estimate_median_and_phi(batch, EuclideanNorm(2), [0.0, 0.1])
+    F = EuclideanNorm(2)
+    med, curve = estimate_median_and_phi(_column(F, batch.points), F,
+                                         [0.0, 0.1], _pairs(batch))
     # P{|x| <= t} = t^2, so the median radius is 1/sqrt(2)
     assert med.ci_lo <= 2.0 ** -0.5 <= med.ci_hi
     assert abs(med.value - 2.0 ** -0.5) < 0.01
@@ -320,24 +351,21 @@ def test_lipschitz_spot_check_catches_liars():
             return 5.0 * np.asarray(X)[:, 0]
 
     batch = sample_ball(PBallParams(2.0, 2), 2000, seed=31)
-    with pytest.raises(ValueError):
-        estimate_median_and_phi(batch, Liar(), [0.0])
     # a value column is checked on the pair rows its caller gathered
-    i, j = lipschitz_pairs(batch.seed, batch.count)
-    X = batch.points
     with pytest.raises(ValueError):
-        estimate_median_and_phi(Liar()(X), Liar(), [0.0],
-                                PairRows(i, j, X[i], X[j]))
+        estimate_median_and_phi(_column(Liar(), batch.points), Liar(), [0.0],
+                                _pairs(batch))
 
 
 def test_integrate_grad_exact_for_linear_ramp():
     # |grad| of a full-width ramp is constant, so the estimate is exact
     batch = sample_ball(PBallParams(2.0, 2), 2000, seed=37)
     ramp = LinearRamp(np.array([1.0, 0.0]), -2.0, 2.0)
-    est = integrate_grad(batch, ramp)
+    norms = _grad_norms(ramp, batch.points)
+    est = integrate_grad(norms)
     assert est.mean == pytest.approx(0.25)
     assert est.std_err == 0.0
-    sq = integrate_grad(batch, ramp, power=2)
+    sq = integrate_grad(norms, power=2)
     assert sq.mean == pytest.approx(0.0625)
 
 
@@ -366,12 +394,13 @@ def test_grad_mass_is_the_mean_of_whole_batch_gradient_norms(p):
     for batch, fields in ((ball, on_ball), (prod, on_product)):
         for f in fields:
             want = mean_ci(np.linalg.norm(f.grad(batch.points), axis=1))
-            assert integrate_grad(batch, f) == want, type(f).__name__
+            assert integrate_grad(_grad_norms(f, batch.points)) == want, \
+                type(f).__name__
 
 
 def test_integrate_grad_drops_zero_gradient_fields():
     batch = sample_ball(PBallParams(2.0, 2), 500, seed=41)
-    est = integrate_grad(batch, ConstantField(2, 0.5))
+    est = integrate_grad(_grad_norms(ConstantField(2, 0.5), batch.points))
     assert est.mean == 0.0
 
 
@@ -387,10 +416,7 @@ def test_integrate_grad_aborts_on_non_finite():
 
     batch = sample_ball(PBallParams(2.0, 2), 1000, seed=43)
     with pytest.raises(RuntimeError):
-        integrate_grad(batch, Broken())
-    # a plain callable has no exact gradient to integrate
-    with pytest.raises(AttributeError):
-        integrate_grad(batch, lambda X: np.zeros(len(X)))
+        integrate_grad(_grad_norms(Broken(), batch.points))
 
 
 def test_rare_count_constant():
