@@ -24,12 +24,14 @@ params = PBallParams(2.0, 2)
 half = coordinate_half_space(params, 0.5)
 count = 200_000
 
-# the estimator reads one value per point, the set's scalar x_1; the
-# points stream past block by block and only that column is kept
+# the estimator reads one value per point, the set's scalar x_1, and the
+# set's threshold on it; the points stream past block by block and only
+# that column is kept
 scalars = np.empty(count)
 map_row_blocks(lambda X: (half.scalar(X),), ball_blocks(params, count, 7),
                [scalars])
-est = content_from_batch(scalars, half, default_eps_ladder(2.0, 2))
+est, = content_from_batch(scalars, [half.threshold],
+                          default_eps_ladder(2.0, 2))
 exact = half.analytic_boundary(params)
 print("ladder rungs (eps, quotient, stderr):")
 for eps, q in est.per_epsilon:

@@ -3,7 +3,8 @@ one CSV of graded rows per check, a plot-friendly companion CSV, and a
 JSON summary of fitted constants and verdict counts.
 
 Exit codes: 0 when no row FAILs, 2 when any row FAILs, 3 for configuration
-errors (unknown check, malformed config, empty selection, bad out dir).
+errors (unknown check, malformed config, a grid or seed value the checks
+reject, empty selection, bad out dir).
 
 Config files use ``key = value`` lines with ``#`` comments; list values
 are comma-separated.  r_grid and eps_ladder are multipliers of the
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import inequality_suite as iq
 from .geometry import CutoffParams, PBallParams, coordinate_half_space
-from .montecarlo import FAIL, EstimateCI
+from .montecarlo import FAIL, EstimateCI, _ladder
 from .sampling import child_seed
 
 LEMMA5_EPS = (0.05, 0.1, 0.2)
@@ -71,6 +73,15 @@ class RunConfig:
         for n in self.n_grid:
             if n < 1:
                 raise ConfigError(f"n = {n} must be a positive integer")
+        try:
+            iq._validate_levels(self.a_grid, "a_grid")
+            iq._quantile_levels(self.t_grid, "t_grid")
+            iq._radii(self.r_grid)
+            _ladder(self.eps_ladder)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         if self.samples < 1000:
             raise ConfigError("samples must be at least 1000")
         if self.threads < 1:
@@ -185,11 +196,10 @@ def _run_concentration(cfg, p, n, seed):
     c_hat = iq.check_theorem1(p, n, cfg.a_grid).constants["c_hat"]
     curve = iq.concentration_from_isoperimetry(c_hat, p, n, cfg.a_grid)
     name = "concentration_from_isoperimetry"
-    rows = tuple(
-        iq.InequalityReport(name, (float(p), int(n), float(u), 0.0),
-                            float(num), float(bound), "PASS")
-        for u, num, bound in zip(curve.u_grid, curve.psi_numeric,
-                                 curve.psi_closed_form))
+    rows = tuple(iq._row(name, p, n, u, 0.0, EstimateCI.exact(num), bound,
+                         "PASS")
+                 for u, num, bound in zip(curve.u_grid, curve.psi_numeric,
+                                          curve.psi_closed_form))
     return iq.CheckReport(name, rows, {"c_hat": c_hat})
 
 
@@ -230,14 +240,9 @@ def _run_chain(cfg, p, n, seed):
 def _run_isotropy(cfg, p, n, seed):
     consts = iq.isotropy_constants(p, n)
     name = "isotropy_constants"
-    rows = (
-        iq.InequalityReport(name, (float(p), int(n), 0.0, 0.0),
-                            consts.c_np, 0.0,
-                            "PASS" if consts.c_np > 0 else "FAIL"),
-        iq.InequalityReport(name, (float(p), int(n), 1.0, 0.0),
-                            consts.l_k, 0.0,
-                            "PASS" if consts.l_k > 0 else "FAIL"),
-    )
+    rows = tuple(iq._row(name, p, n, k, 0.0, EstimateCI.exact(value), 0.0,
+                         "PASS" if value > 0 else "FAIL")
+                 for k, value in enumerate((consts.c_np, consts.l_k)))
     return iq.CheckReport(name, rows, {"c_np": consts.c_np,
                                        "l_k": consts.l_k})
 
@@ -341,13 +346,9 @@ def _write_check_csv(path: str, reports: list):
 def _write_plot_csv(path: str, reports: list):
     lines = ["x,lhs,rhs,ci_lo,ci_hi"]
     for r in reports:
-        if isinstance(r.lhs, EstimateCI):
-            lo, hi = r.lhs.lo, r.lhs.hi
-        else:
-            lo = hi = r.lhs_mean
         lines.append(",".join([
             _fmt(r.params[2]), _fmt(r.lhs_mean), _fmt(r.rhs),
-            _fmt(lo), _fmt(hi)]))
+            _fmt(r.lhs.lo), _fmt(r.lhs.hi)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -395,17 +396,14 @@ def run(cfg: RunConfig) -> int:
     summary_checks = {}
     for (name, p, n), rep in zip(jobs, results):
         by_check.setdefault(name, []).extend(rep.reports)
-        entry = summary_checks.setdefault(name,
-                                          {"constants": {}, "verdicts": {}})
+        entry = summary_checks.setdefault(name, {"constants": {},
+                                                 "verdicts": Counter()})
         entry["constants"][f"p={p:g},n={n:d}"] = rep.constants
+        entry["verdicts"].update(rep.verdicts())
 
-    any_fail = False
+    any_fail = any(entry["verdicts"][FAIL] > 0
+                   for entry in summary_checks.values())
     for name, reports in by_check.items():
-        counts = {"PASS": 0, "FAIL": 0, "INCONCLUSIVE": 0}
-        for r in reports:
-            counts[r.verdict] += 1
-        summary_checks[name]["verdicts"] = counts
-        any_fail = any_fail or counts[FAIL] > 0
         _write_check_csv(os.path.join(cfg.out_dir, f"{name}.csv"), reports)
         _write_plot_csv(os.path.join(cfg.out_dir, f"{name}_plot.csv"),
                         reports)

@@ -124,25 +124,24 @@ def _array_blocks(arrays):
         yield lo, tuple(a[lo:lo + step] for a in arrays)
 
 
-def row_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """``a.sum(axis)`` of a float array, bit for bit, and faster on short rows.
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(-1)`` of a float array, bit for bit, and faster on short rows.
 
-    A 2-D array with 1 to SHORT_ROW - 1 columns, summed along its last axis,
-    is summed column by column: +0.0 plus column 0, then each further
-    column left to right.  That is the order in which numpy adds rows this
-    short, so the result is bit-equal to ``a.sum(axis)`` in every layout
-    (C- or F-ordered, column slices), signed zeros, infinities and nans
-    included; tests pin this on the installed numpy.  At SHORT_ROW columns
-    and more numpy sums a contiguous row pairwise with 8 accumulators, which
-    rounds differently, so those rows, and every other shape or axis, go
-    through ``a.sum(axis)`` itself.
+    A 2-D array with 1 to SHORT_ROW - 1 columns is summed column by column:
+    +0.0 plus column 0, then each further column left to right.  That is
+    the order in which numpy adds rows this short, so the result is
+    bit-equal to ``a.sum(-1)`` in every layout (C- or F-ordered, column
+    slices), signed zeros, infinities and nans included; tests pin this on
+    the installed numpy.  At SHORT_ROW columns and more numpy sums a
+    contiguous row pairwise with 8 accumulators, which rounds differently,
+    so those rows, and every other shape, go through ``a.sum(-1)`` itself.
     """
-    if a.ndim == 2 and axis in (1, -1) and 0 < a.shape[1] < SHORT_ROW:
+    if a.ndim == 2 and 0 < a.shape[1] < SHORT_ROW:
         out = a[:, 0] + 0.0
         for j in range(1, a.shape[1]):
             out += a[:, j]
         return out
-    return a.sum(axis)
+    return a.sum(-1)
 
 
 def row_dot(X, v: np.ndarray) -> np.ndarray:
@@ -158,29 +157,28 @@ def row_dot(X, v: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", np.ascontiguousarray(X, dtype=float), v)
 
 
-def _lp_norm_direct(x: np.ndarray, p: float, axis: int = -1) -> np.ndarray:
+def _lp_norm_direct(x: np.ndarray, p: float) -> np.ndarray:
     if p == 1.0:
-        return row_sum(np.abs(x), axis)
+        return row_sum(np.abs(x))
     if p == 2.0:
-        return np.sqrt(row_sum(np.square(x), axis))
-    return row_sum(np.abs(x) ** p, axis) ** (1.0 / p)
+        return np.sqrt(row_sum(np.square(x)))
+    return row_sum(np.abs(x) ** p) ** (1.0 / p)
 
 
-def lp_norm(x, p: float, axis: int = -1):
-    """l_p norm along ``axis``; fast paths for p in {1, 2}.
+def lp_norm(x, p: float):
+    """l_p norm along the last axis; fast paths for p in {1, 2}.
 
     The sum goes through ``row_sum``, so the result is bit-equal to
     summing with ``np.sum``; at p = 2 it is also bit-equal to
-    ``np.linalg.norm(x, axis=axis)``, which computes sqrt(sum x*x) in the
+    ``np.linalg.norm(x, axis=-1)``, which computes sqrt(sum x*x) in the
     same order.  Row norms of a 2-D array with more rows than
     ``block_rows`` of its width are taken block by block through
     ``map_row_blocks``, so at most one block of |x| and |x|^p is alive
-    beside the result; every other shape or axis is computed in one pass.
+    beside the result; every other shape is computed in one pass.
     """
     x = np.asarray(x, dtype=float)
-    if (x.ndim != 2 or axis not in (1, -1)
-            or x.shape[0] <= block_rows(x.shape[1])):
-        return _lp_norm_direct(x, p, axis)
+    if x.ndim != 2 or x.shape[0] <= block_rows(x.shape[1]):
+        return _lp_norm_direct(x, p)
     out = np.empty(x.shape[0])
     map_row_blocks(lambda block: (_lp_norm_direct(block, p),), [x], [out])
     return out

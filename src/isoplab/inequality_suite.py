@@ -72,7 +72,6 @@ from .montecarlo import (
     integrate_grad,
     lipschitz_pairs,
     mean_ci,
-    scalar_groups,
     verdict_geq,
     verdict_leq,
 )
@@ -116,14 +115,14 @@ LEMMA4_LADDER = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 class InequalityReport:
     """One graded inequality instance.
 
-    lhs is an EstimateCI for Monte Carlo rows or a plain float when the
-    left side is an exact oracle value; rhs is always a real number.  FAIL
+    lhs is an EstimateCI on every row; an exact oracle value is one with
+    std_err 0 (``EstimateCI.exact``).  rhs is always a real number.  FAIL
     is only issued when the interval lies strictly on the violating side.
     """
 
     check_name: str
     params: tuple  # (p, n, param1, param2)
-    lhs: object
+    lhs: EstimateCI
     rhs: float
     verdict: str
 
@@ -135,11 +134,11 @@ class InequalityReport:
 
     @property
     def lhs_mean(self) -> float:
-        return self.lhs.mean if isinstance(self.lhs, EstimateCI) else float(self.lhs)
+        return self.lhs.mean
 
     @property
     def lhs_stderr(self) -> float:
-        return self.lhs.std_err if isinstance(self.lhs, EstimateCI) else 0.0
+        return self.lhs.std_err
 
     @property
     def ratio(self) -> float:
@@ -188,6 +187,26 @@ def _ball_stream(params: PBallParams, count: int, seed: int, child: int):
     return ball_blocks(params, count, child_seed(seed, child))
 
 
+def _shares_scalar(a, b) -> bool:
+    return type(a) is type(b) and np.array_equal(getattr(a, "xi", None),
+                                                 getattr(b, "xi", None))
+
+
+def scalar_groups(sets) -> list:
+    """Indices of ``sets`` grouped by the one scalar each thresholds, in
+    order of first appearance; the sets of a group share one column and
+    one ``content_from_batch`` call."""
+    groups = []
+    for k, set_ in enumerate(sets):
+        for group in groups:
+            if _shares_scalar(sets[group[0]], set_):
+                group.append(k)
+                break
+        else:
+            groups.append([k])
+    return groups
+
+
 def _scalar_columns(sets, stream, count: int) -> list:
     """One scalar column per set, filled in one pass over ``stream``; sets
     sharing a scalar share its column."""
@@ -207,7 +226,7 @@ def _contents(sets, scalars, ladder) -> list:
     out = [None] * len(sets)
     for group in scalar_groups(sets):
         ests = content_from_batch(scalars[group[0]],
-                                  [sets[k] for k in group], ladder)
+                                  [sets[k].threshold for k in group], ladder)
         for k, est in zip(group, ests):
             out[k] = est
     return out
@@ -270,9 +289,9 @@ def check_theorem1(p: float, n: int, a_grid, sets=None,
         level_rows = []
         for fi, set_ in enumerate(row_sets):
             if exact[id(set_)] is not None:
-                lhs = float(exact[id(set_)])
-                verdict = PASS if lhs > 0.0 else FAIL
-                ratios.append(lhs / rhs)
+                lhs = EstimateCI.exact(exact[id(set_)])
+                verdict = PASS if lhs.mean > 0.0 else FAIL
+                ratios.append(lhs.mean / rhs)
             else:
                 ce = contents[id(set_)]
                 lhs = ce.extrapolated
@@ -284,10 +303,7 @@ def check_theorem1(p: float, n: int, a_grid, sets=None,
             # coordinate family is near-extremal: record whether any family
             # confidently undercuts family 0 at this level
             base = level_rows[0]
-            undercut = any(
-                (r.lhs.hi if isinstance(r.lhs, EstimateCI) else r.lhs_mean)
-                < base.lhs_mean - 3.0 * base.lhs_stderr
-                for r in level_rows[1:])
+            undercut = any(r.lhs.hi < base.lhs.lo for r in level_rows[1:])
             argmin_hits += 0 if undercut else 1
         reports.extend(level_rows)
     constants = {
@@ -320,8 +336,8 @@ def check_product_isoperimetry(p: float, n: int, a_grid) -> CheckReport:
         for tag, law in ((0, mu), (1, nu)):
             lhs = float(law.density(law.quantile(1.0 - a)))
             ratios.append(lhs / rhs)
-            reports.append(_row(name, p, n, a, tag, lhs, rhs,
-                                PASS if lhs > 0.0 else FAIL))
+            reports.append(_row(name, p, n, a, tag, EstimateCI.exact(lhs),
+                                rhs, PASS if lhs > 0.0 else FAIL))
     return CheckReport(name, tuple(reports),
                        {"c_hat": min(ratios), "ratio_max": max(ratios)})
 
@@ -345,15 +361,20 @@ def _ball_mass(norms: Optional[np.ndarray], params: PBallParams,
     return float((norms <= r).mean())
 
 
+def _radii(r_grid) -> list:
+    radii = [float(r) for r in r_grid]
+    if not radii or any(not r > 0.0 for r in radii):
+        raise ValueError("r_grid entries must be positive")
+    return radii
+
+
 def _check_enlargement_bound(name: str, p: float, n: int, sets, r_grid,
                              count: int, seed: int, dimensional: bool,
                              eps_ladder=None) -> CheckReport:
     params = PBallParams(p, n)
     if not isinstance(sets, (list, tuple)):
         sets = [sets]
-    r_grid = [float(r) for r in r_grid]
-    if not r_grid or any(r <= 0.0 for r in r_grid):
-        raise ValueError("r grid must be positive")
+    r_grid = _radii(r_grid)
     ladder = list(eps_ladder) if eps_ladder is not None else \
         default_eps_ladder(p, n)
     # one pass: a scalar column per shared scalar of the sets, and |x|_2
@@ -372,7 +393,7 @@ def _check_enlargement_bound(name: str, p: float, n: int, sets, r_grid,
                                 _contents(sets, scalars, ladder)):
         a = set_.analytic_measure(params)
         if a is None:
-            a = estimate_measure(scalar, set_).mean
+            a = estimate_measure(scalar, set_.threshold).mean
         lhs = ce.extrapolated
         for r, mass in zip(r_grid, masses):
             if mass <= 0.0:
@@ -762,7 +783,8 @@ def check_coarea(p: float, n: int, phi_catalog=None,
         vals = np.zeros(64)
         errs = np.zeros(64)
         if live:
-            ests = content_from_batch(next(cols), [s for _, s in live], ladder)
+            ests = content_from_batch(next(cols),
+                                      [s.threshold for _, s in live], ladder)
             for (k, _), ce in zip(live, ests):
                 vals[k] = ce.extrapolated.mean
                 errs[k] = ce.extrapolated.std_err
@@ -817,7 +839,8 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     # the loop ends on j = 0: lhs is the finest rung's
     final = lhs
     if reference is None:
-        ce = content_from_batch(cols[-1], set_, default_eps_ladder(p, n))
+        ce, = content_from_batch(cols[-1], [set_.threshold],
+                                 default_eps_ladder(p, n))
         reference = ce.extrapolated.mean
     inner = set_.enlarged(r).analytic_measure(params)
     outer = set_.enlarged(r + s).analytic_measure(params)
@@ -1042,7 +1065,7 @@ def check_kls(p: float, n: int, a_grid) -> CheckReport:
         lhs = marginal_level_density(params, a) / c_np
         rhs = a / l_k
         ratios.append(lhs / rhs)
-        reports.append(_row(name, p, n, a, 0.0, lhs, rhs,
+        reports.append(_row(name, p, n, a, 0.0, EstimateCI.exact(lhs), rhs,
                             PASS if lhs > 0.0 else FAIL))
     return CheckReport(name, tuple(reports),
                        {"c0_hat": min(ratios), "l_k": l_k, "c_np": c_np})

@@ -13,17 +13,17 @@ distance and one-sided enlargement,
     content(A) = lim_{eps -> 0+} (mu{dist(., A) <= eps} - mu(A)) / eps,
 
 approximated on a decreasing epsilon ladder with a weighted-least-squares
-intercept standing in for the limit.  Every test set is {s >= threshold}
-for one scalar s per point, and so is each of its enlargements; the
-scalar is sorted once per batch and every rung count is read off the
-sorted array.
+intercept standing in for the limit.  A set {s >= t} is given by the
+column of its per-point scalar s and its threshold t; its eps-enlargement
+is {s >= t - eps}, so the column is sorted once and every rung count of
+every threshold is read off the sorted array.
 
-Estimators draw nothing and see no points: each reads one per-point
-column, a 1-D array of the values of its scalar, gradient norm or
-functional at every drawn point.  The caller fills that column by its own
-pass over a block stream (``sampling.ball_blocks``) together with every
-other column it needs, so a (params, count, seed) batch is drawn once
-however many estimates read it, and only its columns need to persist.
+Estimators draw nothing and see neither points nor sets: each takes a
+per-point column (a 1-D array of the values of a scalar, gradient norm or
+functional at every drawn point) and plain numbers.  The caller fills the
+column in its own pass over a block stream (``sampling.ball_blocks``)
+with every other column it needs, so a (params, count, seed) batch is
+drawn once however many estimates read it, and only its columns persist.
 A 2-D array or a SampleBatch is rejected rather than read as values.
 """
 
@@ -52,7 +52,6 @@ __all__ = [
     "MedianEstimate",
     "estimate_median_and_phi",
     "integrate_grad",
-    "scalar_groups",
     "lipschitz_pairs",
     "PairRows",
     "RARE_COUNT",
@@ -70,11 +69,19 @@ _CI_WIDTH = 3.0  # half-width in standard errors
 
 @dataclass(frozen=True)
 class EstimateCI:
-    """Point estimate with a 3-sigma interval."""
+    """Point estimate with a 3-sigma interval; an exact value is one with
+    std_err 0 (``EstimateCI.exact``)."""
 
     mean: float
     std_err: float
     n_samples: int
+
+    @classmethod
+    def exact(cls, value) -> "EstimateCI":
+        return cls(float(value), 0.0, 0)
+
+    def __neg__(self) -> "EstimateCI":
+        return EstimateCI(-self.mean, self.std_err, self.n_samples)
 
     @property
     def lo(self) -> float:
@@ -110,49 +117,34 @@ def bernoulli_ci(k: int, n: int) -> EstimateCI:
     return EstimateCI(mean, se, n)
 
 
-def _lo_hi(x) -> tuple[float, float]:
-    if isinstance(x, EstimateCI):
-        return x.lo, x.hi
-    x = float(x)
-    return x, x
-
-
 def verdict_geq(lhs: EstimateCI, rhs, mode: str = "strict") -> str:
-    """Grade the statement lhs >= rhs from interval positions.
+    """Grade the statement lhs >= rhs from interval positions; rhs is a
+    number or an EstimateCI.
 
     strict: PASS needs the whole lhs interval above the rhs interval;
     consistent: anything short of a confident violation is PASS (used for
     inequalities whose two sides are estimated at an equality point, where
     strict grading could never PASS).
     """
-    lhs_lo, lhs_hi = _lo_hi(lhs)
-    rhs_lo, rhs_hi = _lo_hi(rhs)
-    tol = 1e-12 * (1.0 + abs(lhs_lo) + abs(lhs_hi) + abs(rhs_lo) + abs(rhs_hi))
+    if not isinstance(rhs, EstimateCI):
+        rhs = EstimateCI.exact(rhs)
+    # ends added per side: negating both sides keeps the sum (verdict_leq)
+    tol = 1e-12 * (1.0 + (abs(lhs.lo) + abs(lhs.hi))
+                   + (abs(rhs.lo) + abs(rhs.hi)))
     if mode == "consistent":
-        return FAIL if lhs_hi < rhs_lo - tol else PASS
+        return FAIL if lhs.hi < rhs.lo - tol else PASS
     if mode != "strict":
         raise ValueError(f"unknown verdict mode {mode!r}")
-    if lhs_lo >= rhs_hi - tol:
+    if lhs.lo >= rhs.hi - tol:
         return PASS
-    if lhs_hi < rhs_lo - tol:
+    if lhs.hi < rhs.lo - tol:
         return FAIL
     return INCONCLUSIVE
 
 
 def verdict_leq(lhs: EstimateCI, rhs, mode: str = "strict") -> str:
-    """Grade lhs <= rhs; mirror image of verdict_geq."""
-    lhs_lo, lhs_hi = _lo_hi(lhs)
-    rhs_lo, rhs_hi = _lo_hi(rhs)
-    tol = 1e-12 * (1.0 + abs(lhs_lo) + abs(lhs_hi) + abs(rhs_lo) + abs(rhs_hi))
-    if mode == "consistent":
-        return FAIL if lhs_lo > rhs_hi + tol else PASS
-    if mode != "strict":
-        raise ValueError(f"unknown verdict mode {mode!r}")
-    if lhs_hi <= rhs_lo + tol:
-        return PASS
-    if lhs_lo > rhs_hi + tol:
-        return FAIL
-    return INCONCLUSIVE
+    """Grade lhs <= rhs as -lhs >= -rhs."""
+    return verdict_geq(-lhs, -rhs, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +160,11 @@ def _column(values) -> np.ndarray:
     return values
 
 
-def estimate_measure(scalars, set_) -> EstimateCI:
-    """Empirical measure of a test set {scalar >= threshold} from the column
-    of the set's scalar over one batch."""
-    s = _column(scalars)
-    return bernoulli_ci(int((s >= set_.threshold).sum()), s.size)
+def estimate_measure(column, threshold: float) -> EstimateCI:
+    """Empirical measure of {s >= threshold} from the column s of one
+    batch."""
+    s = _column(column)
+    return bernoulli_ci(int((s >= threshold).sum()), s.size)
 
 
 @dataclass(frozen=True)
@@ -205,60 +197,36 @@ def _wls_intercept(xs: np.ndarray, ys: np.ndarray, ses: np.ndarray) -> tuple[flo
     return float(b0), float(np.sqrt(1.0 / sw + xbar * xbar / sxx))
 
 
-def _shares_scalar(a, b) -> bool:
-    return type(a) is type(b) and np.array_equal(getattr(a, "xi", None),
-                                                 getattr(b, "xi", None))
+def _ladder(eps_ladder) -> np.ndarray:
+    """The ladder as an array; ValueError unless it is nonempty, finite,
+    positive and strictly decreasing."""
+    eps = np.asarray(list(eps_ladder), dtype=float)
+    if (eps.size == 0 or not np.all(np.isfinite(eps) & (eps > 0.0))
+            or np.any(np.diff(eps) >= 0.0)):
+        raise ValueError("eps ladder must be finite, positive and strictly "
+                         "decreasing")
+    return eps
 
 
-def scalar_groups(sets) -> list:
-    """Indices of ``sets`` grouped by the one scalar each thresholds, in
-    order of first appearance; the sets of a group can share one
-    ``content_from_batch`` call and one column."""
-    groups = []
-    for k, set_ in enumerate(sets):
-        for group in groups:
-            if _shares_scalar(sets[group[0]], set_):
-                group.append(k)
-                break
-        else:
-            groups.append([k])
-    return groups
+def content_from_batch(column, thresholds: Sequence[float],
+                       eps_ladder: Sequence[float]) -> list:
+    """Enlargement quotients of one batch for every ladder epsilon, one
+    ContentEstimate per threshold t, from the column s of the scalar that
+    the sets {s >= t} share.
 
+    The eps-enlargement of {s >= t} is {s >= t - eps}, so with s sorted
+    once the rung count #{t - eps <= s < t} is
 
-def content_from_batch(scalars, set_, eps_ladder: Sequence[float]):
-    """Enlargement quotients of one batch for every ladder epsilon, from
-    the column of the set's scalar over that batch.
-
-    The counts come from one sorted scalar per point: a set is
-    {set_.scalar >= set_.threshold}, and its eps-enlargement thresholds the
-    same scalar at set_.enlarged(eps).threshold, so with s the sorted scalar
-    the rung count #{threshold - eps <= s < threshold} is
-
-        searchsorted(s, threshold, "left") - searchsorted(s, lower, "left"),
+        searchsorted(s, t, "left") - searchsorted(s, t - eps, "left"),
 
     the same integer as comparing every point against both thresholds.
-
-    ``set_`` may also be a list or tuple of sets sharing one scalar (the
-    superlevel sets of one field): the scalar is then sorted once for all of
-    them, and a list of estimates, one per set, is returned.
     """
-    eps = np.asarray(list(eps_ladder), dtype=float)
-    if eps.size == 0 or np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
-        raise ValueError("eps ladder must be positive and strictly decreasing")
-    many = isinstance(set_, (list, tuple))
-    sets = list(set_) if many else [set_]
-    lead = sets[0]
-    if not all(_shares_scalar(lead, other) for other in sets[1:]):
-        raise ValueError("sets of one call must share one scalar")
-    s = np.sort(_column(scalars))
-    tops = np.array([m.threshold for m in sets], dtype=float)
-    lows = np.array([[m.enlarged(float(e)).threshold for e in eps]
-                     for m in sets], dtype=float)
+    eps = _ladder(eps_ladder)
+    s = np.sort(_column(column))
+    tops = np.asarray(thresholds, dtype=float)
     counts = (np.searchsorted(s, tops, "left")[:, None]
-              - np.searchsorted(s, lows, "left"))
-    n = s.size
-    out = [_content_from_counts(eps, row, n) for row in counts]
-    return out if many else out[0]
+              - np.searchsorted(s, tops[:, None] - eps, "left"))
+    return [_content_from_counts(eps, row, s.size) for row in counts]
 
 
 def _content_from_counts(eps: np.ndarray, counts: np.ndarray,

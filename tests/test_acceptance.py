@@ -14,7 +14,6 @@ from scipy import special, stats
 
 from isoplab import (
     CutoffParams,
-    EstimateCI,
     PBallParams,
     ball_sampler,
     bobkov_profile,
@@ -235,7 +234,7 @@ def test_c09_cutoff_chain():
     ok_links = all(v in (PASS, INCONCLUSIVE) for v in verdicts)
     a_half = 0.5 * math.exp(-4.0 * 4 ** (2.0 / 2.0))
     row6 = next(r for r in rep.reports if r.params[2] == 6.0)
-    hi = row6.lhs.hi if isinstance(row6.lhs, EstimateCI) else row6.lhs_mean
+    hi = row6.lhs.hi
     covered = hi >= a_half and rep.constants["plateau_oracle"] >= a_half
     _emit("C09", "cut-off chain links PASS/INCONCLUSIVE, plateau mass >= a/2",
           ok_links and covered and rep.constants["transfer_violations"] == 0,

@@ -15,6 +15,7 @@ from isoplab.cli import (
     RunConfig,
     _jobs,
     list_checks,
+    main,
     parse_config,
     run,
 )
@@ -93,6 +94,17 @@ def test_validate_grids_and_scalars():
         RunConfig(threads=0).validate()
     with pytest.raises(ConfigError, match="a_grid must not be empty"):
         RunConfig(a_grid=[]).validate()
+    # the checks' own rules: levels in (0, 1/2], quantile levels in (0, 1),
+    # positive radii, a positive strictly decreasing ladder, a seed >= 0
+    for bad, message in [
+            (dict(a_grid=[0.7]), "a_grid must be a nonempty subset"),
+            (dict(a_grid=[0.5, float("nan")]), "a_grid must be a nonempty"),
+            (dict(t_grid=[1.5]), "t_grid entries are quantile levels"),
+            (dict(r_grid=[-1.0]), "r_grid entries must be positive"),
+            (dict(eps_ladder=[0.01, 0.1]), "eps ladder must be finite"),
+            (dict(seed=-1), "seed must be a non-negative integer")]:
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**bad).validate()
 
 
 def test_selected_defaults_to_every_check():
@@ -280,11 +292,26 @@ def test_cli_unknown_check_exits_three():
     assert "unknown check 'check_nonexistent'" in res.stderr
 
 
-def test_cli_bad_samples_exits_three(tmp_path):
-    res = _run_cli(["--experiment", "check_kls", "--samples", "10",
-                    "--out-dir", str(tmp_path / "x")])
+def test_cli_bad_values_exit_three(tmp_path, capsys):
+    out = ["--out-dir", str(tmp_path / "x")]
+    res = _run_cli(["--experiment", "check_kls", "--samples", "10"] + out)
     assert res.returncode == 3
-    assert "samples must be at least 1000" in res.stderr
+    assert "config error: samples must be at least 1000" in res.stderr
+    # grid and seed values the checks reject, through the same main()
+    cases = [(["--seed", "-1"], "seed must be a non-negative integer")]
+    for line, message in [
+            ("a_grid = 0.7", "a_grid must be a nonempty subset"),
+            ("a_grid = 0.5, nan", "a_grid must be a nonempty subset"),
+            ("t_grid = 1.5", "t_grid entries are quantile levels"),
+            ("r_grid = -1", "r_grid entries must be positive"),
+            ("eps_ladder = 0.01, 0.1", "eps ladder must be finite"),
+            ("eps_ladder = inf, 0.1", "eps ladder must be finite")]:
+        cfg = tmp_path / f"bad{len(cases)}.cfg"
+        cfg.write_text(line + "\n")
+        cases.append((["--config", str(cfg)], message))
+    for args, message in cases:
+        assert main(args + out) == 3, args
+        assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_cli_missing_config_exits_three(tmp_path):

@@ -273,7 +273,6 @@ def test_row_sum_is_bit_equal_to_numpy_on_short_rows(width):
     wide = _mixed_magnitudes(200_000, width + 1, seed=100 + width)
     for arr in (a, np.asfortranarray(a), wide[:, :-1], wide[:, 1:]):
         assert _same_bits(row_sum(arr), np.sum(arr, axis=1))
-        assert _same_bits(row_sum(arr, axis=1), np.sum(arr, axis=1))
 
 
 def test_row_sum_special_values_are_bit_equal():
@@ -292,8 +291,6 @@ def test_row_sum_falls_back_to_numpy():
             assert _same_bits(row_sum(arr), arr.sum(axis=1))
     v = _mixed_magnitudes(1, 50, seed=3)[0]
     assert _same_bits(row_sum(v), v.sum())
-    a = _mixed_magnitudes(500, 4, seed=4)
-    assert _same_bits(row_sum(a, axis=0), a.sum(axis=0))
     assert _same_bits(row_sum(np.empty((3, 0))), np.zeros(3))
 
 
@@ -475,6 +472,30 @@ def test_ball_complement_exact_values():
     assert np.all(d[bc.indicator(X)] == 0.0)
     for eps in (0.05, 0.2):
         np.testing.assert_array_equal(bc.enlarged(eps).indicator(X), d <= eps)
+
+
+def test_enlarged_threshold_is_threshold_minus_eps_bit_for_bit():
+    # the content estimators take the eps-enlargement of {s >= t} as
+    # {s >= t - eps} without building it: every set type the checks
+    # estimate must agree to the bit
+    params = PBallParams(1.5, 3)
+    hs = coordinate_half_space(params, 0.3)
+    ball = BallComplement(0.7)
+    sets = [hs, coordinate_half_space(params, 0.1, axis=2),
+            HalfSpace(np.array([0.6, 0.0, 0.8]), 0.1234567), ball]
+    fields = [LinearRamp(hs.xi, 0.0, hs.t),
+              LinearRamp(np.array([0.0, 0.6, -0.8]), -0.2, 0.3),
+              RadialRamp(3, 0.4, 0.7),
+              DistanceRamp(hs, 3, 0.05, 0.2),
+              DistanceRamp(ball, 3, 0.0125, 0.1)]
+    sets += [phi.superlevel((k + 0.5) / 64.0) for phi in fields
+             for k in range(64)]
+    rng = np.random.default_rng(61)
+    ladder = [m * 3 ** -(1 / 6) for m in (0.1, 0.05, 0.02, 0.01)]
+    for eps in ladder + list(rng.uniform(1e-4, 0.5, 16)):
+        for set_ in sets:
+            assert _same_bits(set_.enlarged(eps).threshold,
+                              set_.threshold - eps)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,7 @@ from isoplab.inequality_suite import (
     default_eps_ladder,
     isotropy_constants,
     lemma5_constant,
+    scalar_groups,
     theorem1_rhs,
     verify_cutoff_chain,
 )
@@ -101,8 +102,10 @@ def test_report_validation():
     assert r.lhs_mean == 0.5
     assert r.lhs_stderr == 0.1
     assert math.isnan(r.ratio)  # rhs <= 0 has no meaningful ratio
-    plain = InequalityReport("x", (1.0, 2, 0.1, 0.0), 0.6, 0.3, PASS)
+    plain = InequalityReport("x", (1.0, 2, 0.1, 0.0), EstimateCI.exact(0.6),
+                             0.3, PASS)
     assert plain.lhs_stderr == 0.0
+    assert plain.lhs.lo == plain.lhs.hi == 0.6
     assert plain.ratio == pytest.approx(2.0)
 
 
@@ -135,7 +138,7 @@ def test_theorem1_exact_ratio_on_the_disc():
     # which is 2/pi; everything else is the closed-form denominator
     rep = check_theorem1(2.0, 2, [0.5])
     row = rep.reports[0]
-    assert row.lhs == pytest.approx(2.0 / np.pi, rel=1e-14)
+    assert row.lhs.mean == pytest.approx(2.0 / np.pi, rel=1e-14)
     expected = (2.0 / np.pi) / theorem1_rhs(2.0, 2, 0.5)
     assert rep.constants["c_hat"] == pytest.approx(expected, rel=1e-12)
     assert row.verdict == PASS
@@ -169,9 +172,9 @@ def test_theorem1_and_kls_hold_down_to_the_smallest_levels():
         params = PBallParams(p, n)
         for rep in (check_theorem1(p, n, grid), check_kls(p, n, grid)):
             assert rep.verdicts() == {PASS: 4, FAIL: 0, INCONCLUSIVE: 0}
-            assert all(r.lhs > 0.0 for r in rep.reports)
+            assert all(r.lhs.mean > 0.0 for r in rep.reports)
         rows = check_theorem1(p, n, grid).reports
-        assert [r.lhs for r in rows] == [
+        assert [r.lhs.mean for r in rows] == [
             marginal_level_density(params, a) for a in grid]
 
 
@@ -278,9 +281,9 @@ def test_enlargement_sorts_each_shared_scalar_once(monkeypatch):
     calls = []
     real = isoplab.inequality_suite.content_from_batch
 
-    def counting(source, set_, eps):
-        calls.append(len(set_))
-        return real(source, set_, eps)
+    def counting(source, thresholds, eps):
+        calls.append(len(thresholds))
+        return real(source, thresholds, eps)
 
     monkeypatch.setattr(isoplab.inequality_suite, "content_from_batch",
                         counting)
@@ -288,8 +291,15 @@ def test_enlargement_sorts_each_shared_scalar_once(monkeypatch):
     assert calls == [3, 1, 1]
     batch = sample_ball(params, count, child_seed(seed, 0))
     for row, set_ in zip(rep.reports, sets):
-        assert row.lhs == real(_column(set_.scalar, batch.points), set_,
-                               ladder).extrapolated
+        assert row.lhs == real(_column(set_.scalar, batch.points),
+                               [set_.threshold], ladder)[0].extrapolated
+
+
+def test_scalar_groups_follow_the_shared_scalar():
+    e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    sets = [HalfSpace(e0, 0.1), BallComplement(0.5), HalfSpace(e1, 0.2),
+            HalfSpace(e0, -0.3), BallComplement(0.9)]
+    assert scalar_groups(sets) == [[0, 3], [1, 4], [2]]
 
 
 def test_bobkov_never_fails_on_defaults():
@@ -647,8 +657,8 @@ def test_functional_equivalence_without_closed_form(set_):
                                        count=count, seed=seed)
     # the reference is the content of the check's one batch, child seed 0
     batch = sample_ball(params, count, child_seed(seed, 0))
-    ref = content_from_batch(_column(set_.scalar, batch.points), set_,
-                             default_eps_ladder(p, n))
+    ref, = content_from_batch(_column(set_.scalar, batch.points),
+                              [set_.threshold], default_eps_ladder(p, n))
     summary = rep.reports[-1]
     assert summary.params[2:] == (0.0, 0.0)
     assert summary.rhs == ref.extrapolated.mean
@@ -771,9 +781,9 @@ def test_cutoff_chain_evaluates_each_norm_of_the_product_batch_once(monkeypatch)
     real = isoplab.geometry.lp_norm
     calls = []
 
-    def counting(x, p_, axis=-1):
+    def counting(x, p_):
         calls.append((np.shape(x), p_))
-        return real(x, p_, axis)
+        return real(x, p_)
 
     for module in (isoplab.fields, isoplab.inequality_suite, isoplab.geometry):
         monkeypatch.setattr(module, "lp_norm", counting)
@@ -811,7 +821,7 @@ def test_kls_rows_are_scale_invariant():
     l_k = rep.constants["l_k"]
     for row, a in zip(rep.reports, (0.2, 0.4)):
         t = marginal_isf(params, a)
-        assert row.lhs == pytest.approx(
+        assert row.lhs.mean == pytest.approx(
             float(marginal_density(params, t)) / c_np, rel=1e-12)
         assert row.rhs == pytest.approx(a / l_k, rel=1e-12)
 

@@ -44,7 +44,6 @@ from isoplab.montecarlo import (
     integrate_grad,
     lipschitz_pairs,
     mean_ci,
-    scalar_groups,
     verdict_geq,
     verdict_leq,
 )
@@ -129,6 +128,20 @@ def test_verdict_geq_consistent_branches():
     assert verdict_geq(EstimateCI(0.2, 0.01, 10), 0.5, "consistent") == FAIL
 
 
+def _leq_direct(lhs, rhs, mode):
+    # lhs <= rhs graded by its own comparisons, the mirror of verdict_geq's
+    r_lo, r_hi = ((rhs.lo, rhs.hi) if isinstance(rhs, EstimateCI)
+                  else (rhs, rhs))
+    tol = 1e-12 * (1.0 + (abs(lhs.lo) + abs(lhs.hi)) + (abs(r_lo) + abs(r_hi)))
+    if mode == "consistent":
+        return FAIL if lhs.lo > r_hi + tol else PASS
+    if lhs.hi <= r_lo + tol:
+        return PASS
+    if lhs.lo > r_hi + tol:
+        return FAIL
+    return INCONCLUSIVE
+
+
 def test_verdict_leq_mirrors_geq():
     assert verdict_leq(EstimateCI(0.2, 0.01, 10), 0.5) == PASS
     assert verdict_leq(EstimateCI(1.0, 0.01, 10), 0.5) == FAIL
@@ -138,13 +151,25 @@ def test_verdict_leq_mirrors_geq():
     # interval-valued right-hand sides participate in the tolerance
     assert verdict_leq(EstimateCI(0.5, 0.01, 10),
                        EstimateCI(0.8, 0.01, 10)) == PASS
+    # verdict_leq is verdict_geq of the negated sides; its comparisons are
+    # those of the direct rule below, ties at the interval ends included
+    rng = np.random.default_rng(67)
+    for _ in range(500):
+        lhs = EstimateCI(rng.normal(), rng.choice([0.0, 1e-3, 0.1]), 10)
+        bounds = [lhs.lo, lhs.hi, lhs.mean, rng.normal(),
+                  np.nextafter(lhs.hi, np.inf), np.nextafter(lhs.lo, -np.inf)]
+        bounds += [EstimateCI(b, rng.choice([0.0, 0.05]), 10) for b in bounds]
+        for rhs in bounds:
+            for mode in ("strict", "consistent"):
+                assert verdict_leq(lhs, rhs, mode) == _leq_direct(lhs, rhs,
+                                                                  mode)
 
 
 def test_estimate_measure_half_space():
     params = PBallParams(2.0, 2)
     batch = sample_ball(params, 50000, seed=3)
     hs = coordinate_half_space(params, 0.3)
-    est = estimate_measure(_column(hs.scalar, batch.points), hs)
+    est = estimate_measure(_column(hs.scalar, batch.points), hs.threshold)
     assert abs(est.mean - 0.3) <= 4.0 * est.std_err
     # a set of another dimension has no column on these points
     with pytest.raises(ValueError):
@@ -156,7 +181,8 @@ def test_content_matches_exact_boundary_value():
     batch = sample_ball(params, 200000, seed=11)
     hs = coordinate_half_space(params, 0.5)
     ladder = [0.04, 0.02, 0.01, 0.005]
-    est = content_from_batch(_column(hs.scalar, batch.points), hs, ladder)
+    est, = content_from_batch(_column(hs.scalar, batch.points),
+                              [hs.threshold], ladder)
     # the half-disc's exact boundary mass is 2/pi; the estimate lies within
     # 3 standard errors plus 2% of it
     exact = hs.analytic_boundary(params)
@@ -171,7 +197,8 @@ def test_content_single_rung_and_quotient_values():
     params = PBallParams(2.0, 2)
     batch = sample_ball(params, 20000, seed=13)
     hs = coordinate_half_space(params, 0.25)
-    one = content_from_batch(_column(hs.scalar, batch.points), hs, [0.02])
+    one, = content_from_batch(_column(hs.scalar, batch.points),
+                              [hs.threshold], [0.02])
     assert one.extrapolated == one.per_epsilon[0][1]
     # quotient = (measure growth) / eps, by hand
     base = hs.indicator(batch.points).sum()
@@ -184,8 +211,8 @@ def test_content_empty_enlargement_is_inconclusive():
     params = PBallParams(2.0, 2)
     batch = sample_ball(params, 1000, seed=17)
     far = HalfSpace(np.array([1.0, 0.0]), 5.0)
-    est = content_from_batch(_column(far.scalar, batch.points), far,
-                             [0.02, 0.01])
+    est, = content_from_batch(_column(far.scalar, batch.points),
+                              [far.threshold], [0.02, 0.01])
     assert est.inconclusive
     assert est.extrapolated.mean == 0.0
 
@@ -195,9 +222,10 @@ def test_content_ladder_validation():
     batch = sample_ball(params, 100, seed=1)
     hs = coordinate_half_space(params, 0.5)
     scalars = _column(hs.scalar, batch.points)
-    for bad in ([], [0.0, -0.1], [0.01, 0.02], [0.02, 0.02]):
+    for bad in ([], [0.0, -0.1], [0.01, 0.02], [0.02, 0.02], [0.02, np.nan],
+                [np.inf, 0.02]):
         with pytest.raises(ValueError):
-            content_from_batch(scalars, hs, bad)
+            content_from_batch(scalars, [hs.threshold], bad)
 
 
 def _tie_batch(set_, ladder, embed):
@@ -238,7 +266,8 @@ def _rung_counts(est, n):
 def test_content_counts_on_exact_ties_match_indicator_loop(set_, embed):
     ladder = [0.2, 0.1, 0.05, 0.01]
     batch = _tie_batch(set_, ladder, embed)
-    est = content_from_batch(_column(set_.scalar, batch.points), set_, ladder)
+    est, = content_from_batch(_column(set_.scalar, batch.points),
+                              [set_.threshold], ladder)
     reference = _loop_counts(batch, set_, ladder)
     assert _rung_counts(est, batch.count) == reference
     assert min(reference) > 0
@@ -258,20 +287,15 @@ def test_content_shared_scalar_sets_match_one_at_a_time():
     for phi in families:
         levels = [phi.superlevel((k + 0.5) / 8.0) for k in range(8)]
         scalars = _column(levels[0].scalar, batch.points)
-        together = content_from_batch(scalars, levels, ladder)
+        together = content_from_batch(scalars,
+                                      [s.threshold for s in levels], ladder)
         assert len(together) == len(levels)
         for level, est in zip(levels, together):
-            alone = content_from_batch(_column(level.scalar, batch.points),
-                                       level, ladder)
+            alone, = content_from_batch(_column(level.scalar, batch.points),
+                                        [level.threshold], ladder)
             assert est == alone
             assert _rung_counts(est, batch.count) == _loop_counts(
                 batch, level, ladder)
-    scalars = _column(hs.scalar, batch.points)
-    with pytest.raises(ValueError):
-        content_from_batch(scalars, [hs, BallComplement(0.5)], ladder)
-    with pytest.raises(ValueError):
-        content_from_batch(scalars, [hs, HalfSpace(np.array([0.0, 1.0, 0.0]),
-                                                   0.1)], ladder)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -290,13 +314,6 @@ def test_wls_intercept_matches_lstsq_on_weighted_rows(seed):
     assert se0 == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-12)
 
 
-def test_scalar_groups_follow_the_shared_scalar():
-    e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    sets = [HalfSpace(e0, 0.1), BallComplement(0.5), HalfSpace(e1, 0.2),
-            HalfSpace(e0, -0.3), BallComplement(0.9)]
-    assert scalar_groups(sets) == [[0, 3], [1, 4], [2]]
-
-
 def test_estimators_reject_points():
     # points are not a column: read as one, a (rows, dim) array would be
     # sorted and counted as rows * dim values
@@ -305,8 +322,8 @@ def test_estimators_reject_points():
     hs = coordinate_half_space(params, 0.3)
     F = EuclideanNorm(3)
     estimators = [
-        lambda v: estimate_measure(v, hs),
-        lambda v: content_from_batch(v, hs, [0.04, 0.02]),
+        lambda v: estimate_measure(v, hs.threshold),
+        lambda v: content_from_batch(v, [hs.threshold], [0.04, 0.02]),
         lambda v: integrate_grad(v),
         lambda v: estimate_median_and_phi(v, F, [0.0], _pairs(batch)),
         lambda v: estimate_tail(v, [0.5]),
