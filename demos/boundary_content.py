@@ -9,8 +9,6 @@ intercept by weighted least squares.  On the disc the half-space
 
 import math
 
-import numpy as np
-
 from isoplab import (
     PBallParams,
     ball_blocks,
@@ -27,9 +25,8 @@ count = 200_000
 # the estimator reads one value per point, the set's scalar x_1, and the
 # set's threshold on it; the points stream past block by block and only
 # that column is kept
-scalars = np.empty(count)
-map_row_blocks(lambda X: (half.scalar(X),), ball_blocks(params, count, 7),
-               [scalars])
+scalars, = map_row_blocks(lambda X: (half.scalar(X),),
+                          ball_blocks(params, count, 7), count)
 est, = content_from_batch(scalars, [half.threshold],
                           default_eps_ladder(2.0, 2))
 exact = half.analytic_boundary(params)

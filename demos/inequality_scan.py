@@ -34,6 +34,6 @@ rep = check_bobkov_inequality(1.5, 4, sets, r_grid=[0.5, 1.0],
 print("  r      a     content   bound    verdict")
 for row in rep.reports:
     _, _, r, a = row.params
-    print(f"  {r:4.2f}  {a:4.2f}   {row.lhs_mean:.4f}   {row.rhs:8.4f}"
+    print(f"  {r:4.2f}  {a:4.2f}   {row.lhs.mean:.4f}   {row.rhs:8.4f}"
           f"  {row.verdict}")
 print("minimum content/bound slack:", round(rep.constants["min_slack"], 3))

@@ -28,7 +28,7 @@ for j in range(n):
     d = stats.ks_2samp(push.points[:, j], rej.points[:, j]).statistic
     print(f"coordinate {j}: KS distance {d:.4f}")
 
-# identical (params, count, seed, chunk) replay bit for bit
+# identical (params, count, seed) replay bit for bit
 again = ball_sampler(params)(N, seed=1)
 print("replay identical:", np.array_equal(push.points, again.points))
 

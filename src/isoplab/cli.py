@@ -3,8 +3,8 @@ one CSV of graded rows per check, a plot-friendly companion CSV, and a
 JSON summary of fitted constants and verdict counts.
 
 Exit codes: 0 when no row FAILs, 2 when any row FAILs, 3 for configuration
-errors (unknown check, malformed config, a grid or seed value the checks
-reject, empty selection, bad out dir).
+errors (unknown check, malformed config, a grid, seed or big_c value the
+checks reject, empty selection, bad out dir).
 
 Config files use ``key = value`` lines with ``#`` comments; list values
 are comma-separated.  r_grid and eps_ladder are multipliers of the
@@ -78,6 +78,7 @@ class RunConfig:
             iq._quantile_levels(self.t_grid, "t_grid")
             iq._radii(self.r_grid)
             _ladder(self.eps_ladder)
+            iq._validate_big_c(self.big_c)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.seed < 0:
@@ -337,7 +338,7 @@ def _write_check_csv(path: str, reports: list):
         p, n, p1, p2 = r.params
         lines.append(",".join([
             r.check_name, _fmt(p), _fmt(int(n)), _fmt(p1), _fmt(p2),
-            _fmt(r.lhs_mean), _fmt(r.lhs_stderr), _fmt(r.rhs),
+            _fmt(r.lhs.mean), _fmt(r.lhs.std_err), _fmt(r.rhs),
             _fmt(r.ratio), r.verdict]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -347,7 +348,7 @@ def _write_plot_csv(path: str, reports: list):
     lines = ["x,lhs,rhs,ci_lo,ci_hi"]
     for r in reports:
         lines.append(",".join([
-            _fmt(r.params[2]), _fmt(r.lhs_mean), _fmt(r.rhs),
+            _fmt(r.params[2]), _fmt(r.lhs.mean), _fmt(r.rhs),
             _fmt(r.lhs.lo), _fmt(r.lhs.hi)]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -93,28 +93,43 @@ def block_rows(width: int) -> int:
     return max(1, min(BLOCK_ROWS, BLOCK_ROWS * 4 // max(width, 1)))
 
 
-def map_row_blocks(fn, inputs, outputs) -> None:
-    """Fill per-row ``outputs`` from ``fn`` over blocks of rows.
+def map_row_blocks(fn, inputs, count: int) -> list:
+    """Per-row columns of ``fn`` over blocks of rows, one per value it
+    returns.
 
-    ``inputs`` is either a list of in-memory arrays with one row per
-    output row, taken in blocks of ``block_rows`` of the widest input's row
-    width, or a block stream: an iterable of (first row, block) pairs, a
+    ``inputs`` is either a list of in-memory arrays of count rows each,
+    taken in blocks of ``block_rows`` of the widest input's row width, or a
+    block stream of count rows: an iterable of (first row, block) pairs, a
     block being one array or a tuple of arrays, such as the samplers'
     ``product_blocks`` and ``ball_blocks``.  ``fn`` receives the arrays of
-    one block and returns one array per output, each holding a value per
-    row of the block, which is written into that output's rows.  Only the
-    block's temporaries are alive at a time, and the outputs equal one call
+    one block and returns a sequence of arrays, each holding a value per
+    row of the block.  Each column takes its dtype and trailing shape from
+    the first block's value.  Blocks that do not end at row count, or a
+    block returning another number of values, raise ValueError.  Only the
+    block's temporaries are alive at a time, and the columns equal one call
     of ``fn`` on whole arrays as long as each row's values depend on that
     row alone.
     """
     if isinstance(inputs, (list, tuple)):
         inputs = _array_blocks(inputs)
+    cols = None
     for lo, block in inputs:
         if not isinstance(block, tuple):
             block = (block,)
+        values = [np.asarray(v) for v in fn(*block)]
+        if cols is None:
+            cols = [np.empty((count,) + v.shape[1:], dtype=v.dtype)
+                    for v in values]
+        elif len(values) != len(cols):
+            raise ValueError(f"a block returned {len(values)} values, "
+                             f"the first {len(cols)}")
         rows = slice(lo, lo + block[0].shape[0])
-        for out, values in zip(outputs, fn(*block)):
-            out[rows] = values
+        for col, v in zip(cols, values):
+            col[rows] = v
+        values = v = None   # not alive beside the next block's pass
+    if cols is None or rows.stop != count:
+        raise ValueError(f"the blocks do not cover rows 0 to {count}")
+    return cols
 
 
 def _array_blocks(arrays):
@@ -179,9 +194,8 @@ def lp_norm(x, p: float):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] <= block_rows(x.shape[1]):
         return _lp_norm_direct(x, p)
-    out = np.empty(x.shape[0])
-    map_row_blocks(lambda block: (_lp_norm_direct(block, p),), [x], [out])
-    return out
+    return map_row_blocks(lambda block: (_lp_norm_direct(block, p),), [x],
+                          x.shape[0])[0]
 
 
 def ball_log_volume(p: float, n: int) -> float:
@@ -522,11 +536,9 @@ def jacobian_op_norms(Z, p: float) -> tuple[np.ndarray, np.ndarray]:
     block's differential terms are alive beside the two results.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    ops, bounds = np.empty(Z.shape[0]), np.empty(Z.shape[0])
-    map_row_blocks(
+    return tuple(map_row_blocks(
         lambda block: _op_norms_and_bounds(*_differential_terms(block, p), p),
-        [Z], [ops, bounds])
-    return ops, bounds
+        [Z], Z.shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -133,16 +133,8 @@ class InequalityReport:
             raise ValueError("params must be (p, n, param1, param2)")
 
     @property
-    def lhs_mean(self) -> float:
-        return self.lhs.mean
-
-    @property
-    def lhs_stderr(self) -> float:
-        return self.lhs.std_err
-
-    @property
     def ratio(self) -> float:
-        return self.lhs_mean / self.rhs if self.rhs > 0.0 else float("nan")
+        return self.lhs.mean / self.rhs if self.rhs > 0.0 else float("nan")
 
 
 @dataclass(frozen=True)
@@ -175,14 +167,6 @@ def _kappa(p: float) -> float:
     return (2.0 - p) / (2.0 * p)
 
 
-def _columns(fn, stream, count: int, kinds=(float,)) -> list:
-    """Per-point columns, one of count values per dtype in ``kinds``,
-    filled by ``fn`` over the blocks of ``stream``."""
-    cols = [np.empty(count, dtype=kind) for kind in kinds]
-    map_row_blocks(fn, stream, cols)
-    return cols
-
-
 def _ball_stream(params: PBallParams, count: int, seed: int, child: int):
     return ball_blocks(params, count, child_seed(seed, child))
 
@@ -207,12 +191,12 @@ def scalar_groups(sets) -> list:
     return groups
 
 
-def _scalar_columns(sets, stream, count: int) -> list:
+def _set_scalars(sets, stream, count: int) -> list:
     """One scalar column per set, filled in one pass over ``stream``; sets
     sharing a scalar share its column."""
     groups = scalar_groups(sets)
-    cols = _columns(lambda X: tuple(sets[g[0]].scalar(X) for g in groups),
-                    stream, count, (float,) * len(groups))
+    cols = map_row_blocks(lambda X: [sets[g[0]].scalar(X) for g in groups],
+                          stream, count)
     out = [None] * len(sets)
     for col, group in zip(cols, groups):
         for k in group:
@@ -277,8 +261,8 @@ def check_theorem1(p: float, n: int, a_grid, sets=None,
     mc_sets = [s for row in level_sets for s in row if exact[id(s)] is None]
     contents = {}
     if mc_sets:
-        scalars = _scalar_columns(mc_sets, _ball_stream(params, count, seed, 0),
-                                  count)
+        scalars = _set_scalars(mc_sets, _ball_stream(params, count, seed, 0),
+                               count)
         contents = {id(s): ce for s, ce in
                     zip(mc_sets, _contents(mc_sets, scalars, ladder))}
     reports = []
@@ -372,8 +356,6 @@ def _check_enlargement_bound(name: str, p: float, n: int, sets, r_grid,
                              count: int, seed: int, dimensional: bool,
                              eps_ladder=None) -> CheckReport:
     params = PBallParams(p, n)
-    if not isinstance(sets, (list, tuple)):
-        sets = [sets]
     r_grid = _radii(r_grid)
     ladder = list(eps_ladder) if eps_ladder is not None else \
         default_eps_ladder(p, n)
@@ -382,10 +364,10 @@ def _check_enlargement_bound(name: str, p: float, n: int, sets, r_grid,
     stream = _ball_stream(params, count, seed, 0)
     norms = None
     if p == 2.0:
-        scalars = _scalar_columns(sets, stream, count)
+        scalars = _set_scalars(sets, stream, count)
     else:
-        *scalars, norms = _scalar_columns(list(sets) + [BallComplement(1.0)],
-                                          stream, count)
+        *scalars, norms = _set_scalars([*sets, BallComplement(1.0)], stream,
+                                       count)
     masses = [_ball_mass(norms, params, r) for r in r_grid]
     reports = []
     slacks = []
@@ -421,8 +403,9 @@ def check_bobkov_inequality(p: float, n: int, sets, r_grid,
 
         content(A) >= (1/2r)[a log(1/a) + (1-a) log(1/(1-a)) + log V{|x|_2 <= r}].
 
-    Rows: param1 = r, param2 = the set's measure a; verdicts are
-    consistency-graded (the bound can be met with equality up to noise).
+    ``sets`` is a list of test sets, read from one batch.  Rows: param1 =
+    r, param2 = the set's measure a; verdicts are consistency-graded (the
+    bound can be met with equality up to noise).
     A vanishing ball-mass estimate makes the row INCONCLUSIVE.
     """
     return _check_enlargement_bound("check_bobkov_inequality", p, n, sets,
@@ -469,8 +452,9 @@ def check_sz_tail(p: float, n: int, t_grid, count: int, seed: int) -> CheckRepor
     levels = _quantile_levels(t_grid, "t_grid")
 
     def radii(child):
-        return _columns(lambda X: (lp_norm(X, 2.0),),
-                        _ball_stream(params, count, seed, child), count)[0]
+        return map_row_blocks(lambda X: (lp_norm(X, 2.0),),
+                              _ball_stream(params, count, seed, child),
+                              count)[0]
 
     thresholds = np.quantile(radii(0), levels)
     tails = estimate_tail(radii(1), thresholds)
@@ -528,7 +512,7 @@ def check_sz_concentration(p: float, n: int, functional, t_grid,
     def values(X):
         return (functional(X),)
 
-    vals, = _columns(values, _ball_stream(params, count, seed, 0), count)
+    vals, = map_row_blocks(values, _ball_stream(params, count, seed, 0), count)
     if vals.max() == vals.min():
         raise ValueError("functional is constant on the sample; "
                          "no concentration to measure")
@@ -539,8 +523,9 @@ def check_sz_concentration(p: float, n: int, functional, t_grid,
     i, j = lipschitz_pairs(child_seed(seed, 1), count)
     want = np.union1d(i, j)
     rows = np.empty((want.size, n))
-    vals, = _columns(values, _gathering(_ball_stream(params, count, seed, 1),
-                                        want, rows), count)
+    vals, = map_row_blocks(
+        values, _gathering(_ball_stream(params, count, seed, 1), want, rows),
+        count)
     pairs = PairRows(i, j, rows[np.searchsorted(want, i)],
                      rows[np.searchsorted(want, j)])
     _, curve = estimate_median_and_phi(vals, functional, h_grid, pairs)
@@ -643,9 +628,8 @@ def check_lemma4(p: float, n: int, count: int, seed: int) -> CheckReport:
         nzp = lp_norm(Z, p)
         return nzp, lp_norm(Z[:, :-1], 2.0) / nzp
 
-    normsp, norms2 = _columns(
-        norms, product_blocks(params, count, child_seed(seed, 1)), count,
-        (float, float))
+    normsp, norms2 = map_row_blocks(
+        norms, product_blocks(params, count, child_seed(seed, 1)), count)
     kappa = _kappa(p)
     name = "check_lemma4"
     reports = []
@@ -704,7 +688,7 @@ def check_lemma5(A: float, alpha: float, N: int, eps_grid,
     step = block_rows(N)
     blocks = ((lo, rng.gamma(shape, 1.0, size=(min(step, trials - lo), N)))
               for lo in range(0, trials, step))
-    sums, = _columns(lambda G: (row_sum(G),), blocks, trials)
+    sums, = map_row_blocks(lambda G: (row_sum(G),), blocks, trials)
     name = "check_lemma5"
     p_report = 1.0 / shape
     reports = []
@@ -735,8 +719,9 @@ def _default_plateau_catalog(params: PBallParams, count: int, seed: int) -> list
     if p == 2.0:
         lo, hi = 0.3 ** (1.0 / n), 0.7 ** (1.0 / n)
     else:
-        radii, = _columns(lambda X: (lp_norm(X, 2.0),),
-                          _ball_stream(params, count, seed, 10 ** 6), count)
+        radii, = map_row_blocks(lambda X: (lp_norm(X, 2.0),),
+                                _ball_stream(params, count, seed, 10 ** 6),
+                                count)
         lo, hi = np.quantile(radii, [0.3, 0.7])
     fields.append(RadialRamp(n, float(lo), float(hi)))
     return fields
@@ -775,8 +760,8 @@ def check_coarea(p: float, n: int, phi_catalog=None,
                 out.append(live[0][1].scalar(X))
         return out
 
-    cols = iter(_columns(per_point, _ball_stream(params, count, seed, 0), count,
-                         (float,) * sum(1 + bool(live) for live in live_sets)))
+    cols = iter(map_row_blocks(per_point, _ball_stream(params, count, seed, 0),
+                               count))
     reports = []
     for i, (phi, live) in enumerate(zip(phi_catalog, live_sets)):
         lhs = integrate_grad(next(cols))
@@ -826,8 +811,8 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
         out = [lp_norm(phi.grad(X), 2.0) for phi in rungs]
         return out + ([set_.scalar(X)] if reference is None else [])
 
-    cols = _columns(per_point, _ball_stream(params, count, seed, 0), count,
-                    (float,) * (len(rungs) + (reference is None)))
+    cols = map_row_blocks(per_point, _ball_stream(params, count, seed, 0),
+                          count)
     reports = []
     for phi, norms in zip(rungs, cols):
         lhs = integrate_grad(norms)
@@ -882,9 +867,9 @@ def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckRepor
     xi[0] = 1.0
     name = "check_l2_form"
     ramps = [LinearRamp(xi, 0.0, float(marginal_isf(params, a))) for a in grid]
-    norms = _columns(lambda X: [lp_norm(phi.grad(X), 2.0) for phi in ramps],
-                     _ball_stream(params, count, seed, 0), count,
-                     (float,) * len(ramps))
+    norms = map_row_blocks(
+        lambda X: [lp_norm(phi.grad(X), 2.0) for phi in ramps],
+        _ball_stream(params, count, seed, 0), count)
     reports = []
     fitted = []
     for a, phi, col in zip(grid, ramps, norms):
@@ -901,6 +886,14 @@ def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckRepor
 # ---------------------------------------------------------------------------
 # the cut-off chain
 # ---------------------------------------------------------------------------
+
+def _validate_big_c(big_c) -> float:
+    # a = exp(-big_c n^{p/2}) is a small probability only for big_c > 0
+    big_c = float(big_c)
+    if not (math.isfinite(big_c) and big_c > 0.0):
+        raise ValueError(f"big_c must be finite and positive, got {big_c!r}")
+    return big_c
+
 
 def verify_cutoff_chain(p: float, n: int, f=None,
                         c: CutoffParams = CutoffParams(),
@@ -919,7 +912,7 @@ def verify_cutoff_chain(p: float, n: int, f=None,
                                    - 2 n^kappa mu{|z|_p <= 2 n^{1/p}/c2}
       link 4:  links 2 + 3 combined with c4 = c3/c2
       link 5:  int |grad f| dV >= c4 n^{1/p} int |grad(g h2)| dmu - a/2,
-               a = exp(-C n^{p/2}) with C = big_c
+               a = exp(-C n^{p/2}) with C = big_c, finite and positive
 
     Links 1-4 hold pointwise almost everywhere, so their same-batch
     difference estimators are nonnegative samplewise and the strict verdict
@@ -941,6 +934,7 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     scan runs on the first 10^4 rows as they stream past.
     """
     params = PBallParams(p, n)
+    big_c = _validate_big_c(big_c)
     if f is None:
         xi = np.zeros(n)
         xi[0] = 1.0
@@ -992,9 +986,9 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     # the product batch is streamed block by block (fields are row-wise),
     # so only one block of it and of its gradient rows is alive; the rows
     # read these columns: the five link differences, then four flags
-    *diffs, plateau_one, plateau_zero, f_one, transfer_bad = _columns(
+    *diffs, plateau_one, plateau_zero, f_one, transfer_bad = map_row_blocks(
         per_point, scanned(product_blocks(params, count, child_seed(seed, 1))),
-        count, (float,) * 5 + (bool,) * 4)
+        count)
 
     name = "verify_cutoff_chain"
     reports = []
@@ -1085,8 +1079,9 @@ def check_paouris_tail(p: float, n: int, t_grid, count: int,
     c_np, l_k = isotropy_constants(p, n)
 
     def radii(child):
-        return _columns(lambda X: (lp_norm(X * c_np, 2.0),),
-                        _ball_stream(params, count, seed, child), count)[0]
+        return map_row_blocks(lambda X: (lp_norm(X * c_np, 2.0),),
+                              _ball_stream(params, count, seed, child),
+                              count)[0]
 
     thresholds = np.quantile(radii(0), levels)
     tails = estimate_tail(radii(1), thresholds)

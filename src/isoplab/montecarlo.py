@@ -29,6 +29,7 @@ A 2-D array or a SampleBatch is rejected rather than read as values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -124,17 +125,21 @@ def verdict_geq(lhs: EstimateCI, rhs, mode: str = "strict") -> str:
     strict: PASS needs the whole lhs interval above the rhs interval;
     consistent: anything short of a confident violation is PASS (used for
     inequalities whose two sides are estimated at an equality point, where
-    strict grading could never PASS).
+    strict grading could never PASS).  In both modes a NaN end on either
+    side is INCONCLUSIVE: NaN compares false with everything, so no
+    interval position can be read from it.
     """
+    if mode not in ("strict", "consistent"):
+        raise ValueError(f"unknown verdict mode {mode!r}")
     if not isinstance(rhs, EstimateCI):
         rhs = EstimateCI.exact(rhs)
+    if any(math.isnan(end) for end in (lhs.lo, lhs.hi, rhs.lo, rhs.hi)):
+        return INCONCLUSIVE
     # ends added per side: negating both sides keeps the sum (verdict_leq)
     tol = 1e-12 * (1.0 + (abs(lhs.lo) + abs(lhs.hi))
                    + (abs(rhs.lo) + abs(rhs.hi)))
     if mode == "consistent":
         return FAIL if lhs.hi < rhs.lo - tol else PASS
-    if mode != "strict":
-        raise ValueError(f"unknown verdict mode {mode!r}")
     if lhs.lo >= rhs.hi - tol:
         return PASS
     if lhs.hi < rhs.lo - tol:

@@ -10,11 +10,11 @@ E^{1/p} with E ~ Exp(1).  Normalizing by the l_p norm then yields exact
 uniform samples on B_p^n (Barthe, Guedon, Mendelson and Naor); the ball
 sampler forms s = sum |g_i|^p + E from the same draws row by row and
 scales each row by s^{-1/p}, so its points are the push-forward of the
-product rows with the same (params, count, seed, chunk_size).  The
-independent oracle at small n is a rejection sampler from a grid envelope:
-the cells of side 1/m in the positive orthant that meet the ball, each drawn
-with equal probability, a uniform point inside it kept when it lies in the
-ball, and fair signs attached.
+product rows with the same (params, count, seed).  The independent oracle
+at small n is a rejection sampler from a grid envelope: the cells of side
+1/m in the positive orthant that meet the ball, each drawn with equal
+probability, a uniform point inside it kept when it lies in the ball, and
+fair signs attached.
 
 Streams: the product and ball laws are drawn as block streams,
 ``product_blocks`` and ``ball_blocks``, of (first row, block) pairs of
@@ -24,17 +24,15 @@ only per-point values reads the stream block by block and keeps a column
 per value, so it never holds a (count, n) batch.  The ball-norm guard runs
 on every ball block.
 
-Determinism: rows come in fixed-size chunks of chunk_size rows.  Each chunk
-has one PCG64 generator per draw role (the mu_p block, the second draw
-block, that is U or the second Exp(1), and E), the children of
-SeedSequence(seed, spawn_key=(chunk index,)), and each role is filled in C
-order from its own generator.  So identical (params, count, seed,
-chunk_size) give bit-identical points, whatever the block size; chunks may
-be generated in any order or in parallel; and a batch of k rows is the
-first k rows of every larger batch with the same (params, seed,
-chunk_size).  A rejection chunk always draws chunk_size candidates from one
-generator, so its accepted rows do not depend on count either, and a
-rejection batch has the same prefix property.
+Determinism: a stream has one PCG64 generator per draw role (the mu_p
+block, the second draw block, that is U or the second Exp(1), and E), the
+children of SeedSequence(seed, spawn_key=(0,)), and each role is filled in
+C order from its own generator.  So identical (params, count, seed) give
+bit-identical points, whatever the block size, and a batch of k rows is
+the first k rows of every larger batch with the same (params, seed).  The
+rejection oracle draws fixed chunks of REJECTION_CHUNK candidates, each
+from its own generator, so its accepted rows do not depend on count
+either, and a rejection batch has the same prefix property.
 
 Memory: a block stream holds one block and its draw temporaries, at most
 BLOCK_ROWS * 4 values each, however wide the rows are; the samplers hold
@@ -59,7 +57,6 @@ from .geometry import (
 
 __all__ = [
     "SampleBatch",
-    "DEFAULT_CHUNK",
     "child_seed",
     "product_blocks",
     "ball_blocks",
@@ -72,7 +69,6 @@ __all__ = [
     "read_points_csv",
 ]
 
-DEFAULT_CHUNK = 1 << 18          # product-measure rows per generator chunk
 REJECTION_CHUNK = 1 << 16        # envelope candidates per rejection chunk
 GRID_SIDE = 8                    # finest envelope grid: cells of side 1/8
 GRID_CELLS = 1 << 21             # most cells in an envelope table
@@ -84,8 +80,7 @@ class SampleBatch:
     """Seeded, tagged points from one named measure.
 
     measure_tag is MU_PN (product space, dim n+1), V_PN (push-forward ball
-    law) or REJECTION_V_PN (rejection-oracle ball law).  chunk_size records
-    the generation layout so parallel and serial runs reconcile.
+    law) or REJECTION_V_PN (rejection-oracle ball law).
     """
 
     measure_tag: str
@@ -93,7 +88,6 @@ class SampleBatch:
     count: int
     seed: int
     points: np.ndarray = field(repr=False)
-    chunk_size: int = DEFAULT_CHUNK
 
     def __post_init__(self):
         if self.points.shape != (self.count, self.dim):
@@ -113,19 +107,12 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _role_rngs(seed: int, chunk_index: int) -> tuple:
-    """One generator per draw role of a product-law chunk: the mu_p block,
+def _role_rngs(seed: int) -> tuple:
+    """One generator per draw role of a product-law stream: the mu_p block,
     the second draw block (U, or the second Exp(1) at p = 1) and E."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     return tuple(np.random.Generator(np.random.PCG64(child))
                  for child in ss.spawn(3))
-
-
-def _chunk_bounds(count: int, chunk_size: int):
-    """(chunk index, first row, end row) of each generator chunk."""
-    for ci in range(0, -(-count // chunk_size)):
-        lo = ci * chunk_size
-        yield ci, lo, min(lo + chunk_size, count)
 
 
 def _factor_rows(rngs: tuple, g: np.ndarray, p: float,
@@ -182,58 +169,51 @@ def _ball_rows(rngs: tuple, g: np.ndarray, p: float) -> None:
     _check_ball_norms(g, p)
 
 
-def _row_blocks(params: PBallParams, count: int, seed: int, chunk_size: int,
-                fill, width: int, out=None):
+def _row_blocks(params: PBallParams, count: int, seed: int, fill,
+                width: int, out=None):
     """(first row, block) pairs of ``block_rows(n + 1)`` rows, filled by
-    ``fill`` from the role generators of their chunk; blocks are new
-    arrays, or the rows of ``out`` when it is given."""
+    ``fill`` from the stream's role generators; blocks are new arrays, or
+    the rows of ``out`` when it is given."""
     if count < 1:
         raise ValueError("count must be >= 1")
     step = block_rows(params.n + 1)
 
     def blocks():
-        for ci, lo, hi in _chunk_bounds(count, chunk_size):
-            rngs = _role_rngs(seed, ci)
-            for b in range(lo, hi, step):
-                rows = min(step, hi - b)
-                block = (np.empty((rows, width)) if out is None
-                         else out[b:b + rows])
-                fill(rngs, block, params.p)
-                yield b, block
+        rngs = _role_rngs(seed)
+        for lo in range(0, count, step):
+            rows = min(step, count - lo)
+            block = (np.empty((rows, width)) if out is None
+                     else out[lo:lo + rows])
+            fill(rngs, block, params.p)
+            yield lo, block
     return blocks()
 
 
-def product_blocks(params: PBallParams, count: int, seed: int,
-                   chunk_size: int = DEFAULT_CHUNK):
-    """The rows of ``sample_product(params, count, seed, chunk_size)`` as
-    (first row, (rows, n + 1) block) pairs of ``block_rows(n + 1)`` rows,
-    drawn one block at a time."""
-    return _row_blocks(params, count, seed, chunk_size, _product_rows,
-                       params.n + 1)
+def product_blocks(params: PBallParams, count: int, seed: int):
+    """The rows of ``sample_product(params, count, seed)`` as (first row,
+    (rows, n + 1) block) pairs of ``block_rows(n + 1)`` rows, drawn one
+    block at a time."""
+    return _row_blocks(params, count, seed, _product_rows, params.n + 1)
 
 
-def ball_blocks(params: PBallParams, count: int, seed: int,
-                chunk_size: int = DEFAULT_CHUNK):
-    """The rows of ``sample_ball(params, count, seed, chunk_size)`` as
-    (first row, (rows, n) block) pairs of ``block_rows(n + 1)`` rows, drawn
-    one block at a time; every block passes the ball-norm guard."""
-    return _row_blocks(params, count, seed, chunk_size, _ball_rows, params.n)
+def ball_blocks(params: PBallParams, count: int, seed: int):
+    """The rows of ``sample_ball(params, count, seed)`` as (first row,
+    (rows, n) block) pairs of ``block_rows(n + 1)`` rows, drawn one block
+    at a time; every block passes the ball-norm guard."""
+    return _row_blocks(params, count, seed, _ball_rows, params.n)
 
 
-def sample_product(params: PBallParams, count: int, seed: int,
-                   chunk_size: int = DEFAULT_CHUNK) -> SampleBatch:
+def sample_product(params: PBallParams, count: int, seed: int) -> SampleBatch:
     """count independent points of the product law on R^(n+1): the
     ``product_blocks`` stream drawn into the rows of one array."""
     n = params.n
     out = np.empty((count, n + 1))
-    for _ in _row_blocks(params, count, seed, chunk_size, _product_rows,
-                         n + 1, out):
+    for _ in _row_blocks(params, count, seed, _product_rows, n + 1, out):
         pass    # each block is drawn into its rows of out
-    return SampleBatch("MU_PN", n + 1, count, seed, out, chunk_size)
+    return SampleBatch("MU_PN", n + 1, count, seed, out)
 
 
-def sample_ball(params: PBallParams, count: int, seed: int,
-                chunk_size: int = DEFAULT_CHUNK) -> SampleBatch:
+def sample_ball(params: PBallParams, count: int, seed: int) -> SampleBatch:
     """count uniform points on B_p^n via the normalization push-forward:
     the ``ball_blocks`` stream drawn into the rows of one array.
 
@@ -244,9 +224,9 @@ def sample_ball(params: PBallParams, count: int, seed: int,
     """
     n = params.n
     out = np.empty((count, n))
-    for _ in _row_blocks(params, count, seed, chunk_size, _ball_rows, n, out):
+    for _ in _row_blocks(params, count, seed, _ball_rows, n, out):
         pass    # each block is drawn and mapped in its rows of out
-    return SampleBatch("V_PN", n, count, seed, out, chunk_size)
+    return SampleBatch("V_PN", n, count, seed, out)
 
 
 def _check_ball_norms(pts: np.ndarray, p: float):
@@ -308,16 +288,17 @@ def _grid_envelope(p: float, n: int):
     return m, cells
 
 
-def _rejection_chunk(rng: np.random.Generator, rows: int, p: float,
-                     m: int, cells: np.ndarray) -> np.ndarray:
-    """Accepted rows from one chunk of grid-envelope candidates.
+def _rejection_chunk(rng: np.random.Generator, p: float, m: int,
+                     cells: np.ndarray) -> np.ndarray:
+    """Accepted rows from one chunk of REJECTION_CHUNK grid-envelope
+    candidates.
 
     Each candidate is a uniform cell of the table plus a uniform offset
     inside it, hence uniform on the union of the cells, which covers the
     ball's positive part.  Candidates with sum x_i^p <= 1 are kept and get
     fair signs, so the law is exactly uniform on B_p^n.
     """
-    n = cells.shape[0]
+    n, rows = cells.shape[0], REJECTION_CHUNK
     pick = rng.integers(0, cells.shape[1], size=rows)
     x = rng.random((n, rows))
     x += cells[:, pick]
@@ -331,22 +312,22 @@ def _rejection_chunk(rng: np.random.Generator, rows: int, p: float,
     return out
 
 
-def rejection_sample_ball(params: PBallParams, count: int, seed: int,
-                          chunk_size: int = REJECTION_CHUNK) -> SampleBatch:
+def rejection_sample_ball(params: PBallParams, count: int,
+                          seed: int) -> SampleBatch:
     """Brute-force uniform sampler on B_p^n: the push-forward oracle.
 
     Exact rejection from the grid envelope of ``_grid_envelope``: chunk ci
-    draws exactly chunk_size candidates from its own generator, and its
-    accepted rows go, in order, into the output until count are in.  A
+    draws exactly REJECTION_CHUNK candidates from its own generator, and
+    its accepted rows go, in order, into the output until count are in.  A
     fixed number of candidates per chunk keeps the law exact and makes a
     batch of k points the first k points of every larger batch with the
-    same (params, seed, chunk_size); memory is the output plus one chunk.
+    same (params, seed); memory is the output plus one chunk.
     Only practical at small n: refuses n > 10, and refuses outright when
     the *cube* acceptance Vol(B_p^n)/2^n drops below 1e-6, whatever the
     envelope's acceptance.
     """
-    if count < 1 or chunk_size < 1:
-        raise ValueError("count and chunk_size must be >= 1")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     p, n = params.p, params.n
     if n > 10:
         raise ValueError(f"rejection sampler limited to n <= 10, got n={n}")
@@ -359,13 +340,13 @@ def rejection_sample_ball(params: PBallParams, count: int, seed: int,
     pts = np.empty((count, n))
     have = ci = 0
     while have < count:
-        acc = _rejection_chunk(_chunk_rng(seed, ci), chunk_size, p, m, cells)
+        acc = _rejection_chunk(_chunk_rng(seed, ci), p, m, cells)
         take = min(acc.shape[0], count - have)
         pts[have:have + take] = acc[:take]
         have += take
         ci += 1
     _check_ball_norms(pts, p)
-    return SampleBatch("REJECTION_V_PN", n, count, seed, pts, chunk_size)
+    return SampleBatch("REJECTION_V_PN", n, count, seed, pts)
 
 
 # ---------------------------------------------------------------------------

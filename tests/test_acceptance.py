@@ -184,9 +184,9 @@ def test_c06_norm_tails_and_lipschitz_concentration():
                     if r.verdict == INCONCLUSIVE or t <= 0.0:
                         continue
                     exact = 1.0 - min(t, 1.0) ** n
-                    gap = abs(r.lhs_mean - exact)
-                    assert gap <= 3.0 * r.lhs_stderr + 1e-12, (n, t, gap)
-                    cross = max(cross, gap / max(r.lhs_stderr, 1e-300))
+                    gap = abs(r.lhs.mean - exact)
+                    assert gap <= 3.0 * r.lhs.std_err + 1e-12, (n, t, gap)
+                    cross = max(cross, gap / max(r.lhs.std_err, 1e-300))
     _emit("C06", "fitted tail constants positive, p=2 radial cross-oracle",
           min_c > 0.0 and min_c1 > 0.0,
           f"c_hat >= {min_c:.3f}, c1_hat >= {min_c1:.3f}, "
@@ -218,9 +218,9 @@ def test_c08_small_sum_bound():
             bad += sum(v == FAIL for v in _verdicts(rep))
             for r in rep.reports:
                 exact = rep.constants[f"exact_eps={r.params[2]:g}"]
-                gap = abs(r.lhs_mean - exact)
-                assert gap <= 3.0 * r.lhs_stderr + 1e-12, (A, N, r.params[2])
-                worst = max(worst, gap / max(r.lhs_stderr, 1e-300))
+                gap = abs(r.lhs.mean - exact)
+                assert gap <= 3.0 * r.lhs.std_err + 1e-12, (A, N, r.params[2])
+                worst = max(worst, gap / max(r.lhs.std_err, 1e-300))
     c_err = abs(lemma5_constant(1.0, 0.0) - math.e)
     _emit("C08", "small-sum probability bound, Erlang cross-oracle",
           bad == 0 and c_err < 1e-12,

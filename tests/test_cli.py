@@ -95,14 +95,17 @@ def test_validate_grids_and_scalars():
     with pytest.raises(ConfigError, match="a_grid must not be empty"):
         RunConfig(a_grid=[]).validate()
     # the checks' own rules: levels in (0, 1/2], quantile levels in (0, 1),
-    # positive radii, a positive strictly decreasing ladder, a seed >= 0
+    # positive radii, a positive strictly decreasing ladder, a seed >= 0,
+    # a finite positive big_c
     for bad, message in [
             (dict(a_grid=[0.7]), "a_grid must be a nonempty subset"),
             (dict(a_grid=[0.5, float("nan")]), "a_grid must be a nonempty"),
             (dict(t_grid=[1.5]), "t_grid entries are quantile levels"),
             (dict(r_grid=[-1.0]), "r_grid entries must be positive"),
             (dict(eps_ladder=[0.01, 0.1]), "eps ladder must be finite"),
-            (dict(seed=-1), "seed must be a non-negative integer")]:
+            (dict(seed=-1), "seed must be a non-negative integer")] + [
+            (dict(big_c=c), "big_c must be finite and positive")
+            for c in (-1.0, 0.0, float("nan"), float("inf"))]:
         with pytest.raises(ConfigError, match=message):
             RunConfig(**bad).validate()
 
@@ -297,7 +300,7 @@ def test_cli_bad_values_exit_three(tmp_path, capsys):
     res = _run_cli(["--experiment", "check_kls", "--samples", "10"] + out)
     assert res.returncode == 3
     assert "config error: samples must be at least 1000" in res.stderr
-    # grid and seed values the checks reject, through the same main()
+    # grid, seed and big_c values the checks reject, through the same main()
     cases = [(["--seed", "-1"], "seed must be a non-negative integer")]
     for line, message in [
             ("a_grid = 0.7", "a_grid must be a nonempty subset"),
@@ -305,7 +308,9 @@ def test_cli_bad_values_exit_three(tmp_path, capsys):
             ("t_grid = 1.5", "t_grid entries are quantile levels"),
             ("r_grid = -1", "r_grid entries must be positive"),
             ("eps_ladder = 0.01, 0.1", "eps ladder must be finite"),
-            ("eps_ladder = inf, 0.1", "eps ladder must be finite")]:
+            ("eps_ladder = inf, 0.1", "eps ladder must be finite")] + [
+            (f"big_c = {c}", "big_c must be finite and positive")
+            for c in ("-1", "0", "nan", "inf")]:
         cfg = tmp_path / f"bad{len(cases)}.cfg"
         cfg.write_text(line + "\n")
         cases.append((["--config", str(cfg)], message))

@@ -332,11 +332,29 @@ def test_map_row_blocks_steps_by_the_widest_input():
         return (wide.sum(axis=1) + narrow,)
 
     narrow, wide = np.arange(1000.0), np.ones((1000, 100))
-    out = np.empty(1000)
-    map_row_blocks(fn, [narrow, wide], [out])
+    out, = map_row_blocks(fn, [narrow, wide], 1000)
     step = block_rows(100)
     assert seen == [(step, step)] * (1000 // step) + [(1000 % step,) * 2]
     assert np.array_equal(out, narrow + 100.0)
+
+
+def test_map_row_blocks_sizes_each_column_from_the_first_block():
+    # one column per returned value, with its dtype and trailing shape
+    x = np.arange(20000.0).reshape(10000, 2)
+    flags, pairs, sums = map_row_blocks(
+        lambda X: (X[:, 0] > 5000.0, X * 2.0, X.sum(axis=1)), [x], 10000)
+    assert flags.dtype == bool and pairs.shape == (10000, 2)
+    assert np.array_equal(flags, x[:, 0] > 5000.0)
+    assert np.array_equal(pairs, x * 2.0)
+    assert np.array_equal(sums, x.sum(axis=1))
+    # a block that returns another number of values; blocks that leave
+    # rows of a column unwritten, or no rows at all
+    widths = iter([2, 1])
+    with pytest.raises(ValueError, match="returned 1 values"):
+        map_row_blocks(lambda X: (X[:, 0],) * next(widths), [x], 10000)
+    for rows, count in ((x, 10001), (x[:0], 0)):
+        with pytest.raises(ValueError, match="do not cover rows"):
+            map_row_blocks(lambda X: (X[:, 0],), [rows], count)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -383,11 +401,8 @@ def test_oblique_columns_do_not_depend_on_the_block_size(n, monkeypatch):
     F = DirectionalFunctional(xi)
 
     def columns():
-        count = 1000
-        cols = [np.empty(count) for _ in range(3)]
-        map_row_blocks(lambda X: (hs.scalar(X), ramp(X), F(X)),
-                       ball_blocks(params, count, 97), cols)
-        return cols
+        return map_row_blocks(lambda X: (hs.scalar(X), ramp(X), F(X)),
+                              ball_blocks(params, 1000, 97), 1000)
 
     want = columns()
     monkeypatch.setattr(geometry, "BLOCK_ROWS", 7)

@@ -83,8 +83,7 @@ from isoplab.sampling import child_seed, sample_ball, sample_product
 
 def _column(fn, points):
     """fn's value at every row of points, filled one row block at a time."""
-    out = np.empty(points.shape[0])
-    map_row_blocks(lambda X: (fn(X),), [points], [out])
+    out, = map_row_blocks(lambda X: (fn(X),), [points], points.shape[0])
     return out
 
 
@@ -99,12 +98,12 @@ def test_report_validation():
         InequalityReport("x", (1.0, 2, 0.1), 1.0, 1.0, PASS)
     r = InequalityReport("x", (1.0, 2, 0.1, 0.0), EstimateCI(0.5, 0.1, 9),
                          0.0, PASS)
-    assert r.lhs_mean == 0.5
-    assert r.lhs_stderr == 0.1
+    assert r.lhs.mean == 0.5
+    assert r.lhs.std_err == 0.1
     assert math.isnan(r.ratio)  # rhs <= 0 has no meaningful ratio
     plain = InequalityReport("x", (1.0, 2, 0.1, 0.0), EstimateCI.exact(0.6),
                              0.3, PASS)
-    assert plain.lhs_stderr == 0.0
+    assert plain.lhs.std_err == 0.0
     assert plain.lhs.lo == plain.lhs.hi == 0.6
     assert plain.ratio == pytest.approx(2.0)
 
@@ -241,7 +240,7 @@ def test_product_isoperimetry_exact_ratios():
 
 def test_bobkov_rhs_closed_form_on_the_disc():
     params = PBallParams(2.0, 2)
-    rep = check_bobkov_inequality(2.0, 2, coordinate_half_space(params, 0.5),
+    rep = check_bobkov_inequality(2.0, 2, [coordinate_half_space(params, 0.5)],
                                   r_grid=[1.0], count=20000, seed=3)
     row = rep.reports[0]
     # a = 1/2 and V{|x|_2 <= 1} = 1: rhs = log(2) / 2
@@ -253,7 +252,8 @@ def test_bobkov_rhs_closed_form_on_the_disc():
 
 def test_barthe_rhs_closed_form_on_the_disc():
     params = PBallParams(2.0, 2)
-    rep = check_barthe_dimensional(2.0, 2, coordinate_half_space(params, 0.5),
+    rep = check_barthe_dimensional(2.0, 2,
+                                   [coordinate_half_space(params, 0.5)],
                                    r_grid=[1.0], count=20000, seed=3)
     row = rep.reports[0]
     # (n/2r)[(2 (1/2)^(1-1/n)) mass^(1/n) - 1] = sqrt(2) - 1 here
@@ -265,9 +265,10 @@ def test_enlargement_r_grid_validation():
     params = PBallParams(2.0, 2)
     hs = coordinate_half_space(params, 0.5)
     with pytest.raises(ValueError):
-        check_bobkov_inequality(2.0, 2, hs, r_grid=[], count=1000, seed=0)
+        check_bobkov_inequality(2.0, 2, [hs], r_grid=[], count=1000, seed=0)
     with pytest.raises(ValueError):
-        check_bobkov_inequality(2.0, 2, hs, r_grid=[-1.0], count=1000, seed=0)
+        check_bobkov_inequality(2.0, 2, [hs], r_grid=[-1.0], count=1000,
+                                seed=0)
 
 
 def test_enlargement_sorts_each_shared_scalar_once(monkeypatch):
@@ -715,6 +716,14 @@ def test_cutoff_chain_p1():
     rep = verify_cutoff_chain(1.0, 2, count=20000, seed=31)
     assert rep.verdicts()[FAIL] == 0
     assert rep.constants["transfer_violations"] == 0
+
+
+@pytest.mark.parametrize("big_c", [-1.0, 0.0, float("nan"), float("inf")])
+def test_cutoff_chain_rejects_a_bad_big_c(big_c):
+    # a = exp(-big_c n^{p/2}) is a small probability only for a finite
+    # positive big_c; -1 put the plateau target above 1
+    with pytest.raises(ValueError, match="big_c must be finite and positive"):
+        verify_cutoff_chain(1.5, 2, count=1000, seed=0, big_c=big_c)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])

@@ -100,9 +100,8 @@ def test_grad_mass_peak_is_below_the_batch():
     ramp = LinearRamp(np.eye(N)[0], 0.0, 0.3)
 
     def grad_mass():
-        norms = np.empty(ROWS)
-        map_row_blocks(lambda X: (lp_norm(ramp.grad(X), 2.0),),
-                       [batch.points], [norms])
+        norms, = map_row_blocks(lambda X: (lp_norm(ramp.grad(X), 2.0),),
+                                [batch.points], ROWS)
         return integrate_grad(norms)
 
     peak = _traced_peak(grad_mass)

@@ -56,8 +56,7 @@ from isoplab.sampling import (
 
 def _column(fn, points):
     """fn's value at every row of points, filled one row block at a time."""
-    out = np.empty(points.shape[0])
-    map_row_blocks(lambda X: (fn(X),), [points], [out])
+    out, = map_row_blocks(lambda X: (fn(X),), [points], points.shape[0])
     return out
 
 
@@ -126,6 +125,16 @@ def test_verdict_geq_strict_branches():
 def test_verdict_geq_consistent_branches():
     assert verdict_geq(EstimateCI(0.45, 0.05, 10), 0.5, "consistent") == PASS
     assert verdict_geq(EstimateCI(0.2, 0.01, 10), 0.5, "consistent") == FAIL
+
+
+@pytest.mark.parametrize("mode", ["strict", "consistent"])
+def test_a_nan_side_is_inconclusive(mode):
+    # NaN compares false with everything, so "no confident violation"
+    # would read a NaN side as PASS in consistent mode
+    nan = float("nan")
+    assert verdict_geq(EstimateCI(nan, 0.0, 1), 0.0, mode) == INCONCLUSIVE
+    assert verdict_leq(EstimateCI(nan, 0.0, 1), 0.0, mode) == INCONCLUSIVE
+    assert verdict_geq(EstimateCI(0.5, 0.1, 1), nan, mode) == INCONCLUSIVE
 
 
 def _leq_direct(lhs, rhs, mode):

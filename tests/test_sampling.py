@@ -1,7 +1,7 @@
-"""Samplers: determinism, chunk layout, the prefix and block-size
-invariance of the per-role streams, the block streams, the factor laws of
-every mu_p branch, the ball sampler as the push-forward of the product
-stream, the norm guard, distributional correctness against the exact marginal CDF, the
+"""Samplers: determinism, the prefix and block-size invariance of the
+per-role streams, the block streams, the factor laws of every mu_p branch,
+the ball sampler as the push-forward of the product stream, the norm
+guard, distributional correctness against the exact marginal CDF, the
 rejection oracle and its grid envelope, and CSV round-trips."""
 
 import itertools
@@ -22,9 +22,11 @@ from isoplab.geometry import (
     marginal_second_moment,
 )
 from isoplab.sampling import (
-    DEFAULT_CHUNK,
     _check_ball_norms,
+    _chunk_rng,
     _grid_cells,
+    _grid_envelope,
+    _rejection_chunk,
     SampleBatch,
     ball_blocks,
     ball_sampler,
@@ -57,27 +59,6 @@ def test_bit_determinism():
     np.testing.assert_array_equal(a, b)
     c = sample_product(PARAMS, 2000, seed=10).points
     assert not np.array_equal(a, c)
-
-
-def test_full_chunks_are_count_invariant():
-    # every completed chunk is a pure function of (seed, chunk index), and
-    # each draw role fills its rows in order from its own generator, so the
-    # trailing partial chunk is the start of the full one
-    a = sample_product(PARAMS, 600, seed=1, chunk_size=256).points
-    b = sample_product(PARAMS, 520, seed=1, chunk_size=256).points
-    np.testing.assert_array_equal(a[:512], b[:512])
-    np.testing.assert_array_equal(a[512:520], b[512:520])
-
-
-def test_chunk_layout_is_part_of_the_contract():
-    # changing chunk_size legitimately changes the stream
-    small = sample_product(PARAMS, 600, seed=2, chunk_size=256).points
-    big = sample_product(PARAMS, 600, seed=2, chunk_size=DEFAULT_CHUNK).points
-    assert small.shape == big.shape == (600, 4)
-    assert not np.array_equal(small, big)
-    # but the same layout reproduces rows no matter how often it is replayed
-    again = sample_product(PARAMS, 600, seed=2, chunk_size=256).points
-    np.testing.assert_array_equal(small, again)
 
 
 def test_child_seed_is_stable_and_spread():
@@ -133,23 +114,25 @@ def test_product_signs_are_fair_and_independent_of_magnitude(p):
 
 @pytest.mark.parametrize("p", [1.0, 1.25, 2.0])
 def test_ball_is_the_push_forward_of_the_product_stream(p):
-    # same (params, count, seed, chunk_size): V_PN is T of the MU_PN rows,
-    # across the chunk boundaries at rows 256 and 512
+    # same (params, count, seed): V_PN is T of the MU_PN rows, across the
+    # row-block boundaries at rows 8192 and 16384
     params = PBallParams(p, 3)
-    ball = sample_ball(params, 600, seed=61, chunk_size=256).points
-    prod = sample_product(params, 600, seed=61, chunk_size=256).points
+    count = 2 * block_rows(4) + 100
+    ball = sample_ball(params, count, seed=61).points
+    prod = sample_product(params, count, seed=61).points
     want = bgmn_map(prod, p)
     rel = np.abs(ball - want) / np.abs(want)
     assert rel.max() <= 1e-14
 
 
-def _one_shot_ball_chunk(p, n, rows, seed, chunk_index):
-    # the ball formula in one shot from raw generator calls, one generator
-    # per draw role: the whole (rows, n) g block, the whole U or second
-    # Exp(1) block, and the E column
+def _one_shot_roles(p, n, rows, seed):
+    # every draw role in one shot from raw generator calls, one generator
+    # per role, the children of SeedSequence(seed, spawn_key=(0,)): the
+    # whole (rows, n) g block, the whole U or second Exp(1) block, and the
+    # E column
     rg, ru, re = (np.random.Generator(np.random.PCG64(child)) for child in
                   np.random.SeedSequence(entropy=seed,
-                                         spawn_key=(chunk_index,)).spawn(3))
+                                         spawn_key=(0,)).spawn(3))
     if p == 2.0:
         g = rg.standard_normal((rows, n))
         g *= math.sqrt(0.5)
@@ -160,52 +143,68 @@ def _one_shot_ball_chunk(p, n, rows, seed, chunk_index):
         g = rg.standard_gamma(1.0 + 1.0 / p, (rows, n))
         g **= 1.0 / p
         g *= ru.uniform(-1.0, 1.0, (rows, n))
-    e = re.standard_exponential(rows)
+    return g, re.standard_exponential(rows)
+
+
+def _one_shot_ball(p, n, rows, seed):
+    g, e = _one_shot_roles(p, n, rows, seed)
     s = e + np.sum(np.abs(g) ** p, axis=1)
     return g * (s ** (-1.0 / p))[:, None]
 
 
+def _one_shot_product(p, n, rows, seed):
+    g, e = _one_shot_roles(p, n, rows, seed)
+    return np.column_stack([g, e ** (1.0 / p)])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_streams_are_one_draw_per_role_past_2_pow_18_rows(p):
+    # one generator per role for the whole stream: row 2^18 and beyond
+    # continue the same draws, with no restart of the generators there
+    params, count = PBallParams(p, 1), (1 << 18) + 17
+    assert _same_bits(sample_ball(params, count, 5).points,
+                      _one_shot_ball(p, 1, count, 5))
+    assert _same_bits(sample_product(params, count, 5).points,
+                      _one_shot_product(p, 1, count, 5))
+
+
 @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0])
 def test_ball_is_bit_equal_to_the_one_shot_formula(p):
-    # two chunks, each ending in a partial row block: blocked in-place
-    # drawing and scaling must not move a bit; every batch is checked only
-    # after all of them are drawn, so a buffer shared across calls shows
-    chunk = 2 * BLOCK_ROWS + 100
-    count = chunk + BLOCK_ROWS + 17
-    drawn = {(n, seed): sample_ball(PBallParams(p, n), count, seed, chunk)
+    # three full row blocks and a partial one: blocked in-place drawing and
+    # scaling must not move a bit; every batch is checked only after all of
+    # them are drawn, so a buffer shared across calls shows
+    count = 3 * BLOCK_ROWS + 117
+    drawn = {(n, seed): sample_ball(PBallParams(p, n), count, seed)
              for n in (1, 3, 7) for seed in (71, 72)}
     for (n, seed), batch in drawn.items():
-        want = np.concatenate([
-            _one_shot_ball_chunk(p, n, chunk, seed, 0),
-            _one_shot_ball_chunk(p, n, count - chunk, seed, 1)])
-        assert np.array_equal(batch.points.view(np.uint64),
-                              want.view(np.uint64)), (n, seed)
+        assert _same_bits(batch.points,
+                          _one_shot_ball(p, n, count, seed)), (n, seed)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_wide_ball_is_bit_equal_to_the_one_shot_formula(p):
     # wide rows are drawn and scaled block_rows(n) rows at a time (512 at
-    # n = 64, 32 at n = 1024); two chunks, each ending in a partial block
+    # n = 64, 32 at n = 1024); three full blocks and a partial one
     for n in (64, 1024):
-        step = block_rows(n)
-        chunk = 2 * step + 5
-        count = chunk + step + 17
-        batch = sample_ball(PBallParams(p, n), count, 73, chunk)
-        want = np.concatenate([
-            _one_shot_ball_chunk(p, n, chunk, 73, 0),
-            _one_shot_ball_chunk(p, n, count - chunk, 73, 1)])
-        assert np.array_equal(batch.points.view(np.uint64),
-                              want.view(np.uint64)), n
+        count = 3 * block_rows(n) + 22
+        batch = sample_ball(PBallParams(p, n), count, 73)
+        assert _same_bits(batch.points, _one_shot_ball(p, n, count, 73)), n
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 @pytest.mark.parametrize("sample", [sample_ball, sample_product])
 def test_batches_are_prefixes_of_larger_batches(sample, p):
-    # k rows inside the partial second chunk are the first k rows of every
-    # larger batch, in the partial chunk and beyond it
+    # each draw role fills its rows in order from its own generator, so k
+    # rows are the first k rows of every larger batch, inside the first
+    # row block (8192 rows at n = 3) and beyond it
     params = PBallParams(p, 3)
-    batches = {k: sample(params, k, 79, 256).points
-               for k in (1, 300, 511, 512, 700)}
+    batches = {k: sample(params, k, 79).points
+               for k in (1, 300, 511, 512, 520, 600, 8192, 8193, 16500)}
     for k, pts in batches.items():
         for larger in batches.values():
             if larger.shape[0] > k:
@@ -218,10 +217,10 @@ def test_bits_do_not_depend_on_the_block_size(sample, p, monkeypatch):
     # blocks of block_rows(n + 1) rows: 8192, 6 and 1 at n = 3, 15 at n = 64
     for n, count in ((3, 20000), (64, 1000)):
         params = PBallParams(p, n)
-        want = sample(params, count, 83, 3000).points
+        want = sample(params, count, 83).points
         for rows in (24, 3):
             monkeypatch.setattr(geometry, "BLOCK_ROWS", rows)
-            got = sample(params, count, 83, 3000).points
+            got = sample(params, count, 83).points
             assert np.array_equal(got.view(np.uint64),
                                   want.view(np.uint64)), (n, rows)
         monkeypatch.undo()
@@ -231,15 +230,13 @@ def test_bits_do_not_depend_on_the_block_size(sample, p, monkeypatch):
 def test_block_streams_are_the_batches_rows(p):
     params = PBallParams(p, 5)
     step = block_rows(params.n + 1)
-    count, chunk = 3 * step + 50, 2 * step + 20
+    count = 3 * step + 50
     for stream, sample in ((ball_blocks, sample_ball),
                            (product_blocks, sample_product)):
-        pairs = list(stream(params, count, 89, chunk))
-        firsts = [lo for lo, _ in pairs]
-        # blocks restart at every chunk boundary
-        assert firsts == [0, step, 2 * step, chunk, chunk + step]
+        pairs = list(stream(params, count, 89))
+        assert [lo for lo, _ in pairs] == [0, step, 2 * step, 3 * step]
         rows = np.concatenate([block for _, block in pairs])
-        assert np.array_equal(rows, sample(params, count, 89, chunk).points)
+        assert np.array_equal(rows, sample(params, count, 89).points)
     with pytest.raises(ValueError):
         ball_blocks(params, 0, 89)
 
@@ -300,9 +297,6 @@ def test_rejection_second_moment():
 def test_rejection_refuses_hopeless_cases():
     with pytest.raises(ValueError):
         rejection_sample_ball(PBallParams(1.0, 12), 10, seed=0)
-    # an empty chunk accepts nothing, so the chunk loop would never end
-    with pytest.raises(ValueError):
-        rejection_sample_ball(PBallParams(1.0, 2), 10, seed=0, chunk_size=0)
     # n = 10, p = 1: cube acceptance Vol(B_1^10)/2^10 = 1/10! < 1e-6
     with pytest.raises(RuntimeError):
         rejection_sample_ball(PBallParams(1.0, 10), 10, seed=0)
@@ -333,37 +327,40 @@ def test_rejection_marginal_where_the_envelope_is_loosest():
         assert d < 0.015, (j, d)
 
 
+def _first_chunk_accepts(params, seed):
+    m, cells = _grid_envelope(params.p, params.n)
+    return _rejection_chunk(_chunk_rng(seed, 0), params.p, m, cells).shape[0]
+
+
+# a chunk of REJECTION_CHUNK = 2^16 candidates accepts about 8140 points at
+# p = 1, n = 6, so 20000 points take three chunks
+REJECTION_PARAMS = PBallParams(1.0, 6)
+
+
 def test_rejection_bit_determinism():
-    params = PBallParams(1.5, 4)
-    # a small chunk size forces several chunks per batch
-    a = rejection_sample_ball(params, 3000, seed=43, chunk_size=1000)
-    b = rejection_sample_ball(params, 3000, seed=43, chunk_size=1000)
-    assert a.chunk_size == 1000
+    params = REJECTION_PARAMS
+    assert _first_chunk_accepts(params, 43) < 10000
+    a = rejection_sample_ball(params, 20000, seed=43)
+    b = rejection_sample_ball(params, 20000, seed=43)
     np.testing.assert_array_equal(a.points, b.points)
-    c = rejection_sample_ball(params, 3000, seed=44, chunk_size=1000)
+    c = rejection_sample_ball(params, 20000, seed=44)
     assert not np.array_equal(a.points, c.points)
-    # the default chunk size
-    d = rejection_sample_ball(params, 500, seed=43).points
-    np.testing.assert_array_equal(
-        d, rejection_sample_ball(params, 500, seed=43).points)
 
 
 def test_rejection_batches_are_prefixes_of_larger_batches():
-    # every chunk draws chunk_size candidates whatever count is, so a batch
-    # of k points is the first k points of a larger one; a chunk of 250
-    # candidates at p = 1, n = 6 accepts about 30 points, so these counts
-    # take from one to about 33 chunks
-    params = PBallParams(1.0, 6)
-    batches = {k: rejection_sample_ball(params, k, seed=47, chunk_size=250)
-               for k in (1, 100, 300, 1000)}
+    # every chunk draws REJECTION_CHUNK candidates whatever count is, so a
+    # batch of k points is the first k points of a larger one; these counts
+    # take one, two and three chunks
+    params = REJECTION_PARAMS
+    assert _first_chunk_accepts(params, 47) < 10000
+    batches = {k: rejection_sample_ball(params, k, seed=47)
+               for k in (1, 3000, 10000, 20000)}
     for k, batch in batches.items():
-        again = rejection_sample_ball(params, k, seed=47, chunk_size=250)
+        again = rejection_sample_ball(params, k, seed=47)
         assert again.points.tobytes() == batch.points.tobytes(), k
         for larger in batches.values():
             if larger.count > k:
                 assert np.array_equal(larger.points[:k], batch.points), k
-    other = rejection_sample_ball(params, 1000, seed=47, chunk_size=251)
-    assert not np.array_equal(other.points[:300], batches[300].points)
 
 
 def test_sampler_factories_return_the_samplers_bits():
