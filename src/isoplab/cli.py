@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -210,10 +209,7 @@ def _run_lemma4(cfg, p, n, seed):
 
 def _run_lemma5(cfg, p, n, seed):
     # here n is the number of summands and p identifies the coordinate law
-    alpha = (p - 1.0) / p
-    a_const = 1.0 / math.gamma(1.0 - alpha)
-    return iq.check_lemma5(a_const, alpha, n, list(LEMMA5_EPS),
-                           cfg.samples, seed)
+    return iq.check_lemma5(p, n, LEMMA5_EPS)
 
 
 def _run_coarea(cfg, p, n, seed):

@@ -10,12 +10,14 @@ Conventions shared by all checks:
   default grids are expected to produce zero FAIL verdicts;
 * unknown universal constants are never asserted numerically: each check
   fits the best empirical constant and records it in CheckReport.constants;
-* one grading batch per call, drawn from seed through child_seed (a ball
-  batch at child 0, a product batch at child 1) and read by every row;
-  ball points beside a product batch Z are T(Z), exactly uniform on
+* one grading batch per sampled call, drawn from seed through child_seed
+  (a ball batch at child 0, a product batch at child 1) and read by every
+  row; ball points beside a product batch Z are T(Z), exactly uniform on
   B_p^n.  Only thresholds placed on held-out points (the three tail
   checks, check_coarea's radial radii at p != 2) come from one more
-  batch.  Reports are reproducible bit for bit;
+  batch.  The exact checks (check_product_isoperimetry, check_lemma5,
+  check_kls, and check_theorem1 on its default sets) draw no batch.
+  Reports are reproducible bit for bit;
 * batches are streamed, never held: a check reads its draws block by
   block (``sampling.ball_blocks`` / ``product_blocks``) and keeps only
   per-point columns of count values (set scalars, |x|_2, gradient norms,
@@ -48,7 +50,6 @@ from .geometry import (
     CutoffParams,
     PBallParams,
     ball_log_volume,
-    block_rows,
     coordinate_half_space,
     jacobian_op_norms,
     lp_norm,
@@ -56,7 +57,6 @@ from .geometry import (
     marginal_isf,
     marginal_level_density,
     marginal_second_moment,
-    row_sum,
 )
 from .montecarlo import (
     FAIL,
@@ -659,51 +659,41 @@ def lemma5_constant(A: float, alpha: float) -> float:
                  * (A * special.gamma(1.0 - alpha)) ** (1.0 / (1.0 - alpha)))
 
 
-def check_lemma5(A: float, alpha: float, N: int, eps_grid,
-                 trials: int, seed: int) -> CheckReport:
+def check_lemma5(p: float, N: int, eps_grid) -> CheckReport:
     """Small-sum probability P{X_1 + ... + X_N <= N eps} vs [C(A,alpha) eps]^{(1-alpha)N}.
 
-    The variable catalog holds Gamma(1-alpha, 1), whose density is bounded
-    by A x^{-alpha} exactly when A = 1/Gamma(1-alpha); alpha = 0 is Exp(1)
-    and alpha = (p-1)/p is the Gamma(1/p, 1) coordinate law.  Because the
-    sum is Gamma((1-alpha)N, 1), the exact small-sum probability is kept in
-    constants as a cross-oracle.  Rows: param1 = eps, param2 = 1 when the
-    bound is vacuous (>= 1, still PASS); report p = 1/(1-alpha), n = N.
+    The summands are the Gamma(1/p, 1) coordinate law, whose density is
+    bounded by A x^{-alpha} with alpha = 1 - 1/p and A = 1/Gamma(1/p); p = 1
+    is Exp(1).  Their sum is Gamma(N/p, 1), so every lhs is the exact
+    gammainc(N/p, N eps) and nothing is drawn.  Each row is graded on the
+    scale-free ratio lhs/bound <= 1, which the absolute tolerance floor of a
+    direct comparison would pass at any bound below 1e-12; Chernoff's bound
+    puts the ratio at or below exp(-N eps).  Rows: param1 = eps, param2 = 1
+    when the bound is vacuous (>= 1); report n = N.
     """
-    c_bound = lemma5_constant(A, alpha)
-    shape = 1.0 - alpha
-    if abs(A * special.gamma(shape) - 1.0) > 1e-9:
-        raise ValueError(
-            f"no catalog variable with density bound {A!r} x^-{alpha!r}; "
-            f"expected A = 1/Gamma(1-alpha)")
-    if N < 1 or trials < 1:
-        raise ValueError("N and trials must be positive")
+    if not p >= 1.0:
+        raise ValueError(f"need p >= 1, got {p!r}")
+    if N < 1:
+        raise ValueError("N must be positive")
     eps_grid = [float(e) for e in eps_grid]
     if any(e <= 0.0 for e in eps_grid):
         raise ValueError("eps grid must be positive")
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
-    # the (trials, N) Gamma matrix in row blocks from the one generator,
-    # which fills them in C order: the values of one whole draw
-    step = block_rows(N)
-    blocks = ((lo, rng.gamma(shape, 1.0, size=(min(step, trials - lo), N)))
-              for lo in range(0, trials, step))
-    sums, = map_row_blocks(lambda G: (row_sum(G),), blocks, trials)
+    alpha = 1.0 - 1.0 / p
+    c_bound = lemma5_constant(1.0 / special.gamma(1.0 / p), alpha)
     name = "check_lemma5"
-    p_report = 1.0 / shape
     reports = []
-    constants = {"C": c_bound}
     for eps in eps_grid:
-        k = int((sums <= N * eps).sum())
-        est = bernoulli_ci(k, trials)
-        bound = (c_bound * eps) ** (shape * N)
-        vacuous = bound >= 1.0
-        verdict = PASS if vacuous else verdict_leq(est, bound, "consistent")
-        reports.append(_row(name, p_report, N, eps, 1.0 if vacuous else 0.0,
-                            est, bound, verdict))
-        constants[f"exact_eps={eps:g}"] = float(special.gammainc(shape * N,
-                                                                 N * eps))
-    return CheckReport(name, tuple(reports), constants)
+        exact = special.gammainc(N / p, N * eps)
+        # past double range the ratio keeps its direction: a bound that
+        # overflows leaves 0, one that underflows under a positive lhs inf,
+        # and both sides underflowing NaN (INCONCLUSIVE)
+        with np.errstate(all="ignore"):
+            bound = np.float64(c_bound * eps) ** (N / p)
+            ratio = exact / bound
+        verdict = verdict_leq(EstimateCI.exact(ratio), 1.0, "strict")
+        reports.append(_row(name, p, N, eps, 1.0 if bound >= 1.0 else 0.0,
+                            EstimateCI.exact(exact), bound, verdict))
+    return CheckReport(name, tuple(reports), {"C": c_bound})
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,11 @@ def bernoulli_ci(k: int, n: int) -> EstimateCI:
     return EstimateCI(mean, se, n)
 
 
+def _finite_size(est: EstimateCI) -> float:
+    """|lo| + |hi| over the finite ends of an interval."""
+    return sum(abs(end) for end in (est.lo, est.hi) if math.isfinite(end))
+
+
 def verdict_geq(lhs: EstimateCI, rhs, mode: str = "strict") -> str:
     """Grade the statement lhs >= rhs from interval positions; rhs is a
     number or an EstimateCI.
@@ -127,7 +132,8 @@ def verdict_geq(lhs: EstimateCI, rhs, mode: str = "strict") -> str:
     inequalities whose two sides are estimated at an equality point, where
     strict grading could never PASS).  In both modes a NaN end on either
     side is INCONCLUSIVE: NaN compares false with everything, so no
-    interval position can be read from it.
+    interval position can be read from it.  An infinite end is graded like
+    any other; it adds nothing to the relative tolerance.
     """
     if mode not in ("strict", "consistent"):
         raise ValueError(f"unknown verdict mode {mode!r}")
@@ -135,9 +141,9 @@ def verdict_geq(lhs: EstimateCI, rhs, mode: str = "strict") -> str:
         rhs = EstimateCI.exact(rhs)
     if any(math.isnan(end) for end in (lhs.lo, lhs.hi, rhs.lo, rhs.hi)):
         return INCONCLUSIVE
-    # ends added per side: negating both sides keeps the sum (verdict_leq)
-    tol = 1e-12 * (1.0 + (abs(lhs.lo) + abs(lhs.hi))
-                   + (abs(rhs.lo) + abs(rhs.hi)))
+    # ends added per side: negating both sides keeps the sum (verdict_leq);
+    # an infinite tolerance would pass every comparison
+    tol = 1e-12 * (1.0 + _finite_size(lhs) + _finite_size(rhs))
     if mode == "consistent":
         return FAIL if lhs.hi < rhs.lo - tol else PASS
     if lhs.lo >= rhs.hi - tol:

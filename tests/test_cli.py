@@ -268,6 +268,17 @@ def test_default_run_draws_one_grading_batch_per_job(tmp_path, monkeypatch):
         assert k == 1 + extra, (name, p, n, k)
 
 
+def test_lemma5_rows_do_not_depend_on_seed_or_samples(tmp_path):
+    # the rows are the exact Gamma(N/p) law, so no draw is left to differ
+    for out, seed, samples in (("a", "1", "5000"), ("b", "2", "100000")):
+        assert main(["--experiment", "check_lemma5", "--seed", seed,
+                     "--samples", samples,
+                     "--out-dir", str(tmp_path / out)]) == 0
+    for name in ("check_lemma5.csv", "check_lemma5_plot.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes(), name
+
+
 def test_run_rejects_unwritable_out_dir(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -485,24 +485,34 @@ def test_lemma5_constant_frozen_values():
         lemma5_constant(1.0, 1.0)
 
 
+def _assert_exact_lemma5_rows(rep, p, N, eps_grid, trials, seed):
+    # each lhs is the Gamma(N/p) law and sits inside the interval of a Monte
+    # Carlo copy of the Gamma(1/p) sums drawn here (the check draws nothing)
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=(0,))))
+    sums = rng.gamma(1.0 / p, 1.0, size=(trials, N)).sum(axis=1)
+    for row, eps in zip(rep.reports, eps_grid):
+        est = bernoulli_ci(int((sums <= N * eps).sum()), trials)
+        assert row.params[2] == eps
+        assert row.lhs.std_err == 0.0
+        assert row.lhs.mean == pytest.approx(
+            float(special.gammainc(N / p, N * eps)), rel=1e-12)
+        assert abs(row.lhs.mean - est.mean) <= 3.0 * est.std_err + 1e-9
+
+
 def test_lemma5_exponential_case():
-    rep = check_lemma5(1.0, 0.0, N=4, eps_grid=[0.05, 0.1, 0.2],
-                       trials=20000, seed=13)
+    eps_grid = [0.05, 0.1, 0.2]
+    rep = check_lemma5(1.0, N=4, eps_grid=eps_grid)
     assert rep.verdicts()[FAIL] == 0
-    assert rep.constants["C"] == pytest.approx(math.e, rel=1e-12)
-    # the Erlang oracle sits inside each Monte Carlo interval
+    assert rep.constants == {"C": pytest.approx(math.e, rel=1e-12)}
+    _assert_exact_lemma5_rows(rep, 1.0, 4, eps_grid, trials=20000, seed=13)
     for row in rep.reports:
-        eps = row.params[2]
-        exact = rep.constants[f"exact_eps={eps:g}"]
-        assert exact == pytest.approx(
-            float(special.gammainc(4.0, 4.0 * eps)), rel=1e-12)
-        assert abs(row.lhs.mean - exact) <= 3.0 * row.lhs.std_err + 1e-9
-        assert row.params[0] == 1.0  # p = 1/(1 - alpha)
+        assert row.params[0] == 1.0
         assert row.params[1] == 4
 
 
 def test_lemma5_vacuous_bound_flag():
-    rep = check_lemma5(1.0, 0.0, N=2, eps_grid=[0.5], trials=2000, seed=17)
+    rep = check_lemma5(1.0, N=2, eps_grid=[0.5])
     row = rep.reports[0]
     assert row.rhs >= 1.0
     assert row.params[3] == 1.0
@@ -511,23 +521,66 @@ def test_lemma5_vacuous_bound_flag():
 
 def test_lemma5_catalog_mismatch():
     with pytest.raises(ValueError):
-        check_lemma5(0.5, 0.5, N=4, eps_grid=[0.1], trials=100, seed=0)
+        check_lemma5(0.5, N=4, eps_grid=[0.1])
     with pytest.raises(ValueError):
-        check_lemma5(1.0, 0.0, N=4, eps_grid=[-0.1], trials=100, seed=0)
+        check_lemma5(1.0, N=4, eps_grid=[-0.1])
     with pytest.raises(ValueError):
-        check_lemma5(1.0, 0.0, N=0, eps_grid=[0.1], trials=100, seed=0)
+        check_lemma5(1.0, N=0, eps_grid=[0.1])
 
 
 def test_lemma5_gamma_half_case():
-    a_half = 1.0 / math.sqrt(math.pi)
-    rep = check_lemma5(a_half, 0.5, N=4, eps_grid=[0.05, 0.2],
-                       trials=20000, seed=19)
+    eps_grid = [0.05, 0.2]
+    rep = check_lemma5(2.0, N=4, eps_grid=eps_grid)
     assert rep.verdicts()[FAIL] == 0
-    assert rep.reports[0].params[0] == pytest.approx(2.0)  # 1/(1-alpha)
-    for row in rep.reports:
-        eps = row.params[2]
-        exact = rep.constants[f"exact_eps={eps:g}"]
-        assert abs(row.lhs.mean - exact) <= 3.0 * row.lhs.std_err + 1e-9
+    assert rep.reports[0].params[0] == 2.0
+    _assert_exact_lemma5_rows(rep, 2.0, 4, eps_grid, trials=20000, seed=19)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.3, 1.5, 1.75, 2.0])
+def test_lemma5_reports_the_callers_p(p):
+    # 1/(1 - (p-1)/p) gave 1.4999999999999998 for p = 1.5
+    for row in check_lemma5(p, 4, [0.05, 0.1, 0.2]).reports:
+        assert row.params[0].hex() == p.hex()
+
+
+def test_lemma5_ratio_sits_under_the_chernoff_margin():
+    # P{Gamma(k) <= x} <= (ex/k)^k e^{-x} with k = N/p, x = N eps: the
+    # bound times e^{-N eps}, so every default row PASSes with that margin
+    for p in (1.0, 1.5, 2.0):
+        for N in (4, 16):
+            rep = check_lemma5(p, N, [0.05, 0.1, 0.2])
+            for row in rep.reports:
+                assert row.verdict == PASS
+                assert row.ratio <= math.exp(-N * row.params[2]) * (1 + 1e-12)
+
+
+def test_lemma5_grades_bounds_past_double_range(monkeypatch):
+    # an overflowing bound is vacuous; both sides underflowing leave no ratio
+    row, = check_lemma5(1.0, 3000, [0.5]).reports
+    assert (row.rhs, row.params[3], row.verdict) == (math.inf, 1.0, PASS)
+    row, = check_lemma5(1.0, 1000, [0.05]).reports
+    assert (row.lhs.mean, row.rhs, row.verdict) == (0.0, 0.0, INCONCLUSIVE)
+    # a bound that underflows under a positive lhs is a violation
+    real = isoplab.inequality_suite.lemma5_constant
+    monkeypatch.setattr(isoplab.inequality_suite, "lemma5_constant",
+                        lambda A, alpha: real(A, alpha) / 1e3)
+    row, = check_lemma5(2.0, 200, [0.05]).reports
+    assert row.rhs == 0.0 < row.lhs.mean
+    assert row.verdict == FAIL
+
+
+def test_lemma5_negative_control_fails_with_a_third_of_c(monkeypatch):
+    # C/3 shrinks the bound by 3^{N/p}; graded on the ratio, the eps = 0.05
+    # row FAILs at every default job, also at p = 1, N = 16 (6.3e-16 vs
+    # 3.2e-22), which a direct comparison would pass on its 1e-12 floor
+    real = isoplab.inequality_suite.lemma5_constant
+    monkeypatch.setattr(isoplab.inequality_suite, "lemma5_constant",
+                        lambda A, alpha: real(A, alpha) / 3.0)
+    for p in (1.0, 1.5, 2.0):
+        for N in (4, 16):
+            row = check_lemma5(p, N, [0.05, 0.1, 0.2]).reports[0]
+            assert row.params[2] == 0.05
+            assert row.verdict == FAIL, (p, N, row.lhs.mean, row.rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,8 @@ The checks stream their draws and keep only per-point columns, so their
 peaks do not grow with n at a fixed count; holding the (count, n) batch
 (the chain peaked at 763 MB at n = 1024, 2x10^4 points) fails these
 bounds.  sample_product draws its second draw block into its own output
-rows; a whole mu_p block beside the output (2.2x) fails its bound, and so
-does the Gamma matrix of check_lemma5 held whole (13 MB at N = 16, 10^5
-trials).
+rows; a whole mu_p block beside the output (2.2x) fails its bound.
 """
-
-import math
 
 import tracemalloc
 
@@ -62,11 +58,10 @@ def test_sample_product_peak_is_near_its_output(p):
 
 
 def test_lemma5_peak_holds_no_gamma_matrix():
-    # N = 16 summands of Gamma(1/3), 10^5 trials: the sums column is 0.8 MB
-    alpha = 2.0 / 3.0
-    peak = _traced_peak(lambda: check_lemma5(
-        1.0 / math.gamma(1.0 - alpha), alpha, 16, [0.05, 0.1, 0.2], ROWS, 7))
-    assert peak <= 1.5e6, peak
+    # the rows are the exact Gamma(N/p) law; N = 16 summands of Gamma(1/3)
+    # drawn 10^5 times would hold a 0.8 MB sums column, the matrix 13 MB
+    peak = _traced_peak(lambda: check_lemma5(3.0, 16, [0.05, 0.1, 0.2]))
+    assert peak <= 64e3, peak
 
 
 @pytest.mark.parametrize("check", [

@@ -5,6 +5,8 @@ The estimators read per-point columns only; each test fills its columns
 from drawn points block by block, as the checks do from their streams.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,17 @@ def test_a_nan_side_is_inconclusive(mode):
     assert verdict_geq(EstimateCI(nan, 0.0, 1), 0.0, mode) == INCONCLUSIVE
     assert verdict_leq(EstimateCI(nan, 0.0, 1), 0.0, mode) == INCONCLUSIVE
     assert verdict_geq(EstimateCI(0.5, 0.1, 1), nan, mode) == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("mode", ["strict", "consistent"])
+def test_an_infinite_side_is_graded(mode):
+    # an infinite end once made the tolerance infinite, so inf <= 1 PASSed
+    inf = math.inf
+    assert verdict_leq(EstimateCI.exact(inf), 1.0, mode) == FAIL
+    assert verdict_leq(EstimateCI.exact(0.5), inf, mode) == PASS
+    assert verdict_geq(EstimateCI.exact(0.5), inf, mode) == FAIL
+    assert verdict_geq(EstimateCI.exact(-inf), 1.0, mode) == FAIL
+    assert verdict_geq(EstimateCI.exact(inf), inf, mode) == PASS
 
 
 def _leq_direct(lhs, rhs, mode):
