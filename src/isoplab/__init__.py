@@ -80,6 +80,7 @@ from .sampling import (
     read_points_csv,
     rejection_sample_ball,
     product_blocks,
+    product_ball_blocks,
     rejection_sampler,
     sample_ball,
     sample_product,

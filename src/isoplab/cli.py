@@ -2,6 +2,14 @@
 one CSV of graded rows per check, a plot-friendly companion CSV, and a
 JSON summary of fitted constants and verdict counts.
 
+Each (check, p, n) job's runner either runs an exact check or returns the
+plan of a sampled one; the sampled plans of each (p, n) cell then run
+together on the cell's two streams (``inequality_suite.run_cell``), one
+cell at a time, seeded by (seed, p, n) alone.  So a check's rows do not
+depend on which other checks are selected, and with ``threads > 1`` the
+pool builds plans and runs exact checks while the output stays the same
+bytes.
+
 Exit codes: 0 when no row FAILs, 2 when any row FAILs, 3 for configuration
 errors (unknown check, malformed config, a grid, seed or big_c value the
 checks reject, empty selection, bad out dir).
@@ -26,7 +34,6 @@ import numpy as np
 from . import inequality_suite as iq
 from .geometry import CutoffParams, PBallParams, coordinate_half_space
 from .montecarlo import FAIL, EstimateCI, _ladder
-from .sampling import child_seed
 
 LEMMA5_EPS = (0.05, 0.1, 0.2)
 LEMMA5_N = (4, 16)
@@ -172,24 +179,24 @@ def _run_product(cfg, p, n, seed):
 
 
 def _run_bobkov(cfg, p, n, seed):
-    return iq.check_bobkov_inequality(
+    return iq.bobkov_plan(
         p, n, _default_sets(p, n, cfg.a_grid), _scaled(cfg.r_grid, p, n),
-        cfg.samples, seed, eps_ladder=_scaled(cfg.eps_ladder, p, n))
+        eps_ladder=_scaled(cfg.eps_ladder, p, n))
 
 
 def _run_barthe(cfg, p, n, seed):
-    return iq.check_barthe_dimensional(
+    return iq.barthe_plan(
         p, n, _default_sets(p, n, cfg.a_grid), _scaled(cfg.r_grid, p, n),
-        cfg.samples, seed, eps_ladder=_scaled(cfg.eps_ladder, p, n))
+        eps_ladder=_scaled(cfg.eps_ladder, p, n))
 
 
 def _run_sz_tail(cfg, p, n, seed):
-    return iq.check_sz_tail(p, n, cfg.t_grid, cfg.samples, seed)
+    return iq.sz_tail_plan(p, n, cfg.t_grid)
 
 
 def _run_sz_concentration(cfg, p, n, seed):
-    return iq.check_sz_concentration(p, n, "coordinate", cfg.t_grid,
-                                     cfg.samples, seed)
+    return iq.sz_concentration_plan(p, n, "coordinate", cfg.t_grid,
+                                    cfg.samples, seed)
 
 
 def _run_concentration(cfg, p, n, seed):
@@ -204,7 +211,7 @@ def _run_concentration(cfg, p, n, seed):
 
 
 def _run_lemma4(cfg, p, n, seed):
-    return iq.check_lemma4(p, n, cfg.samples, seed)
+    return iq.lemma4_plan(p, n)
 
 
 def _run_lemma5(cfg, p, n, seed):
@@ -213,25 +220,24 @@ def _run_lemma5(cfg, p, n, seed):
 
 
 def _run_coarea(cfg, p, n, seed):
-    return iq.check_coarea(p, n, None, cfg.samples, seed)
+    return iq.coarea_plan(p, n)
 
 
 def _run_equivalence(cfg, p, n, seed):
     set_ = coordinate_half_space(PBallParams(p, n), 0.5)
     r, s = _scaled((0.0025, 0.05), p, n)
-    return iq.check_functional_equivalence(p, n, set_, r, s, cfg.samples, seed)
+    return iq.functional_equivalence_plan(p, n, set_, r, s)
 
 
 def _run_l2_form(cfg, p, n, seed):
     grid = [a for a in cfg.a_grid if 0.0 < a < 0.5]
     if not grid:
         return iq.CheckReport("check_l2_form", (), {})
-    return iq.check_l2_form(p, n, grid, cfg.samples, seed)
+    return iq.l2_form_plan(p, n, grid)
 
 
 def _run_chain(cfg, p, n, seed):
-    return iq.verify_cutoff_chain(p, n, None, CutoffParams(), cfg.samples,
-                                  seed, big_c=cfg.big_c)
+    return iq.cutoff_chain_plan(p, n, None, CutoffParams(), big_c=cfg.big_c)
 
 
 def _run_isotropy(cfg, p, n, seed):
@@ -249,7 +255,7 @@ def _run_kls(cfg, p, n, seed):
 
 
 def _run_paouris(cfg, p, n, seed):
-    return iq.check_paouris_tail(p, n, cfg.t_grid, cfg.samples, seed)
+    return iq.paouris_tail_plan(p, n, cfg.t_grid)
 
 
 REGISTRY = {
@@ -377,17 +383,28 @@ def run(cfg: RunConfig) -> int:
     if not jobs:
         raise ConfigError("no experiments selected")
 
-    def execute(item):
-        index, (name, p, n) = item
-        runner = REGISTRY[name][1]
-        return runner(cfg, p, n, child_seed(cfg.seed, index))
+    def execute(job):
+        name, p, n = job
+        return REGISTRY[name][1](cfg, p, n, cfg.seed)
 
-    indexed = list(enumerate(jobs))
+    # runners build the sampled checks' plans and run the exact checks,
+    # neither of which holds a column; the pool only runs those
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(execute, indexed))
+            results = list(pool.map(execute, jobs))
     else:
-        results = [execute(item) for item in indexed]
+        results = [execute(job) for job in jobs]
+    # then each (p, n) cell runs its plans, one cell at a time, so that
+    # one cell's columns are alive at once
+    cells = {}
+    for k, ((_, p, n), result) in enumerate(zip(jobs, results)):
+        if isinstance(result, iq.CellPlan):
+            cells.setdefault((p, n), []).append(k)
+    for (p, n), ks in cells.items():
+        reports = iq.run_cell(p, n, [results[k] for k in ks], cfg.samples,
+                              cfg.seed)
+        for k, rep in zip(ks, reports):
+            results[k] = rep
 
     by_check = {}
     summary_checks = {}

@@ -11,9 +11,12 @@ A field class defines one evaluation, ``value_and_grad``, and the dimension:
     f.value_and_grad(X)   -> ((rows,) values in [0, 1], (rows, dim) gradients)
                              from one evaluation of the field's scalar per point
     f.dim                 -> expected point dimension
-The shared base supplies the two halves of that pass:
+The shared base supplies the two halves of that pass, and the norms of
+the gradient rows:
     f(X)                  -> f.value_and_grad(X)[0]
     f.grad(X)             -> f.value_and_grad(X)[1]
+    f.grad_norm(X)        -> (rows,) |grad f|_2, which the ramps compute
+                             from their scalar alone, without gradient rows
 Rows are independent: a row's value and gradient depend only on that row,
 bit for bit, whatever the other rows of X are.  Every check relies on this
 to evaluate its batch block by block (``geometry.map_row_blocks``), so a
@@ -97,6 +100,9 @@ class _Field:
     def grad(self, X):
         return self.value_and_grad(X)[1]
 
+    def grad_norm(self, X):
+        return lp_norm(self.grad(X), 2.0)
+
 
 class ConstantField(_Field):
     """f identically equal to ``value``; gradient zero."""
@@ -134,6 +140,8 @@ class LinearRamp(_Field):
         self.lo = float(lo)
         self.hi = float(hi)
         self.dim = xi.size
+        # the norm of every nonzero gradient row
+        self._slope = float(lp_norm((xi / self.width)[None, :], 2.0)[0])
 
     @property
     def width(self) -> float:
@@ -144,6 +152,11 @@ class LinearRamp(_Field):
         on = (t > self.lo) & (t < self.hi)
         return (np.clip((t - self.lo) / self.width, 0.0, 1.0),
                 np.where(on[:, None], self.xi / self.width, 0.0))
+
+    def grad_norm(self, X):
+        """The norms of the gradient rows, bit for bit."""
+        t = row_dot(_rows(X, self.dim), self.xi)
+        return np.where((t > self.lo) & (t < self.hi), self._slope, 0.0)
 
     def superlevel(self, u: float) -> HalfSpace:
         """{<x, xi> >= lo + u (hi - lo)}.  All superlevel sets of one ramp
@@ -177,6 +190,12 @@ class RadialRamp(_Field):
         return (np.clip((r - self.lo) / self.width, 0.0, 1.0),
                 np.where(on[:, None], unit / self.width, 0.0))
 
+    def grad_norm(self, X):
+        """1/(hi - lo) on the ramp, where the gradient is a unit vector
+        over the width, and 0 elsewhere."""
+        r = lp_norm(_rows(X, self.dim), 2.0)
+        return np.where((r > self.lo) & (r < self.hi), 1.0 / self.width, 0.0)
+
     def superlevel(self, u: float) -> BallComplement:
         """{|x|_2 >= lo + u (hi - lo)}.  All superlevel sets of one ramp
         share one scalar, |x|_2, and differ only in threshold; content
@@ -203,6 +222,13 @@ class DistanceRamp(_Field):
         on = (d > self.r) & (d < self.r + self.s)
         return (np.clip(1.0 - (d - self.r) / self.s, 0.0, 1.0),
                 np.where(on[:, None], -dg / self.s, 0.0))
+
+    def grad_norm(self, X):
+        """1/s on the shell, where the gradient of dist is a unit vector
+        a.e. (see the sets' ``dist_and_grad``), and 0 elsewhere."""
+        d = self.set_.dist(_rows(X, self.dim))
+        return np.where((d > self.r) & (d < self.r + self.s), 1.0 / self.s,
+                        0.0)
 
     def superlevel(self, u: float):
         """The (r + s(1 - u))-enlargement of A.  All superlevel sets of one

@@ -101,14 +101,15 @@ def map_row_blocks(fn, inputs, count: int) -> list:
     taken in blocks of ``block_rows`` of the widest input's row width, or a
     block stream of count rows: an iterable of (first row, block) pairs, a
     block being one array or a tuple of arrays, such as the samplers'
-    ``product_blocks`` and ``ball_blocks``.  ``fn`` receives the arrays of
-    one block and returns a sequence of arrays, each holding a value per
-    row of the block.  Each column takes its dtype and trailing shape from
-    the first block's value.  Blocks that do not end at row count, or a
-    block returning another number of values, raise ValueError.  Only the
-    block's temporaries are alive at a time, and the columns equal one call
-    of ``fn`` on whole arrays as long as each row's values depend on that
-    row alone.
+    ``product_blocks`` and ``ball_blocks``, or another object whose len is
+    its row count.  ``fn`` receives the arrays of one block and returns a
+    sequence of arrays, each holding a value per row of the block.  Each
+    column takes its dtype and trailing shape from the first block's
+    value.  Blocks that do not end at row count, or a block returning
+    another number of values, raise ValueError.  Only the block's
+    temporaries are alive at a time, and the columns equal one call of
+    ``fn`` on whole arrays as long as each row's values depend on that row
+    alone.
     """
     if isinstance(inputs, (list, tuple)):
         inputs = _array_blocks(inputs)
@@ -123,7 +124,7 @@ def map_row_blocks(fn, inputs, count: int) -> list:
         elif len(values) != len(cols):
             raise ValueError(f"a block returned {len(values)} values, "
                              f"the first {len(cols)}")
-        rows = slice(lo, lo + block[0].shape[0])
+        rows = slice(lo, lo + len(block[0]))
         for col, v in zip(cols, values):
             col[rows] = v
         values = v = None   # not alive beside the next block's pass

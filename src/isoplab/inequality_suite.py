@@ -10,26 +10,32 @@ Conventions shared by all checks:
   default grids are expected to produce zero FAIL verdicts;
 * unknown universal constants are never asserted numerically: each check
   fits the best empirical constant and records it in CheckReport.constants;
-* one grading batch per sampled call, drawn from seed through child_seed
-  (a ball batch at child 0, a product batch at child 1) and read by every
-  row; ball points beside a product batch Z are T(Z), exactly uniform on
-  B_p^n.  Only thresholds placed on held-out points (the three tail
-  checks, check_coarea's radial radii at p != 2) come from one more
-  batch.  The exact checks (check_product_isoperimetry, check_lemma5,
-  check_kls, and check_theorem1 on its default sets) draw no batch.
-  Reports are reproducible bit for bit;
-* batches are streamed, never held: a check reads its draws block by
-  block (``sampling.ball_blocks`` / ``product_blocks``) and keeps only
-  per-point columns of count values (set scalars, |x|_2, gradient norms,
-  link terms), from which every row is estimated.  Its memory is those
-  columns plus one block, whatever n is.
+* the (p, n) cell is the unit of sampled work: a sampled check is a
+  ``CellPlan``, and ``run_cell`` runs the plans of one cell on two
+  streams, a grading stream read by every row and a held-out stream that
+  only thresholds and the co-area radial radii are placed on.  Each
+  stream yields product rows Z beside their ball points X = T(Z), exactly
+  uniform on B_p^n (Barthe, Guedon, Mendelson and Naor), from one draw,
+  and is seeded by ``cell_seed(seed, p, n, role)`` alone.  So a check's
+  rows do not depend on which other checks share its cell, and a public
+  ``check_*(..., count, seed)`` is a cell of its one plan.  The exact
+  checks (check_product_isoperimetry, check_lemma5, check_kls, and
+  check_theorem1 on its default sets) draw nothing.  Reports are
+  reproducible bit for bit;
+* columns, never batches: a cell reads each stream block by block in one
+  ``map_row_blocks`` pass over its plans' column functions, and keeps
+  only per-point columns of count values (set scalars, |x|_2, |z|_p,
+  gradient norms, link terms), from which every row is estimated.  A
+  value several plans read is computed once per block and stored once.
+  The memory is those columns plus one block, whatever n is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import special
@@ -63,7 +69,7 @@ from .montecarlo import (
     INCONCLUSIVE,
     PASS,
     EstimateCI,
-    PairRows,
+    PairDistances,
     bernoulli_ci,
     content_from_batch,
     estimate_measure,
@@ -75,32 +81,49 @@ from .montecarlo import (
     verdict_geq,
     verdict_leq,
 )
-from .sampling import ball_blocks, child_seed, product_blocks
+from .sampling import product_ball_blocks
 
 __all__ = [
     "InequalityReport",
     "CheckReport",
+    "CellPlan",
+    "CellBlock",
+    "GRADING",
+    "HELD_OUT",
+    "cell_seed",
+    "run_cell",
     "ConcentrationCurve",
     "IsotropyConstants",
     "default_eps_ladder",
     "theorem1_rhs",
     "check_theorem1",
+    "theorem1_plan",
     "check_product_isoperimetry",
     "check_bobkov_inequality",
+    "bobkov_plan",
     "check_barthe_dimensional",
+    "barthe_plan",
     "check_sz_tail",
+    "sz_tail_plan",
     "check_sz_concentration",
+    "sz_concentration_plan",
     "concentration_from_isoperimetry",
     "check_lemma4",
+    "lemma4_plan",
     "lemma5_constant",
     "check_lemma5",
     "check_coarea",
+    "coarea_plan",
     "check_functional_equivalence",
+    "functional_equivalence_plan",
     "check_l2_form",
+    "l2_form_plan",
     "verify_cutoff_chain",
+    "cutoff_chain_plan",
     "isotropy_constants",
     "check_kls",
     "check_paouris_tail",
+    "paouris_tail_plan",
 ]
 
 # advisory lower end of the tail regime, in units of n^{-(2-p)/(2p)}
@@ -109,6 +132,8 @@ SZ_T0 = 2.0
 PAOURIS_T0 = 0.8
 # ladder of candidate constants for the two small-probability bounds
 LEMMA4_LADDER = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
+# leading grading rows of the chain's pointwise gradient-transfer scan
+TRANSFER_ROWS = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -167,41 +192,151 @@ def _kappa(p: float) -> float:
     return (2.0 - p) / (2.0 * p)
 
 
-def _ball_stream(params: PBallParams, count: int, seed: int, child: int):
-    return ball_blocks(params, count, child_seed(seed, child))
-
-
-def _shares_scalar(a, b) -> bool:
-    return type(a) is type(b) and np.array_equal(getattr(a, "xi", None),
-                                                 getattr(b, "xi", None))
+def _scalar_key(set_) -> tuple:
+    """Sets with one key threshold one scalar: the same type and the same
+    direction, if they have one."""
+    return type(set_), getattr(set_, "xi", np.empty(0)).tobytes()
 
 
 def scalar_groups(sets) -> list:
     """Indices of ``sets`` grouped by the one scalar each thresholds, in
     order of first appearance; the sets of a group share one column and
     one ``content_from_batch`` call."""
-    groups = []
+    groups = {}
     for k, set_ in enumerate(sets):
-        for group in groups:
-            if _shares_scalar(sets[group[0]], set_):
-                group.append(k)
-                break
-        else:
-            groups.append([k])
-    return groups
+        groups.setdefault(_scalar_key(set_), []).append(k)
+    return list(groups.values())
 
 
-def _set_scalars(sets, stream, count: int) -> list:
-    """One scalar column per set, filled in one pass over ``stream``; sets
-    sharing a scalar share its column."""
-    groups = scalar_groups(sets)
-    cols = map_row_blocks(lambda X: [sets[g[0]].scalar(X) for g in groups],
-                          stream, count)
-    out = [None] * len(sets)
-    for col, group in zip(cols, groups):
-        for k in group:
-            out[k] = col
-    return out
+# ---------------------------------------------------------------------------
+# the (p, n) cell: two streams, the column passes over them, and the plans
+# ---------------------------------------------------------------------------
+
+# roles of a cell's streams
+GRADING, HELD_OUT = 0, 1
+
+
+def cell_seed(seed: int, p: float, n: int, role: int) -> int:
+    """64-bit seed of the (p, n) cell's stream in ``role``, keyed by
+    (seed, p, n, role) alone."""
+    p_bits = int(np.float64(p).view(np.uint64))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(p_bits, int(n), role))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+class CellBlock:
+    """Rows lo, lo + 1, ... of a cell stream: product rows Z, their ball
+    points X = T(Z), and the per-row values several plans read, each
+    computed once per block."""
+
+    def __init__(self, lo: int, Z: np.ndarray, X: np.ndarray, p: float):
+        self.lo, self.Z, self.X, self.p = lo, Z, X, p
+        self._scalars = {}
+
+    def __len__(self) -> int:
+        return self.X.shape[0]
+
+    def scalar(self, set_) -> np.ndarray:
+        """``set_.scalar(X)``: one array for all the sets sharing it."""
+        key = _scalar_key(set_)
+        if key not in self._scalars:
+            self._scalars[key] = set_.scalar(self.X)
+        return self._scalars[key]
+
+    @property
+    def norm2(self) -> np.ndarray:
+        """|x|_2, the scalar of every ball complement."""
+        return self.scalar(BallComplement(1.0))
+
+    @cached_property
+    def zp(self) -> np.ndarray:
+        """|z|_p."""
+        return lp_norm(self.Z, self.p)
+
+
+def _norm2(b: CellBlock) -> tuple:
+    return (b.norm2,)
+
+
+class CellPlan(NamedTuple):
+    """A sampled check's work on one (p, n) cell, run by ``run_cell``.
+
+    ``held_out`` holds functions of a held-out CellBlock, each returning a
+    sequence of per-row values.  ``grading`` takes their columns, one per
+    value in order, each sorted (a held-out column only places thresholds,
+    at its order statistics), and returns the plan's functions of a
+    grading CellBlock and its report: a function from those functions'
+    columns to the check's CheckReport.
+    """
+
+    held_out: tuple
+    grading: Callable
+
+
+def _grading_plan(columns: tuple, report) -> CellPlan:
+    """A plan that reads no held-out columns."""
+    return CellPlan((), lambda held: (columns, report))
+
+
+def _cell_pass(params: PBallParams, count: int, seed: int, role: int,
+               plan_columns: list) -> list:
+    """Per plan, the columns of its functions from one ``map_row_blocks``
+    pass over the cell's stream in ``role``, which is drawn only when some
+    plan has a function.  An array that several functions return for a
+    block, such as a shared set scalar, is one column."""
+    if not any(plan_columns):
+        return [[] for _ in plan_columns]
+    stream = product_ball_blocks(params, count,
+                                 cell_seed(seed, params.p, params.n, role))
+    layout = []
+
+    def union(block):
+        values, slot, block_layout = [], {}, []
+        for fns in plan_columns:
+            slots = []
+            for fn in fns:
+                for v in fn(block):
+                    if id(v) not in slot:
+                        slot[id(v)] = len(values)
+                        values.append(v)
+                    slots.append(slot[id(v)])
+            block_layout.append(slots)
+        if not layout:
+            layout.extend(block_layout)
+        elif block_layout != layout:
+            raise ValueError("a block shares its columns unlike the first")
+        return values
+
+    cols = map_row_blocks(union, ((lo, CellBlock(lo, Z, X, params.p))
+                                  for lo, (Z, X) in stream), count)
+    return [[cols[k] for k in slots] for slots in layout]
+
+
+def run_cell(p: float, n: int, plans, count: int, seed: int) -> list:
+    """The CheckReport of each of ``plans`` on the (p, n) cell, every
+    stream count points long.
+
+    One pass over the held-out stream fills every plan's held-out columns,
+    each sorted once, which its ``grading`` turns into thresholds, column
+    functions and a report; one pass over the grading stream fills all
+    those columns, and each report is made from its plan's.  A stream no
+    plan reads is not drawn, so a cell of exact checks draws nothing.
+    """
+    params = PBallParams(p, n)
+    held = _cell_pass(params, count, seed, HELD_OUT,
+                      [plan.held_out for plan in plans])
+    for col in {id(c): c for cols in held for c in cols}.values():
+        col.sort()      # it only gives order statistics, fastest when sorted
+    graded = [plan.grading(cols) for plan, cols in zip(plans, held)]
+    held = None     # the plans keep what they took from it
+    cols = _cell_pass(params, count, seed, GRADING,
+                      [columns for columns, _ in graded])
+    return [report(c) for (_, report), c in zip(graded, cols)]
+
+
+def _one_plan_cell(p: float, n: int, plan: CellPlan, count: int,
+                   seed: int) -> CheckReport:
+    return run_cell(p, n, [plan], count, seed)[0]
 
 
 def _contents(sets, scalars, ladder) -> list:
@@ -242,10 +377,16 @@ def check_theorem1(p: float, n: int, a_grid, sets=None,
     ``sets`` (a list of (label, a -> TestSet) families) switch the left
     side to Monte Carlo content and additionally record whether coordinate
     half-spaces attain the family minimum (within CI) at each level.  The
-    Monte Carlo rows of every level and family read one batch.
+    Monte Carlo rows of every level and family read the grading stream.
 
     Rows: param1 = a, param2 = family index.
     """
+    return _one_plan_cell(p, n, theorem1_plan(p, n, a_grid, sets), count,
+                          seed)
+
+
+def theorem1_plan(p: float, n: int, a_grid, sets=None) -> CellPlan:
+    """The plan of ``check_theorem1``."""
     params = PBallParams(p, n)
     grid = _validate_levels(a_grid, "a_grid")
     families = sets
@@ -259,45 +400,46 @@ def check_theorem1(p: float, n: int, a_grid, sets=None,
         oracle = getattr(set_, "analytic_boundary", None)
         exact[id(set_)] = None if oracle is None else oracle(params)
     mc_sets = [s for row in level_sets for s in row if exact[id(s)] is None]
-    contents = {}
-    if mc_sets:
-        scalars = _set_scalars(mc_sets, _ball_stream(params, count, seed, 0),
-                               count)
-        contents = {id(s): ce for s, ce in
-                    zip(mc_sets, _contents(mc_sets, scalars, ladder))}
-    reports = []
-    ratios = []
-    argmin_hits = 0
-    for a, row_sets in zip(grid, level_sets):
-        rhs = theorem1_rhs(p, n, a)
-        level_rows = []
-        for fi, set_ in enumerate(row_sets):
-            if exact[id(set_)] is not None:
-                lhs = EstimateCI.exact(exact[id(set_)])
-                verdict = PASS if lhs.mean > 0.0 else FAIL
-                ratios.append(lhs.mean / rhs)
-            else:
-                ce = contents[id(set_)]
-                lhs = ce.extrapolated
-                verdict = (INCONCLUSIVE if ce.inconclusive
-                           else verdict_geq(lhs, 0.0, "strict"))
-                ratios.append(lhs.mean / rhs)
-            level_rows.append(_row(name, p, n, a, fi, lhs, rhs, verdict))
+
+    def report(scalars) -> CheckReport:
+        contents = dict(zip(map(id, mc_sets),
+                            _contents(mc_sets, scalars, ladder)))
+        reports = []
+        ratios = []
+        argmin_hits = 0
+        for a, row_sets in zip(grid, level_sets):
+            rhs = theorem1_rhs(p, n, a)
+            level_rows = []
+            for fi, set_ in enumerate(row_sets):
+                if exact[id(set_)] is not None:
+                    lhs = EstimateCI.exact(exact[id(set_)])
+                    verdict = PASS if lhs.mean > 0.0 else FAIL
+                    ratios.append(lhs.mean / rhs)
+                else:
+                    ce = contents[id(set_)]
+                    lhs = ce.extrapolated
+                    verdict = (INCONCLUSIVE if ce.inconclusive
+                               else verdict_geq(lhs, 0.0, "strict"))
+                    ratios.append(lhs.mean / rhs)
+                level_rows.append(_row(name, p, n, a, fi, lhs, rhs, verdict))
+            if len(families) > 1:
+                # coordinate family is near-extremal: record whether any
+                # family confidently undercuts family 0 at this level
+                base = level_rows[0]
+                undercut = any(r.lhs.hi < base.lhs.lo for r in level_rows[1:])
+                argmin_hits += 0 if undercut else 1
+            reports.extend(level_rows)
+        constants = {
+            "c_hat": min(ratios),
+            "ratio_max": max(ratios),
+            "band": max(ratios) / min(ratios),
+        }
         if len(families) > 1:
-            # coordinate family is near-extremal: record whether any family
-            # confidently undercuts family 0 at this level
-            base = level_rows[0]
-            undercut = any(r.lhs.hi < base.lhs.lo for r in level_rows[1:])
-            argmin_hits += 0 if undercut else 1
-        reports.extend(level_rows)
-    constants = {
-        "c_hat": min(ratios),
-        "ratio_max": max(ratios),
-        "band": max(ratios) / min(ratios),
-    }
-    if len(families) > 1:
-        constants["argmin_coordinate_share"] = argmin_hits / len(grid)
-    return CheckReport(name, tuple(reports), constants)
+            constants["argmin_coordinate_share"] = argmin_hits / len(grid)
+        return CheckReport(name, tuple(reports), constants)
+
+    columns = ((lambda b: [b.scalar(s) for s in mc_sets]),) if mc_sets else ()
+    return _grading_plan(columns, report)
 
 
 def check_product_isoperimetry(p: float, n: int, a_grid) -> CheckReport:
@@ -352,48 +494,51 @@ def _radii(r_grid) -> list:
     return radii
 
 
-def _check_enlargement_bound(name: str, p: float, n: int, sets, r_grid,
-                             count: int, seed: int, dimensional: bool,
-                             eps_ladder=None) -> CheckReport:
+def _enlargement_plan(name: str, p: float, n: int, sets, r_grid,
+                      dimensional: bool, eps_ladder=None) -> CellPlan:
     params = PBallParams(p, n)
     r_grid = _radii(r_grid)
     ladder = list(eps_ladder) if eps_ladder is not None else \
         default_eps_ladder(p, n)
-    # one pass: a scalar column per shared scalar of the sets, and |x|_2
-    # (as one more "set", the ball complement's scalar) unless p = 2
-    stream = _ball_stream(params, count, seed, 0)
-    norms = None
-    if p == 2.0:
-        scalars = _set_scalars(sets, stream, count)
-    else:
-        *scalars, norms = _set_scalars([*sets, BallComplement(1.0)], stream,
-                                       count)
-    masses = [_ball_mass(norms, params, r) for r in r_grid]
-    reports = []
-    slacks = []
-    for set_, scalar, ce in zip(sets, scalars,
-                                _contents(sets, scalars, ladder)):
-        a = set_.analytic_measure(params)
-        if a is None:
-            a = estimate_measure(scalar, set_.threshold).mean
-        lhs = ce.extrapolated
-        for r, mass in zip(r_grid, masses):
-            if mass <= 0.0:
-                reports.append(_row(name, p, n, r, a, lhs, 0.0, INCONCLUSIVE))
-                continue
-            if dimensional:
-                beta = 1.0 - 1.0 / n
-                rhs = (n / (2.0 * r)) * (
-                    (a ** beta + (1.0 - a) ** beta) * mass ** (1.0 / n) - 1.0)
-            else:
-                rhs = (_entropy_term(a) + math.log(mass)) / (2.0 * r)
-            verdict = (INCONCLUSIVE if ce.inconclusive
-                       else verdict_geq(lhs, rhs, "consistent"))
-            if rhs > 0.0:
-                slacks.append(lhs.mean / rhs)
-            reports.append(_row(name, p, n, r, a, lhs, rhs, verdict))
-    constants = {"min_slack": min(slacks)} if slacks else {}
-    return CheckReport(name, tuple(reports), constants)
+
+    def per_point(b):
+        # a scalar column per shared scalar of the sets, and |x|_2 unless
+        # p = 2, where the ball masses are exact
+        return [b.scalar(s) for s in sets] + ([] if p == 2.0 else [b.norm2])
+
+    def report(cols) -> CheckReport:
+        scalars = cols[:len(sets)]
+        norms = None if p == 2.0 else cols[-1]
+        masses = [_ball_mass(norms, params, r) for r in r_grid]
+        reports = []
+        slacks = []
+        for set_, scalar, ce in zip(sets, scalars,
+                                    _contents(sets, scalars, ladder)):
+            a = set_.analytic_measure(params)
+            if a is None:
+                a = estimate_measure(scalar, set_.threshold).mean
+            lhs = ce.extrapolated
+            for r, mass in zip(r_grid, masses):
+                if mass <= 0.0:
+                    reports.append(_row(name, p, n, r, a, lhs, 0.0,
+                                        INCONCLUSIVE))
+                    continue
+                if dimensional:
+                    beta = 1.0 - 1.0 / n
+                    rhs = (n / (2.0 * r)) * (
+                        (a ** beta + (1.0 - a) ** beta) * mass ** (1.0 / n)
+                        - 1.0)
+                else:
+                    rhs = (_entropy_term(a) + math.log(mass)) / (2.0 * r)
+                verdict = (INCONCLUSIVE if ce.inconclusive
+                           else verdict_geq(lhs, rhs, "consistent"))
+                if rhs > 0.0:
+                    slacks.append(lhs.mean / rhs)
+                reports.append(_row(name, p, n, r, a, lhs, rhs, verdict))
+        constants = {"min_slack": min(slacks)} if slacks else {}
+        return CheckReport(name, tuple(reports), constants)
+
+    return _grading_plan((per_point,), report)
 
 
 def check_bobkov_inequality(p: float, n: int, sets, r_grid,
@@ -403,14 +548,19 @@ def check_bobkov_inequality(p: float, n: int, sets, r_grid,
 
         content(A) >= (1/2r)[a log(1/a) + (1-a) log(1/(1-a)) + log V{|x|_2 <= r}].
 
-    ``sets`` is a list of test sets, read from one batch.  Rows: param1 =
-    r, param2 = the set's measure a; verdicts are consistency-graded (the
-    bound can be met with equality up to noise).
+    ``sets`` is a list of test sets, read from the grading stream.  Rows:
+    param1 = r, param2 = the set's measure a; verdicts are
+    consistency-graded (the bound can be met with equality up to noise).
     A vanishing ball-mass estimate makes the row INCONCLUSIVE.
     """
-    return _check_enlargement_bound("check_bobkov_inequality", p, n, sets,
-                                    r_grid, count, seed, dimensional=False,
-                                    eps_ladder=eps_ladder)
+    return _one_plan_cell(p, n, bobkov_plan(p, n, sets, r_grid, eps_ladder),
+                          count, seed)
+
+
+def bobkov_plan(p: float, n: int, sets, r_grid, eps_ladder=None) -> CellPlan:
+    """The plan of ``check_bobkov_inequality``."""
+    return _enlargement_plan("check_bobkov_inequality", p, n, sets, r_grid,
+                             False, eps_ladder)
 
 
 def check_barthe_dimensional(p: float, n: int, sets, r_grid,
@@ -422,9 +572,14 @@ def check_barthe_dimensional(p: float, n: int, sets, r_grid,
 
     Same row layout and grading as check_bobkov_inequality.
     """
-    return _check_enlargement_bound("check_barthe_dimensional", p, n, sets,
-                                    r_grid, count, seed, dimensional=True,
-                                    eps_ladder=eps_ladder)
+    return _one_plan_cell(p, n, barthe_plan(p, n, sets, r_grid, eps_ladder),
+                          count, seed)
+
+
+def barthe_plan(p: float, n: int, sets, r_grid, eps_ladder=None) -> CellPlan:
+    """The plan of ``check_barthe_dimensional``."""
+    return _enlargement_plan("check_barthe_dimensional", p, n, sets, r_grid,
+                             True, eps_ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -442,54 +597,78 @@ def check_sz_tail(p: float, n: int, t_grid, count: int, seed: int) -> CheckRepor
     """Euclidean-norm tail P{|x|_2 >= t} against exp(-c n t^p).
 
     t_grid holds quantile levels in (0, 1); absolute thresholds are placed
-    at those empirical quantiles (calibration batch), which keeps every
+    at those empirical quantiles of the held-out stream, which keeps every
     tail estimate strictly inside (0, 1) across all (p, n).  c_hat is the
     largest constant consistent with every non-rare threshold, i.e. the
     minimum of -log P^ / (n t^p).  Rows: param1 = t, param2 = 1 when t is
     inside the advisory regime t >= 2 n^{-(2-p)/(2p)}.
     """
-    params = PBallParams(p, n)
+    return _one_plan_cell(p, n, sz_tail_plan(p, n, t_grid), count, seed)
+
+
+def sz_tail_plan(p: float, n: int, t_grid) -> CellPlan:
+    """The plan of ``check_sz_tail``."""
+    PBallParams(p, n)
     levels = _quantile_levels(t_grid, "t_grid")
-
-    def radii(child):
-        return map_row_blocks(lambda X: (lp_norm(X, 2.0),),
-                              _ball_stream(params, count, seed, child),
-                              count)[0]
-
-    thresholds = np.quantile(radii(0), levels)
-    tails = estimate_tail(radii(1), thresholds)
     name = "check_sz_tail"
     t_lo = SZ_T0 * n ** (-_kappa(p))
-    slopes = []
-    for t, est, rare in tails:
-        if not rare and t > 0.0 and est.mean < 1.0:
-            slopes.append(-math.log(est.mean) / (n * t ** p))
-        elif not rare and t > 0.0:
-            slopes.append(0.0)  # no observed decay: forces c_hat to 0
-    c_hat = min(slopes) if slopes else None
-    reports = []
-    for t, est, rare in tails:
-        in_range = 1.0 if t >= t_lo else 0.0
-        if rare:
-            reports.append(_row(name, p, n, t, in_range, est, 0.0, INCONCLUSIVE))
-            continue
-        if t <= 0.0:
-            reports.append(_row(name, p, n, t, in_range, est, 1.0, PASS))
-            continue
-        rhs = math.exp(-c_hat * n * t ** p)
-        reports.append(_row(name, p, n, t, in_range, est, rhs,
-                            verdict_leq(est, rhs, "consistent")))
-    constants = {"c_hat": c_hat, "thresholds": [float(t) for t in thresholds]}
-    return CheckReport(name, tuple(reports), constants)
+
+    def grading(held):
+        thresholds = np.quantile(held[0], levels)
+
+        def report(cols) -> CheckReport:
+            tails = estimate_tail(cols[0], thresholds)
+            slopes = []
+            for t, est, rare in tails:
+                if not rare and t > 0.0 and est.mean < 1.0:
+                    slopes.append(-math.log(est.mean) / (n * t ** p))
+                elif not rare and t > 0.0:
+                    slopes.append(0.0)  # no observed decay: forces c_hat to 0
+            c_hat = min(slopes) if slopes else None
+            reports = []
+            for t, est, rare in tails:
+                in_range = 1.0 if t >= t_lo else 0.0
+                if rare:
+                    reports.append(_row(name, p, n, t, in_range, est, 0.0,
+                                        INCONCLUSIVE))
+                    continue
+                if t <= 0.0:
+                    reports.append(_row(name, p, n, t, in_range, est, 1.0,
+                                        PASS))
+                    continue
+                rhs = math.exp(-c_hat * n * t ** p)
+                reports.append(_row(name, p, n, t, in_range, est, rhs,
+                                    verdict_leq(est, rhs, "consistent")))
+            constants = {"c_hat": c_hat,
+                         "thresholds": [float(t) for t in thresholds]}
+            return CheckReport(name, tuple(reports), constants)
+
+        return (_norm2,), report
+
+    return CellPlan((_norm2,), grading)
 
 
-def _gathering(stream, index: np.ndarray, out: np.ndarray):
-    """Pass ``stream`` through, copying its rows at the sorted row indices
-    ``index`` into ``out`` on the way."""
-    for lo, block in stream:
-        lo_k, hi_k = np.searchsorted(index, [lo, lo + block.shape[0]])
-        out[lo_k:hi_k] = block[index[lo_k:hi_k] - lo]
-        yield lo, block
+class _StreamedPairs:
+    """|x_i - x_j|_2 for the spot check's pairs (i, j), read as a stream
+    passes: a pair's earlier row is kept only until its later one streams
+    past, so no more rows are held than pairs are open."""
+
+    def __init__(self, i: np.ndarray, j: np.ndarray):
+        self.i, self.j = i, j
+        self.first, self.last = np.minimum(i, j), np.maximum(i, j)
+        self.dists = np.empty(i.size)
+        self.kept = {}
+
+    def read(self, b: CellBlock):
+        hi = b.lo + len(b)
+        for k in np.flatnonzero((self.first >= b.lo) & (self.first < hi)):
+            self.kept[k] = b.X[self.first[k] - b.lo].copy()
+        for k in np.flatnonzero((self.last >= b.lo) & (self.last < hi)):
+            gap = b.X[self.last[k] - b.lo] - self.kept.pop(k)
+            self.dists[k] = np.sqrt(gap @ gap)
+
+    def distances(self) -> PairDistances:
+        return PairDistances(self.i, self.j, self.dists)
 
 
 def check_sz_concentration(p: float, n: int, functional, t_grid,
@@ -499,57 +678,73 @@ def check_sz_concentration(p: float, n: int, functional, t_grid,
         phi(h) = V{F > Med F + h}  vs  (1/2) exp(-c1 n h^p).
 
     ``functional`` is a catalog name or a catalog field.  t_grid holds
-    quantile levels; offsets h are placed at (calibration quantile - median),
-    so the level 0.5 lands at h = 0 and grades the trivial phi(0) <= 1/2 row.
-    c1_hat = min over positive-offset rows of -log(2 phi^)/(n h^p).
-    Rows: param1 = h, param2 = 1 for rows entering the fit.
+    quantile levels; offsets h are placed at (held-out quantile - held-out
+    median), so the level 0.5 lands at h = 0 and grades the trivial
+    phi(0) <= 1/2 row.  c1_hat = min over positive-offset rows of
+    -log(2 phi^)/(n h^p).  Rows: param1 = h, param2 = 1 for rows entering
+    the fit.
     """
-    params = PBallParams(p, n)
+    return _one_plan_cell(p, n, sz_concentration_plan(
+        p, n, functional, t_grid, count, seed), count, seed)
+
+
+def sz_concentration_plan(p: float, n: int, functional, t_grid, count: int,
+                          seed: int) -> CellPlan:
+    """The plan of ``check_sz_concentration``; count and seed place the
+    Lipschitz spot check's pairs on the grading stream."""
+    PBallParams(p, n)
     if isinstance(functional, str):
         functional = functional_catalog(functional, n)
     levels = _quantile_levels(t_grid, "t_grid")
-
-    def values(X):
-        return (functional(X),)
-
-    vals, = map_row_blocks(values, _ball_stream(params, count, seed, 0), count)
-    if vals.max() == vals.min():
-        raise ValueError("functional is constant on the sample; "
-                         "no concentration to measure")
-    med0 = float(np.median(vals))
-    h_grid = [float(np.quantile(vals, q)) - med0 for q in levels]
-    # the grading batch keeps its F column and only the rows that the
-    # Lipschitz spot check's pairs index
-    i, j = lipschitz_pairs(child_seed(seed, 1), count)
-    want = np.union1d(i, j)
-    rows = np.empty((want.size, n))
-    vals, = map_row_blocks(
-        values, _gathering(_ball_stream(params, count, seed, 1), want, rows),
-        count)
-    pairs = PairRows(i, j, rows[np.searchsorted(want, i)],
-                     rows[np.searchsorted(want, j)])
-    _, curve = estimate_median_and_phi(vals, functional, h_grid, pairs)
     name = "check_sz_concentration"
-    slopes = []
-    for h, est, rare in curve:
-        if h > 0.0 and not rare and est.mean > 0.0:
-            slopes.append(-math.log(2.0 * est.mean) / (n * h ** p))
-    c1_hat = min(slopes) if slopes else None
-    reports = []
-    for h, est, rare in curve:
-        if rare:
-            reports.append(_row(name, p, n, h, 0.0, est, 0.0, INCONCLUSIVE))
-        elif h < 0.0:
-            # no claim below the median
-            reports.append(_row(name, p, n, h, 0.0, est, 1.0, PASS))
-        elif h == 0.0 or c1_hat is None:
-            reports.append(_row(name, p, n, h, 0.0, est, 0.5,
-                                verdict_leq(est, 0.5, "consistent")))
-        else:
-            rhs = 0.5 * math.exp(-c1_hat * n * h ** p)
-            reports.append(_row(name, p, n, h, 1.0, est, rhs,
-                                verdict_leq(est, rhs, "consistent")))
-    return CheckReport(name, tuple(reports), {"c1_hat": c1_hat})
+
+    def values(b):
+        return (functional(b.X),)
+
+    def grading(held):
+        vals, = held
+        if vals.max() == vals.min():
+            raise ValueError("functional is constant on the sample; "
+                             "no concentration to measure")
+        med0 = float(np.median(vals))
+        h_grid = [float(q) - med0 for q in np.quantile(vals, levels)]
+        # the grading stream keeps its F column and the distances of the
+        # Lipschitz spot check's pairs
+        pairs = _StreamedPairs(*lipschitz_pairs(
+            cell_seed(seed, p, n, GRADING), count))
+
+        def values_and_pairs(b):
+            pairs.read(b)
+            return values(b)
+
+        def report(cols) -> CheckReport:
+            _, curve = estimate_median_and_phi(cols[0], functional, h_grid,
+                                               pairs.distances())
+            slopes = []
+            for h, est, rare in curve:
+                if h > 0.0 and not rare and est.mean > 0.0:
+                    slopes.append(-math.log(2.0 * est.mean) / (n * h ** p))
+            c1_hat = min(slopes) if slopes else None
+            reports = []
+            for h, est, rare in curve:
+                if rare:
+                    reports.append(_row(name, p, n, h, 0.0, est, 0.0,
+                                        INCONCLUSIVE))
+                elif h < 0.0:
+                    # no claim below the median
+                    reports.append(_row(name, p, n, h, 0.0, est, 1.0, PASS))
+                elif h == 0.0 or c1_hat is None:
+                    reports.append(_row(name, p, n, h, 0.0, est, 0.5,
+                                        verdict_leq(est, 0.5, "consistent")))
+                else:
+                    rhs = 0.5 * math.exp(-c1_hat * n * h ** p)
+                    reports.append(_row(name, p, n, h, 1.0, est, rhs,
+                                        verdict_leq(est, rhs, "consistent")))
+            return CheckReport(name, tuple(reports), {"c1_hat": c1_hat})
+
+        return (values_and_pairs,), report
+
+    return CellPlan((values,), grading)
 
 
 # ---------------------------------------------------------------------------
@@ -619,36 +814,43 @@ def check_lemma4(p: float, n: int, count: int, seed: int) -> CheckReport:
     the ball event, 1 for the product event; rhs is the C1 = 1 target.
     constants records the smallest calibrated rung per C1 in {1, 2}, or
     None when the target sits below Monte Carlo resolution.  Both events
-    read one product batch Z: the ball points are x = T(z), exactly
-    uniform on B_p^n, so |x|_2 = |z_{1..n}|_2 / |z|_p.
+    read the grading stream: the ball event its points x = T(z), exactly
+    uniform on B_p^n, the product event their product rows z.
     """
-    params = PBallParams(p, n)
+    return _one_plan_cell(p, n, lemma4_plan(p, n), count, seed)
 
-    def norms(Z):
-        nzp = lp_norm(Z, p)
-        return nzp, lp_norm(Z[:, :-1], 2.0) / nzp
 
-    normsp, norms2 = map_row_blocks(
-        norms, product_blocks(params, count, child_seed(seed, 1)), count)
+def lemma4_plan(p: float, n: int) -> CellPlan:
+    """The plan of ``check_lemma4``."""
+    PBallParams(p, n)
     kappa = _kappa(p)
     name = "check_lemma4"
-    reports = []
-    ests = {}
-    for c2 in LEMMA4_LADDER:
-        e_ball = bernoulli_ci(int((norms2 >= c2 * n ** (-kappa)).sum()), count)
-        e_prod = bernoulli_ci(int((normsp <= n ** (1.0 / p) / c2).sum()), count)
-        ests[c2] = (e_ball, e_prod)
-        target1 = math.exp(-1.0 * n ** (p / 2.0))
-        for tag, est in ((0, e_ball), (1, e_prod)):
-            verdict = PASS if est.hi <= target1 else INCONCLUSIVE
-            reports.append(_row(name, p, n, c2, tag, est, target1, verdict))
-    constants = {}
-    for c1 in (1.0, 2.0):
-        target = math.exp(-c1 * n ** (p / 2.0))
-        good = [c2 for c2 in LEMMA4_LADDER
-                if ests[c2][0].hi <= target and ests[c2][1].hi <= target]
-        constants[f"C2_for_C1={c1:g}"] = min(good) if good else None
-    return CheckReport(name, tuple(reports), constants)
+
+    def report(cols) -> CheckReport:
+        normsp, norms2 = cols
+        count = normsp.size
+        reports = []
+        ests = {}
+        for c2 in LEMMA4_LADDER:
+            e_ball = bernoulli_ci(int((norms2 >= c2 * n ** (-kappa)).sum()),
+                                  count)
+            e_prod = bernoulli_ci(int((normsp <= n ** (1.0 / p) / c2).sum()),
+                                  count)
+            ests[c2] = (e_ball, e_prod)
+            target1 = math.exp(-1.0 * n ** (p / 2.0))
+            for tag, est in ((0, e_ball), (1, e_prod)):
+                verdict = PASS if est.hi <= target1 else INCONCLUSIVE
+                reports.append(_row(name, p, n, c2, tag, est, target1,
+                                    verdict))
+        constants = {}
+        for c1 in (1.0, 2.0):
+            target = math.exp(-c1 * n ** (p / 2.0))
+            good = [c2 for c2 in LEMMA4_LADDER
+                    if ests[c2][0].hi <= target and ests[c2][1].hi <= target]
+            constants[f"C2_for_C1={c1:g}"] = min(good) if good else None
+        return CheckReport(name, tuple(reports), constants)
+
+    return _grading_plan((lambda b: (b.zp, b.norm2),), report)
 
 
 def lemma5_constant(A: float, alpha: float) -> float:
@@ -700,8 +902,10 @@ def check_lemma5(p: float, N: int, eps_grid) -> CheckReport:
 # co-area, plateau functions, and the L2 form
 # ---------------------------------------------------------------------------
 
-def _default_plateau_catalog(params: PBallParams, count: int, seed: int) -> list:
-    """Half-space ramp plus a radial ramp with radii at volume quantiles."""
+def _default_plateau_catalog(params: PBallParams, radii=None) -> list:
+    """Half-space ramp plus a radial ramp with radii at volume quantiles:
+    exact at p = 2, otherwise those of ``radii``, a held-out column of
+    |x|_2."""
     p, n = params.p, params.n
     xi = np.zeros(n)
     xi[0] = 1.0
@@ -709,9 +913,6 @@ def _default_plateau_catalog(params: PBallParams, count: int, seed: int) -> list
     if p == 2.0:
         lo, hi = 0.3 ** (1.0 / n), 0.7 ** (1.0 / n)
     else:
-        radii, = map_row_blocks(lambda X: (lp_norm(X, 2.0),),
-                                _ball_stream(params, count, seed, 10 ** 6),
-                                count)
         lo, hi = np.quantile(radii, [0.3, 0.7])
     fields.append(RadialRamp(n, float(lo), float(hi)))
     return fields
@@ -724,51 +925,67 @@ def check_coarea(p: float, n: int, phi_catalog=None,
         integral |grad phi|_2 dV  >=  integral_0^1 content{phi > u} du,
 
     the u-integral taken over a 64-point midpoint grid of content
-    estimates.  Both sides of every field read one batch.  The superlevel
-    sets of one field share one scalar, so the batch is sorted once per
-    field for all 64 levels.  For the plateau catalog both sides agree (the
-    inequality is an identity there), so rows are consistency-graded.
-    Rows: param1 = catalog index, param2 = 0.
+    estimates.  Both sides of every field read the grading stream.  The
+    superlevel sets of one field share one scalar, so it is sorted once
+    per field for all 64 levels.  For the plateau catalog both sides agree
+    (the inequality is an identity there), so rows are consistency-graded.
+    The default catalog's radial radii come from the held-out stream at
+    p != 2.  Rows: param1 = catalog index, param2 = 0.
     """
+    return _one_plan_cell(p, n, coarea_plan(p, n, phi_catalog), count, seed)
+
+
+def coarea_plan(p: float, n: int, phi_catalog=None) -> CellPlan:
+    """The plan of ``check_coarea``."""
     params = PBallParams(p, n)
-    if phi_catalog is None:
-        phi_catalog = _default_plateau_catalog(params, count, seed)
     ladder = default_eps_ladder(p, n)
     name = "check_coarea"
-    live_sets = []
-    for phi in phi_catalog:
-        levels = [phi.superlevel((k + 0.5) / 64.0) for k in range(64)]
-        live_sets.append([(k, s) for k, s in enumerate(levels)
-                          if s is not None])
 
-    def per_point(X):
-        # per field: |grad phi|_2, then its levels' shared scalar
-        out = []
-        for phi, live in zip(phi_catalog, live_sets):
-            out.append(lp_norm(phi.grad(X), 2.0))
-            if live:
-                out.append(live[0][1].scalar(X))
-        return out
+    def grading(held):
+        catalog = phi_catalog
+        if catalog is None:
+            catalog = _default_plateau_catalog(params, *held)
+        live_sets = []
+        for phi in catalog:
+            levels = [phi.superlevel((k + 0.5) / 64.0) for k in range(64)]
+            live_sets.append([(k, s) for k, s in enumerate(levels)
+                              if s is not None])
 
-    cols = iter(map_row_blocks(per_point, _ball_stream(params, count, seed, 0),
-                               count))
-    reports = []
-    for i, (phi, live) in enumerate(zip(phi_catalog, live_sets)):
-        lhs = integrate_grad(next(cols))
-        vals = np.zeros(64)
-        errs = np.zeros(64)
-        if live:
-            ests = content_from_batch(next(cols),
-                                      [s.threshold for _, s in live], ladder)
-            for (k, _), ce in zip(live, ests):
-                vals[k] = ce.extrapolated.mean
-                errs[k] = ce.extrapolated.std_err
-        # contents at nearby levels share the batch, so errors are summed
-        # rather than combined as a root sum of squares
-        rhs = EstimateCI(float(vals.mean()), float(errs.mean()), count)
-        reports.append(_row(name, p, n, i, 0.0, lhs, rhs.mean,
-                            verdict_geq(lhs, rhs, "consistent")))
-    return CheckReport(name, tuple(reports), {})
+        def per_point(b):
+            # per field: |grad phi|_2, then its levels' shared scalar
+            out = []
+            for phi, live in zip(catalog, live_sets):
+                out.append(phi.grad_norm(b.X))
+                if live:
+                    out.append(b.scalar(live[0][1]))
+            return out
+
+        def report(cols) -> CheckReport:
+            cols = iter(cols)
+            reports = []
+            for i, live in enumerate(live_sets):
+                norms = next(cols)
+                lhs = integrate_grad(norms)
+                vals = np.zeros(64)
+                errs = np.zeros(64)
+                if live:
+                    ests = content_from_batch(
+                        next(cols), [s.threshold for _, s in live], ladder)
+                    for (k, _), ce in zip(live, ests):
+                        vals[k] = ce.extrapolated.mean
+                        errs[k] = ce.extrapolated.std_err
+                # contents at nearby levels share the stream, so errors are
+                # summed rather than combined as a root sum of squares
+                rhs = EstimateCI(float(vals.mean()), float(errs.mean()),
+                                 norms.size)
+                reports.append(_row(name, p, n, i, 0.0, lhs, rhs.mean,
+                                    verdict_geq(lhs, rhs, "consistent")))
+            return CheckReport(name, tuple(reports), {})
+
+        return (per_point,), report
+
+    held_out = (_norm2,) if phi_catalog is None and p != 2.0 else ()
+    return CellPlan(held_out, grading)
 
 
 def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
@@ -779,53 +996,64 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     (1/s) V{r < dist <= r + s} exactly; along the internal ladder
     (s 2^j, r 4^j), j = 3..0, the value converges to the boundary content
     of A.  Ladder rows (param1 = r_j, param2 = s_j) grade the structural
-    identity, every rung on one batch.  The summary row (param1 = param2 = 0)
-    grades the finest rung, with 3 sigma + 3% slack, against its exact
-    expectation [V(A_{r+s}) - V(A_r)]/s when the set's enlargements have
-    closed-form measures; this shell value sits below the boundary mass by
-    a bias of order (n-1)/p (r + s/2), which alone made the row FAIL on a
-    few seeds.  Without closed-form measures the row falls back to the
-    analytic boundary mass, and without that to the Monte Carlo content of
-    the batch.  constants["reference"] is that boundary value in every case.
+    identity, every rung on the grading stream.  The summary row (param1 =
+    param2 = 0) grades the finest rung, with 3 sigma + 3% slack, against
+    its exact expectation [V(A_{r+s}) - V(A_r)]/s when the set's
+    enlargements have closed-form measures; this shell value sits below
+    the boundary mass by a bias of order (n-1)/p (r + s/2), which alone
+    made the row FAIL on a few seeds.  Without closed-form measures the
+    row falls back to the analytic boundary mass, and without that to the
+    Monte Carlo content of the grading stream.  constants["reference"] is
+    that boundary value in every case.
     """
+    return _one_plan_cell(p, n, functional_equivalence_plan(p, n, set_, r, s),
+                          count, seed)
+
+
+def functional_equivalence_plan(p: float, n: int, set_, r: float,
+                                s: float) -> CellPlan:
+    """The plan of ``check_functional_equivalence``."""
     params = PBallParams(p, n)
     if r <= 0.0 or s <= 0.0:
         raise ValueError("enlargement offsets r, s must be positive")
     name = "check_functional_equivalence"
     rungs = [DistanceRamp(set_, n, r * 4 ** j, s * 2 ** j) for j in (3, 2, 1, 0)]
-    reference = set_.analytic_boundary(params)
+    analytic = set_.analytic_boundary(params)
 
-    def per_point(X):
+    def per_point(b):
         # per rung |grad phi|_2, then A's scalar when the reference is the
-        # batch's own content
-        out = [lp_norm(phi.grad(X), 2.0) for phi in rungs]
-        return out + ([set_.scalar(X)] if reference is None else [])
+        # grading stream's own content
+        out = [phi.grad_norm(b.X) for phi in rungs]
+        return out + ([b.scalar(set_)] if analytic is None else [])
 
-    cols = map_row_blocks(per_point, _ball_stream(params, count, seed, 0),
-                          count)
-    reports = []
-    for phi, norms in zip(rungs, cols):
-        lhs = integrate_grad(norms)
-        # the gradient, -grad dist / s, is nonzero exactly on the shell
-        # r < dist < r + s, almost everywhere
-        shell = float((norms > 0.0).mean()) / phi.s
-        reports.append(_row(name, p, n, phi.r, phi.s, lhs, shell,
-                            verdict_geq(lhs, shell, "consistent")))
-    # the loop ends on j = 0: lhs is the finest rung's
-    final = lhs
-    if reference is None:
-        ce, = content_from_batch(cols[-1], [set_.threshold],
-                                 default_eps_ladder(p, n))
-        reference = ce.extrapolated.mean
-    inner = set_.enlarged(r).analytic_measure(params)
-    outer = set_.enlarged(r + s).analytic_measure(params)
-    target = reference if inner is None or outer is None else (outer - inner) / s
-    gap = abs(final.mean - target)
-    ok = gap <= 3.0 * final.std_err + 0.03 * target
-    reports.append(_row(name, p, n, 0.0, 0.0, final, target,
-                        PASS if ok else FAIL))
-    return CheckReport(name, tuple(reports), {"limit": final.mean,
-                                              "reference": float(reference)})
+    def report(cols) -> CheckReport:
+        reports = []
+        for phi, norms in zip(rungs, cols):
+            lhs = integrate_grad(norms)
+            # the gradient, -grad dist / s, is nonzero exactly on the shell
+            # r < dist < r + s, almost everywhere
+            shell = float((norms > 0.0).mean()) / phi.s
+            reports.append(_row(name, p, n, phi.r, phi.s, lhs, shell,
+                                verdict_geq(lhs, shell, "consistent")))
+        # the loop ends on j = 0: lhs is the finest rung's
+        final = lhs
+        reference = analytic
+        if reference is None:
+            ce, = content_from_batch(cols[-1], [set_.threshold],
+                                     default_eps_ladder(p, n))
+            reference = ce.extrapolated.mean
+        inner = set_.enlarged(r).analytic_measure(params)
+        outer = set_.enlarged(r + s).analytic_measure(params)
+        target = (reference if inner is None or outer is None
+                  else (outer - inner) / s)
+        gap = abs(final.mean - target)
+        ok = gap <= 3.0 * final.std_err + 0.03 * target
+        reports.append(_row(name, p, n, 0.0, 0.0, final, target,
+                            PASS if ok else FAIL))
+        return CheckReport(name, tuple(reports), {
+            "limit": final.mean, "reference": float(reference)})
+
+    return _grading_plan((per_point,), report)
 
 
 def _dyadic_sum(p: float, a: float) -> float:
@@ -841,12 +1069,17 @@ def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckRepor
 
     For each a < 1/2, phi ramps from the median hyperplane to the level-a
     quantile, so V{phi = 0} = 1/2 and V{phi = 1} = a.  lhs is the Monte
-    Carlo integral of |grad phi|^2 over one batch shared by all levels;
-    rhs chains the fitted profile constant through the dyadic
+    Carlo integral of |grad phi|^2 over the grading stream, shared by all
+    levels; rhs chains the fitted profile constant through the dyadic
     decomposition: rhs = c_hat^2 n^{2/p} / S(a) with S(a) the dyadic sum.
     Each level implies c1 = lhs / [n^{2/p} a log^{2-2/p}(1/a)], and
     c1_hat is their minimum.  Rows: param1 = a.
     """
+    return _one_plan_cell(p, n, l2_form_plan(p, n, a_grid), count, seed)
+
+
+def l2_form_plan(p: float, n: int, a_grid) -> CellPlan:
+    """The plan of ``check_l2_form``."""
     params = PBallParams(p, n)
     grid = [float(a) for a in a_grid]
     if not grid or any(not 0.0 < a < 0.5 for a in grid):
@@ -857,20 +1090,22 @@ def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckRepor
     xi[0] = 1.0
     name = "check_l2_form"
     ramps = [LinearRamp(xi, 0.0, float(marginal_isf(params, a))) for a in grid]
-    norms = map_row_blocks(
-        lambda X: [lp_norm(phi.grad(X), 2.0) for phi in ramps],
-        _ball_stream(params, count, seed, 0), count)
-    reports = []
-    fitted = []
-    for a, phi, col in zip(grid, ramps, norms):
-        lhs = integrate_grad(col, power=2)
-        rhs = c_hat ** 2 * n ** (2.0 / p) / _dyadic_sum(p, a)
-        fitted.append(lhs.mean / (n ** (2.0 / p) * a
-                                  * math.log(1.0 / a) ** (2.0 - 2.0 / p)))
-        reports.append(_row(name, p, n, a, 0.0, lhs, rhs,
-                            verdict_geq(lhs, rhs, "strict")))
-    return CheckReport(name, tuple(reports),
-                       {"c1_hat": min(fitted), "c_from_profile": c_hat})
+
+    def report(norms) -> CheckReport:
+        reports = []
+        fitted = []
+        for a, col in zip(grid, norms):
+            lhs = integrate_grad(col, power=2)
+            rhs = c_hat ** 2 * n ** (2.0 / p) / _dyadic_sum(p, a)
+            fitted.append(lhs.mean / (n ** (2.0 / p) * a
+                                      * math.log(1.0 / a) ** (2.0 - 2.0 / p)))
+            reports.append(_row(name, p, n, a, 0.0, lhs, rhs,
+                                verdict_geq(lhs, rhs, "strict")))
+        return CheckReport(name, tuple(reports),
+                           {"c1_hat": min(fitted), "c_from_profile": c_hat})
+
+    return _grading_plan(
+        (lambda b: [phi.grad_norm(b.X) for phi in ramps],), report)
 
 
 # ---------------------------------------------------------------------------
@@ -912,17 +1147,24 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     |grad g(z)| <= |D*T(z)| |grad(f h1)(T z)| on up to 10^4 points (PASS
     only with zero violations).
 
-    Ball integrals read X = T(Z) of the product batch Z, exactly uniform
-    on B_p^n (Barthe, Guedon, Mendelson and Naor).  f is a field on R^n
-    with ``value_and_grad`` (see ``fields``), by default a ramp along the
-    first coordinate; like every field it must be row-wise.  Each field is
-    evaluated once per point: the chain's own |z|_p gives T(Z), g and g h2
-    are assembled from the factor passes.  Z is streamed
-    (``product_blocks``, at most BLOCK_ROWS * 4 values per block) and never
-    held: each block's link differences and flags go into per-point
+    Ball integrals read X = T(Z) of the grading stream's product rows Z,
+    exactly uniform on B_p^n (Barthe, Guedon, Mendelson and Naor).  f is a
+    field on R^n with ``value_and_grad`` (see ``fields``), by default a
+    ramp along the first coordinate; like every field it must be row-wise.
+    Each field is evaluated once per point: the cell's |z|_p gives T(Z), g
+    and g h2 are assembled from the factor passes.  Z is streamed and
+    never held: each block's link differences and flags go into per-point
     columns, from which the means and counts are taken, and the Jacobian
-    scan runs on the first 10^4 rows as they stream past.
+    scan runs on the first TRANSFER_ROWS rows as they stream past.
     """
+    return _one_plan_cell(p, n, cutoff_chain_plan(p, n, f, c, big_c), count,
+                          seed)
+
+
+def cutoff_chain_plan(p: float, n: int, f=None,
+                      c: CutoffParams = CutoffParams(),
+                      big_c: float = 4.0) -> CellPlan:
+    """The plan of ``verify_cutoff_chain``."""
     params = PBallParams(p, n)
     big_c = _validate_big_c(big_c)
     if f is None:
@@ -938,20 +1180,18 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     c4 = c3 / c.c2
     a_level = math.exp(-big_c * n ** (p / 2.0))
     scale2 = 2.0 * n ** (1.0 / p) / c.c2
-    m = min(count, 10 ** 4)
+    name = "verify_cutoff_chain"
 
-    def scanned(stream):
-        # the Jacobian scan's operator norms ride along with the first m rows
-        for lo, Zb in stream:
-            ops = jacobian_op_norms(Zb[:m - lo], p)[0] if lo < m else np.empty(0)
-            yield lo, (Zb, ops)
-
-    def per_point(Zb, ops):
+    def per_point(b):
         # f, h1 and h2 are each evaluated once per point; f h1, its
         # push-forward g and g h2 are formed from those passes with the
         # arithmetic of ProductField and PushForwardField, which gives the
-        # same bits as the composed fields.  T(Z) shares the one |z|_p pass.
-        nzp = lp_norm(Zb, p)
+        # same bits as the composed fields.  T(Z) shares the cell's |z|_p,
+        # and the Jacobian scan's operator norms ride along with the first
+        # TRANSFER_ROWS rows.
+        Zb, nzp = b.Z, b.zp
+        ops = (jacobian_op_norms(Zb[:TRANSFER_ROWS - b.lo], p)[0]
+               if b.lo < TRANSFER_ROWS else np.empty(0))
         XT = Zb[:, :-1] / nzp[:, None]
         fv, fg = f.value_and_grad(XT)
         f_one = fv >= 1.0 - 1e-12
@@ -973,43 +1213,43 @@ def verify_cutoff_chain(p: float, n: int, f=None,
                 gf_T - c4 * n ** (1.0 / p) * ggh2 + 0.5 * a_level,
                 plateau >= 1.0 - 1e-12, plateau <= 1e-12, f_one, bad)
 
-    # the product batch is streamed block by block (fields are row-wise),
-    # so only one block of it and of its gradient rows is alive; the rows
-    # read these columns: the five link differences, then four flags
-    *diffs, plateau_one, plateau_zero, f_one, transfer_bad = map_row_blocks(
-        per_point, scanned(product_blocks(params, count, child_seed(seed, 1))),
-        count)
+    def report(cols) -> CheckReport:
+        # the five link differences, then four flags
+        *diffs, plateau_one, plateau_zero, f_one, transfer_bad = cols
+        count = f_one.size
+        reports = []
+        for link, diff in enumerate(diffs, start=1):
+            est = mean_ci(diff)
+            reports.append(_row(name, p, n, link, 0.0, est, 0.0,
+                                verdict_geq(est, 0.0, "strict")))
 
-    name = "verify_cutoff_chain"
-    reports = []
-    for link, diff in enumerate(diffs, start=1):
-        est = mean_ci(diff)
-        reports.append(_row(name, p, n, link, 0.0, est, 0.0,
-                            verdict_geq(est, 0.0, "strict")))
+        m_one = bernoulli_ci(int(plateau_one.sum()), count)
+        m_zero = bernoulli_ci(int(plateau_zero.sum()), count)
+        reports.append(_row(name, p, n, 6, 0.0, m_one, 0.5 * a_level,
+                            verdict_geq(m_one, 0.5 * a_level, "strict")))
+        reports.append(_row(name, p, n, 7, 0.0, m_zero, 0.5,
+                            verdict_geq(m_zero, 0.5, "strict")))
 
-    m_one = bernoulli_ci(int(plateau_one.sum()), count)
-    m_zero = bernoulli_ci(int(plateau_zero.sum()), count)
-    reports.append(_row(name, p, n, 6, 0.0, m_one, 0.5 * a_level,
-                        verdict_geq(m_one, 0.5 * a_level, "strict")))
-    reports.append(_row(name, p, n, 7, 0.0, m_zero, 0.5,
-                        verdict_geq(m_zero, 0.5, "strict")))
+        bad = int(transfer_bad.sum())
+        scanned = min(count, TRANSFER_ROWS)
+        reports.append(_row(name, p, n, 8, 0.0, bernoulli_ci(bad, scanned),
+                            0.0, PASS if bad == 0 else FAIL))
 
-    bad = int(transfer_bad.sum())
-    reports.append(_row(name, p, n, 8, 0.0, bernoulli_ci(bad, m), 0.0,
-                        PASS if bad == 0 else FAIL))
+        v_f1 = float(f_one.mean())
+        # the plateau mass has a closed form: T(z) and |z|_p are
+        # independent, and |z|_p^p is Gamma(n/p + 1, 1)
+        plateau_oracle = v_f1 * float(special.gammaincc(n / p + 1.0,
+                                                        scale2 ** p))
+        constants = {
+            "c3": c3,
+            "c4": c4,
+            "plateau_target": 0.5 * a_level,
+            "plateau_oracle": plateau_oracle,
+            "transfer_violations": bad,
+        }
+        return CheckReport(name, tuple(reports), constants)
 
-    v_f1 = float(f_one.mean())
-    # the plateau mass has a closed form: T(z) and |z|_p are independent,
-    # and |z|_p^p is Gamma(n/p + 1, 1)
-    plateau_oracle = v_f1 * float(special.gammaincc(n / p + 1.0, scale2 ** p))
-    constants = {
-        "c3": c3,
-        "c4": c4,
-        "plateau_target": 0.5 * a_level,
-        "plateau_oracle": plateau_oracle,
-        "transfer_violations": bad,
-    }
-    return CheckReport(name, tuple(reports), constants)
+    return _grading_plan((per_point,), report)
 
 
 # ---------------------------------------------------------------------------
@@ -1059,38 +1299,47 @@ def check_paouris_tail(p: float, n: int, t_grid, count: int,
                        seed: int) -> CheckReport:
     """Euclidean-norm tail on the rescaled ball vs exp(-c t / L_K).
 
-    t_grid holds quantile levels; thresholds below the regime floor
-    t0 L_K sqrt(n) (t0 = 0.8) carry no claim and stay INCONCLUSIVE.
-    c_hat = min over eligible thresholds of L_K (-log P^)/t.
-    Rows: param1 = t, param2 = 1 when t is in regime.
+    t_grid holds quantile levels, placed on the held-out stream's
+    |C(n,p) x|_2; thresholds below the regime floor t0 L_K sqrt(n)
+    (t0 = 0.8) carry no claim and stay INCONCLUSIVE.  c_hat = min over
+    eligible thresholds of L_K (-log P^)/t.  Rows: param1 = t, param2 = 1
+    when t is in regime.
     """
-    params = PBallParams(p, n)
+    return _one_plan_cell(p, n, paouris_tail_plan(p, n, t_grid), count, seed)
+
+
+def paouris_tail_plan(p: float, n: int, t_grid) -> CellPlan:
+    """The plan of ``check_paouris_tail``: the radii |C(n,p) x|_2 are
+    C(n,p) |x|_2 of the cell's shared |x|_2 columns."""
+    PBallParams(p, n)
     levels = _quantile_levels(t_grid, "t_grid")
     c_np, l_k = isotropy_constants(p, n)
-
-    def radii(child):
-        return map_row_blocks(lambda X: (lp_norm(X * c_np, 2.0),),
-                              _ball_stream(params, count, seed, child),
-                              count)[0]
-
-    thresholds = np.quantile(radii(0), levels)
-    tails = estimate_tail(radii(1), thresholds)
     t_min = PAOURIS_T0 * l_k * math.sqrt(n)
-    slopes = [l_k * (-math.log(est.mean)) / t
-              for t, est, rare in tails
-              if not rare and t >= t_min and 0.0 < est.mean < 1.0]
-    c_hat = min(slopes) if slopes else None
     name = "check_paouris_tail"
-    reports = []
-    for t, est, rare in tails:
-        in_range = 1.0 if t >= t_min else 0.0
-        if rare or not in_range or c_hat is None:
-            reports.append(_row(name, p, n, t, in_range, est, 0.0,
-                                INCONCLUSIVE))
-            continue
-        rhs = math.exp(-c_hat * t / l_k)
-        reports.append(_row(name, p, n, t, in_range, est, rhs,
-                            verdict_leq(est, rhs, "consistent")))
-    return CheckReport(name, tuple(reports),
-                       {"c_hat": c_hat, "l_k": l_k, "c_np": c_np,
-                        "t_min": t_min})
+
+    def grading(held):
+        thresholds = np.quantile(c_np * held[0], levels)
+
+        def report(cols) -> CheckReport:
+            tails = estimate_tail(c_np * cols[0], thresholds)
+            slopes = [l_k * (-math.log(est.mean)) / t
+                      for t, est, rare in tails
+                      if not rare and t >= t_min and 0.0 < est.mean < 1.0]
+            c_hat = min(slopes) if slopes else None
+            reports = []
+            for t, est, rare in tails:
+                in_range = 1.0 if t >= t_min else 0.0
+                if rare or not in_range or c_hat is None:
+                    reports.append(_row(name, p, n, t, in_range, est, 0.0,
+                                        INCONCLUSIVE))
+                    continue
+                rhs = math.exp(-c_hat * t / l_k)
+                reports.append(_row(name, p, n, t, in_range, est, rhs,
+                                    verdict_leq(est, rhs, "consistent")))
+            return CheckReport(name, tuple(reports),
+                               {"c_hat": c_hat, "l_k": l_k, "c_np": c_np,
+                                "t_min": t_min})
+
+        return (_norm2,), report
+
+    return CellPlan((_norm2,), grading)

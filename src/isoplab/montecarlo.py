@@ -21,9 +21,10 @@ every threshold is read off the sorted array.
 Estimators draw nothing and see neither points nor sets: each takes a
 per-point column (a 1-D array of the values of a scalar, gradient norm or
 functional at every drawn point) and plain numbers.  The caller fills the
-column in its own pass over a block stream (``sampling.ball_blocks``)
-with every other column it needs, so a (params, count, seed) batch is
-drawn once however many estimates read it, and only its columns persist.
+column in its own pass over a block stream (a cell's
+``sampling.product_ball_blocks``) with every other column it needs, so a
+(params, count, seed) batch is drawn once however many estimates read
+it, and only its columns persist.
 A 2-D array or a SampleBatch is rejected rather than read as values.
 """
 
@@ -54,7 +55,7 @@ __all__ = [
     "estimate_median_and_phi",
     "integrate_grad",
     "lipschitz_pairs",
-    "PairRows",
+    "PairDistances",
     "RARE_COUNT",
 ]
 
@@ -299,14 +300,14 @@ class MedianEstimate:
     n_samples: int
 
 
-class PairRows(NamedTuple):
+class PairDistances(NamedTuple):
     """The pairs of the Lipschitz spot check in one batch: row indices i
-    and j (``lipschitz_pairs``) and the points at those rows."""
+    and j (``lipschitz_pairs``) and the Euclidean distance between the
+    points at those rows, pair by pair."""
 
     i: np.ndarray
     j: np.ndarray
-    rows_i: np.ndarray
-    rows_j: np.ndarray
+    dists: np.ndarray
 
 
 def lipschitz_pairs(seed: int, count: int, pairs: int = 100):
@@ -319,13 +320,14 @@ def lipschitz_pairs(seed: int, count: int, pairs: int = 100):
 
 
 def estimate_median_and_phi(values, functional, h_grid: Sequence[float],
-                            pairs: PairRows
+                            pairs: PairDistances
                             ) -> tuple[MedianEstimate, list[PhiPoint]]:
     """Empirical median of a 1-Lipschitz functional over one batch and its
     upper-tail curve phi(h) = P{F > median + h}.
 
     ``values`` is the column of F over a batch drawn from a seed, and
-    ``pairs`` that batch's rows at ``lipschitz_pairs(seed, count)``.
+    ``pairs`` the distances of that batch's points at the rows
+    ``lipschitz_pairs(seed, count)``.
     Lipschitz continuity is the caller's promise; it is spot-checked on
     those ~100 sample pairs, and a violation raises ValueError.
     """
@@ -347,11 +349,12 @@ def estimate_median_and_phi(values, functional, h_grid: Sequence[float],
     return median, curve
 
 
-def _lipschitz_spot_check(functional, vals: np.ndarray, pairs: PairRows):
+def _lipschitz_spot_check(functional, vals: np.ndarray,
+                          pairs: PairDistances):
     lip = float(getattr(functional, "lipschitz_constant", 1.0))
     vi, vj = vals[pairs.i], vals[pairs.j]
     gaps = np.abs(vi - vj)
-    dists = np.linalg.norm(pairs.rows_i - pairs.rows_j, axis=1)
+    dists = pairs.dists
     bad = gaps > lip * dists + 1e-9 * (1.0 + np.abs(vi))
     if np.any(bad):
         w = int(np.flatnonzero(bad)[0])

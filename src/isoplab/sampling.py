@@ -19,10 +19,11 @@ fair signs attached.
 Streams: the product and ball laws are drawn as block streams,
 ``product_blocks`` and ``ball_blocks``, of (first row, block) pairs of
 ``geometry.block_rows(n + 1)`` rows; ``sample_product`` and ``sample_ball``
-draw those same streams into the rows of one array.  A consumer that needs
-only per-point values reads the stream block by block and keeps a column
-per value, so it never holds a (count, n) batch.  The ball-norm guard runs
-on every ball block.
+draw those same streams into the rows of one array, and
+``product_ball_blocks`` yields the blocks of both, Z and X = T(Z), from
+one draw.  A consumer that needs only per-point values reads the stream
+block by block and keeps a column per value, so it never holds a
+(count, n) batch.  The ball-norm guard runs on every ball block.
 
 Determinism: a stream has one PCG64 generator per draw role (the mu_p
 block, the second draw block, that is U or the second Exp(1), and E), the
@@ -60,6 +61,7 @@ __all__ = [
     "child_seed",
     "product_blocks",
     "ball_blocks",
+    "product_ball_blocks",
     "sample_product",
     "sample_ball",
     "rejection_sample_ball",
@@ -148,32 +150,55 @@ def _factor_rows(rngs: tuple, g: np.ndarray, p: float,
     return re.standard_exponential(g.shape[0])
 
 
-def _product_rows(rngs: tuple, block: np.ndarray, p: float) -> None:
-    """Product-law rows (g, E^{1/p}) into a C-contiguous (rows, n + 1)
-    block; the block's own memory holds the second draw block until g is
-    copied in."""
-    rows, n = block.shape[0], block.shape[1] - 1
-    g = np.empty((rows, n))
-    e = _factor_rows(rngs, g, p, block.reshape(-1)[:rows * n].reshape(rows, n))
-    block[:, :-1] = g
-    np.power(e, 1.0 / p, out=block[:, -1])
+def _second_block(Z: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading values of the C-contiguous block Z as a C-contiguous
+    array of ``shape``: room for the second draw block before Z is
+    written."""
+    return Z.reshape(-1)[:math.prod(shape)].reshape(shape)
 
 
-def _ball_rows(rngs: tuple, g: np.ndarray, p: float) -> None:
-    """Ball rows g / (sum |g_i|^p + E)^{1/p}, T of the same product rows,
-    drawn and scaled in place in a (rows, n) block g, then norm-guarded."""
-    s = _factor_rows(rngs, g, p)
+def _to_product(Z: np.ndarray, g: np.ndarray, e: np.ndarray, p: float):
+    """Product-law rows (g, E^{1/p}) into the (rows, n + 1) block Z."""
+    Z[:, :-1] = g
+    np.power(e, 1.0 / p, out=Z[:, -1])
+
+
+def _to_ball(g: np.ndarray, s: np.ndarray, p: float):
+    """Scale the mu_p rows g in place to g / (sum |g_i|^p + E)^{1/p}, T of
+    the product rows, given their Exp(1) column s (which is overwritten),
+    then norm-guard them."""
     s += row_sum(g * g if p == 2.0 else _pow_p(np.abs(g), p))
     s **= -1.0 / p
     g *= s[:, None]
     _check_ball_norms(g, p)
 
 
+def _product_rows(rngs: tuple, Z: np.ndarray, p: float) -> None:
+    """Product-law rows into a C-contiguous (rows, n + 1) block; the
+    block's own memory holds the second draw block until g is copied in."""
+    g = np.empty((Z.shape[0], Z.shape[1] - 1))
+    _to_product(Z, g, _factor_rows(rngs, g, p, _second_block(Z, g.shape)), p)
+
+
+def _ball_rows(rngs: tuple, X: np.ndarray, p: float) -> None:
+    """Ball rows, drawn and scaled in place in a (rows, n) block."""
+    _to_ball(X, _factor_rows(rngs, X, p), p)
+
+
+def _product_ball_rows(rngs: tuple, Z: np.ndarray, X: np.ndarray,
+                       p: float) -> None:
+    """The product rows into Z and their ball points T(Z) into X from one
+    draw: g is drawn into X, copied into Z, then scaled in place."""
+    e = _factor_rows(rngs, X, p, _second_block(Z, X.shape))
+    _to_product(Z, X, e, p)
+    _to_ball(X, e, p)
+
+
 def _row_blocks(params: PBallParams, count: int, seed: int, fill,
-                width: int, out=None):
-    """(first row, block) pairs of ``block_rows(n + 1)`` rows, filled by
-    ``fill`` from the stream's role generators; blocks are new arrays, or
-    the rows of ``out`` when it is given."""
+                widths: tuple, outs: tuple = ()):
+    """(first row, blocks) pairs of ``block_rows(n + 1)`` rows, one block
+    per width, filled together by ``fill`` from the stream's role
+    generators; blocks are new arrays, or the rows of ``outs`` when given."""
     if count < 1:
         raise ValueError("count must be >= 1")
     step = block_rows(params.n + 1)
@@ -182,9 +207,9 @@ def _row_blocks(params: PBallParams, count: int, seed: int, fill,
         rngs = _role_rngs(seed)
         for lo in range(0, count, step):
             rows = min(step, count - lo)
-            block = (np.empty((rows, width)) if out is None
-                     else out[lo:lo + rows])
-            fill(rngs, block, params.p)
+            block = (tuple(out[lo:lo + rows] for out in outs)
+                     or tuple(np.empty((rows, w)) for w in widths))
+            fill(rngs, *block, params.p)
             yield lo, block
     return blocks()
 
@@ -193,14 +218,24 @@ def product_blocks(params: PBallParams, count: int, seed: int):
     """The rows of ``sample_product(params, count, seed)`` as (first row,
     (rows, n + 1) block) pairs of ``block_rows(n + 1)`` rows, drawn one
     block at a time."""
-    return _row_blocks(params, count, seed, _product_rows, params.n + 1)
+    return ((lo, Z) for lo, (Z,) in
+            _row_blocks(params, count, seed, _product_rows, (params.n + 1,)))
 
 
 def ball_blocks(params: PBallParams, count: int, seed: int):
     """The rows of ``sample_ball(params, count, seed)`` as (first row,
     (rows, n) block) pairs of ``block_rows(n + 1)`` rows, drawn one block
     at a time; every block passes the ball-norm guard."""
-    return _row_blocks(params, count, seed, _ball_rows, params.n)
+    return ((lo, X) for lo, (X,) in
+            _row_blocks(params, count, seed, _ball_rows, (params.n,)))
+
+
+def product_ball_blocks(params: PBallParams, count: int, seed: int):
+    """(first row, (Z, X)) pairs: the blocks of ``product_blocks`` and of
+    ``ball_blocks`` for the same (params, count, seed), bit for bit, from
+    one draw; X = T(Z) passes the ball-norm guard."""
+    n = params.n
+    return _row_blocks(params, count, seed, _product_ball_rows, (n + 1, n))
 
 
 def sample_product(params: PBallParams, count: int, seed: int) -> SampleBatch:
@@ -208,7 +243,7 @@ def sample_product(params: PBallParams, count: int, seed: int) -> SampleBatch:
     ``product_blocks`` stream drawn into the rows of one array."""
     n = params.n
     out = np.empty((count, n + 1))
-    for _ in _row_blocks(params, count, seed, _product_rows, n + 1, out):
+    for _ in _row_blocks(params, count, seed, _product_rows, (), (out,)):
         pass    # each block is drawn into its rows of out
     return SampleBatch("MU_PN", n + 1, count, seed, out)
 
@@ -224,7 +259,7 @@ def sample_ball(params: PBallParams, count: int, seed: int) -> SampleBatch:
     """
     n = params.n
     out = np.empty((count, n))
-    for _ in _row_blocks(params, count, seed, _ball_rows, n, out):
+    for _ in _row_blocks(params, count, seed, _ball_rows, (), (out,)):
         pass    # each block is drawn and mapped in its rows of out
     return SampleBatch("V_PN", n, count, seed, out)
 

@@ -8,17 +8,20 @@ import sys
 
 import pytest
 
-from isoplab import geometry, inequality_suite
+from isoplab import geometry
+from isoplab import inequality_suite as iq
 from isoplab.cli import (
     REGISTRY,
     ConfigError,
     RunConfig,
     _jobs,
+    _write_check_csv,
     list_checks,
     main,
     parse_config,
     run,
 )
+from isoplab.geometry import CutoffParams, PBallParams, coordinate_half_space
 
 
 def _run_cli(args, env_extra=None, cwd=None):
@@ -237,35 +240,93 @@ def test_run_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
             (tmp_path / "small" / name).read_bytes(), name
 
 
-def test_default_run_draws_one_grading_batch_per_job(tmp_path, monkeypatch):
-    # every job streams one grading batch; only thresholds placed on
-    # held-out points (the three tail checks, co-area's radial radii at
-    # p != 2) add one more.  Drawing per set, rung, level or field, and a
-    # ball batch beside the product batch, took 148 ball and 12 product draws
-    job = [None]
-    draws = []
-    for sampler in ("ball_blocks", "product_blocks"):
-        def counting(*args, _real=getattr(inequality_suite, sampler),
-                     _sampler=sampler, **kw):
-            draws.append((job[0], _sampler))
-            return _real(*args, **kw)
-        monkeypatch.setattr(inequality_suite, sampler, counting)
-    for name, (tag, runner) in list(REGISTRY.items()):
-        def tracked(cfg, p, n, seed, _name=name, _runner=runner):
-            job[0] = (_name, p, n)
-            return _runner(cfg, p, n, seed)
-        monkeypatch.setitem(REGISTRY, name, (tag, tracked))
-    assert run(RunConfig(out_dir=str(tmp_path))) == 0
-    assert sum(s == "ball_blocks" for _, s in draws) == 70
-    assert sum(s == "product_blocks" for _, s in draws) == 12
-    held_out = {"check_sz_tail", "check_sz_concentration",
-                "check_paouris_tail"}
-    per_job = {}
-    for j, _ in draws:
-        per_job[j] = per_job.get(j, 0) + 1
-    for (name, p, n), k in per_job.items():
-        extra = name in held_out or (name == "check_coarea" and p != 2.0)
-        assert k == 1 + extra, (name, p, n, k)
+def test_default_run_draws_two_streams_per_cell(tmp_path, monkeypatch):
+    # every sampled check of a (p, n) cell reads the cell's one grading and
+    # one held-out stream, seeded by (seed, p, n, role); no check draws a
+    # stream of its own (before, every sampled job did: 70 ball and 12
+    # product streams)
+    streams = []
+    real = iq.product_ball_blocks
+
+    def counting(params, count, seed):
+        streams.append((params.p, params.n, count, seed))
+        return real(params, count, seed)
+
+    def refuse(*args, **kw):
+        raise AssertionError("a check drew a stream of its own")
+
+    monkeypatch.setattr(iq, "product_ball_blocks", counting)
+    for name in ("ball_blocks", "product_blocks", "sample_ball",
+                 "sample_product"):
+        monkeypatch.setattr(iq, name, refuse, raising=False)
+    cfg = RunConfig(out_dir=str(tmp_path))
+    assert run(cfg) == 0
+    assert len(streams) == 12
+    assert sorted(streams) == sorted(
+        (p, n, cfg.samples, iq.cell_seed(cfg.seed, p, n, role))
+        for p in cfg.p_grid for n in cfg.n_grid
+        for role in (iq.GRADING, iq.HELD_OUT))
+
+
+SAMPLED_CHECKS = (
+    "check_barthe_dimensional", "check_bobkov_inequality", "check_coarea",
+    "check_functional_equivalence", "check_l2_form", "check_lemma4",
+    "check_paouris_tail", "check_sz_concentration", "check_sz_tail",
+    "verify_cutoff_chain")
+
+
+def _direct_check(name, cfg, p, n):
+    """The CLI's job (name, p, n) as a direct check_* call."""
+    params = PBallParams(p, n)
+    w = n ** (-(2.0 - p) / (2.0 * p))
+    sets = [coordinate_half_space(params, a) for a in cfg.a_grid]
+    r_grid = [r * w for r in cfg.r_grid]
+    ladder = [e * w for e in cfg.eps_ladder]
+    count, seed = cfg.samples, cfg.seed
+    calls = {
+        "check_barthe_dimensional": lambda: iq.check_barthe_dimensional(
+            p, n, sets, r_grid, count, seed, eps_ladder=ladder),
+        "check_bobkov_inequality": lambda: iq.check_bobkov_inequality(
+            p, n, sets, r_grid, count, seed, eps_ladder=ladder),
+        "check_coarea": lambda: iq.check_coarea(p, n, None, count, seed),
+        "check_functional_equivalence":
+            lambda: iq.check_functional_equivalence(
+                p, n, coordinate_half_space(params, 0.5), 0.0025 * w,
+                0.05 * w, count, seed),
+        "check_l2_form": lambda: iq.check_l2_form(
+            p, n, [a for a in cfg.a_grid if a < 0.5], count, seed),
+        "check_lemma4": lambda: iq.check_lemma4(p, n, count, seed),
+        "check_paouris_tail": lambda: iq.check_paouris_tail(
+            p, n, cfg.t_grid, count, seed),
+        "check_sz_concentration": lambda: iq.check_sz_concentration(
+            p, n, "coordinate", cfg.t_grid, count, seed),
+        "check_sz_tail": lambda: iq.check_sz_tail(p, n, cfg.t_grid, count,
+                                                  seed),
+        "verify_cutoff_chain": lambda: iq.verify_cutoff_chain(
+            p, n, None, CutoffParams(), count, seed, big_c=cfg.big_c),
+    }
+    return calls[name]()
+
+
+def test_sampled_rows_do_not_depend_on_the_selection(tmp_path):
+    # a check's rows depend on (seed, p, n) only: run alone, with the whole
+    # default selection, or as a direct call, it writes the same bytes
+    # (seeding job i by its place in the selection gave check_sz_tail at
+    # p = 1, n = 2 lhs 0.519 alone and 0.4772 in the full run)
+    cfg = RunConfig(out_dir=str(tmp_path / "all"))
+    assert run(cfg) == 0
+    for name in SAMPLED_CHECKS:
+        alone = tmp_path / name
+        assert run(RunConfig(experiments=[name], out_dir=str(alone))) == 0
+        for out in (f"{name}.csv", f"{name}_plot.csv"):
+            assert (alone / out).read_bytes() == \
+                (tmp_path / "all" / out).read_bytes(), out
+        direct = tmp_path / f"{name}.direct.csv"
+        _write_check_csv(str(direct), [
+            row for p in cfg.p_grid for n in cfg.n_grid
+            for row in _direct_check(name, cfg, p, n).reports])
+        assert direct.read_bytes() == \
+            (tmp_path / "all" / f"{name}.csv").read_bytes(), name
 
 
 def test_lemma5_rows_do_not_depend_on_seed_or_samples(tmp_path):

@@ -784,6 +784,32 @@ def test_distance_ramp_gradient_indicator_and_superlevel():
     _assert_grad_matches(inward, X[(d > 0.06) & (d < 0.34)])
 
 
+@pytest.mark.parametrize("field, exact", [
+    (LinearRamp(np.array([1.0, 0.0, 0.0]), -0.1, 0.3), True),
+    (LinearRamp(np.array([0.48, 0.6, 0.64]), -0.2, 0.4), True),
+    (DistanceRamp(HalfSpace(np.array([0.0, 1.0, 0.0]), 0.2), 3, 0.05, 0.3),
+     True),
+    (DistanceRamp(HalfSpace(np.array([0.48, 0.6, 0.64]), 0.2), 3, 0.05, 0.3),
+     False),
+    (DistanceRamp(BallComplement(0.9), 3, 0.05, 0.3), False),
+    (RadialRamp(3, 0.4, 0.9), False),
+    (CutoffH1Field(1.5, 3), True),
+], ids=["ramp", "oblique_ramp", "half_space_shell", "oblique_shell",
+        "ball_shell", "radial", "cutoff"])
+def test_grad_norm_is_the_norm_of_each_gradient_row(field, exact):
+    # the ramps take |grad f|_2 from their scalar alone: the same support,
+    # and the same bits wherever the gradient rows are one constant row
+    X = np.random.default_rng(25).standard_normal((3000, 3)) * 0.6
+    want = np.linalg.norm(field.grad(X), axis=1)
+    got = field.grad_norm(X)
+    np.testing.assert_array_equal(got > 0.0, want > 0.0)
+    assert 0 < np.count_nonzero(want) < want.size
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
 def test_cutoff_fields_match_finite_differences():
     p, n = 1.5, 3
     h1 = CutoffH1Field(p, n)

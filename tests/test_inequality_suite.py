@@ -40,6 +40,8 @@ from isoplab.geometry import (
 )
 from isoplab.inequality_suite import (
     FAIL,
+    GRADING,
+    HELD_OUT,
     INCONCLUSIVE,
     PASS,
     CheckReport,
@@ -59,6 +61,7 @@ from isoplab.inequality_suite import (
     check_sz_concentration,
     check_sz_tail,
     check_theorem1,
+    cell_seed,
     concentration_from_isoperimetry,
     default_eps_ladder,
     isotropy_constants,
@@ -69,7 +72,7 @@ from isoplab.inequality_suite import (
 )
 from isoplab.montecarlo import (
     EstimateCI,
-    PairRows,
+    PairDistances,
     _wls_intercept,
     bernoulli_ci,
     content_from_batch,
@@ -78,13 +81,19 @@ from isoplab.montecarlo import (
     lipschitz_pairs,
     mean_ci,
 )
-from isoplab.sampling import child_seed, sample_ball, sample_product
+from isoplab.sampling import sample_ball, sample_product
 
 
 def _column(fn, points):
     """fn's value at every row of points, filled one row block at a time."""
     out, = map_row_blocks(lambda X: (fn(X),), [points], points.shape[0])
     return out
+
+
+def _stream_batch(sample, params, count, seed, role=GRADING):
+    """The whole batch of the (p, n) cell's stream in ``role``, ball points
+    (``sample_ball``) or product rows (``sample_product``)."""
+    return sample(params, count, cell_seed(seed, params.p, params.n, role))
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +299,7 @@ def test_enlargement_sorts_each_shared_scalar_once(monkeypatch):
                         counting)
     rep = check_bobkov_inequality(p, n, sets, [1.0], count, seed)
     assert calls == [3, 1, 1]
-    batch = sample_ball(params, count, child_seed(seed, 0))
+    batch = _stream_batch(sample_ball, params, count, seed)
     for row, set_ in zip(rep.reports, sets):
         assert row.lhs == real(_column(set_.scalar, batch.points),
                                [set_.threshold], ladder)[0].extrapolated
@@ -358,23 +367,30 @@ STREAM_COUNT = 2 * BLOCK_ROWS + 17
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_streamed_tail_checks_equal_the_batch_recipe(p):
     # the checks read their draws block by block; the rows must be those of
-    # the same recipe on whole sample_ball batches of the same child seeds
+    # the same recipe on whole sample_ball batches of the cell's held-out
+    # and grading streams
     n, count, seed, levels = 3, STREAM_COUNT, 37, [0.5, 0.9, 0.99]
     params = PBallParams(p, n)
-    calib, batch = (sample_ball(params, count, child_seed(seed, k)).points
-                    for k in (0, 1))
+    calib, batch = (
+        _stream_batch(sample_ball, params, count, seed, role).points
+        for role in (HELD_OUT, GRADING))
     rep = check_sz_tail(p, n, levels, count, seed)
     want = estimate_tail(lp_norm(batch, 2.0),
                          np.quantile(lp_norm(calib, 2.0), levels))
     assert [r.lhs for r in rep.reports] == [t.estimate for t in want]
+    c_np = isotropy_constants(p, n).c_np
+    rep = check_paouris_tail(p, n, levels, count, seed)
+    want = estimate_tail(c_np * lp_norm(batch, 2.0),
+                         np.quantile(c_np * lp_norm(calib, 2.0), levels))
+    assert [r.lhs for r in rep.reports] == [t.estimate for t in want]
     F = isoplab.fields.CoordinateFunctional(n)
     rep = check_sz_concentration(p, n, "coordinate", levels, count, seed)
     med0 = float(np.median(F(calib)))
-    i, j = lipschitz_pairs(child_seed(seed, 1), count)
+    i, j = lipschitz_pairs(cell_seed(seed, p, n, GRADING), count)
     _, curve = estimate_median_and_phi(
         _column(F, batch), F,
         [float(np.quantile(F(calib), q)) - med0 for q in levels],
-        PairRows(i, j, batch[i], batch[j]))
+        PairDistances(i, j, np.linalg.norm(batch[i] - batch[j], axis=1)))
     assert [r.lhs for r in rep.reports] == [c.estimate for c in curve]
 
 
@@ -389,10 +405,14 @@ def test_sz_concentration_spot_checks_the_streamed_pairs():
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_streamed_lemma4_equals_the_batch_recipe(p):
+    # the ball event reads the grading stream's ball points, the product
+    # event their product rows
     n, count, seed = 3, STREAM_COUNT, 43
-    Z = sample_product(PBallParams(p, n), count, child_seed(seed, 1)).points
-    normsp = lp_norm(Z, p)
-    norms2 = lp_norm(Z[:, :-1], 2.0) / normsp
+    params = PBallParams(p, n)
+    normsp = lp_norm(_stream_batch(sample_product, params, count, seed).points,
+                     p)
+    norms2 = lp_norm(_stream_batch(sample_ball, params, count, seed).points,
+                     2.0)
     rep = check_lemma4(p, n, count, seed)
     kappa = (2.0 - p) / (2.0 * p)
     want = []
@@ -621,7 +641,9 @@ def test_coarea_rhs_matches_per_level_indicator_loop(catalog):
     p, n, count, seed = 1.5, 3, 3000, 27
     params = PBallParams(p, n)
     if catalog == "default":
-        phis = _default_plateau_catalog(params, count, seed)
+        # the radial radii are quantiles of the held-out stream's |x|_2
+        held_out = _stream_batch(sample_ball, params, count, seed, HELD_OUT)
+        phis = _default_plateau_catalog(params, lp_norm(held_out.points, 2.0))
         rep = check_coarea(p, n, None, count, seed)
     else:
         phis = [DistanceRamp(coordinate_half_space(params, 0.5), n, 0.05, 0.2),
@@ -629,8 +651,8 @@ def test_coarea_rhs_matches_per_level_indicator_loop(catalog):
         rep = check_coarea(p, n, phis, count, seed)
     ladder = default_eps_ladder(p, n)
     assert len(rep.reports) == len(phis)
-    # both sides of every field read the check's one batch, child seed 0
-    batch = sample_ball(params, count, child_seed(seed, 0))
+    # both sides of every field read the grading stream
+    batch = _stream_batch(sample_ball, params, count, seed)
     for phi, row in zip(phis, rep.reports):
         vals = np.zeros(64)
         for k in range(64):
@@ -709,8 +731,8 @@ def test_functional_equivalence_without_closed_form(set_):
     assert set_.analytic_boundary(params) is None
     rep = check_functional_equivalence(p, n, set_, r=0.002, s=0.04,
                                        count=count, seed=seed)
-    # the reference is the content of the check's one batch, child seed 0
-    batch = sample_ball(params, count, child_seed(seed, 0))
+    # the reference is the content of the grading stream
+    batch = _stream_batch(sample_ball, params, count, seed)
     ref, = content_from_batch(_column(set_.scalar, batch.points),
                               [set_.threshold], default_eps_ladder(p, n))
     summary = rep.reports[-1]
@@ -801,7 +823,7 @@ def _assert_chain_rows_equal_composed_fields(p, count):
     fh1 = ProductField(f, h1)
     g = PushForwardField(fh1, p)
     gh2 = ProductField(g, CutoffH2Field(p, n, CutoffParams()))
-    Z = sample_product(params, count, child_seed(seed, 1)).points
+    Z = _stream_batch(sample_product, params, count, seed).points
     nzp = lp_norm(Z, p)
     X = Z[:, :-1] / nzp[:, None]
 

@@ -13,8 +13,10 @@ sizing one chunk from count instead (5.5-13.8x the output) fails its bound.
 The checks stream their draws and keep only per-point columns, so their
 peaks do not grow with n at a fixed count; holding the (count, n) batch
 (the chain peaked at 763 MB at n = 1024, 2x10^4 points) fails these
-bounds.  sample_product draws its second draw block into its own output
-rows; a whole mu_p block beside the output (2.2x) fails its bound.
+bounds.  The same holds for a whole (p, n) cell, whose sampled checks
+share their streams and hold the union of their columns.  sample_product
+draws its second draw block into its own output rows; a whole mu_p block
+beside the output (2.2x) fails its bound.
 """
 
 import tracemalloc
@@ -22,12 +24,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from isoplab.cli import REGISTRY, RunConfig
 from isoplab.fields import LinearRamp
 from isoplab.geometry import (PBallParams, coordinate_half_space,
                               jacobian_op_norms, lp_norm, map_row_blocks)
-from isoplab.inequality_suite import (check_bobkov_inequality,
+from isoplab.inequality_suite import (CellPlan, check_bobkov_inequality,
                                       check_functional_equivalence,
-                                      check_lemma4, check_lemma5,
+                                      check_lemma4, check_lemma5, run_cell,
                                       verify_cutoff_chain)
 from isoplab.montecarlo import integrate_grad
 from isoplab.sampling import rejection_sample_ball, sample_ball, sample_product
@@ -73,6 +76,21 @@ def test_lemma5_peak_holds_no_gamma_matrix():
 def test_streamed_check_peak_does_not_grow_with_n(check):
     narrow = _traced_peak(lambda: check(4))
     wide = _traced_peak(lambda: check(1024))
+    assert wide <= 1.25 * narrow, wide / narrow
+
+
+def _default_cell(n):
+    # every default sampled check of the (1.5, n) cell at 20000 points
+    cfg = RunConfig(samples=20000)
+    plans = [REGISTRY[name][1](cfg, 1.5, n, cfg.seed) for name in REGISTRY]
+    run_cell(1.5, n, [plan for plan in plans if isinstance(plan, CellPlan)],
+             cfg.samples, cfg.seed)
+
+
+def test_cell_peak_does_not_grow_with_n():
+    # a cell holds its columns and one block of each stream, never a batch
+    narrow = _traced_peak(lambda: _default_cell(4))
+    wide = _traced_peak(lambda: _default_cell(1024))
     assert wide <= 1.25 * narrow, wide / narrow
 
 

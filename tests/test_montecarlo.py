@@ -36,7 +36,7 @@ from isoplab.montecarlo import (
     PASS,
     RARE_COUNT,
     EstimateCI,
-    PairRows,
+    PairDistances,
     _wls_intercept,
     bernoulli_ci,
     content_from_batch,
@@ -69,7 +69,8 @@ def _grad_norms(f, points):
 def _pairs(batch):
     """The spot check's pairs of a batch: lipschitz_pairs of its seed."""
     i, j = lipschitz_pairs(batch.seed, batch.count)
-    return PairRows(i, j, batch.points[i], batch.points[j])
+    return PairDistances(i, j, np.linalg.norm(batch.points[i]
+                                              - batch.points[j], axis=1))
 
 
 def test_estimate_ci_interval():

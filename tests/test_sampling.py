@@ -31,6 +31,7 @@ from isoplab.sampling import (
     ball_blocks,
     ball_sampler,
     child_seed,
+    product_ball_blocks,
     product_blocks,
     read_points_csv,
     rejection_sample_ball,
@@ -251,16 +252,46 @@ def test_block_streams_are_the_batches_rows(p):
         ball_blocks(params, 0, 89)
 
 
-def test_ball_guard_covers_every_streamed_block(monkeypatch):
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_product_ball_blocks_are_both_streams_bit_for_bit(p):
+    # one draw gives the product rows Z and their ball points X = T(Z): the
+    # rows of sample_product and sample_ball at the same seed, across row
+    # blocks (8192 rows at n = 3, 512 at n = 64) and as prefixes of larger
+    # batches
+    for n, counts in ((3, (1, 8192, 8193, 2 * block_rows(4) + 17)),
+                      (64, (1, 3 * block_rows(65) + 5))):
+        params = PBallParams(p, n)
+        larger = max(counts) + 300
+        Z_all = sample_product(params, larger, 91).points
+        X_all = sample_ball(params, larger, 91).points
+        for count in counts:
+            pairs = list(product_ball_blocks(params, count, 91))
+            assert [lo for lo, _ in pairs] == list(
+                range(0, count, block_rows(n + 1)))
+            Z = np.concatenate([Zb for _, (Zb, _) in pairs])
+            X = np.concatenate([Xb for _, (_, Xb) in pairs])
+            assert _same_bits(Z, Z_all[:count]), (n, count)
+            assert _same_bits(X, X_all[:count]), (n, count)
+
+
+def _guarded_rows(stream, monkeypatch) -> list:
     checked = []
     real = sampling._check_ball_norms
     monkeypatch.setattr(sampling, "_check_ball_norms",
                         lambda pts, p: checked.append(len(pts)) or real(pts, p))
-    params = PBallParams(1.5, 3)
-    count = 2 * block_rows(4) + 10
-    for _ in ball_blocks(params, count, 97):
+    for _ in stream(PBallParams(1.5, 3), 2 * block_rows(4) + 10, 97):
         pass
-    assert checked == [block_rows(4), block_rows(4), 10]
+    return checked
+
+
+def test_ball_guard_covers_every_streamed_block(monkeypatch):
+    assert _guarded_rows(ball_blocks, monkeypatch) == [
+        block_rows(4), block_rows(4), 10]
+
+
+def test_ball_guard_covers_every_product_ball_block(monkeypatch):
+    assert _guarded_rows(product_ball_blocks, monkeypatch) == [
+        block_rows(4), block_rows(4), 10]
 
 
 def test_ball_rejects_empty_batches():
