@@ -4,11 +4,12 @@ JSON summary of fitted constants and verdict counts.
 
 Each (check, p, n) job's runner either runs an exact check or returns the
 plan of a sampled one; the sampled plans of each (p, n) cell then run
-together on the cell's two streams (``inequality_suite.run_cell``), one
-cell at a time, seeded by (seed, p, n) alone.  So a check's rows do not
-depend on which other checks are selected, and with ``threads > 1`` the
-pool builds plans and runs exact checks while the output stays the same
-bytes.
+together on the cell's two streams (``inequality_suite.run_cell``), seeded
+by (seed, p, n) alone.  So a check's rows do not depend on which other
+checks are selected, nor on the order the cells run in.  At
+``threads = k`` one pool of k threads runs the runners and then up to k
+cells at once, each holding its own columns, and the output stays the
+same bytes.
 
 Exit codes: 0 when no row FAILs, 2 when any row FAILs, 3 for configuration
 errors (unknown check, malformed config, a grid, seed or big_c value the
@@ -387,24 +388,27 @@ def run(cfg: RunConfig) -> int:
         name, p, n = job
         return REGISTRY[name][1](cfg, p, n, cfg.seed)
 
-    # runners build the sampled checks' plans and run the exact checks,
-    # neither of which holds a column; the pool only runs those
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(execute, jobs))
-    else:
-        results = [execute(job) for job in jobs]
-    # then each (p, n) cell runs its plans, one cell at a time, so that
-    # one cell's columns are alive at once
-    cells = {}
-    for k, ((_, p, n), result) in enumerate(zip(jobs, results)):
-        if isinstance(result, iq.CellPlan):
-            cells.setdefault((p, n), []).append(k)
-    for (p, n), ks in cells.items():
-        reports = iq.run_cell(p, n, [results[k] for k in ks], cfg.samples,
-                              cfg.seed)
-        for k, rep in zip(ks, reports):
-            results[k] = rep
+    def run_cell(cell):
+        (p, n), ks = cell
+        return iq.run_cell(p, n, [results[k] for k in ks], cfg.samples,
+                           cfg.seed)
+
+    # the runners build the sampled checks' plans and run the exact checks;
+    # then each (p, n) cell runs its plans, up to ``threads`` cells at once,
+    # each holding its own columns
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        map_ = pool.map if cfg.threads > 1 else map
+        results = list(map_(execute, jobs))
+        cells = {}
+        for k, ((_, p, n), result) in enumerate(zip(jobs, results)):
+            if isinstance(result, iq.CellPlan):
+                cells.setdefault((p, n), []).append(k)
+        # larger n first: a cell's cost grows with n, and the pool ends
+        # sooner when the cells left for last are the small ones
+        order = sorted(cells.items(), key=lambda cell: -cell[0][1])
+        for (_, ks), reports in zip(order, map_(run_cell, order)):
+            for k, rep in zip(ks, reports):
+                results[k] = rep
 
     by_check = {}
     summary_checks = {}

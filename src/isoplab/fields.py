@@ -15,8 +15,7 @@ The shared base supplies the two halves of that pass, and the norms of
 the gradient rows:
     f(X)                  -> f.value_and_grad(X)[0]
     f.grad(X)             -> f.value_and_grad(X)[1]
-    f.grad_norm(X)        -> (rows,) |grad f|_2, which the ramps compute
-                             from their scalar alone, without gradient rows
+    f.grad_norm(X)        -> (rows,) |grad f|_2
 Rows are independent: a row's value and gradient depend only on that row,
 bit for bit, whatever the other rows of X are.  Every check relies on this
 to evaluate its batch block by block (``geometry.map_row_blocks``), so a
@@ -27,7 +26,13 @@ Products and push-forwards evaluate each factor once through its
 ``value_and_grad``; ``product_value_and_grad`` and ``push_forward_grad`` hold
 their arithmetic for callers that already have the factors' passes.
 Ramps additionally expose ``superlevel(u)`` returning the test set {f > u};
-all superlevel sets of one field share one scalar per point.
+all superlevel sets of one ramp share one scalar per point, their sets'
+``scalar(X)``, and so does the gradient norm:
+    f.grad_norm_from_scalar(s) -> (rows,) |grad f|_2 from that scalar alone
+A ramp's ``grad_norm(X)`` is that function of ``superlevel(0).scalar(X)``,
+so a caller that already holds the scalar column gets the same bits
+without gradient rows.  The cut-offs' ``from_norm`` likewise take the
+norm their pass starts from, for callers that already have it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .geometry import (
 __all__ = [
     "product_value_and_grad",
     "push_forward_grad",
+    "lp_dual",
     "LinearRamp",
     "RadialRamp",
     "DistanceRamp",
@@ -74,15 +80,19 @@ def product_value_and_grad(a, b):
     return av * bv, av[:, None] * bg + bv[:, None] * ag
 
 
-def push_forward_grad(Z, X, nz, v, p: float):
-    """Gradient at rows z of f o T, T(z) = z_{1..n} / |z|_p, given X = T(Z),
-    nz = |z|_p and v = grad f(X): the adjoint differential applied to v."""
+def lp_dual(Z, p: float):
+    """sign(z)|z|^{p-1} entrywise: |z|_p^{p-1} times the gradient of |z|_p."""
     if p == 1.0:
-        w = np.sign(Z)
-    else:
-        w = np.sign(Z) * np.abs(Z) ** (p - 1.0)
+        return np.sign(Z)
+    return np.sign(Z) * np.abs(Z) ** (p - 1.0)
+
+
+def push_forward_grad(w, X, nz, v, p: float):
+    """Gradient at rows z of f o T, T(z) = z_{1..n} / |z|_p, given
+    w = ``lp_dual(Z, p)``, X = T(Z), nz = |z|_p and v = grad f(X): the
+    adjoint differential applied to v."""
     dot = np.einsum("ij,ij->i", X, v)
-    out = np.zeros_like(Z)
+    out = np.zeros_like(w)
     out[:, :-1] = v
     out /= nz[:, None]
     # adjoint of (delta_ij - z_j w_i / |z|^p) / |z| applied to v
@@ -123,7 +133,17 @@ class ConstantField(_Field):
         return None
 
 
-class LinearRamp(_Field):
+class _Ramp(_Field):
+    """Base of the plateau ramps: a subclass defines ``superlevel(u)``, whose
+    sets all threshold one scalar per point, and ``grad_norm_from_scalar``,
+    |grad f|_2 as a function of that scalar."""
+
+    def grad_norm(self, X):
+        return self.grad_norm_from_scalar(
+            self.superlevel(0.0).scalar(_rows(X, self.dim)))
+
+
+class LinearRamp(_Ramp):
     """clip((<x, xi> - lo) / (hi - lo), 0, 1) for a unit direction xi.
 
     Identically 0 on {<x,xi> <= lo} and 1 on {<x,xi> >= hi}; the gradient is
@@ -153,9 +173,8 @@ class LinearRamp(_Field):
         return (np.clip((t - self.lo) / self.width, 0.0, 1.0),
                 np.where(on[:, None], self.xi / self.width, 0.0))
 
-    def grad_norm(self, X):
-        """The norms of the gradient rows, bit for bit."""
-        t = row_dot(_rows(X, self.dim), self.xi)
+    def grad_norm_from_scalar(self, t):
+        """The norms of the gradient rows at t = <x, xi>, bit for bit."""
         return np.where((t > self.lo) & (t < self.hi), self._slope, 0.0)
 
     def superlevel(self, u: float) -> HalfSpace:
@@ -167,7 +186,7 @@ class LinearRamp(_Field):
         return HalfSpace(self.xi, self.lo + u * self.width)
 
 
-class RadialRamp(_Field):
+class RadialRamp(_Ramp):
     """clip((|x|_2 - lo) / (hi - lo), 0, 1) with 0 < lo < hi."""
 
     def __init__(self, dim: int, lo: float, hi: float):
@@ -190,10 +209,9 @@ class RadialRamp(_Field):
         return (np.clip((r - self.lo) / self.width, 0.0, 1.0),
                 np.where(on[:, None], unit / self.width, 0.0))
 
-    def grad_norm(self, X):
-        """1/(hi - lo) on the ramp, where the gradient is a unit vector
-        over the width, and 0 elsewhere."""
-        r = lp_norm(_rows(X, self.dim), 2.0)
+    def grad_norm_from_scalar(self, r):
+        """At r = |x|_2: 1/(hi - lo) on the ramp, where the gradient is a
+        unit vector over the width, and 0 elsewhere."""
         return np.where((r > self.lo) & (r < self.hi), 1.0 / self.width, 0.0)
 
     def superlevel(self, u: float) -> BallComplement:
@@ -205,7 +223,7 @@ class RadialRamp(_Field):
         return BallComplement(self.lo + u * self.width)
 
 
-class DistanceRamp(_Field):
+class DistanceRamp(_Ramp):
     """clip(1 - (dist(x, A) - r) / s, 0, 1): 1 on the r-enlargement of A,
     ramping to 0 across the shell r < dist <= r + s."""
 
@@ -223,10 +241,11 @@ class DistanceRamp(_Field):
         return (np.clip(1.0 - (d - self.r) / self.s, 0.0, 1.0),
                 np.where(on[:, None], -dg / self.s, 0.0))
 
-    def grad_norm(self, X):
-        """1/s on the shell, where the gradient of dist is a unit vector
-        a.e. (see the sets' ``dist_and_grad``), and 0 elsewhere."""
-        d = self.set_.dist(_rows(X, self.dim))
+    def grad_norm_from_scalar(self, scalar):
+        """At A's scalar: 1/s on the shell, where the gradient of dist is a
+        unit vector a.e. (see the sets' ``dist_and_grad``), and 0
+        elsewhere.  dist is the sets' own max(threshold - scalar, 0)."""
+        d = np.maximum(self.set_.threshold - scalar, 0.0)
         return np.where((d > self.r) & (d < self.r + self.s), 1.0 / self.s,
                         0.0)
 
@@ -261,7 +280,10 @@ class CutoffH1Field(_Field):
 
     def value_and_grad(self, X):
         X = _rows(X, self.dim)
-        r = lp_norm(X, 2.0)
+        return self.from_norm(X, lp_norm(X, 2.0))
+
+    def from_norm(self, X, r):
+        """``value_and_grad(X)`` given r = |x|_2 of its rows."""
         on = (r > self.lo) & (r < self.hi)
         unit = X / np.where(r == 0.0, 1.0, r)[:, None]
         return (np.clip(2.0 - self.slope * r, 0.0, 1.0),
@@ -289,12 +311,15 @@ class CutoffH2Field(_Field):
 
     def value_and_grad(self, Z):
         Z = _rows(Z, self.dim)
-        r = lp_norm(Z, self.p)
+        return self.from_norm(lp_norm(Z, self.p), lp_dual(Z, self.p))
+
+    def from_norm(self, r, w):
+        """``value_and_grad(Z)`` given r = |z|_p and w = ``lp_dual(Z, p)``
+        of its rows."""
         on = (r > self.lo) & (r < self.hi)
         if self.p == 1.0:
-            unit = np.sign(Z)
+            unit = w
         else:
-            w = np.sign(Z) * np.abs(Z) ** (self.p - 1.0)
             unit = w / np.where(r == 0.0, 1.0, r)[:, None] ** (self.p - 1.0)
         return (np.clip(self.scale * r - 1.0, 0.0, 1.0),
                 np.where(on[:, None], self.scale * unit, 0.0))
@@ -333,7 +358,8 @@ class PushForwardField(_Field):
         nz = lp_norm(Z, self.p)
         X = Z[:, :-1] / nz[:, None]
         values, v = self.f.value_and_grad(X)
-        return values, push_forward_grad(Z, X, nz, v, self.p)
+        return values, push_forward_grad(lp_dual(Z, self.p), X, nz, v,
+                                         self.p)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,12 @@ Conventions shared by all checks:
 * columns, never batches: a cell reads each stream block by block in one
   ``map_row_blocks`` pass over its plans' column functions, and keeps
   only per-point columns of count values (set scalars, |x|_2, |z|_p,
-  gradient norms, link terms), from which every row is estimated.  A
-  value several plans read is computed once per block and stored once.
-  The memory is those columns plus one block, whatever n is.
+  link terms), from which every row is estimated.  A value several plans
+  read is computed once per block and stored once, and a value a report
+  can form from the columns is not a column: a ramp's gradient norms are
+  derived from its sets' scalar (``grad_norm_from_scalar``), one
+  transient column at a time.  The memory is those columns plus one
+  block, whatever n is.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from .fields import (
     LinearRamp,
     RadialRamp,
     functional_catalog,
+    lp_dual,
     product_value_and_grad,
     push_forward_grad,
 )
@@ -927,7 +931,11 @@ def check_coarea(p: float, n: int, phi_catalog=None,
     the u-integral taken over a 64-point midpoint grid of content
     estimates.  Both sides of every field read the grading stream.  The
     superlevel sets of one field share one scalar, so it is sorted once
-    per field for all 64 levels.  For the plateau catalog both sides agree
+    per field for all 64 levels, and the field's gradient norms are
+    derived from that same column (``grad_norm_from_scalar``), so each
+    catalog field is a ramp, or a constant field (no superlevel set
+    strictly inside), whose gradient mass is exactly 0.  For the plateau
+    catalog both sides agree
     (the inequality is an identity there), so rows are consistency-graded.
     The default catalog's radial radii come from the held-out stream at
     p != 2.  Rows: param1 = catalog index, param2 = 0.
@@ -952,32 +960,31 @@ def coarea_plan(p: float, n: int, phi_catalog=None) -> CellPlan:
                               if s is not None])
 
         def per_point(b):
-            # per field: |grad phi|_2, then its levels' shared scalar
-            out = []
-            for phi, live in zip(catalog, live_sets):
-                out.append(phi.grad_norm(b.X))
-                if live:
-                    out.append(b.scalar(live[0][1]))
-            return out
+            # per field with superlevel sets, the scalar they share, from
+            # which its gradient norms are derived too
+            return [b.scalar(live[0][1]) for live in live_sets if live]
 
         def report(cols) -> CheckReport:
             cols = iter(cols)
             reports = []
-            for i, live in enumerate(live_sets):
-                norms = next(cols)
-                lhs = integrate_grad(norms)
+            for i, (phi, live) in enumerate(zip(catalog, live_sets)):
                 vals = np.zeros(64)
                 errs = np.zeros(64)
                 if live:
+                    scalar = next(cols)
+                    lhs = integrate_grad(phi.grad_norm_from_scalar(scalar))
                     ests = content_from_batch(
-                        next(cols), [s.threshold for _, s in live], ladder)
+                        scalar, [s.threshold for _, s in live], ladder)
                     for (k, _), ce in zip(live, ests):
                         vals[k] = ce.extrapolated.mean
                         errs[k] = ce.extrapolated.std_err
+                else:
+                    # no superlevel set strictly inside: a constant field
+                    lhs = EstimateCI.exact(0.0)
                 # contents at nearby levels share the stream, so errors are
                 # summed rather than combined as a root sum of squares
                 rhs = EstimateCI(float(vals.mean()), float(errs.mean()),
-                                 norms.size)
+                                 lhs.n_samples)
                 reports.append(_row(name, p, n, i, 0.0, lhs, rhs.mean,
                                     verdict_geq(lhs, rhs, "consistent")))
             return CheckReport(name, tuple(reports), {})
@@ -1004,7 +1011,9 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     made the row FAIL on a few seeds.  Without closed-form measures the
     row falls back to the analytic boundary mass, and without that to the
     Monte Carlo content of the grading stream.  constants["reference"] is
-    that boundary value in every case.
+    that boundary value in every case.  The rungs are distance ramps of
+    one set, so the cell keeps one column, A's scalar, from which each
+    rung's gradient norms are derived in turn.
     """
     return _one_plan_cell(p, n, functional_equivalence_plan(p, n, set_, r, s),
                           count, seed)
@@ -1021,14 +1030,15 @@ def functional_equivalence_plan(p: float, n: int, set_, r: float,
     analytic = set_.analytic_boundary(params)
 
     def per_point(b):
-        # per rung |grad phi|_2, then A's scalar when the reference is the
-        # grading stream's own content
-        out = [phi.grad_norm(b.X) for phi in rungs]
-        return out + ([b.scalar(set_)] if analytic is None else [])
+        # A's scalar, which every rung's gradient norms derive from and
+        # which gives the grading stream's own content as the reference
+        return (b.scalar(set_),)
 
     def report(cols) -> CheckReport:
+        scalar, = cols
         reports = []
-        for phi, norms in zip(rungs, cols):
+        for phi in rungs:
+            norms = phi.grad_norm_from_scalar(scalar)
             lhs = integrate_grad(norms)
             # the gradient, -grad dist / s, is nonzero exactly on the shell
             # r < dist < r + s, almost everywhere
@@ -1039,7 +1049,7 @@ def functional_equivalence_plan(p: float, n: int, set_, r: float,
         final = lhs
         reference = analytic
         if reference is None:
-            ce, = content_from_batch(cols[-1], [set_.threshold],
+            ce, = content_from_batch(scalar, [set_.threshold],
                                      default_eps_ladder(p, n))
             reference = ce.extrapolated.mean
         inner = set_.enlarged(r).analytic_measure(params)
@@ -1073,7 +1083,8 @@ def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckRepor
     levels; rhs chains the fitted profile constant through the dyadic
     decomposition: rhs = c_hat^2 n^{2/p} / S(a) with S(a) the dyadic sum.
     Each level implies c1 = lhs / [n^{2/p} a log^{2-2/p}(1/a)], and
-    c1_hat is their minimum.  Rows: param1 = a.
+    c1_hat is their minimum.  The ramps share one column, x_1, from which
+    each level's gradient norms are derived in turn.  Rows: param1 = a.
     """
     return _one_plan_cell(p, n, l2_form_plan(p, n, a_grid), count, seed)
 
@@ -1091,11 +1102,11 @@ def l2_form_plan(p: float, n: int, a_grid) -> CellPlan:
     name = "check_l2_form"
     ramps = [LinearRamp(xi, 0.0, float(marginal_isf(params, a))) for a in grid]
 
-    def report(norms) -> CheckReport:
+    def report(scalars) -> CheckReport:
         reports = []
         fitted = []
-        for a, col in zip(grid, norms):
-            lhs = integrate_grad(col, power=2)
+        for a, phi, scalar in zip(grid, ramps, scalars):
+            lhs = integrate_grad(phi.grad_norm_from_scalar(scalar), power=2)
             rhs = c_hat ** 2 * n ** (2.0 / p) / _dyadic_sum(p, a)
             fitted.append(lhs.mean / (n ** (2.0 / p) * a
                                       * math.log(1.0 / a) ** (2.0 - 2.0 / p)))
@@ -1104,8 +1115,9 @@ def l2_form_plan(p: float, n: int, a_grid) -> CellPlan:
         return CheckReport(name, tuple(reports),
                            {"c1_hat": min(fitted), "c_from_profile": c_hat})
 
+    # the ramps share one scalar, x_1, and so one column
     return _grading_plan(
-        (lambda b: [phi.grad_norm(b.X) for phi in ramps],), report)
+        (lambda b: [b.scalar(phi.superlevel(0.0)) for phi in ramps],), report)
 
 
 # ---------------------------------------------------------------------------
@@ -1151,11 +1163,12 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     exactly uniform on B_p^n (Barthe, Guedon, Mendelson and Naor).  f is a
     field on R^n with ``value_and_grad`` (see ``fields``), by default a
     ramp along the first coordinate; like every field it must be row-wise.
-    Each field is evaluated once per point: the cell's |z|_p gives T(Z), g
-    and g h2 are assembled from the factor passes.  Z is streamed and
-    never held: each block's link differences and flags go into per-point
-    columns, from which the means and counts are taken, and the Jacobian
-    scan runs on the first TRANSFER_ROWS rows as they stream past.
+    Each field is evaluated once per point: the cell's |z|_p gives T(Z)
+    and h2, g and g h2 are assembled from the factor passes.  Z is
+    streamed and never held: each block's link differences and flags go
+    into per-point columns, from which the means and counts are taken
+    (link 4's from those of links 2 and 3), and the Jacobian scan runs on
+    the first TRANSFER_ROWS rows as they stream past.
     """
     return _one_plan_cell(p, n, cutoff_chain_plan(p, n, f, c, big_c), count,
                           seed)
@@ -1186,39 +1199,43 @@ def cutoff_chain_plan(p: float, n: int, f=None,
         # f, h1 and h2 are each evaluated once per point; f h1, its
         # push-forward g and g h2 are formed from those passes with the
         # arithmetic of ProductField and PushForwardField, which gives the
-        # same bits as the composed fields.  T(Z) shares the cell's |z|_p,
+        # same bits as the composed fields.  T(Z) and h2 share the cell's
+        # |z|_p, g and h2 one sign(z)|z|^{p-1}, h1 and link 1 one |T(z)|_2,
         # and the Jacobian scan's operator norms ride along with the first
         # TRANSFER_ROWS rows.
         Zb, nzp = b.Z, b.zp
         ops = (jacobian_op_norms(Zb[:TRANSFER_ROWS - b.lo], p)[0]
                if b.lo < TRANSFER_ROWS else np.empty(0))
         XT = Zb[:, :-1] / nzp[:, None]
+        rT = lp_norm(XT, 2.0)
         fv, fg = f.value_and_grad(XT)
         f_one = fv >= 1.0 - 1e-12
         gf_T = lp_norm(fg, 2.0)
-        gv, fg = product_value_and_grad((fv, fg), h1.value_and_grad(XT))
+        gv, fg = product_value_and_grad((fv, fg), h1.from_norm(XT, rT))
         gfh1_T = lp_norm(fg, 2.0)
-        gg_rows = push_forward_grad(Zb, XT, nzp, fg, p)
+        w = lp_dual(Zb, p)
+        gg_rows = push_forward_grad(w, XT, nzp, fg, p)
         plateau, gh2_rows = product_value_and_grad((gv, gg_rows),
-                                                   h2.value_and_grad(Zb))
+                                                   h2.from_norm(nzp, w))
         gg, ggh2 = lp_norm(gg_rows, 2.0), lp_norm(gh2_rows, 2.0)
-        err1 = slope1 * (lp_norm(XT, 2.0) >= 1.0 / slope1)
+        err1 = slope1 * (rT >= 1.0 / slope1)
         err2 = 2.0 * n ** kappa * (nzp <= scale2)
         d2 = gfh1_T - c3 * gg * nzp
         d3 = gg * nzp - (n ** (1.0 / p) / c.c2) * ggh2 + err2
         transfer_rhs = ops * gfh1_T[:ops.size]
         bad = np.zeros(nzp.size, dtype=bool)
         bad[:ops.size] = gg[:ops.size] > transfer_rhs + 1e-9 * (1.0 + transfer_rhs)
-        return (gf_T - gfh1_T + err1, d2, d3, d2 + c3 * d3,
+        return (gf_T - gfh1_T + err1, d2, d3,
                 gf_T - c4 * n ** (1.0 / p) * ggh2 + 0.5 * a_level,
                 plateau >= 1.0 - 1e-12, plateau <= 1e-12, f_one, bad)
 
     def report(cols) -> CheckReport:
-        # the five link differences, then four flags
-        *diffs, plateau_one, plateau_zero, f_one, transfer_bad = cols
+        # links 1, 2, 3 and 5, then four flags; link 4 is links 2 and 3
+        # combined, formed here per point
+        d1, d2, d3, d5, plateau_one, plateau_zero, f_one, transfer_bad = cols
         count = f_one.size
         reports = []
-        for link, diff in enumerate(diffs, start=1):
+        for link, diff in enumerate((d1, d2, d3, d2 + c3 * d3, d5), start=1):
             est = mean_ci(diff)
             reports.append(_row(name, p, n, link, 0.0, est, 0.0,
                                 verdict_geq(est, 0.0, "strict")))

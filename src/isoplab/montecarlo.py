@@ -22,9 +22,10 @@ Estimators draw nothing and see neither points nor sets: each takes a
 per-point column (a 1-D array of the values of a scalar, gradient norm or
 functional at every drawn point) and plain numbers.  The caller fills the
 column in its own pass over a block stream (a cell's
-``sampling.product_ball_blocks``) with every other column it needs, so a
-(params, count, seed) batch is drawn once however many estimates read
-it, and only its columns persist.
+``sampling.product_ball_blocks``) with every other column it needs, or
+derives it from one it holds (a ramp's gradient norms from its scalar),
+so a (params, count, seed) batch is drawn once however many estimates
+read it, and only its columns persist.
 A 2-D array or a SampleBatch is rejected rather than read as values.
 """
 
@@ -383,7 +384,8 @@ def integrate_grad(norms, power: int = 1) -> EstimateCI:
         raise RuntimeError(
             f"non-finite gradient at {bad} of {count} samples "
             f"({100.0 * bad / count:.2f}%)")
-    kept = norms[finite]
+    # with nothing dropped the column itself holds the same values in order
+    kept = norms[finite] if bad else norms
     if power != 1:
         kept = kept ** power
     return mean_ci(kept)

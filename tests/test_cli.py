@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -200,6 +201,44 @@ def test_run_threads_reproduce_serial_bytes(tmp_path):
     run(_tiny_cfg(tmp_path / "serial"))
     run(_tiny_cfg(tmp_path / "pool", threads=2))
     for name in os.listdir(tmp_path / "serial"):
+        assert (tmp_path / "serial" / name).read_bytes() == \
+            (tmp_path / "pool" / name).read_bytes(), name
+
+
+def test_run_overlaps_cells_on_two_threads(tmp_path, monkeypatch):
+    # each of the two cells waits at a two-party barrier before it runs,
+    # so the run ends only if both cells run at once; one cell at a time
+    # breaks the barrier at its timeout
+    barrier = threading.Barrier(2, timeout=10)
+    real = iq.run_cell
+
+    def meet(*args, **kw):
+        barrier.wait()
+        return real(*args, **kw)
+
+    monkeypatch.setattr(iq, "run_cell", meet)
+    assert run(_tiny_cfg(tmp_path, experiments=["check_sz_tail"],
+                         threads=2)) == 0
+
+
+def test_run_more_threads_than_cores_reproduce_serial_bytes(tmp_path):
+    # six cells on four threads, switching threads every few microseconds,
+    # so that cells interleave at fine grain; every file is the serial one
+    def cfg(out_dir, threads):
+        return RunConfig(p_grid=[1.0, 1.5, 2.0], n_grid=[2, 3],
+                         samples=1000, out_dir=str(out_dir), threads=threads)
+
+    run(cfg(tmp_path / "serial", 1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run(cfg(tmp_path / "pool", 4))
+    finally:
+        sys.setswitchinterval(interval)
+    names = sorted(os.listdir(tmp_path / "serial"))
+    assert names == sorted(os.listdir(tmp_path / "pool"))
+    assert len(names) == 33
+    for name in names:
         assert (tmp_path / "serial" / name).read_bytes() == \
             (tmp_path / "pool" / name).read_bytes(), name
 

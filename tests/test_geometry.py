@@ -810,6 +810,34 @@ def test_grad_norm_is_the_norm_of_each_gradient_row(field, exact):
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("ramp, scalar", [
+    (LinearRamp(np.array([1.0, 0.0, 0.0]), -0.1, 0.3),
+     lambda X: X[:, 0]),
+    (LinearRamp(np.array([0.48, 0.6, 0.64]), -0.2, 0.4),
+     lambda X: HalfSpace(np.array([0.48, 0.6, 0.64]), 0.7).scalar(X)),
+    (RadialRamp(3, 0.4, 0.9), lambda X: np.linalg.norm(X, axis=1)),
+    (DistanceRamp(HalfSpace(np.array([0.0, 1.0, 0.0]), 0.2), 3, 0.05, 0.3),
+     lambda X: X[:, 1]),
+    (DistanceRamp(HalfSpace(np.array([0.48, 0.6, 0.64]), 0.2), 3, 0.05,
+                  0.3),
+     lambda X: HalfSpace(np.array([0.48, 0.6, 0.64]), -1.0).scalar(X)),
+    (DistanceRamp(BallComplement(0.9), 3, 0.05, 0.3),
+     lambda X: np.linalg.norm(X, axis=1)),
+], ids=["ramp", "oblique_ramp", "radial", "half_space_shell",
+        "oblique_shell", "ball_shell"])
+def test_grad_norm_from_scalar_is_grad_norm(ramp, scalar):
+    # a cell holds the scalar column its sets share, x_1 or |x|_2, and
+    # derives each ramp's gradient norms from it: the same bits as
+    # grad_norm(X), and as the scalar of every superlevel set
+    X = np.random.default_rng(26).standard_normal((3000, 3)) * 0.6
+    want = ramp.grad_norm(X)
+    assert 0 < np.count_nonzero(want) < want.size
+    for u in (0.0, 0.5):
+        assert np.array_equal(
+            ramp.grad_norm_from_scalar(ramp.superlevel(u).scalar(X)), want)
+    assert np.array_equal(ramp.grad_norm_from_scalar(scalar(X)), want)
+
+
 def test_cutoff_fields_match_finite_differences():
     p, n = 1.5, 3
     h1 = CutoffH1Field(p, n)

@@ -857,10 +857,10 @@ def _assert_chain_rows_equal_composed_fields(p, count):
 
 
 def test_cutoff_chain_evaluates_each_norm_of_the_product_batch_once(monkeypatch):
-    # |z|_p passes over the (count, n + 1) product batch: the chain's own
-    # (which also gives T(Z) and the push-forward's gradient), the h2
-    # cut-off's and the Jacobian scan's; recomputing |z|_p per field and
-    # per method took 9
+    # |z|_p passes over the (count, n + 1) product batch: the cell's own
+    # (which gives T(Z), the push-forward's gradient and the h2 cut-off)
+    # and the Jacobian scan's; the h2 cut-off's own pass made 3, and
+    # recomputing |z|_p per field and per method took 9
     p, n, count = 1.5, 4, 3000
     real = isoplab.geometry.lp_norm
     calls = []
@@ -873,7 +873,7 @@ def test_cutoff_chain_evaluates_each_norm_of_the_product_batch_once(monkeypatch)
         monkeypatch.setattr(module, "lp_norm", counting)
     rep = verify_cutoff_chain(p, n, count=count, seed=5)
     assert len(rep.reports) == 8
-    assert calls.count(((count, n + 1), p)) == 3
+    assert calls.count(((count, n + 1), p)) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -79,9 +79,9 @@ def test_streamed_check_peak_does_not_grow_with_n(check):
     assert wide <= 1.25 * narrow, wide / narrow
 
 
-def _default_cell(n):
-    # every default sampled check of the (1.5, n) cell at 20000 points
-    cfg = RunConfig(samples=20000)
+def _default_cell(n, count):
+    # every default sampled check of the (1.5, n) cell at count points
+    cfg = RunConfig(samples=count)
     plans = [REGISTRY[name][1](cfg, 1.5, n, cfg.seed) for name in REGISTRY]
     run_cell(1.5, n, [plan for plan in plans if isinstance(plan, CellPlan)],
              cfg.samples, cfg.seed)
@@ -89,9 +89,18 @@ def _default_cell(n):
 
 def test_cell_peak_does_not_grow_with_n():
     # a cell holds its columns and one block of each stream, never a batch
-    narrow = _traced_peak(lambda: _default_cell(4))
-    wide = _traced_peak(lambda: _default_cell(1024))
+    narrow = _traced_peak(lambda: _default_cell(4, 20000))
+    wide = _traced_peak(lambda: _default_cell(1024, 20000))
     assert wide <= 1.25 * narrow, wide / narrow
+
+
+def test_cell_peak_is_a_few_columns():
+    # the co-area, functional-equivalence and L2-form reports derive their
+    # gradient norms from the x_1 and |x|_2 columns the cell holds anyway,
+    # and the chain's link 4 from links 2 and 3; a column per gradient
+    # norm and per link (21 grading columns) peaked at 18.0 MB here
+    peak = _traced_peak(lambda: _default_cell(4, ROWS))
+    assert peak <= 16 * ROWS * 8, peak
 
 
 def test_wide_sample_ball_peak_is_near_its_output():
