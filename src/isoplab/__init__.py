@@ -4,6 +4,12 @@ samplers, Monte Carlo boundary-content estimators, and a suite of graded
 inequality checks with PASS/FAIL/INCONCLUSIVE verdicts.
 """
 
+import os
+
+# parallelism comes from the cell pool; BLAS sees only 1-D dots, so its
+# worker threads would only add start-up time (a caller's value is kept)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .geometry import (
     BallComplement,
     CutoffParams,

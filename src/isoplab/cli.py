@@ -487,12 +487,12 @@ def build_config(argv) -> RunConfig:
         cfg.samples = args.samples
     if args.threads is not None:
         cfg.threads = args.threads
+    # flag, then LAB_OUT_DIR, then the config key
+    env_dir = os.environ.get("LAB_OUT_DIR")
     if args.out_dir is not None:
         cfg.out_dir = args.out_dir
-    elif "out_dir" not in getattr(cfg, "_explicit", ()):
-        env_dir = os.environ.get("LAB_OUT_DIR")
-        if env_dir:
-            cfg.out_dir = env_dir
+    elif env_dir:
+        cfg.out_dir = env_dir
     return cfg
 
 

@@ -233,31 +233,35 @@ def content_from_batch(column, thresholds: Sequence[float],
         searchsorted(s, t, "left") - searchsorted(s, t - eps, "left"),
 
     the same integer as comparing every point against both thresholds.
+    Each rung is ``bernoulli_ci(k, n)`` divided by its eps, computed with
+    the same arithmetic for every (threshold, rung) at once; only the
+    intercept is fitted threshold by threshold.
     """
     eps = _ladder(eps_ladder)
     s = np.sort(_column(column))
+    n = s.size
+    if n == 0:
+        raise ValueError("cannot estimate content from an empty column")
     tops = np.asarray(thresholds, dtype=float)
     counts = (np.searchsorted(s, tops, "left")[:, None]
               - np.searchsorted(s, tops[:, None] - eps, "left"))
-    return [_content_from_counts(eps, row, s.size) for row in counts]
-
-
-def _content_from_counts(eps: np.ndarray, counts: np.ndarray,
-                         n: int) -> ContentEstimate:
-    rungs = []
-    for e, k in zip(eps, counts):
-        ci = bernoulli_ci(int(k), n)
-        rungs.append((float(e), EstimateCI(ci.mean / e, ci.std_err / e, n)))
-    if len(rungs) >= 2:
-        xs = eps
-        ys = np.array([r[1].mean for r in rungs])
-        ses = np.array([r[1].std_err for r in rungs])
-        b0, se0 = _wls_intercept(xs, ys, ses)
-        extrapolated = EstimateCI(b0, se0, n)
-    else:
-        extrapolated = rungs[-1][1]
-    return ContentEstimate(tuple(rungs), extrapolated,
-                           inconclusive=not counts.any())
+    mean = counts / n
+    q = np.where((counts == 0) | (counts == n), (counts + 0.5) / (n + 1),
+                 mean)
+    quotients = mean / eps
+    ses = np.sqrt(q * (1.0 - q) / n) / eps
+    ladder = eps.tolist()
+    empty = (~counts.any(axis=1)).tolist()
+    out = []
+    for ys, se, inconclusive in zip(quotients, ses, empty):
+        rungs = tuple((e, EstimateCI(y, d, n))
+                      for e, y, d in zip(ladder, ys.tolist(), se.tolist()))
+        if len(rungs) >= 2:
+            extrapolated = EstimateCI(*_wls_intercept(eps, ys, se), n)
+        else:
+            extrapolated = rungs[-1][1]
+        out.append(ContentEstimate(rungs, extrapolated, inconclusive))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Batch runner: config grammar, validation errors, exit codes, output
 files, and byte-level determinism of repeated runs."""
 
+import ctypes
 import json
 import os
 import subprocess
@@ -27,7 +28,9 @@ from isoplab.geometry import CutoffParams, PBallParams, coordinate_half_space
 
 def _run_cli(args, env_extra=None, cwd=None):
     env = dict(os.environ)
+    # a user's shell: no out dir, and BLAS threads left to isoplab
     env.pop("LAB_OUT_DIR", None)
+    env.pop("OPENBLAS_NUM_THREADS", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "isoplab", *args],
@@ -474,12 +477,92 @@ def test_cli_out_dir_precedence(tmp_path):
     assert res.returncode == 0
     assert (flag_dir / "summary.json").exists()
     assert not (tmp_path / "ignored").exists()
+    # the environment beats a config key, which beats the default
+    config_dir = tmp_path / "from_config"
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text("experiments = isotropy_constants\n"
+                   f"out_dir = {config_dir}\n")
+    over_config = tmp_path / "env_over_config"
+    res = _run_cli(["--config", str(cfg)],
+                   env_extra={"LAB_OUT_DIR": str(over_config)}, cwd=tmp_path)
+    assert res.returncode == 0
+    assert (over_config / "summary.json").exists()
+    assert not config_dir.exists()
+    res = _run_cli(["--config", str(cfg)], cwd=tmp_path)
+    assert res.returncode == 0
+    assert (config_dir / "summary.json").exists()
+    assert not (tmp_path / "lab_out").exists()
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_import_keeps_blas_to_one_thread_unless_set(preset, expected):
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, isoplab; "
+            "tasks = '/proc/self/task'; "
+            "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else 0, "
+            "os.environ['OPENBLAS_NUM_THREADS'])")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    threads, value = res.stdout.split()
+    assert value == expected
+    if preset is None:
+        if threads == "0":
+            pytest.skip("no /proc/self/task to count threads in")
+        # left to their default, numpy's and scipy's OpenBLAS start one
+        # worker thread each here
+        assert threads == "1"
+
+
+def _numpy_blas_threads():
+    """Getter and setter of the thread count of the OpenBLAS that numpy
+    loaded into this process; skips where it cannot be found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh
+                     if "openblas" in line and "numpy" in line}
+    except OSError:
+        pytest.skip("no /proc/self/maps to find numpy's OpenBLAS in")
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    pytest.skip("numpy's OpenBLAS thread controls not found")
+
+
+def test_cli_bytes_do_not_depend_on_the_blas_threads(tmp_path):
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text("p_grid = 1.5\nn_grid = 3\nsamples = 2000\n")
+    # the process starts with OPENBLAS_NUM_THREADS unset: one BLAS thread
+    res = _run_cli(["--config", str(cfg), "--out-dir", str(tmp_path / "sub")])
+    get_threads, set_threads = _numpy_blas_threads()
+    before = get_threads()
+    set_threads(2)
+    try:
+        assert get_threads() == 2
+        code = main(["--config", str(cfg), "--out-dir", str(tmp_path / "in")])
+    finally:
+        set_threads(before)
+    assert res.returncode == code, res.stderr
+    names = sorted(os.listdir(tmp_path / "in"))
+    assert len(names) == 2 * len(REGISTRY) + 1
+    assert sorted(os.listdir(tmp_path / "sub")) == names
+    for name in names:
+        assert ((tmp_path / "sub" / name).read_bytes()
+                == (tmp_path / "in" / name).read_bytes()), name
 
 
 def test_import_needs_neither_integrate_nor_optimize():
+    # scipy.stats alone would add about 0.8 s to every CLI run
     code = ("import sys, isoplab, isoplab.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
+            "'scipy.stats') if m in sys.modules))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
     assert res.returncode == 0, res.stderr

@@ -35,6 +35,7 @@ from isoplab.montecarlo import (
     INCONCLUSIVE,
     PASS,
     RARE_COUNT,
+    ContentEstimate,
     EstimateCI,
     PairDistances,
     _wls_intercept,
@@ -249,6 +250,9 @@ def test_content_ladder_validation():
                 [np.inf, 0.02]):
         with pytest.raises(ValueError):
             content_from_batch(scalars, [hs.threshold], bad)
+    # an empty column has no proportions
+    with pytest.raises(ValueError):
+        content_from_batch(scalars[:0], [hs.threshold], [0.02])
 
 
 def _tie_batch(set_, ladder, embed):
@@ -319,6 +323,57 @@ def test_content_shared_scalar_sets_match_one_at_a_time():
             assert est == alone
             assert _rung_counts(est, batch.count) == _loop_counts(
                 batch, level, ladder)
+
+
+def _content_loop(column, thresholds, ladder):
+    # the per-threshold loop content_from_batch once ran, as reference:
+    # one bernoulli_ci per rung, then the intercept
+    eps = np.asarray(ladder, dtype=float)
+    out, counts = [], []
+    for t in thresholds:
+        ks = [int(((column >= t - e) & (column < t)).sum()) for e in eps]
+        rungs = []
+        for e, k in zip(eps, ks):
+            ci = bernoulli_ci(k, column.size)
+            rungs.append((float(e), EstimateCI(ci.mean / e, ci.std_err / e,
+                                               column.size)))
+        if len(rungs) >= 2:
+            ys = np.array([q.mean for _, q in rungs])
+            ses = np.array([q.std_err for _, q in rungs])
+            extrapolated = EstimateCI(*_wls_intercept(eps, ys, ses),
+                                      column.size)
+        else:
+            extrapolated = rungs[-1][1]
+        out.append(ContentEstimate(tuple(rungs), extrapolated,
+                                   inconclusive=not any(ks)))
+        counts += ks
+    return out, counts
+
+
+def test_content_arrays_equal_the_per_threshold_loop():
+    rng = np.random.default_rng(2024)
+    saw_zero = saw_all = False
+    seen_rungs = set()
+    for trial in range(300):
+        n = int(rng.integers(1, 400))
+        rungs = 1 + trial % 4
+        ladder = sorted(rng.uniform(1e-3, 0.5, rungs).tolist(), reverse=True)
+        if trial % 5 == 0:
+            # every point inside every rung: counts of n
+            column = np.full(n, rng.normal())
+            thresholds = [column[0] + 0.5 * ladder[-1]]
+        else:
+            column = rng.normal(size=n)
+            if trial % 2:
+                column = np.round(column, 1)    # ties on the thresholds
+            thresholds = rng.normal(size=int(rng.integers(1, 70))).tolist()
+            thresholds += [column[0], 9.0]      # 9.0: counts of 0
+        reference, counts = _content_loop(column, thresholds, ladder)
+        assert content_from_batch(column, thresholds, ladder) == reference
+        saw_zero |= 0 in counts
+        saw_all |= n in counts
+        seen_rungs.add(rungs)
+    assert saw_zero and saw_all and {1, 4} <= seen_rungs
 
 
 @pytest.mark.parametrize("seed", range(5))
