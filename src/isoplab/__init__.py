@@ -83,9 +83,7 @@ from .sampling import (
     ball_blocks,
     ball_sampler,
     child_seed,
-    read_points_csv,
     rejection_sample_ball,
-    product_blocks,
     product_ball_blocks,
     rejection_sampler,
     sample_ball,

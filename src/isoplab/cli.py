@@ -2,14 +2,15 @@
 one CSV of graded rows per check, a plot-friendly companion CSV, and a
 JSON summary of fitted constants and verdict counts.
 
-Each (check, p, n) job's runner either runs an exact check or returns the
-plan of a sampled one; the sampled plans of each (p, n) cell then run
-together on the cell's two streams (``inequality_suite.run_cell``), seeded
-by (seed, p, n) alone.  So a check's rows do not depend on which other
-checks are selected, nor on the order the cells run in.  At
-``threads = k`` one pool of k threads runs the runners and then up to k
-cells at once, each holding its own columns, and the output stays the
-same bytes.
+Each (check, p, n) job's runner reads the config, p and n, and either runs
+an exact check or returns the plan of a sampled one (or check_theorem1's,
+which draws nothing on its default sets); the plans of each (p, n) cell
+then run together on the cell's two streams (``inequality_suite.run_cell``),
+seeded by (seed, p, n) alone.  The sample count and seed reach a check
+only through run_cell.  So a check's rows do not depend on which other
+checks are selected, nor on the order the cells run in.  At ``threads =
+k`` one pool of k threads runs the runners and then up to k cells at
+once, each holding its own columns, and the output stays the same bytes.
 
 Exit codes: 0 when no row FAILs, 2 when any row FAILs, 3 for configuration
 errors (unknown check, malformed config, a grid, seed or big_c value the
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import inequality_suite as iq
 from .geometry import CutoffParams, PBallParams, coordinate_half_space
-from .montecarlo import FAIL, EstimateCI, _ladder
+from .montecarlo import FAIL, _ladder
 
 LEMMA5_EPS = (0.05, 0.1, 0.2)
 LEMMA5_N = (4, 16)
@@ -171,91 +172,77 @@ def _default_sets(p, n, a_grid) -> list:
     return [coordinate_half_space(params, a) for a in a_grid]
 
 
-def _run_theorem1(cfg, p, n, seed):
-    return iq.check_theorem1(p, n, cfg.a_grid, None, cfg.samples, seed)
+def _run_theorem1(cfg, p, n):
+    return iq.theorem1_plan(p, n, cfg.a_grid)
 
 
-def _run_product(cfg, p, n, seed):
+def _run_product(cfg, p, n):
     return iq.check_product_isoperimetry(p, n, cfg.a_grid)
 
 
-def _run_bobkov(cfg, p, n, seed):
+def _run_bobkov(cfg, p, n):
     return iq.bobkov_plan(
         p, n, _default_sets(p, n, cfg.a_grid), _scaled(cfg.r_grid, p, n),
         eps_ladder=_scaled(cfg.eps_ladder, p, n))
 
 
-def _run_barthe(cfg, p, n, seed):
+def _run_barthe(cfg, p, n):
     return iq.barthe_plan(
         p, n, _default_sets(p, n, cfg.a_grid), _scaled(cfg.r_grid, p, n),
         eps_ladder=_scaled(cfg.eps_ladder, p, n))
 
 
-def _run_sz_tail(cfg, p, n, seed):
+def _run_sz_tail(cfg, p, n):
     return iq.sz_tail_plan(p, n, cfg.t_grid)
 
 
-def _run_sz_concentration(cfg, p, n, seed):
-    return iq.sz_concentration_plan(p, n, "coordinate", cfg.t_grid,
-                                    cfg.samples, seed)
+def _run_sz_concentration(cfg, p, n):
+    return iq.sz_concentration_plan(p, n, "coordinate", cfg.t_grid)
 
 
-def _run_concentration(cfg, p, n, seed):
-    c_hat = iq.check_theorem1(p, n, cfg.a_grid).constants["c_hat"]
-    curve = iq.concentration_from_isoperimetry(c_hat, p, n, cfg.a_grid)
-    name = "concentration_from_isoperimetry"
-    rows = tuple(iq._row(name, p, n, u, 0.0, EstimateCI.exact(num), bound,
-                         "PASS")
-                 for u, num, bound in zip(curve.u_grid, curve.psi_numeric,
-                                          curve.psi_closed_form))
-    return iq.CheckReport(name, rows, {"c_hat": c_hat})
+def _run_concentration(cfg, p, n):
+    return iq.concentration_report(p, n, cfg.a_grid)
 
 
-def _run_lemma4(cfg, p, n, seed):
+def _run_lemma4(cfg, p, n):
     return iq.lemma4_plan(p, n)
 
 
-def _run_lemma5(cfg, p, n, seed):
+def _run_lemma5(cfg, p, n):
     # here n is the number of summands and p identifies the coordinate law
     return iq.check_lemma5(p, n, LEMMA5_EPS)
 
 
-def _run_coarea(cfg, p, n, seed):
+def _run_coarea(cfg, p, n):
     return iq.coarea_plan(p, n)
 
 
-def _run_equivalence(cfg, p, n, seed):
+def _run_equivalence(cfg, p, n):
     set_ = coordinate_half_space(PBallParams(p, n), 0.5)
     r, s = _scaled((0.0025, 0.05), p, n)
     return iq.functional_equivalence_plan(p, n, set_, r, s)
 
 
-def _run_l2_form(cfg, p, n, seed):
+def _run_l2_form(cfg, p, n):
     grid = [a for a in cfg.a_grid if 0.0 < a < 0.5]
     if not grid:
         return iq.CheckReport("check_l2_form", (), {})
     return iq.l2_form_plan(p, n, grid)
 
 
-def _run_chain(cfg, p, n, seed):
+def _run_chain(cfg, p, n):
     return iq.cutoff_chain_plan(p, n, None, CutoffParams(), big_c=cfg.big_c)
 
 
-def _run_isotropy(cfg, p, n, seed):
-    consts = iq.isotropy_constants(p, n)
-    name = "isotropy_constants"
-    rows = tuple(iq._row(name, p, n, k, 0.0, EstimateCI.exact(value), 0.0,
-                         "PASS" if value > 0 else "FAIL")
-                 for k, value in enumerate((consts.c_np, consts.l_k)))
-    return iq.CheckReport(name, rows, {"c_np": consts.c_np,
-                                       "l_k": consts.l_k})
+def _run_isotropy(cfg, p, n):
+    return iq.isotropy_report(p, n)
 
 
-def _run_kls(cfg, p, n, seed):
+def _run_kls(cfg, p, n):
     return iq.check_kls(p, n, cfg.a_grid)
 
 
-def _run_paouris(cfg, p, n, seed):
+def _run_paouris(cfg, p, n):
     return iq.paouris_tail_plan(p, n, cfg.t_grid)
 
 
@@ -386,7 +373,7 @@ def run(cfg: RunConfig) -> int:
 
     def execute(job):
         name, p, n = job
-        return REGISTRY[name][1](cfg, p, n, cfg.seed)
+        return REGISTRY[name][1](cfg, p, n)
 
     def run_cell(cell):
         (p, n), ks = cell

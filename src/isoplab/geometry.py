@@ -101,9 +101,10 @@ def map_row_blocks(fn, inputs, count: int) -> list:
     taken in blocks of ``block_rows`` of the widest input's row width, or a
     block stream of count rows: an iterable of (first row, block) pairs, a
     block being one array or a tuple of arrays, such as the samplers'
-    ``product_blocks`` and ``ball_blocks``, or another object whose len is
-    its row count.  ``fn`` receives the arrays of one block and returns a
-    sequence of arrays, each holding a value per row of the block.  Each
+    ``ball_blocks`` and ``product_ball_blocks``, or another object whose
+    len is its row count.  ``fn`` receives the arrays of one block and
+    returns a sequence of arrays, each holding a value per row of the
+    block.  Each
     column takes its dtype and trailing shape from the first block's
     value.  Blocks that do not end at row count, or a block returning
     another number of values, raise ValueError.  Only the block's

@@ -16,8 +16,10 @@ Conventions shared by all checks:
   only thresholds and the co-area radial radii are placed on.  Each
   stream yields product rows Z beside their ball points X = T(Z), exactly
   uniform on B_p^n (Barthe, Guedon, Mendelson and Naor), from one draw,
-  and is seeded by ``cell_seed(seed, p, n, role)`` alone.  So a check's
-  rows do not depend on which other checks share its cell, and a public
+  and is seeded by ``cell_seed(seed, p, n, role)`` alone.  Count and
+  seed reach a check only through ``run_cell``: no plan takes them, and a
+  plan reads no rows but those its passes hand it.  So a check's rows do
+  not depend on which other checks share its cell, and a public
   ``check_*(..., count, seed)`` is a cell of its one plan.  The exact
   checks (check_product_isoperimetry, check_lemma5, check_kls, and
   check_theorem1 on its default sets) draw nothing.  Reports are
@@ -73,14 +75,12 @@ from .montecarlo import (
     INCONCLUSIVE,
     PASS,
     EstimateCI,
-    PairDistances,
     bernoulli_ci,
     content_from_batch,
     estimate_measure,
     estimate_median_and_phi,
     estimate_tail,
     integrate_grad,
-    lipschitz_pairs,
     mean_ci,
     verdict_geq,
     verdict_leq,
@@ -112,6 +112,7 @@ __all__ = [
     "check_sz_concentration",
     "sz_concentration_plan",
     "concentration_from_isoperimetry",
+    "concentration_report",
     "check_lemma4",
     "lemma4_plan",
     "lemma5_constant",
@@ -125,6 +126,7 @@ __all__ = [
     "verify_cutoff_chain",
     "cutoff_chain_plan",
     "isotropy_constants",
+    "isotropy_report",
     "check_kls",
     "check_paouris_tail",
     "paouris_tail_plan",
@@ -138,6 +140,8 @@ PAOURIS_T0 = 0.8
 LEMMA4_LADDER = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 # leading grading rows of the chain's pointwise gradient-transfer scan
 TRANSFER_ROWS = 10 ** 4
+# leading grading rows of the Lipschitz spot check of check_sz_concentration
+LIPSCHITZ_ROWS = 200
 
 
 @dataclass(frozen=True)
@@ -652,29 +656,6 @@ def sz_tail_plan(p: float, n: int, t_grid) -> CellPlan:
     return CellPlan((_norm2,), grading)
 
 
-class _StreamedPairs:
-    """|x_i - x_j|_2 for the spot check's pairs (i, j), read as a stream
-    passes: a pair's earlier row is kept only until its later one streams
-    past, so no more rows are held than pairs are open."""
-
-    def __init__(self, i: np.ndarray, j: np.ndarray):
-        self.i, self.j = i, j
-        self.first, self.last = np.minimum(i, j), np.maximum(i, j)
-        self.dists = np.empty(i.size)
-        self.kept = {}
-
-    def read(self, b: CellBlock):
-        hi = b.lo + len(b)
-        for k in np.flatnonzero((self.first >= b.lo) & (self.first < hi)):
-            self.kept[k] = b.X[self.first[k] - b.lo].copy()
-        for k in np.flatnonzero((self.last >= b.lo) & (self.last < hi)):
-            gap = b.X[self.last[k] - b.lo] - self.kept.pop(k)
-            self.dists[k] = np.sqrt(gap @ gap)
-
-    def distances(self) -> PairDistances:
-        return PairDistances(self.i, self.j, self.dists)
-
-
 def check_sz_concentration(p: float, n: int, functional, t_grid,
                            count: int, seed: int) -> CheckReport:
     """Upper-tail curve of a 1-Lipschitz functional around its median,
@@ -687,15 +668,32 @@ def check_sz_concentration(p: float, n: int, functional, t_grid,
     phi(0) <= 1/2 row.  c1_hat = min over positive-offset rows of
     -log(2 phi^)/(n h^p).  Rows: param1 = h, param2 = 1 for rows entering
     the fit.
+
+    Lipschitz continuity is the caller's promise.  The grading pass
+    spot-checks it on consecutive row pairs within each block among the
+    stream's first LIPSCHITZ_ROWS rows, which are iid, so those pairs are
+    as random as any; a violation raises ValueError.
     """
-    return _one_plan_cell(p, n, sz_concentration_plan(
-        p, n, functional, t_grid, count, seed), count, seed)
+    return _one_plan_cell(p, n, sz_concentration_plan(p, n, functional,
+                                                      t_grid), count, seed)
 
 
-def sz_concentration_plan(p: float, n: int, functional, t_grid, count: int,
-                          seed: int) -> CellPlan:
-    """The plan of ``check_sz_concentration``; count and seed place the
-    Lipschitz spot check's pairs on the grading stream."""
+def _lipschitz_spot_check(functional, X: np.ndarray, vals: np.ndarray):
+    """Raise ValueError where F differs by more than its Lipschitz constant
+    times |x - y|_2 between consecutive rows x, y of X; vals is F(X)."""
+    lip = float(getattr(functional, "lipschitz_constant", 1.0))
+    gaps = np.abs(np.diff(vals))
+    dists = np.linalg.norm(np.diff(X, axis=0), axis=1)
+    bad = gaps > lip * dists + 1e-9 * (1.0 + np.abs(vals[:-1]))
+    if np.any(bad):
+        w = int(np.flatnonzero(bad)[0])
+        raise ValueError(
+            f"functional violates its Lipschitz constant {lip}: "
+            f"|df| = {float(gaps[w])!r} over |dx| = {float(dists[w])!r}")
+
+
+def sz_concentration_plan(p: float, n: int, functional, t_grid) -> CellPlan:
+    """The plan of ``check_sz_concentration``."""
     PBallParams(p, n)
     if isinstance(functional, str):
         functional = functional_catalog(functional, n)
@@ -712,18 +710,16 @@ def sz_concentration_plan(p: float, n: int, functional, t_grid, count: int,
                              "no concentration to measure")
         med0 = float(np.median(vals))
         h_grid = [float(q) - med0 for q in np.quantile(vals, levels)]
-        # the grading stream keeps its F column and the distances of the
-        # Lipschitz spot check's pairs
-        pairs = _StreamedPairs(*lipschitz_pairs(
-            cell_seed(seed, p, n, GRADING), count))
 
-        def values_and_pairs(b):
-            pairs.read(b)
-            return values(b)
+        def spot_checked_values(b):
+            F = functional(b.X)
+            head = LIPSCHITZ_ROWS - b.lo
+            if head > 1:
+                _lipschitz_spot_check(functional, b.X[:head], F[:head])
+            return (F,)
 
         def report(cols) -> CheckReport:
-            _, curve = estimate_median_and_phi(cols[0], functional, h_grid,
-                                               pairs.distances())
+            _, curve = estimate_median_and_phi(cols[0], h_grid)
             slopes = []
             for h, est, rare in curve:
                 if h > 0.0 and not rare and est.mean > 0.0:
@@ -746,7 +742,7 @@ def sz_concentration_plan(p: float, n: int, functional, t_grid, count: int,
                                         verdict_leq(est, rhs, "consistent")))
             return CheckReport(name, tuple(reports), {"c1_hat": c1_hat})
 
-        return (values_and_pairs,), report
+        return (spot_checked_values,), report
 
     return CellPlan((values,), grading)
 
@@ -801,6 +797,20 @@ def concentration_from_isoperimetry(c: float, p: float, n: int,
             f"deviation curve exceeds its closed-form bound at u={u_grid[i]}: "
             f"{psi[i]!r} > {bound[i]!r}")
     return ConcentrationCurve(u_grid, psi, bound)
+
+
+def concentration_report(p: float, n: int, a_grid) -> CheckReport:
+    """The deviation curve psi from the profile constant c_hat that
+    ``check_theorem1`` fits on a_grid, at u = a_grid, as PASS rows (a
+    curve over its bound raises instead).  Rows: param1 = u, lhs = psi(u),
+    rhs = its closed-form bound."""
+    c_hat = check_theorem1(p, n, a_grid).constants["c_hat"]
+    curve = concentration_from_isoperimetry(c_hat, p, n, a_grid)
+    name = "concentration_from_isoperimetry"
+    rows = tuple(_row(name, p, n, u, 0.0, EstimateCI.exact(psi), bound, PASS)
+                 for u, psi, bound in zip(curve.u_grid, curve.psi_numeric,
+                                          curve.psi_closed_form))
+    return CheckReport(name, rows, {"c_hat": c_hat})
 
 
 # ---------------------------------------------------------------------------
@@ -1287,6 +1297,17 @@ def isotropy_constants(p: float, n: int) -> IsotropyConstants:
     sigma2 = marginal_second_moment(PBallParams(p, n))
     c_np = math.exp(-ball_log_volume(p, n) / n)
     return IsotropyConstants(float(c_np), float(c_np * math.sqrt(sigma2)))
+
+
+def isotropy_report(p: float, n: int) -> CheckReport:
+    """``isotropy_constants`` as rows: param1 = 0 for C(n,p), 1 for L_K,
+    each PASS when positive."""
+    consts = isotropy_constants(p, n)
+    name = "isotropy_constants"
+    rows = tuple(_row(name, p, n, k, 0.0, EstimateCI.exact(value), 0.0,
+                      PASS if value > 0 else FAIL)
+                 for k, value in enumerate(consts))
+    return CheckReport(name, rows, consts._asdict())
 
 
 def check_kls(p: float, n: int, a_grid) -> CheckReport:

@@ -25,8 +25,11 @@ column in its own pass over a block stream (a cell's
 ``sampling.product_ball_blocks``) with every other column it needs, or
 derives it from one it holds (a ramp's gradient norms from its scalar),
 so a (params, count, seed) batch is drawn once however many estimates
-read it, and only its columns persist.
-A 2-D array or a SampleBatch is rejected rather than read as values.
+read it, and only its columns persist.  No estimator takes a seed, a
+functional or a point, so whatever needs the points, such as the
+Lipschitz spot check of ``inequality_suite.check_sz_concentration``, runs
+in the caller's pass.  A 2-D array or a SampleBatch is rejected rather
+than read as values.
 """
 
 from __future__ import annotations
@@ -55,8 +58,6 @@ __all__ = [
     "MedianEstimate",
     "estimate_median_and_phi",
     "integrate_grad",
-    "lipschitz_pairs",
-    "PairDistances",
     "RARE_COUNT",
 ]
 
@@ -305,40 +306,13 @@ class MedianEstimate:
     n_samples: int
 
 
-class PairDistances(NamedTuple):
-    """The pairs of the Lipschitz spot check in one batch: row indices i
-    and j (``lipschitz_pairs``) and the Euclidean distance between the
-    points at those rows, pair by pair."""
-
-    i: np.ndarray
-    j: np.ndarray
-    dists: np.ndarray
-
-
-def lipschitz_pairs(seed: int, count: int, pairs: int = 100):
-    """Row indices (i, j) of the spot check's pairs in a batch of count
-    points drawn from seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(10 ** 6,)))
-    return (rng.integers(0, count, size=pairs),
-            rng.integers(0, count, size=pairs))
-
-
-def estimate_median_and_phi(values, functional, h_grid: Sequence[float],
-                            pairs: PairDistances
+def estimate_median_and_phi(values, h_grid: Sequence[float]
                             ) -> tuple[MedianEstimate, list[PhiPoint]]:
-    """Empirical median of a 1-Lipschitz functional over one batch and its
-    upper-tail curve phi(h) = P{F > median + h}.
-
-    ``values`` is the column of F over a batch drawn from a seed, and
-    ``pairs`` the distances of that batch's points at the rows
-    ``lipschitz_pairs(seed, count)``.
-    Lipschitz continuity is the caller's promise; it is spot-checked on
-    those ~100 sample pairs, and a violation raises ValueError.
+    """Empirical median of a functional F over one batch and its upper-tail
+    curve phi(h) = P{F > median + h}, from the column of F over the batch.
     """
     vals = _column(values)
     count = vals.size
-    _lipschitz_spot_check(functional, vals, pairs)
     order = np.sort(vals)
     med = 0.5 * (order[(count - 1) // 2] + order[count // 2])
     half = 0.5 * count
@@ -352,20 +326,6 @@ def estimate_median_and_phi(values, functional, h_grid: Sequence[float],
         k = int((vals > med + float(h)).sum())
         curve.append(PhiPoint(float(h), bernoulli_ci(k, count), k < RARE_COUNT))
     return median, curve
-
-
-def _lipschitz_spot_check(functional, vals: np.ndarray,
-                          pairs: PairDistances):
-    lip = float(getattr(functional, "lipschitz_constant", 1.0))
-    vi, vj = vals[pairs.i], vals[pairs.j]
-    gaps = np.abs(vi - vj)
-    dists = pairs.dists
-    bad = gaps > lip * dists + 1e-9 * (1.0 + np.abs(vi))
-    if np.any(bad):
-        w = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"functional violates its Lipschitz constant {lip}: "
-            f"|df| = {gaps[w]!r} over |dx| = {dists[w]!r}")
 
 
 # ---------------------------------------------------------------------------

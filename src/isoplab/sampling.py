@@ -16,12 +16,11 @@ at small n is a rejection sampler from a grid envelope: the cells of side
 probability, a uniform point inside it kept when it lies in the ball, and
 fair signs attached.
 
-Streams: the product and ball laws are drawn as block streams,
-``product_blocks`` and ``ball_blocks``, of (first row, block) pairs of
-``geometry.block_rows(n + 1)`` rows; ``sample_product`` and ``sample_ball``
-draw those same streams into the rows of one array, and
-``product_ball_blocks`` yields the blocks of both, Z and X = T(Z), from
-one draw.  A consumer that needs only per-point values reads the stream
+Streams: the laws are drawn as block streams of (first row, block) pairs
+of ``geometry.block_rows(n + 1)`` rows: ``ball_blocks`` yields ball
+points, and ``product_ball_blocks`` yields product rows Z beside their
+ball points X = T(Z), from one draw.  ``sample_product`` and
+``sample_ball`` draw the same streams into the rows of one array.  A consumer that needs only per-point values reads the stream
 block by block and keeps a column per value, so it never holds a
 (count, n) batch.  The ball-norm guard runs on every ball block.
 
@@ -59,7 +58,6 @@ from .geometry import (
 __all__ = [
     "SampleBatch",
     "child_seed",
-    "product_blocks",
     "ball_blocks",
     "product_ball_blocks",
     "sample_product",
@@ -68,7 +66,6 @@ __all__ = [
     "ball_sampler",
     "rejection_sampler",
     "write_batch_csv",
-    "read_points_csv",
 ]
 
 REJECTION_CHUNK = 1 << 16        # envelope candidates per rejection chunk
@@ -214,14 +211,6 @@ def _row_blocks(params: PBallParams, count: int, seed: int, fill,
     return blocks()
 
 
-def product_blocks(params: PBallParams, count: int, seed: int):
-    """The rows of ``sample_product(params, count, seed)`` as (first row,
-    (rows, n + 1) block) pairs of ``block_rows(n + 1)`` rows, drawn one
-    block at a time."""
-    return ((lo, Z) for lo, (Z,) in
-            _row_blocks(params, count, seed, _product_rows, (params.n + 1,)))
-
-
 def ball_blocks(params: PBallParams, count: int, seed: int):
     """The rows of ``sample_ball(params, count, seed)`` as (first row,
     (rows, n) block) pairs of ``block_rows(n + 1)`` rows, drawn one block
@@ -231,16 +220,17 @@ def ball_blocks(params: PBallParams, count: int, seed: int):
 
 
 def product_ball_blocks(params: PBallParams, count: int, seed: int):
-    """(first row, (Z, X)) pairs: the blocks of ``product_blocks`` and of
-    ``ball_blocks`` for the same (params, count, seed), bit for bit, from
-    one draw; X = T(Z) passes the ball-norm guard."""
+    """(first row, (Z, X)) pairs: the rows of ``sample_product`` and of
+    ``sample_ball`` for the same (params, count, seed), bit for bit, in
+    blocks of ``block_rows(n + 1)`` rows from one draw; X = T(Z) passes
+    the ball-norm guard."""
     n = params.n
     return _row_blocks(params, count, seed, _product_ball_rows, (n + 1, n))
 
 
 def sample_product(params: PBallParams, count: int, seed: int) -> SampleBatch:
-    """count independent points of the product law on R^(n+1): the
-    ``product_blocks`` stream drawn into the rows of one array."""
+    """count independent points of the product law on R^(n+1), drawn
+    block by block into the rows of one array."""
     n = params.n
     out = np.empty((count, n + 1))
     for _ in _row_blocks(params, count, seed, _product_rows, (), (out,)):
@@ -408,7 +398,3 @@ def write_batch_csv(batch: SampleBatch, path):
         for row in batch.points:
             fh.write(",".join(repr(v) for v in row.tolist()) + "\n")
 
-
-def read_points_csv(path) -> np.ndarray:
-    pts = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return pts

@@ -29,9 +29,9 @@ tracer = spans.Tracer()
 layers.install(tracer)
 from isoplab.inequality_suite import check_coarea
 check_coarea(1.5, 3, None, 2000, 5)
-# the checks take gradient norms through Field.grad_norm, which layers.py
-# does not wrap; a gradient call of one field still shows that the field
-# method wrappers record
+# the checks derive gradient norms from set scalars through
+# grad_norm_from_scalar, which layers.py does not wrap; a gradient call of
+# one field still shows that the field method wrappers record
 import numpy as np
 from isoplab.fields import LinearRamp
 LinearRamp(np.eye(3)[0], 0.0, 0.5).grad(np.zeros((4, 3)))

@@ -2,6 +2,7 @@
 files, and byte-level determinism of repeated runs."""
 
 import ctypes
+import inspect
 import json
 import os
 import subprocess
@@ -298,8 +299,7 @@ def test_default_run_draws_two_streams_per_cell(tmp_path, monkeypatch):
         raise AssertionError("a check drew a stream of its own")
 
     monkeypatch.setattr(iq, "product_ball_blocks", counting)
-    for name in ("ball_blocks", "product_blocks", "sample_ball",
-                 "sample_product"):
+    for name in ("ball_blocks", "sample_ball", "sample_product"):
         monkeypatch.setattr(iq, name, refuse, raising=False)
     cfg = RunConfig(out_dir=str(tmp_path))
     assert run(cfg) == 0
@@ -308,6 +308,34 @@ def test_default_run_draws_two_streams_per_cell(tmp_path, monkeypatch):
         (p, n, cfg.samples, iq.cell_seed(cfg.seed, p, n, role))
         for p in cfg.p_grid for n in cfg.n_grid
         for role in (iq.GRADING, iq.HELD_OUT))
+
+
+def test_default_run_seeds_only_the_cell_streams(tmp_path, monkeypatch):
+    # count and seed reach a check only through run_cell: a default run
+    # seeds the grading and held-out streams of its six cells, and nothing
+    # else (the Lipschitz spot check's seeded pairs took six more seeds)
+    callers = []
+    real = iq.cell_seed
+
+    def counting(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    monkeypatch.setattr(iq, "cell_seed", counting)
+    assert run(RunConfig(out_dir=str(tmp_path))) == 0
+    assert callers == ["_cell_pass"] * 12
+
+
+def test_no_plan_or_runner_takes_count_or_seed():
+    plans = [getattr(iq, name) for name in iq.__all__
+             if name.endswith("_plan")]
+    assert len(plans) == 11
+    for fn in plans:
+        params = inspect.signature(fn).parameters
+        assert not {"count", "seed", "samples"} & set(params), fn.__name__
+    for name, (_, runner) in REGISTRY.items():
+        assert list(inspect.signature(runner).parameters) == [
+            "cfg", "p", "n"], name
 
 
 SAMPLED_CHECKS = (

@@ -31,6 +31,7 @@ from isoplab.geometry import (
     CutoffParams,
     HalfSpace,
     PBallParams,
+    block_rows,
     coordinate_half_space,
     lp_norm,
     map_row_blocks,
@@ -43,6 +44,7 @@ from isoplab.inequality_suite import (
     GRADING,
     HELD_OUT,
     INCONCLUSIVE,
+    LIPSCHITZ_ROWS,
     PASS,
     CheckReport,
     ConcentrationCurve,
@@ -72,13 +74,11 @@ from isoplab.inequality_suite import (
 )
 from isoplab.montecarlo import (
     EstimateCI,
-    PairDistances,
     _wls_intercept,
     bernoulli_ci,
     content_from_batch,
     estimate_median_and_phi,
     estimate_tail,
-    lipschitz_pairs,
     mean_ci,
 )
 from isoplab.sampling import sample_ball, sample_product
@@ -386,11 +386,9 @@ def test_streamed_tail_checks_equal_the_batch_recipe(p):
     F = isoplab.fields.CoordinateFunctional(n)
     rep = check_sz_concentration(p, n, "coordinate", levels, count, seed)
     med0 = float(np.median(F(calib)))
-    i, j = lipschitz_pairs(cell_seed(seed, p, n, GRADING), count)
     _, curve = estimate_median_and_phi(
-        _column(F, batch), F,
-        [float(np.quantile(F(calib), q)) - med0 for q in levels],
-        PairDistances(i, j, np.linalg.norm(batch[i] - batch[j], axis=1)))
+        _column(F, batch),
+        [float(np.quantile(F(calib), q)) - med0 for q in levels])
     assert [r.lhs for r in rep.reports] == [c.estimate for c in curve]
 
 
@@ -401,6 +399,50 @@ def test_sz_concentration_spot_checks_the_streamed_pairs():
 
     with pytest.raises(ValueError, match="Lipschitz"):
         check_sz_concentration(1.5, 3, Liar(3), [0.5, 0.9], STREAM_COUNT, 41)
+
+
+def test_lipschitz_spot_check_catches_liars():
+    # a functional that is no catalog field is spot-checked all the same
+    class Liar:
+        lipschitz_constant = 1.0
+        dim = 2
+
+        def __call__(self, X):
+            return 5.0 * np.asarray(X)[:, 0]
+
+    with pytest.raises(ValueError, match="Lipschitz"):
+        check_sz_concentration(2.0, 2, Liar(), [0.5, 0.9], 2000, 31)
+
+
+def test_sz_concentration_spot_checks_within_every_leading_block():
+    # at n = 256 a block has 127 rows, so the first LIPSCHITZ_ROWS rows of
+    # the grading stream span two blocks; a functional that lies only on
+    # the second block's rows raises, and one that lies only past
+    # LIPSCHITZ_ROWS is not seen
+    p, n, count, seed = 1.5, 256, 400, 41
+    step = block_rows(n + 1)
+    assert step == 127 and step < LIPSCHITZ_ROWS < 2 * step
+    rows = _stream_batch(sample_ball, PBallParams(p, n), count, seed).points
+
+    class BlockLiar(isoplab.fields.CoordinateFunctional):
+        # 100 x_1 on the given rows: a coordinate differs by about
+        # n^{-1/p} = 0.025 between two points, which lie about 0.6 apart
+        def __init__(self, lying):
+            super().__init__(n)
+            self.lying = {x.tobytes() for x in lying}
+
+        def __call__(self, X):
+            F = super().__call__(X)
+            lie = np.array([x.tobytes() in self.lying for x in X])
+            return np.where(lie, 100.0 * F, F)
+
+    levels = [0.5, 0.9]
+    with pytest.raises(ValueError, match="Lipschitz"):
+        check_sz_concentration(p, n, BlockLiar(rows[step:2 * step]), levels,
+                               count, seed)
+    rep = check_sz_concentration(p, n, BlockLiar(rows[2 * step:3 * step]),
+                                 levels, count, seed)
+    assert len(rep.reports) == len(levels)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])

@@ -82,7 +82,7 @@ def test_streamed_check_peak_does_not_grow_with_n(check):
 def _default_cell(n, count):
     # every default sampled check of the (1.5, n) cell at count points
     cfg = RunConfig(samples=count)
-    plans = [REGISTRY[name][1](cfg, 1.5, n, cfg.seed) for name in REGISTRY]
+    plans = [REGISTRY[name][1](cfg, 1.5, n) for name in REGISTRY]
     run_cell(1.5, n, [plan for plan in plans if isinstance(plan, CellPlan)],
              cfg.samples, cfg.seed)
 

@@ -37,7 +37,6 @@ from isoplab.montecarlo import (
     RARE_COUNT,
     ContentEstimate,
     EstimateCI,
-    PairDistances,
     _wls_intercept,
     bernoulli_ci,
     content_from_batch,
@@ -45,7 +44,6 @@ from isoplab.montecarlo import (
     estimate_median_and_phi,
     estimate_tail,
     integrate_grad,
-    lipschitz_pairs,
     mean_ci,
     verdict_geq,
     verdict_leq,
@@ -65,13 +63,6 @@ def _column(fn, points):
 
 def _grad_norms(f, points):
     return _column(lambda X: lp_norm(f.grad(X), 2.0), points)
-
-
-def _pairs(batch):
-    """The spot check's pairs of a batch: lipschitz_pairs of its seed."""
-    i, j = lipschitz_pairs(batch.seed, batch.count)
-    return PairDistances(i, j, np.linalg.norm(batch.points[i]
-                                              - batch.points[j], axis=1))
 
 
 def test_estimate_ci_interval():
@@ -403,7 +394,7 @@ def test_estimators_reject_points():
         lambda v: estimate_measure(v, hs.threshold),
         lambda v: content_from_batch(v, [hs.threshold], [0.04, 0.02]),
         lambda v: integrate_grad(v),
-        lambda v: estimate_median_and_phi(v, F, [0.0], _pairs(batch)),
+        lambda v: estimate_median_and_phi(v, [0.0]),
         lambda v: estimate_tail(v, [0.5]),
     ]
     for estimate in estimators:
@@ -428,28 +419,13 @@ def test_estimate_tail_levels_and_rare_flag():
 def test_median_of_radius_on_the_disc():
     batch = sample_ball(PBallParams(2.0, 2), 40000, seed=29)
     F = EuclideanNorm(2)
-    med, curve = estimate_median_and_phi(_column(F, batch.points), F,
-                                         [0.0, 0.1], _pairs(batch))
+    med, curve = estimate_median_and_phi(_column(F, batch.points),
+                                         [0.0, 0.1])
     # P{|x| <= t} = t^2, so the median radius is 1/sqrt(2)
     assert med.ci_lo <= 2.0 ** -0.5 <= med.ci_hi
     assert abs(med.value - 2.0 ** -0.5) < 0.01
     assert abs(curve[0].estimate.mean - 0.5) < 0.01  # phi(0) ~ 1/2
     assert curve[1].estimate.mean < 0.5
-
-
-def test_lipschitz_spot_check_catches_liars():
-    class Liar:
-        lipschitz_constant = 1.0
-        dim = 2
-
-        def __call__(self, X):
-            return 5.0 * np.asarray(X)[:, 0]
-
-    batch = sample_ball(PBallParams(2.0, 2), 2000, seed=31)
-    # a value column is checked on the pair rows its caller gathered
-    with pytest.raises(ValueError):
-        estimate_median_and_phi(_column(Liar(), batch.points), Liar(), [0.0],
-                                _pairs(batch))
 
 
 def test_integrate_grad_exact_for_linear_ramp():
