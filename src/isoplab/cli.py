@@ -19,6 +19,10 @@ checks reject, empty selection, bad out dir).
 Config files use ``key = value`` lines with ``#`` comments; list values
 are comma-separated.  r_grid and eps_ladder are multipliers of the
 boundary-layer width n^{-(2-p)/(2p)}; t_grid entries are quantile levels.
+eps_ladder is the enlargement ladder of check_bobkov_inequality and
+check_barthe_dimensional only: check_coarea, the Monte Carlo families of
+check_theorem1 and the fallback reference of check_functional_equivalence
+estimate their contents on ``inequality_suite.default_eps_ladder(p, n)``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import inequality_suite as iq
-from .geometry import CutoffParams, PBallParams, coordinate_half_space
+from .geometry import PBallParams, coordinate_half_space, kappa
 from .montecarlo import FAIL, _ladder
 
 LEMMA5_EPS = (0.05, 0.1, 0.2)
@@ -163,7 +167,7 @@ def _parse_float(key, lineno, value) -> float:
 # ---------------------------------------------------------------------------
 
 def _scaled(grid, p, n) -> list:
-    w = n ** (-iq._kappa(p))
+    w = n ** -kappa(p)
     return [m * w for m in grid]
 
 
@@ -231,7 +235,7 @@ def _run_l2_form(cfg, p, n):
 
 
 def _run_chain(cfg, p, n):
-    return iq.cutoff_chain_plan(p, n, None, CutoffParams(), big_c=cfg.big_c)
+    return iq.cutoff_chain_plan(p, n, big_c=cfg.big_c)
 
 
 def _run_isotropy(cfg, p, n):
@@ -368,8 +372,6 @@ def run(cfg: RunConfig) -> int:
         raise ConfigError(f"cannot write to out dir {cfg.out_dir!r}: {exc}")
 
     jobs = _jobs(cfg)
-    if not jobs:
-        raise ConfigError("no experiments selected")
 
     def execute(job):
         name, p, n = job

@@ -11,11 +11,10 @@ A field class defines one evaluation, ``value_and_grad``, and the dimension:
     f.value_and_grad(X)   -> ((rows,) values in [0, 1], (rows, dim) gradients)
                              from one evaluation of the field's scalar per point
     f.dim                 -> expected point dimension
-The shared base supplies the two halves of that pass, and the norms of
-the gradient rows:
+The shared base supplies the two halves of that pass:
     f(X)                  -> f.value_and_grad(X)[0]
     f.grad(X)             -> f.value_and_grad(X)[1]
-    f.grad_norm(X)        -> (rows,) |grad f|_2
+and |grad f|_2 per row is ``geometry.lp_norm(f.grad(X), 2.0)``.
 Rows are independent: a row's value and gradient depend only on that row,
 bit for bit, whatever the other rows of X are.  Every check relies on this
 to evaluate its batch block by block (``geometry.map_row_blocks``), so a
@@ -25,14 +24,15 @@ differently with the number of rows in the call.
 Products and push-forwards evaluate each factor once through its
 ``value_and_grad``; ``product_value_and_grad`` and ``push_forward_grad`` hold
 their arithmetic for callers that already have the factors' passes.
+The fields take their l_p primitives, kappa, sign(z)|z|^{p-1}
+(``lp_dual``) and |z|_p, from ``geometry``, which defines each once.
 Ramps additionally expose ``superlevel(u)`` returning the test set {f > u};
 all superlevel sets of one ramp share one scalar per point, their sets'
 ``scalar(X)``, and so does the gradient norm:
     f.grad_norm_from_scalar(s) -> (rows,) |grad f|_2 from that scalar alone
-A ramp's ``grad_norm(X)`` is that function of ``superlevel(0).scalar(X)``,
-so a caller that already holds the scalar column gets the same bits
-without gradient rows.  The cut-offs' ``from_norm`` likewise take the
-norm their pass starts from, for callers that already have it.
+so a caller that already holds the scalar column gets the gradient
+norms without gradient rows.  The cut-offs' ``from_norm`` likewise take
+the norm their pass starts from, for callers that already have it.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from .geometry import (
     BallComplement,
     CutoffParams,
     HalfSpace,
+    kappa,
+    lp_dual,
     lp_norm,
     row_dot,
 )
@@ -50,7 +52,6 @@ from .geometry import (
 __all__ = [
     "product_value_and_grad",
     "push_forward_grad",
-    "lp_dual",
     "LinearRamp",
     "RadialRamp",
     "DistanceRamp",
@@ -80,13 +81,6 @@ def product_value_and_grad(a, b):
     return av * bv, av[:, None] * bg + bv[:, None] * ag
 
 
-def lp_dual(Z, p: float):
-    """sign(z)|z|^{p-1} entrywise: |z|_p^{p-1} times the gradient of |z|_p."""
-    if p == 1.0:
-        return np.sign(Z)
-    return np.sign(Z) * np.abs(Z) ** (p - 1.0)
-
-
 def push_forward_grad(w, X, nz, v, p: float):
     """Gradient at rows z of f o T, T(z) = z_{1..n} / |z|_p, given
     w = ``lp_dual(Z, p)``, X = T(Z), nz = |z|_p and v = grad f(X): the
@@ -110,9 +104,6 @@ class _Field:
     def grad(self, X):
         return self.value_and_grad(X)[1]
 
-    def grad_norm(self, X):
-        return lp_norm(self.grad(X), 2.0)
-
 
 class ConstantField(_Field):
     """f identically equal to ``value``; gradient zero."""
@@ -133,17 +124,7 @@ class ConstantField(_Field):
         return None
 
 
-class _Ramp(_Field):
-    """Base of the plateau ramps: a subclass defines ``superlevel(u)``, whose
-    sets all threshold one scalar per point, and ``grad_norm_from_scalar``,
-    |grad f|_2 as a function of that scalar."""
-
-    def grad_norm(self, X):
-        return self.grad_norm_from_scalar(
-            self.superlevel(0.0).scalar(_rows(X, self.dim)))
-
-
-class LinearRamp(_Ramp):
+class LinearRamp(_Field):
     """clip((<x, xi> - lo) / (hi - lo), 0, 1) for a unit direction xi.
 
     Identically 0 on {<x,xi> <= lo} and 1 on {<x,xi> >= hi}; the gradient is
@@ -186,7 +167,7 @@ class LinearRamp(_Ramp):
         return HalfSpace(self.xi, self.lo + u * self.width)
 
 
-class RadialRamp(_Ramp):
+class RadialRamp(_Field):
     """clip((|x|_2 - lo) / (hi - lo), 0, 1) with 0 < lo < hi."""
 
     def __init__(self, dim: int, lo: float, hi: float):
@@ -223,7 +204,7 @@ class RadialRamp(_Ramp):
         return BallComplement(self.lo + u * self.width)
 
 
-class DistanceRamp(_Ramp):
+class DistanceRamp(_Field):
     """clip(1 - (dist(x, A) - r) / s, 0, 1): 1 on the r-enlargement of A,
     ramping to 0 across the shell r < dist <= r + s."""
 
@@ -272,8 +253,7 @@ class CutoffH1Field(_Field):
         self.n = n
         self.c = c
         self.dim = n
-        kappa = (2.0 - p) / (2.0 * p)
-        self.slope = c.c1 * n ** kappa
+        self.slope = c.c1 * n ** kappa(p)
         # ramp on 1/slope < |x|_2 < 2/slope
         self.lo = 1.0 / self.slope
         self.hi = 2.0 / self.slope

@@ -31,6 +31,10 @@ from scipy import special
 __all__ = [
     "PBallParams",
     "KinkError",
+    "BALL_TOL",
+    "kappa",
+    "pow_p",
+    "lp_dual",
     "BLOCK_ROWS",
     "block_rows",
     "map_row_blocks",
@@ -56,8 +60,34 @@ __all__ = [
     "CutoffParams",
 ]
 
-# closed-ball membership tolerance for indicator-style predicates
+# closed-ball tolerance: the most a sampled point's |x|_p may exceed 1, and
+# the slack of indicator-style predicates on the ball
 BALL_TOL = 1e-12
+
+
+def kappa(p: float) -> float:
+    """kappa = (2 - p)/(2p): |x|_2 is of order n^-kappa under V_{p,n}
+    (Barthe, Guedon, Mendelson and Naor), the width of the boundary layer
+    that the enlargement ladders, radii and cut-offs are scaled to."""
+    return (2.0 - p) / (2.0 * p)
+
+
+def pow_p(a, p: float):
+    """a^p entrywise for a >= 0: a itself at p = 1 and a * a at p = 2,
+    where ``a ** p`` gives the same bits."""
+    if p == 1.0:
+        return a
+    if p == 2.0:
+        return a * a
+    return a ** p
+
+
+def lp_dual(Z, p: float):
+    """sign(z)|z|^{p-1} entrywise: |z|_p^{p-1} times the gradient of |z|_p;
+    sign(z) at p = 1, which is 0 on the kink set."""
+    if p == 1.0:
+        return np.sign(Z)
+    return np.sign(Z) * np.abs(Z) ** (p - 1.0)
 
 
 class KinkError(ValueError):
@@ -175,11 +205,10 @@ def row_dot(X, v: np.ndarray) -> np.ndarray:
 
 
 def _lp_norm_direct(x: np.ndarray, p: float) -> np.ndarray:
-    if p == 1.0:
-        return row_sum(np.abs(x))
     if p == 2.0:
         return np.sqrt(row_sum(np.square(x)))
-    return row_sum(np.abs(x) ** p) ** (1.0 / p)
+    s = row_sum(pow_p(np.abs(x), p))
+    return s if p == 1.0 else s ** (1.0 / p)
 
 
 def lp_norm(x, p: float):
@@ -470,17 +499,15 @@ class JacobianResult:
 
 
 def _differential_terms(Z, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, w, |z|_p) for rows z = (x, y) of Z, w_i = sign(z_i) |z_i|^(p-1).
+    """(x, w, |z|_p) for rows z = (x, y) of Z, w = ``lp_dual(z, p)``.
 
-    The differential is DT(z) = ([I|0] - x w^T / |z|_p^p) / |z|_p; at p = 1,
-    w = sign(z), which is 0 on the kink set.
+    The differential is DT(z) = ([I|0] - x w^T / |z|_p^p) / |z|_p.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     nz = lp_norm(Z, p)
     if np.any(nz == 0.0):
         raise ValueError("Jacobian undefined at z = 0")
-    w = np.sign(Z) * np.abs(Z) ** (p - 1.0)
-    return Z[:, :-1], w, nz
+    return Z[:, :-1], lp_dual(Z, p), nz
 
 
 def _op_norms_and_bounds(x: np.ndarray, w: np.ndarray, nz: np.ndarray,
@@ -495,7 +522,7 @@ def _op_norms_and_bounds(x: np.ndarray, w: np.ndarray, nz: np.ndarray,
     """
     n = x.shape[1]
     xx = row_sum(np.square(x))
-    bounds = (1.0 + n ** ((2.0 - p) / (2.0 * p)) * np.sqrt(xx) / nz) / nz
+    bounds = (1.0 + n ** kappa(p) * np.sqrt(xx) / nz) / nz
     nzp = nz ** p
     if n == 1:
         # no direction orthogonal to x: the differential is a single row

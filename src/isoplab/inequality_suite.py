@@ -53,7 +53,6 @@ from .fields import (
     LinearRamp,
     RadialRamp,
     functional_catalog,
-    lp_dual,
     product_value_and_grad,
     push_forward_grad,
 )
@@ -64,6 +63,8 @@ from .geometry import (
     ball_log_volume,
     coordinate_half_space,
     jacobian_op_norms,
+    kappa,
+    lp_dual,
     lp_norm,
     map_row_blocks,
     marginal_isf,
@@ -192,12 +193,8 @@ def _row(name, p, n, p1, p2, lhs, rhs, verdict) -> InequalityReport:
 
 def default_eps_ladder(p: float, n: int) -> list:
     """Enlargement ladder scaled to the n^{-(2-p)/(2p)} boundary-layer width."""
-    scale = n ** (-(2.0 - p) / (2.0 * p))
+    scale = n ** -kappa(p)
     return [m * scale for m in (0.1, 0.05, 0.02, 0.01)]
-
-
-def _kappa(p: float) -> float:
-    return (2.0 - p) / (2.0 * p)
 
 
 def _scalar_key(set_) -> tuple:
@@ -619,7 +616,7 @@ def sz_tail_plan(p: float, n: int, t_grid) -> CellPlan:
     PBallParams(p, n)
     levels = _quantile_levels(t_grid, "t_grid")
     name = "check_sz_tail"
-    t_lo = SZ_T0 * n ** (-_kappa(p))
+    t_lo = SZ_T0 * n ** -kappa(p)
 
     def grading(held):
         thresholds = np.quantile(held[0], levels)
@@ -837,7 +834,6 @@ def check_lemma4(p: float, n: int, count: int, seed: int) -> CheckReport:
 def lemma4_plan(p: float, n: int) -> CellPlan:
     """The plan of ``check_lemma4``."""
     PBallParams(p, n)
-    kappa = _kappa(p)
     name = "check_lemma4"
 
     def report(cols) -> CheckReport:
@@ -846,7 +842,7 @@ def lemma4_plan(p: float, n: int) -> CellPlan:
         reports = []
         ests = {}
         for c2 in LEMMA4_LADDER:
-            e_ball = bernoulli_ci(int((norms2 >= c2 * n ** (-kappa)).sum()),
+            e_ball = bernoulli_ci(int((norms2 >= c2 * n ** -kappa(p)).sum()),
                                   count)
             e_prod = bernoulli_ci(int((normsp <= n ** (1.0 / p) / c2).sum()),
                                   count)
@@ -1142,8 +1138,7 @@ def _validate_big_c(big_c) -> float:
     return big_c
 
 
-def verify_cutoff_chain(p: float, n: int, f=None,
-                        c: CutoffParams = CutoffParams(),
+def verify_cutoff_chain(p: float, n: int, c: CutoffParams = CutoffParams(),
                         count: int = 10 ** 4, seed: int = 0,
                         big_c: float = 4.0) -> CheckReport:
     """Grade every link of the localization chain on one product batch.
@@ -1170,35 +1165,31 @@ def verify_cutoff_chain(p: float, n: int, f=None,
     only with zero violations).
 
     Ball integrals read X = T(Z) of the grading stream's product rows Z,
-    exactly uniform on B_p^n (Barthe, Guedon, Mendelson and Naor).  f is a
-    field on R^n with ``value_and_grad`` (see ``fields``), by default a
-    ramp along the first coordinate; like every field it must be row-wise.
-    Each field is evaluated once per point: the cell's |z|_p gives T(Z)
-    and h2, g and g h2 are assembled from the factor passes.  Z is
+    exactly uniform on B_p^n (Barthe, Guedon, Mendelson and Naor).  f is
+    the ramp along the first coordinate from x_1 = 0 up to the level-0.2
+    half-space {x_1 >= t}, V{x_1 >= t} = 0.2.  Each field is evaluated
+    once per point: the cell's |z|_p gives T(Z) and h2, g and g h2 are
+    assembled from the factor passes.  Z is
     streamed and never held: each block's link differences and flags go
     into per-point columns, from which the means and counts are taken
     (link 4's from those of links 2 and 3), and the Jacobian scan runs on
     the first TRANSFER_ROWS rows as they stream past.
     """
-    return _one_plan_cell(p, n, cutoff_chain_plan(p, n, f, c, big_c), count,
+    return _one_plan_cell(p, n, cutoff_chain_plan(p, n, c, big_c), count,
                           seed)
 
 
-def cutoff_chain_plan(p: float, n: int, f=None,
-                      c: CutoffParams = CutoffParams(),
+def cutoff_chain_plan(p: float, n: int, c: CutoffParams = CutoffParams(),
                       big_c: float = 4.0) -> CellPlan:
     """The plan of ``verify_cutoff_chain``."""
     params = PBallParams(p, n)
     big_c = _validate_big_c(big_c)
-    if f is None:
-        xi = np.zeros(n)
-        xi[0] = 1.0
-        f = LinearRamp(xi, 0.0, float(marginal_isf(params, 0.2)))
+    xi = np.zeros(n)
+    xi[0] = 1.0
+    f = LinearRamp(xi, 0.0, float(marginal_isf(params, 0.2)))
     h1 = CutoffH1Field(p, n, c)
     h2 = CutoffH2Field(p, n, c)
 
-    kappa = _kappa(p)
-    slope1 = c.c1 * n ** kappa
     c3 = c.c1 / (c.c1 + 2.0)
     c4 = c3 / c.c2
     a_level = math.exp(-big_c * n ** (p / 2.0))
@@ -1228,8 +1219,8 @@ def cutoff_chain_plan(p: float, n: int, f=None,
         plateau, gh2_rows = product_value_and_grad((gv, gg_rows),
                                                    h2.from_norm(nzp, w))
         gg, ggh2 = lp_norm(gg_rows, 2.0), lp_norm(gh2_rows, 2.0)
-        err1 = slope1 * (rT >= 1.0 / slope1)
-        err2 = 2.0 * n ** kappa * (nzp <= scale2)
+        err1 = h1.slope * (rT >= h1.lo)
+        err2 = 2.0 * n ** kappa(p) * (nzp <= scale2)
         d2 = gfh1_T - c3 * gg * nzp
         d3 = gg * nzp - (n ** (1.0 / p) / c.c2) * ggh2 + err2
         transfer_rhs = ops * gfh1_T[:ops.size]

@@ -48,10 +48,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    BALL_TOL,
     PBallParams,
     ball_volume,
     block_rows,
     lp_norm,
+    pow_p,
     row_sum,
 )
 
@@ -71,7 +73,6 @@ __all__ = [
 REJECTION_CHUNK = 1 << 16        # envelope candidates per rejection chunk
 GRID_SIDE = 8                    # finest envelope grid: cells of side 1/8
 GRID_CELLS = 1 << 21             # most cells in an envelope table
-BALL_OVERSHOOT = 1e-12           # tolerated |x|_p excess on ball batches
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def _to_ball(g: np.ndarray, s: np.ndarray, p: float):
     """Scale the mu_p rows g in place to g / (sum |g_i|^p + E)^{1/p}, T of
     the product rows, given their Exp(1) column s (which is overwritten),
     then norm-guard them."""
-    s += row_sum(g * g if p == 2.0 else _pow_p(np.abs(g), p))
+    s += row_sum(g * g if p == 2.0 else pow_p(np.abs(g), p))
     s **= -1.0 / p
     g *= s[:, None]
     _check_ball_norms(g, p)
@@ -256,16 +257,8 @@ def sample_ball(params: PBallParams, count: int, seed: int) -> SampleBatch:
 
 def _check_ball_norms(pts: np.ndarray, p: float):
     worst = float(lp_norm(pts, p).max())
-    if worst > 1.0 + BALL_OVERSHOOT:
+    if worst > 1.0 + BALL_TOL:
         raise RuntimeError(f"ball sample exceeds the unit norm: {worst!r}")
-
-
-def _pow_p(a: np.ndarray, p: float) -> np.ndarray:
-    if p == 1.0:
-        return a
-    if p == 2.0:
-        return a * a
-    return a ** p
 
 
 def _grid_cells(p: float, n: int, m: int, cap: int = GRID_CELLS):
@@ -275,7 +268,7 @@ def _grid_cells(p: float, n: int, m: int, cap: int = GRID_CELLS):
     because the ball's positive part is down-closed.  Returns an (n, cells)
     uint8 array, or None as soon as more than ``cap`` cells qualify.
     """
-    w = _pow_p(np.arange(m, dtype=float), p)
+    w = pow_p(np.arange(m, dtype=float), p)
     # sums of k_i^p are exact integers at p in {1, 2}; elsewhere the slack
     # keeps a corner that rounding pushes just off the sphere (an extra
     # cell only costs rejections, a missing one would bias the law)
@@ -303,14 +296,13 @@ def _grid_cells(p: float, n: int, m: int, cap: int = GRID_CELLS):
 
 def _grid_envelope(p: float, n: int):
     """(m, cells) for the finest grid, up to GRID_SIDE, whose table fits
-    in GRID_CELLS cells; m = 1 is the whole cube as a single cell."""
-    m, cells = 1, np.zeros((n, 1), dtype=np.uint8)
-    for side in range(2, GRID_SIDE + 1):
-        finer = _grid_cells(p, n, side)
-        if finer is None:
-            break
-        m, cells = side, finer
-    return m, cells
+    in GRID_CELLS cells; m = 1 is the whole cube as a single cell.  The
+    sides are tried from GRID_SIDE down, so usually one table is built."""
+    for m in range(GRID_SIDE, 1, -1):
+        cells = _grid_cells(p, n, m)
+        if cells is not None:
+            return m, cells
+    return 1, np.zeros((n, 1), dtype=np.uint8)
 
 
 def _rejection_chunk(rng: np.random.Generator, p: float, m: int,
@@ -326,14 +318,14 @@ def _rejection_chunk(rng: np.random.Generator, p: float, m: int,
     n, rows = cells.shape[0], REJECTION_CHUNK
     pick = rng.integers(0, cells.shape[1], size=rows)
     x = rng.random((n, rows))
-    x += cells[:, pick]
+    x += np.take(cells, pick, axis=1)
     x /= m
     s = np.zeros(rows)
     for column in x:
-        s += _pow_p(column, p)
-    out = x[:, s <= 1.0].T
-    sg = rng.random(out.shape)
-    out[sg < 0.5] *= -1.0
+        s += pow_p(column, p)
+    out = np.take(x, np.flatnonzero(s <= 1.0), axis=1).T
+    # fair signs: every x >= 0, so x becomes -x where its uniform is < 0.5
+    np.copysign(out, rng.random(out.shape) - 0.5, out=out)
     return out
 
 

@@ -373,7 +373,7 @@ def _direct_check(name, cfg, p, n):
         "check_sz_tail": lambda: iq.check_sz_tail(p, n, cfg.t_grid, count,
                                                   seed),
         "verify_cutoff_chain": lambda: iq.verify_cutoff_chain(
-            p, n, None, CutoffParams(), count, seed, big_c=cfg.big_c),
+            p, n, CutoffParams(), count, seed, big_c=cfg.big_c),
     }
     return calls[name]()
 

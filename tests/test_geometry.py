@@ -43,6 +43,8 @@ from isoplab.geometry import (
     coordinate_half_space,
     jacobian_T,
     jacobian_op_norms,
+    kappa,
+    lp_dual,
     lp_norm,
     marginal_cdf,
     marginal_density,
@@ -52,6 +54,7 @@ from isoplab.geometry import (
     marginal_second_moment,
     map_row_blocks,
     marginal_sf,
+    pow_p,
     row_dot,
     row_sum,
 )
@@ -313,6 +316,21 @@ def test_lp_norm_is_bit_equal_to_numpy_sums(p):
         if p == 2.0:
             ref = np.linalg.norm(arr, axis=1)
         assert _same_bits(got, ref), (arr.shape, arr.flags.f_contiguous)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0])
+def test_lp_primitives_are_the_formulas_they_replace(p):
+    # kappa, a^p and sign(z)|z|^{p-1} are defined once, here; each gives
+    # the bits of the formula the samplers, fields and checks wrote out,
+    # signed zeros included
+    z = _mixed_magnitudes(300, 5, seed=27)
+    z[:3, :2] = [[0.0, -0.0], [-0.0, -0.0], [0.0, 1.0]]
+    a = np.abs(z)
+    assert _same_bits(pow_p(a, p), a ** p)
+    assert _same_bits(lp_dual(z, p), np.sign(z) * np.abs(z) ** (p - 1.0))
+    for n in (1, 2, 3, 4, 16, 64, 1024):
+        assert _same_bits(n ** -kappa(p), n ** (-(2 - p) / (2 * p)))
+        assert _same_bits(n ** kappa(p), n ** ((2.0 - p) / (2.0 * p)))
 
 
 def test_block_rows_caps_the_values_per_block():
@@ -797,13 +815,17 @@ def test_distance_ramp_gradient_indicator_and_superlevel():
 ], ids=["ramp", "oblique_ramp", "half_space_shell", "oblique_shell",
         "ball_shell", "radial", "cutoff"])
 def test_grad_norm_is_the_norm_of_each_gradient_row(field, exact):
-    # the ramps take |grad f|_2 from their scalar alone: the same support,
-    # and the same bits wherever the gradient rows are one constant row
+    # |grad f|_2 is lp_norm of the gradient rows, np.linalg.norm's bits;
+    # the ramps take it from their scalar alone: the same support, and the
+    # same bits wherever the gradient rows are one constant row
     X = np.random.default_rng(25).standard_normal((3000, 3)) * 0.6
-    want = np.linalg.norm(field.grad(X), axis=1)
-    got = field.grad_norm(X)
-    np.testing.assert_array_equal(got > 0.0, want > 0.0)
+    want = lp_norm(field.grad(X), 2.0)
+    assert _same_bits(want, np.linalg.norm(field.grad(X), axis=1))
     assert 0 < np.count_nonzero(want) < want.size
+    if not hasattr(field, "grad_norm_from_scalar"):
+        return
+    got = field.grad_norm_from_scalar(field.superlevel(0.0).scalar(X))
+    np.testing.assert_array_equal(got > 0.0, want > 0.0)
     if exact:
         assert np.array_equal(got, want)
     else:
@@ -827,10 +849,12 @@ def test_grad_norm_is_the_norm_of_each_gradient_row(field, exact):
         "oblique_shell", "ball_shell"])
 def test_grad_norm_from_scalar_is_grad_norm(ramp, scalar):
     # a cell holds the scalar column its sets share, x_1 or |x|_2, and
-    # derives each ramp's gradient norms from it: the same bits as
-    # grad_norm(X), and as the scalar of every superlevel set
+    # derives each ramp's gradient norms from it: the same bits from the
+    # scalar of every superlevel set, on the support of the gradient rows
     X = np.random.default_rng(26).standard_normal((3000, 3)) * 0.6
-    want = ramp.grad_norm(X)
+    want = ramp.grad_norm_from_scalar(ramp.superlevel(0.0).scalar(X))
+    np.testing.assert_array_equal(want > 0.0,
+                                  lp_norm(ramp.grad(X), 2.0) > 0.0)
     assert 0 < np.count_nonzero(want) < want.size
     for u in (0.0, 0.5):
         assert np.array_equal(

@@ -15,6 +15,7 @@ from isoplab import geometry, sampling
 from isoplab.geometry import (
     BLOCK_ROWS,
     PBallParams,
+    ball_volume,
     bgmn_map,
     block_rows,
     lp_norm,
@@ -22,6 +23,8 @@ from isoplab.geometry import (
     marginal_second_moment,
 )
 from isoplab.sampling import (
+    GRID_SIDE,
+    REJECTION_CHUNK,
     _check_ball_norms,
     _chunk_rng,
     _grid_cells,
@@ -358,6 +361,51 @@ def test_grid_envelope_is_the_cells_meeting_the_ball(p, n, m):
     assert cells.shape[1] == len(got)      # no cell listed twice
     assert got == want
     assert _grid_cells(p, n, m, cap=len(want) - 1) is None
+
+
+def _ascending_envelope(p, n):
+    # reference: every side from 2 up, keeping the last table that fits
+    m, cells = 1, np.zeros((n, 1), dtype=np.uint8)
+    for side in range(2, GRID_SIDE + 1):
+        finer = _grid_cells(p, n, side)
+        if finer is None:
+            break
+        m, cells = side, finer
+    return m, cells
+
+
+@pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 1.75, 2.0])
+def test_grid_envelope_is_the_ascending_search(p):
+    # the envelope searches from GRID_SIDE down and stops at the first
+    # table that fits; that is the table the ascending search ends on at
+    # every n the oracle accepts
+    accepted = [n for n in range(1, 11)
+                if ball_volume(p, n) / 2.0 ** n >= 1e-6]
+    assert accepted
+    for n in accepted:
+        m, cells = _grid_envelope(p, n)
+        want_m, want = _ascending_envelope(p, n)
+        assert m == want_m, n
+        np.testing.assert_array_equal(cells, want)
+
+
+@pytest.mark.parametrize("p, n", [(1.0, 6), (1.5, 3), (2.0, 4)])
+def test_rejection_chunk_is_the_masked_formula(p, n):
+    # reference: the chunk with fancy-indexed gathers and the signs flipped
+    # by a masked multiply; np.take and copysign give the same bits
+    m, cells = _grid_envelope(p, n)
+    rng = _chunk_rng(9, 0)
+    pick = rng.integers(0, cells.shape[1], size=REJECTION_CHUNK)
+    x = rng.random((n, REJECTION_CHUNK))
+    x += cells[:, pick]
+    x /= m
+    s = sum(column ** p for column in x)
+    want = x[:, s <= 1.0].T
+    sg = rng.random(want.shape)
+    want[sg < 0.5] *= -1.0
+    got = _rejection_chunk(_chunk_rng(9, 0), p, m, cells)
+    assert 0 < got.shape[0] < REJECTION_CHUNK
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_rejection_marginal_where_the_envelope_is_loosest():
