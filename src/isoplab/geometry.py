@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
+
+from . import _special as special
 
 __all__ = [
     "PBallParams",
@@ -310,12 +311,9 @@ def marginal_quantile(params: PBallParams, a):
     a = np.asarray(a, dtype=float)
     if np.any((a <= 0.0) | (a >= 1.0)):
         raise ValueError("marginal quantile level must be in (0,1)")
-    shape = _marginal_shape(params)
-    tail = 2.0 * np.minimum(a, 1.0 - a)
-    # a tail below the mass beyond 1 - 2^-53 puts |t|^p within rounding of 1,
-    # the only float left to return (betainccinv gives nan far below it)
-    edge = special.betaincc(*shape, 1.0 - 2.0 ** -53)
-    x = np.where(tail > edge, special.betainccinv(*shape, tail), 1.0)
+    # where |t|^p is within rounding of 1, betainccinv gives 1.0
+    x = special.betainccinv(*_marginal_shape(params),
+                            2.0 * np.minimum(a, 1.0 - a))
     out = np.sign(a - 0.5) * x ** (1.0 / params.p)
     return out if out.ndim else float(out)
 

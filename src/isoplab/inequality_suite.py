@@ -43,8 +43,8 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from . import measures1d
 from .fields import (
     CutoffH1Field,
@@ -1199,16 +1199,14 @@ def cutoff_chain_plan(p: float, n: int, c: CutoffParams = CutoffParams(),
     def per_point(b):
         # f, h1 and h2 are each evaluated once per point; f h1, its
         # push-forward g and g h2 are formed from those passes with the
-        # arithmetic of ProductField and PushForwardField, which gives the
-        # same bits as the composed fields.  T(Z) and h2 share the cell's
-        # |z|_p, g and h2 one sign(z)|z|^{p-1}, h1 and link 1 one |T(z)|_2,
-        # and the Jacobian scan's operator norms ride along with the first
+        # arithmetic of ProductField and PushForwardField, at the cell's
+        # ball points X = T(Z).  g and h2 share the cell's |z|_p and one
+        # sign(z)|z|^{p-1}, h1 and link 1 the cell's |x|_2, and the
+        # Jacobian scan's operator norms ride along with the first
         # TRANSFER_ROWS rows.
-        Zb, nzp = b.Z, b.zp
+        Zb, XT, nzp, rT = b.Z, b.X, b.zp, b.norm2
         ops = (jacobian_op_norms(Zb[:TRANSFER_ROWS - b.lo], p)[0]
                if b.lo < TRANSFER_ROWS else np.empty(0))
-        XT = Zb[:, :-1] / nzp[:, None]
-        rT = lp_norm(XT, 2.0)
         fv, fg = f.value_and_grad(XT)
         f_one = fv >= 1.0 - 1e-12
         gf_T = lp_norm(fg, 2.0)

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special
+
+from . import _special as special
 
 __all__ = [
     "LogConcave1D",

@@ -540,8 +540,8 @@ def test_import_keeps_blas_to_one_thread_unless_set(preset, expected):
     if preset is None:
         if threads == "0":
             pytest.skip("no /proc/self/task to count threads in")
-        # left to their default, numpy's and scipy's OpenBLAS start one
-        # worker thread each here
+        # left to its default, numpy's OpenBLAS starts a worker thread
+        # per further core here
         assert threads == "1"
 
 
@@ -586,12 +586,19 @@ def test_cli_bytes_do_not_depend_on_the_blas_threads(tmp_path):
                 == (tmp_path / "in" / name).read_bytes()), name
 
 
-def test_import_needs_neither_integrate_nor_optimize():
-    # scipy.stats alone would add about 0.8 s to every CLI run
-    code = ("import sys, isoplab, isoplab.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', "
-            "'scipy.stats') if m in sys.modules))")
+def test_a_run_imports_no_scipy(tmp_path):
+    # every oracle comes from isoplab._special: a run of every check that
+    # imports scipy anywhere, inside a function too, leaves it in sys.modules
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text("p_grid = 1.5\nn_grid = 3\nsamples = 2000\n")
+    argv = ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    code = ("import sys\n"
+            "from isoplab.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, [m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')])\n")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    assert res.stdout.splitlines()[-1] == "0 []"
+    assert len(os.listdir(tmp_path / "out")) == 2 * len(REGISTRY) + 1
