@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -451,11 +452,15 @@ def _gamma_inv(a: float, p: float, q: float) -> float:
 
 
 def _power_root(p: float, a: float, log_c: float) -> float:
-    # v with v^a = p e^log_c: a correctly rounded power where p e^log_c is a
-    # normal float, else through logarithms
+    # v with v^a = p e^log_c: a power where p e^log_c is a normal float, else
+    # through logarithms.  A rounding of 1/a costs |ln v| times itself, so
+    # 1/a = r + d, with d the correctly rounded remainder (1 - a r) / a
     s = p * math.exp(log_c) if abs(log_c) < _LOG_MAX else 0.0
-    if s > _TINY and s < math.inf:
-        return s ** (1.0 / a)
+    if s >= sys.float_info.min and s < math.inf:
+        r = 1.0 / a
+        (na, da), (nr, dr) = a.as_integer_ratio(), r.as_integer_ratio()
+        d = (da * dr - na * nr) / (na * dr)
+        return s ** r * math.exp(d * math.log(s))
     return math.exp((math.log(p) + log_c) / a)
 
 

@@ -13,16 +13,13 @@ k`` one pool of k threads runs the runners and then up to k cells at
 once, each holding its own columns, and the output stays the same bytes.
 
 Exit codes: 0 when no row FAILs, 2 when any row FAILs, 3 for configuration
-errors (unknown check, malformed config, a grid, seed or big_c value the
+errors (unknown check or key, malformed config, a grid or seed value the
 checks reject, empty selection, bad out dir).
 
 Config files use ``key = value`` lines with ``#`` comments; list values
-are comma-separated.  r_grid and eps_ladder are multipliers of the
-boundary-layer width n^{-(2-p)/(2p)}; t_grid entries are quantile levels.
-eps_ladder is the enlargement ladder of check_bobkov_inequality and
-check_barthe_dimensional only: check_coarea, the Monte Carlo families of
-check_theorem1 and the fallback reference of check_functional_equivalence
-estimate their contents on ``inequality_suite.default_eps_ladder(p, n)``.
+are comma-separated.  r_grid entries are multipliers of the boundary-layer
+width n^{-(2-p)/(2p)}; t_grid entries are quantile levels.  Every boundary
+content is estimated on ``inequality_suite.default_eps_ladder(p, n)``.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ import numpy as np
 
 from . import inequality_suite as iq
 from .geometry import PBallParams, coordinate_half_space, kappa
-from .montecarlo import FAIL, _ladder
+from .montecarlo import FAIL
 
 LEMMA5_EPS = (0.05, 0.1, 0.2)
 LEMMA5_N = (4, 16)
@@ -57,12 +54,10 @@ class RunConfig:
     a_grid: list = field(default_factory=lambda: [0.1, 0.25, 0.5])
     t_grid: list = field(default_factory=lambda: [0.5, 0.75, 0.9])
     r_grid: list = field(default_factory=lambda: [0.5, 1.0, 2.0])
-    eps_ladder: list = field(default_factory=lambda: [0.1, 0.05, 0.02, 0.01])
     samples: int = 5000
     seed: int = 20260817
     threads: int = 1
     out_dir: str = "lab_out"
-    big_c: float = 4.0
 
     def selected(self) -> list:
         return list(self.experiments) if self.experiments else sorted(REGISTRY)
@@ -75,8 +70,7 @@ class RunConfig:
         if self.experiments == [] and "experiments" in getattr(
                 self, "_explicit", ()):
             raise ConfigError("no experiments selected")
-        for grid_name in ("p_grid", "n_grid", "a_grid", "t_grid",
-                          "r_grid", "eps_ladder"):
+        for grid_name in ("p_grid", "n_grid", "a_grid", "t_grid", "r_grid"):
             if not getattr(self, grid_name):
                 raise ConfigError(f"{grid_name} must not be empty")
         for p in self.p_grid:
@@ -89,8 +83,6 @@ class RunConfig:
             iq._validate_levels(self.a_grid, "a_grid")
             iq._quantile_levels(self.t_grid, "t_grid")
             iq._radii(self.r_grid)
-            _ladder(self.eps_ladder)
-            iq._validate_big_c(self.big_c)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.seed < 0:
@@ -105,10 +97,8 @@ class RunConfig:
 # config file parsing
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"experiments", "p_grid", "n_grid", "a_grid", "t_grid",
-              "r_grid", "eps_ladder"}
+_LIST_KEYS = {"experiments", "p_grid", "n_grid", "a_grid", "t_grid", "r_grid"}
 _INT_KEYS = {"samples", "seed", "threads"}
-_FLOAT_KEYS = {"big_c"}
 _STR_KEYS = {"out_dir"}
 
 
@@ -136,8 +126,6 @@ def parse_config(text: str) -> RunConfig:
             setattr(cfg, key, parsed)
         elif key in _INT_KEYS:
             setattr(cfg, key, _parse_int(key, lineno, value))
-        elif key in _FLOAT_KEYS:
-            setattr(cfg, key, _parse_float(key, lineno, value))
         elif key in _STR_KEYS:
             setattr(cfg, key, value)
         else:
@@ -185,15 +173,13 @@ def _run_product(cfg, p, n):
 
 
 def _run_bobkov(cfg, p, n):
-    return iq.bobkov_plan(
-        p, n, _default_sets(p, n, cfg.a_grid), _scaled(cfg.r_grid, p, n),
-        eps_ladder=_scaled(cfg.eps_ladder, p, n))
+    return iq.bobkov_plan(p, n, _default_sets(p, n, cfg.a_grid),
+                          _scaled(cfg.r_grid, p, n))
 
 
 def _run_barthe(cfg, p, n):
-    return iq.barthe_plan(
-        p, n, _default_sets(p, n, cfg.a_grid), _scaled(cfg.r_grid, p, n),
-        eps_ladder=_scaled(cfg.eps_ladder, p, n))
+    return iq.barthe_plan(p, n, _default_sets(p, n, cfg.a_grid),
+                          _scaled(cfg.r_grid, p, n))
 
 
 def _run_sz_tail(cfg, p, n):
@@ -235,7 +221,7 @@ def _run_l2_form(cfg, p, n):
 
 
 def _run_chain(cfg, p, n):
-    return iq.cutoff_chain_plan(p, n, big_c=cfg.big_c)
+    return iq.cutoff_chain_plan(p, n)
 
 
 def _run_isotropy(cfg, p, n):

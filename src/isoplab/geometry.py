@@ -241,8 +241,11 @@ def ball_volume(p: float, n: int) -> float:
 
 
 def _marginal_log_norm(p: float, n: int) -> float:
-    # normalizer of (1-|t|^p)^((n-1)/p) on [-1,1] is Vol(B_p^n)/Vol(B_p^{n-1})
-    return ball_log_volume(p, n) - ball_log_volume(p, n - 1)
+    # normalizer of (1-|t|^p)^((n-1)/p) on [-1,1]: u = |t|^p makes it
+    # (2/p) B(1/p, (n-1)/p + 1), without the two ball volumes' log-gamma
+    # sums of size (n/p) ln n
+    return math.log(2.0 / p) + float(special.betaln(1.0 / p,
+                                                    (n - 1.0) / p + 1.0))
 
 
 def marginal_density(params: PBallParams, t):

@@ -500,11 +500,10 @@ def _radii(r_grid) -> list:
 
 
 def _enlargement_plan(name: str, p: float, n: int, sets, r_grid,
-                      dimensional: bool, eps_ladder=None) -> CellPlan:
+                      dimensional: bool) -> CellPlan:
     params = PBallParams(p, n)
     r_grid = _radii(r_grid)
-    ladder = list(eps_ladder) if eps_ladder is not None else \
-        default_eps_ladder(p, n)
+    ladder = default_eps_ladder(p, n)
 
     def per_point(b):
         # a scalar column per shared scalar of the sets, and |x|_2 unless
@@ -547,44 +546,41 @@ def _enlargement_plan(name: str, p: float, n: int, sets, r_grid,
 
 
 def check_bobkov_inequality(p: float, n: int, sets, r_grid,
-                            count: int, seed: int,
-                            eps_ladder=None) -> CheckReport:
+                            count: int, seed: int) -> CheckReport:
     """Boundary content against the log-concave enlargement bound
 
         content(A) >= (1/2r)[a log(1/a) + (1-a) log(1/(1-a)) + log V{|x|_2 <= r}].
 
-    ``sets`` is a list of test sets, read from the grading stream.  Rows:
+    ``sets`` is a list of test sets, read from the grading stream; their
+    contents are estimated on ``default_eps_ladder(p, n)``.  Rows:
     param1 = r, param2 = the set's measure a; verdicts are
     consistency-graded (the bound can be met with equality up to noise).
     A vanishing ball-mass estimate makes the row INCONCLUSIVE.
     """
-    return _one_plan_cell(p, n, bobkov_plan(p, n, sets, r_grid, eps_ladder),
-                          count, seed)
+    return _one_plan_cell(p, n, bobkov_plan(p, n, sets, r_grid), count, seed)
 
 
-def bobkov_plan(p: float, n: int, sets, r_grid, eps_ladder=None) -> CellPlan:
+def bobkov_plan(p: float, n: int, sets, r_grid) -> CellPlan:
     """The plan of ``check_bobkov_inequality``."""
     return _enlargement_plan("check_bobkov_inequality", p, n, sets, r_grid,
-                             False, eps_ladder)
+                             False)
 
 
 def check_barthe_dimensional(p: float, n: int, sets, r_grid,
-                             count: int, seed: int,
-                             eps_ladder=None) -> CheckReport:
+                             count: int, seed: int) -> CheckReport:
     """Dimensional refinement of the enlargement bound,
 
         content(A) >= (n/2r){[a^{1-1/n} + (1-a)^{1-1/n}] V{|x|_2<=r}^{1/n} - 1}.
 
     Same row layout and grading as check_bobkov_inequality.
     """
-    return _one_plan_cell(p, n, barthe_plan(p, n, sets, r_grid, eps_ladder),
-                          count, seed)
+    return _one_plan_cell(p, n, barthe_plan(p, n, sets, r_grid), count, seed)
 
 
-def barthe_plan(p: float, n: int, sets, r_grid, eps_ladder=None) -> CellPlan:
+def barthe_plan(p: float, n: int, sets, r_grid) -> CellPlan:
     """The plan of ``check_barthe_dimensional``."""
     return _enlargement_plan("check_barthe_dimensional", p, n, sets, r_grid,
-                             True, eps_ladder)
+                             True)
 
 
 # ---------------------------------------------------------------------------
@@ -1130,14 +1126,6 @@ def l2_form_plan(p: float, n: int, a_grid) -> CellPlan:
 # the cut-off chain
 # ---------------------------------------------------------------------------
 
-def _validate_big_c(big_c) -> float:
-    # a = exp(-big_c n^{p/2}) is a small probability only for big_c > 0
-    big_c = float(big_c)
-    if not (math.isfinite(big_c) and big_c > 0.0):
-        raise ValueError(f"big_c must be finite and positive, got {big_c!r}")
-    return big_c
-
-
 def verify_cutoff_chain(p: float, n: int, c: CutoffParams = CutoffParams(),
                         count: int = 10 ** 4, seed: int = 0,
                         big_c: float = 4.0) -> CheckReport:
@@ -1183,7 +1171,10 @@ def cutoff_chain_plan(p: float, n: int, c: CutoffParams = CutoffParams(),
                       big_c: float = 4.0) -> CellPlan:
     """The plan of ``verify_cutoff_chain``."""
     params = PBallParams(p, n)
-    big_c = _validate_big_c(big_c)
+    # a = exp(-big_c n^{p/2}) is a small probability only for big_c > 0
+    big_c = float(big_c)
+    if not (math.isfinite(big_c) and big_c > 0.0):
+        raise ValueError(f"big_c must be finite and positive, got {big_c!r}")
     xi = np.zeros(n)
     xi[0] = 1.0
     f = LinearRamp(xi, 0.0, float(marginal_isf(params, 0.2)))

@@ -211,17 +211,6 @@ def _wls_intercept(xs: np.ndarray, ys: np.ndarray, ses: np.ndarray) -> tuple[flo
     return float(b0), float(np.sqrt(1.0 / sw + xbar * xbar / sxx))
 
 
-def _ladder(eps_ladder) -> np.ndarray:
-    """The ladder as an array; ValueError unless it is nonempty, finite,
-    positive and strictly decreasing."""
-    eps = np.asarray(list(eps_ladder), dtype=float)
-    if (eps.size == 0 or not np.all(np.isfinite(eps) & (eps > 0.0))
-            or np.any(np.diff(eps) >= 0.0)):
-        raise ValueError("eps ladder must be finite, positive and strictly "
-                         "decreasing")
-    return eps
-
-
 def content_from_batch(column, thresholds: Sequence[float],
                        eps_ladder: Sequence[float]) -> list:
     """Enlargement quotients of one batch for every ladder epsilon, one
@@ -236,9 +225,14 @@ def content_from_batch(column, thresholds: Sequence[float],
     the same integer as comparing every point against both thresholds.
     Each rung is ``bernoulli_ci(k, n)`` divided by its eps, computed with
     the same arithmetic for every (threshold, rung) at once; only the
-    intercept is fitted threshold by threshold.
+    intercept is fitted threshold by threshold.  The ladder must be
+    nonempty, finite, positive and strictly decreasing.
     """
-    eps = _ladder(eps_ladder)
+    eps = np.asarray(list(eps_ladder), dtype=float)
+    if (eps.size == 0 or not np.all(np.isfinite(eps) & (eps > 0.0))
+            or np.any(np.diff(eps) >= 0.0)):
+        raise ValueError("eps ladder must be finite, positive and strictly "
+                         "decreasing")
     s = np.sort(_column(column))
     n = s.size
     if n == 0:

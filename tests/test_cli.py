@@ -2,9 +2,11 @@
 files, and byte-level determinism of repeated runs."""
 
 import ctypes
+import dataclasses
 import inspect
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import threading
@@ -52,7 +54,6 @@ a_grid = 0.1, 0.5
 samples = 2000
 seed = 7
 out_dir = somewhere
-big_c = 3.5
 """)
     assert cfg.experiments == ["check_kls", "check_theorem1"]
     assert cfg.p_grid == [1.0, 2.0]
@@ -61,7 +62,6 @@ big_c = 3.5
     assert cfg.samples == 2000
     assert cfg.seed == 7
     assert cfg.out_dir == "somewhere"
-    assert cfg.big_c == 3.5
     assert "p_grid" in cfg._explicit
     assert "t_grid" not in cfg._explicit
 
@@ -69,12 +69,27 @@ big_c = 3.5
 def test_parse_config_error_positions():
     with pytest.raises(ConfigError, match="line 1: unknown key 'bogus_key'"):
         parse_config("bogus_key = 3")
+    # every content is estimated on default_eps_ladder, and the chain's
+    # big_c is verify_cutoff_chain's own parameter
+    for key in ("eps_ladder", "big_c"):
+        with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+            parse_config(f"seed = 1\n{key} = 4\n")
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         parse_config("no equals sign here")
     with pytest.raises(ConfigError, match="line 2: samples needs an integer"):
         parse_config("seed = 1\nsamples = lots")
     with pytest.raises(ConfigError, match="p_grid needs a number"):
         parse_config("p_grid = 1, x")
+
+
+def test_readme_config_block_parses_and_validates():
+    # README's config example names every key, and each one the parser knows
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block, = [b for b in readme.read_text().split("```")[1::2]
+              if b.lstrip().startswith("experiments =")]
+    cfg = parse_config(block)
+    cfg.validate()
+    assert cfg._explicit == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_validate_rejects_unknown_check():
@@ -103,17 +118,13 @@ def test_validate_grids_and_scalars():
     with pytest.raises(ConfigError, match="a_grid must not be empty"):
         RunConfig(a_grid=[]).validate()
     # the checks' own rules: levels in (0, 1/2], quantile levels in (0, 1),
-    # positive radii, a positive strictly decreasing ladder, a seed >= 0,
-    # a finite positive big_c
+    # positive radii, a seed >= 0
     for bad, message in [
             (dict(a_grid=[0.7]), "a_grid must be a nonempty subset"),
             (dict(a_grid=[0.5, float("nan")]), "a_grid must be a nonempty"),
             (dict(t_grid=[1.5]), "t_grid entries are quantile levels"),
             (dict(r_grid=[-1.0]), "r_grid entries must be positive"),
-            (dict(eps_ladder=[0.01, 0.1]), "eps ladder must be finite"),
-            (dict(seed=-1), "seed must be a non-negative integer")] + [
-            (dict(big_c=c), "big_c must be finite and positive")
-            for c in (-1.0, 0.0, float("nan"), float("inf"))]:
+            (dict(seed=-1), "seed must be a non-negative integer")]:
         with pytest.raises(ConfigError, match=message):
             RunConfig(**bad).validate()
 
@@ -351,13 +362,12 @@ def _direct_check(name, cfg, p, n):
     w = n ** (-(2.0 - p) / (2.0 * p))
     sets = [coordinate_half_space(params, a) for a in cfg.a_grid]
     r_grid = [r * w for r in cfg.r_grid]
-    ladder = [e * w for e in cfg.eps_ladder]
     count, seed = cfg.samples, cfg.seed
     calls = {
         "check_barthe_dimensional": lambda: iq.check_barthe_dimensional(
-            p, n, sets, r_grid, count, seed, eps_ladder=ladder),
+            p, n, sets, r_grid, count, seed),
         "check_bobkov_inequality": lambda: iq.check_bobkov_inequality(
-            p, n, sets, r_grid, count, seed, eps_ladder=ladder),
+            p, n, sets, r_grid, count, seed),
         "check_coarea": lambda: iq.check_coarea(p, n, None, count, seed),
         "check_functional_equivalence":
             lambda: iq.check_functional_equivalence(
@@ -373,7 +383,7 @@ def _direct_check(name, cfg, p, n):
         "check_sz_tail": lambda: iq.check_sz_tail(p, n, cfg.t_grid, count,
                                                   seed),
         "verify_cutoff_chain": lambda: iq.verify_cutoff_chain(
-            p, n, CutoffParams(), count, seed, big_c=cfg.big_c),
+            p, n, CutoffParams(), count, seed),
     }
     return calls[name]()
 
@@ -442,17 +452,16 @@ def test_cli_bad_values_exit_three(tmp_path, capsys):
     res = _run_cli(["--experiment", "check_kls", "--samples", "10"] + out)
     assert res.returncode == 3
     assert "config error: samples must be at least 1000" in res.stderr
-    # grid, seed and big_c values the checks reject, through the same main()
+    # grid and seed values the checks reject, and keys the parser does not
+    # know, through the same main()
     cases = [(["--seed", "-1"], "seed must be a non-negative integer")]
     for line, message in [
             ("a_grid = 0.7", "a_grid must be a nonempty subset"),
             ("a_grid = 0.5, nan", "a_grid must be a nonempty subset"),
             ("t_grid = 1.5", "t_grid entries are quantile levels"),
             ("r_grid = -1", "r_grid entries must be positive"),
-            ("eps_ladder = 0.01, 0.1", "eps ladder must be finite"),
-            ("eps_ladder = inf, 0.1", "eps ladder must be finite")] + [
-            (f"big_c = {c}", "big_c must be finite and positive")
-            for c in ("-1", "0", "nan", "inf")]:
+            ("eps_ladder = 0.1, 0.05", "line 1: unknown key 'eps_ladder'"),
+            ("big_c = 4", "line 1: unknown key 'big_c'")]:
         cfg = tmp_path / f"bad{len(cases)}.cfg"
         cfg.write_text(line + "\n")
         cases.append((["--config", str(cfg)], message))
@@ -472,21 +481,28 @@ def test_cli_usage_error_exits_three():
     assert res.returncode == 3
 
 
-def test_cli_exit_two_on_confident_violation(tmp_path):
-    # a deliberately coarse single-rung enlargement ladder underestimates
-    # the boundary content enough to cross the bound: an honest FAIL
-    cfg = tmp_path / "fail.cfg"
-    cfg.write_text(
-        "experiments = check_bobkov_inequality\n"
-        "p_grid = 2\n"
-        "n_grid = 2\n"
-        "a_grid = 0.5\n"
-        "r_grid = 1.0\n"
-        "eps_ladder = 2.0\n"
-        "samples = 2000\n")
-    res = _run_cli(["--config", str(cfg), "--out-dir", str(tmp_path / "out")])
-    assert res.returncode == 2
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+@dataclasses.dataclass(frozen=True)
+class _HalfSpaceStatedAtAHalf(geometry.HalfSpace):
+    # a half-space that states measure 1/2 whatever its threshold
+    def analytic_measure(self, params):
+        return 0.5
+
+
+def test_cli_exit_two_on_confident_violation(tmp_path, monkeypatch):
+    # the Bobkov runner grades a half-space of measure 0.02 that states 1/2:
+    # its content, about 0.17 at p = 1, n = 2, is half the bound's 0.32
+    def misstated(cfg, p, n):
+        good = coordinate_half_space(PBallParams(p, n), 0.02)
+        bad = _HalfSpaceStatedAtAHalf(good.xi, good.t)
+        return iq.bobkov_plan(p, n, [bad], [n ** -geometry.kappa(p)])
+
+    name = "check_bobkov_inequality"
+    monkeypatch.setitem(REGISTRY, name, (REGISTRY[name][0], misstated))
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text(f"experiments = {name}\np_grid = 1\nn_grid = 2\nseed = 3\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["exit_code"] == 2
     assert summary["checks"]["check_bobkov_inequality"]["verdicts"]["FAIL"] > 0
 

@@ -307,6 +307,30 @@ def test_enlargement_sorts_each_shared_scalar_once(monkeypatch):
                                [set_.threshold], ladder)[0].extrapolated
 
 
+@dataclass(frozen=True)
+class _HalfSpaceStatedAtAHalf(HalfSpace):
+    # a half-space that states measure 1/2 whatever its threshold
+    def analytic_measure(self, params):
+        return 0.5
+
+
+@pytest.mark.parametrize("check", [check_bobkov_inequality,
+                                   check_barthe_dimensional])
+def test_enlargement_fails_on_a_misstated_measure(check):
+    # negative control: a half-space of measure 0.02 stated at 1/2 has
+    # content about 0.17 at p = 1, n = 2, r = n^-kappa, against a bound of
+    # 0.32 (Bobkov) or 0.36 (Barthe); stated truly, the same cell passes
+    p, n = 1.0, 2
+    good = coordinate_half_space(PBallParams(p, n), 0.02)
+    bad = _HalfSpaceStatedAtAHalf(good.xi, good.t)
+    r_grid = [n ** -0.5]  # kappa = 1/2 at p = 1
+    row, = check(p, n, [bad], r_grid, count=5000, seed=3).reports
+    assert row.params[3] == 0.5
+    assert row.verdict == FAIL
+    row, = check(p, n, [good], r_grid, count=5000, seed=3).reports
+    assert row.verdict == PASS
+
+
 def test_scalar_groups_follow_the_shared_scalar():
     e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
     sets = [HalfSpace(e0, 0.1), BallComplement(0.5), HalfSpace(e1, 0.2),

@@ -199,6 +199,21 @@ def test_beta_inverse_returns_one_where_the_quantile_rounds_to_one():
     assert _special.betainccinv(1.0, 2.0, 2e-30) == 1.0 - math.sqrt(2e-30)
 
 
+def test_power_law_quantiles_match_mpmath():
+    # below about 1e-17 a the quantiles are the power law v^a = level c:
+    # P(a, x) = x^a / Gamma(a + 1) and I_x(a, b) = x^a / (a B(a, b)) up to
+    # a factor 1 + O(x); rounding 1/a costs |ln v| eps, 2.6e-14 at a = 1.5
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    level = mp.mpf(1e-300)
+    for a in (1.0, 1.5):
+        want = (level * mp.gamma(a + 1)) ** (1 / mp.mpf(a))
+        assert _rel(_special.gammaincinv(a, 1e-300), want) <= 1e-15, a
+    a, b = 2.5, 0.5
+    want = (level * a * mp.beta(a, b)) ** (1 / mp.mpf(a))
+    assert _rel(_special.betaincinv(a, b, 1e-300), want) <= 1e-15
+
+
 def test_beta_edges():
     assert _special.betainc(0.5, 2.0, 0.0) == 0.0
     assert _special.betainc(0.5, 2.0, 1.0) == 1.0
