@@ -12,7 +12,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .geometry import (
     BallComplement,
-    CutoffParams,
     HalfSpace,
     JacobianResult,
     KinkError,

@@ -41,7 +41,6 @@ import numpy as np
 
 from .geometry import (
     BallComplement,
-    CutoffParams,
     HalfSpace,
     kappa,
     lp_dual,
@@ -55,6 +54,8 @@ __all__ = [
     "LinearRamp",
     "RadialRamp",
     "DistanceRamp",
+    "CUTOFF_C1",
+    "CUTOFF_C2",
     "CutoffH1Field",
     "CutoffH2Field",
     "ProductField",
@@ -240,20 +241,25 @@ class DistanceRamp(_Field):
         return self.set_.enlarged(self.r + self.s * (1.0 - u))
 
 
+# the constants of the two cut-offs; both ramps have unit width in the
+# rescaled radial variable
+CUTOFF_C1 = 1.0
+CUTOFF_C2 = 1.0
+
+
 class CutoffH1Field(_Field):
-    """h1(x) = clip(2 - c1 n^kappa |x|_2, 0, 1), kappa = (2-p)/(2p), on R^n;
-    kills large |x|_2.
+    """h1(x) = clip(2 - c1 n^kappa |x|_2, 0, 1), kappa = (2-p)/(2p), on R^n,
+    with c1 = CUTOFF_C1 = 1; kills large |x|_2.
 
     Identically 1 on {|x|_2 <= 1/(c1 n^kappa)} and 0 on
     {|x|_2 >= 2/(c1 n^kappa)}; on the ramp |grad h1|_2 = c1 n^kappa.
     """
 
-    def __init__(self, p: float, n: int, c: CutoffParams = CutoffParams()):
+    def __init__(self, p: float, n: int):
         self.p = p
         self.n = n
-        self.c = c
         self.dim = n
-        self.slope = c.c1 * n ** kappa(p)
+        self.slope = CUTOFF_C1 * n ** kappa(p)
         # ramp on 1/slope < |x|_2 < 2/slope
         self.lo = 1.0 / self.slope
         self.hi = 2.0 / self.slope
@@ -271,7 +277,8 @@ class CutoffH1Field(_Field):
 
 
 class CutoffH2Field(_Field):
-    """h2(z) = clip(c2 n^(-1/p) |z|_p - 1, 0, 1) on R^(n+1); kills small |z|_p.
+    """h2(z) = clip(c2 n^(-1/p) |z|_p - 1, 0, 1) on R^(n+1), with
+    c2 = CUTOFF_C2 = 1; kills small |z|_p.
 
     Identically 0 on {|z|_p <= n^(1/p)/c2} and 1 on {|z|_p >= 2 n^(1/p)/c2};
     |grad h2|_2 <= c2 (n+1)^kappa n^(-1/p) everywhere (Hoelder over the n+1
@@ -279,12 +286,11 @@ class CutoffH2Field(_Field):
     of z agree.  The weaker c2 sqrt(2/n) suffices for every error budget here.
     """
 
-    def __init__(self, p: float, n: int, c: CutoffParams = CutoffParams()):
+    def __init__(self, p: float, n: int):
         self.p = p
         self.n = n
-        self.c = c
         self.dim = n + 1
-        self.scale = c.c2 * n ** (-1.0 / p)
+        self.scale = CUTOFF_C2 * n ** (-1.0 / p)
         # ramp on 1/scale < |z|_p < 2/scale
         self.lo = 1.0 / self.scale
         self.hi = 2.0 / self.scale

@@ -1,6 +1,5 @@
-"""Geometry of the unit ball of l_p^n: volumes, marginals, test sets, the
-normalization map and its differential, and the constants of the two
-radial cut-offs.
+"""Geometry of the unit ball of l_p^n: volumes, marginals, test sets, and
+the normalization map and its differential.
 
 Throughout, V_{p,n} denotes the uniform probability measure on the unit ball
 
@@ -58,7 +57,6 @@ __all__ = [
     "JacobianResult",
     "jacobian_T",
     "jacobian_op_norms",
-    "CutoffParams",
 ]
 
 # closed-ball tolerance: the most a sampled point's |x|_p may exceed 1, and
@@ -570,20 +568,3 @@ def jacobian_op_norms(Z, p: float) -> tuple[np.ndarray, np.ndarray]:
         lambda block: _op_norms_and_bounds(*_differential_terms(block, p), p),
         [Z], Z.shape[0]))
 
-
-# ---------------------------------------------------------------------------
-# radial cut-offs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CutoffParams:
-    """Constants of the two cut-offs, ``fields.CutoffH1Field`` and
-    ``fields.CutoffH2Field``; both ramps have unit width in the rescaled
-    radial variable."""
-
-    c1: float = 1.0
-    c2: float = 1.0
-
-    def __post_init__(self):
-        if self.c1 <= 0.0 or self.c2 <= 0.0:
-            raise ValueError("cut-off constants must be positive")

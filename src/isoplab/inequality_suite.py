@@ -47,6 +47,8 @@ import numpy as np
 from . import _special as special
 from . import measures1d
 from .fields import (
+    CUTOFF_C1,
+    CUTOFF_C2,
     CutoffH1Field,
     CutoffH2Field,
     DistanceRamp,
@@ -58,7 +60,6 @@ from .fields import (
 )
 from .geometry import (
     BallComplement,
-    CutoffParams,
     PBallParams,
     ball_log_volume,
     coordinate_half_space,
@@ -141,6 +142,8 @@ PAOURIS_T0 = 0.8
 LEMMA4_LADDER = (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0)
 # leading grading rows of the chain's pointwise gradient-transfer scan
 TRANSFER_ROWS = 10 ** 4
+# C of the chain's small probability a = exp(-C n^{p/2})
+CHAIN_C = 4.0
 # leading grading rows of the Lipschitz spot check of check_sz_concentration
 LIPSCHITZ_ROWS = 200
 
@@ -1126,13 +1129,13 @@ def l2_form_plan(p: float, n: int, a_grid) -> CellPlan:
 # the cut-off chain
 # ---------------------------------------------------------------------------
 
-def verify_cutoff_chain(p: float, n: int, c: CutoffParams = CutoffParams(),
-                        count: int = 10 ** 4, seed: int = 0,
-                        big_c: float = 4.0) -> CheckReport:
+def verify_cutoff_chain(p: float, n: int, count: int = 10 ** 4,
+                        seed: int = 0) -> CheckReport:
     """Grade every link of the localization chain on one product batch.
 
     With h1 the large-|x|_2 cut-off on the ball, h2 the small-|z|_p cut-off
-    on the product space, g = (f h1) o T and kappa = (2-p)/(2p):
+    on the product space, g = (f h1) o T, kappa = (2-p)/(2p) and the
+    cut-off constants c1 = CUTOFF_C1 = 1 and c2 = CUTOFF_C2 = 1:
 
       link 1:  int |grad f| dV >= int |grad(f h1)| dV
                                    - c1 n^kappa V{|x|_2 >= 1/(c1 n^kappa)}
@@ -1142,7 +1145,7 @@ def verify_cutoff_chain(p: float, n: int, c: CutoffParams = CutoffParams(),
                                    - 2 n^kappa mu{|z|_p <= 2 n^{1/p}/c2}
       link 4:  links 2 + 3 combined with c4 = c3/c2
       link 5:  int |grad f| dV >= c4 n^{1/p} int |grad(g h2)| dmu - a/2,
-               a = exp(-C n^{p/2}) with C = big_c, finite and positive
+               a = exp(-C n^{p/2}) with C = CHAIN_C = 4
 
     Links 1-4 hold pointwise almost everywhere, so their same-batch
     difference estimators are nonnegative samplewise and the strict verdict
@@ -1163,28 +1166,22 @@ def verify_cutoff_chain(p: float, n: int, c: CutoffParams = CutoffParams(),
     (link 4's from those of links 2 and 3), and the Jacobian scan runs on
     the first TRANSFER_ROWS rows as they stream past.
     """
-    return _one_plan_cell(p, n, cutoff_chain_plan(p, n, c, big_c), count,
-                          seed)
+    return _one_plan_cell(p, n, cutoff_chain_plan(p, n), count, seed)
 
 
-def cutoff_chain_plan(p: float, n: int, c: CutoffParams = CutoffParams(),
-                      big_c: float = 4.0) -> CellPlan:
+def cutoff_chain_plan(p: float, n: int) -> CellPlan:
     """The plan of ``verify_cutoff_chain``."""
     params = PBallParams(p, n)
-    # a = exp(-big_c n^{p/2}) is a small probability only for big_c > 0
-    big_c = float(big_c)
-    if not (math.isfinite(big_c) and big_c > 0.0):
-        raise ValueError(f"big_c must be finite and positive, got {big_c!r}")
     xi = np.zeros(n)
     xi[0] = 1.0
     f = LinearRamp(xi, 0.0, float(marginal_isf(params, 0.2)))
-    h1 = CutoffH1Field(p, n, c)
-    h2 = CutoffH2Field(p, n, c)
+    h1 = CutoffH1Field(p, n)
+    h2 = CutoffH2Field(p, n)
 
-    c3 = c.c1 / (c.c1 + 2.0)
-    c4 = c3 / c.c2
-    a_level = math.exp(-big_c * n ** (p / 2.0))
-    scale2 = 2.0 * n ** (1.0 / p) / c.c2
+    c3 = CUTOFF_C1 / (CUTOFF_C1 + 2.0)
+    c4 = c3 / CUTOFF_C2
+    a_level = math.exp(-CHAIN_C * n ** (p / 2.0))
+    scale2 = 2.0 * n ** (1.0 / p) / CUTOFF_C2
     name = "verify_cutoff_chain"
 
     def per_point(b):
@@ -1211,7 +1208,7 @@ def cutoff_chain_plan(p: float, n: int, c: CutoffParams = CutoffParams(),
         err1 = h1.slope * (rT >= h1.lo)
         err2 = 2.0 * n ** kappa(p) * (nzp <= scale2)
         d2 = gfh1_T - c3 * gg * nzp
-        d3 = gg * nzp - (n ** (1.0 / p) / c.c2) * ggh2 + err2
+        d3 = gg * nzp - (n ** (1.0 / p) / CUTOFF_C2) * ggh2 + err2
         transfer_rhs = ops * gfh1_T[:ops.size]
         bad = np.zeros(nzp.size, dtype=bool)
         bad[:ops.size] = gg[:ops.size] > transfer_rhs + 1e-9 * (1.0 + transfer_rhs)

@@ -5,10 +5,13 @@ Four families are built in:
 * ``mu_p``  -- symmetric exponential-power law, density exp(-|t|^p) / (2 Gamma(1+1/p))
   on the real line;
 * ``nu_p``  -- its one-sided companion, density p t^(p-1) exp(-t^p) on [0, inf);
-* ``Gamma(shape, 1)`` -- needed because |X|^p is Gamma(1/p, 1) distributed when
-  X is mu_p distributed;
-* ``Exp(1)`` -- the shape-1 special case; Y^p is Exp(1) distributed when Y is
-  nu_p distributed.
+* ``Gamma(shape, 1)`` -- at shape 1/p the law of |X|^p when X is mu_p
+  distributed;
+* ``Exp(1)`` -- nu_1, the shape-1 Gamma law; Y^p is Exp(1) distributed when Y
+  is nu_p distributed.
+
+The checks read only mu_p and nu_p; the Gamma and Exp(1) laws are built in
+as closed-form references.
 
 For a measure with distribution function F the half-line profile at mass a is
 
@@ -25,7 +28,7 @@ function and its inverse, or elementary functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -50,8 +53,8 @@ class LogConcave1D:
     """A one-dimensional measure given by log-density, CDF and quantile.
 
     ``log_concave`` is False for the Gamma(shape, 1) instances with shape < 1,
-    whose density is log-convex near the origin; they are carried in the same
-    container because the samplers and the small-ball checks need their CDFs.
+    whose density is log-convex near the origin; they share the container
+    so that one set of quantile and profile routines serves every law.
     """
 
     name: str
@@ -175,24 +178,8 @@ def make_gamma(shape: float) -> LogConcave1D:
 
 
 def make_exponential() -> LogConcave1D:
-    """Exp(1): density exp(-t) on [0, inf)."""
-
-    def log_density(t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t < 0.0, -np.inf, -t)
-        return out if out.ndim else float(out)
-
-    def cdf(t):
-        t = np.asarray(t, dtype=float)
-        out = np.where(t <= 0.0, 0.0, -np.expm1(-np.maximum(t, 0.0)))
-        return out if out.ndim else float(out)
-
-    def quantile(a):
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"quantile level must be in (0,1), got {a!r}")
-        return -np.log1p(-a)
-
-    return LogConcave1D("exp_1", log_density, cdf, quantile)
+    """Exp(1): density exp(-t) on [0, inf); nu_1 under the name ``exp_1``."""
+    return replace(make_nu_p(1.0), name="exp_1")
 
 
 def bobkov_profile(m: LogConcave1D, a: float) -> ProfilePoint:

@@ -54,7 +54,6 @@ __all__ = [
     "content_from_batch",
     "TailPoint",
     "estimate_tail",
-    "PhiPoint",
     "MedianEstimate",
     "estimate_median_and_phi",
     "integrate_grad",
@@ -284,12 +283,6 @@ def estimate_tail(values, thresholds: Sequence[float]) -> list[TailPoint]:
     return out
 
 
-class PhiPoint(NamedTuple):
-    h: float
-    estimate: EstimateCI
-    rare: bool
-
-
 @dataclass(frozen=True)
 class MedianEstimate:
     """Empirical median with an order-statistic confidence interval."""
@@ -301,9 +294,10 @@ class MedianEstimate:
 
 
 def estimate_median_and_phi(values, h_grid: Sequence[float]
-                            ) -> tuple[MedianEstimate, list[PhiPoint]]:
+                            ) -> tuple[MedianEstimate, list[TailPoint]]:
     """Empirical median of a functional F over one batch and its upper-tail
-    curve phi(h) = P{F > median + h}, from the column of F over the batch.
+    curve phi(h) = P{F > median + h}, from the column of F over the batch;
+    each curve point's first field is the offset h.
     """
     vals = _column(values)
     count = vals.size
@@ -318,7 +312,7 @@ def estimate_median_and_phi(values, h_grid: Sequence[float]
     curve = []
     for h in h_grid:
         k = int((vals > med + float(h)).sum())
-        curve.append(PhiPoint(float(h), bernoulli_ci(k, count), k < RARE_COUNT))
+        curve.append(TailPoint(float(h), bernoulli_ci(k, count), k < RARE_COUNT))
     return median, curve
 
 

@@ -13,7 +13,6 @@ import numpy as np
 from scipy import special, stats
 
 from isoplab import (
-    CutoffParams,
     PBallParams,
     ball_sampler,
     bobkov_profile,
@@ -238,8 +237,7 @@ def test_c08_small_sum_bound():
 
 
 def test_c09_cutoff_chain():
-    rep = verify_cutoff_chain(2.0, 4, c=CutoffParams(1.0, 1.0),
-                              count=10 ** 6, seed=SEED, big_c=4.0)
+    rep = verify_cutoff_chain(2.0, 4, count=10 ** 6, seed=SEED)
     verdicts = _verdicts(rep)
     ok_links = all(v in (PASS, INCONCLUSIVE) for v in verdicts)
     a_half = 0.5 * math.exp(-4.0 * 4 ** (2.0 / 2.0))

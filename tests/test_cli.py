@@ -26,7 +26,7 @@ from isoplab.cli import (
     parse_config,
     run,
 )
-from isoplab.geometry import CutoffParams, PBallParams, coordinate_half_space
+from isoplab.geometry import PBallParams, coordinate_half_space
 
 
 def _run_cli(args, env_extra=None, cwd=None):
@@ -69,8 +69,8 @@ out_dir = somewhere
 def test_parse_config_error_positions():
     with pytest.raises(ConfigError, match="line 1: unknown key 'bogus_key'"):
         parse_config("bogus_key = 3")
-    # every content is estimated on default_eps_ladder, and the chain's
-    # big_c is verify_cutoff_chain's own parameter
+    # every content is estimated on default_eps_ladder, and the chain's C
+    # is the constant inequality_suite.CHAIN_C
     for key in ("eps_ladder", "big_c"):
         with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
             parse_config(f"seed = 1\n{key} = 4\n")
@@ -382,8 +382,8 @@ def _direct_check(name, cfg, p, n):
             p, n, "coordinate", cfg.t_grid, count, seed),
         "check_sz_tail": lambda: iq.check_sz_tail(p, n, cfg.t_grid, count,
                                                   seed),
-        "verify_cutoff_chain": lambda: iq.verify_cutoff_chain(
-            p, n, CutoffParams(), count, seed),
+        "verify_cutoff_chain": lambda: iq.verify_cutoff_chain(p, n, count,
+                                                              seed),
     }
     return calls[name]()
 

@@ -29,7 +29,6 @@ from isoplab.geometry import (
     BALL_TOL,
     BLOCK_ROWS,
     BallComplement,
-    CutoffParams,
     HalfSpace,
     KinkError,
     PBallParams,
@@ -662,16 +661,16 @@ def test_blocked_operator_norms_are_bit_equal_to_one_pass(p):
 # cut-offs
 # ---------------------------------------------------------------------------
 
-def _h1_closed_form(X, p, n, c1=1.0):
-    # clip(2 - c1 n^kappa |x|_2, 0, 1), kappa = (2-p)/(2p)
+def _h1_closed_form(X, p, n):
+    # clip(2 - c1 n^kappa |x|_2, 0, 1), kappa = (2-p)/(2p), c1 = 1
     kappa = (2.0 - p) / (2.0 * p)
-    return np.clip(2.0 - c1 * n ** kappa * np.linalg.norm(X, axis=1), 0.0, 1.0)
+    return np.clip(2.0 - n ** kappa * np.linalg.norm(X, axis=1), 0.0, 1.0)
 
 
-def _h2_closed_form(Z, p, n, c2=1.0):
-    # clip(c2 n^(-1/p) |z|_p - 1, 0, 1)
+def _h2_closed_form(Z, p, n):
+    # clip(c2 n^(-1/p) |z|_p - 1, 0, 1), c2 = 1
     norms = np.sum(np.abs(Z) ** p, axis=1) ** (1.0 / p)
-    return np.clip(c2 * n ** (-1.0 / p) * norms - 1.0, 0.0, 1.0)
+    return np.clip(n ** (-1.0 / p) * norms - 1.0, 0.0, 1.0)
 
 
 def test_cutoff_h1_plateau_and_ramp():
@@ -716,27 +715,6 @@ def test_cutoff_h2_plateau_and_gradient_bound():
     # the bound is sharp: equality at equal coordinates on the ramp
     z_star = np.full((1, n + 1), 1.5 / scale * (n + 1.0) ** (-1.0 / p))
     assert abs(np.linalg.norm(field.grad(z_star)[0]) - bound) < 1e-12
-
-
-def test_cutoff_scaling_constants():
-    p, n = 2.0, 9
-    c = CutoffParams(c1=2.0, c2=0.5)
-    h1 = CutoffH1Field(p, n, c)
-    h2 = CutoffH2Field(p, n, c)
-    x = np.zeros((1, n))
-    x[0, 0] = 0.4 / (2.0 * 1.0)  # kappa = 0 at p = 2
-    assert h1(x)[0] == 1.0
-    z = np.zeros((1, n + 1))
-    z[0, 0] = 1.9 * np.sqrt(float(n)) / 0.5
-    assert abs(h2(z)[0] - 0.9) < 1e-12
-    # both ramps follow their closed forms at these constants
-    t = np.linspace(0.0, 1.5, 31)[:, None]
-    X = t * np.full(n, n ** -0.5)
-    np.testing.assert_allclose(h1(X), _h1_closed_form(X, p, n, c1=2.0))
-    Z = t * np.full(n + 1, 4.0 * np.sqrt(float(n)) / 0.5 / np.sqrt(n + 1.0))
-    np.testing.assert_allclose(h2(Z), _h2_closed_form(Z, p, n, c2=0.5))
-    with pytest.raises(ValueError):
-        CutoffParams(c1=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,9 @@ def test_mu2_cdf_is_gaussian_error_function():
 
 
 def test_nu_p_cdf_closed_form():
-    for p in P_GRID:
-        nu = make_nu_p(p)
+    # Exp(1) is nu_1
+    laws = [(p, make_nu_p(p)) for p in P_GRID] + [(1.0, make_exponential())]
+    for p, nu in laws:
         t = np.array([0.0, 0.2, 1.0, 2.5])
         np.testing.assert_allclose(nu.cdf(t), 1.0 - np.exp(-t ** p),
                                    atol=1e-14)
