@@ -66,7 +66,6 @@ from .measures1d import (
 from .montecarlo import (
     ContentEstimate,
     EstimateCI,
-    MedianEstimate,
     bernoulli_ci,
     content_from_batch,
     estimate_measure,

@@ -49,7 +49,6 @@ __all__ = [
     "betaincinv",
     "betainccinv",
     "gammaln",
-    "gamma",
     "betaln",
     "xlogy",
 ]
@@ -100,7 +99,7 @@ def _ufunc(kernel):
 
 
 # ---------------------------------------------------------------------------
-# log-gamma, gamma, log-beta
+# log-gamma, log-beta
 # ---------------------------------------------------------------------------
 
 def _lgamma2(z: float) -> float:
@@ -526,17 +525,6 @@ def _beta_inv(a: float, b: float, p: float, q: float) -> float:
 def gammaln(x):
     """ln|Gamma(x)|."""
     return _gammaln(x)
-
-
-@_ufunc
-def gamma(x):
-    """Gamma(x); inf past its overflow, nan at the poles below 0."""
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        return math.inf
-    except ValueError:  # 0 or a negative integer
-        return math.copysign(math.inf, x) if x == 0.0 else math.nan
 
 
 @_ufunc

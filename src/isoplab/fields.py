@@ -60,7 +60,6 @@ __all__ = [
     "CutoffH2Field",
     "ProductField",
     "PushForwardField",
-    "ConstantField",
     "CoordinateFunctional",
     "DirectionalFunctional",
     "EuclideanNorm",
@@ -104,25 +103,6 @@ class _Field:
 
     def grad(self, X):
         return self.value_and_grad(X)[1]
-
-
-class ConstantField(_Field):
-    """f identically equal to ``value``; gradient zero."""
-
-    def __init__(self, dim: int, value: float = 0.0):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError("constant plateau value must lie in [0, 1]")
-        self.dim = dim
-        self.value = float(value)
-
-    def value_and_grad(self, X):
-        X = _rows(X, self.dim)
-        return np.full(X.shape[0], self.value), np.zeros_like(X)
-
-    def superlevel(self, u: float):
-        # {const > u} is everything or nothing; boundary content is 0 either
-        # way, which callers encode as None
-        return None
 
 
 class LinearRamp(_Field):

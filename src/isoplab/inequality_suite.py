@@ -334,7 +334,7 @@ def run_cell(p: float, n: int, plans, count: int, seed: int) -> list:
     held = _cell_pass(params, count, seed, HELD_OUT,
                       [plan.held_out for plan in plans])
     for col in {id(c): c for cols in held for c in cols}.values():
-        col.sort()      # it only gives order statistics, fastest when sorted
+        col.sort()      # plans read order statistics off the sorted column
     graded = [plan.grading(cols) for plan, cols in zip(plans, held)]
     held = None     # the plans keep what they took from it
     cols = _cell_pass(params, count, seed, GRADING,
@@ -597,6 +597,21 @@ def _quantile_levels(t_grid, where: str) -> list:
     return levels
 
 
+def _sorted_quantiles(s: np.ndarray, levels) -> list:
+    """``np.quantile(s, levels)`` (numpy's linear method) of a sorted
+    column, read off its order statistics, bit for bit."""
+    top = s.size - 1
+    out = []
+    for q in levels:
+        v = top * q
+        i = math.floor(v)
+        g = v - i
+        lo, hi = float(s[i]), float(s[min(i + 1, top)])
+        d = hi - lo
+        out.append(hi - d * (1.0 - g) if g >= 0.5 else lo + d * g)
+    return out
+
+
 def check_sz_tail(p: float, n: int, t_grid, count: int, seed: int) -> CheckReport:
     """Euclidean-norm tail P{|x|_2 >= t} against exp(-c n t^p).
 
@@ -618,7 +633,7 @@ def sz_tail_plan(p: float, n: int, t_grid) -> CellPlan:
     t_lo = SZ_T0 * n ** -kappa(p)
 
     def grading(held):
-        thresholds = np.quantile(held[0], levels)
+        thresholds = _sorted_quantiles(held[0], levels)
 
         def report(cols) -> CheckReport:
             tails = estimate_tail(cols[0], thresholds)
@@ -643,8 +658,7 @@ def sz_tail_plan(p: float, n: int, t_grid) -> CellPlan:
                 rhs = math.exp(-c_hat * n * t ** p)
                 reports.append(_row(name, p, n, t, in_range, est, rhs,
                                     verdict_leq(est, rhs, "consistent")))
-            constants = {"c_hat": c_hat,
-                         "thresholds": [float(t) for t in thresholds]}
+            constants = {"c_hat": c_hat, "thresholds": thresholds}
             return CheckReport(name, tuple(reports), constants)
 
         return (_norm2,), report
@@ -701,11 +715,12 @@ def sz_concentration_plan(p: float, n: int, functional, t_grid) -> CellPlan:
 
     def grading(held):
         vals, = held
-        if vals.max() == vals.min():
+        if vals[0] == vals[-1]:
             raise ValueError("functional is constant on the sample; "
                              "no concentration to measure")
-        med0 = float(np.median(vals))
-        h_grid = [float(q) - med0 for q in np.quantile(vals, levels)]
+        # np.median of the sorted column
+        med0 = 0.5 * float(vals[(vals.size - 1) // 2] + vals[vals.size // 2])
+        h_grid = [q - med0 for q in _sorted_quantiles(vals, levels)]
 
         def spot_checked_values(b):
             F = functional(b.X)
@@ -867,7 +882,7 @@ def lemma5_constant(A: float, alpha: float) -> float:
     if A <= 0.0 or not 0.0 <= alpha < 1.0:
         raise ValueError("need A > 0 and alpha in [0, 1)")
     return float(math.e / (1.0 - alpha)
-                 * (A * special.gamma(1.0 - alpha)) ** (1.0 / (1.0 - alpha)))
+                 * (A * math.gamma(1.0 - alpha)) ** (1.0 / (1.0 - alpha)))
 
 
 def check_lemma5(p: float, N: int, eps_grid) -> CheckReport:
@@ -890,7 +905,7 @@ def check_lemma5(p: float, N: int, eps_grid) -> CheckReport:
     if any(e <= 0.0 for e in eps_grid):
         raise ValueError("eps grid must be positive")
     alpha = 1.0 - 1.0 / p
-    c_bound = lemma5_constant(1.0 / special.gamma(1.0 / p), alpha)
+    c_bound = lemma5_constant(1.0 / math.gamma(1.0 / p), alpha)
     name = "check_lemma5"
     reports = []
     for eps in eps_grid:
@@ -913,8 +928,8 @@ def check_lemma5(p: float, N: int, eps_grid) -> CheckReport:
 
 def _default_plateau_catalog(params: PBallParams, radii=None) -> list:
     """Half-space ramp plus a radial ramp with radii at volume quantiles:
-    exact at p = 2, otherwise those of ``radii``, a held-out column of
-    |x|_2."""
+    exact at p = 2, otherwise those of ``radii``, a sorted held-out column
+    of |x|_2."""
     p, n = params.p, params.n
     xi = np.zeros(n)
     xi[0] = 1.0
@@ -922,8 +937,8 @@ def _default_plateau_catalog(params: PBallParams, radii=None) -> list:
     if p == 2.0:
         lo, hi = 0.3 ** (1.0 / n), 0.7 ** (1.0 / n)
     else:
-        lo, hi = np.quantile(radii, [0.3, 0.7])
-    fields.append(RadialRamp(n, float(lo), float(hi)))
+        lo, hi = _sorted_quantiles(radii, [0.3, 0.7])
+    fields.append(RadialRamp(n, lo, hi))
     return fields
 
 
@@ -938,9 +953,7 @@ def check_coarea(p: float, n: int, phi_catalog=None,
     superlevel sets of one field share one scalar, so it is sorted once
     per field for all 64 levels, and the field's gradient norms are
     derived from that same column (``grad_norm_from_scalar``), so each
-    catalog field is a ramp, or a constant field (no superlevel set
-    strictly inside), whose gradient mass is exactly 0.  For the plateau
-    catalog both sides agree
+    catalog field is a ramp.  For the plateau catalog both sides agree
     (the inequality is an identity there), so rows are consistency-graded.
     The default catalog's radial radii come from the held-out stream at
     p != 2.  Rows: param1 = catalog index, param2 = 0.
@@ -958,34 +971,23 @@ def coarea_plan(p: float, n: int, phi_catalog=None) -> CellPlan:
         catalog = phi_catalog
         if catalog is None:
             catalog = _default_plateau_catalog(params, *held)
-        live_sets = []
-        for phi in catalog:
-            levels = [phi.superlevel((k + 0.5) / 64.0) for k in range(64)]
-            live_sets.append([(k, s) for k, s in enumerate(levels)
-                              if s is not None])
+        level_sets = [[phi.superlevel((k + 0.5) / 64.0) for k in range(64)]
+                      for phi in catalog]
 
         def per_point(b):
-            # per field with superlevel sets, the scalar they share, from
-            # which its gradient norms are derived too
-            return [b.scalar(live[0][1]) for live in live_sets if live]
+            # per field, the scalar its superlevel sets share, from which
+            # its gradient norms are derived too
+            return [b.scalar(sets[0]) for sets in level_sets]
 
         def report(cols) -> CheckReport:
-            cols = iter(cols)
             reports = []
-            for i, (phi, live) in enumerate(zip(catalog, live_sets)):
-                vals = np.zeros(64)
-                errs = np.zeros(64)
-                if live:
-                    scalar = next(cols)
-                    lhs = integrate_grad(phi.grad_norm_from_scalar(scalar))
-                    ests = content_from_batch(
-                        scalar, [s.threshold for _, s in live], ladder)
-                    for (k, _), ce in zip(live, ests):
-                        vals[k] = ce.extrapolated.mean
-                        errs[k] = ce.extrapolated.std_err
-                else:
-                    # no superlevel set strictly inside: a constant field
-                    lhs = EstimateCI.exact(0.0)
+            for i, (phi, sets, scalar) in enumerate(zip(catalog, level_sets,
+                                                       cols)):
+                lhs = integrate_grad(phi.grad_norm_from_scalar(scalar))
+                ests = content_from_batch(
+                    scalar, [s.threshold for s in sets], ladder)
+                vals = np.array([ce.extrapolated.mean for ce in ests])
+                errs = np.array([ce.extrapolated.std_err for ce in ests])
                 # contents at nearby levels share the stream, so errors are
                 # summed rather than combined as a root sum of squares
                 rhs = EstimateCI(float(vals.mean()), float(errs.mean()),
@@ -1333,7 +1335,7 @@ def paouris_tail_plan(p: float, n: int, t_grid) -> CellPlan:
     name = "check_paouris_tail"
 
     def grading(held):
-        thresholds = np.quantile(c_np * held[0], levels)
+        thresholds = _sorted_quantiles(c_np * held[0], levels)
 
         def report(cols) -> CheckReport:
             tails = estimate_tail(c_np * cols[0], thresholds)

@@ -50,18 +50,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LogConcave1D:
-    """A one-dimensional measure given by log-density, CDF and quantile.
-
-    ``log_concave`` is False for the Gamma(shape, 1) instances with shape < 1,
-    whose density is log-convex near the origin; they share the container
-    so that one set of quantile and profile routines serves every law.
-    """
+    """A one-dimensional measure given by log-density, CDF and quantile."""
 
     name: str
     log_density: Callable
     cdf: Callable
     quantile: Callable
-    log_concave: bool = True
 
     def density(self, t):
         with np.errstate(over="ignore"):
@@ -173,8 +167,7 @@ def make_gamma(shape: float) -> LogConcave1D:
             raise ValueError(f"quantile level must be in (0,1), got {a!r}")
         return float(special.gammaincinv(shape, a))
 
-    return LogConcave1D(f"gamma_{shape:g}", log_density, cdf, quantile,
-                        log_concave=shape >= 1.0)
+    return LogConcave1D(f"gamma_{shape:g}", log_density, cdf, quantile)
 
 
 def make_exponential() -> LogConcave1D:

@@ -54,7 +54,6 @@ __all__ = [
     "content_from_batch",
     "TailPoint",
     "estimate_tail",
-    "MedianEstimate",
     "estimate_median_and_phi",
     "integrate_grad",
     "RARE_COUNT",
@@ -283,37 +282,21 @@ def estimate_tail(values, thresholds: Sequence[float]) -> list[TailPoint]:
     return out
 
 
-@dataclass(frozen=True)
-class MedianEstimate:
-    """Empirical median with an order-statistic confidence interval."""
-
-    value: float
-    ci_lo: float
-    ci_hi: float
-    n_samples: int
-
-
 def estimate_median_and_phi(values, h_grid: Sequence[float]
-                            ) -> tuple[MedianEstimate, list[TailPoint]]:
-    """Empirical median of a functional F over one batch and its upper-tail
-    curve phi(h) = P{F > median + h}, from the column of F over the batch;
-    each curve point's first field is the offset h.
+                            ) -> tuple[float, list[TailPoint]]:
+    """Empirical median of a functional F over one batch, as a float, and
+    its upper-tail curve phi(h) = P{F > median + h}, from the column of F
+    over the batch; each curve point's first field is the offset h.
     """
     vals = _column(values)
     count = vals.size
-    order = np.sort(vals)
-    med = 0.5 * (order[(count - 1) // 2] + order[count // 2])
-    half = 0.5 * count
-    delta = _CI_WIDTH * 0.5 * np.sqrt(count)
-    k_lo = max(0, int(np.floor(half - delta)))
-    k_hi = min(count - 1, int(np.ceil(half + delta)))
-    median = MedianEstimate(float(med), float(order[k_lo]), float(order[k_hi]),
-                            count)
+    mid = np.partition(vals, [(count - 1) // 2, count // 2])
+    med = float(0.5 * (mid[(count - 1) // 2] + mid[count // 2]))
     curve = []
     for h in h_grid:
         k = int((vals > med + float(h)).sum())
         curve.append(TailPoint(float(h), bernoulli_ci(k, count), k < RARE_COUNT))
-    return median, curve
+    return med, curve
 
 
 # ---------------------------------------------------------------------------

@@ -618,3 +618,24 @@ def test_a_run_imports_no_scipy(tmp_path):
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "0 []"
     assert len(os.listdir(tmp_path / "out")) == 2 * len(REGISTRY) + 1
+
+
+def test_held_out_thresholds_import_no_numpy_ma(tmp_path):
+    # the plans read thresholds off the sorted held-out columns; np.quantile
+    # and np.median would partition a copy and, through np.unique, import
+    # numpy.ma
+    cfg = tmp_path / "cell.cfg"
+    cfg.write_text("p_grid = 1.5\nn_grid = 3\nsamples = 2000\n")
+    argv = ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    for name in ("check_sz_tail", "check_paouris_tail",
+                 "check_sz_concentration", "check_coarea"):
+        argv += ["--experiment", name]
+    code = ("import sys\n"
+            "from isoplab.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, 'numpy.ma' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "0 False"
+    assert len(os.listdir(tmp_path / "out")) == 2 * 4 + 1

@@ -14,7 +14,6 @@ from scipy.integrate import quad
 
 from isoplab import geometry
 from isoplab.fields import (
-    ConstantField,
     CutoffH1Field,
     CutoffH2Field,
     DirectionalFunctional,
@@ -918,16 +917,6 @@ def test_value_and_grad_matches_on_the_chain_composition(p):
     assert np.any(ref != 0.0)
     assert _same_bits(chain.grad(Z), ref)
     assert _same_bits(chain(Z), g(Z) * h2(Z))
-
-
-def test_constant_field():
-    c = ConstantField(3, 0.25)
-    X = np.zeros((5, 3))
-    np.testing.assert_array_equal(c(X), 0.25)
-    np.testing.assert_array_equal(c.grad(X), 0.0)
-    assert c.superlevel(0.1) is None
-    with pytest.raises(ValueError):
-        ConstantField(3, 1.5)
 
 
 def test_functional_catalog():

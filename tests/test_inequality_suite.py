@@ -17,7 +17,6 @@ import isoplab.fields
 import isoplab.geometry
 import isoplab.inequality_suite
 from isoplab.fields import (
-    ConstantField,
     CutoffH1Field,
     CutoffH2Field,
     DistanceRamp,
@@ -50,6 +49,7 @@ from isoplab.inequality_suite import (
     CheckReport,
     ConcentrationCurve,
     _default_plateau_catalog,
+    _sorted_quantiles,
     InequalityReport,
     check_barthe_dimensional,
     check_bobkov_inequality,
@@ -385,6 +385,19 @@ def test_sz_concentration_shape():
     assert all(r.verdict == PASS and r.rhs == 1.0 for r in below)
 
 
+def test_sorted_quantiles_equal_numpy_linear_quantiles():
+    # the held-out thresholds come off the sorted column: the bits of
+    # np.quantile's linear method, ties and one- and two-point columns too
+    rng = np.random.default_rng(5)
+    levels = [1e-9, 0.01, 0.25, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-12]
+    for count in (1, 2, 3, 10, 999, 4096):
+        for col in (rng.standard_normal(count),
+                    rng.integers(0, 4, count).astype(float)):
+            col = np.sort(col)
+            assert _sorted_quantiles(col, levels) == \
+                np.quantile(col, levels).tolist(), count
+
+
 # two row blocks and a partial one of the n = 3 streams
 STREAM_COUNT = 2 * BLOCK_ROWS + 17
 
@@ -491,8 +504,8 @@ def test_streamed_lemma4_equals_the_batch_recipe(p):
 
 def test_sz_concentration_rejects_constant_functionals():
     with pytest.raises(ValueError):
-        check_sz_concentration(2.0, 3, ConstantField(3, 0.3), [0.5],
-                               count=2000, seed=0)
+        check_sz_concentration(2.0, 3, lambda X: np.full(len(X), 0.3),
+                               [0.5], count=2000, seed=0)
 
 
 def test_concentration_curve_p1_closed_form():
@@ -680,15 +693,6 @@ def test_coarea_default_catalog():
     assert rep.verdicts()[FAIL] == 0
 
 
-def test_coarea_constant_field_row():
-    rep = check_coarea(2.0, 2, phi_catalog=[ConstantField(2, 0.4)],
-                       count=1000, seed=23)
-    row = rep.reports[0]
-    assert row.lhs.mean == 0.0
-    assert row.rhs == 0.0
-    assert row.verdict == PASS
-
-
 def _loop_content_mean(batch, set_, ladder) -> float:
     # extrapolated content with rung counts from a per-rung indicator loop
     X = batch.points
@@ -710,7 +714,8 @@ def test_coarea_rhs_matches_per_level_indicator_loop(catalog):
     if catalog == "default":
         # the radial radii are quantiles of the held-out stream's |x|_2
         held_out = _stream_batch(sample_ball, params, count, seed, HELD_OUT)
-        phis = _default_plateau_catalog(params, lp_norm(held_out.points, 2.0))
+        phis = _default_plateau_catalog(
+            params, np.sort(lp_norm(held_out.points, 2.0)))
         rep = check_coarea(p, n, None, count, seed)
     else:
         phis = [DistanceRamp(coordinate_half_space(params, 0.5), n, 0.05, 0.2),

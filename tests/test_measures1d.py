@@ -131,14 +131,10 @@ def test_log_concavity_of_the_main_families():
 
 
 def test_gamma_below_shape_one_is_log_convex_near_zero():
-    # Gamma(1/p, 1) with p > 1 genuinely fails the midpoint test; the
-    # instances carry log_concave=False to record that
+    # Gamma(1/p, 1) with p > 1 genuinely fails the midpoint test
     for p in (1.25, 1.5, 2.0):
         g = make_gamma(1.0 / p)
-        assert not g.log_concave
         assert not _midpoint_log_concavity_holds(g, np.linspace(1e-3, 6.0, 41))
-    assert make_gamma(1.0).log_concave
-    assert make_gamma(3.0).log_concave
 
 
 def test_profile_of_two_sided_exponential_is_min_a_1ma():

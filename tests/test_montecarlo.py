@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from isoplab.fields import (
-    ConstantField,
     CutoffH1Field,
     CutoffH2Field,
     DistanceRamp,
@@ -422,8 +421,7 @@ def test_median_of_radius_on_the_disc():
     med, curve = estimate_median_and_phi(_column(F, batch.points),
                                          [0.0, 0.1])
     # P{|x| <= t} = t^2, so the median radius is 1/sqrt(2)
-    assert med.ci_lo <= 2.0 ** -0.5 <= med.ci_hi
-    assert abs(med.value - 2.0 ** -0.5) < 0.01
+    assert abs(med - 2.0 ** -0.5) < 0.01
     assert abs(curve[0].estimate.mean - 0.5) < 0.01  # phi(0) ~ 1/2
     assert curve[1].estimate.mean < 0.5
 
@@ -445,7 +443,7 @@ def _every_field_class(p, n):
     xi[0] = 1.0
     ramp = LinearRamp(xi, 0.0, 0.3)
     h1 = CutoffH1Field(p, n)
-    on_ball = [ConstantField(n, 0.5), ramp, RadialRamp(n, 0.3, 0.7),
+    on_ball = [ramp, RadialRamp(n, 0.3, 0.7),
                DistanceRamp(HalfSpace(xi, 0.2), n, 0.05, 0.1),
                DistanceRamp(BallComplement(0.6), n, 0.05, 0.1), h1,
                ProductField(ramp, h1)]
@@ -471,7 +469,9 @@ def test_grad_mass_is_the_mean_of_whole_batch_gradient_norms(p):
 
 def test_integrate_grad_drops_zero_gradient_fields():
     batch = sample_ball(PBallParams(2.0, 2), 500, seed=41)
-    est = integrate_grad(_grad_norms(ConstantField(2, 0.5), batch.points))
+    # flat on the ball: <x, e1> <= 1 < 2
+    flat = LinearRamp(np.array([1.0, 0.0]), 2.0, 3.0)
+    est = integrate_grad(_grad_norms(flat, batch.points))
     assert est.mean == 0.0
 
 

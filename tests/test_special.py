@@ -245,8 +245,6 @@ def test_log_gamma_family_matches_scipy():
         x = float(x)
         want = float(special.gammaln(x))
         assert abs(_special.gammaln(x) - want) <= _tol(x) * max(1.0, abs(want)), x
-        if x < 170.0:
-            assert _rel(_special.gamma(x), float(special.gamma(x))) <= 1e-13, x
     for p in P_GRID:
         for n in N_GRID:
             b = (n - 1.0) / p + 1.0
@@ -277,9 +275,6 @@ def test_gammaln_keeps_relative_accuracy_next_to_its_zeros():
 def test_edges_of_the_log_gamma_family():
     assert _special.gammaln(0.0) == math.inf
     assert _special.gammaln(-2.0) == math.inf
-    assert _special.gamma(0.0) == math.inf
-    assert math.isnan(_special.gamma(-2.0))
-    assert _special.gamma(200.0) == math.inf
     assert _special.xlogy(0.0, 0.0) == 0.0
     assert math.isnan(_special.xlogy(0.0, math.nan))
     assert _special.xlogy(2.0, 0.0) == -math.inf
