@@ -16,7 +16,6 @@ cfg_text = """
 experiments = check_theorem1, check_kls
 p_grid = 1, 2
 n_grid = 2, 4
-a_grid = 0.1, 0.25, 0.5
 samples = 2000
 seed = 42
 out_dir = lab_out

@@ -17,9 +17,11 @@ errors (unknown check or key, malformed config, a grid or seed value the
 checks reject, empty selection, bad out dir).
 
 Config files use ``key = value`` lines with ``#`` comments; list values
-are comma-separated.  r_grid entries are multipliers of the boundary-layer
-width n^{-(2-p)/(2p)}; t_grid entries are quantile levels.  Every boundary
-content is estimated on ``inequality_suite.default_eps_ladder(p, n)``.
+are comma-separated.  A run is set by its (p, n, samples) grid: the set
+measures ``A_GRID``, the quantile levels ``T_GRID`` and the radii
+``R_GRID`` (multipliers of the boundary-layer width n^{-(2-p)/(2p)}) are
+module constants.  Every boundary content is estimated on
+``inequality_suite.default_eps_ladder(p, n)``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ from .montecarlo import FAIL
 
 LEMMA5_EPS = (0.05, 0.1, 0.2)
 LEMMA5_N = (4, 16)
+A_GRID = (0.1, 0.25, 0.5)  # set measures
+T_GRID = (0.5, 0.75, 0.9)  # quantile levels of the tail thresholds
+R_GRID = (0.5, 1.0, 2.0)  # radii, in units of n^{-(2-p)/(2p)}
 
 
 class ConfigError(ValueError):
@@ -51,26 +56,23 @@ class RunConfig:
     experiments: list = field(default_factory=list)  # empty = all checks
     p_grid: list = field(default_factory=lambda: [1.0, 1.5, 2.0])
     n_grid: list = field(default_factory=lambda: [2, 4])
-    a_grid: list = field(default_factory=lambda: [0.1, 0.25, 0.5])
-    t_grid: list = field(default_factory=lambda: [0.5, 0.75, 0.9])
-    r_grid: list = field(default_factory=lambda: [0.5, 1.0, 2.0])
     samples: int = 5000
     seed: int = 20260817
     threads: int = 1
     out_dir: str = "lab_out"
 
     def selected(self) -> list:
-        return list(self.experiments) if self.experiments else sorted(REGISTRY)
+        # a check named twice runs once, in first-seen order
+        if self.experiments:
+            return list(dict.fromkeys(self.experiments))
+        return sorted(REGISTRY)
 
     def validate(self):
         for name in self.experiments:
             if name not in REGISTRY:
                 raise ConfigError(f"unknown check {name!r}; "
                                   f"--list shows the available names")
-        if self.experiments == [] and "experiments" in getattr(
-                self, "_explicit", ()):
-            raise ConfigError("no experiments selected")
-        for grid_name in ("p_grid", "n_grid", "a_grid", "t_grid", "r_grid"):
+        for grid_name in ("p_grid", "n_grid"):
             if not getattr(self, grid_name):
                 raise ConfigError(f"{grid_name} must not be empty")
         for p in self.p_grid:
@@ -79,12 +81,6 @@ class RunConfig:
         for n in self.n_grid:
             if n < 1:
                 raise ConfigError(f"n = {n} must be a positive integer")
-        try:
-            iq._validate_levels(self.a_grid, "a_grid")
-            iq._quantile_levels(self.t_grid, "t_grid")
-            iq._radii(self.r_grid)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if self.samples < 1000:
@@ -97,14 +93,13 @@ class RunConfig:
 # config file parsing
 # ---------------------------------------------------------------------------
 
-_LIST_KEYS = {"experiments", "p_grid", "n_grid", "a_grid", "t_grid", "r_grid"}
+_LIST_KEYS = {"experiments", "p_grid", "n_grid"}
 _INT_KEYS = {"samples", "seed", "threads"}
 _STR_KEYS = {"out_dir"}
 
 
 def parse_config(text: str) -> RunConfig:
     cfg = RunConfig()
-    explicit = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -114,9 +109,12 @@ def parse_config(text: str) -> RunConfig:
                               f"got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        explicit.add(key)
         if key in _LIST_KEYS:
             items = [v.strip() for v in value.split(",") if v.strip()]
+            # an empty list is an error: as "experiments =" it would
+            # otherwise read as "every check"
+            if not items:
+                raise ConfigError(f"line {lineno}: {key} has no items")
             if key == "experiments":
                 parsed = items
             elif key == "n_grid":
@@ -130,7 +128,6 @@ def parse_config(text: str) -> RunConfig:
             setattr(cfg, key, value)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    cfg._explicit = explicit
     return cfg
 
 
@@ -159,39 +156,37 @@ def _scaled(grid, p, n) -> list:
     return [m * w for m in grid]
 
 
-def _default_sets(p, n, a_grid) -> list:
+def _default_sets(p, n) -> list:
     params = PBallParams(p, n)
-    return [coordinate_half_space(params, a) for a in a_grid]
+    return [coordinate_half_space(params, a) for a in A_GRID]
 
 
 def _run_theorem1(cfg, p, n):
-    return iq.theorem1_plan(p, n, cfg.a_grid)
+    return iq.theorem1_plan(p, n, A_GRID)
 
 
 def _run_product(cfg, p, n):
-    return iq.check_product_isoperimetry(p, n, cfg.a_grid)
+    return iq.check_product_isoperimetry(p, n, A_GRID)
 
 
 def _run_bobkov(cfg, p, n):
-    return iq.bobkov_plan(p, n, _default_sets(p, n, cfg.a_grid),
-                          _scaled(cfg.r_grid, p, n))
+    return iq.bobkov_plan(p, n, _default_sets(p, n), _scaled(R_GRID, p, n))
 
 
 def _run_barthe(cfg, p, n):
-    return iq.barthe_plan(p, n, _default_sets(p, n, cfg.a_grid),
-                          _scaled(cfg.r_grid, p, n))
+    return iq.barthe_plan(p, n, _default_sets(p, n), _scaled(R_GRID, p, n))
 
 
 def _run_sz_tail(cfg, p, n):
-    return iq.sz_tail_plan(p, n, cfg.t_grid)
+    return iq.sz_tail_plan(p, n, T_GRID)
 
 
 def _run_sz_concentration(cfg, p, n):
-    return iq.sz_concentration_plan(p, n, "coordinate", cfg.t_grid)
+    return iq.sz_concentration_plan(p, n, "coordinate", T_GRID)
 
 
 def _run_concentration(cfg, p, n):
-    return iq.concentration_report(p, n, cfg.a_grid)
+    return iq.concentration_report(p, n, A_GRID)
 
 
 def _run_lemma4(cfg, p, n):
@@ -214,10 +209,7 @@ def _run_equivalence(cfg, p, n):
 
 
 def _run_l2_form(cfg, p, n):
-    grid = [a for a in cfg.a_grid if 0.0 < a < 0.5]
-    if not grid:
-        return iq.CheckReport("check_l2_form", (), {})
-    return iq.l2_form_plan(p, n, grid)
+    return iq.l2_form_plan(p, n, [a for a in A_GRID if a < 0.5])
 
 
 def _run_chain(cfg, p, n):
@@ -229,11 +221,11 @@ def _run_isotropy(cfg, p, n):
 
 
 def _run_kls(cfg, p, n):
-    return iq.check_kls(p, n, cfg.a_grid)
+    return iq.check_kls(p, n, A_GRID)
 
 
 def _run_paouris(cfg, p, n):
-    return iq.paouris_tail_plan(p, n, cfg.t_grid)
+    return iq.paouris_tail_plan(p, n, T_GRID)
 
 
 REGISTRY = {
@@ -462,12 +454,8 @@ def build_config(argv) -> RunConfig:
         cfg.samples = args.samples
     if args.threads is not None:
         cfg.threads = args.threads
-    # flag, then LAB_OUT_DIR, then the config key
-    env_dir = os.environ.get("LAB_OUT_DIR")
     if args.out_dir is not None:
         cfg.out_dir = args.out_dir
-    elif env_dir:
-        cfg.out_dir = env_dir
     return cfg
 
 

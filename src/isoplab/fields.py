@@ -190,7 +190,7 @@ class DistanceRamp(_Field):
     ramping to 0 across the shell r < dist <= r + s."""
 
     def __init__(self, set_, dim: int, r: float, s: float):
-        if r < 0.0 or s <= 0.0:
+        if not (r >= 0.0 and s > 0.0):
             raise ValueError("distance ramp needs r >= 0 and s > 0")
         self.set_ = set_
         self.dim = dim

@@ -788,11 +788,11 @@ def concentration_from_isoperimetry(c: float, p: float, n: int,
     Raises RuntimeError if psi exceeds the bound by more than 1e-6 relative
     slack anywhere (it cannot, by concavity of t -> t^{1/p}).
     """
-    if c <= 0.0:
+    if not c > 0.0:
         raise ValueError("profile constant c must be positive")
     PBallParams(p, n)
     u_grid = np.asarray([float(u) for u in u_grid])
-    if u_grid.size == 0 or np.any(u_grid <= 0.0) or np.any(u_grid > 0.5):
+    if u_grid.size == 0 or not np.all((u_grid > 0.0) & (u_grid <= 0.5)):
         raise ValueError("u grid must lie in (0, 1/2]")
     # log^{1/p}(1/u) - log^{1/p} 2 with d = log(1/2u) factored out, so that
     # psi(1/2) = 0 exactly and nothing cancels near u = 1/2
@@ -879,7 +879,7 @@ def lemma4_plan(p: float, n: int) -> CellPlan:
 
 def lemma5_constant(A: float, alpha: float) -> float:
     """C(A, alpha) = e/(1-alpha) * [A Gamma(1-alpha)]^{1/(1-alpha)}."""
-    if A <= 0.0 or not 0.0 <= alpha < 1.0:
+    if not A > 0.0 or not 0.0 <= alpha < 1.0:
         raise ValueError("need A > 0 and alpha in [0, 1)")
     return float(math.e / (1.0 - alpha)
                  * (A * math.gamma(1.0 - alpha)) ** (1.0 / (1.0 - alpha)))
@@ -902,7 +902,7 @@ def check_lemma5(p: float, N: int, eps_grid) -> CheckReport:
     if N < 1:
         raise ValueError("N must be positive")
     eps_grid = [float(e) for e in eps_grid]
-    if any(e <= 0.0 for e in eps_grid):
+    if any(not e > 0.0 for e in eps_grid):
         raise ValueError("eps grid must be positive")
     alpha = 1.0 - 1.0 / p
     c_bound = lemma5_constant(1.0 / math.gamma(1.0 / p), alpha)
@@ -1030,7 +1030,7 @@ def functional_equivalence_plan(p: float, n: int, set_, r: float,
                                 s: float) -> CellPlan:
     """The plan of ``check_functional_equivalence``."""
     params = PBallParams(p, n)
-    if r <= 0.0 or s <= 0.0:
+    if not (r > 0.0 and s > 0.0):
         raise ValueError("enlargement offsets r, s must be positive")
     name = "check_functional_equivalence"
     rungs = [DistanceRamp(set_, n, r * 4 ** j, s * 2 ** j) for j in (3, 2, 1, 0)]

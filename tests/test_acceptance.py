@@ -271,12 +271,10 @@ def test_c11_byte_identical_runs(tmp_path):
     outs = []
     for sub in ("one", "two"):
         out = tmp_path / sub
-        env = dict(os.environ)
-        env.pop("LAB_OUT_DIR", None)
         res = subprocess.run(
             [sys.executable, "-m", "isoplab", "--threads", "1",
              "--out-dir", str(out)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         outs.append(out)
     names = sorted(os.listdir(outs[0]))

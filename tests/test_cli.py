@@ -16,7 +16,10 @@ import pytest
 from isoplab import geometry
 from isoplab import inequality_suite as iq
 from isoplab.cli import (
+    A_GRID,
+    R_GRID,
     REGISTRY,
+    T_GRID,
     ConfigError,
     RunConfig,
     _jobs,
@@ -31,8 +34,7 @@ from isoplab.geometry import PBallParams, coordinate_half_space
 
 def _run_cli(args, env_extra=None, cwd=None):
     env = dict(os.environ)
-    # a user's shell: no out dir, and BLAS threads left to isoplab
-    env.pop("LAB_OUT_DIR", None)
+    # a user's shell: BLAS threads left to isoplab
     env.pop("OPENBLAS_NUM_THREADS", None)
     if env_extra:
         env.update(env_extra)
@@ -50,7 +52,6 @@ def test_parse_config_full_grammar():
 experiments = check_kls, check_theorem1
 p_grid = 1, 2   # trailing comment
 n_grid = 2,4,8
-a_grid = 0.1, 0.5
 samples = 2000
 seed = 7
 out_dir = somewhere
@@ -58,12 +59,9 @@ out_dir = somewhere
     assert cfg.experiments == ["check_kls", "check_theorem1"]
     assert cfg.p_grid == [1.0, 2.0]
     assert cfg.n_grid == [2, 4, 8]
-    assert cfg.a_grid == [0.1, 0.5]
     assert cfg.samples == 2000
     assert cfg.seed == 7
     assert cfg.out_dir == "somewhere"
-    assert "p_grid" in cfg._explicit
-    assert "t_grid" not in cfg._explicit
 
 
 def test_parse_config_error_positions():
@@ -87,9 +85,10 @@ def test_readme_config_block_parses_and_validates():
     readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
     block, = [b for b in readme.read_text().split("```")[1::2]
               if b.lstrip().startswith("experiments =")]
-    cfg = parse_config(block)
-    cfg.validate()
-    assert cfg._explicit == {f.name for f in dataclasses.fields(RunConfig)}
+    parse_config(block).validate()
+    keys = {line.split("#", 1)[0].partition("=")[0].strip()
+            for line in block.splitlines() if line.split("#", 1)[0].strip()}
+    assert keys == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_validate_rejects_unknown_check():
@@ -99,9 +98,12 @@ def test_validate_rejects_unknown_check():
 
 
 def test_validate_rejects_explicit_empty_selection():
-    cfg = parse_config("experiments =\n")
-    with pytest.raises(ConfigError, match="no experiments selected"):
-        cfg.validate()
+    with pytest.raises(ConfigError, match="line 2: experiments has no items"):
+        parse_config("seed = 1\nexperiments =\n")
+    # so does every other list key
+    for key in ("p_grid", "n_grid"):
+        with pytest.raises(ConfigError, match=f"line 1: {key} has no items"):
+            parse_config(f"{key} = ,\n")
     # an absent key means "run everything" instead
     RunConfig().validate()
 
@@ -115,23 +117,20 @@ def test_validate_grids_and_scalars():
         RunConfig(samples=10).validate()
     with pytest.raises(ConfigError, match="threads must be at least 1"):
         RunConfig(threads=0).validate()
-    with pytest.raises(ConfigError, match="a_grid must not be empty"):
-        RunConfig(a_grid=[]).validate()
-    # the checks' own rules: levels in (0, 1/2], quantile levels in (0, 1),
-    # positive radii, a seed >= 0
-    for bad, message in [
-            (dict(a_grid=[0.7]), "a_grid must be a nonempty subset"),
-            (dict(a_grid=[0.5, float("nan")]), "a_grid must be a nonempty"),
-            (dict(t_grid=[1.5]), "t_grid entries are quantile levels"),
-            (dict(r_grid=[-1.0]), "r_grid entries must be positive"),
-            (dict(seed=-1), "seed must be a non-negative integer")]:
-        with pytest.raises(ConfigError, match=message):
-            RunConfig(**bad).validate()
+    with pytest.raises(ConfigError, match="p_grid must not be empty"):
+        RunConfig(p_grid=[]).validate()
+    with pytest.raises(ConfigError, match="seed must be a non-negative"):
+        RunConfig(seed=-1).validate()
 
 
 def test_selected_defaults_to_every_check():
     assert RunConfig().selected() == sorted(REGISTRY)
     assert len(REGISTRY) == 16
+
+
+def test_selected_drops_repeats_in_first_seen_order():
+    cfg = RunConfig(experiments=["check_kls", "check_coarea", "check_kls"])
+    assert cfg.selected() == ["check_kls", "check_coarea"]
 
 
 def test_list_checks_is_alphabetized():
@@ -184,8 +183,10 @@ def test_run_summary_schema(tmp_path):
     run(cfg)
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["exit_code"] == 0
-    assert "out_dir" not in summary["config"]
-    assert "threads" not in summary["config"]
+    # the grid, the sample count and the seed set a run; out_dir and
+    # threads do not change its rows, and the a, t and r grids are constants
+    assert set(summary["config"]) == {"experiments", "n_grid", "p_grid",
+                                      "samples", "seed"}
     assert summary["config"]["experiments"] == ["check_kls",
                                                 "isotropy_constants"]
     kls = summary["checks"]["check_kls"]
@@ -360,8 +361,8 @@ def _direct_check(name, cfg, p, n):
     """The CLI's job (name, p, n) as a direct check_* call."""
     params = PBallParams(p, n)
     w = n ** (-(2.0 - p) / (2.0 * p))
-    sets = [coordinate_half_space(params, a) for a in cfg.a_grid]
-    r_grid = [r * w for r in cfg.r_grid]
+    sets = [coordinate_half_space(params, a) for a in A_GRID]
+    r_grid = [r * w for r in R_GRID]
     count, seed = cfg.samples, cfg.seed
     calls = {
         "check_barthe_dimensional": lambda: iq.check_barthe_dimensional(
@@ -374,14 +375,13 @@ def _direct_check(name, cfg, p, n):
                 p, n, coordinate_half_space(params, 0.5), 0.0025 * w,
                 0.05 * w, count, seed),
         "check_l2_form": lambda: iq.check_l2_form(
-            p, n, [a for a in cfg.a_grid if a < 0.5], count, seed),
+            p, n, [a for a in A_GRID if a < 0.5], count, seed),
         "check_lemma4": lambda: iq.check_lemma4(p, n, count, seed),
         "check_paouris_tail": lambda: iq.check_paouris_tail(
-            p, n, cfg.t_grid, count, seed),
+            p, n, T_GRID, count, seed),
         "check_sz_concentration": lambda: iq.check_sz_concentration(
-            p, n, "coordinate", cfg.t_grid, count, seed),
-        "check_sz_tail": lambda: iq.check_sz_tail(p, n, cfg.t_grid, count,
-                                                  seed),
+            p, n, "coordinate", T_GRID, count, seed),
+        "check_sz_tail": lambda: iq.check_sz_tail(p, n, T_GRID, count, seed),
         "verify_cutoff_chain": lambda: iq.verify_cutoff_chain(p, n, count,
                                                               seed),
     }
@@ -407,6 +407,25 @@ def test_sampled_rows_do_not_depend_on_the_selection(tmp_path):
             for row in _direct_check(name, cfg, p, n).reports])
         assert direct.read_bytes() == \
             (tmp_path / "all" / f"{name}.csv").read_bytes(), name
+
+
+def test_repeated_experiment_writes_the_single_selection_bytes(tmp_path):
+    # a check named twice, by flag or in the config's list, runs once: it
+    # wrote every row twice, and a sampled check ran its plan twice per cell
+    once = ["--experiment", "check_kls", "--experiment", "check_sz_tail"]
+    twice = once + once
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("experiments = check_kls, check_sz_tail, check_kls\n")
+    for out, args in (("once", once), ("flags", twice),
+                      ("config", ["--config", str(cfg)])):
+        assert main(args + ["--out-dir", str(tmp_path / out)]) == 0
+    names = sorted(os.listdir(tmp_path / "once"))
+    assert len(names) == 5
+    for out in ("flags", "config"):
+        assert sorted(os.listdir(tmp_path / out)) == names
+        for name in names:
+            assert (tmp_path / out / name).read_bytes() == \
+                (tmp_path / "once" / name).read_bytes(), (out, name)
 
 
 def test_lemma5_rows_do_not_depend_on_seed_or_samples(tmp_path):
@@ -456,10 +475,8 @@ def test_cli_bad_values_exit_three(tmp_path, capsys):
     # know, through the same main()
     cases = [(["--seed", "-1"], "seed must be a non-negative integer")]
     for line, message in [
-            ("a_grid = 0.7", "a_grid must be a nonempty subset"),
-            ("a_grid = 0.5, nan", "a_grid must be a nonempty subset"),
-            ("t_grid = 1.5", "t_grid entries are quantile levels"),
-            ("r_grid = -1", "r_grid entries must be positive"),
+            ("p_grid = 1, nan", "p = nan outside [1, 2]"),
+            ("experiments =", "line 1: experiments has no items"),
             ("eps_ladder = 0.1, 0.05", "line 1: unknown key 'eps_ladder'"),
             ("big_c = 4", "line 1: unknown key 'big_c'")]:
         cfg = tmp_path / f"bad{len(cases)}.cfg"
@@ -468,6 +485,18 @@ def test_cli_bad_values_exit_three(tmp_path, capsys):
     for args, message in cases:
         assert main(args + out) == 3, args
         assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["a_grid", "t_grid", "r_grid"])
+def test_cli_constant_grid_keys_exit_three(key, tmp_path, capsys):
+    # the set measures, quantile levels and radii are cli.A_GRID, T_GRID
+    # and R_GRID, not config keys
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"seed = 1\n{key} = 0.5\n")
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "x")]) == 3
+    assert f"config error: line 2: unknown key '{key}'" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_missing_config_exits_three(tmp_path):
@@ -508,34 +537,27 @@ def test_cli_exit_two_on_confident_violation(tmp_path, monkeypatch):
 
 
 def test_cli_out_dir_precedence(tmp_path):
-    env_dir = tmp_path / "from_env"
-    res = _run_cli(["--experiment", "isotropy_constants"],
-                   env_extra={"LAB_OUT_DIR": str(env_dir)})
-    assert res.returncode == 0
-    assert (env_dir / "summary.json").exists()
-    # an explicit flag beats the environment
-    flag_dir = tmp_path / "from_flag"
-    res = _run_cli(["--experiment", "isotropy_constants",
-                    "--out-dir", str(flag_dir)],
-                   env_extra={"LAB_OUT_DIR": str(tmp_path / "ignored")})
-    assert res.returncode == 0
-    assert (flag_dir / "summary.json").exists()
-    assert not (tmp_path / "ignored").exists()
-    # the environment beats a config key, which beats the default
+    # the flag beats the config key, which beats the default; a
+    # LAB_OUT_DIR in the environment, once read between them, is ignored
+    ignored = {"LAB_OUT_DIR": str(tmp_path / "ignored")}
     config_dir = tmp_path / "from_config"
     cfg = tmp_path / "out.cfg"
     cfg.write_text("experiments = isotropy_constants\n"
                    f"out_dir = {config_dir}\n")
-    over_config = tmp_path / "env_over_config"
-    res = _run_cli(["--config", str(cfg)],
-                   env_extra={"LAB_OUT_DIR": str(over_config)}, cwd=tmp_path)
+    flag_dir = tmp_path / "from_flag"
+    res = _run_cli(["--config", str(cfg), "--out-dir", str(flag_dir)],
+                   env_extra=ignored, cwd=tmp_path)
     assert res.returncode == 0
-    assert (over_config / "summary.json").exists()
+    assert (flag_dir / "summary.json").exists()
     assert not config_dir.exists()
-    res = _run_cli(["--config", str(cfg)], cwd=tmp_path)
+    res = _run_cli(["--config", str(cfg)], env_extra=ignored, cwd=tmp_path)
     assert res.returncode == 0
     assert (config_dir / "summary.json").exists()
-    assert not (tmp_path / "lab_out").exists()
+    res = _run_cli(["--experiment", "isotropy_constants"],
+                   env_extra=ignored, cwd=tmp_path)
+    assert res.returncode == 0
+    assert (tmp_path / "lab_out" / "summary.json").exists()
+    assert not (tmp_path / "ignored").exists()
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])

@@ -24,7 +24,6 @@ def test_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
-    env.pop("LAB_OUT_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     res = subprocess.run([sys.executable, str(demo)], capture_output=True,

@@ -618,7 +618,7 @@ def test_operator_norm_bound_holds_on_product_samples(p):
     assert abs(bounds[17] - res.lemma1_bound) < 1e-12
 
 
-def _explicit_jacobian(z, p):
+def _dense_jacobian(z, p):
     # DT(z) = ([I|0] - x w^T / |z|_p^p) / |z|_p, w_i = sign(z_i)|z_i|^(p-1)
     n = z.size - 1
     nz = np.sum(np.abs(z) ** p) ** (1.0 / p)
@@ -636,7 +636,7 @@ def test_operator_norm_closed_form_matches_svd(p, n):
         Z[2, 0] = 0.0              # zero coordinates, where w = sign(z) = 0
         Z[3, -1] = 0.0
     ops, bounds = jacobian_op_norms(Z, p)
-    svd = np.array([np.linalg.svd(_explicit_jacobian(z, p),
+    svd = np.array([np.linalg.svd(_dense_jacobian(z, p),
                                   compute_uv=False)[0] for z in Z])
     np.testing.assert_allclose(ops, svd, rtol=1e-12, atol=0.0)
     assert np.all(ops <= bounds + 1e-9)

@@ -821,6 +821,28 @@ def test_functional_equivalence_offset_validation():
                                      count=100, seed=0)
 
 
+_HS = coordinate_half_space(PBallParams(1.5, 3), 0.5)
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_functional_equivalence(1.5, 3, _HS, NAN, 0.05, 2000, 1),
+    lambda: check_functional_equivalence(1.5, 3, _HS, 0.0025, NAN, 2000, 1),
+    lambda: concentration_from_isoperimetry(NAN, 2.0, 4, [0.1]),
+    lambda: concentration_from_isoperimetry(1.0, 2.0, 4, [0.1, NAN]),
+    lambda: check_lemma5(1.0, 4, [0.05, NAN]),
+    lambda: lemma5_constant(NAN, 0.3),
+    lambda: DistanceRamp(_HS, 3, NAN, 0.1),
+    lambda: DistanceRamp(_HS, 3, 0.0, NAN),
+], ids=["equivalence_r", "equivalence_s", "concentration_c",
+        "concentration_u", "lemma5_eps", "lemma5_constant_A",
+        "distance_ramp_r", "distance_ramp_s"])
+def test_nan_arguments_raise(call):
+    # NaN compares false either way, so each guard reads "not x > 0"
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_l2_form_levels_and_verdicts():
     with pytest.raises(ValueError):
         check_l2_form(2.0, 4, [0.5], count=100, seed=0)
