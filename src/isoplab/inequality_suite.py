@@ -24,22 +24,28 @@ Conventions shared by all checks:
   checks (check_product_isoperimetry, check_lemma5, check_kls, and
   check_theorem1 on its default sets) draw nothing.  Reports are
   reproducible bit for bit;
-* columns, never batches: a cell reads each stream block by block in one
-  ``map_row_blocks`` pass over its plans' column functions, and keeps
-  only per-point columns of count values (set scalars, |x|_2, |z|_p,
-  link terms), from which every row is estimated.  A value several plans
-  read is computed once per block and stored once, and a value a report
-  can form from the columns is not a column: a ramp's gradient norms are
-  derived from its sets' scalar (``grad_norm_from_scalar``), one
-  transient column at a time.  The memory is those columns plus one
-  block, whatever n is.
+* summaries, never batches: a cell reads each stream block by block and
+  folds every block into what its plans keep.  The held-out pass keeps
+  columns, sorted once, because the thresholds placed on it are order
+  statistics.  The grading pass keeps per-block summaries (see
+  ``montecarlo``): integer counts at thresholds fixed before it
+  (``Tally``: content rungs, tails, set and ball masses, Lemma 4) or in
+  flags (the chain's plateau and Jacobian-scan counts), and moments
+  merged in row order (``MomentSum``, ``GradSum``: the chain's links, the
+  gradient masses and the L2 form).  So a cell's memory does not grow
+  with its count but for the two held-out columns, |x|_2 and the
+  sz-concentration functional, and one grading column, the functional
+  again: its median is an order statistic of the grading stream, and
+  placing it on the held-out stream instead would make each h = 0 row a
+  test at about 2 sigma.  A value several plans read is computed once per
+  block (``CellBlock``), and a ramp's gradient norms are derived from its
+  sets' scalar (``grad_norm_from_scalar``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -77,8 +83,12 @@ from .montecarlo import (
     INCONCLUSIVE,
     PASS,
     EstimateCI,
+    GradSum,
+    MomentSum,
+    Tally,
     bernoulli_ci,
     content_from_batch,
+    content_tally,
     estimate_measure,
     estimate_median_and_phi,
     estimate_tail,
@@ -208,7 +218,7 @@ def _scalar_key(set_) -> tuple:
 
 def scalar_groups(sets) -> list:
     """Indices of ``sets`` grouped by the one scalar each thresholds, in
-    order of first appearance; the sets of a group share one column and
+    order of first appearance; the sets of a group share one tally and
     one ``content_from_batch`` call."""
     groups = {}
     for k, set_ in enumerate(sets):
@@ -217,7 +227,7 @@ def scalar_groups(sets) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the (p, n) cell: two streams, the column passes over them, and the plans
+# the (p, n) cell: two streams, the passes over them, and the plans
 # ---------------------------------------------------------------------------
 
 # roles of a cell's streams
@@ -234,12 +244,13 @@ def cell_seed(seed: int, p: float, n: int, role: int) -> int:
 
 class CellBlock:
     """Rows lo, lo + 1, ... of a cell stream: product rows Z, their ball
-    points X = T(Z), and the per-row values several plans read, each
-    computed once per block."""
+    points X = T(Z) and norms zp = |z|_p from the draw, and the per-row
+    values several plans read, each computed once per block."""
 
-    def __init__(self, lo: int, Z: np.ndarray, X: np.ndarray, p: float):
-        self.lo, self.Z, self.X, self.p = lo, Z, X, p
+    def __init__(self, lo: int, Z: np.ndarray, X: np.ndarray, zp: np.ndarray):
+        self.lo, self.Z, self.X, self.zp = lo, Z, X, zp
         self._scalars = {}
+        self._sorted = {}
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -251,15 +262,22 @@ class CellBlock:
             self._scalars[key] = set_.scalar(self.X)
         return self._scalars[key]
 
+    def sorted(self, set_) -> np.ndarray:
+        """``scalar(set_)`` sorted, for every tally that counts it."""
+        key = _scalar_key(set_)
+        if key not in self._sorted:
+            self._sorted[key] = np.sort(self.scalar(set_))
+        return self._sorted[key]
+
     @property
     def norm2(self) -> np.ndarray:
         """|x|_2, the scalar of every ball complement."""
         return self.scalar(BallComplement(1.0))
 
-    @cached_property
-    def zp(self) -> np.ndarray:
-        """|z|_p."""
-        return lp_norm(self.Z, self.p)
+    @property
+    def sorted_norm2(self) -> np.ndarray:
+        """|x|_2 sorted."""
+        return self.sorted(BallComplement(1.0))
 
 
 def _norm2(b: CellBlock) -> tuple:
@@ -272,30 +290,34 @@ class CellPlan(NamedTuple):
     ``held_out`` holds functions of a held-out CellBlock, each returning a
     sequence of per-row values.  ``grading`` takes their columns, one per
     value in order, each sorted (a held-out column only places thresholds,
-    at its order statistics), and returns the plan's functions of a
-    grading CellBlock and its report: a function from those functions'
-    columns to the check's CheckReport.
+    at its order statistics), and returns the plan's ``fold`` and
+    ``report``: ``fold`` takes the grading CellBlocks in row order and
+    folds each into the plan's summaries (None when the plan reads no
+    grading rows), and ``report()`` makes the check's CheckReport from
+    them.  ``grading`` makes new summaries at each call, so a plan can run
+    on any number of cells.
     """
 
     held_out: tuple
     grading: Callable
 
 
-def _grading_plan(columns: tuple, report) -> CellPlan:
-    """A plan that reads no held-out columns."""
-    return CellPlan((), lambda held: (columns, report))
-
-
-def _cell_pass(params: PBallParams, count: int, seed: int, role: int,
-               plan_columns: list) -> list:
-    """Per plan, the columns of its functions from one ``map_row_blocks``
-    pass over the cell's stream in ``role``, which is drawn only when some
-    plan has a function.  An array that several functions return for a
-    block, such as a shared set scalar, is one column."""
-    if not any(plan_columns):
-        return [[] for _ in plan_columns]
+def _cell_pass(params: PBallParams, count: int, seed: int, role: int):
+    """The CellBlocks of one pass over the cell's stream in ``role``."""
     stream = product_ball_blocks(params, count,
                                  cell_seed(seed, params.p, params.n, role))
+    return (CellBlock(lo, Z, X, zp) for lo, (Z, X, zp) in stream)
+
+
+def _held_out_columns(params: PBallParams, count: int, seed: int,
+                      plan_columns: list) -> list:
+    """Per plan, the columns of its held-out functions from one
+    ``map_row_blocks`` pass over the cell's held-out stream, which is
+    drawn only when some plan has a function, each sorted once: plans
+    read order statistics off them.  An array that several functions
+    return for a block, such as a shared set scalar, is one column."""
+    if not any(plan_columns):
+        return [[] for _ in plan_columns]
     layout = []
 
     def union(block):
@@ -315,8 +337,10 @@ def _cell_pass(params: PBallParams, count: int, seed: int, role: int,
             raise ValueError("a block shares its columns unlike the first")
         return values
 
-    cols = map_row_blocks(union, ((lo, CellBlock(lo, Z, X, params.p))
-                                  for lo, (Z, X) in stream), count)
+    blocks = _cell_pass(params, count, seed, HELD_OUT)
+    cols = map_row_blocks(union, ((b.lo, b) for b in blocks), count)
+    for col in cols:
+        col.sort()
     return [[cols[k] for k in slots] for slots in layout]
 
 
@@ -324,22 +348,24 @@ def run_cell(p: float, n: int, plans, count: int, seed: int) -> list:
     """The CheckReport of each of ``plans`` on the (p, n) cell, every
     stream count points long.
 
-    One pass over the held-out stream fills every plan's held-out columns,
-    each sorted once, which its ``grading`` turns into thresholds, column
-    functions and a report; one pass over the grading stream fills all
-    those columns, and each report is made from its plan's.  A stream no
-    plan reads is not drawn, so a cell of exact checks draws nothing.
+    One pass over the held-out stream fills every plan's sorted held-out
+    columns, which its ``grading`` turns into thresholds, a fold and a
+    report; one pass over the grading stream hands each block to
+    every fold in turn, and each report is made from its plan's
+    summaries.  A stream no plan reads is not drawn, so a cell of exact
+    checks draws nothing.
     """
     params = PBallParams(p, n)
-    held = _cell_pass(params, count, seed, HELD_OUT,
-                      [plan.held_out for plan in plans])
-    for col in {id(c): c for cols in held for c in cols}.values():
-        col.sort()      # plans read order statistics off the sorted column
+    held = _held_out_columns(params, count, seed,
+                             [plan.held_out for plan in plans])
     graded = [plan.grading(cols) for plan, cols in zip(plans, held)]
     held = None     # the plans keep what they took from it
-    cols = _cell_pass(params, count, seed, GRADING,
-                      [columns for columns, _ in graded])
-    return [report(c) for (_, report), c in zip(graded, cols)]
+    folds = [fold for fold, _ in graded if fold is not None]
+    if folds:
+        for block in _cell_pass(params, count, seed, GRADING):
+            for fold in folds:
+                fold(block)
+    return [report() for _, report in graded]
 
 
 def _one_plan_cell(p: float, n: int, plan: CellPlan, count: int,
@@ -347,16 +373,35 @@ def _one_plan_cell(p: float, n: int, plan: CellPlan, count: int,
     return run_cell(p, n, [plan], count, seed)[0]
 
 
-def _contents(sets, scalars, ladder) -> list:
-    """ContentEstimate per set, one ``content_from_batch`` call (one sort)
-    per shared scalar column."""
-    out = [None] * len(sets)
-    for group in scalar_groups(sets):
-        ests = content_from_batch(scalars[group[0]],
-                                  [sets[k].threshold for k in group], ladder)
-        for k, est in zip(group, ests):
-            out[k] = est
-    return out
+class _Contents:
+    """The content tallies of ``sets`` on ``ladder``, one per scalar the
+    sets share (``scalar_groups``), folded from the grading blocks."""
+
+    def __init__(self, sets, ladder):
+        self.sets, self.ladder = sets, ladder
+        self.groups = scalar_groups(sets)
+        self.tallies = [content_tally([sets[k].threshold for k in group],
+                                      ladder) for group in self.groups]
+
+    def add(self, block: CellBlock) -> None:
+        for group, tally in zip(self.groups, self.tallies):
+            tally.add_sorted(block.sorted(self.sets[group[0]]))
+
+    def tally(self, k: int) -> Tally:
+        """The tally that counts set k's scalar at set k's threshold."""
+        return next(tally for group, tally in zip(self.groups, self.tallies)
+                    if k in group)
+
+    def estimates(self) -> list:
+        """ContentEstimate per set, one ``content_from_batch`` call per
+        shared scalar."""
+        out = [None] * len(self.sets)
+        for group, tally in zip(self.groups, self.tallies):
+            ests = content_from_batch(
+                tally, [self.sets[k].threshold for k in group], self.ladder)
+            for k, est in zip(group, ests):
+                out[k] = est
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +454,13 @@ def theorem1_plan(p: float, n: int, a_grid, sets=None) -> CellPlan:
         exact[id(set_)] = None if oracle is None else oracle(params)
     mc_sets = [s for row in level_sets for s in row if exact[id(s)] is None]
 
-    def report(scalars) -> CheckReport:
-        contents = dict(zip(map(id, mc_sets),
-                            _contents(mc_sets, scalars, ladder)))
+    def grading(held):
+        mc_contents = _Contents(mc_sets, ladder)
+        fold = mc_contents.add if mc_sets else None
+        return fold, lambda: report(mc_contents.estimates())
+
+    def report(mc_estimates) -> CheckReport:
+        contents = dict(zip(map(id, mc_sets), mc_estimates))
         reports = []
         ratios = []
         argmin_hits = 0
@@ -446,8 +495,7 @@ def theorem1_plan(p: float, n: int, a_grid, sets=None) -> CellPlan:
             constants["argmin_coordinate_share"] = argmin_hits / len(grid)
         return CheckReport(name, tuple(reports), constants)
 
-    columns = ((lambda b: [b.scalar(s) for s in mc_sets]),) if mc_sets else ()
-    return _grading_plan(columns, report)
+    return CellPlan((), grading)
 
 
 def check_product_isoperimetry(p: float, n: int, a_grid) -> CheckReport:
@@ -485,14 +533,14 @@ def _entropy_term(a: float) -> float:
     return float(-special.xlogy(a, a) - special.xlogy(1.0 - a, 1.0 - a))
 
 
-def _ball_mass(norms: Optional[np.ndarray], params: PBallParams,
+def _ball_mass(norms: Optional[Tally], params: PBallParams,
                r: float) -> float:
-    """V{|x|_2 <= r}: exact for p = 2, otherwise empirical from the batch's
-    column of Euclidean norms (which p = 2 does not need, and may pass as
-    None)."""
+    """V{|x|_2 <= r}: exact for p = 2, otherwise empirical from a Tally of
+    the grading stream's Euclidean norms at r (which p = 2 does not need,
+    and may pass as None)."""
     if params.p == 2.0:
         return min(r, 1.0) ** params.n if r > 0.0 else 0.0
-    return float((norms <= r).mean())
+    return int(norms.at_most(r)) / norms.count
 
 
 def _radii(r_grid) -> list:
@@ -508,22 +556,27 @@ def _enlargement_plan(name: str, p: float, n: int, sets, r_grid,
     r_grid = _radii(r_grid)
     ladder = default_eps_ladder(p, n)
 
-    def per_point(b):
-        # a scalar column per shared scalar of the sets, and |x|_2 unless
+    def grading(held):
+        # a tally per shared scalar of the sets, and one of |x|_2 unless
         # p = 2, where the ball masses are exact
-        return [b.scalar(s) for s in sets] + ([] if p == 2.0 else [b.norm2])
+        contents = _Contents(sets, ladder)
+        norms = None if p == 2.0 else Tally(r_grid)
 
-    def report(cols) -> CheckReport:
-        scalars = cols[:len(sets)]
-        norms = None if p == 2.0 else cols[-1]
+        def fold(b):
+            contents.add(b)
+            if norms is not None:
+                norms.add_sorted(b.sorted_norm2)
+
+        return fold, lambda: report(contents, norms)
+
+    def report(contents, norms) -> CheckReport:
         masses = [_ball_mass(norms, params, r) for r in r_grid]
         reports = []
         slacks = []
-        for set_, scalar, ce in zip(sets, scalars,
-                                    _contents(sets, scalars, ladder)):
+        for k, (set_, ce) in enumerate(zip(sets, contents.estimates())):
             a = set_.analytic_measure(params)
             if a is None:
-                a = estimate_measure(scalar, set_.threshold).mean
+                a = estimate_measure(contents.tally(k), set_.threshold).mean
             lhs = ce.extrapolated
             for r, mass in zip(r_grid, masses):
                 if mass <= 0.0:
@@ -545,7 +598,7 @@ def _enlargement_plan(name: str, p: float, n: int, sets, r_grid,
         constants = {"min_slack": min(slacks)} if slacks else {}
         return CheckReport(name, tuple(reports), constants)
 
-    return _grading_plan((per_point,), report)
+    return CellPlan((), grading)
 
 
 def check_bobkov_inequality(p: float, n: int, sets, r_grid,
@@ -634,9 +687,10 @@ def sz_tail_plan(p: float, n: int, t_grid) -> CellPlan:
 
     def grading(held):
         thresholds = _sorted_quantiles(held[0], levels)
+        norms = Tally(thresholds)
 
-        def report(cols) -> CheckReport:
-            tails = estimate_tail(cols[0], thresholds)
+        def report() -> CheckReport:
+            tails = estimate_tail(norms, thresholds)
             slopes = []
             for t, est, rare in tails:
                 if not rare and t > 0.0 and est.mean < 1.0:
@@ -661,7 +715,7 @@ def sz_tail_plan(p: float, n: int, t_grid) -> CellPlan:
             constants = {"c_hat": c_hat, "thresholds": thresholds}
             return CheckReport(name, tuple(reports), constants)
 
-        return (_norm2,), report
+        return (lambda b: norms.add_sorted(b.sorted_norm2)), report
 
     return CellPlan((_norm2,), grading)
 
@@ -722,15 +776,20 @@ def sz_concentration_plan(p: float, n: int, functional, t_grid) -> CellPlan:
         med0 = 0.5 * float(vals[(vals.size - 1) // 2] + vals[vals.size // 2])
         h_grid = [q - med0 for q in _sorted_quantiles(vals, levels)]
 
-        def spot_checked_values(b):
+        # the grading column of F, for its median (an order statistic)
+        blocks = []
+
+        def fold(b):
             F = functional(b.X)
             head = LIPSCHITZ_ROWS - b.lo
             if head > 1:
                 _lipschitz_spot_check(functional, b.X[:head], F[:head])
-            return (F,)
+            blocks.append(np.array(F, dtype=float))
 
-        def report(cols) -> CheckReport:
-            _, curve = estimate_median_and_phi(cols[0], h_grid)
+        def report() -> CheckReport:
+            vals = np.concatenate(blocks)
+            blocks.clear()
+            _, curve = estimate_median_and_phi(vals, h_grid)
             slopes = []
             for h, est, rare in curve:
                 if h > 0.0 and not rare and est.mean > 0.0:
@@ -753,7 +812,7 @@ def sz_concentration_plan(p: float, n: int, functional, t_grid) -> CellPlan:
                                         verdict_leq(est, rhs, "consistent")))
             return CheckReport(name, tuple(reports), {"c1_hat": c1_hat})
 
-        return (spot_checked_values,), report
+        return fold, report
 
     return CellPlan((values,), grading)
 
@@ -849,17 +908,27 @@ def lemma4_plan(p: float, n: int) -> CellPlan:
     """The plan of ``check_lemma4``."""
     PBallParams(p, n)
     name = "check_lemma4"
+    # the events |x|_2 >= ball[k] and |z|_p <= prod[k], k along the ladder
+    ball = [c2 * n ** -kappa(p) for c2 in LEMMA4_LADDER]
+    prod = [n ** (1.0 / p) / c2 for c2 in LEMMA4_LADDER]
 
-    def report(cols) -> CheckReport:
-        normsp, norms2 = cols
-        count = normsp.size
+    def grading(held):
+        norms2, normsp = Tally(ball), Tally(prod)
+
+        def fold(b):
+            norms2.add_sorted(b.sorted_norm2)
+            normsp.add(b.zp)
+
+        return fold, lambda: report(norms2.at_least(ball).tolist(),
+                                    normsp.at_most(prod).tolist(),
+                                    norms2.count)
+
+    def report(ball_hits, prod_hits, count) -> CheckReport:
         reports = []
         ests = {}
-        for c2 in LEMMA4_LADDER:
-            e_ball = bernoulli_ci(int((norms2 >= c2 * n ** -kappa(p)).sum()),
-                                  count)
-            e_prod = bernoulli_ci(int((normsp <= n ** (1.0 / p) / c2).sum()),
-                                  count)
+        for c2, k_ball, k_prod in zip(LEMMA4_LADDER, ball_hits, prod_hits):
+            e_ball = bernoulli_ci(k_ball, count)
+            e_prod = bernoulli_ci(k_prod, count)
             ests[c2] = (e_ball, e_prod)
             target1 = math.exp(-1.0 * n ** (p / 2.0))
             for tag, est in ((0, e_ball), (1, e_prod)):
@@ -874,7 +943,7 @@ def lemma4_plan(p: float, n: int) -> CellPlan:
             constants[f"C2_for_C1={c1:g}"] = min(good) if good else None
         return CheckReport(name, tuple(reports), constants)
 
-    return _grading_plan((lambda b: (b.zp, b.norm2),), report)
+    return CellPlan((), grading)
 
 
 def lemma5_constant(A: float, alpha: float) -> float:
@@ -950,9 +1019,9 @@ def check_coarea(p: float, n: int, phi_catalog=None,
 
     the u-integral taken over a 64-point midpoint grid of content
     estimates.  Both sides of every field read the grading stream.  The
-    superlevel sets of one field share one scalar, so it is sorted once
-    per field for all 64 levels, and the field's gradient norms are
-    derived from that same column (``grad_norm_from_scalar``), so each
+    superlevel sets of one field share one scalar, so one tally counts it
+    for all 64 levels, and the field's gradient norms are derived from
+    that same scalar block by block (``grad_norm_from_scalar``), so each
     catalog field is a ramp.  For the plateau catalog both sides agree
     (the inequality is an identity there), so rows are consistency-graded.
     The default catalog's radial radii come from the held-out stream at
@@ -973,19 +1042,22 @@ def coarea_plan(p: float, n: int, phi_catalog=None) -> CellPlan:
             catalog = _default_plateau_catalog(params, *held)
         level_sets = [[phi.superlevel((k + 0.5) / 64.0) for k in range(64)]
                       for phi in catalog]
+        # per field, the tally of the scalar its superlevel sets share, and
+        # the gradient norms derived from that scalar
+        contents = [_Contents(sets, ladder) for sets in level_sets]
+        grads = [GradSum() for _ in catalog]
 
-        def per_point(b):
-            # per field, the scalar its superlevel sets share, from which
-            # its gradient norms are derived too
-            return [b.scalar(sets[0]) for sets in level_sets]
+        def fold(b):
+            for phi, sets, content, grad in zip(catalog, level_sets,
+                                                contents, grads):
+                content.add(b)
+                grad.add(phi.grad_norm_from_scalar(b.scalar(sets[0])))
 
-        def report(cols) -> CheckReport:
+        def report() -> CheckReport:
             reports = []
-            for i, (phi, sets, scalar) in enumerate(zip(catalog, level_sets,
-                                                       cols)):
-                lhs = integrate_grad(phi.grad_norm_from_scalar(scalar))
-                ests = content_from_batch(
-                    scalar, [s.threshold for s in sets], ladder)
+            for i, (content, grad) in enumerate(zip(contents, grads)):
+                lhs = integrate_grad(grad)
+                ests = content.estimates()
                 vals = np.array([ce.extrapolated.mean for ce in ests])
                 errs = np.array([ce.extrapolated.std_err for ce in ests])
                 # contents at nearby levels share the stream, so errors are
@@ -996,7 +1068,7 @@ def coarea_plan(p: float, n: int, phi_catalog=None) -> CellPlan:
                                     verdict_geq(lhs, rhs, "consistent")))
             return CheckReport(name, tuple(reports), {})
 
-        return (per_point,), report
+        return fold, report
 
     held_out = (_norm2,) if phi_catalog is None and p != 2.0 else ()
     return CellPlan(held_out, grading)
@@ -1019,8 +1091,8 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     row falls back to the analytic boundary mass, and without that to the
     Monte Carlo content of the grading stream.  constants["reference"] is
     that boundary value in every case.  The rungs are distance ramps of
-    one set, so the cell keeps one column, A's scalar, from which each
-    rung's gradient norms are derived in turn.
+    one set, so every rung's gradient norms and shell count are derived
+    from one scalar, A's, block by block.
     """
     return _one_plan_cell(p, n, functional_equivalence_plan(p, n, set_, r, s),
                           count, seed)
@@ -1036,28 +1108,40 @@ def functional_equivalence_plan(p: float, n: int, set_, r: float,
     rungs = [DistanceRamp(set_, n, r * 4 ** j, s * 2 ** j) for j in (3, 2, 1, 0)]
     analytic = set_.analytic_boundary(params)
 
-    def per_point(b):
-        # A's scalar, which every rung's gradient norms derive from and
-        # which gives the grading stream's own content as the reference
-        return (b.scalar(set_),)
+    def grading(held):
+        # from A's scalar: every rung's gradient norms and the count of
+        # its shell, where they are nonzero, and the grading stream's own
+        # content of A as the reference when A has no analytic one
+        grads = [GradSum() for _ in rungs]
+        shells = [0] * len(rungs)
+        content = (_Contents([set_], default_eps_ladder(p, n))
+                   if analytic is None else None)
 
-    def report(cols) -> CheckReport:
-        scalar, = cols
+        def fold(b):
+            scalar = b.scalar(set_)
+            for j, (phi, grad) in enumerate(zip(rungs, grads)):
+                norms = phi.grad_norm_from_scalar(scalar)
+                grad.add(norms)
+                shells[j] += int(np.count_nonzero(norms > 0.0))
+            if content is not None:
+                content.add(b)
+
+        return fold, lambda: report(grads, shells, content)
+
+    def report(grads, shells, content) -> CheckReport:
         reports = []
-        for phi in rungs:
-            norms = phi.grad_norm_from_scalar(scalar)
-            lhs = integrate_grad(norms)
+        for phi, grad, shell_hits in zip(rungs, grads, shells):
+            lhs = integrate_grad(grad)
             # the gradient, -grad dist / s, is nonzero exactly on the shell
             # r < dist < r + s, almost everywhere
-            shell = float((norms > 0.0).mean()) / phi.s
+            shell = shell_hits / grad.count / phi.s
             reports.append(_row(name, p, n, phi.r, phi.s, lhs, shell,
                                 verdict_geq(lhs, shell, "consistent")))
         # the loop ends on j = 0: lhs is the finest rung's
         final = lhs
         reference = analytic
         if reference is None:
-            ce, = content_from_batch(scalar, [set_.threshold],
-                                     default_eps_ladder(p, n))
+            ce, = content.estimates()
             reference = ce.extrapolated.mean
         inner = set_.enlarged(r).analytic_measure(params)
         outer = set_.enlarged(r + s).analytic_measure(params)
@@ -1070,7 +1154,7 @@ def functional_equivalence_plan(p: float, n: int, set_, r: float,
         return CheckReport(name, tuple(reports), {
             "limit": final.mean, "reference": float(reference)})
 
-    return _grading_plan((per_point,), report)
+    return CellPlan((), grading)
 
 
 def _dyadic_sum(p: float, a: float) -> float:
@@ -1090,8 +1174,9 @@ def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckRepor
     levels; rhs chains the fitted profile constant through the dyadic
     decomposition: rhs = c_hat^2 n^{2/p} / S(a) with S(a) the dyadic sum.
     Each level implies c1 = lhs / [n^{2/p} a log^{2-2/p}(1/a)], and
-    c1_hat is their minimum.  The ramps share one column, x_1, from which
-    each level's gradient norms are derived in turn.  Rows: param1 = a.
+    c1_hat is their minimum.  The ramps share one scalar, x_1, from which
+    each level's gradient norms are derived block by block.  Rows:
+    param1 = a.
     """
     return _one_plan_cell(p, n, l2_form_plan(p, n, a_grid), count, seed)
 
@@ -1109,11 +1194,22 @@ def l2_form_plan(p: float, n: int, a_grid) -> CellPlan:
     name = "check_l2_form"
     ramps = [LinearRamp(xi, 0.0, float(marginal_isf(params, a))) for a in grid]
 
-    def report(scalars) -> CheckReport:
+    def grading(held):
+        grads = [GradSum(power=2) for _ in ramps]
+
+        def fold(b):
+            # the ramps share one scalar, x_1
+            for phi, grad in zip(ramps, grads):
+                grad.add(phi.grad_norm_from_scalar(
+                    b.scalar(phi.superlevel(0.0))))
+
+        return fold, lambda: report(grads)
+
+    def report(grads) -> CheckReport:
         reports = []
         fitted = []
-        for a, phi, scalar in zip(grid, ramps, scalars):
-            lhs = integrate_grad(phi.grad_norm_from_scalar(scalar), power=2)
+        for a, grad in zip(grid, grads):
+            lhs = integrate_grad(grad, power=2)
             rhs = c_hat ** 2 * n ** (2.0 / p) / _dyadic_sum(p, a)
             fitted.append(lhs.mean / (n ** (2.0 / p) * a
                                       * math.log(1.0 / a) ** (2.0 - 2.0 / p)))
@@ -1122,9 +1218,7 @@ def l2_form_plan(p: float, n: int, a_grid) -> CellPlan:
         return CheckReport(name, tuple(reports),
                            {"c1_hat": min(fitted), "c_from_profile": c_hat})
 
-    # the ramps share one scalar, x_1, and so one column
-    return _grading_plan(
-        (lambda b: [b.scalar(phi.superlevel(0.0)) for phi in ramps],), report)
+    return CellPlan((), grading)
 
 
 # ---------------------------------------------------------------------------
@@ -1161,12 +1255,12 @@ def verify_cutoff_chain(p: float, n: int, count: int = 10 ** 4,
     exactly uniform on B_p^n (Barthe, Guedon, Mendelson and Naor).  f is
     the ramp along the first coordinate from x_1 = 0 up to the level-0.2
     half-space {x_1 >= t}, V{x_1 >= t} = 0.2.  Each field is evaluated
-    once per point: the cell's |z|_p gives T(Z) and h2, g and g h2 are
-    assembled from the factor passes.  Z is
-    streamed and never held: each block's link differences and flags go
-    into per-point columns, from which the means and counts are taken
-    (link 4's from those of links 2 and 3), and the Jacobian scan runs on
-    the first TRANSFER_ROWS rows as they stream past.
+    once per point: the draw's |z|_p gives T(Z) and h2, g and g h2 are
+    assembled from the factor passes.  Z is streamed and never held: each
+    block's link differences fold into merged moments (link 4's formed
+    per point from those of links 2 and 3) and its flags into counts, and
+    the Jacobian scan runs on the first TRANSFER_ROWS rows as they stream
+    past.
     """
     return _one_plan_cell(p, n, cutoff_chain_plan(p, n), count, seed)
 
@@ -1186,11 +1280,11 @@ def cutoff_chain_plan(p: float, n: int) -> CellPlan:
     scale2 = 2.0 * n ** (1.0 / p) / CUTOFF_C2
     name = "verify_cutoff_chain"
 
-    def per_point(b):
+    def fold(b, links, flags):
         # f, h1 and h2 are each evaluated once per point; f h1, its
         # push-forward g and g h2 are formed from those passes with the
         # arithmetic of ProductField and PushForwardField, at the cell's
-        # ball points X = T(Z).  g and h2 share the cell's |z|_p and one
+        # ball points X = T(Z).  g and h2 share the draw's |z|_p and one
         # sign(z)|z|^{p-1}, h1 and link 1 the cell's |x|_2, and the
         # Jacobian scan's operator norms ride along with the first
         # TRANSFER_ROWS rows.
@@ -1212,36 +1306,47 @@ def cutoff_chain_plan(p: float, n: int) -> CellPlan:
         d2 = gfh1_T - c3 * gg * nzp
         d3 = gg * nzp - (n ** (1.0 / p) / CUTOFF_C2) * ggh2 + err2
         transfer_rhs = ops * gfh1_T[:ops.size]
-        bad = np.zeros(nzp.size, dtype=bool)
-        bad[:ops.size] = gg[:ops.size] > transfer_rhs + 1e-9 * (1.0 + transfer_rhs)
-        return (gf_T - gfh1_T + err1, d2, d3,
-                gf_T - c4 * n ** (1.0 / p) * ggh2 + 0.5 * a_level,
-                plateau >= 1.0 - 1e-12, plateau <= 1e-12, f_one, bad)
+        # links 1 to 5, link 4 being links 2 and 3 combined per point
+        for link, diff in zip(links, (
+                gf_T - gfh1_T + err1, d2, d3, d2 + c3 * d3,
+                gf_T - c4 * n ** (1.0 / p) * ggh2 + 0.5 * a_level)):
+            link.add(diff)
+        for flag, hits in (
+                ("plateau_one", plateau >= 1.0 - 1e-12),
+                ("plateau_zero", plateau <= 1e-12), ("f_one", f_one),
+                ("transfer_bad", gg[:ops.size]
+                 > transfer_rhs + 1e-9 * (1.0 + transfer_rhs))):
+            flags[flag] += int(np.count_nonzero(hits))
+        flags["rows"] += nzp.size
+        flags["scanned"] += ops.size
 
-    def report(cols) -> CheckReport:
-        # links 1, 2, 3 and 5, then four flags; link 4 is links 2 and 3
-        # combined, formed here per point
-        d1, d2, d3, d5, plateau_one, plateau_zero, f_one, transfer_bad = cols
-        count = f_one.size
+    def grading(held):
+        links = [MomentSum() for _ in range(5)]
+        flags = dict.fromkeys(("rows", "scanned", "plateau_one",
+                               "plateau_zero", "f_one", "transfer_bad"), 0)
+        return (lambda b: fold(b, links, flags)), lambda: report(links, flags)
+
+    def report(links, flags) -> CheckReport:
+        count = flags["rows"]
         reports = []
-        for link, diff in enumerate((d1, d2, d3, d2 + c3 * d3, d5), start=1):
-            est = mean_ci(diff)
+        for link, diffs in enumerate(links, start=1):
+            est = mean_ci(diffs)
             reports.append(_row(name, p, n, link, 0.0, est, 0.0,
                                 verdict_geq(est, 0.0, "strict")))
 
-        m_one = bernoulli_ci(int(plateau_one.sum()), count)
-        m_zero = bernoulli_ci(int(plateau_zero.sum()), count)
+        m_one = bernoulli_ci(flags["plateau_one"], count)
+        m_zero = bernoulli_ci(flags["plateau_zero"], count)
         reports.append(_row(name, p, n, 6, 0.0, m_one, 0.5 * a_level,
                             verdict_geq(m_one, 0.5 * a_level, "strict")))
         reports.append(_row(name, p, n, 7, 0.0, m_zero, 0.5,
                             verdict_geq(m_zero, 0.5, "strict")))
 
-        bad = int(transfer_bad.sum())
-        scanned = min(count, TRANSFER_ROWS)
-        reports.append(_row(name, p, n, 8, 0.0, bernoulli_ci(bad, scanned),
+        bad = flags["transfer_bad"]
+        reports.append(_row(name, p, n, 8, 0.0,
+                            bernoulli_ci(bad, flags["scanned"]),
                             0.0, PASS if bad == 0 else FAIL))
 
-        v_f1 = float(f_one.mean())
+        v_f1 = flags["f_one"] / count
         # the plateau mass has a closed form: T(z) and |z|_p are
         # independent, and |z|_p^p is Gamma(n/p + 1, 1)
         plateau_oracle = v_f1 * float(special.gammaincc(n / p + 1.0,
@@ -1255,7 +1360,7 @@ def cutoff_chain_plan(p: float, n: int) -> CellPlan:
         }
         return CheckReport(name, tuple(reports), constants)
 
-    return _grading_plan((per_point,), report)
+    return CellPlan((), grading)
 
 
 # ---------------------------------------------------------------------------
@@ -1327,7 +1432,7 @@ def check_paouris_tail(p: float, n: int, t_grid, count: int,
 
 def paouris_tail_plan(p: float, n: int, t_grid) -> CellPlan:
     """The plan of ``check_paouris_tail``: the radii |C(n,p) x|_2 are
-    C(n,p) |x|_2 of the cell's shared |x|_2 columns."""
+    C(n,p) |x|_2 of the cell's shared |x|_2 values."""
     PBallParams(p, n)
     levels = _quantile_levels(t_grid, "t_grid")
     c_np, l_k = isotropy_constants(p, n)
@@ -1336,9 +1441,10 @@ def paouris_tail_plan(p: float, n: int, t_grid) -> CellPlan:
 
     def grading(held):
         thresholds = _sorted_quantiles(c_np * held[0], levels)
+        radii = Tally(thresholds)
 
-        def report(cols) -> CheckReport:
-            tails = estimate_tail(c_np * cols[0], thresholds)
+        def report() -> CheckReport:
+            tails = estimate_tail(radii, thresholds)
             slopes = [l_k * (-math.log(est.mean)) / t
                       for t, est, rare in tails
                       if not rare and t >= t_min and 0.0 < est.mean < 1.0]
@@ -1357,6 +1463,7 @@ def paouris_tail_plan(p: float, n: int, t_grid) -> CellPlan:
                                {"c_hat": c_hat, "l_k": l_k, "c_np": c_np,
                                 "t_min": t_min})
 
-        return (_norm2,), report
+        # scaling by c_np > 0 keeps the sorted order
+        return (lambda b: radii.add_sorted(c_np * b.sorted_norm2)), report
 
     return CellPlan((_norm2,), grading)

@@ -13,23 +13,37 @@ distance and one-sided enlargement,
     content(A) = lim_{eps -> 0+} (mu{dist(., A) <= eps} - mu(A)) / eps,
 
 approximated on a decreasing epsilon ladder with a weighted-least-squares
-intercept standing in for the limit.  A set {s >= t} is given by the
-column of its per-point scalar s and its threshold t; its eps-enlargement
-is {s >= t - eps}, so the column is sorted once and every rung count of
-every threshold is read off the sorted array.
+intercept standing in for the limit.  A set {s >= t} is given by its
+per-point scalar s and its threshold t; its eps-enlargement is
+{s >= t - eps}, so every rung of every threshold is a count of s against
+thresholds fixed before any point is drawn.
 
-Estimators draw nothing and see neither points nor sets: each takes a
-per-point column (a 1-D array of the values of a scalar, gradient norm or
-functional at every drawn point) and plain numbers.  The caller fills the
-column in its own pass over a block stream (a cell's
-``sampling.product_ball_blocks``) with every other column it needs, or
-derives it from one it holds (a ramp's gradient norms from its scalar),
-so a (params, count, seed) batch is drawn once however many estimates
-read it, and only its columns persist.  No estimator takes a seed, a
-functional or a point, so whatever needs the points, such as the
-Lipschitz spot check of ``inequality_suite.check_sz_concentration``, runs
-in the caller's pass.  A 2-D array or a SampleBatch is rejected rather
-than read as values.
+Estimators draw nothing and see neither points nor sets.  Each reads a
+summary of a stream of per-point values (a scalar, gradient norm or
+functional at every drawn point) that the caller folds block by block in
+its own pass over the stream (a cell's ``sampling.product_ball_blocks``),
+and plain numbers.  A statistic is one of two kinds, and so is its
+summary:
+
+* a count at thresholds fixed before the pass (content rungs, tails, set
+  and ball masses) reads a ``Tally``, which adds up each block's counts
+  below and at or below every threshold;
+* a mean and its standard error (``mean_ci``, ``integrate_grad``) reads a
+  ``MomentSum`` or a ``GradSum``: count, mean and sum of squared
+  deviations M2, taken over runs of MOMENT_ROWS values and merged in
+  order (Chan, Golub and LeVeque, Amer. Statist. 37, 1983).  The runs are
+  fixed by the values' positions, not by the blocks, so the result does
+  not depend on how the stream is cut.
+
+A summary holds O(1) memory however long the stream is.  Each estimator
+also takes a per-point column (a 1-D array) in place of its summary,
+which it folds as one block, so a column and a stream of the same values
+give the same bits.  The one statistic that is neither kind is the
+median of ``estimate_median_and_phi``, an order statistic, which reads a
+column.  A 2-D array or a SampleBatch is rejected rather than read as
+values.  No estimator takes a seed, a functional or a point, so whatever
+needs the points, such as the Lipschitz spot check of
+``inequality_suite.check_sz_concentration``, runs in the caller's pass.
 """
 
 from __future__ import annotations
@@ -45,12 +59,18 @@ __all__ = [
     "FAIL",
     "INCONCLUSIVE",
     "EstimateCI",
+    "Moments",
+    "MomentSum",
+    "GradSum",
+    "Tally",
+    "MOMENT_ROWS",
     "mean_ci",
     "bernoulli_ci",
     "verdict_geq",
     "verdict_leq",
     "estimate_measure",
     "ContentEstimate",
+    "content_tally",
     "content_from_batch",
     "TailPoint",
     "estimate_tail",
@@ -94,14 +114,98 @@ class EstimateCI:
         return self.mean + _CI_WIDTH * self.std_err
 
 
+# values per run of a MomentSum: the runs, and so the merged moments, are
+# fixed by the values' positions in the stream, whatever its blocks are
+MOMENT_ROWS = 4096
+
+
+class Moments(NamedTuple):
+    """Count, mean and sum of squared deviations M2 of some values."""
+
+    count: int
+    mean: float
+    m2: float
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "Moments":
+        """The moments of a nonempty 1-D array, with numpy's arithmetic:
+        the mean is ``values.mean()`` and m2 / (count - 1) is
+        ``values.var(ddof=1)``, bit for bit."""
+        mean = np.add.reduce(values) / values.size
+        dev = values - mean
+        np.multiply(dev, dev, out=dev)
+        return cls(values.size, float(mean), float(np.add.reduce(dev)))
+
+    def merge(self, other: "Moments") -> "Moments":
+        """The moments of these values followed by ``other``'s (Chan, Golub
+        and LeVeque): the means are pulled together by their difference,
+        and M2 gains its square weighted by the counts."""
+        if not other.count:
+            return self
+        if not self.count:
+            return other
+        count = self.count + other.count
+        delta = other.mean - self.mean
+        return Moments(count, self.mean + delta * (other.count / count),
+                       self.m2 + other.m2
+                       + delta * delta * (self.count * other.count / count))
+
+
+class MomentSum:
+    """The moments of a stream of values added block by block.
+
+    The values are cut into runs of MOMENT_ROWS, counted from the
+    stream's first value; each run's moments come from numpy
+    (``Moments.of``) and are merged in order.  A run that spans blocks is
+    gathered in a buffer of one run first, so the result depends only on
+    the values and their order, and a stream of at most MOMENT_ROWS
+    values gives numpy's mean and variance of them, bit for bit.
+    """
+
+    def __init__(self):
+        self._total = Moments(0, 0.0, 0.0)  # of the whole runs so far
+        self._run = None    # the next run's first values
+        self._fill = 0
+
+    def add(self, values: np.ndarray) -> None:
+        """Fold a 1-D array of the stream's next values."""
+        values = np.ascontiguousarray(values, dtype=float)
+        while values.size:
+            if not self._fill and values.size >= MOMENT_ROWS:
+                run, values = values[:MOMENT_ROWS], values[MOMENT_ROWS:]
+            else:
+                if self._run is None:
+                    self._run = np.empty(MOMENT_ROWS)
+                take = min(MOMENT_ROWS - self._fill, values.size)
+                self._run[self._fill:self._fill + take] = values[:take]
+                self._fill += take
+                values = values[take:]
+                if self._fill < MOMENT_ROWS:
+                    return
+                run, self._fill = self._run, 0
+            self._total = self._total.merge(Moments.of(run))
+
+    @property
+    def moments(self) -> Moments:
+        """The moments of every value added so far."""
+        if not self._fill:
+            return self._total
+        return self._total.merge(Moments.of(self._run[:self._fill]))
+
+
 def mean_ci(values) -> EstimateCI:
-    """Sample mean of an array with its standard error."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    if n == 0:
+    """Sample mean with its standard error, from a MomentSum, or from an
+    array of values, folded as one block."""
+    if not isinstance(values, MomentSum):
+        column = MomentSum()
+        column.add(np.ravel(np.asarray(values, dtype=float)))
+        values = column
+    m = values.moments
+    if m.count == 0:
         raise ValueError("cannot average an empty sample")
-    se = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return EstimateCI(float(values.mean()), se, n)
+    se = (math.sqrt(m.m2 / (m.count - 1)) / math.sqrt(m.count)
+          if m.count > 1 else 0.0)
+    return EstimateCI(m.mean, se, m.count)
 
 
 def bernoulli_ci(k: int, n: int) -> EstimateCI:
@@ -172,11 +276,75 @@ def _column(values) -> np.ndarray:
     return values
 
 
-def estimate_measure(column, threshold: float) -> EstimateCI:
-    """Empirical measure of {s >= threshold} from the column s of one
-    batch."""
-    s = _column(column)
-    return bernoulli_ci(int((s >= threshold).sum()), s.size)
+class Tally:
+    """Counts of a stream of values against thresholds fixed before it.
+
+    For every threshold t it was made with, a Tally answers #{v < t},
+    #{v >= t} and #{v <= t} exactly.  A block is sorted and the thresholds
+    are placed in it by ``searchsorted``, which gives the block's counts
+    below and at or below each of them at once; the counts of the blocks
+    add up, so they are the integers that comparing every value with
+    every threshold gives, however the stream is cut.  A NaN value counts
+    above every threshold, as numpy sorts it.
+    """
+
+    def __init__(self, thresholds):
+        t = np.sort(np.ravel(np.asarray(thresholds, dtype=float)))
+        # the distinct thresholds (np.unique would import numpy.ma)
+        distinct = np.ones(t.size, dtype=bool)
+        distinct[1:] = t[1:] != t[:-1]
+        self.edges = t[distinct]
+        self._below = np.zeros(self.edges.size, dtype=np.int64)
+        self._at_most = np.zeros(self.edges.size, dtype=np.int64)
+        self.count = 0
+
+    def add(self, values: np.ndarray) -> None:
+        """Count a 1-D array of the stream's next values."""
+        self.add_sorted(np.sort(values))
+
+    def add_sorted(self, values: np.ndarray) -> None:
+        """Count the stream's next values, given as a sorted 1-D array
+        (a caller that counts one block in several tallies sorts it
+        once)."""
+        self._below += np.searchsorted(values, self.edges, "left")
+        self._at_most += np.searchsorted(values, self.edges, "right")
+        self.count += values.size
+
+    def _at(self, thresholds) -> np.ndarray:
+        t = np.asarray(thresholds, dtype=float)
+        at = np.searchsorted(self.edges, t)
+        if not np.array_equal(np.take(self.edges, at, mode="clip"), t):
+            raise ValueError("a threshold the tally was not made with")
+        return at
+
+    def below(self, thresholds) -> np.ndarray:
+        """#{v < t} for each t, which must be one of the thresholds."""
+        return self._below[self._at(thresholds)]
+
+    def at_least(self, thresholds) -> np.ndarray:
+        """#{v >= t} for each t."""
+        return self.count - self.below(thresholds)
+
+    def at_most(self, thresholds) -> np.ndarray:
+        """#{v <= t} for each t."""
+        return self._at_most[self._at(thresholds)]
+
+
+def _tally(values, thresholds) -> Tally:
+    """``values`` itself when it is a Tally, else a Tally of ``thresholds``
+    over the column ``values``, counted as one block."""
+    if isinstance(values, Tally):
+        return values
+    tally = Tally(thresholds)
+    tally.add(_column(values))
+    return tally
+
+
+def estimate_measure(values, threshold: float) -> EstimateCI:
+    """Empirical measure of {s >= threshold}, from a Tally of s or the
+    column s of one batch."""
+    tally = _tally(values, [threshold])
+    return bernoulli_ci(int(tally.at_least(threshold)), tally.count)
 
 
 @dataclass(frozen=True)
@@ -209,35 +377,53 @@ def _wls_intercept(xs: np.ndarray, ys: np.ndarray, ses: np.ndarray) -> tuple[flo
     return float(b0), float(np.sqrt(1.0 / sw + xbar * xbar / sxx))
 
 
-def content_from_batch(column, thresholds: Sequence[float],
-                       eps_ladder: Sequence[float]) -> list:
-    """Enlargement quotients of one batch for every ladder epsilon, one
-    ContentEstimate per threshold t, from the column s of the scalar that
-    the sets {s >= t} share.
-
-    The eps-enlargement of {s >= t} is {s >= t - eps}, so with s sorted
-    once the rung count #{t - eps <= s < t} is
-
-        searchsorted(s, t, "left") - searchsorted(s, t - eps, "left"),
-
-    the same integer as comparing every point against both thresholds.
-    Each rung is ``bernoulli_ci(k, n)`` divided by its eps, computed with
-    the same arithmetic for every (threshold, rung) at once; only the
-    intercept is fitted threshold by threshold.  The ladder must be
-    nonempty, finite, positive and strictly decreasing.
-    """
+def _ladder(eps_ladder) -> np.ndarray:
     eps = np.asarray(list(eps_ladder), dtype=float)
     if (eps.size == 0 or not np.all(np.isfinite(eps) & (eps > 0.0))
             or np.any(np.diff(eps) >= 0.0)):
         raise ValueError("eps ladder must be finite, positive and strictly "
                          "decreasing")
-    s = np.sort(_column(column))
-    n = s.size
+    return eps
+
+
+def _rung_thresholds(thresholds, eps: np.ndarray) -> tuple:
+    """The thresholds t and the rows of rung thresholds t - eps."""
+    tops = np.asarray(thresholds, dtype=float)
+    return tops, tops[:, None] - eps
+
+
+def content_tally(thresholds: Sequence[float],
+                  eps_ladder: Sequence[float]) -> Tally:
+    """An empty Tally of every threshold t and rung threshold t - eps that
+    ``content_from_batch`` reads for ``thresholds`` on ``eps_ladder``;
+    the ladder must be nonempty, finite, positive and strictly
+    decreasing."""
+    tops, lows = _rung_thresholds(thresholds, _ladder(eps_ladder))
+    return Tally(np.concatenate([tops, lows.ravel()]))
+
+
+def content_from_batch(values, thresholds: Sequence[float],
+                       eps_ladder: Sequence[float]) -> list:
+    """Enlargement quotients of one batch for every ladder epsilon, one
+    ContentEstimate per threshold t, from the scalar s that the sets
+    {s >= t} share: its ``content_tally`` of the stream, or its column.
+
+    The eps-enlargement of {s >= t} is {s >= t - eps}, so the rung count
+    is #{t - eps <= s < t} = #{s < t} - #{s < t - eps}, the same integer
+    as comparing every point against both thresholds.  Each rung is
+    ``bernoulli_ci(k, n)`` divided by its eps, computed with the same
+    arithmetic for every (threshold, rung) at once; only the intercept is
+    fitted threshold by threshold.  The ladder must be nonempty, finite,
+    positive and strictly decreasing.
+    """
+    eps = _ladder(eps_ladder)
+    tops, lows = _rung_thresholds(thresholds, eps)
+    if not isinstance(values, Tally):
+        values = _tally(values, np.concatenate([tops, lows.ravel()]))
+    n = values.count
     if n == 0:
         raise ValueError("cannot estimate content from an empty column")
-    tops = np.asarray(thresholds, dtype=float)
-    counts = (np.searchsorted(s, tops, "left")[:, None]
-              - np.searchsorted(s, tops[:, None] - eps, "left"))
+    counts = values.below(tops)[:, None] - values.below(lows)
     mean = counts / n
     q = np.where((counts == 0) | (counts == n), (counts + 0.5) / (n + 1),
                  mean)
@@ -268,17 +454,15 @@ class TailPoint(NamedTuple):
 
 
 def estimate_tail(values, thresholds: Sequence[float]) -> list[TailPoint]:
-    """P{F >= t} for each threshold, from the per-point values F of one
-    batch; sparse counts are flagged rare."""
+    """P{F >= t} for each threshold, from a Tally of the per-point values F
+    or their column over one batch; sparse counts are flagged rare."""
     thresholds = [float(t) for t in thresholds]
     if not all(np.isfinite(thresholds)):
         raise ValueError("thresholds must be finite")
-    vals = _column(values)
-    count = vals.size
+    tally = _tally(values, thresholds)
     out = []
-    for t in thresholds:
-        k = int((vals >= t).sum())
-        out.append(TailPoint(t, bernoulli_ci(k, count), k < RARE_COUNT))
+    for t, k in zip(thresholds, tally.at_least(thresholds).tolist()):
+        out.append(TailPoint(t, bernoulli_ci(k, tally.count), k < RARE_COUNT))
     return out
 
 
@@ -303,24 +487,48 @@ def estimate_median_and_phi(values, h_grid: Sequence[float]
 # gradient integrals
 # ---------------------------------------------------------------------------
 
+class GradSum:
+    """The summary that ``integrate_grad`` reads: over a stream of
+    gradient norms |grad f|_2, the moments of the finite ones raised to
+    ``power``, the count of the others, and the count of all."""
+
+    def __init__(self, power: int = 1):
+        self.power = power
+        self.kept = MomentSum()
+        self.count = 0
+        self.nonfinite = 0
+
+    def add(self, norms: np.ndarray) -> None:
+        """Fold a 1-D array of the stream's next gradient norms."""
+        finite = np.isfinite(norms)
+        bad = norms.size - int(np.count_nonzero(finite))
+        self.count += norms.size
+        self.nonfinite += bad
+        # with nothing dropped the block itself holds the same values
+        kept = norms[finite] if bad else norms
+        self.kept.add(kept if self.power == 1 else kept ** self.power)
+
+
 def integrate_grad(norms, power: int = 1) -> EstimateCI:
     """Monte Carlo estimate of the integral of |grad f|_2^power: its mean
-    over one batch, from the column of |grad f|_2 at the batch's points
-    (a field's exact gradient rows reduced to norms by the caller's pass).
+    over one batch, from a GradSum of the stream of |grad f|_2 (made with
+    this power) or the column of |grad f|_2 at the batch's points (a
+    field's exact gradient rows reduced to norms by the caller's pass).
 
     Samples with a non-finite gradient are dropped, and more than 0.1% of
-    them aborts the estimate.
+    all the stream's samples aborts the estimate.
     """
-    norms = _column(norms)
-    count = norms.size
-    finite = np.isfinite(norms)
-    bad = count - int(finite.sum())
+    if isinstance(norms, GradSum):
+        if norms.power != power:
+            raise ValueError(f"a GradSum of power {norms.power} read at "
+                             f"power {power}")
+        grads = norms
+    else:
+        grads = GradSum(power)
+        grads.add(_column(norms))
+    bad, count = grads.nonfinite, grads.count
     if bad > 1e-3 * count:
         raise RuntimeError(
             f"non-finite gradient at {bad} of {count} samples "
             f"({100.0 * bad / count:.2f}%)")
-    # with nothing dropped the column itself holds the same values in order
-    kept = norms[finite] if bad else norms
-    if power != 1:
-        kept = kept ** power
-    return mean_ci(kept)
+    return mean_ci(grads.kept)

@@ -19,10 +19,12 @@ fair signs attached.
 Streams: the laws are drawn as block streams of (first row, block) pairs
 of ``geometry.block_rows(n + 1)`` rows: ``ball_blocks`` yields ball
 points, and ``product_ball_blocks`` yields product rows Z beside their
-ball points X = T(Z), from one draw.  ``sample_product`` and
-``sample_ball`` draw the same streams into the rows of one array.  A consumer that needs only per-point values reads the stream
-block by block and keeps a column per value, so it never holds a
-(count, n) batch.  The ball-norm guard runs on every ball block.
+ball points X = T(Z) and their norms |z|_p, from one draw.
+``sample_product`` and ``sample_ball`` draw the same streams into the
+rows of one array.  A consumer that needs only per-point values reads
+the stream block by block and folds each block into what it keeps, so it
+never holds a (count, n) batch.  The ball-norm guard runs on every ball
+block.
 
 Determinism: a stream has one PCG64 generator per draw role (the mu_p
 block, the second draw block, that is U or the second Exp(1), and E), the
@@ -161,11 +163,16 @@ def _to_product(Z: np.ndarray, g: np.ndarray, e: np.ndarray, p: float):
     np.power(e, 1.0 / p, out=Z[:, -1])
 
 
-def _to_ball(g: np.ndarray, s: np.ndarray, p: float):
-    """Scale the mu_p rows g in place to g / (sum |g_i|^p + E)^{1/p}, T of
-    the product rows, given their Exp(1) column s (which is overwritten),
-    then norm-guard them."""
+def _add_pow_sum(g: np.ndarray, s: np.ndarray, p: float):
+    """Add sum |g_i|^p to the rows' Exp(1) column s in place, so that s
+    is |z|_p^p of the product rows z = (g, E^{1/p})."""
     s += row_sum(g * g if p == 2.0 else pow_p(np.abs(g), p))
+
+
+def _to_ball(g: np.ndarray, s: np.ndarray, p: float):
+    """Scale the mu_p rows g in place to g / s^{1/p}, T of the product
+    rows, given s = |z|_p^p (which is overwritten), then norm-guard
+    them."""
     s **= -1.0 / p
     g *= s[:, None]
     _check_ball_norms(g, p)
@@ -180,22 +187,28 @@ def _product_rows(rngs: tuple, Z: np.ndarray, p: float) -> None:
 
 def _ball_rows(rngs: tuple, X: np.ndarray, p: float) -> None:
     """Ball rows, drawn and scaled in place in a (rows, n) block."""
-    _to_ball(X, _factor_rows(rngs, X, p), p)
+    s = _factor_rows(rngs, X, p)
+    _add_pow_sum(X, s, p)
+    _to_ball(X, s, p)
 
 
 def _product_ball_rows(rngs: tuple, Z: np.ndarray, X: np.ndarray,
-                       p: float) -> None:
-    """The product rows into Z and their ball points T(Z) into X from one
-    draw: g is drawn into X, copied into Z, then scaled in place."""
-    e = _factor_rows(rngs, X, p, _second_block(Z, X.shape))
-    _to_product(Z, X, e, p)
-    _to_ball(X, e, p)
+                       zp: np.ndarray, p: float) -> None:
+    """The product rows into Z, their ball points T(Z) into X and their
+    norms |z|_p into zp from one draw: g is drawn into X, copied into Z,
+    then scaled in place by s^{-1/p}, and zp is s^{1/p} of the same
+    s = sum |g_i|^p + E."""
+    s = _factor_rows(rngs, X, p, _second_block(Z, X.shape))
+    _to_product(Z, X, s, p)
+    _add_pow_sum(X, s, p)
+    np.power(s, 1.0 / p, out=zp)
+    _to_ball(X, s, p)
 
 
 def _row_blocks(params: PBallParams, count: int, seed: int, fill,
-                widths: tuple, outs: tuple = ()):
+                shapes: tuple, outs: tuple = ()):
     """(first row, blocks) pairs of ``block_rows(n + 1)`` rows, one block
-    per width, filled together by ``fill`` from the stream's role
+    per row shape, filled together by ``fill`` from the stream's role
     generators; blocks are new arrays, or the rows of ``outs`` when given."""
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -206,7 +219,7 @@ def _row_blocks(params: PBallParams, count: int, seed: int, fill,
         for lo in range(0, count, step):
             rows = min(step, count - lo)
             block = (tuple(out[lo:lo + rows] for out in outs)
-                     or tuple(np.empty((rows, w)) for w in widths))
+                     or tuple(np.empty((rows, *shape)) for shape in shapes))
             fill(rngs, *block, params.p)
             yield lo, block
     return blocks()
@@ -217,16 +230,19 @@ def ball_blocks(params: PBallParams, count: int, seed: int):
     (rows, n) block) pairs of ``block_rows(n + 1)`` rows, drawn one block
     at a time; every block passes the ball-norm guard."""
     return ((lo, X) for lo, (X,) in
-            _row_blocks(params, count, seed, _ball_rows, (params.n,)))
+            _row_blocks(params, count, seed, _ball_rows, ((params.n,),)))
 
 
 def product_ball_blocks(params: PBallParams, count: int, seed: int):
-    """(first row, (Z, X)) pairs: the rows of ``sample_product`` and of
-    ``sample_ball`` for the same (params, count, seed), bit for bit, in
-    blocks of ``block_rows(n + 1)`` rows from one draw; X = T(Z) passes
-    the ball-norm guard."""
+    """(first row, (Z, X, zp)) triples: the rows of ``sample_product`` and
+    of ``sample_ball`` for the same (params, count, seed), bit for bit,
+    and the rows' |z|_p, in blocks of ``block_rows(n + 1)`` rows from one
+    draw; X = T(Z) passes the ball-norm guard.  zp is s^{1/p} of the
+    s = |z|_p^p that T divides by, so it needs no pass over Z; it is
+    within rounding of ``lp_norm(Z, p)``, not bit-equal to it."""
     n = params.n
-    return _row_blocks(params, count, seed, _product_ball_rows, (n + 1, n))
+    return _row_blocks(params, count, seed, _product_ball_rows,
+                       ((n + 1,), (n,), ()))
 
 
 def sample_product(params: PBallParams, count: int, seed: int) -> SampleBatch:

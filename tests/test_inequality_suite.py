@@ -75,6 +75,7 @@ from isoplab.inequality_suite import (
 )
 from isoplab.montecarlo import (
     EstimateCI,
+    MomentSum,
     _wls_intercept,
     bernoulli_ci,
     content_from_batch,
@@ -82,7 +83,7 @@ from isoplab.montecarlo import (
     estimate_tail,
     mean_ci,
 )
-from isoplab.sampling import sample_ball, sample_product
+from isoplab.sampling import product_ball_blocks, sample_ball, sample_product
 
 
 def _column(fn, points):
@@ -95,6 +96,14 @@ def _stream_batch(sample, params, count, seed, role=GRADING):
     """The whole batch of the (p, n) cell's stream in ``role``, ball points
     (``sample_ball``) or product rows (``sample_product``)."""
     return sample(params, count, cell_seed(seed, params.p, params.n, role))
+
+
+def _stream_zp(params, count, seed, role=GRADING):
+    """|z|_p of the (p, n) cell's stream in ``role`` as the draw gives it,
+    s^{1/p} of the s = |z|_p^p that T divides by."""
+    blocks = product_ball_blocks(params, count,
+                                 cell_seed(seed, params.p, params.n, role))
+    return np.concatenate([zp for _, (_, _, zp) in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +498,7 @@ def test_streamed_lemma4_equals_the_batch_recipe(p):
     # event their product rows
     n, count, seed = 3, STREAM_COUNT, 43
     params = PBallParams(p, n)
-    normsp = lp_norm(_stream_batch(sample_product, params, count, seed).points,
-                     p)
+    normsp = _stream_zp(params, count, seed)
     norms2 = lp_norm(_stream_batch(sample_ball, params, count, seed).points,
                      2.0)
     rep = check_lemma4(p, n, count, seed)
@@ -908,7 +916,7 @@ def _assert_chain_rows_equal_composed_fields(p, count):
     h1 = CutoffH1Field(p, n)
     fh1 = ProductField(f, h1)
     Z = _stream_batch(sample_product, params, count, seed).points
-    nzp = lp_norm(Z, p)
+    nzp = _stream_zp(params, count, seed)
     # the cell's ball points X = T(Z), drawn from the same stream
     X = _stream_batch(sample_ball, params, count, seed).points
 
@@ -918,8 +926,13 @@ def _assert_chain_rows_equal_composed_fields(p, count):
             values, v = self.f.value_and_grad(X)
             return values, push_forward_grad(lp_dual(Zr, p), X, nzp, v, p)
 
+    class H2AtNorm(CutoffH2Field):
+        # h2 with |z|_p read from the stream, as the cell reads it
+        def value_and_grad(self, Zr):
+            return self.from_norm(nzp, lp_dual(Zr, p))
+
     g = PushForwardAtX(fh1, p)
-    gh2 = ProductField(g, CutoffH2Field(p, n))
+    gh2 = ProductField(g, H2AtNorm(p, n))
 
     def norms(field, pts):
         return np.linalg.norm(field.grad(pts), axis=1)
@@ -939,8 +952,14 @@ def _assert_chain_rows_equal_composed_fields(p, count):
     diffs[5] = (norms(f, X) - c3 * n ** (1.0 / p) * ggh2
                 + 0.5 * math.exp(-4.0 * n ** (p / 2.0)))
     by_link = {int(r.params[2]): r for r in rep.reports}
+    step = block_rows(n + 1)
     for link, diff in diffs.items():
-        assert by_link[link].lhs == mean_ci(diff)
+        # the stream's blocks folded in order, which is the one-block
+        # column's merge too
+        streamed = MomentSum()
+        for lo in range(0, count, step):
+            streamed.add(diff[lo:lo + step])
+        assert by_link[link].lhs == mean_ci(streamed) == mean_ci(diff)
     plateau = gh2(Z)
     assert by_link[6].lhs == bernoulli_ci(
         int((plateau >= 1.0 - 1e-12).sum()), count)
@@ -952,10 +971,11 @@ def _assert_chain_rows_equal_composed_fields(p, count):
 
 
 def test_cutoff_chain_evaluates_each_norm_of_the_product_batch_once(monkeypatch):
-    # |z|_p passes over the (count, n + 1) product batch: the cell's own
-    # (which gives T(Z), the push-forward's gradient and the h2 cut-off)
-    # and the Jacobian scan's; the h2 cut-off's own pass made 3, and
-    # recomputing |z|_p per field and per method took 9
+    # |z|_p passes over the (count, n + 1) product batch: the Jacobian
+    # scan's only, as the draw gives the cell its |z|_p (which gives the
+    # push-forward's gradient and the h2 cut-off); a pass of the cell's
+    # own made 2, the h2 cut-off's own pass 3, and recomputing |z|_p per
+    # field and per method took 9
     p, n, count = 1.5, 4, 3000
     real = isoplab.geometry.lp_norm
     calls = []
@@ -968,7 +988,7 @@ def test_cutoff_chain_evaluates_each_norm_of_the_product_batch_once(monkeypatch)
         monkeypatch.setattr(module, "lp_norm", counting)
     rep = verify_cutoff_chain(p, n, count=count, seed=5)
     assert len(rep.reports) == 8
-    assert calls.count(((count, n + 1), p)) == 2
+    assert calls.count(((count, n + 1), p)) == 1
 
 
 # ---------------------------------------------------------------------------

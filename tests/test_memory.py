@@ -10,13 +10,20 @@ output for sample_ball and for the Bobkov check) fail them too.  The
 rejection oracle holds its output plus one fixed-size chunk of candidates;
 sizing one chunk from count instead (5.5-13.8x the output) fails its bound.
 
-The checks stream their draws and keep only per-point columns, so their
-peaks do not grow with n at a fixed count; holding the (count, n) batch
-(the chain peaked at 763 MB at n = 1024, 2x10^4 points) fails these
-bounds.  The same holds for a whole (p, n) cell, whose sampled checks
-share their streams and hold the union of their columns.  sample_product
-draws its second draw block into its own output rows; a whole mu_p block
-beside the output (2.2x) fails its bound.
+The checks stream their draws, so their peaks do not grow with n at a
+fixed count; holding the (count, n) batch (the chain peaked at 763 MB at
+n = 1024, 2x10^4 points) fails these bounds.  The same holds for a whole
+(p, n) cell, whose sampled checks share its two streams.  Nor does a
+cell's peak grow with its count but for three columns: its grading pass
+folds every block into per-block summaries (counts at thresholds fixed
+before the pass, and merged moments), and what it keeps per point is the
+held-out stream's sorted |x|_2 and functional columns, which place
+thresholds at order statistics, and the sz-concentration functional on
+the grading stream, whose median is an order statistic too.  Keeping a
+grading column per statistic instead (about 10 more at p = 1.5, n = 4)
+fails both cell bounds.  sample_product draws its second draw block into
+its own output rows; a whole mu_p block beside the output (2.2x) fails
+its bound.
 """
 
 import tracemalloc
@@ -95,12 +102,22 @@ def test_cell_peak_does_not_grow_with_n():
 
 
 def test_cell_peak_is_a_few_columns():
-    # the co-area, functional-equivalence and L2-form reports derive their
-    # gradient norms from the x_1 and |x|_2 columns the cell holds anyway,
-    # and the chain's link 4 from links 2 and 3; a column per gradient
-    # norm and per link (21 grading columns) peaked at 18.0 MB here
+    # the grading pass keeps summaries, so the peak is one block's work
+    # beside the three columns; a column per grading statistic peaked at
+    # 13.1 columns here, and a column per gradient norm and per link (21
+    # grading columns) at 18.0 MB
     peak = _traced_peak(lambda: _default_cell(4, ROWS))
-    assert peak <= 16 * ROWS * 8, peak
+    assert peak <= 6 * ROWS * 8, peak / (ROWS * 8)
+
+
+def test_cell_peak_does_not_grow_with_count():
+    # from 10^4 to 10^5 points only the two held-out columns and the
+    # sz-concentration grading column may grow; a column per grading
+    # statistic grew by about 10 columns of the 9x10^4 added points
+    small = _traced_peak(lambda: _default_cell(4, 10 ** 4))
+    large = _traced_peak(lambda: _default_cell(4, ROWS))
+    added = (ROWS - 10 ** 4) * 8
+    assert large - small <= 1.25 * 3 * added, (large - small) / added
 
 
 def test_wide_sample_ball_peak_is_near_its_output():

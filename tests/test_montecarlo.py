@@ -1,8 +1,11 @@
 """Estimators: interval coverage, verdict grading, content extrapolation
-against exact boundary values, tail and median machinery, gradient integrals.
+against exact boundary values, tail and median machinery, gradient integrals,
+and the stream summaries they read.
 
-The estimators read per-point columns only; each test fills its columns
-from drawn points block by block, as the checks do from their streams.
+An estimator reads a summary folded block by block from a stream, or a
+per-point column, which it folds as one block; each test fills its
+columns from drawn points block by block, as the checks do from their
+streams, and the summary tests fold columns over random block partitions.
 """
 
 import math
@@ -32,13 +35,19 @@ from isoplab.geometry import (
 from isoplab.montecarlo import (
     FAIL,
     INCONCLUSIVE,
+    MOMENT_ROWS,
     PASS,
     RARE_COUNT,
     ContentEstimate,
     EstimateCI,
+    GradSum,
+    Moments,
+    MomentSum,
+    Tally,
     _wls_intercept,
     bernoulli_ci,
     content_from_batch,
+    content_tally,
     estimate_measure,
     estimate_median_and_phi,
     estimate_tail,
@@ -492,3 +501,118 @@ def test_integrate_grad_aborts_on_non_finite():
 
 def test_rare_count_constant():
     assert RARE_COUNT == 10
+
+
+# ---------------------------------------------------------------------------
+# stream summaries: merged moments and threshold tallies
+# ---------------------------------------------------------------------------
+
+def _random_blocks(values, rng, cap):
+    """values cut at random into consecutive blocks of 1 to cap rows, with
+    a run of 1-row blocks at the start."""
+    blocks, lo = [], 0
+    while lo < values.size:
+        rows = 1 if lo < 5 else int(rng.integers(1, cap + 1))
+        blocks.append(values[lo:lo + rows])
+        lo += rows
+    return blocks
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merged_moments_match_numpy_over_random_partitions(seed):
+    # Chan, Golub and LeVeque's merge of per-block moments, 1-row blocks
+    # included, agrees with numpy's one pass over the whole column
+    rng = np.random.default_rng(seed)
+    for count, cap in ((7, 3), (3000, 40), (3 * MOMENT_ROWS + 5, 3000)):
+        col = 3.0 + 2.0 * rng.standard_normal(count)
+        m = Moments(0, 0.0, 0.0)
+        for block in _random_blocks(col, rng, cap):
+            m = m.merge(Moments.of(block))
+        assert m.count == count
+        assert m.mean == pytest.approx(col.mean(), rel=1e-14)
+        assert math.sqrt(m.m2 / (count - 1)) == pytest.approx(
+            col.std(ddof=1), rel=1e-14)
+
+
+def test_moment_sum_depends_on_the_values_not_the_blocks():
+    # runs of MOMENT_ROWS values are fixed by position, so any block
+    # partition gives the bits of the column folded as one block, and a
+    # column of at most MOMENT_ROWS values gives numpy's mean and std
+    rng = np.random.default_rng(5)
+    col = rng.exponential(size=2 * MOMENT_ROWS + 17)
+    want = mean_ci(col)
+    for cap in (1, 97, MOMENT_ROWS, 3 * MOMENT_ROWS):
+        sums = MomentSum()
+        for block in _random_blocks(col, rng, cap):
+            sums.add(block)
+        assert mean_ci(sums) == want, cap
+    short = col[:MOMENT_ROWS]
+    est = mean_ci(short)
+    assert est.mean == float(short.mean())
+    assert est.std_err == float(short.std(ddof=1) / np.sqrt(short.size))
+
+
+def test_one_value_keeps_a_zero_std_err():
+    sums = MomentSum()
+    sums.add(np.array([2.5]))
+    assert mean_ci(sums) == EstimateCI(2.5, 0.0, 1)
+    assert mean_ci(np.array([2.5])) == EstimateCI(2.5, 0.0, 1)
+    assert Moments(0, 0.0, 0.0).merge(Moments.of(np.array([2.5]))) == \
+        Moments(1, 2.5, 0.0)
+    with pytest.raises(ValueError):
+        mean_ci(MomentSum())
+
+
+def test_streamed_tallies_equal_searchsorted_on_the_sorted_column():
+    # counts at thresholds fixed before the stream are the integers that
+    # the sorted whole column gives, exactly, ties included
+    rng = np.random.default_rng(11)
+    col = rng.integers(0, 50, 5000).astype(float) / 7.0
+    thresholds = np.concatenate([col[:20], [-1.0, 0.0, 3.5, 100.0]])
+    tally = Tally(thresholds)
+    for block in _random_blocks(col, rng, 300):
+        tally.add(block)
+    s = np.sort(col)
+    assert tally.count == col.size
+    assert np.array_equal(tally.below(thresholds),
+                          np.searchsorted(s, thresholds, "left"))
+    assert np.array_equal(tally.at_least(thresholds),
+                          col.size - np.searchsorted(s, thresholds, "left"))
+    assert np.array_equal(tally.at_most(thresholds),
+                          np.searchsorted(s, thresholds, "right"))
+    with pytest.raises(ValueError):
+        tally.below([0.5])
+
+
+def test_content_from_a_streamed_tally_equals_the_column():
+    params = PBallParams(1.5, 3)
+    x1 = sample_ball(params, 5000, seed=61).points[:, 0]
+    tops = [coordinate_half_space(params, a).threshold for a in (0.1, 0.3)]
+    ladder = [0.04, 0.02, 0.01]
+    tally = content_tally(tops, ladder)
+    for lo in range(0, x1.size, 333):
+        tally.add(x1[lo:lo + 333])
+    assert content_from_batch(tally, tops, ladder) == \
+        content_from_batch(x1, tops, ladder)
+    assert estimate_measure(tally, tops[0]) == estimate_measure(x1, tops[0])
+
+
+def test_integrate_grad_counts_non_finite_values_over_the_stream():
+    # one non-finite norm in a 10-row block is 10% of the block but 0.01%
+    # of a 10^4-row stream: dropped, not an abort; 11 of them abort
+    norms = np.full(10 ** 4, 0.5)
+    norms[3] = np.nan
+    grads = GradSum()
+    for lo in range(0, norms.size, 10):
+        grads.add(norms[lo:lo + 10])
+    est = integrate_grad(grads)
+    assert est == mean_ci(norms[np.isfinite(norms)])
+    assert est.n_samples == 10 ** 4 - 1
+    norms[100:110] = np.inf
+    grads = GradSum()
+    for lo in range(0, norms.size, 10):
+        grads.add(norms[lo:lo + 10])
+    with pytest.raises(RuntimeError):
+        integrate_grad(grads)
+    with pytest.raises(ValueError):
+        integrate_grad(GradSum(power=2))

@@ -245,7 +245,7 @@ def test_block_streams_are_the_batches_rows(p):
     count = 3 * step + 50
     def product_half(params, count, seed):
         # the Z half of the product and ball stream
-        return ((lo, Z) for lo, (Z, _) in
+        return ((lo, Z) for lo, (Z, _, _) in
                 product_ball_blocks(params, count, seed))
 
     for stream, sample in ((ball_blocks, sample_ball),
@@ -263,7 +263,9 @@ def test_product_ball_blocks_are_both_streams_bit_for_bit(p):
     # one draw gives the product rows Z and their ball points X = T(Z): the
     # rows of sample_product and sample_ball at the same seed, across row
     # blocks (8192 rows at n = 3, 512 at n = 64) and as prefixes of larger
-    # batches
+    # batches; with them, |z|_p as s^{1/p} of the s that T divides by,
+    # within rounding of the norm of Z and T's exact divisor: X zp is Z's
+    # first n coordinates
     for n, counts in ((3, (1, 8192, 8193, 2 * block_rows(4) + 17)),
                       (64, (1, 3 * block_rows(65) + 5))):
         params = PBallParams(p, n)
@@ -274,10 +276,14 @@ def test_product_ball_blocks_are_both_streams_bit_for_bit(p):
             pairs = list(product_ball_blocks(params, count, 91))
             assert [lo for lo, _ in pairs] == list(
                 range(0, count, block_rows(n + 1)))
-            Z = np.concatenate([Zb for _, (Zb, _) in pairs])
-            X = np.concatenate([Xb for _, (_, Xb) in pairs])
+            Z = np.concatenate([Zb for _, (Zb, _, _) in pairs])
+            X = np.concatenate([Xb for _, (_, Xb, _) in pairs])
+            zp = np.concatenate([zb for _, (_, _, zb) in pairs])
             assert _same_bits(Z, Z_all[:count]), (n, count)
             assert _same_bits(X, X_all[:count]), (n, count)
+            np.testing.assert_allclose(zp, lp_norm(Z, p), rtol=1e-14)
+            np.testing.assert_allclose(X * zp[:, None], Z[:, :-1],
+                                       rtol=1e-14, atol=1e-300)
 
 
 def _guarded_rows(stream, monkeypatch) -> list:
