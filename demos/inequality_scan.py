@@ -2,8 +2,9 @@
 
 check_theorem1 rates coordinate half-spaces against n^{1/p} a log^{1-1/p}(1/a)
 using the exact marginal oracle (no Monte Carlo needed), so the fitted
-constant is the smallest ratio seen.  check_bobkov_inequality grades a
-Monte Carlo boundary content against the log-concave enlargement bound.
+constant is the smallest ratio seen.  check_bobkov_inequality grades the
+same exact boundary contents against the log-concave enlargement bound,
+whose ball masses V{|x|_2 <= r} are Monte Carlo at p = 1.5.
 """
 
 import numpy as np

@@ -20,8 +20,8 @@ Config files use ``key = value`` lines with ``#`` comments; list values
 are comma-separated.  A run is set by its (p, n, samples) grid: the set
 measures ``A_GRID``, the quantile levels ``T_GRID`` and the radii
 ``R_GRID`` (multipliers of the boundary-layer width n^{-(2-p)/(2p)}) are
-module constants.  Every boundary content is estimated on
-``inequality_suite.default_eps_ladder(p, n)``.
+module constants.  A boundary content with no closed form is estimated
+on ``inequality_suite.default_eps_ladder(p, n)``.
 """
 
 from __future__ import annotations

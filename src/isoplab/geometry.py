@@ -449,8 +449,10 @@ class BallComplement:
         return float(1.0 - min(self.r, 1.0) ** params.n)
 
     def analytic_boundary(self, params: PBallParams) -> Optional[float]:
-        if params.p != 2.0 or not 0.0 < self.r <= 1.0:
+        if params.p != 2.0:
             return None
+        if not 0.0 < self.r <= 1.0:
+            return 0.0  # the whole ball or none of it: no boundary
         return float(params.n * self.r ** (params.n - 1))
 
 

@@ -22,8 +22,11 @@ Conventions shared by all checks:
   not depend on which other checks share its cell, and a public
   ``check_*(..., count, seed)`` is a cell of its one plan.  The exact
   checks (check_product_isoperimetry, check_lemma5, check_kls, and
-  check_theorem1 on its default sets) draw nothing.  Reports are
-  reproducible bit for bit;
+  check_theorem1 on its default sets) draw nothing, nor do the default
+  Bobkov and Barthe cells at p = 2.  Reports are reproducible bit for bit;
+* a set's boundary content is its closed form (``analytic_boundary``)
+  where it has one; only a set without one is estimated, by extrapolating
+  its enlargement quotients on ``default_eps_ladder`` (``_Contents``);
 * summaries, never batches: a cell reads each stream block by block and
   folds every block into what its plans keep.  The held-out pass keeps
   columns, sorted once, because the thresholds placed on it are order
@@ -374,33 +377,42 @@ def _one_plan_cell(p: float, n: int, plan: CellPlan, count: int,
 
 
 class _Contents:
-    """The content tallies of ``sets`` on ``ladder``, one per scalar the
-    sets share (``scalar_groups``), folded from the grading blocks."""
+    """The boundary content of each of ``sets`` on the ball of ``params``:
+    its closed form (``analytic_boundary``) where it has one, else the
+    ``default_eps_ladder`` extrapolation of a content tally per scalar
+    those sets share (``scalar_groups``), folded from the grading blocks."""
 
-    def __init__(self, sets, ladder):
-        self.sets, self.ladder = sets, ladder
-        self.groups = scalar_groups(sets)
+    def __init__(self, params: PBallParams, sets):
+        self.sets = sets
+        self.ladder = default_eps_ladder(params.p, params.n)
+        self.exact = [set_.analytic_boundary(params) for set_ in sets]
+        groups = ([k for k in group if self.exact[k] is None]
+                  for group in scalar_groups(sets))
+        self.groups = [group for group in groups if group]
         self.tallies = [content_tally([sets[k].threshold for k in group],
-                                      ladder) for group in self.groups]
+                                      self.ladder) for group in self.groups]
 
     def add(self, block: CellBlock) -> None:
         for group, tally in zip(self.groups, self.tallies):
             tally.add_sorted(block.sorted(self.sets[group[0]]))
 
     def tally(self, k: int) -> Tally:
-        """The tally that counts set k's scalar at set k's threshold."""
+        """The tally of set k's scalar; set k has no closed-form boundary."""
         return next(tally for group, tally in zip(self.groups, self.tallies)
                     if k in group)
 
     def estimates(self) -> list:
-        """ContentEstimate per set, one ``content_from_batch`` call per
-        shared scalar."""
-        out = [None] * len(self.sets)
+        """(lhs EstimateCI, inconclusive) per set: ``EstimateCI.exact`` of
+        a closed form, never inconclusive, or the ladder's extrapolation
+        and its empty-enlargement flag, one ``content_from_batch`` call
+        per shared scalar."""
+        out = [None if value is None else (EstimateCI.exact(value), False)
+               for value in self.exact]
         for group, tally in zip(self.groups, self.tallies):
             ests = content_from_batch(
                 tally, [self.sets[k].threshold for k in group], self.ladder)
             for k, est in zip(group, ests):
-                out[k] = est
+                out[k] = est.extrapolated, est.inconclusive
         return out
 
 
@@ -427,10 +439,10 @@ def check_theorem1(p: float, n: int, a_grid, sets=None,
     With the default coordinate family the left side is the exact marginal
     oracle, so this is an order-sharpness scan: each ratio witnesses an
     admissible constant, and the fitted c_hat is their minimum.  Explicit
-    ``sets`` (a list of (label, a -> TestSet) families) switch the left
-    side to Monte Carlo content and additionally record whether coordinate
-    half-spaces attain the family minimum (within CI) at each level.  The
-    Monte Carlo rows of every level and family read the grading stream.
+    ``sets`` (a list of (label, a -> TestSet) families) also record whether
+    coordinate half-spaces attain the family minimum (within CI) at each
+    level; a set's content is its closed form where it has one, else the
+    ladder estimate of the grading stream (``default_eps_ladder``).
 
     Rows: param1 = a, param2 = family index.
     """
@@ -446,38 +458,29 @@ def theorem1_plan(p: float, n: int, a_grid, sets=None) -> CellPlan:
     if families is None:
         families = [("coordinate", lambda a: coordinate_half_space(params, a))]
     name = "check_theorem1"
-    ladder = default_eps_ladder(p, n)
-    level_sets = [[family(a) for _, family in families] for a in grid]
-    exact = {}
-    for set_ in (s for row in level_sets for s in row):
-        oracle = getattr(set_, "analytic_boundary", None)
-        exact[id(set_)] = None if oracle is None else oracle(params)
-    mc_sets = [s for row in level_sets for s in row if exact[id(s)] is None]
+    level_sets = [family(a) for a in grid for _, family in families]
 
     def grading(held):
-        mc_contents = _Contents(mc_sets, ladder)
-        fold = mc_contents.add if mc_sets else None
-        return fold, lambda: report(mc_contents.estimates())
+        contents = _Contents(params, level_sets)
+        fold = contents.add if contents.tallies else None
+        return fold, lambda: report(contents.estimates())
 
-    def report(mc_estimates) -> CheckReport:
-        contents = dict(zip(map(id, mc_sets), mc_estimates))
+    def report(estimates) -> CheckReport:
         reports = []
         ratios = []
         argmin_hits = 0
-        for a, row_sets in zip(grid, level_sets):
+        for k, a in enumerate(grid):
             rhs = theorem1_rhs(p, n, a)
             level_rows = []
-            for fi, set_ in enumerate(row_sets):
-                if exact[id(set_)] is not None:
-                    lhs = EstimateCI.exact(exact[id(set_)])
+            row = estimates[k * len(families):(k + 1) * len(families)]
+            for fi, (lhs, inconclusive) in enumerate(row):
+                if inconclusive:
+                    verdict = INCONCLUSIVE
+                elif lhs.std_err == 0.0:  # a closed form
                     verdict = PASS if lhs.mean > 0.0 else FAIL
-                    ratios.append(lhs.mean / rhs)
                 else:
-                    ce = contents[id(set_)]
-                    lhs = ce.extrapolated
-                    verdict = (INCONCLUSIVE if ce.inconclusive
-                               else verdict_geq(lhs, 0.0, "strict"))
-                    ratios.append(lhs.mean / rhs)
+                    verdict = verdict_geq(lhs, 0.0, "strict")
+                ratios.append(lhs.mean / rhs)
                 level_rows.append(_row(name, p, n, a, fi, lhs, rhs, verdict))
             if len(families) > 1:
                 # coordinate family is near-extremal: record whether any
@@ -554,12 +557,11 @@ def _enlargement_plan(name: str, p: float, n: int, sets, r_grid,
                       dimensional: bool) -> CellPlan:
     params = PBallParams(p, n)
     r_grid = _radii(r_grid)
-    ladder = default_eps_ladder(p, n)
 
     def grading(held):
-        # a tally per shared scalar of the sets, and one of |x|_2 unless
-        # p = 2, where the ball masses are exact
-        contents = _Contents(sets, ladder)
+        # tallies of the sets' scalars where they have no closed form, and
+        # of |x|_2 unless p = 2, where the ball masses are exact
+        contents = _Contents(params, sets)
         norms = None if p == 2.0 else Tally(r_grid)
 
         def fold(b):
@@ -567,17 +569,19 @@ def _enlargement_plan(name: str, p: float, n: int, sets, r_grid,
             if norms is not None:
                 norms.add_sorted(b.sorted_norm2)
 
-        return fold, lambda: report(contents, norms)
+        drawn = contents.tallies or norms is not None
+        return (fold if drawn else None), lambda: report(contents, norms)
 
     def report(contents, norms) -> CheckReport:
         masses = [_ball_mass(norms, params, r) for r in r_grid]
         reports = []
         slacks = []
-        for k, (set_, ce) in enumerate(zip(sets, contents.estimates())):
+        for k, (set_, (lhs, inconclusive)) in enumerate(
+                zip(sets, contents.estimates())):
+            # a set with a closed-form boundary has a closed-form measure
             a = set_.analytic_measure(params)
             if a is None:
                 a = estimate_measure(contents.tally(k), set_.threshold).mean
-            lhs = ce.extrapolated
             for r, mass in zip(r_grid, masses):
                 if mass <= 0.0:
                     reports.append(_row(name, p, n, r, a, lhs, 0.0,
@@ -590,7 +594,7 @@ def _enlargement_plan(name: str, p: float, n: int, sets, r_grid,
                         - 1.0)
                 else:
                     rhs = (_entropy_term(a) + math.log(mass)) / (2.0 * r)
-                verdict = (INCONCLUSIVE if ce.inconclusive
+                verdict = (INCONCLUSIVE if inconclusive
                            else verdict_geq(lhs, rhs, "consistent"))
                 if rhs > 0.0:
                     slacks.append(lhs.mean / rhs)
@@ -607,9 +611,9 @@ def check_bobkov_inequality(p: float, n: int, sets, r_grid,
 
         content(A) >= (1/2r)[a log(1/a) + (1-a) log(1/(1-a)) + log V{|x|_2 <= r}].
 
-    ``sets`` is a list of test sets, read from the grading stream; their
-    contents are estimated on ``default_eps_ladder(p, n)``.  Rows:
-    param1 = r, param2 = the set's measure a; verdicts are
+    ``sets`` is a list of test sets; a set's content is its closed form
+    where it has one, else the ladder estimate of the grading stream.
+    Rows: param1 = r, param2 = the set's measure a; verdicts are
     consistency-graded (the bound can be met with equality up to noise).
     A vanishing ball-mass estimate makes the row INCONCLUSIVE.
     """
@@ -1017,12 +1021,12 @@ def check_coarea(p: float, n: int, phi_catalog=None,
 
         integral |grad phi|_2 dV  >=  integral_0^1 content{phi > u} du,
 
-    the u-integral taken over a 64-point midpoint grid of content
-    estimates.  Both sides of every field read the grading stream.  The
-    superlevel sets of one field share one scalar, so one tally counts it
-    for all 64 levels, and the field's gradient norms are derived from
-    that same scalar block by block (``grad_norm_from_scalar``), so each
-    catalog field is a ramp.  For the plateau catalog both sides agree
+    the u-integral taken over a 64-point midpoint grid of contents: closed
+    forms where the level sets have them (coordinate half-spaces; ball
+    complements at p = 2), else ladder estimates from one grading-stream
+    tally of the scalar a field's level sets share, from which its
+    gradient norms are derived block by block (``grad_norm_from_scalar``),
+    so each catalog field is a ramp.  For the plateau catalog both sides agree
     (the inequality is an identity there), so rows are consistency-graded.
     The default catalog's radial radii come from the held-out stream at
     p != 2.  Rows: param1 = catalog index, param2 = 0.
@@ -1033,7 +1037,6 @@ def check_coarea(p: float, n: int, phi_catalog=None,
 def coarea_plan(p: float, n: int, phi_catalog=None) -> CellPlan:
     """The plan of ``check_coarea``."""
     params = PBallParams(p, n)
-    ladder = default_eps_ladder(p, n)
     name = "check_coarea"
 
     def grading(held):
@@ -1042,9 +1045,10 @@ def coarea_plan(p: float, n: int, phi_catalog=None) -> CellPlan:
             catalog = _default_plateau_catalog(params, *held)
         level_sets = [[phi.superlevel((k + 0.5) / 64.0) for k in range(64)]
                       for phi in catalog]
-        # per field, the tally of the scalar its superlevel sets share, and
-        # the gradient norms derived from that scalar
-        contents = [_Contents(sets, ladder) for sets in level_sets]
+        # per field, the contents of its superlevel sets, tallying the
+        # scalar they share where they have no closed form, and the
+        # gradient norms derived from that scalar
+        contents = [_Contents(params, sets) for sets in level_sets]
         grads = [GradSum() for _ in catalog]
 
         def fold(b):
@@ -1057,9 +1061,9 @@ def coarea_plan(p: float, n: int, phi_catalog=None) -> CellPlan:
             reports = []
             for i, (content, grad) in enumerate(zip(contents, grads)):
                 lhs = integrate_grad(grad)
-                ests = content.estimates()
-                vals = np.array([ce.extrapolated.mean for ce in ests])
-                errs = np.array([ce.extrapolated.std_err for ce in ests])
+                ests = [est for est, _ in content.estimates()]
+                vals = np.array([est.mean for est in ests])
+                errs = np.array([est.std_err for est in ests])
                 # contents at nearby levels share the stream, so errors are
                 # summed rather than combined as a root sum of squares
                 rhs = EstimateCI(float(vals.mean()), float(errs.mean()),
@@ -1088,8 +1092,8 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     enlargements have closed-form measures; this shell value sits below
     the boundary mass by a bias of order (n-1)/p (r + s/2), which alone
     made the row FAIL on a few seeds.  Without closed-form measures the
-    row falls back to the analytic boundary mass, and without that to the
-    Monte Carlo content of the grading stream.  constants["reference"] is
+    row falls back to A's boundary content, its closed form or else the
+    ladder estimate of the grading stream.  constants["reference"] is
     that boundary value in every case.  The rungs are distance ramps of
     one set, so every rung's gradient norms and shell count are derived
     from one scalar, A's, block by block.
@@ -1106,16 +1110,13 @@ def functional_equivalence_plan(p: float, n: int, set_, r: float,
         raise ValueError("enlargement offsets r, s must be positive")
     name = "check_functional_equivalence"
     rungs = [DistanceRamp(set_, n, r * 4 ** j, s * 2 ** j) for j in (3, 2, 1, 0)]
-    analytic = set_.analytic_boundary(params)
 
     def grading(held):
         # from A's scalar: every rung's gradient norms and the count of
-        # its shell, where they are nonzero, and the grading stream's own
-        # content of A as the reference when A has no analytic one
+        # its shell, where they are nonzero, and A's reference content
         grads = [GradSum() for _ in rungs]
         shells = [0] * len(rungs)
-        content = (_Contents([set_], default_eps_ladder(p, n))
-                   if analytic is None else None)
+        content = _Contents(params, [set_])
 
         def fold(b):
             scalar = b.scalar(set_)
@@ -1123,8 +1124,7 @@ def functional_equivalence_plan(p: float, n: int, set_, r: float,
                 norms = phi.grad_norm_from_scalar(scalar)
                 grad.add(norms)
                 shells[j] += int(np.count_nonzero(norms > 0.0))
-            if content is not None:
-                content.add(b)
+            content.add(b)
 
         return fold, lambda: report(grads, shells, content)
 
@@ -1139,10 +1139,8 @@ def functional_equivalence_plan(p: float, n: int, set_, r: float,
                                 verdict_geq(lhs, shell, "consistent")))
         # the loop ends on j = 0: lhs is the finest rung's
         final = lhs
-        reference = analytic
-        if reference is None:
-            ce, = content.estimates()
-            reference = ce.extrapolated.mean
+        (est, _), = content.estimates()
+        reference = est.mean
         inner = set_.enlarged(r).analytic_measure(params)
         outer = set_.enlarged(r + s).analytic_measure(params)
         target = (reference if inner is None or outer is None

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from isoplab import geometry
@@ -348,6 +349,37 @@ def test_no_plan_or_runner_takes_count_or_seed():
     for name, (_, runner) in REGISTRY.items():
         assert list(inspect.signature(runner).parameters) == [
             "cfg", "p", "n"], name
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_no_default_lhs_estimates_a_closed_form(p, monkeypatch):
+    # every registered plan of a default cell reads the closed-form
+    # boundary contents where they exist: the ladder runs only for the
+    # co-area radial ramp's 64 superlevel ball complements at p != 2
+    cfg, n = RunConfig(), 4
+    params = PBallParams(p, n)
+    plans = [plan for plan in (runner(cfg, p, n)
+                               for _, runner in REGISTRY.values())
+             if isinstance(plan, iq.CellPlan)]
+    calls = []
+    real = iq.content_from_batch
+
+    def spy(source, thresholds, eps):
+        calls.append(list(thresholds))
+        return real(source, thresholds, eps)
+
+    monkeypatch.setattr(iq, "content_from_batch", spy)
+    iq.run_cell(p, n, plans, cfg.samples, cfg.seed)
+    if p == 2.0:
+        assert calls == []
+        return
+    held_out = iq.product_ball_blocks(
+        params, cfg.samples, iq.cell_seed(cfg.seed, p, n, iq.HELD_OUT))
+    radii = np.sort(np.concatenate(
+        [geometry.lp_norm(X, 2.0) for _, (_, X, _) in held_out]))
+    radial = iq._default_plateau_catalog(params, radii)[1]
+    assert calls == [[radial.superlevel((k + 0.5) / 64.0).threshold
+                      for k in range(64)]]
 
 
 SAMPLED_CHECKS = (

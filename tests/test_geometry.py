@@ -503,6 +503,18 @@ def test_half_space_boundary_outside_ball_is_zero():
     assert hs.analytic_boundary(params) == 0.0
 
 
+def test_ball_complement_boundary_off_the_ball_is_zero():
+    # at p = 2 the measure is exact for every r (1 for r <= 0, 0 for r > 1),
+    # and so is the boundary content: 0 where the set is the whole ball or
+    # none of it
+    params = PBallParams(2.0, 3)
+    for r, measure in ((1.5, 0.0), (0.0, 1.0), (-0.5, 1.0)):
+        assert BallComplement(r).analytic_measure(params) == measure
+        assert BallComplement(r).analytic_boundary(params) == 0.0
+    assert BallComplement(1.0).analytic_boundary(params) == 3.0
+    assert BallComplement(1.5).analytic_boundary(PBallParams(1.5, 3)) is None
+
+
 def test_ball_complement_exact_values():
     params = PBallParams(2.0, 3)
     bc = BallComplement(0.5)

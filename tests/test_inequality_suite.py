@@ -291,12 +291,17 @@ def test_enlargement_r_grid_validation():
 
 
 def test_enlargement_sorts_each_shared_scalar_once(monkeypatch):
-    # the CLI's half-spaces all threshold x_1: one column and one sort for
-    # the three of them, and the same estimates as one set at a time
+    # the sets with no closed-form boundary that threshold one scalar, here
+    # three oblique half-spaces on one direction, share one column, one
+    # sort and one content_from_batch call, with the same estimates as one
+    # set at a time; the coordinate sets read their closed form
     p, n, count, seed = 1.5, 3, 5000, 7
     params = PBallParams(p, n)
-    sets = [coordinate_half_space(params, a) for a in (0.1, 0.25, 0.5)]
-    sets += [BallComplement(0.6), coordinate_half_space(params, 0.3, axis=1)]
+    xi = np.array([0.6, 0.8, 0.0])
+    sets = [HalfSpace(xi, 0.3), coordinate_half_space(params, 0.1),
+            BallComplement(0.6), HalfSpace(xi, 0.1),
+            coordinate_half_space(params, 0.3, axis=1), HalfSpace(xi, -0.1),
+            coordinate_half_space(params, 0.25)]
     ladder = default_eps_ladder(p, n)
     calls = []
     real = isoplab.inequality_suite.content_from_batch
@@ -308,11 +313,27 @@ def test_enlargement_sorts_each_shared_scalar_once(monkeypatch):
     monkeypatch.setattr(isoplab.inequality_suite, "content_from_batch",
                         counting)
     rep = check_bobkov_inequality(p, n, sets, [1.0], count, seed)
-    assert calls == [3, 1, 1]
+    assert calls == [3, 1]
     batch = _stream_batch(sample_ball, params, count, seed)
     for row, set_ in zip(rep.reports, sets):
-        assert row.lhs == real(_column(set_.scalar, batch.points),
-                               [set_.threshold], ladder)[0].extrapolated
+        exact = set_.analytic_boundary(params)
+        if exact is None:
+            assert row.lhs == real(_column(set_.scalar, batch.points),
+                                   [set_.threshold], ladder)[0].extrapolated
+        else:
+            assert isinstance(set_, HalfSpace) and set_.level is not None
+            assert row.lhs == EstimateCI.exact(exact)
+            assert row.lhs.mean == exact
+
+
+def test_ball_complement_off_the_ball_takes_the_exact_path():
+    # at p = 2, {|x|_2 >= 1.5} has boundary content 0: the row reads it and
+    # PASSes, where the ladder's empty enlargements made it INCONCLUSIVE
+    rep = check_bobkov_inequality(2.0, 3, [BallComplement(1.5)], [0.5],
+                                  count=2000, seed=3)
+    row, = rep.reports
+    assert row.lhs == EstimateCI.exact(0.0)
+    assert row.verdict == PASS
 
 
 @dataclass(frozen=True)
@@ -731,15 +752,59 @@ def test_coarea_rhs_matches_per_level_indicator_loop(catalog):
         rep = check_coarea(p, n, phis, count, seed)
     ladder = default_eps_ladder(p, n)
     assert len(rep.reports) == len(phis)
-    # both sides of every field read the grading stream
+    # a level set with a closed-form boundary (the half-spaces) reads it;
+    # the others (the ball complements at p = 1.5) are estimated on the
+    # grading stream, which the gradient side reads too
     batch = _stream_batch(sample_ball, params, count, seed)
     for phi, row in zip(phis, rep.reports):
         vals = np.zeros(64)
         for k in range(64):
-            vals[k] = _loop_content_mean(
-                batch, phi.superlevel((k + 0.5) / 64.0), ladder)
+            level = phi.superlevel((k + 0.5) / 64.0)
+            exact = level.analytic_boundary(params)
+            vals[k] = (_loop_content_mean(batch, level, ladder)
+                       if exact is None else exact)
         assert row.rhs > 0.0
         assert row.rhs == float(vals.mean())
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_coarea_agrees_at_large_n(p):
+    # at n = 1024 the ladder overshot the exact half-space contents by about
+    # 25% and FAILed the half-space ramp (lhs/rhs 0.75-0.82), and read the
+    # p = 2 radial ramp's exact contents at 1/22.6 of the gradient mass
+    rep = check_coarea(p, 1024, count=5000, seed=7)
+    half_space, radial = rep.reports
+    assert half_space.verdict == PASS
+    if p == 2.0:
+        assert radial.ratio == pytest.approx(1.0, abs=0.05)
+
+
+@dataclass(frozen=True)
+class _OverstatedHalfSpace(HalfSpace):
+    # a half-space whose closed-form boundary content is 10% too large
+    def analytic_boundary(self, params):
+        return 1.1 * super().analytic_boundary(params)
+
+
+class _OverstatedRamp(LinearRamp):
+    def superlevel(self, u):
+        level = super().superlevel(u)
+        return _OverstatedHalfSpace(level.xi, level.t)
+
+
+def test_coarea_fails_on_an_overstated_content():
+    # negative control of the exact path: the layer-cake of superlevel
+    # contents 10% too large sits above the gradient mass by more than its
+    # 3 sigma; the honest ramp passes in the same cell
+    p, n = 1.5, 4
+    params = PBallParams(p, n)
+    xi = np.zeros(n)
+    xi[0] = 1.0
+    hi = float(marginal_isf(params, 0.2))
+    for ramp, verdict in ((LinearRamp(xi, 0.0, hi), PASS),
+                          (_OverstatedRamp(xi, 0.0, hi), FAIL)):
+        row, = check_coarea(p, n, [ramp], count=10 ** 4, seed=7).reports
+        assert row.verdict == verdict, row
 
 
 def test_functional_equivalence_identity_rows():
