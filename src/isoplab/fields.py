@@ -23,16 +23,24 @@ custom field must keep it too; inner products <x, xi> go through
 differently with the number of rows in the call.
 Products and push-forwards evaluate each factor once through its
 ``value_and_grad``; ``product_value_and_grad`` and ``push_forward_grad`` hold
-their arithmetic for callers that already have the factors' passes.
+their arithmetic.  They serve ``ProductField`` and ``PushForwardField``
+only, which no check evaluates: the cut-off chain reads its gradient norms
+as closed forms in per-point scalars
+(``inequality_suite.cutoff_chain_norms``), and the composed classes are
+the reference it is tested against.
 The fields take their l_p primitives, kappa, sign(z)|z|^{p-1}
 (``lp_dual``) and |z|_p, from ``geometry``, which defines each once.
 Ramps additionally expose ``superlevel(u)`` returning the test set {f > u};
 all superlevel sets of one ramp share one scalar per point, their sets'
-``scalar(X)``, and so does the gradient norm:
+``scalar(X)``, and so does the gradient norm, which is the ramp's slope
+where the gradient is nonzero and 0 elsewhere:
+    f.on_ramp(s)               -> (rows,) bool, where the gradient is nonzero
+    f.slope                    -> |grad f|_2 there
     f.grad_norm_from_scalar(s) -> (rows,) |grad f|_2 from that scalar alone
 so a caller that already holds the scalar column gets the gradient
-norms without gradient rows.  The cut-offs' ``from_norm`` likewise take
-the norm their pass starts from, for callers that already have it.
+norms, or their mass from a count, without gradient rows.  The cut-offs'
+``on_ramp`` and ``from_norm`` likewise take the norm their pass starts
+from, for callers that already have it.
 """
 
 from __future__ import annotations
@@ -122,8 +130,8 @@ class LinearRamp(_Field):
         self.lo = float(lo)
         self.hi = float(hi)
         self.dim = xi.size
-        # the norm of every nonzero gradient row
-        self._slope = float(lp_norm((xi / self.width)[None, :], 2.0)[0])
+        # |grad f|_2 on the ramp, the norm of every nonzero gradient row
+        self.slope = float(lp_norm((xi / self.width)[None, :], 2.0)[0])
 
     @property
     def width(self) -> float:
@@ -131,13 +139,16 @@ class LinearRamp(_Field):
 
     def value_and_grad(self, X):
         t = row_dot(_rows(X, self.dim), self.xi)
-        on = (t > self.lo) & (t < self.hi)
         return (np.clip((t - self.lo) / self.width, 0.0, 1.0),
-                np.where(on[:, None], self.xi / self.width, 0.0))
+                np.where(self.on_ramp(t)[:, None], self.xi / self.width, 0.0))
+
+    def on_ramp(self, t):
+        """Where the gradient is nonzero, at t = <x, xi>: lo < t < hi."""
+        return (t > self.lo) & (t < self.hi)
 
     def grad_norm_from_scalar(self, t):
         """The norms of the gradient rows at t = <x, xi>, bit for bit."""
-        return np.where((t > self.lo) & (t < self.hi), self._slope, 0.0)
+        return np.where(self.on_ramp(t), self.slope, 0.0)
 
     def superlevel(self, u: float) -> HalfSpace:
         """{<x, xi> >= lo + u (hi - lo)}.  All superlevel sets of one ramp
@@ -157,6 +168,9 @@ class RadialRamp(_Field):
         self.dim = dim
         self.lo = float(lo)
         self.hi = float(hi)
+        # |grad f|_2 on the ramp, where the gradient is a unit vector over
+        # the width
+        self.slope = 1.0 / self.width
 
     @property
     def width(self) -> float:
@@ -165,16 +179,19 @@ class RadialRamp(_Field):
     def value_and_grad(self, X):
         X = _rows(X, self.dim)
         r = lp_norm(X, 2.0)
-        on = (r > self.lo) & (r < self.hi)
         with np.errstate(invalid="ignore", divide="ignore"):
             unit = np.where(r[:, None] > 0.0, X / np.where(r == 0.0, 1.0, r)[:, None], 0.0)
         return (np.clip((r - self.lo) / self.width, 0.0, 1.0),
-                np.where(on[:, None], unit / self.width, 0.0))
+                np.where(self.on_ramp(r)[:, None], unit / self.width, 0.0))
+
+    def on_ramp(self, r):
+        """Where the gradient is nonzero, at r = |x|_2: lo < r < hi."""
+        return (r > self.lo) & (r < self.hi)
 
     def grad_norm_from_scalar(self, r):
-        """At r = |x|_2: 1/(hi - lo) on the ramp, where the gradient is a
-        unit vector over the width, and 0 elsewhere."""
-        return np.where((r > self.lo) & (r < self.hi), 1.0 / self.width, 0.0)
+        """At r = |x|_2: the slope 1/(hi - lo) on the ramp, and 0
+        elsewhere."""
+        return np.where(self.on_ramp(r), self.slope, 0.0)
 
     def superlevel(self, u: float) -> BallComplement:
         """{|x|_2 >= lo + u (hi - lo)}.  All superlevel sets of one ramp
@@ -196,6 +213,9 @@ class DistanceRamp(_Field):
         self.dim = dim
         self.r = float(r)
         self.s = float(s)
+        # |grad f|_2 on the shell, where the gradient of dist is a unit
+        # vector a.e. (see the sets' ``dist_and_grad``)
+        self.slope = 1.0 / self.s
 
     def value_and_grad(self, X):
         d, dg = self.set_.dist_and_grad(_rows(X, self.dim))
@@ -203,13 +223,16 @@ class DistanceRamp(_Field):
         return (np.clip(1.0 - (d - self.r) / self.s, 0.0, 1.0),
                 np.where(on[:, None], -dg / self.s, 0.0))
 
-    def grad_norm_from_scalar(self, scalar):
-        """At A's scalar: 1/s on the shell, where the gradient of dist is a
-        unit vector a.e. (see the sets' ``dist_and_grad``), and 0
-        elsewhere.  dist is the sets' own max(threshold - scalar, 0)."""
+    def on_ramp(self, scalar):
+        """Where the gradient is nonzero, at A's scalar: the shell
+        r < dist < r + s, dist being the sets' own
+        max(threshold - scalar, 0)."""
         d = np.maximum(self.set_.threshold - scalar, 0.0)
-        return np.where((d > self.r) & (d < self.r + self.s), 1.0 / self.s,
-                        0.0)
+        return (d > self.r) & (d < self.r + self.s)
+
+    def grad_norm_from_scalar(self, scalar):
+        """At A's scalar: the slope 1/s on the shell, and 0 elsewhere."""
+        return np.where(self.on_ramp(scalar), self.slope, 0.0)
 
     def superlevel(self, u: float):
         """The (r + s(1 - u))-enlargement of A.  All superlevel sets of one
@@ -248,12 +271,15 @@ class CutoffH1Field(_Field):
         X = _rows(X, self.dim)
         return self.from_norm(X, lp_norm(X, 2.0))
 
+    def on_ramp(self, r):
+        """Where the gradient is nonzero, at r = |x|_2: lo < r < hi."""
+        return (r > self.lo) & (r < self.hi)
+
     def from_norm(self, X, r):
         """``value_and_grad(X)`` given r = |x|_2 of its rows."""
-        on = (r > self.lo) & (r < self.hi)
         unit = X / np.where(r == 0.0, 1.0, r)[:, None]
         return (np.clip(2.0 - self.slope * r, 0.0, 1.0),
-                np.where(on[:, None], -self.slope * unit, 0.0))
+                np.where(self.on_ramp(r)[:, None], -self.slope * unit, 0.0))
 
 
 class CutoffH2Field(_Field):
@@ -279,16 +305,19 @@ class CutoffH2Field(_Field):
         Z = _rows(Z, self.dim)
         return self.from_norm(lp_norm(Z, self.p), lp_dual(Z, self.p))
 
+    def on_ramp(self, r):
+        """Where the gradient is nonzero, at r = |z|_p: lo < r < hi."""
+        return (r > self.lo) & (r < self.hi)
+
     def from_norm(self, r, w):
         """``value_and_grad(Z)`` given r = |z|_p and w = ``lp_dual(Z, p)``
         of its rows."""
-        on = (r > self.lo) & (r < self.hi)
         if self.p == 1.0:
             unit = w
         else:
             unit = w / np.where(r == 0.0, 1.0, r)[:, None] ** (self.p - 1.0)
         return (np.clip(self.scale * r - 1.0, 0.0, 1.0),
-                np.where(on[:, None], self.scale * unit, 0.0))
+                np.where(self.on_ramp(r)[:, None], self.scale * unit, 0.0))
 
 
 class ProductField(_Field):

@@ -32,17 +32,24 @@ Conventions shared by all checks:
   columns, sorted once, because the thresholds placed on it are order
   statistics.  The grading pass keeps per-block summaries (see
   ``montecarlo``): integer counts at thresholds fixed before it
-  (``Tally``: content rungs, tails, set and ball masses, Lemma 4) or in
-  flags (the chain's plateau and Jacobian-scan counts), and moments
-  merged in row order (``MomentSum``, ``GradSum``: the chain's links, the
-  gradient masses and the L2 form).  So a cell's memory does not grow
-  with its count but for the two held-out columns, |x|_2 and the
-  sz-concentration functional, and one grading column, the functional
-  again: its median is an order statistic of the grading stream, and
-  placing it on the held-out stream instead would make each h = 0 row a
-  test at about 2 sigma.  A value several plans read is computed once per
-  block (``CellBlock``), and a ramp's gradient norms are derived from its
-  sets' scalar (``grad_norm_from_scalar``).
+  (``Tally``: content rungs, tails, set and ball masses, Lemma 4), in
+  flags (the chain's plateau and Jacobian-scan counts) or on a ramp
+  (``RampSum``: the gradient masses of the co-area, functional-equivalence
+  and L2-form ramps), and moments merged in row order (``MomentSum``: the
+  chain's links).  So a cell's memory does not grow with its count but
+  for the two held-out columns, |x|_2 and the sz-concentration
+  functional, and one preallocated grading column, the functional again:
+  its median is an order statistic of the grading stream, and placing it
+  on the held-out stream instead would make each h = 0 row a test at
+  about 2 sigma;
+* one scalar per point: a value several plans read is computed once per
+  block (``CellBlock``), and every per-point quantity is a function of
+  such scalars, so the grading pass forms no gradient row.  A ramp's
+  |grad phi| is its slope on the ramp and 0 elsewhere
+  (``grad_norm_from_scalar``), so its gradient mass is its slope times
+  the share of points on the ramp, read off its sets' scalar
+  (``on_ramp``); the chain's gradient norms are closed forms in six
+  scalars per point (``cutoff_chain_norms``).
 """
 
 from __future__ import annotations
@@ -64,8 +71,6 @@ from .fields import (
     LinearRamp,
     RadialRamp,
     functional_catalog,
-    product_value_and_grad,
-    push_forward_grad,
 )
 from .geometry import (
     BallComplement,
@@ -75,19 +80,20 @@ from .geometry import (
     jacobian_op_norms,
     kappa,
     lp_dual,
-    lp_norm,
     map_row_blocks,
     marginal_isf,
     marginal_level_density,
     marginal_second_moment,
+    pow_p,
+    row_sum,
 )
 from .montecarlo import (
     FAIL,
     INCONCLUSIVE,
     PASS,
     EstimateCI,
-    GradSum,
     MomentSum,
+    RampSum,
     Tally,
     bernoulli_ci,
     content_from_batch,
@@ -140,6 +146,7 @@ __all__ = [
     "l2_form_plan",
     "verify_cutoff_chain",
     "cutoff_chain_plan",
+    "cutoff_chain_norms",
     "isotropy_constants",
     "isotropy_report",
     "check_kls",
@@ -780,20 +787,19 @@ def sz_concentration_plan(p: float, n: int, functional, t_grid) -> CellPlan:
         med0 = 0.5 * float(vals[(vals.size - 1) // 2] + vals[vals.size // 2])
         h_grid = [q - med0 for q in _sorted_quantiles(vals, levels)]
 
-        # the grading column of F, for its median (an order statistic)
-        blocks = []
+        # the grading column of F, for its median (an order statistic);
+        # the grading stream is as long as the held-out one
+        column = np.empty(vals.size)
 
         def fold(b):
             F = functional(b.X)
             head = LIPSCHITZ_ROWS - b.lo
             if head > 1:
                 _lipschitz_spot_check(functional, b.X[:head], F[:head])
-            blocks.append(np.array(F, dtype=float))
+            column[b.lo:b.lo + len(b)] = F
 
         def report() -> CheckReport:
-            vals = np.concatenate(blocks)
-            blocks.clear()
-            _, curve = estimate_median_and_phi(vals, h_grid)
+            _, curve = estimate_median_and_phi(column, h_grid)
             slopes = []
             for h, est, rare in curve:
                 if h > 0.0 and not rare and est.mean > 0.0:
@@ -1024,12 +1030,14 @@ def check_coarea(p: float, n: int, phi_catalog=None,
     the u-integral taken over a 64-point midpoint grid of contents: closed
     forms where the level sets have them (coordinate half-spaces; ball
     complements at p = 2), else ladder estimates from one grading-stream
-    tally of the scalar a field's level sets share, from which its
-    gradient norms are derived block by block (``grad_norm_from_scalar``),
-    so each catalog field is a ramp.  For the plateau catalog both sides agree
-    (the inequality is an identity there), so rows are consistency-graded.
-    The default catalog's radial radii come from the held-out stream at
-    p != 2.  Rows: param1 = catalog index, param2 = 0.
+    tally of the scalar a field's level sets share.  Each catalog field is
+    a ramp, whose |grad phi| is its slope on the ramp and 0 elsewhere, so
+    the lhs is its slope times the share of grading points on the ramp,
+    counted off that scalar block by block (``on_ramp``, ``RampSum``).
+    For the plateau catalog both sides agree (the inequality is an
+    identity there), so rows are consistency-graded.  The default
+    catalog's radial radii come from the held-out stream at p != 2.
+    Rows: param1 = catalog index, param2 = 0.
     """
     return _one_plan_cell(p, n, coarea_plan(p, n, phi_catalog), count, seed)
 
@@ -1046,16 +1054,16 @@ def coarea_plan(p: float, n: int, phi_catalog=None) -> CellPlan:
         level_sets = [[phi.superlevel((k + 0.5) / 64.0) for k in range(64)]
                       for phi in catalog]
         # per field, the contents of its superlevel sets, tallying the
-        # scalar they share where they have no closed form, and the
-        # gradient norms derived from that scalar
+        # scalar they share where they have no closed form, and the count
+        # of its on-ramp points, read off that scalar
         contents = [_Contents(params, sets) for sets in level_sets]
-        grads = [GradSum() for _ in catalog]
+        grads = [RampSum(phi.slope) for phi in catalog]
 
         def fold(b):
             for phi, sets, content, grad in zip(catalog, level_sets,
                                                 contents, grads):
                 content.add(b)
-                grad.add(phi.grad_norm_from_scalar(b.scalar(sets[0])))
+                grad.add(phi.on_ramp(b.scalar(sets[0])))
 
         def report() -> CheckReport:
             reports = []
@@ -1095,8 +1103,10 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     row falls back to A's boundary content, its closed form or else the
     ladder estimate of the grading stream.  constants["reference"] is
     that boundary value in every case.  The rungs are distance ramps of
-    one set, so every rung's gradient norms and shell count are derived
-    from one scalar, A's, block by block.
+    one set, so every rung's shell count k is read off one scalar, A's,
+    block by block, and a ladder row's lhs and rhs are both k/(N s), N
+    the grading count (the lhs with the standard error of the 1/s
+    column).
     """
     return _one_plan_cell(p, n, functional_equivalence_plan(p, n, set_, r, s),
                           count, seed)
@@ -1112,29 +1122,26 @@ def functional_equivalence_plan(p: float, n: int, set_, r: float,
     rungs = [DistanceRamp(set_, n, r * 4 ** j, s * 2 ** j) for j in (3, 2, 1, 0)]
 
     def grading(held):
-        # from A's scalar: every rung's gradient norms and the count of
-        # its shell, where they are nonzero, and A's reference content
-        grads = [GradSum() for _ in rungs]
-        shells = [0] * len(rungs)
+        # from A's scalar: the count of every rung's shell, where its
+        # gradient is nonzero, and A's reference content
+        grads = [RampSum(phi.slope) for phi in rungs]
         content = _Contents(params, [set_])
 
         def fold(b):
             scalar = b.scalar(set_)
-            for j, (phi, grad) in enumerate(zip(rungs, grads)):
-                norms = phi.grad_norm_from_scalar(scalar)
-                grad.add(norms)
-                shells[j] += int(np.count_nonzero(norms > 0.0))
+            for phi, grad in zip(rungs, grads):
+                grad.add(phi.on_ramp(scalar))
             content.add(b)
 
-        return fold, lambda: report(grads, shells, content)
+        return fold, lambda: report(grads, content)
 
-    def report(grads, shells, content) -> CheckReport:
+    def report(grads, content) -> CheckReport:
         reports = []
-        for phi, grad, shell_hits in zip(rungs, grads, shells):
+        for phi, grad in zip(rungs, grads):
             lhs = integrate_grad(grad)
             # the gradient, -grad dist / s, is nonzero exactly on the shell
             # r < dist < r + s, almost everywhere
-            shell = shell_hits / grad.count / phi.s
+            shell = grad.on / grad.count / phi.s
             reports.append(_row(name, p, n, phi.r, phi.s, lhs, shell,
                                 verdict_geq(lhs, shell, "consistent")))
         # the loop ends on j = 0: lhs is the finest rung's
@@ -1172,9 +1179,9 @@ def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckRepor
     levels; rhs chains the fitted profile constant through the dyadic
     decomposition: rhs = c_hat^2 n^{2/p} / S(a) with S(a) the dyadic sum.
     Each level implies c1 = lhs / [n^{2/p} a log^{2-2/p}(1/a)], and
-    c1_hat is their minimum.  The ramps share one scalar, x_1, from which
-    each level's gradient norms are derived block by block.  Rows:
-    param1 = a.
+    c1_hat is their minimum.  The ramps share one scalar, x_1, off which
+    each level's on-ramp count is read block by block; its |grad phi|^2
+    is its squared slope there and 0 elsewhere.  Rows: param1 = a.
     """
     return _one_plan_cell(p, n, l2_form_plan(p, n, a_grid), count, seed)
 
@@ -1193,13 +1200,12 @@ def l2_form_plan(p: float, n: int, a_grid) -> CellPlan:
     ramps = [LinearRamp(xi, 0.0, float(marginal_isf(params, a))) for a in grid]
 
     def grading(held):
-        grads = [GradSum(power=2) for _ in ramps]
+        grads = [RampSum(phi.slope, power=2) for phi in ramps]
 
         def fold(b):
             # the ramps share one scalar, x_1
             for phi, grad in zip(ramps, grads):
-                grad.add(phi.grad_norm_from_scalar(
-                    b.scalar(phi.superlevel(0.0))))
+                grad.add(phi.on_ramp(b.scalar(phi.superlevel(0.0))))
 
         return fold, lambda: report(grads)
 
@@ -1252,15 +1258,72 @@ def verify_cutoff_chain(p: float, n: int, count: int = 10 ** 4,
     Ball integrals read X = T(Z) of the grading stream's product rows Z,
     exactly uniform on B_p^n (Barthe, Guedon, Mendelson and Naor).  f is
     the ramp along the first coordinate from x_1 = 0 up to the level-0.2
-    half-space {x_1 >= t}, V{x_1 >= t} = 0.2.  Each field is evaluated
-    once per point: the draw's |z|_p gives T(Z) and h2, g and g h2 are
-    assembled from the factor passes.  Z is streamed and never held: each
-    block's link differences fold into merged moments (link 4's formed
-    per point from those of links 2 and 3) and its flags into counts, and
-    the Jacobian scan runs on the first TRANSFER_ROWS rows as they stream
-    past.
+    half-space {x_1 >= t}, V{x_1 >= t} = 0.2.  No gradient row is
+    formed: every value and gradient norm is a closed form in six scalars
+    per point (``cutoff_chain_norms``), x_1 and |x|_2 of the cell, the
+    draw's |z|_p, and z_{n+1}^p, |lp_dual(z)|_2^2 and lp_dual(z)_1 of the
+    product row, of which only |lp_dual(z)|_2^2 at 1 < p < 2 takes a pass
+    over the row.  Z is streamed and never held: each block's link
+    differences fold into merged moments (link 4's formed per point from
+    those of links 2 and 3) and its flags into counts, and the Jacobian
+    scan, row 8's own path, runs ``jacobian_op_norms`` on the first
+    TRANSFER_ROWS rows as they stream past.
     """
     return _one_plan_cell(p, n, cutoff_chain_plan(p, n), count, seed)
+
+
+def cutoff_chain_norms(f, h1, h2, x1, r, zp, e, W, w1) -> tuple:
+    """The cut-off chain at points z of the product stream and their ball
+    points x = T(z), in closed form from six scalars per point: x_1,
+    r = |x|_2, N = |z|_p, E = z_{n+1}^p, W = |w|_2^2 and w_1, where
+    w = ``lp_dual(z, p)``.  f is a ``LinearRamp`` along e_1 and h1, h2 are
+    the ``CutoffH1Field`` and ``CutoffH2Field``.  Returns the values f(x)
+    and (g h2)(z) and the gradient norms |grad f|_2, |grad(f h1)|_2 at x
+    and |grad g|_2, |grad(g h2)|_2 at z.
+
+    With alpha = -c1 n^kappa f / r on h1's ramp and beta = h1 |grad f| on
+    f's ramp (each 0 elsewhere), v = grad(f h1) = alpha x + beta e_1, so
+
+        |v|^2 = alpha^2 (r^2 - x_1^2) + (alpha x_1 + beta)^2.
+
+    The push-forward g = (f h1) o T has grad g = v/N - c w with
+    c = x.v / N^p (``fields.push_forward_grad``), where x.v = alpha r^2 +
+    beta x_1 and v.w = alpha (N^p - E)/N + beta w_1, since the first n
+    terms of z.w sum to N^p - E.  So
+
+        |grad g|^2 = |v|^2/N^2 - 2c (v.w)/N + c^2 W.
+
+    grad h2 = k w with k = c2 n^{-1/p} / N^{p-1} on h2's ramp (else 0),
+    and w.grad g = (v.w)/N - c W, so
+
+        |grad(g h2)|^2 = (g k)^2 W + 2 g h2 k (w.grad g) + h2^2 |grad g|^2.
+
+    The values keep their fields' arithmetic, bit for bit; the norms agree
+    with the composed fields' gradient rows (``ProductField``,
+    ``PushForwardField``) to rounding.
+    """
+    p = h2.p
+    fv = np.clip((x1 - f.lo) / f.width, 0.0, 1.0)
+    h1v = np.clip(2.0 - h1.slope * r, 0.0, 1.0)
+    h2v = np.clip(h2.scale * zp - 1.0, 0.0, 1.0)
+    gv = fv * h1v
+    grad_f = f.grad_norm_from_scalar(x1)
+    alpha = np.divide(-h1.slope * fv, r, out=np.zeros_like(r),
+                      where=h1.on_ramp(r))
+    beta = h1v * grad_f
+    # |v|^2; r >= |x_1| up to rounding
+    fh1 = alpha * alpha * np.maximum(r * r - x1 * x1, 0.0)
+    fh1 += np.square(alpha * x1 + beta)
+    zpp = pow_p(zp, p)
+    c = (alpha * (r * r) + beta * x1) / zpp
+    vw = (alpha * ((zpp - e) / zp) + beta * w1) / zp     # (v.w)/N
+    g = fh1 / (zp * zp) - 2.0 * c * vw + c * c * W
+    wg = vw - c * W
+    gk = gv * np.where(h2.on_ramp(zp), h2.scale / zp ** (p - 1.0), 0.0)
+    gh2 = gk * gk * W + 2.0 * gk * h2v * wg + h2v * h2v * g
+    # a norm that rounds below 0 is 0
+    return (fv, gv * h2v, grad_f, np.sqrt(fh1), np.sqrt(np.maximum(g, 0.0)),
+            np.sqrt(np.maximum(gh2, 0.0)))
 
 
 def cutoff_chain_plan(p: float, n: int) -> CellPlan:
@@ -1269,6 +1332,7 @@ def cutoff_chain_plan(p: float, n: int) -> CellPlan:
     xi = np.zeros(n)
     xi[0] = 1.0
     f = LinearRamp(xi, 0.0, float(marginal_isf(params, 0.2)))
+    x1_set = f.superlevel(0.0)      # a set whose scalar is x_1
     h1 = CutoffH1Field(p, n)
     h2 = CutoffH2Field(p, n)
 
@@ -1279,43 +1343,43 @@ def cutoff_chain_plan(p: float, n: int) -> CellPlan:
     name = "verify_cutoff_chain"
 
     def fold(b, links, flags):
-        # f, h1 and h2 are each evaluated once per point; f h1, its
-        # push-forward g and g h2 are formed from those passes with the
-        # arithmetic of ProductField and PushForwardField, at the cell's
-        # ball points X = T(Z).  g and h2 share the draw's |z|_p and one
-        # sign(z)|z|^{p-1}, h1 and link 1 the cell's |x|_2, and the
-        # Jacobian scan's operator norms ride along with the first
-        # TRANSFER_ROWS rows.
-        Zb, XT, nzp, rT = b.Z, b.X, b.zp, b.norm2
-        ops = (jacobian_op_norms(Zb[:TRANSFER_ROWS - b.lo], p)[0]
+        # every link reads per-point scalars (``cutoff_chain_norms``): the
+        # cell's x_1 and |x|_2, the draw's |z|_p, and three of Z; only
+        # W = |lp_dual(z)|_2^2 takes a pass over the rows, and only at
+        # 1 < p < 2.  The Jacobian scan's operator norms ride along with
+        # the first TRANSFER_ROWS rows.
+        Z, zp, r = b.Z, b.zp, b.norm2
+        ops = (jacobian_op_norms(Z[:TRANSFER_ROWS - b.lo], p)[0]
                if b.lo < TRANSFER_ROWS else np.empty(0))
-        fv, fg = f.value_and_grad(XT)
-        f_one = fv >= 1.0 - 1e-12
-        gf_T = lp_norm(fg, 2.0)
-        gv, fg = product_value_and_grad((fv, fg), h1.from_norm(XT, rT))
-        gfh1_T = lp_norm(fg, 2.0)
-        w = lp_dual(Zb, p)
-        gg_rows = push_forward_grad(w, XT, nzp, fg, p)
-        plateau, gh2_rows = product_value_and_grad((gv, gg_rows),
-                                                   h2.from_norm(nzp, w))
-        gg, ggh2 = lp_norm(gg_rows, 2.0), lp_norm(gh2_rows, 2.0)
-        err1 = h1.slope * (rT >= h1.lo)
-        err2 = 2.0 * n ** kappa(p) * (nzp <= scale2)
-        d2 = gfh1_T - c3 * gg * nzp
-        d3 = gg * nzp - (n ** (1.0 / p) / CUTOFF_C2) * ggh2 + err2
-        transfer_rhs = ops * gfh1_T[:ops.size]
+        if p == 1.0:
+            W = float(n + 1)    # n + 1 signs, nonzero almost surely
+        elif p == 2.0:
+            W = zp * zp
+        else:
+            W = np.abs(Z)
+            W **= 2.0 * p - 2.0
+            W = row_sum(W)
+        fv, plateau, gf, gfh1, gg, ggh2 = cutoff_chain_norms(
+            f, h1, h2, b.scalar(x1_set), r, zp, pow_p(Z[:, -1], p), W,
+            lp_dual(Z[:, 0], p))
+        err1 = h1.slope * (r >= h1.lo)
+        err2 = 2.0 * n ** kappa(p) * (zp <= scale2)
+        d2 = gfh1 - c3 * gg * zp
+        d3 = gg * zp - (n ** (1.0 / p) / CUTOFF_C2) * ggh2 + err2
+        transfer_rhs = ops * gfh1[:ops.size]
         # links 1 to 5, link 4 being links 2 and 3 combined per point
         for link, diff in zip(links, (
-                gf_T - gfh1_T + err1, d2, d3, d2 + c3 * d3,
-                gf_T - c4 * n ** (1.0 / p) * ggh2 + 0.5 * a_level)):
+                gf - gfh1 + err1, d2, d3, d2 + c3 * d3,
+                gf - c4 * n ** (1.0 / p) * ggh2 + 0.5 * a_level)):
             link.add(diff)
         for flag, hits in (
                 ("plateau_one", plateau >= 1.0 - 1e-12),
-                ("plateau_zero", plateau <= 1e-12), ("f_one", f_one),
+                ("plateau_zero", plateau <= 1e-12),
+                ("f_one", fv >= 1.0 - 1e-12),
                 ("transfer_bad", gg[:ops.size]
                  > transfer_rhs + 1e-9 * (1.0 + transfer_rhs))):
             flags[flag] += int(np.count_nonzero(hits))
-        flags["rows"] += nzp.size
+        flags["rows"] += zp.size
         flags["scanned"] += ops.size
 
     def grading(held):

@@ -35,6 +35,11 @@ summary:
   fixed by the values' positions, not by the blocks, so the result does
   not depend on how the stream is cut.
 
+A ramp's gradient mass is a count too: its |grad f|_2 is its slope
+on the ramp and 0 elsewhere, so ``integrate_grad`` reads a ``RampSum``,
+the count of on-ramp points, and forms that column's mean and standard
+error from the count.
+
 A summary holds O(1) memory however long the stream is.  Each estimator
 also takes a per-point column (a 1-D array) in place of its summary,
 which it folds as one block, so a column and a stream of the same values
@@ -62,6 +67,7 @@ __all__ = [
     "Moments",
     "MomentSum",
     "GradSum",
+    "RampSum",
     "Tally",
     "MOMENT_ROWS",
     "mean_ci",
@@ -488,9 +494,9 @@ def estimate_median_and_phi(values, h_grid: Sequence[float]
 # ---------------------------------------------------------------------------
 
 class GradSum:
-    """The summary that ``integrate_grad`` reads: over a stream of
-    gradient norms |grad f|_2, the moments of the finite ones raised to
-    ``power``, the count of the others, and the count of all."""
+    """The summary that ``integrate_grad`` reads for any field: over a
+    stream of gradient norms |grad f|_2, the moments of the finite ones
+    raised to ``power``, the count of the others, and the count of all."""
 
     def __init__(self, power: int = 1):
         self.power = power
@@ -509,19 +515,55 @@ class GradSum:
         self.kept.add(kept if self.power == 1 else kept ** self.power)
 
 
+class RampSum:
+    """The summary that ``integrate_grad`` reads for a ramp, whose
+    |grad f|_2 is its ``slope`` on the ramp and 0 elsewhere: the count of
+    on-ramp points and the count of all.  The column of |grad f|_2^power
+    is then slope^power at k of N points and 0 at the others, so its mean
+    and standard error follow from k and N."""
+
+    def __init__(self, slope: float, power: int = 1):
+        self.slope = float(slope)
+        self.power = power
+        self.on = 0
+        self.count = 0
+
+    def add(self, on: np.ndarray) -> None:
+        """Count a 1-D boolean array: which of the stream's next points
+        lie on the ramp."""
+        self.on += int(np.count_nonzero(on))
+        self.count += on.size
+
+
+def _ramp_mass(ramp: RampSum) -> EstimateCI:
+    """``mean_ci`` of a column holding h = slope^power at k of N points
+    and 0 elsewhere, up to rounding: the mean h k/N and the standard error
+    h sqrt(k (N - k) / (N (N - 1))) / sqrt(N)."""
+    k, count = ramp.on, ramp.count
+    if count == 0:
+        raise ValueError("cannot average an empty sample")
+    height = ramp.slope ** ramp.power
+    se = (height * math.sqrt(k * (count - k) / (count * (count - 1)))
+          / math.sqrt(count) if count > 1 else 0.0)
+    return EstimateCI(height * (k / count), se, count)
+
+
 def integrate_grad(norms, power: int = 1) -> EstimateCI:
     """Monte Carlo estimate of the integral of |grad f|_2^power: its mean
-    over one batch, from a GradSum of the stream of |grad f|_2 (made with
-    this power) or the column of |grad f|_2 at the batch's points (a
-    field's exact gradient rows reduced to norms by the caller's pass).
+    over one batch, from a GradSum of the stream of |grad f|_2 or a
+    RampSum of a ramp's on-ramp points (either made with this power), or
+    the column of |grad f|_2 at the batch's points (a field's exact
+    gradient rows reduced to norms by the caller's pass).
 
     Samples with a non-finite gradient are dropped, and more than 0.1% of
-    all the stream's samples aborts the estimate.
+    all the stream's samples aborts the estimate; a ramp has none.
     """
-    if isinstance(norms, GradSum):
+    if isinstance(norms, (GradSum, RampSum)):
         if norms.power != power:
-            raise ValueError(f"a GradSum of power {norms.power} read at "
-                             f"power {power}")
+            raise ValueError(f"a {type(norms).__name__} of power "
+                             f"{norms.power} read at power {power}")
+        if isinstance(norms, RampSum):
+            return _ramp_mass(norms)
         grads = norms
     else:
         grads = GradSum(power)

@@ -13,6 +13,7 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
+import isoplab._special
 import isoplab.fields
 import isoplab.geometry
 import isoplab.inequality_suite
@@ -32,6 +33,7 @@ from isoplab.geometry import (
     PBallParams,
     block_rows,
     coordinate_half_space,
+    jacobian_op_norms,
     lp_dual,
     lp_norm,
     map_row_blocks,
@@ -71,11 +73,12 @@ from isoplab.inequality_suite import (
     lemma5_constant,
     scalar_groups,
     theorem1_rhs,
+    TRANSFER_ROWS,
+    cutoff_chain_norms,
     verify_cutoff_chain,
 )
 from isoplab.montecarlo import (
     EstimateCI,
-    MomentSum,
     _wls_intercept,
     bernoulli_ci,
     content_from_batch,
@@ -964,9 +967,10 @@ def test_cutoff_chain_p1():
 def test_cutoff_chain_rows_equal_the_composed_fields(p):
     # reference: every gradient from the composed field objects, each
     # evaluated on its own over the whole batch, with the ball points read
-    # as X = T(Z) of the product batch; the chain's shared, row-blocked
-    # passes must give the same bits, in one block and across two blocks
-    # plus a partial one
+    # as X = T(Z) of the product batch; the chain's closed form rounds
+    # otherwise, so its norms, link means and errors agree to 1e-12 and
+    # its counts exactly, in one block and across two blocks plus a
+    # partial one
     for count in (4000, 2 * BLOCK_ROWS + 17):
         _assert_chain_rows_equal_composed_fields(p, count)
 
@@ -979,6 +983,7 @@ def _assert_chain_rows_equal_composed_fields(p, count):
     xi[0] = 1.0
     f = LinearRamp(xi, 0.0, float(marginal_isf(params, 0.2)))
     h1 = CutoffH1Field(p, n)
+    h2 = CutoffH2Field(p, n)
     fh1 = ProductField(f, h1)
     Z = _stream_batch(sample_product, params, count, seed).points
     nzp = _stream_zp(params, count, seed)
@@ -1002,37 +1007,76 @@ def _assert_chain_rows_equal_composed_fields(p, count):
     def norms(field, pts):
         return np.linalg.norm(field.grad(pts), axis=1)
 
+    gf, gfh1, gg, ggh2 = norms(f, X), norms(fh1, X), norms(g, Z), norms(gh2, Z)
+    # the closed form from the six scalars, point by point
+    w = lp_dual(Z, p)
+    fv, plateau, *closed = cutoff_chain_norms(
+        f, h1, h2, X[:, 0], lp_norm(X, 2.0), nzp, Z[:, -1] ** p,
+        (w * w).sum(axis=1), w[:, 0])
+    assert np.array_equal(fv, f(X))
+    assert np.array_equal(plateau, gh2(Z))
+    assert np.array_equal(closed[0], gf)
+    step = block_rows(n + 1)
+    for got, want in zip(closed[1:], (gfh1, gg, ggh2)):
+        assert np.count_nonzero(want) > 0
+        for lo in range(0, count, step):
+            rows = slice(lo, lo + step)
+            np.testing.assert_allclose(got[rows], want[rows], rtol=1e-12,
+                                       atol=1e-12 * want[rows].max())
+
     kappa = (2.0 - p) / (2.0 * p)
     c3 = 1.0 / 3.0
-    gg = norms(g, Z)
-    ggh2 = norms(gh2, Z)
     err1 = h1.slope * (lp_norm(X, 2.0) >= 1.0 / h1.slope)
     err2 = 2.0 * n ** kappa * (nzp <= 2.0 * n ** (1.0 / p))
     diffs = {
-        1: norms(f, X) - norms(fh1, X) + err1,
-        2: norms(fh1, X) - c3 * gg * nzp,
+        1: gf - gfh1 + err1,
+        2: gfh1 - c3 * gg * nzp,
         3: gg * nzp - n ** (1.0 / p) * ggh2 + err2,
     }
     diffs[4] = diffs[2] + c3 * diffs[3]
-    diffs[5] = (norms(f, X) - c3 * n ** (1.0 / p) * ggh2
+    diffs[5] = (gf - c3 * n ** (1.0 / p) * ggh2
                 + 0.5 * math.exp(-4.0 * n ** (p / 2.0)))
     by_link = {int(r.params[2]): r for r in rep.reports}
-    step = block_rows(n + 1)
     for link, diff in diffs.items():
-        # the stream's blocks folded in order, which is the one-block
-        # column's merge too
-        streamed = MomentSum()
-        for lo in range(0, count, step):
-            streamed.add(diff[lo:lo + step])
-        assert by_link[link].lhs == mean_ci(streamed) == mean_ci(diff)
-    plateau = gh2(Z)
+        want = mean_ci(diff)
+        got = by_link[link].lhs
+        assert got.n_samples == count
+        assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0.0)
+        assert got.std_err == pytest.approx(want.std_err, rel=1e-12, abs=0.0)
+    if p == 2.0:
+        # h1 is identically 1 on the ball: link 1 is an exact equality
+        assert by_link[1].lhs.mean == 0.0
     assert by_link[6].lhs == bernoulli_ci(
         int((plateau >= 1.0 - 1e-12).sum()), count)
     assert by_link[7].lhs == bernoulli_ci(int((plateau <= 1e-12).sum()), count)
-    v_f1 = float((f(X) >= 1.0 - 1e-12).mean())
-    assert rep.constants["plateau_oracle"] == pytest.approx(v_f1 * float(
-        special.gammaincc(n / p + 1.0, (2.0 * n ** (1.0 / p)) ** p)),
-        rel=1e-13)
+    v_f1 = int((f(X) >= 1.0 - 1e-12).sum()) / count
+    scale2 = 2.0 * n ** (1.0 / p)
+    assert rep.constants["plateau_oracle"] == v_f1 * float(
+        isoplab._special.gammaincc(n / p + 1.0, scale2 ** p))
+    # the Jacobian scan on the leading rows, against the composed norms
+    ops = jacobian_op_norms(Z[:TRANSFER_ROWS], p)[0]
+    rhs = ops * gfh1[:ops.size]
+    bad = int(np.count_nonzero(gg[:ops.size] > rhs + 1e-9 * (1.0 + rhs)))
+    assert rep.constants["transfer_violations"] == bad
+    assert by_link[8].lhs == bernoulli_ci(bad, min(count, TRANSFER_ROWS))
+
+
+def test_cutoff_chain_forms_no_gradient_row(monkeypatch):
+    # the chain reads per-point scalars only: neither the product rule
+    # nor the push-forward's adjoint, each of which builds (rows, dim)
+    # gradient rows, nor any field's value_and_grad runs
+    def forbidden(*args):
+        raise AssertionError("the chain formed a gradient row")
+
+    for name in ("product_value_and_grad", "push_forward_grad"):
+        monkeypatch.setattr(isoplab.fields, name, forbidden)
+        assert not hasattr(isoplab.inequality_suite, name)
+    for cls in vars(isoplab.fields).values():
+        if isinstance(cls, type) and "value_and_grad" in vars(cls):
+            monkeypatch.setattr(cls, "value_and_grad", forbidden)
+    for p in (1.0, 1.5, 2.0):
+        rep = verify_cutoff_chain(p, 3, count=3000, seed=5)
+        assert len(rep.reports) == 8
 
 
 def test_cutoff_chain_evaluates_each_norm_of_the_product_batch_once(monkeypatch):
@@ -1050,7 +1094,8 @@ def test_cutoff_chain_evaluates_each_norm_of_the_product_batch_once(monkeypatch)
         return real(x, p_)
 
     for module in (isoplab.fields, isoplab.inequality_suite, isoplab.geometry):
-        monkeypatch.setattr(module, "lp_norm", counting)
+        if hasattr(module, "lp_norm"):
+            monkeypatch.setattr(module, "lp_norm", counting)
     rep = verify_cutoff_chain(p, n, count=count, seed=5)
     assert len(rep.reports) == 8
     assert calls.count(((count, n + 1), p)) == 1

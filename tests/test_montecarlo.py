@@ -43,6 +43,7 @@ from isoplab.montecarlo import (
     GradSum,
     Moments,
     MomentSum,
+    RampSum,
     Tally,
     _wls_intercept,
     bernoulli_ci,
@@ -474,6 +475,34 @@ def test_grad_mass_is_the_mean_of_whole_batch_gradient_norms(p):
             want = mean_ci(np.linalg.norm(f.grad(batch.points), axis=1))
             assert integrate_grad(_grad_norms(f, batch.points)) == want, \
                 type(f).__name__
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("ramp", [
+    LinearRamp(np.array([1.0, 0.0, 0.0]), 0.0, 0.3),
+    LinearRamp(np.array([0.48, 0.6, 0.64]), -0.2, 0.4),
+    RadialRamp(3, 0.3, 0.7),
+    DistanceRamp(HalfSpace(np.array([1.0, 0.0, 0.0]), 0.2), 3, 0.05, 0.1),
+    DistanceRamp(BallComplement(0.8), 3, 0.05, 0.2),
+], ids=["ramp", "oblique_ramp", "radial", "half_space_shell", "ball_shell"])
+def test_ramp_mass_from_its_count_is_the_column_mean(ramp, power):
+    # a ramp's |grad f|_2 is its slope on the ramp and 0 elsewhere, so the
+    # count of its on-ramp points, folded block by block, gives the mean
+    # and standard error of the gradient-norm column to rounding
+    count = 2 * BLOCK_ROWS + 17
+    X = sample_ball(PBallParams(1.5, 3), count, seed=53).points
+    scalar = ramp.superlevel(0.0).scalar(X)
+    ramps = RampSum(ramp.slope, power)
+    for lo in range(0, count, 5000):
+        ramps.add(ramp.on_ramp(scalar[lo:lo + 5000]))
+    assert 0 < ramps.on < ramps.count == count
+    got = integrate_grad(ramps, power=power)
+    want = integrate_grad(lp_norm(ramp.grad(X), 2.0), power=power)
+    assert got.n_samples == want.n_samples
+    assert got.mean == pytest.approx(want.mean, rel=1e-14, abs=0.0)
+    assert got.std_err == pytest.approx(want.std_err, rel=1e-14, abs=0.0)
+    with pytest.raises(ValueError):
+        integrate_grad(ramps, power=3 - power)
 
 
 def test_integrate_grad_drops_zero_gradient_fields():
