@@ -36,23 +36,12 @@ from .inequality_suite import (
     InequalityReport,
     IsotropyConstants,
     default_eps_ladder,
-    check_barthe_dimensional,
-    check_bobkov_inequality,
-    check_coarea,
-    check_functional_equivalence,
     check_kls,
-    check_l2_form,
-    check_lemma4,
     check_lemma5,
-    check_paouris_tail,
     check_product_isoperimetry,
-    check_sz_concentration,
-    check_sz_tail,
-    check_theorem1,
     concentration_from_isoperimetry,
     isotropy_constants,
     lemma5_constant,
-    verify_cutoff_chain,
 )
 from .measures1d import (
     LogConcave1D,

@@ -44,7 +44,6 @@ __all__ = [
     "gammaincc",
     "gammaincinv",
     "gammainccinv",
-    "betainc",
     "betaincc",
     "betaincinv",
     "betainccinv",
@@ -574,16 +573,6 @@ def gammaincinv(a, y):
 def gammainccinv(a, y):
     """x with Q(a, x) = y."""
     return _gamma_inv(a, 1.0 - y, y)
-
-
-@_ufunc
-def betainc(a, b, x):
-    """The regularized incomplete beta function I_x(a, b)."""
-    if _beta_bad(a, b, x):
-        return math.nan
-    if x == 0.0 or x == 1.0:
-        return x
-    return _beta_pq(a, b, x)[0]
 
 
 @_ufunc

@@ -3,7 +3,7 @@ one CSV of graded rows per check, a plot-friendly companion CSV, and a
 JSON summary of fitted constants and verdict counts.
 
 Each (check, p, n) job's runner reads the config, p and n, and either runs
-an exact check or returns the plan of a sampled one (or check_theorem1's,
+an exact check or returns the plan of a sampled one (or theorem1_plan,
 which draws nothing on its default sets); the plans of each (p, n) cell
 then run together on the cell's two streams (``inequality_suite.run_cell``),
 seeded by (seed, p, n) alone.  The sample count and seed reach a check
@@ -400,17 +400,9 @@ def run(cfg: RunConfig) -> int:
         "exit_code": exit_code,
     }
     with open(os.path.join(cfg.out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return exit_code
-
-
-def _jsonable(x):
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    raise TypeError(f"not JSON serializable: {type(x)}")
 
 
 # ---------------------------------------------------------------------------

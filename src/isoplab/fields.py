@@ -113,7 +113,18 @@ class _Field:
         return self.value_and_grad(X)[1]
 
 
-class LinearRamp(_Field):
+class _Ramp(_Field):
+    """Base of the ramps: a subclass defines ``on_ramp`` and ``slope``,
+    and the gradient norm is that slope on the ramp and 0 elsewhere."""
+
+    def grad_norm_from_scalar(self, s):
+        """The norms of the gradient rows at the scalar s of the ramp's
+        superlevel sets, bit for bit where those rows are one constant
+        row."""
+        return np.where(self.on_ramp(s), self.slope, 0.0)
+
+
+class LinearRamp(_Ramp):
     """clip((<x, xi> - lo) / (hi - lo), 0, 1) for a unit direction xi.
 
     Identically 0 on {<x,xi> <= lo} and 1 on {<x,xi> >= hi}; the gradient is
@@ -146,10 +157,6 @@ class LinearRamp(_Field):
         """Where the gradient is nonzero, at t = <x, xi>: lo < t < hi."""
         return (t > self.lo) & (t < self.hi)
 
-    def grad_norm_from_scalar(self, t):
-        """The norms of the gradient rows at t = <x, xi>, bit for bit."""
-        return np.where(self.on_ramp(t), self.slope, 0.0)
-
     def superlevel(self, u: float) -> HalfSpace:
         """{<x, xi> >= lo + u (hi - lo)}.  All superlevel sets of one ramp
         share one scalar, <x, xi>, and differ only in threshold; content
@@ -159,7 +166,7 @@ class LinearRamp(_Field):
         return HalfSpace(self.xi, self.lo + u * self.width)
 
 
-class RadialRamp(_Field):
+class RadialRamp(_Ramp):
     """clip((|x|_2 - lo) / (hi - lo), 0, 1) with 0 < lo < hi."""
 
     def __init__(self, dim: int, lo: float, hi: float):
@@ -188,11 +195,6 @@ class RadialRamp(_Field):
         """Where the gradient is nonzero, at r = |x|_2: lo < r < hi."""
         return (r > self.lo) & (r < self.hi)
 
-    def grad_norm_from_scalar(self, r):
-        """At r = |x|_2: the slope 1/(hi - lo) on the ramp, and 0
-        elsewhere."""
-        return np.where(self.on_ramp(r), self.slope, 0.0)
-
     def superlevel(self, u: float) -> BallComplement:
         """{|x|_2 >= lo + u (hi - lo)}.  All superlevel sets of one ramp
         share one scalar, |x|_2, and differ only in threshold; content
@@ -202,7 +204,7 @@ class RadialRamp(_Field):
         return BallComplement(self.lo + u * self.width)
 
 
-class DistanceRamp(_Field):
+class DistanceRamp(_Ramp):
     """clip(1 - (dist(x, A) - r) / s, 0, 1): 1 on the r-enlargement of A,
     ramping to 0 across the shell r < dist <= r + s."""
 
@@ -229,10 +231,6 @@ class DistanceRamp(_Field):
         max(threshold - scalar, 0)."""
         d = np.maximum(self.set_.threshold - scalar, 0.0)
         return (d > self.r) & (d < self.r + self.s)
-
-    def grad_norm_from_scalar(self, scalar):
-        """At A's scalar: the slope 1/s on the shell, and 0 elsewhere."""
-        return np.where(self.on_ramp(scalar), self.slope, 0.0)
 
     def superlevel(self, u: float):
         """The (r + s(1 - u))-enlargement of A.  All superlevel sets of one

@@ -19,10 +19,10 @@ Conventions shared by all checks:
   and is seeded by ``cell_seed(seed, p, n, role)`` alone.  Count and
   seed reach a check only through ``run_cell``: no plan takes them, and a
   plan reads no rows but those its passes hand it.  So a check's rows do
-  not depend on which other checks share its cell, and a public
-  ``check_*(..., count, seed)`` is a cell of its one plan.  The exact
-  checks (check_product_isoperimetry, check_lemma5, check_kls, and
-  check_theorem1 on its default sets) draw nothing, nor do the default
+  not depend on which other checks share its cell, and
+  ``run_cell(p, n, [plan], count, seed)[0]`` is the check run alone.
+  The exact checks (check_product_isoperimetry, check_lemma5, check_kls,
+  and theorem1_plan on its default sets) draw nothing, nor do the default
   Bobkov and Barthe cells at p = 2.  Reports are reproducible bit for bit;
 * a set's boundary content is its closed form (``analytic_boundary``)
   where it has one; only a set without one is estimated, by extrapolating
@@ -121,36 +121,26 @@ __all__ = [
     "IsotropyConstants",
     "default_eps_ladder",
     "theorem1_rhs",
-    "check_theorem1",
     "theorem1_plan",
+    "coordinate_c_hat",
     "check_product_isoperimetry",
-    "check_bobkov_inequality",
     "bobkov_plan",
-    "check_barthe_dimensional",
     "barthe_plan",
-    "check_sz_tail",
     "sz_tail_plan",
-    "check_sz_concentration",
     "sz_concentration_plan",
     "concentration_from_isoperimetry",
     "concentration_report",
-    "check_lemma4",
     "lemma4_plan",
     "lemma5_constant",
     "check_lemma5",
-    "check_coarea",
     "coarea_plan",
-    "check_functional_equivalence",
     "functional_equivalence_plan",
-    "check_l2_form",
     "l2_form_plan",
-    "verify_cutoff_chain",
     "cutoff_chain_plan",
     "cutoff_chain_norms",
     "isotropy_constants",
     "isotropy_report",
     "check_kls",
-    "check_paouris_tail",
     "paouris_tail_plan",
 ]
 
@@ -378,11 +368,6 @@ def run_cell(p: float, n: int, plans, count: int, seed: int) -> list:
     return [report() for _, report in graded]
 
 
-def _one_plan_cell(p: float, n: int, plan: CellPlan, count: int,
-                   seed: int) -> CheckReport:
-    return run_cell(p, n, [plan], count, seed)[0]
-
-
 class _Contents:
     """The boundary content of each of ``sets`` on the ball of ``params``:
     its closed form (``analytic_boundary``) where it has one, else the
@@ -439,9 +424,9 @@ def _validate_levels(a_grid, where: str) -> list:
     return grid
 
 
-def check_theorem1(p: float, n: int, a_grid, sets=None,
-                   count: int = 10 ** 4, seed: int = 0) -> CheckReport:
-    """Ratio of half-space boundary mass to n^{1/p} a log^{1-1/p}(1/a).
+def theorem1_plan(p: float, n: int, a_grid, sets=None) -> CellPlan:
+    """check_theorem1: ratio of half-space boundary mass to
+    n^{1/p} a log^{1-1/p}(1/a).
 
     With the default coordinate family the left side is the exact marginal
     oracle, so this is an order-sharpness scan: each ratio witnesses an
@@ -453,12 +438,6 @@ def check_theorem1(p: float, n: int, a_grid, sets=None,
 
     Rows: param1 = a, param2 = family index.
     """
-    return _one_plan_cell(p, n, theorem1_plan(p, n, a_grid, sets), count,
-                          seed)
-
-
-def theorem1_plan(p: float, n: int, a_grid, sets=None) -> CellPlan:
-    """The plan of ``check_theorem1``."""
     params = PBallParams(p, n)
     grid = _validate_levels(a_grid, "a_grid")
     families = sets
@@ -506,6 +485,16 @@ def theorem1_plan(p: float, n: int, a_grid, sets=None) -> CellPlan:
         return CheckReport(name, tuple(reports), constants)
 
     return CellPlan((), grading)
+
+
+def coordinate_c_hat(p: float, n: int, a_grid) -> float:
+    """The c_hat that ``theorem1_plan`` fits on its default sets, which
+    draw nothing: the least ratio over a_grid of a coordinate half-space's
+    closed-form boundary mass to ``theorem1_rhs``, bit for bit."""
+    params = PBallParams(p, n)
+    return min(float(coordinate_half_space(params, a).analytic_boundary(params))
+               / theorem1_rhs(p, n, a)
+               for a in _validate_levels(a_grid, "a_grid"))
 
 
 def check_product_isoperimetry(p: float, n: int, a_grid) -> CheckReport:
@@ -612,9 +601,9 @@ def _enlargement_plan(name: str, p: float, n: int, sets, r_grid,
     return CellPlan((), grading)
 
 
-def check_bobkov_inequality(p: float, n: int, sets, r_grid,
-                            count: int, seed: int) -> CheckReport:
-    """Boundary content against the log-concave enlargement bound
+def bobkov_plan(p: float, n: int, sets, r_grid) -> CellPlan:
+    """check_bobkov_inequality: boundary content against the log-concave
+    enlargement bound
 
         content(A) >= (1/2r)[a log(1/a) + (1-a) log(1/(1-a)) + log V{|x|_2 <= r}].
 
@@ -624,28 +613,18 @@ def check_bobkov_inequality(p: float, n: int, sets, r_grid,
     consistency-graded (the bound can be met with equality up to noise).
     A vanishing ball-mass estimate makes the row INCONCLUSIVE.
     """
-    return _one_plan_cell(p, n, bobkov_plan(p, n, sets, r_grid), count, seed)
-
-
-def bobkov_plan(p: float, n: int, sets, r_grid) -> CellPlan:
-    """The plan of ``check_bobkov_inequality``."""
     return _enlargement_plan("check_bobkov_inequality", p, n, sets, r_grid,
                              False)
 
 
-def check_barthe_dimensional(p: float, n: int, sets, r_grid,
-                             count: int, seed: int) -> CheckReport:
-    """Dimensional refinement of the enlargement bound,
+def barthe_plan(p: float, n: int, sets, r_grid) -> CellPlan:
+    """check_barthe_dimensional: the dimensional refinement of the
+    enlargement bound,
 
         content(A) >= (n/2r){[a^{1-1/n} + (1-a)^{1-1/n}] V{|x|_2<=r}^{1/n} - 1}.
 
-    Same row layout and grading as check_bobkov_inequality.
+    Same row layout and grading as ``bobkov_plan``.
     """
-    return _one_plan_cell(p, n, barthe_plan(p, n, sets, r_grid), count, seed)
-
-
-def barthe_plan(p: float, n: int, sets, r_grid) -> CellPlan:
-    """The plan of ``check_barthe_dimensional``."""
     return _enlargement_plan("check_barthe_dimensional", p, n, sets, r_grid,
                              True)
 
@@ -661,23 +640,24 @@ def _quantile_levels(t_grid, where: str) -> list:
     return levels
 
 
-def _sorted_quantiles(s: np.ndarray, levels) -> list:
-    """``np.quantile(s, levels)`` (numpy's linear method) of a sorted
-    column, read off its order statistics, bit for bit."""
+def _sorted_quantiles(s: np.ndarray, levels, scale: float = 1.0) -> list:
+    """``np.quantile(scale * s, levels)`` (numpy's linear method) of a
+    sorted column, read off the order statistics it scales, bit for bit."""
     top = s.size - 1
     out = []
     for q in levels:
         v = top * q
         i = math.floor(v)
         g = v - i
-        lo, hi = float(s[i]), float(s[min(i + 1, top)])
+        lo, hi = float(scale * s[i]), float(scale * s[min(i + 1, top)])
         d = hi - lo
         out.append(hi - d * (1.0 - g) if g >= 0.5 else lo + d * g)
     return out
 
 
-def check_sz_tail(p: float, n: int, t_grid, count: int, seed: int) -> CheckReport:
-    """Euclidean-norm tail P{|x|_2 >= t} against exp(-c n t^p).
+def sz_tail_plan(p: float, n: int, t_grid) -> CellPlan:
+    """check_sz_tail: Euclidean-norm tail P{|x|_2 >= t} against
+    exp(-c n t^p).
 
     t_grid holds quantile levels in (0, 1); absolute thresholds are placed
     at those empirical quantiles of the held-out stream, which keeps every
@@ -686,11 +666,6 @@ def check_sz_tail(p: float, n: int, t_grid, count: int, seed: int) -> CheckRepor
     minimum of -log P^ / (n t^p).  Rows: param1 = t, param2 = 1 when t is
     inside the advisory regime t >= 2 n^{-(2-p)/(2p)}.
     """
-    return _one_plan_cell(p, n, sz_tail_plan(p, n, t_grid), count, seed)
-
-
-def sz_tail_plan(p: float, n: int, t_grid) -> CellPlan:
-    """The plan of ``check_sz_tail``."""
     PBallParams(p, n)
     levels = _quantile_levels(t_grid, "t_grid")
     name = "check_sz_tail"
@@ -731,28 +706,6 @@ def sz_tail_plan(p: float, n: int, t_grid) -> CellPlan:
     return CellPlan((_norm2,), grading)
 
 
-def check_sz_concentration(p: float, n: int, functional, t_grid,
-                           count: int, seed: int) -> CheckReport:
-    """Upper-tail curve of a 1-Lipschitz functional around its median,
-
-        phi(h) = V{F > Med F + h}  vs  (1/2) exp(-c1 n h^p).
-
-    ``functional`` is a catalog name or a catalog field.  t_grid holds
-    quantile levels; offsets h are placed at (held-out quantile - held-out
-    median), so the level 0.5 lands at h = 0 and grades the trivial
-    phi(0) <= 1/2 row.  c1_hat = min over positive-offset rows of
-    -log(2 phi^)/(n h^p).  Rows: param1 = h, param2 = 1 for rows entering
-    the fit.
-
-    Lipschitz continuity is the caller's promise.  The grading pass
-    spot-checks it on consecutive row pairs within each block among the
-    stream's first LIPSCHITZ_ROWS rows, which are iid, so those pairs are
-    as random as any; a violation raises ValueError.
-    """
-    return _one_plan_cell(p, n, sz_concentration_plan(p, n, functional,
-                                                      t_grid), count, seed)
-
-
 def _lipschitz_spot_check(functional, X: np.ndarray, vals: np.ndarray):
     """Raise ValueError where F differs by more than its Lipschitz constant
     times |x - y|_2 between consecutive rows x, y of X; vals is F(X)."""
@@ -768,7 +721,23 @@ def _lipschitz_spot_check(functional, X: np.ndarray, vals: np.ndarray):
 
 
 def sz_concentration_plan(p: float, n: int, functional, t_grid) -> CellPlan:
-    """The plan of ``check_sz_concentration``."""
+    """check_sz_concentration: upper-tail curve of a 1-Lipschitz
+    functional around its median,
+
+        phi(h) = V{F > Med F + h}  vs  (1/2) exp(-c1 n h^p).
+
+    ``functional`` is a catalog name or a catalog field.  t_grid holds
+    quantile levels; offsets h are placed at (held-out quantile - held-out
+    median), so the level 0.5 lands at h = 0 and grades the trivial
+    phi(0) <= 1/2 row.  c1_hat = min over positive-offset rows of
+    -log(2 phi^)/(n h^p).  Rows: param1 = h, param2 = 1 for rows entering
+    the fit.
+
+    Lipschitz continuity is the caller's promise.  The grading pass
+    spot-checks it on consecutive row pairs within each block among the
+    stream's first LIPSCHITZ_ROWS rows, which are iid, so those pairs are
+    as random as any; a violation raises ValueError.
+    """
     PBallParams(p, n)
     if isinstance(functional, str):
         functional = functional_catalog(functional, n)
@@ -881,10 +850,10 @@ def concentration_from_isoperimetry(c: float, p: float, n: int,
 
 def concentration_report(p: float, n: int, a_grid) -> CheckReport:
     """The deviation curve psi from the profile constant c_hat that
-    ``check_theorem1`` fits on a_grid, at u = a_grid, as PASS rows (a
-    curve over its bound raises instead).  Rows: param1 = u, lhs = psi(u),
-    rhs = its closed-form bound."""
-    c_hat = check_theorem1(p, n, a_grid).constants["c_hat"]
+    ``theorem1_plan`` fits on a_grid (``coordinate_c_hat``), at u = a_grid,
+    as PASS rows (a curve over its bound raises instead).  Rows: param1 =
+    u, lhs = psi(u), rhs = its closed-form bound."""
+    c_hat = coordinate_c_hat(p, n, a_grid)
     curve = concentration_from_isoperimetry(c_hat, p, n, a_grid)
     name = "concentration_from_isoperimetry"
     rows = tuple(_row(name, p, n, u, 0.0, EstimateCI.exact(psi), bound, PASS)
@@ -897,8 +866,9 @@ def concentration_report(p: float, n: int, a_grid) -> CheckReport:
 # the two small-probability estimates
 # ---------------------------------------------------------------------------
 
-def check_lemma4(p: float, n: int, count: int, seed: int) -> CheckReport:
-    """Calibrate the constant C2 making both localization events small:
+def lemma4_plan(p: float, n: int) -> CellPlan:
+    """check_lemma4: calibrate the constant C2 making both localization
+    events small:
 
         V{|x|_2 >= C2 n^{-(2-p)/(2p)}}  and  mu{|z|_p <= n^{1/p}/C2}
 
@@ -911,11 +881,6 @@ def check_lemma4(p: float, n: int, count: int, seed: int) -> CheckReport:
     read the grading stream: the ball event its points x = T(z), exactly
     uniform on B_p^n, the product event their product rows z.
     """
-    return _one_plan_cell(p, n, lemma4_plan(p, n), count, seed)
-
-
-def lemma4_plan(p: float, n: int) -> CellPlan:
-    """The plan of ``check_lemma4``."""
     PBallParams(p, n)
     name = "check_lemma4"
     # the events |x|_2 >= ball[k] and |z|_p <= prod[k], k along the ladder
@@ -1021,9 +986,9 @@ def _default_plateau_catalog(params: PBallParams, radii=None) -> list:
     return fields
 
 
-def check_coarea(p: float, n: int, phi_catalog=None,
-                 count: int = 10 ** 4, seed: int = 0) -> CheckReport:
-    """Gradient mass against the layer-cake of boundary contents,
+def coarea_plan(p: float, n: int, phi_catalog=None) -> CellPlan:
+    """check_coarea: gradient mass against the layer-cake of boundary
+    contents,
 
         integral |grad phi|_2 dV  >=  integral_0^1 content{phi > u} du,
 
@@ -1039,11 +1004,6 @@ def check_coarea(p: float, n: int, phi_catalog=None,
     catalog's radial radii come from the held-out stream at p != 2.
     Rows: param1 = catalog index, param2 = 0.
     """
-    return _one_plan_cell(p, n, coarea_plan(p, n, phi_catalog), count, seed)
-
-
-def coarea_plan(p: float, n: int, phi_catalog=None) -> CellPlan:
-    """The plan of ``check_coarea``."""
     params = PBallParams(p, n)
     name = "check_coarea"
 
@@ -1086,9 +1046,10 @@ def coarea_plan(p: float, n: int, phi_catalog=None) -> CellPlan:
     return CellPlan(held_out, grading)
 
 
-def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
-                                 count: int, seed: int) -> CheckReport:
-    """Gradient mass of the proof's plateau function as a content estimator.
+def functional_equivalence_plan(p: float, n: int, set_, r: float,
+                                s: float) -> CellPlan:
+    """check_functional_equivalence: gradient mass of the proof's plateau
+    function as a content estimator.
 
     phi = clip(1 - (dist(x, A_r))/s) satisfies integral |grad phi| dV =
     (1/s) V{r < dist <= r + s} exactly; along the internal ladder
@@ -1108,13 +1069,6 @@ def check_functional_equivalence(p: float, n: int, set_, r: float, s: float,
     the grading count (the lhs with the standard error of the 1/s
     column).
     """
-    return _one_plan_cell(p, n, functional_equivalence_plan(p, n, set_, r, s),
-                          count, seed)
-
-
-def functional_equivalence_plan(p: float, n: int, set_, r: float,
-                                s: float) -> CellPlan:
-    """The plan of ``check_functional_equivalence``."""
     params = PBallParams(p, n)
     if not (r > 0.0 and s > 0.0):
         raise ValueError("enlargement offsets r, s must be positive")
@@ -1170,8 +1124,9 @@ def _dyadic_sum(p: float, a: float) -> float:
                      for i in range(1, top + 1)))
 
 
-def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckReport:
-    """Dirichlet energy of the plateau ramp against the dyadic lower bound.
+def l2_form_plan(p: float, n: int, a_grid) -> CellPlan:
+    """check_l2_form: Dirichlet energy of the plateau ramp against the
+    dyadic lower bound.
 
     For each a < 1/2, phi ramps from the median hyperplane to the level-a
     quantile, so V{phi = 0} = 1/2 and V{phi = 1} = a.  lhs is the Monte
@@ -1183,17 +1138,12 @@ def check_l2_form(p: float, n: int, a_grid, count: int, seed: int) -> CheckRepor
     each level's on-ramp count is read block by block; its |grad phi|^2
     is its squared slope there and 0 elsewhere.  Rows: param1 = a.
     """
-    return _one_plan_cell(p, n, l2_form_plan(p, n, a_grid), count, seed)
-
-
-def l2_form_plan(p: float, n: int, a_grid) -> CellPlan:
-    """The plan of ``check_l2_form``."""
     params = PBallParams(p, n)
     grid = [float(a) for a in a_grid]
     if not grid or any(not 0.0 < a < 0.5 for a in grid):
         raise ValueError("no plateau field with zero-set mass >= 1/2 "
                          "for levels outside (0, 1/2)")
-    c_hat = check_theorem1(p, n, grid).constants["c_hat"]
+    c_hat = coordinate_c_hat(p, n, grid)
     xi = np.zeros(n)
     xi[0] = 1.0
     name = "check_l2_form"
@@ -1228,49 +1178,6 @@ def l2_form_plan(p: float, n: int, a_grid) -> CellPlan:
 # ---------------------------------------------------------------------------
 # the cut-off chain
 # ---------------------------------------------------------------------------
-
-def verify_cutoff_chain(p: float, n: int, count: int = 10 ** 4,
-                        seed: int = 0) -> CheckReport:
-    """Grade every link of the localization chain on one product batch.
-
-    With h1 the large-|x|_2 cut-off on the ball, h2 the small-|z|_p cut-off
-    on the product space, g = (f h1) o T, kappa = (2-p)/(2p) and the
-    cut-off constants c1 = CUTOFF_C1 = 1 and c2 = CUTOFF_C2 = 1:
-
-      link 1:  int |grad f| dV >= int |grad(f h1)| dV
-                                   - c1 n^kappa V{|x|_2 >= 1/(c1 n^kappa)}
-      link 2:  int |grad(f h1)| dV >= c3 int |grad g| |z|_p dmu,
-               c3 = c1/(c1 + 2)
-      link 3:  int |grad g| |z|_p dmu >= (n^{1/p}/c2) int |grad(g h2)| dmu
-                                   - 2 n^kappa mu{|z|_p <= 2 n^{1/p}/c2}
-      link 4:  links 2 + 3 combined with c4 = c3/c2
-      link 5:  int |grad f| dV >= c4 n^{1/p} int |grad(g h2)| dmu - a/2,
-               a = exp(-C n^{p/2}) with C = CHAIN_C = 4
-
-    Links 1-4 hold pointwise almost everywhere, so their same-batch
-    difference estimators are nonnegative samplewise and the strict verdict
-    is decisive even at equality; link 5 is graded on the mean.  Extra rows:
-    param1 = 6 the plateau mass mu{g h2 = 1} >= a/2, param1 = 7 the zero
-    mass mu{g h2 = 0} >= 1/2, param1 = 8 the pointwise gradient transfer
-    |grad g(z)| <= |D*T(z)| |grad(f h1)(T z)| on up to 10^4 points (PASS
-    only with zero violations).
-
-    Ball integrals read X = T(Z) of the grading stream's product rows Z,
-    exactly uniform on B_p^n (Barthe, Guedon, Mendelson and Naor).  f is
-    the ramp along the first coordinate from x_1 = 0 up to the level-0.2
-    half-space {x_1 >= t}, V{x_1 >= t} = 0.2.  No gradient row is
-    formed: every value and gradient norm is a closed form in six scalars
-    per point (``cutoff_chain_norms``), x_1 and |x|_2 of the cell, the
-    draw's |z|_p, and z_{n+1}^p, |lp_dual(z)|_2^2 and lp_dual(z)_1 of the
-    product row, of which only |lp_dual(z)|_2^2 at 1 < p < 2 takes a pass
-    over the row.  Z is streamed and never held: each block's link
-    differences fold into merged moments (link 4's formed per point from
-    those of links 2 and 3) and its flags into counts, and the Jacobian
-    scan, row 8's own path, runs ``jacobian_op_norms`` on the first
-    TRANSFER_ROWS rows as they stream past.
-    """
-    return _one_plan_cell(p, n, cutoff_chain_plan(p, n), count, seed)
-
 
 def cutoff_chain_norms(f, h1, h2, x1, r, zp, e, W, w1) -> tuple:
     """The cut-off chain at points z of the product stream and their ball
@@ -1327,7 +1234,45 @@ def cutoff_chain_norms(f, h1, h2, x1, r, zp, e, W, w1) -> tuple:
 
 
 def cutoff_chain_plan(p: float, n: int) -> CellPlan:
-    """The plan of ``verify_cutoff_chain``."""
+    """verify_cutoff_chain: grade every link of the localization chain
+    on one product batch.
+
+    With h1 the large-|x|_2 cut-off on the ball, h2 the small-|z|_p cut-off
+    on the product space, g = (f h1) o T, kappa = (2-p)/(2p) and the
+    cut-off constants c1 = CUTOFF_C1 = 1 and c2 = CUTOFF_C2 = 1:
+
+      link 1:  int |grad f| dV >= int |grad(f h1)| dV
+                                   - c1 n^kappa V{|x|_2 >= 1/(c1 n^kappa)}
+      link 2:  int |grad(f h1)| dV >= c3 int |grad g| |z|_p dmu,
+               c3 = c1/(c1 + 2)
+      link 3:  int |grad g| |z|_p dmu >= (n^{1/p}/c2) int |grad(g h2)| dmu
+                                   - 2 n^kappa mu{|z|_p <= 2 n^{1/p}/c2}
+      link 4:  links 2 + 3 combined with c4 = c3/c2
+      link 5:  int |grad f| dV >= c4 n^{1/p} int |grad(g h2)| dmu - a/2,
+               a = exp(-C n^{p/2}) with C = CHAIN_C = 4
+
+    Links 1-4 hold pointwise almost everywhere, so their same-batch
+    difference estimators are nonnegative samplewise and the strict verdict
+    is decisive even at equality; link 5 is graded on the mean.  Extra rows:
+    param1 = 6 the plateau mass mu{g h2 = 1} >= a/2, param1 = 7 the zero
+    mass mu{g h2 = 0} >= 1/2, param1 = 8 the pointwise gradient transfer
+    |grad g(z)| <= |D*T(z)| |grad(f h1)(T z)| on up to 10^4 points (PASS
+    only with zero violations).
+
+    Ball integrals read X = T(Z) of the grading stream's product rows Z,
+    exactly uniform on B_p^n (Barthe, Guedon, Mendelson and Naor).  f is
+    the ramp along the first coordinate from x_1 = 0 up to the level-0.2
+    half-space {x_1 >= t}, V{x_1 >= t} = 0.2.  No gradient row is
+    formed: every value and gradient norm is a closed form in six scalars
+    per point (``cutoff_chain_norms``), x_1 and |x|_2 of the cell, the
+    draw's |z|_p, and z_{n+1}^p, |lp_dual(z)|_2^2 and lp_dual(z)_1 of the
+    product row, of which only |lp_dual(z)|_2^2 at 1 < p < 2 takes a pass
+    over the row.  Z is streamed and never held: each block's link
+    differences fold into merged moments (link 4's formed per point from
+    those of links 2 and 3) and its flags into counts, and the Jacobian
+    scan, row 8's own path, runs ``jacobian_op_norms`` on the first
+    TRANSFER_ROWS rows as they stream past.
+    """
     params = PBallParams(p, n)
     xi = np.zeros(n)
     xi[0] = 1.0
@@ -1479,22 +1424,17 @@ def check_kls(p: float, n: int, a_grid) -> CheckReport:
                        {"c0_hat": min(ratios), "l_k": l_k, "c_np": c_np})
 
 
-def check_paouris_tail(p: float, n: int, t_grid, count: int,
-                       seed: int) -> CheckReport:
-    """Euclidean-norm tail on the rescaled ball vs exp(-c t / L_K).
+def paouris_tail_plan(p: float, n: int, t_grid) -> CellPlan:
+    """check_paouris_tail: Euclidean-norm tail on the rescaled ball vs
+    exp(-c t / L_K).
 
     t_grid holds quantile levels, placed on the held-out stream's
     |C(n,p) x|_2; thresholds below the regime floor t0 L_K sqrt(n)
     (t0 = 0.8) carry no claim and stay INCONCLUSIVE.  c_hat = min over
     eligible thresholds of L_K (-log P^)/t.  Rows: param1 = t, param2 = 1
-    when t is in regime.
+    when t is in regime.  The radii |C(n,p) x|_2 are C(n,p) |x|_2 of the
+    cell's shared |x|_2 values.
     """
-    return _one_plan_cell(p, n, paouris_tail_plan(p, n, t_grid), count, seed)
-
-
-def paouris_tail_plan(p: float, n: int, t_grid) -> CellPlan:
-    """The plan of ``check_paouris_tail``: the radii |C(n,p) x|_2 are
-    C(n,p) |x|_2 of the cell's shared |x|_2 values."""
     PBallParams(p, n)
     levels = _quantile_levels(t_grid, "t_grid")
     c_np, l_k = isotropy_constants(p, n)
@@ -1502,7 +1442,7 @@ def paouris_tail_plan(p: float, n: int, t_grid) -> CellPlan:
     name = "check_paouris_tail"
 
     def grading(held):
-        thresholds = _sorted_quantiles(c_np * held[0], levels)
+        thresholds = _sorted_quantiles(held[0], levels, c_np)
         radii = Tally(thresholds)
 
         def report() -> CheckReport:

@@ -48,7 +48,7 @@ median of ``estimate_median_and_phi``, an order statistic, which reads a
 column.  A 2-D array or a SampleBatch is rejected rather than read as
 values.  No estimator takes a seed, a functional or a point, so whatever
 needs the points, such as the Lipschitz spot check of
-``inequality_suite.check_sz_concentration``, runs in the caller's pass.
+``inequality_suite.sz_concentration_plan``, runs in the caller's pass.
 """
 
 from __future__ import annotations

@@ -16,14 +16,7 @@ from isoplab import (
     PBallParams,
     ball_sampler,
     bobkov_profile,
-    check_barthe_dimensional,
-    check_bobkov_inequality,
-    check_coarea,
-    check_functional_equivalence,
     check_lemma5,
-    check_sz_concentration,
-    check_sz_tail,
-    check_theorem1,
     child_seed,
     concentration_from_isoperimetry,
     coordinate_half_space,
@@ -36,9 +29,19 @@ from isoplab import (
     bgmn_map,
     rejection_sampler,
     sample_product,
-    verify_cutoff_chain,
 )
-from isoplab.inequality_suite import theorem1_rhs
+from isoplab.inequality_suite import (
+    barthe_plan,
+    bobkov_plan,
+    coarea_plan,
+    cutoff_chain_plan,
+    functional_equivalence_plan,
+    run_cell,
+    sz_concentration_plan,
+    sz_tail_plan,
+    theorem1_plan,
+    theorem1_rhs,
+)
 from isoplab.montecarlo import FAIL, INCONCLUSIVE, PASS, bernoulli_ci
 
 SEED = 20260817
@@ -135,7 +138,7 @@ def test_c04_order_sharpness_of_the_rate():
     lo, hi = np.inf, 0.0
     for p in (1.0, 1.5, 2.0):
         for n in (4, 16, 64):
-            rep = check_theorem1(p, n, a_grid)
+            rep = run_cell(p, n, [theorem1_plan(p, n, a_grid)], 10 ** 4, 0)[0]
             assert all(v == PASS for v in _verdicts(rep)), (p, n)
             lo = min(lo, rep.constants["c_hat"])
             hi = max(hi, rep.constants["ratio_max"])
@@ -155,8 +158,9 @@ def test_c05_enlargement_bounds_no_fail():
             kappa = (2.0 - p) / (2.0 * p)
             r_grid = [m * n ** -kappa for m in (0.5, 1.0, 2.0)]
             sets = [coordinate_half_space(params, a) for a in (0.1, 0.25, 0.5)]
-            for check in (check_bobkov_inequality, check_barthe_dimensional):
-                rep = check(p, n, sets, r_grid, 10 ** 6, child_seed(SEED, n))
+            for plan in (bobkov_plan, barthe_plan):
+                rep = run_cell(p, n, [plan(p, n, sets, r_grid)], 10 ** 6,
+                               child_seed(SEED, n))[0]
                 rows += len(rep.reports)
                 bad += sum(v == FAIL for v in _verdicts(rep))
     elapsed = time.monotonic() - t0
@@ -171,9 +175,11 @@ def test_c06_norm_tails_and_lipschitz_concentration():
     cross = 0.0
     for p in (1.0, 1.5, 2.0):
         for n in (2, 4, 8):
-            tail = check_sz_tail(p, n, levels, 10 ** 5, child_seed(SEED, 3 * n))
-            conc = check_sz_concentration(p, n, "coordinate", [0.5, 0.75, 0.9],
-                                          10 ** 5, child_seed(SEED, 3 * n + 1))
+            tail = run_cell(p, n, [sz_tail_plan(p, n, levels)], 10 ** 5,
+                            child_seed(SEED, 3 * n))[0]
+            conc = run_cell(p, n, [sz_concentration_plan(
+                p, n, "coordinate", [0.5, 0.75, 0.9])], 10 ** 5,
+                child_seed(SEED, 3 * n + 1))[0]
             min_c = min(min_c, tail.constants["c_hat"])
             min_c1 = min(min_c1, conc.constants["c1_hat"])
             if p == 2.0:
@@ -237,7 +243,7 @@ def test_c08_small_sum_bound():
 
 
 def test_c09_cutoff_chain():
-    rep = verify_cutoff_chain(2.0, 4, count=10 ** 6, seed=SEED)
+    rep = run_cell(2.0, 4, [cutoff_chain_plan(2.0, 4)], 10 ** 6, SEED)[0]
     verdicts = _verdicts(rep)
     ok_links = all(v in (PASS, INCONCLUSIVE) for v in verdicts)
     a_half = 0.5 * math.exp(-4.0 * 4 ** (2.0 / 2.0))
@@ -253,11 +259,12 @@ def test_c09_cutoff_chain():
 def test_c10_coarea_and_functional_equivalence():
     coarea_ok = True
     for p, n in ((2.0, 2), (1.0, 4)):
-        rep = check_coarea(p, n, count=10 ** 4, seed=SEED)
+        rep = run_cell(p, n, [coarea_plan(p, n)], 10 ** 4, SEED)[0]
         coarea_ok &= all(v == PASS for v in _verdicts(rep))
     params = PBallParams(2.0, 2)
-    eq = check_functional_equivalence(2.0, 2, coordinate_half_space(params, 0.5),
-                                      r=0.0025, s=0.05, count=10 ** 6, seed=SEED)
+    eq = run_cell(2.0, 2, [functional_equivalence_plan(
+        2.0, 2, coordinate_half_space(params, 0.5), r=0.0025, s=0.05)],
+        10 ** 6, SEED)[0]
     no_fail = all(v != FAIL for v in _verdicts(eq))
     ref = eq.constants["reference"]
     rel = abs(eq.constants["limit"] / ref - 1.0)

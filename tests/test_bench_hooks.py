@@ -27,8 +27,8 @@ import layers
 import spans
 tracer = spans.Tracer()
 layers.install(tracer)
-from isoplab.inequality_suite import check_coarea
-check_coarea(1.5, 3, None, 2000, 5)
+from isoplab.inequality_suite import coarea_plan, run_cell
+run_cell(1.5, 3, [coarea_plan(1.5, 3, None)], 2000, 5)
 # the checks derive gradient norms from set scalars through
 # grad_norm_from_scalar, which layers.py does not wrap; a gradient call of
 # one field still shows that the field method wrappers record

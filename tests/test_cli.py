@@ -197,6 +197,29 @@ def test_run_summary_schema(tmp_path):
     assert kls["constants"]["p=2,n=2"]["c0_hat"] > 0.0
 
 
+@pytest.mark.parametrize("grid", [
+    {},
+    {"p_grid": [1.0, 1.25, 1.5, 2.0], "n_grid": [2, 3, 256]},
+], ids=["default", "wide"])
+def test_summary_holds_only_json_native_values(grid, tmp_path, monkeypatch):
+    # every constant, count and config value is a str, int, float, bool or
+    # None (or a list or dict of them): the summary dumps, to the bytes
+    # the run wrote, with no default hook for numpy scalars
+    summaries = []
+    real = json.dump
+
+    def spy(obj, fh, **kwargs):
+        summaries.append(obj)
+        real(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", spy)
+    cfg = RunConfig(out_dir=str(tmp_path), **grid)
+    assert run(cfg) in (0, 2)
+    summary, = summaries
+    assert json.dumps(summary, indent=2, sort_keys=True) + "\n" == \
+        (tmp_path / "summary.json").read_text()
+
+
 def test_run_is_byte_deterministic_across_out_dirs(tmp_path):
     run(_tiny_cfg(tmp_path / "one"))
     run(_tiny_cfg(tmp_path / "two"))
@@ -343,9 +366,14 @@ def test_no_plan_or_runner_takes_count_or_seed():
     plans = [getattr(iq, name) for name in iq.__all__
              if name.endswith("_plan")]
     assert len(plans) == 11
-    for fn in plans:
+    # count and seed reach a check only through run_cell; cell_seed maps a
+    # seed to a stream's and grades nothing
+    for name in iq.__all__:
+        fn = getattr(iq, name)
+        if not callable(fn) or name in ("run_cell", "cell_seed"):
+            continue
         params = inspect.signature(fn).parameters
-        assert not {"count", "seed", "samples"} & set(params), fn.__name__
+        assert not {"count", "seed", "samples"} & set(params), name
     for name, (_, runner) in REGISTRY.items():
         assert list(inspect.signature(runner).parameters) == [
             "cfg", "p", "n"], name
@@ -390,34 +418,29 @@ SAMPLED_CHECKS = (
 
 
 def _direct_check(name, cfg, p, n):
-    """The CLI's job (name, p, n) as a direct check_* call."""
+    """The CLI's job (name, p, n) as a direct cell of its one plan."""
     params = PBallParams(p, n)
     w = n ** (-(2.0 - p) / (2.0 * p))
     sets = [coordinate_half_space(params, a) for a in A_GRID]
     r_grid = [r * w for r in R_GRID]
-    count, seed = cfg.samples, cfg.seed
-    calls = {
-        "check_barthe_dimensional": lambda: iq.check_barthe_dimensional(
-            p, n, sets, r_grid, count, seed),
-        "check_bobkov_inequality": lambda: iq.check_bobkov_inequality(
-            p, n, sets, r_grid, count, seed),
-        "check_coarea": lambda: iq.check_coarea(p, n, None, count, seed),
+    plans = {
+        "check_barthe_dimensional": lambda: iq.barthe_plan(p, n, sets, r_grid),
+        "check_bobkov_inequality": lambda: iq.bobkov_plan(p, n, sets, r_grid),
+        "check_coarea": lambda: iq.coarea_plan(p, n, None),
         "check_functional_equivalence":
-            lambda: iq.check_functional_equivalence(
+            lambda: iq.functional_equivalence_plan(
                 p, n, coordinate_half_space(params, 0.5), 0.0025 * w,
-                0.05 * w, count, seed),
-        "check_l2_form": lambda: iq.check_l2_form(
-            p, n, [a for a in A_GRID if a < 0.5], count, seed),
-        "check_lemma4": lambda: iq.check_lemma4(p, n, count, seed),
-        "check_paouris_tail": lambda: iq.check_paouris_tail(
-            p, n, T_GRID, count, seed),
-        "check_sz_concentration": lambda: iq.check_sz_concentration(
-            p, n, "coordinate", T_GRID, count, seed),
-        "check_sz_tail": lambda: iq.check_sz_tail(p, n, T_GRID, count, seed),
-        "verify_cutoff_chain": lambda: iq.verify_cutoff_chain(p, n, count,
-                                                              seed),
+                0.05 * w),
+        "check_l2_form": lambda: iq.l2_form_plan(
+            p, n, [a for a in A_GRID if a < 0.5]),
+        "check_lemma4": lambda: iq.lemma4_plan(p, n),
+        "check_paouris_tail": lambda: iq.paouris_tail_plan(p, n, T_GRID),
+        "check_sz_concentration": lambda: iq.sz_concentration_plan(
+            p, n, "coordinate", T_GRID),
+        "check_sz_tail": lambda: iq.sz_tail_plan(p, n, T_GRID),
+        "verify_cutoff_chain": lambda: iq.cutoff_chain_plan(p, n),
     }
-    return calls[name]()
+    return iq.run_cell(p, n, [plans[name]()], cfg.samples, cfg.seed)[0]
 
 
 def test_sampled_rows_do_not_depend_on_the_selection(tmp_path):

@@ -53,29 +53,31 @@ from isoplab.inequality_suite import (
     _default_plateau_catalog,
     _sorted_quantiles,
     InequalityReport,
-    check_barthe_dimensional,
-    check_bobkov_inequality,
-    check_coarea,
-    check_functional_equivalence,
+    barthe_plan,
+    bobkov_plan,
     check_kls,
-    check_l2_form,
-    check_lemma4,
     check_lemma5,
-    check_paouris_tail,
     check_product_isoperimetry,
-    check_sz_concentration,
-    check_sz_tail,
-    check_theorem1,
     cell_seed,
+    coarea_plan,
     concentration_from_isoperimetry,
+    coordinate_c_hat,
+    cutoff_chain_plan,
     default_eps_ladder,
+    functional_equivalence_plan,
     isotropy_constants,
+    l2_form_plan,
+    lemma4_plan,
     lemma5_constant,
+    paouris_tail_plan,
+    run_cell,
     scalar_groups,
+    sz_concentration_plan,
+    sz_tail_plan,
+    theorem1_plan,
     theorem1_rhs,
     TRANSFER_ROWS,
     cutoff_chain_norms,
-    verify_cutoff_chain,
 )
 from isoplab.montecarlo import (
     EstimateCI,
@@ -157,7 +159,7 @@ def test_theorem1_rhs_value():
 def test_theorem1_exact_ratio_on_the_disc():
     # p = 2, n = 2, a = 1/2: boundary mass is the marginal density at 0,
     # which is 2/pi; everything else is the closed-form denominator
-    rep = check_theorem1(2.0, 2, [0.5])
+    rep = run_cell(2.0, 2, [theorem1_plan(2.0, 2, [0.5])], 10 ** 4, 0)[0]
     row = rep.reports[0]
     assert row.lhs.mean == pytest.approx(2.0 / np.pi, rel=1e-14)
     expected = (2.0 / np.pi) / theorem1_rhs(2.0, 2, 0.5)
@@ -168,14 +170,16 @@ def test_theorem1_exact_ratio_on_the_disc():
 def test_theorem1_closed_form_at_p_one():
     # p = 1: the ratio is (2a)^(-1/n) exactly
     for n, a in [(2, 0.5), (4, 0.1), (8, 0.25)]:
-        rep = check_theorem1(1.0, n, [a])
+        rep = run_cell(1.0, n, [theorem1_plan(1.0, n, [a])], 10 ** 4, 0)[0]
         assert rep.constants["c_hat"] == pytest.approx(
             (2.0 * a) ** (-1.0 / n), rel=1e-12)
-    assert check_theorem1(1.0, 6, [0.5]).constants["c_hat"] == pytest.approx(1.0)
+    rep = run_cell(1.0, 6, [theorem1_plan(1.0, 6, [0.5])], 10 ** 4, 0)[0]
+    assert rep.constants["c_hat"] == pytest.approx(1.0)
 
 
 def test_theorem1_band_constants():
-    rep = check_theorem1(1.5, 4, [0.1, 0.25, 0.5])
+    rep = run_cell(1.5, 4, [theorem1_plan(1.5, 4, [0.1, 0.25, 0.5])],
+                   10 ** 4, 0)[0]
     assert len(rep.reports) == 3
     assert rep.constants["band"] >= 1.0
     assert rep.constants["c_hat"] > 0.0
@@ -191,19 +195,21 @@ def test_theorem1_and_kls_hold_down_to_the_smallest_levels():
     grid = [1e-300, 1e-80, 1e-30, 0.5]
     for p, n in ((2.0, 4), (1.0, 2), (1.5, 1024)):
         params = PBallParams(p, n)
-        for rep in (check_theorem1(p, n, grid), check_kls(p, n, grid)):
+        for rep in (run_cell(p, n, [theorem1_plan(p, n, grid)], 10 ** 4, 0)[0],
+                    check_kls(p, n, grid)):
             assert rep.verdicts() == {PASS: 4, FAIL: 0, INCONCLUSIVE: 0}
             assert all(r.lhs.mean > 0.0 for r in rep.reports)
-        rows = check_theorem1(p, n, grid).reports
+        rows = run_cell(p, n, [theorem1_plan(p, n, grid)], 10 ** 4,
+                        0)[0].reports
         assert [r.lhs.mean for r in rows] == [
             marginal_level_density(params, a) for a in grid]
 
 
 def test_theorem1_level_validation():
     with pytest.raises(ValueError):
-        check_theorem1(2.0, 2, [0.6])
+        theorem1_plan(2.0, 2, [0.6])
     with pytest.raises(ValueError):
-        check_theorem1(2.0, 2, [])
+        theorem1_plan(2.0, 2, [])
 
 
 def test_theorem1_with_explicit_families():
@@ -218,9 +224,9 @@ def test_theorem1_with_explicit_families():
     def rotated(a):
         return HalfSpace(diag, float(marginal_isf(params, a)))
 
-    rep = check_theorem1(2.0, 2, [0.25, 0.5],
-                         sets=[("coordinate", coordinate), ("rotated", rotated)],
-                         count=4000, seed=1)
+    rep = run_cell(2.0, 2, [theorem1_plan(
+        2.0, 2, [0.25, 0.5],
+        sets=[("coordinate", coordinate), ("rotated", rotated)])], 4000, 1)[0]
     assert len(rep.reports) == 4
     assert rep.constants["argmin_coordinate_share"] == 1.0
     # family index is recorded in param2
@@ -236,11 +242,22 @@ def test_theorem1_with_explicit_families():
         return HalfSpace(diag, (1.0 - 2.0 * a) / math.sqrt(2.0))
 
     for seed in (1, 2, 3):
-        rep = check_theorem1(1.0, 2, [0.1, 0.5],
-                             sets=[("coordinate", coordinate),
-                                   ("diagonal", diagonal)],
-                             count=20000, seed=seed)
+        rep = run_cell(1.0, 2, [theorem1_plan(
+            1.0, 2, [0.1, 0.5],
+            sets=[("coordinate", coordinate), ("diagonal", diagonal)])],
+            20000, seed)[0]
         assert rep.constants["argmin_coordinate_share"] == 0.5, seed
+
+
+def test_coordinate_c_hat_is_the_plan_constant():
+    # concentration_report and l2_form_plan read theorem1_plan's c_hat on
+    # its default sets from the closed form, drawing nothing: the same bits
+    for p in (1.0, 1.5, 2.0):
+        for n in (2, 4, 256):
+            for grid in ([0.1, 0.25, 0.5], [0.1, 0.25], [1e-3, 0.5]):
+                rep = run_cell(p, n, [theorem1_plan(p, n, grid)], 1000, 0)[0]
+                assert coordinate_c_hat(p, n, grid) == \
+                    rep.constants["c_hat"], (p, n, grid)
 
 
 def test_product_isoperimetry_exact_ratios():
@@ -262,8 +279,9 @@ def test_product_isoperimetry_exact_ratios():
 
 def test_bobkov_rhs_closed_form_on_the_disc():
     params = PBallParams(2.0, 2)
-    rep = check_bobkov_inequality(2.0, 2, [coordinate_half_space(params, 0.5)],
-                                  r_grid=[1.0], count=20000, seed=3)
+    rep = run_cell(2.0, 2, [bobkov_plan(
+        2.0, 2, [coordinate_half_space(params, 0.5)], r_grid=[1.0])],
+        20000, 3)[0]
     row = rep.reports[0]
     # a = 1/2 and V{|x|_2 <= 1} = 1: rhs = log(2) / 2
     assert row.rhs == pytest.approx(math.log(2.0) / 2.0, rel=1e-12)
@@ -274,9 +292,9 @@ def test_bobkov_rhs_closed_form_on_the_disc():
 
 def test_barthe_rhs_closed_form_on_the_disc():
     params = PBallParams(2.0, 2)
-    rep = check_barthe_dimensional(2.0, 2,
-                                   [coordinate_half_space(params, 0.5)],
-                                   r_grid=[1.0], count=20000, seed=3)
+    rep = run_cell(2.0, 2, [barthe_plan(
+        2.0, 2, [coordinate_half_space(params, 0.5)], r_grid=[1.0])],
+        20000, 3)[0]
     row = rep.reports[0]
     # (n/2r)[(2 (1/2)^(1-1/n)) mass^(1/n) - 1] = sqrt(2) - 1 here
     assert row.rhs == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
@@ -287,10 +305,9 @@ def test_enlargement_r_grid_validation():
     params = PBallParams(2.0, 2)
     hs = coordinate_half_space(params, 0.5)
     with pytest.raises(ValueError):
-        check_bobkov_inequality(2.0, 2, [hs], r_grid=[], count=1000, seed=0)
+        bobkov_plan(2.0, 2, [hs], r_grid=[])
     with pytest.raises(ValueError):
-        check_bobkov_inequality(2.0, 2, [hs], r_grid=[-1.0], count=1000,
-                                seed=0)
+        bobkov_plan(2.0, 2, [hs], r_grid=[-1.0])
 
 
 def test_enlargement_sorts_each_shared_scalar_once(monkeypatch):
@@ -315,7 +332,7 @@ def test_enlargement_sorts_each_shared_scalar_once(monkeypatch):
 
     monkeypatch.setattr(isoplab.inequality_suite, "content_from_batch",
                         counting)
-    rep = check_bobkov_inequality(p, n, sets, [1.0], count, seed)
+    rep = run_cell(p, n, [bobkov_plan(p, n, sets, [1.0])], count, seed)[0]
     assert calls == [3, 1]
     batch = _stream_batch(sample_ball, params, count, seed)
     for row, set_ in zip(rep.reports, sets):
@@ -332,8 +349,8 @@ def test_enlargement_sorts_each_shared_scalar_once(monkeypatch):
 def test_ball_complement_off_the_ball_takes_the_exact_path():
     # at p = 2, {|x|_2 >= 1.5} has boundary content 0: the row reads it and
     # PASSes, where the ladder's empty enlargements made it INCONCLUSIVE
-    rep = check_bobkov_inequality(2.0, 3, [BallComplement(1.5)], [0.5],
-                                  count=2000, seed=3)
+    rep = run_cell(2.0, 3, [bobkov_plan(2.0, 3, [BallComplement(1.5)], [0.5])],
+                   2000, 3)[0]
     row, = rep.reports
     assert row.lhs == EstimateCI.exact(0.0)
     assert row.verdict == PASS
@@ -346,9 +363,10 @@ class _HalfSpaceStatedAtAHalf(HalfSpace):
         return 0.5
 
 
-@pytest.mark.parametrize("check", [check_bobkov_inequality,
-                                   check_barthe_dimensional])
-def test_enlargement_fails_on_a_misstated_measure(check):
+@pytest.mark.parametrize("plan", [bobkov_plan, barthe_plan],
+                         ids=["check_bobkov_inequality",
+                              "check_barthe_dimensional"])
+def test_enlargement_fails_on_a_misstated_measure(plan):
     # negative control: a half-space of measure 0.02 stated at 1/2 has
     # content about 0.17 at p = 1, n = 2, r = n^-kappa, against a bound of
     # 0.32 (Bobkov) or 0.36 (Barthe); stated truly, the same cell passes
@@ -356,10 +374,10 @@ def test_enlargement_fails_on_a_misstated_measure(check):
     good = coordinate_half_space(PBallParams(p, n), 0.02)
     bad = _HalfSpaceStatedAtAHalf(good.xi, good.t)
     r_grid = [n ** -0.5]  # kappa = 1/2 at p = 1
-    row, = check(p, n, [bad], r_grid, count=5000, seed=3).reports
+    row, = run_cell(p, n, [plan(p, n, [bad], r_grid)], 5000, 3)[0].reports
     assert row.params[3] == 0.5
     assert row.verdict == FAIL
-    row, = check(p, n, [good], r_grid, count=5000, seed=3).reports
+    row, = run_cell(p, n, [plan(p, n, [good], r_grid)], 5000, 3)[0].reports
     assert row.verdict == PASS
 
 
@@ -373,8 +391,8 @@ def test_scalar_groups_follow_the_shared_scalar():
 def test_bobkov_never_fails_on_defaults():
     params = PBallParams(1.0, 2)
     sets = [coordinate_half_space(params, a) for a in (0.1, 0.25, 0.5)]
-    rep = check_bobkov_inequality(1.0, 2, sets, r_grid=[0.5, 1.0],
-                                  count=20000, seed=5)
+    rep = run_cell(1.0, 2, [bobkov_plan(1.0, 2, sets, r_grid=[0.5, 1.0])],
+                   20000, 5)[0]
     assert len(rep.reports) == 6
     assert rep.verdicts()[FAIL] == 0
 
@@ -386,7 +404,8 @@ def test_bobkov_never_fails_on_defaults():
 def test_sz_tail_matches_exact_radial_law():
     # p = 2: P{|x|_2 >= t} = 1 - t^n exactly
     n = 3
-    rep = check_sz_tail(2.0, n, [0.25, 0.5, 0.75], count=20000, seed=7)
+    rep = run_cell(2.0, n, [sz_tail_plan(2.0, n, [0.25, 0.5, 0.75])], 20000,
+                   7)[0]
     assert rep.constants["c_hat"] > 0.0
     for row in rep.reports:
         t = row.params[2]
@@ -399,14 +418,14 @@ def test_sz_tail_matches_exact_radial_law():
 
 def test_sz_tail_level_validation():
     with pytest.raises(ValueError):
-        check_sz_tail(2.0, 2, [0.0], count=1000, seed=0)
+        sz_tail_plan(2.0, 2, [0.0])
     with pytest.raises(ValueError):
-        check_sz_tail(2.0, 2, [1.5], count=1000, seed=0)
+        sz_tail_plan(2.0, 2, [1.5])
 
 
 def test_sz_concentration_shape():
-    rep = check_sz_concentration(2.0, 4, "coordinate", [0.25, 0.5, 0.9],
-                                 count=20000, seed=9)
+    rep = run_cell(2.0, 4, [sz_concentration_plan(
+        2.0, 4, "coordinate", [0.25, 0.5, 0.9])], 20000, 9)[0]
     assert rep.constants["c1_hat"] > 0.0
     assert rep.verdicts()[FAIL] == 0
     by_h = {round(r.params[2], 12): r for r in rep.reports}
@@ -431,6 +450,20 @@ def test_sorted_quantiles_equal_numpy_linear_quantiles():
                 np.quantile(col, levels).tolist(), count
 
 
+def test_scaled_sorted_quantiles_equal_those_of_the_scaled_column():
+    # the Paouris thresholds scale the two order statistics each level
+    # reads, c s[i] being (c s)[i]: the bits of the scaled column's
+    # quantiles, with no copy of the column
+    rng = np.random.default_rng(6)
+    levels = [1e-9, 0.01, 0.5, 0.75, 0.9, 0.99, 1.0 - 1e-12]
+    for p, n in ((1.0, 2), (1.25, 3), (1.5, 4), (2.0, 256)):
+        c_np = isotropy_constants(p, n).c_np
+        for count in (1, 2, 999, 10 ** 5):
+            col = np.sort(rng.random(count))
+            assert _sorted_quantiles(col, levels, c_np) == \
+                _sorted_quantiles(c_np * col, levels), (p, n, count)
+
+
 # two row blocks and a partial one of the n = 3 streams
 STREAM_COUNT = 2 * BLOCK_ROWS + 17
 
@@ -445,17 +478,18 @@ def test_streamed_tail_checks_equal_the_batch_recipe(p):
     calib, batch = (
         _stream_batch(sample_ball, params, count, seed, role).points
         for role in (HELD_OUT, GRADING))
-    rep = check_sz_tail(p, n, levels, count, seed)
+    rep = run_cell(p, n, [sz_tail_plan(p, n, levels)], count, seed)[0]
     want = estimate_tail(lp_norm(batch, 2.0),
                          np.quantile(lp_norm(calib, 2.0), levels))
     assert [r.lhs for r in rep.reports] == [t.estimate for t in want]
     c_np = isotropy_constants(p, n).c_np
-    rep = check_paouris_tail(p, n, levels, count, seed)
+    rep = run_cell(p, n, [paouris_tail_plan(p, n, levels)], count, seed)[0]
     want = estimate_tail(c_np * lp_norm(batch, 2.0),
                          np.quantile(c_np * lp_norm(calib, 2.0), levels))
     assert [r.lhs for r in rep.reports] == [t.estimate for t in want]
     F = isoplab.fields.CoordinateFunctional(n)
-    rep = check_sz_concentration(p, n, "coordinate", levels, count, seed)
+    rep = run_cell(p, n, [sz_concentration_plan(p, n, "coordinate", levels)],
+                   count, seed)[0]
     med0 = float(np.median(F(calib)))
     _, curve = estimate_median_and_phi(
         _column(F, batch),
@@ -469,7 +503,8 @@ def test_sz_concentration_spot_checks_the_streamed_pairs():
             return 5.0 * super().__call__(X)
 
     with pytest.raises(ValueError, match="Lipschitz"):
-        check_sz_concentration(1.5, 3, Liar(3), [0.5, 0.9], STREAM_COUNT, 41)
+        run_cell(1.5, 3, [sz_concentration_plan(1.5, 3, Liar(3), [0.5, 0.9])],
+                 STREAM_COUNT, 41)[0]
 
 
 def test_lipschitz_spot_check_catches_liars():
@@ -482,7 +517,8 @@ def test_lipschitz_spot_check_catches_liars():
             return 5.0 * np.asarray(X)[:, 0]
 
     with pytest.raises(ValueError, match="Lipschitz"):
-        check_sz_concentration(2.0, 2, Liar(), [0.5, 0.9], 2000, 31)
+        run_cell(2.0, 2, [sz_concentration_plan(2.0, 2, Liar(), [0.5, 0.9])],
+                 2000, 31)[0]
 
 
 def test_sz_concentration_spot_checks_within_every_leading_block():
@@ -509,10 +545,10 @@ def test_sz_concentration_spot_checks_within_every_leading_block():
 
     levels = [0.5, 0.9]
     with pytest.raises(ValueError, match="Lipschitz"):
-        check_sz_concentration(p, n, BlockLiar(rows[step:2 * step]), levels,
-                               count, seed)
-    rep = check_sz_concentration(p, n, BlockLiar(rows[2 * step:3 * step]),
-                                 levels, count, seed)
+        run_cell(p, n, [sz_concentration_plan(
+            p, n, BlockLiar(rows[step:2 * step]), levels)], count, seed)[0]
+    rep = run_cell(p, n, [sz_concentration_plan(
+        p, n, BlockLiar(rows[2 * step:3 * step]), levels)], count, seed)[0]
     assert len(rep.reports) == len(levels)
 
 
@@ -525,7 +561,7 @@ def test_streamed_lemma4_equals_the_batch_recipe(p):
     normsp = _stream_zp(params, count, seed)
     norms2 = lp_norm(_stream_batch(sample_ball, params, count, seed).points,
                      2.0)
-    rep = check_lemma4(p, n, count, seed)
+    rep = run_cell(p, n, [lemma4_plan(p, n)], count, seed)[0]
     kappa = (2.0 - p) / (2.0 * p)
     want = []
     for c2 in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0):
@@ -536,8 +572,8 @@ def test_streamed_lemma4_equals_the_batch_recipe(p):
 
 def test_sz_concentration_rejects_constant_functionals():
     with pytest.raises(ValueError):
-        check_sz_concentration(2.0, 3, lambda X: np.full(len(X), 0.3),
-                               [0.5], count=2000, seed=0)
+        run_cell(2.0, 3, [sz_concentration_plan(
+            2.0, 3, lambda X: np.full(len(X), 0.3), [0.5])], 2000, 0)[0]
 
 
 def test_concentration_curve_p1_closed_form():
@@ -594,7 +630,7 @@ def test_concentration_curve_validation():
 # ---------------------------------------------------------------------------
 
 def test_lemma4_never_fails_and_is_monotone():
-    rep = check_lemma4(1.0, 2, count=20000, seed=11)
+    rep = run_cell(1.0, 2, [lemma4_plan(1.0, 2)], 20000, 11)[0]
     assert rep.verdicts()[FAIL] == 0
     ball_means = [r.lhs.mean for r in rep.reports if r.params[3] == 0.0]
     prod_means = [r.lhs.mean for r in rep.reports if r.params[3] == 1.0]
@@ -720,7 +756,7 @@ def test_lemma5_negative_control_fails_with_a_third_of_c(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_coarea_default_catalog():
-    rep = check_coarea(2.0, 2, count=4000, seed=21)
+    rep = run_cell(2.0, 2, [coarea_plan(2.0, 2)], 4000, 21)[0]
     assert len(rep.reports) == 2  # half-space ramp and radial ramp
     assert rep.verdicts()[FAIL] == 0
 
@@ -748,11 +784,11 @@ def test_coarea_rhs_matches_per_level_indicator_loop(catalog):
         held_out = _stream_batch(sample_ball, params, count, seed, HELD_OUT)
         phis = _default_plateau_catalog(
             params, np.sort(lp_norm(held_out.points, 2.0)))
-        rep = check_coarea(p, n, None, count, seed)
+        rep = run_cell(p, n, [coarea_plan(p, n, None)], count, seed)[0]
     else:
         phis = [DistanceRamp(coordinate_half_space(params, 0.5), n, 0.05, 0.2),
                 DistanceRamp(BallComplement(0.8), n, 0.05, 0.2)]
-        rep = check_coarea(p, n, phis, count, seed)
+        rep = run_cell(p, n, [coarea_plan(p, n, phis)], count, seed)[0]
     ladder = default_eps_ladder(p, n)
     assert len(rep.reports) == len(phis)
     # a level set with a closed-form boundary (the half-spaces) reads it;
@@ -775,7 +811,7 @@ def test_coarea_agrees_at_large_n(p):
     # at n = 1024 the ladder overshot the exact half-space contents by about
     # 25% and FAILed the half-space ramp (lhs/rhs 0.75-0.82), and read the
     # p = 2 radial ramp's exact contents at 1/22.6 of the gradient mass
-    rep = check_coarea(p, 1024, count=5000, seed=7)
+    rep = run_cell(p, 1024, [coarea_plan(p, 1024)], 5000, 7)[0]
     half_space, radial = rep.reports
     assert half_space.verdict == PASS
     if p == 2.0:
@@ -806,7 +842,8 @@ def test_coarea_fails_on_an_overstated_content():
     hi = float(marginal_isf(params, 0.2))
     for ramp, verdict in ((LinearRamp(xi, 0.0, hi), PASS),
                           (_OverstatedRamp(xi, 0.0, hi), FAIL)):
-        row, = check_coarea(p, n, [ramp], count=10 ** 4, seed=7).reports
+        row, = run_cell(p, n, [coarea_plan(p, n, [ramp])], 10 ** 4,
+                        7)[0].reports
         assert row.verdict == verdict, row
 
 
@@ -814,8 +851,8 @@ def test_functional_equivalence_identity_rows():
     params = PBallParams(2.0, 2)
     hs = coordinate_half_space(params, 0.5)
     w = 1.0  # n^(-kappa) = 1 at p = 2
-    rep = check_functional_equivalence(2.0, 2, hs, r=0.0025 * w, s=0.05 * w,
-                                       count=40000, seed=25)
+    rep = run_cell(2.0, 2, [functional_equivalence_plan(
+        2.0, 2, hs, r=0.0025 * w, s=0.05 * w)], 40000, 25)[0]
     assert len(rep.reports) == 5  # four ladder rungs plus the summary row
     for row in rep.reports[:4]:
         # same batch on both sides: the identity holds to round-off
@@ -835,8 +872,8 @@ def test_functional_equivalence_identity_rows():
 def _cli_equivalence(p, n, set_, count, seed):
     # the CLI's offsets: r = 0.0025 w and s = 0.05 w, w = n^(-kappa)
     w = n ** (-(2.0 - p) / (2.0 * p))
-    return check_functional_equivalence(p, n, set_, 0.0025 * w, 0.05 * w,
-                                        count, seed)
+    return run_cell(p, n, [functional_equivalence_plan(
+        p, n, set_, 0.0025 * w, 0.05 * w)], count, seed)[0]
 
 
 @pytest.mark.parametrize("seed", [10010, 10017])
@@ -877,8 +914,8 @@ def test_functional_equivalence_without_closed_form(set_):
     p, n, count, seed = 1.5, 2, 4000, 29
     params = PBallParams(p, n)
     assert set_.analytic_boundary(params) is None
-    rep = check_functional_equivalence(p, n, set_, r=0.002, s=0.04,
-                                       count=count, seed=seed)
+    rep = run_cell(p, n, [functional_equivalence_plan(
+        p, n, set_, r=0.002, s=0.04)], count, seed)[0]
     # the reference is the content of the grading stream
     batch = _stream_batch(sample_ball, params, count, seed)
     ref, = content_from_batch(_column(set_.scalar, batch.points),
@@ -893,8 +930,7 @@ def test_functional_equivalence_offset_validation():
     params = PBallParams(2.0, 2)
     hs = coordinate_half_space(params, 0.5)
     with pytest.raises(ValueError):
-        check_functional_equivalence(2.0, 2, hs, r=0.0, s=0.1,
-                                     count=100, seed=0)
+        functional_equivalence_plan(2.0, 2, hs, r=0.0, s=0.1)
 
 
 _HS = coordinate_half_space(PBallParams(1.5, 3), 0.5)
@@ -902,8 +938,8 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize("call", [
-    lambda: check_functional_equivalence(1.5, 3, _HS, NAN, 0.05, 2000, 1),
-    lambda: check_functional_equivalence(1.5, 3, _HS, 0.0025, NAN, 2000, 1),
+    lambda: functional_equivalence_plan(1.5, 3, _HS, NAN, 0.05),
+    lambda: functional_equivalence_plan(1.5, 3, _HS, 0.0025, NAN),
     lambda: concentration_from_isoperimetry(NAN, 2.0, 4, [0.1]),
     lambda: concentration_from_isoperimetry(1.0, 2.0, 4, [0.1, NAN]),
     lambda: check_lemma5(1.0, 4, [0.05, NAN]),
@@ -921,8 +957,8 @@ def test_nan_arguments_raise(call):
 
 def test_l2_form_levels_and_verdicts():
     with pytest.raises(ValueError):
-        check_l2_form(2.0, 4, [0.5], count=100, seed=0)
-    rep = check_l2_form(2.0, 4, [0.1, 0.25], count=20000, seed=27)
+        l2_form_plan(2.0, 4, [0.5])
+    rep = run_cell(2.0, 4, [l2_form_plan(2.0, 4, [0.1, 0.25])], 20000, 27)[0]
     assert rep.verdicts()[FAIL] == 0
     assert rep.constants["c1_hat"] > 0.0
     assert rep.constants["c_from_profile"] > 0.0
@@ -939,7 +975,7 @@ def test_l2_form_levels_and_verdicts():
 # ---------------------------------------------------------------------------
 
 def test_cutoff_chain_no_failures():
-    rep = verify_cutoff_chain(2.0, 4, count=20000, seed=29)
+    rep = run_cell(2.0, 4, [cutoff_chain_plan(2.0, 4)], 20000, 29)[0]
     assert rep.verdicts()[FAIL] == 0
     assert rep.constants["c3"] == pytest.approx(1.0 / 3.0)
     assert rep.constants["c4"] == pytest.approx(1.0 / 3.0)
@@ -958,7 +994,7 @@ def test_cutoff_chain_no_failures():
 
 
 def test_cutoff_chain_p1():
-    rep = verify_cutoff_chain(1.0, 2, count=20000, seed=31)
+    rep = run_cell(1.0, 2, [cutoff_chain_plan(1.0, 2)], 20000, 31)[0]
     assert rep.verdicts()[FAIL] == 0
     assert rep.constants["transfer_violations"] == 0
 
@@ -978,7 +1014,7 @@ def test_cutoff_chain_rows_equal_the_composed_fields(p):
 def _assert_chain_rows_equal_composed_fields(p, count):
     n, seed = 3, 17
     params = PBallParams(p, n)
-    rep = verify_cutoff_chain(p, n, count=count, seed=seed)
+    rep = run_cell(p, n, [cutoff_chain_plan(p, n)], count, seed)[0]
     xi = np.zeros(n)
     xi[0] = 1.0
     f = LinearRamp(xi, 0.0, float(marginal_isf(params, 0.2)))
@@ -1075,7 +1111,7 @@ def test_cutoff_chain_forms_no_gradient_row(monkeypatch):
         if isinstance(cls, type) and "value_and_grad" in vars(cls):
             monkeypatch.setattr(cls, "value_and_grad", forbidden)
     for p in (1.0, 1.5, 2.0):
-        rep = verify_cutoff_chain(p, 3, count=3000, seed=5)
+        rep = run_cell(p, 3, [cutoff_chain_plan(p, 3)], 3000, 5)[0]
         assert len(rep.reports) == 8
 
 
@@ -1096,7 +1132,7 @@ def test_cutoff_chain_evaluates_each_norm_of_the_product_batch_once(monkeypatch)
     for module in (isoplab.fields, isoplab.inequality_suite, isoplab.geometry):
         if hasattr(module, "lp_norm"):
             monkeypatch.setattr(module, "lp_norm", counting)
-    rep = verify_cutoff_chain(p, n, count=count, seed=5)
+    rep = run_cell(p, n, [cutoff_chain_plan(p, n)], count, 5)[0]
     assert len(rep.reports) == 8
     assert calls.count(((count, n + 1), p)) == 1
 
@@ -1136,7 +1172,8 @@ def test_kls_rows_are_scale_invariant():
 
 
 def test_paouris_tail_has_eligible_rows():
-    rep = check_paouris_tail(2.0, 4, [0.5, 0.9, 0.99], count=20000, seed=33)
+    rep = run_cell(2.0, 4, [paouris_tail_plan(2.0, 4, [0.5, 0.9, 0.99])],
+                   20000, 33)[0]
     assert rep.verdicts()[FAIL] == 0
     assert rep.constants["c_hat"] is not None and rep.constants["c_hat"] > 0.0
     eligible = [r for r in rep.reports if r.params[3] == 1.0]

@@ -38,10 +38,10 @@ from isoplab.cli import REGISTRY, RunConfig
 from isoplab.fields import LinearRamp
 from isoplab.geometry import (PBallParams, coordinate_half_space,
                               jacobian_op_norms, lp_norm, map_row_blocks)
-from isoplab.inequality_suite import (CellPlan, check_bobkov_inequality,
-                                      check_functional_equivalence,
-                                      check_lemma4, check_lemma5, run_cell,
-                                      verify_cutoff_chain)
+from isoplab.inequality_suite import (CellPlan, bobkov_plan, check_lemma5,
+                                      cutoff_chain_plan,
+                                      functional_equivalence_plan,
+                                      lemma4_plan, run_cell)
 from isoplab.montecarlo import integrate_grad
 from isoplab.sampling import rejection_sample_ball, sample_ball, sample_product
 
@@ -78,10 +78,10 @@ def test_lemma5_peak_holds_no_gamma_matrix():
 
 
 @pytest.mark.parametrize("check", [
-    lambda n: verify_cutoff_chain(1.5, n, count=20000, seed=15),
-    lambda n: check_bobkov_inequality(
-        1.5, n, [coordinate_half_space(PBallParams(1.5, n), 0.2)], [1.0],
-        20000, 13),
+    lambda n: run_cell(1.5, n, [cutoff_chain_plan(1.5, n)], 20000, 15)[0],
+    lambda n: run_cell(1.5, n, [bobkov_plan(
+        1.5, n, [coordinate_half_space(PBallParams(1.5, n), 0.2)], [1.0])],
+        20000, 13)[0],
 ], ids=["chain", "bobkov"])
 def test_streamed_check_peak_does_not_grow_with_n(check):
     narrow = _traced_peak(lambda: check(4))
@@ -170,8 +170,9 @@ def test_wide_bobkov_check_peak_is_near_its_batch():
     # the check holds its batch, per-point scalars and one block at a time
     count, params = 5000, PBallParams(1.5, 1024)
     hs = coordinate_half_space(params, 0.2)
-    peak = _traced_peak(lambda: check_bobkov_inequality(
-        params.p, params.n, [hs], [1.0], count, 13))
+    peak = _traced_peak(lambda: run_cell(
+        params.p, params.n, [bobkov_plan(params.p, params.n, [hs], [1.0])],
+        count, 13)[0])
     assert peak <= 1.2 * count * params.n * 8, peak
 
 
@@ -181,8 +182,10 @@ WIDE_BATCH = WIDE_COUNT * WIDE.n * 8
 
 
 @pytest.mark.parametrize("check", [
-    lambda: verify_cutoff_chain(WIDE.p, WIDE.n, count=WIDE_COUNT, seed=15),
-    lambda: check_lemma4(WIDE.p, WIDE.n, WIDE_COUNT, 15),
+    lambda: run_cell(WIDE.p, WIDE.n, [cutoff_chain_plan(WIDE.p, WIDE.n)],
+                     WIDE_COUNT, 15)[0],
+    lambda: run_cell(WIDE.p, WIDE.n, [lemma4_plan(WIDE.p, WIDE.n)],
+                     WIDE_COUNT, 15)[0],
 ], ids=["chain", "lemma4"])
 def test_wide_product_checks_hold_no_ball_batch(check):
     # the product batch is streamed and its ball points are T(Z), so
@@ -196,6 +199,7 @@ def test_wide_equivalence_check_holds_one_batch():
     # batch while the next one was drawn (2.0x)
     w = WIDE.n ** (-(2.0 - WIDE.p) / (2.0 * WIDE.p))
     hs = coordinate_half_space(WIDE, 0.5)
-    peak = _traced_peak(lambda: check_functional_equivalence(
-        WIDE.p, WIDE.n, hs, 0.0025 * w, 0.05 * w, WIDE_COUNT, 15))
+    peak = _traced_peak(lambda: run_cell(
+        WIDE.p, WIDE.n, [functional_equivalence_plan(
+            WIDE.p, WIDE.n, hs, 0.0025 * w, 0.05 * w)], WIDE_COUNT, 15)[0])
     assert peak <= 1.2 * WIDE_BATCH, peak / WIDE_BATCH

@@ -157,21 +157,20 @@ def _beta_points():
 def test_beta_tails_match_scipy():
     for a, b, x in _beta_points():
         tol = _tol(a, b)
-        for ours, theirs in ((_special.betainc, special.betainc),
-                             (_special.betaincc, special.betaincc)):
-            want = float(theirs(a, b, x))
-            got = ours(a, b, x)
-            if want < 1e-300:
-                assert got < 1e-299, (ours.__name__, a, b, x)
-                continue
-            assert _rel(got, want) <= tol, (ours.__name__, a, b, x, got, want)
+        want = float(special.betaincc(a, b, x))
+        got = _special.betaincc(a, b, x)
+        if want < 1e-300:
+            assert got < 1e-299, (a, b, x)
+            continue
+        assert _rel(got, want) <= tol, (a, b, x, got, want)
 
 
 @pytest.mark.parametrize("upper", [False, True])
 def test_beta_inverses_match_scipy_and_round_trip(upper):
     ours = _special.betainccinv if upper else _special.betaincinv
     theirs = special.betainccinv if upper else special.betaincinv
-    tail = _special.betaincc if upper else _special.betainc
+    # I_x(a, b) and 1 - I_x(a, b), both from the same continued fraction
+    tail = lambda a, b, x: _special._beta_pq(a, b, x)[1 if upper else 0]
     for a, b in _beta_shapes():
         tol = _tol(a, b)
         for level in LEVELS:
@@ -215,8 +214,6 @@ def test_power_law_quantiles_match_mpmath():
 
 
 def test_beta_edges():
-    assert _special.betainc(0.5, 2.0, 0.0) == 0.0
-    assert _special.betainc(0.5, 2.0, 1.0) == 1.0
     assert _special.betaincc(0.5, 2.0, 0.0) == 1.0
     assert _special.betaincc(0.5, 2.0, 1.0) == 0.0
     assert _special.betaincinv(0.5, 2.0, 0.0) == 0.0
@@ -225,7 +222,6 @@ def test_beta_edges():
     assert _special.betainccinv(0.5, 2.0, 1.0) == 0.0
     for bad in ((0.0, 1.0, 0.5), (1.0, -1.0, 0.5), (1.0, 1.0, 1.5),
                 (1.0, 1.0, math.nan)):
-        assert math.isnan(_special.betainc(*bad))
         assert math.isnan(_special.betaincc(*bad))
 
 
