@@ -488,13 +488,10 @@ def theorem1_plan(p: float, n: int, a_grid, sets=None) -> CellPlan:
 
 
 def coordinate_c_hat(p: float, n: int, a_grid) -> float:
-    """The c_hat that ``theorem1_plan`` fits on its default sets, which
-    draw nothing: the least ratio over a_grid of a coordinate half-space's
-    closed-form boundary mass to ``theorem1_rhs``, bit for bit."""
-    params = PBallParams(p, n)
-    return min(float(coordinate_half_space(params, a).analytic_boundary(params))
-               / theorem1_rhs(p, n, a)
-               for a in _validate_levels(a_grid, "a_grid"))
+    """The c_hat of ``theorem1_plan`` on its default sets, whose closed
+    forms draw nothing, so its report is read without a pass."""
+    _, report = theorem1_plan(p, n, a_grid).grading([])
+    return report().constants["c_hat"]
 
 
 def check_product_isoperimetry(p: float, n: int, a_grid) -> CheckReport:

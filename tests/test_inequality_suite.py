@@ -61,7 +61,6 @@ from isoplab.inequality_suite import (
     cell_seed,
     coarea_plan,
     concentration_from_isoperimetry,
-    coordinate_c_hat,
     cutoff_chain_plan,
     default_eps_ladder,
     functional_equivalence_plan,
@@ -249,17 +248,6 @@ def test_theorem1_with_explicit_families():
         assert rep.constants["argmin_coordinate_share"] == 0.5, seed
 
 
-def test_coordinate_c_hat_is_the_plan_constant():
-    # concentration_report and l2_form_plan read theorem1_plan's c_hat on
-    # its default sets from the closed form, drawing nothing: the same bits
-    for p in (1.0, 1.5, 2.0):
-        for n in (2, 4, 256):
-            for grid in ([0.1, 0.25, 0.5], [0.1, 0.25], [1e-3, 0.5]):
-                rep = run_cell(p, n, [theorem1_plan(p, n, grid)], 1000, 0)[0]
-                assert coordinate_c_hat(p, n, grid) == \
-                    rep.constants["c_hat"], (p, n, grid)
-
-
 def test_product_isoperimetry_exact_ratios():
     for p in (1.0, 1.5, 2.0):
         rep = check_product_isoperimetry(p, 3, [0.1, 0.25, 0.5])
@@ -435,6 +423,29 @@ def test_sz_concentration_shape():
     # below-median offsets carry no claim
     below = [r for r in rep.reports if r.params[2] < 0.0]
     assert all(r.verdict == PASS and r.rhs == 1.0 for r in below)
+
+
+@pytest.mark.parametrize("functional", ["diagonal", "euclidean_norm"])
+def test_sz_concentration_of_the_other_catalog_functionals(functional):
+    # Schechtman-Zinn holds for every 1-Lipschitz functional, not only a
+    # coordinate; on the Euclidean ball of R^4 both tails are exact:
+    # <x, theta> has a coordinate's law, and P{|x|_2 > r} = 1 - r^4
+    levels = [0.25, 0.5, 0.75, 0.9]
+    rep = run_cell(2.0, 4, [sz_concentration_plan(
+        2.0, 4, functional, levels)], 20000, 9)[0]
+    assert rep.constants["c1_hat"] > 0.0
+    assert rep.verdicts()[FAIL] == 0
+    if functional == "diagonal":
+        coord = run_cell(2.0, 4, [sz_concentration_plan(
+            2.0, 4, "coordinate", levels)], 20000, 9)[0]
+        for r, c in zip(rep.reports, coord.reports):
+            gap = abs(r.lhs.mean - c.lhs.mean)
+            assert gap <= 5.0 * (r.lhs.std_err + c.lhs.std_err) + 0.01
+    else:
+        med = 0.5 ** 0.25
+        for r in rep.reports:
+            exact = 1.0 - min(med + r.params[2], 1.0) ** 4
+            assert abs(r.lhs.mean - exact) <= 5.0 * r.lhs.std_err + 0.01
 
 
 def test_sorted_quantiles_equal_numpy_linear_quantiles():

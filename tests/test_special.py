@@ -169,8 +169,10 @@ def test_beta_tails_match_scipy():
 def test_beta_inverses_match_scipy_and_round_trip(upper):
     ours = _special.betainccinv if upper else _special.betaincinv
     theirs = special.betainccinv if upper else special.betaincinv
-    # I_x(a, b) and 1 - I_x(a, b), both from the same continued fraction
-    tail = lambda a, b, x: _special._beta_pq(a, b, x)[1 if upper else 0]
+    # the lower tail I_x(a, b) is the first of the pair betaincc's
+    # continued fraction gives
+    tail = (_special.betaincc if upper
+            else lambda a, b, x: _special._beta_pq(a, b, x)[0])
     for a, b in _beta_shapes():
         tol = _tol(a, b)
         for level in LEVELS:
