@@ -14,9 +14,10 @@ Conventions shared by all checks:
   ``CellPlan``, and ``run_cell`` runs the plans of one cell on two
   streams, a grading stream read by every row and a held-out stream that
   only thresholds and the co-area radial radii are placed on.  Each
-  stream yields product rows Z beside their ball points X = T(Z), exactly
-  uniform on B_p^n (Barthe, Guedon, Mendelson and Naor), from one draw,
-  and is seeded by ``cell_seed(seed, p, n, role)`` alone.  Count and
+  stream (``sampling.cell_blocks``) yields the product rows' draws beside
+  their ball points X = T(Z), exactly uniform on B_p^n (Barthe, Guedon,
+  Mendelson and Naor), from one draw, in blocks of ``cell_block_rows(n)``
+  rows, and is seeded by ``cell_seed(seed, p, n, role)`` alone.  Count and
   seed reach a check only through ``run_cell``: no plan takes them, and a
   plan reads no rows but those its passes hand it.  So a check's rows do
   not depend on which other checks share its cell, and
@@ -56,12 +57,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import _special as special
-from . import measures1d
+from . import geometry, measures1d
 from .fields import (
     CUTOFF_C1,
     CUTOFF_C2,
@@ -74,8 +76,10 @@ from .fields import (
 )
 from .geometry import (
     BallComplement,
+    HalfSpace,
     PBallParams,
     ball_log_volume,
+    block_rows,
     coordinate_half_space,
     jacobian_op_norms,
     kappa,
@@ -106,13 +110,14 @@ from .montecarlo import (
     verdict_geq,
     verdict_leq,
 )
-from .sampling import product_ball_blocks
+from .sampling import cell_blocks, product_rows
 
 __all__ = [
     "InequalityReport",
     "CheckReport",
     "CellPlan",
     "CellBlock",
+    "cell_block_rows",
     "GRADING",
     "HELD_OUT",
     "cell_seed",
@@ -242,13 +247,40 @@ def cell_seed(seed: int, p: float, n: int, role: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-class CellBlock:
-    """Rows lo, lo + 1, ... of a cell stream: product rows Z, their ball
-    points X = T(Z) and norms zp = |z|_p from the draw, and the per-row
-    values several plans read, each computed once per block."""
+# what a cell block holds per row beside its rows g and X: the draw's e
+# and |z|_p, x_1, |x|_2 and its sorted copy, and the chain's primitives
+# and temporaries
+CELL_COLUMNS = 16
+# the values of a cell block, in row-shaped temporaries of a row-wise pass
+# (``block_rows``: 4 * BLOCK_ROWS values, 256 KB at BLOCK_ROWS = 8192)
+CELL_BLOCK_TEMPORARIES = 10
 
-    def __init__(self, lo: int, Z: np.ndarray, X: np.ndarray, zp: np.ndarray):
-        self.lo, self.Z, self.X, self.zp = lo, Z, X, zp
+
+def cell_block_rows(n: int) -> int:
+    """Rows per block of a cell stream.  A cell block holds 2n + CELL_COLUMNS
+    values per row and as many values in all as CELL_BLOCK_TEMPORARIES
+    temporaries of a row-wise pass; and each of its (rows, n) arrays, g, X
+    and a plan's temporaries over X, holds at most two such temporaries'
+    values, so wide rows keep blocks of temporaries of ``block_rows`` size.
+    At least one row."""
+    temporary = 4 * geometry.BLOCK_ROWS
+    return max(1, min(CELL_BLOCK_TEMPORARIES * temporary
+                      // (2 * n + CELL_COLUMNS), 2 * temporary // n))
+
+
+class CellBlock:
+    """Rows lo, lo + 1, ... of a cell stream (``sampling.cell_blocks``):
+    the product rows' mu_p coordinates g and Exp(1) variates e, so that a
+    product row is z = (g, e^{1/p}), their ball points X = T(z), zp = |z|_p
+    from the draw, and named per-row primitives: x_1, |x|_2 and the set
+    scalars, which several plans read, each computed once per block on
+    first read, and the chain's E, W and w_1.  The arrays are the pass's
+    buffers, overwritten by its next block, so a plan copies what it
+    keeps."""
+
+    def __init__(self, lo: int, p: float, g: np.ndarray, X: np.ndarray,
+                 e: np.ndarray, zp: np.ndarray):
+        self.lo, self.p, self.g, self.X, self.e, self.zp = lo, p, g, X, e, zp
         self._scalars = {}
         self._sorted = {}
 
@@ -279,6 +311,58 @@ class CellBlock:
         """|x|_2 sorted."""
         return self.sorted(BallComplement(1.0))
 
+    @property
+    def x1(self) -> np.ndarray:
+        """x_1, the scalar of every half-space along e_1."""
+        return self.scalar(_first_axis(self.X.shape[1]))
+
+    def product_rows(self, lo: int, hi: int) -> np.ndarray:
+        """The product rows z of block rows lo to hi as a new array."""
+        return product_rows(self.g[lo:hi], self.e[lo:hi], self.p)
+
+    # the chain's primitives of the product rows, formed on each read: the
+    # chain reads each once per block and drops it after its last use
+
+    @property
+    def E(self) -> np.ndarray:
+        """z_{n+1}^p, from z_{n+1} = e^{1/p} as the product row holds it:
+        it equals e only up to rounding."""
+        return pow_p(np.power(self.e, 1.0 / self.p), self.p)
+
+    @property
+    def w1(self) -> np.ndarray:
+        """lp_dual(z)_1 = sign(z_1)|z_1|^{p-1}."""
+        return lp_dual(self.g[:, 0], self.p)
+
+    @property
+    def W(self):
+        """|lp_dual(z)|_2^2 = sum |z_i|^{2p-2}: the float n + 1 at p = 1,
+        where every coordinate is nonzero almost surely, and zp^2 at p = 2;
+        in between a row-wise pass over the product rows, formed for it
+        alone: at once when a row is no wider than the block's
+        CELL_COLUMNS columns, else ``block_rows(n + 1)`` rows at a time."""
+        p, width = self.p, self.g.shape[1] + 1
+        if p == 1.0:
+            return float(width)
+        if p == 2.0:
+            return self.zp * self.zp
+        W = np.empty(len(self))
+        step = len(self) if width <= CELL_COLUMNS else block_rows(width)
+        for lo in range(0, len(self), step):
+            Z = self.product_rows(lo, lo + step)
+            np.abs(Z, out=Z)
+            Z **= 2.0 * p - 2.0
+            W[lo:lo + step] = row_sum(Z)
+        return W
+
+
+@lru_cache(maxsize=None)
+def _first_axis(n: int) -> HalfSpace:
+    """{x_1 >= 0} in R^n: a set whose scalar is x_1."""
+    xi = np.zeros(n)
+    xi[0] = 1.0
+    return HalfSpace(xi, 0.0)
+
 
 def _norm2(b: CellBlock) -> tuple:
     return (b.norm2,)
@@ -303,10 +387,12 @@ class CellPlan(NamedTuple):
 
 
 def _cell_pass(params: PBallParams, count: int, seed: int, role: int):
-    """The CellBlocks of one pass over the cell's stream in ``role``."""
-    stream = product_ball_blocks(params, count,
-                                 cell_seed(seed, params.p, params.n, role))
-    return (CellBlock(lo, Z, X, zp) for lo, (Z, X, zp) in stream)
+    """The CellBlocks of one pass over the cell's stream in ``role``, in
+    blocks of ``cell_block_rows(n)`` rows."""
+    stream = cell_blocks(params, count,
+                         cell_seed(seed, params.p, params.n, role),
+                         cell_block_rows(params.n))
+    return (CellBlock(lo, params.p, *block) for lo, block in stream)
 
 
 def _held_out_columns(params: PBallParams, count: int, seed: int,
@@ -1204,30 +1290,99 @@ def cutoff_chain_norms(f, h1, h2, x1, r, zp, e, W, w1) -> tuple:
 
     The values keep their fields' arithmetic, bit for bit; the norms agree
     with the composed fields' gradient rows (``ProductField``,
-    ``PushForwardField``) to rounding.
+    ``PushForwardField``) to rounding.  Each column is written in place
+    once its last reader is done, so about ten are alive at a time.
     """
     p = h2.p
-    fv = np.clip((x1 - f.lo) / f.width, 0.0, 1.0)
-    h1v = np.clip(2.0 - h1.slope * r, 0.0, 1.0)
-    h2v = np.clip(h2.scale * zp - 1.0, 0.0, 1.0)
-    gv = fv * h1v
+    fv = x1 - f.lo
+    fv /= f.width
+    np.clip(fv, 0.0, 1.0, out=fv)
+    beta = h1.slope * r                         # h1's value, then beta
+    np.subtract(2.0, beta, out=beta)
+    np.clip(beta, 0.0, 1.0, out=beta)
+    gv = fv * beta
     grad_f = f.grad_norm_from_scalar(x1)
-    alpha = np.divide(-h1.slope * fv, r, out=np.zeros_like(r),
-                      where=h1.on_ramp(r))
-    beta = h1v * grad_f
+    beta *= grad_f
+    on = h1.on_ramp(r)
+    alpha = -h1.slope * fv
+    np.divide(alpha, r, out=alpha, where=on)
+    alpha[~on] = 0.0
     # |v|^2; r >= |x_1| up to rounding
-    fh1 = alpha * alpha * np.maximum(r * r - x1 * x1, 0.0)
-    fh1 += np.square(alpha * x1 + beta)
+    rr = r * r
+    t = x1 * x1
+    np.subtract(rr, t, out=t)
+    np.maximum(t, 0.0, out=t)
+    fh1 = alpha * alpha
+    fh1 *= t
+    np.multiply(alpha, x1, out=t)
+    t += beta
+    np.square(t, out=t)
+    fh1 += t
     zpp = pow_p(zp, p)
-    c = (alpha * (r * r) + beta * x1) / zpp
-    vw = (alpha * ((zpp - e) / zp) + beta * w1) / zp     # (v.w)/N
-    g = fh1 / (zp * zp) - 2.0 * c * vw + c * c * W
-    wg = vw - c * W
-    gk = gv * np.where(h2.on_ramp(zp), h2.scale / zp ** (p - 1.0), 0.0)
-    gh2 = gk * gk * W + 2.0 * gk * h2v * wg + h2v * h2v * g
+    c = rr                                      # x.v / N^p
+    c *= alpha
+    np.multiply(beta, x1, out=t)
+    c += t
+    c /= zpp
+    vw = np.subtract(zpp, e, out=t)             # (v.w)/N
+    del zpp, t, e
+    vw /= zp
+    vw *= alpha
+    u = np.multiply(beta, w1, out=beta)
+    del w1
+    vw += u
+    vw /= zp
+    g = np.multiply(zp, zp, out=alpha)
+    np.divide(fh1, g, out=g)
+    np.multiply(2.0, c, out=u)
+    u *= vw
+    g -= u
+    np.multiply(c, c, out=u)
+    u *= W
+    g += u
+    wg = vw                                     # w.grad g
+    np.multiply(c, W, out=u)
+    wg -= u
+    gk = zp ** (p - 1.0)
+    np.divide(h2.scale, gk, out=gk)
+    gk[~h2.on_ramp(zp)] = 0.0
+    gk *= gv
+    h2v = h2.scale * zp
+    h2v -= 1.0
+    np.clip(h2v, 0.0, 1.0, out=h2v)
+    gh2 = np.multiply(gk, gk, out=c)
+    gh2 *= W
+    np.multiply(2.0, gk, out=u)
+    del gk
+    u *= h2v
+    u *= wg
+    del wg, vw
+    gh2 += u
+    np.multiply(h2v, h2v, out=u)
+    u *= g
+    gh2 += u
+    del u
+    gv *= h2v
     # a norm that rounds below 0 is 0
-    return (fv, gv * h2v, grad_f, np.sqrt(fh1), np.sqrt(np.maximum(g, 0.0)),
-            np.sqrt(np.maximum(gh2, 0.0)))
+    np.sqrt(fh1, out=fh1)
+    np.maximum(g, 0.0, out=g)
+    np.sqrt(g, out=g)
+    np.maximum(gh2, 0.0, out=gh2)
+    np.sqrt(gh2, out=gh2)
+    return fv, gv, grad_f, fh1, g, gh2
+
+
+def _transfer_op_norms(b: CellBlock, p: float) -> np.ndarray:
+    """|D*T(z)| of the block's rows among the stream's first TRANSFER_ROWS.
+    Their product rows are formed and scanned in slices of half a block
+    of ``jacobian_op_norms``, whose temporaries are about four times its
+    rows, so the scan adds no more to a block than the chain's own
+    columns do."""
+    rows = min(len(b), max(TRANSFER_ROWS - b.lo, 0))
+    step = block_rows(2 * (b.g.shape[1] + 1))
+    return np.concatenate([np.empty(0)] + [
+        jacobian_op_norms(b.product_rows(lo, min(lo + step, rows)), p)[0]
+        for lo in range(0, rows, step)])
 
 
 def cutoff_chain_plan(p: float, n: int) -> CellPlan:
@@ -1263,18 +1418,18 @@ def cutoff_chain_plan(p: float, n: int) -> CellPlan:
     formed: every value and gradient norm is a closed form in six scalars
     per point (``cutoff_chain_norms``), x_1 and |x|_2 of the cell, the
     draw's |z|_p, and z_{n+1}^p, |lp_dual(z)|_2^2 and lp_dual(z)_1 of the
-    product row, of which only |lp_dual(z)|_2^2 at 1 < p < 2 takes a pass
-    over the row.  Z is streamed and never held: each block's link
-    differences fold into merged moments (link 4's formed per point from
-    those of links 2 and 3) and its flags into counts, and the Jacobian
-    scan, row 8's own path, runs ``jacobian_op_norms`` on the first
-    TRANSFER_ROWS rows as they stream past.
+    product row, read off the block's g and e (``CellBlock``), of which
+    only |lp_dual(z)|_2^2 at 1 < p < 2 takes a pass over the row.  Product
+    rows are formed only for that pass and for the Jacobian scan, row 8's
+    own path, which runs ``jacobian_op_norms`` on the first TRANSFER_ROWS
+    rows as they stream past.  Each block's link differences fold into
+    merged moments (link 4's formed per point from those of links 2 and
+    3) and its flags into counts.
     """
     params = PBallParams(p, n)
     xi = np.zeros(n)
     xi[0] = 1.0
     f = LinearRamp(xi, 0.0, float(marginal_isf(params, 0.2)))
-    x1_set = f.superlevel(0.0)      # a set whose scalar is x_1
     h1 = CutoffH1Field(p, n)
     h2 = CutoffH2Field(p, n)
 
@@ -1285,35 +1440,14 @@ def cutoff_chain_plan(p: float, n: int) -> CellPlan:
     name = "verify_cutoff_chain"
 
     def fold(b, links, flags):
-        # every link reads per-point scalars (``cutoff_chain_norms``): the
-        # cell's x_1 and |x|_2, the draw's |z|_p, and three of Z; only
-        # W = |lp_dual(z)|_2^2 takes a pass over the rows, and only at
-        # 1 < p < 2.  The Jacobian scan's operator norms ride along with
-        # the first TRANSFER_ROWS rows.
-        Z, zp, r = b.Z, b.zp, b.norm2
-        ops = (jacobian_op_norms(Z[:TRANSFER_ROWS - b.lo], p)[0]
-               if b.lo < TRANSFER_ROWS else np.empty(0))
-        if p == 1.0:
-            W = float(n + 1)    # n + 1 signs, nonzero almost surely
-        elif p == 2.0:
-            W = zp * zp
-        else:
-            W = np.abs(Z)
-            W **= 2.0 * p - 2.0
-            W = row_sum(W)
+        # every link reads the block's per-point primitives x_1, |x|_2,
+        # |z|_p, E, W and w_1 (``cutoff_chain_norms``); the Jacobian scan
+        # forms the product rows of the first TRANSFER_ROWS rows alone
+        ops = _transfer_op_norms(b, p)
+        r, zp = b.norm2, b.zp
         fv, plateau, gf, gfh1, gg, ggh2 = cutoff_chain_norms(
-            f, h1, h2, b.scalar(x1_set), r, zp, pow_p(Z[:, -1], p), W,
-            lp_dual(Z[:, 0], p))
-        err1 = h1.slope * (r >= h1.lo)
-        err2 = 2.0 * n ** kappa(p) * (zp <= scale2)
-        d2 = gfh1 - c3 * gg * zp
-        d3 = gg * zp - (n ** (1.0 / p) / CUTOFF_C2) * ggh2 + err2
+            f, h1, h2, b.x1, r, zp, b.E, b.W, b.w1)
         transfer_rhs = ops * gfh1[:ops.size]
-        # links 1 to 5, link 4 being links 2 and 3 combined per point
-        for link, diff in zip(links, (
-                gf - gfh1 + err1, d2, d3, d2 + c3 * d3,
-                gf - c4 * n ** (1.0 / p) * ggh2 + 0.5 * a_level)):
-            link.add(diff)
         for flag, hits in (
                 ("plateau_one", plateau >= 1.0 - 1e-12),
                 ("plateau_zero", plateau <= 1e-12),
@@ -1323,9 +1457,28 @@ def cutoff_chain_plan(p: float, n: int) -> CellPlan:
             flags[flag] += int(np.count_nonzero(hits))
         flags["rows"] += zp.size
         flags["scanned"] += ops.size
+        del fv, plateau
+        # the differences of links 1 to 5, a row each, folded together;
+        # link 4 is links 2 and 3 combined per point
+        d = np.empty((5, zp.size))
+        np.subtract(gf, gfh1, out=d[0])
+        d[0] += h1.slope * (r >= h1.lo)
+        np.multiply(c3, gg, out=d[1])
+        d[1] *= zp
+        np.subtract(gfh1, d[1], out=d[1])
+        np.multiply(gg, zp, out=d[2])
+        d[2] -= (n ** (1.0 / p) / CUTOFF_C2) * ggh2
+        d[2] += 2.0 * n ** kappa(p) * (zp <= scale2)
+        np.multiply(c3, d[2], out=d[3])
+        d[3] += d[1]
+        np.multiply(c4 * n ** (1.0 / p), ggh2, out=d[4])
+        np.subtract(gf, d[4], out=d[4])
+        d[4] += 0.5 * a_level
+        del gf, gfh1, gg, ggh2
+        links.add(d, overwrite=True)
 
     def grading(held):
-        links = [MomentSum() for _ in range(5)]
+        links = MomentSum(5)
         flags = dict.fromkeys(("rows", "scanned", "plateau_one",
                                "plateau_zero", "f_one", "transfer_bad"), 0)
         return (lambda b: fold(b, links, flags)), lambda: report(links, flags)
@@ -1333,7 +1486,7 @@ def cutoff_chain_plan(p: float, n: int) -> CellPlan:
     def report(links, flags) -> CheckReport:
         count = flags["rows"]
         reports = []
-        for link, diffs in enumerate(links, start=1):
+        for link, diffs in enumerate(links.stream_moments(), start=1):
             est = mean_ci(diffs)
             reports.append(_row(name, p, n, link, 0.0, est, 0.0,
                                 verdict_geq(est, 0.0, "strict")))

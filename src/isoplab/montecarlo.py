@@ -33,7 +33,8 @@ summary:
   deviations M2, taken over runs of MOMENT_ROWS values and merged in
   order (Chan, Golub and LeVeque, Amer. Statist. 37, 1983).  The runs are
   fixed by the values' positions, not by the blocks, so the result does
-  not depend on how the stream is cut.
+  not depend on how the stream is cut; a ``MomentSum`` of several streams
+  reduces the whole runs of all of them together.
 
 A ramp's gradient mass is a count too: its |grad f|_2 is its slope
 on the ramp and 0 elsewhere, so ``integrate_grad`` reads a ``RampSum``,
@@ -158,55 +159,89 @@ class Moments(NamedTuple):
 
 
 class MomentSum:
-    """The moments of a stream of values added block by block.
+    """The moments of a stream of values added block by block, or of
+    ``streams`` streams side by side, added as the rows of blocks.
 
     The values are cut into runs of MOMENT_ROWS, counted from the
     stream's first value; each run's moments come from numpy
     (``Moments.of``) and are merged in order.  A run that spans blocks is
     gathered in a buffer of one run first, so the result depends only on
     the values and their order, and a stream of at most MOMENT_ROWS
-    values gives numpy's mean and variance of them, bit for bit.
+    values gives numpy's mean and variance of them, bit for bit.  The
+    whole runs of a block, of every stream, are reduced in one numpy call
+    per step: a reduction along the last axis sums each run as one 1-D
+    array, so each run's moments are ``Moments.of`` it, bit for bit.
     """
 
-    def __init__(self):
-        self._total = Moments(0, 0.0, 0.0)  # of the whole runs so far
-        self._run = None    # the next run's first values
+    def __init__(self, streams: int = 1):
+        self.streams = streams
+        # of the whole runs so far, per stream
+        self._totals = [Moments(0, 0.0, 0.0)] * streams
+        self._run = None    # the next run's first values, a row per stream
         self._fill = 0
 
-    def add(self, values: np.ndarray) -> None:
-        """Fold a 1-D array of the stream's next values."""
-        values = np.ascontiguousarray(values, dtype=float)
-        while values.size:
-            if not self._fill and values.size >= MOMENT_ROWS:
-                run, values = values[:MOMENT_ROWS], values[MOMENT_ROWS:]
-            else:
-                if self._run is None:
-                    self._run = np.empty(MOMENT_ROWS)
-                take = min(MOMENT_ROWS - self._fill, values.size)
-                self._run[self._fill:self._fill + take] = values[:take]
-                self._fill += take
-                values = values[take:]
-                if self._fill < MOMENT_ROWS:
-                    return
-                run, self._fill = self._run, 0
-            self._total = self._total.merge(Moments.of(run))
+    def add(self, values: np.ndarray, overwrite: bool = False) -> None:
+        """Fold the streams' next values: a 1-D array of one stream's, or a
+        (streams, m) array whose row k continues stream k.  The open run is
+        filled first, the whole runs that follow are reduced together, and
+        the rest opens the next run.  With ``overwrite`` the deviations of
+        the whole runs are formed in ``values`` itself, which a caller that
+        no longer needs them saves a copy by."""
+        contiguous = np.ascontiguousarray(values, dtype=float)
+        overwrite = overwrite and contiguous is values
+        values = contiguous.reshape(self.streams, -1)
+        if self._fill:
+            take = min(MOMENT_ROWS - self._fill, values.shape[1])
+            self._run[:, self._fill:self._fill + take] = values[:, :take]
+            self._fill += take
+            values = values[:, take:]
+            if self._fill < MOMENT_ROWS:
+                return
+            self._fill = 0
+            self._merge(self._run)
+        size = values.shape[1]
+        whole = size - size % MOMENT_ROWS
+        if whole < size:
+            if self._run is None:
+                self._run = np.empty((self.streams, MOMENT_ROWS))
+            self._run[:, :size - whole] = values[:, whole:]
+        if whole:
+            self._merge(values[:, :whole], overwrite)
+        self._fill = size - whole
 
-    @property
-    def moments(self) -> Moments:
-        """The moments of every value added so far."""
+    def _merge(self, runs: np.ndarray, overwrite: bool = False) -> None:
+        """Merge the whole runs of row k of ``runs`` into stream k, their
+        deviations formed in ``runs`` itself with ``overwrite``."""
+        runs = runs.reshape(self.streams, -1, MOMENT_ROWS)
+        means = np.add.reduce(runs, axis=-1) / MOMENT_ROWS
+        dev = np.subtract(runs, means[..., None],
+                          out=runs if overwrite else None)
+        np.multiply(dev, dev, out=dev)
+        for k, (run_means, run_m2) in enumerate(zip(
+                means.tolist(), np.add.reduce(dev, axis=-1).tolist())):
+            total = self._totals[k]
+            for mean, m2 in zip(run_means, run_m2):
+                total = total.merge(Moments(MOMENT_ROWS, mean, m2))
+            self._totals[k] = total
+
+    def stream_moments(self) -> list:
+        """The moments of every value added so far, per stream."""
         if not self._fill:
-            return self._total
-        return self._total.merge(Moments.of(self._run[:self._fill]))
+            return list(self._totals)
+        return [total.merge(Moments.of(run[:self._fill]))
+                for total, run in zip(self._totals, self._run)]
 
 
 def mean_ci(values) -> EstimateCI:
-    """Sample mean with its standard error, from a MomentSum, or from an
-    array of values, folded as one block."""
-    if not isinstance(values, MomentSum):
+    """Sample mean with its standard error, from the Moments of the values,
+    a one-stream MomentSum, or an array of values, folded as one block."""
+    if not isinstance(values, (Moments, MomentSum)):
         column = MomentSum()
         column.add(np.ravel(np.asarray(values, dtype=float)))
         values = column
-    m = values.moments
+    if isinstance(values, MomentSum):
+        values, = values.stream_moments()
+    m = values
     if m.count == 0:
         raise ValueError("cannot average an empty sample")
     se = (math.sqrt(m.m2 / (m.count - 1)) / math.sqrt(m.count)

@@ -21,8 +21,12 @@ of ``geometry.block_rows(n + 1)`` rows: ``ball_blocks`` yields ball
 points, and ``product_ball_blocks`` yields product rows Z beside their
 ball points X = T(Z) and their norms |z|_p, from one draw.
 ``sample_product`` and ``sample_ball`` draw the same streams into the
-rows of one array.  A consumer that needs only per-point values reads
-the stream block by block and folds each block into what it keeps, so it
+rows of one array.  ``cell_blocks``, the stream a (p, n) cell reads,
+yields the draw of ``product_ball_blocks`` in blocks of a given size
+without forming Z: the mu_p rows g and the Exp(1) column e of Z =
+(g, e^{1/p}) (``product_rows`` forms Z where a reader needs it), beside
+X and |z|_p.  A consumer that needs only per-point values reads the
+stream block by block and folds each block into what it keeps, so it
 never holds a (count, n) batch.  The ball-norm guard runs on every ball
 block.
 
@@ -39,7 +43,14 @@ either, and a rejection batch has the same prefix property.
 Memory: a block stream holds one block and its draw temporaries, at most
 BLOCK_ROWS * 4 values each, however wide the rows are; the samplers hold
 their output beside that, and the rejection oracle its output and one
-chunk of candidates.
+chunk of candidates.  ``cell_blocks`` draws every block into one buffer
+of the pass, 2n + 2 values per row (g, X, e and |z|_p; X holds the
+second draw block and the |g_i|^p until it is formed), and its blocks
+are sized by the cell (``inequality_suite.cell_block_rows``) from what
+a cell block holds per row: those 2n values and about sixteen columns of
+per-point scalars and temporaries, so narrow rows get blocks of 13 to
+18 thousand rows at n <= 4, and wide ones keep each (rows, n) array at
+two row-wise temporaries' size.
 """
 
 from __future__ import annotations
@@ -64,6 +75,8 @@ __all__ = [
     "child_seed",
     "ball_blocks",
     "product_ball_blocks",
+    "cell_blocks",
+    "product_rows",
     "sample_product",
     "sample_ball",
     "rejection_sample_ball",
@@ -118,9 +131,11 @@ def _role_rngs(seed: int) -> tuple:
 
 
 def _factor_rows(rngs: tuple, g: np.ndarray, p: float,
-                 scratch: np.ndarray = None) -> np.ndarray:
+                 scratch: np.ndarray = None,
+                 e: np.ndarray = None) -> np.ndarray:
     """Fill the C-contiguous (rows, n) block ``g`` with mu_p coordinates and
-    return the rows' Exp(1) column, whose p-th root is the nu_p coordinate.
+    return the rows' Exp(1) column, whose p-th root is the nu_p coordinate,
+    drawn into ``e`` when given.
 
     The second draw block goes into ``scratch``, a C-contiguous array of
     g's shape whose values are not kept, or into a new array.  Each role
@@ -147,7 +162,9 @@ def _factor_rows(rngs: tuple, g: np.ndarray, p: float,
             v *= 2.0
             v -= 1.0
             g *= v
-    return re.standard_exponential(g.shape[0])
+    if e is None:
+        return re.standard_exponential(g.shape[0])
+    return re.standard_exponential(out=e)
 
 
 def _second_block(Z: np.ndarray, shape: tuple) -> np.ndarray:
@@ -203,6 +220,65 @@ def _product_ball_rows(rngs: tuple, Z: np.ndarray, X: np.ndarray,
     _add_pow_sum(X, s, p)
     np.power(s, 1.0 / p, out=zp)
     _to_ball(X, s, p)
+
+
+def _cell_rows(rngs: tuple, g: np.ndarray, X: np.ndarray, e: np.ndarray,
+               zp: np.ndarray, p: float) -> None:
+    """The product rows' mu_p block into g and Exp(1) column into e, their
+    ball points T(z) into X and norms |z|_p into zp, from one draw: X
+    holds the second draw block, then the |g_i|^p summed into
+    s = sum |g_i|^p + e, then g / s^{1/p}; zp is s^{1/p}.  Every step is
+    ``_product_ball_rows``'s operation on the same values (the sum is
+    taken as row_sum + e, which rounds as e + row_sum), so the bits are
+    its bits."""
+    _factor_rows(rngs, g, p, X, e)
+    if p == 2.0:
+        np.multiply(g, g, out=X)
+    else:
+        np.abs(g, out=X)
+        if p != 1.0:
+            X **= p
+    s = row_sum(X)
+    s += e
+    np.power(s, 1.0 / p, out=zp)
+    s **= -1.0 / p
+    np.multiply(g, s[:, None], out=X)
+    _check_ball_norms(X, p)
+
+
+def cell_blocks(params: PBallParams, count: int, seed: int, rows: int):
+    """(first row, (g, X, e, zp)) blocks of up to ``rows`` rows of the
+    ``product_ball_blocks`` stream for the same (params, count, seed), bit
+    for bit, without forming its product rows: a product row is
+    z = (g, e^{1/p}) (``product_rows``), with g its mu_p coordinates and e
+    its Exp(1) variate; X = T(z) passes the ball-norm guard, and zp is
+    |z|_p from the draw.  The four arrays are views of one buffer of the
+    pass, a (rows, n) array each for g and X and a column each for e and
+    zp, taken in one allocation, which the pass allocates and frees once:
+    every block overwrites the last, so a reader copies what it keeps."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    n, step = params.n, min(rows, count)
+
+    def blocks():
+        rngs = _role_rngs(seed)
+        flat = np.empty(step * (2 * n + 2))
+        buffers = (*flat[:2 * step * n].reshape(2, step, n),
+                   *flat[2 * step * n:].reshape(2, step))
+        for lo in range(0, count, step):
+            block = tuple(buf[:count - lo] for buf in buffers)
+            _cell_rows(rngs, *block, params.p)
+            yield lo, block
+    return blocks()
+
+
+def product_rows(g: np.ndarray, e: np.ndarray, p: float) -> np.ndarray:
+    """The product rows z = (g, e^{1/p}) of a ``cell_blocks`` block's g and
+    e as a new (rows, n + 1) array, bit for bit those of
+    ``product_ball_blocks``."""
+    Z = np.empty((g.shape[0], g.shape[1] + 1))
+    _to_product(Z, g, e, p)
+    return Z
 
 
 def _row_blocks(params: PBallParams, count: int, seed: int, fill,

@@ -31,6 +31,7 @@ from isoplab.cli import (
     run,
 )
 from isoplab.geometry import PBallParams, coordinate_half_space
+from isoplab.sampling import product_ball_blocks
 
 
 def _run_cli(args, env_extra=None, cwd=None):
@@ -284,12 +285,16 @@ def test_run_more_threads_than_cores_reproduce_serial_bytes(tmp_path):
 
 
 def test_run_threads_reproduce_serial_bytes_above_one_block(tmp_path):
-    # 20000 samples span several row blocks of every blocked pass
+    # the samples span two cell blocks and a partial one, and several row
+    # blocks of every blocked pass
+    samples = 2 * iq.cell_block_rows(4) + 17
+    assert -(-samples // iq.cell_block_rows(4)) == 3
+
     def cfg(out_dir, threads):
         return RunConfig(
             experiments=["verify_cutoff_chain", "check_coarea",
                          "check_functional_equivalence", "check_sz_tail"],
-            p_grid=[1.0, 1.5], n_grid=[4], samples=20000,
+            p_grid=[1.0, 1.5], n_grid=[4], samples=samples,
             out_dir=str(out_dir), threads=threads)
 
     run(cfg(tmp_path / "serial", 1))
@@ -325,17 +330,18 @@ def test_default_run_draws_two_streams_per_cell(tmp_path, monkeypatch):
     # stream of its own (before, every sampled job did: 70 ball and 12
     # product streams)
     streams = []
-    real = iq.product_ball_blocks
+    real = iq.cell_blocks
 
-    def counting(params, count, seed):
+    def counting(params, count, seed, rows):
         streams.append((params.p, params.n, count, seed))
-        return real(params, count, seed)
+        return real(params, count, seed, rows)
 
     def refuse(*args, **kw):
         raise AssertionError("a check drew a stream of its own")
 
-    monkeypatch.setattr(iq, "product_ball_blocks", counting)
-    for name in ("ball_blocks", "sample_ball", "sample_product"):
+    monkeypatch.setattr(iq, "cell_blocks", counting)
+    for name in ("ball_blocks", "product_ball_blocks", "sample_ball",
+                 "sample_product"):
         monkeypatch.setattr(iq, name, refuse, raising=False)
     cfg = RunConfig(out_dir=str(tmp_path))
     assert run(cfg) == 0
@@ -401,7 +407,7 @@ def test_no_default_lhs_estimates_a_closed_form(p, monkeypatch):
     if p == 2.0:
         assert calls == []
         return
-    held_out = iq.product_ball_blocks(
+    held_out = product_ball_blocks(
         params, cfg.samples, iq.cell_seed(cfg.seed, p, n, iq.HELD_OUT))
     radii = np.sort(np.concatenate(
         [geometry.lp_norm(X, 2.0) for _, (_, X, _) in held_out]))

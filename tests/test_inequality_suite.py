@@ -27,7 +27,6 @@ from isoplab.fields import (
     push_forward_grad,
 )
 from isoplab.geometry import (
-    BLOCK_ROWS,
     BallComplement,
     HalfSpace,
     PBallParams,
@@ -48,6 +47,7 @@ from isoplab.inequality_suite import (
     INCONCLUSIVE,
     LIPSCHITZ_ROWS,
     PASS,
+    CellPlan,
     CheckReport,
     ConcentrationCurve,
     _default_plateau_catalog,
@@ -58,6 +58,7 @@ from isoplab.inequality_suite import (
     check_kls,
     check_lemma5,
     check_product_isoperimetry,
+    cell_block_rows,
     cell_seed,
     coarea_plan,
     concentration_from_isoperimetry,
@@ -475,8 +476,28 @@ def test_scaled_sorted_quantiles_equal_those_of_the_scaled_column():
                 _sorted_quantiles(c_np * col, levels), (p, n, count)
 
 
-# two row blocks and a partial one of the n = 3 streams
-STREAM_COUNT = 2 * BLOCK_ROWS + 17
+# two cell blocks and a partial one of the n = 3 streams
+STREAM_COUNT = 2 * cell_block_rows(3) + 17
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_cell_reports_do_not_depend_on_the_block_size(p, n, monkeypatch):
+    # every default plan of the cell over two cell blocks and a partial
+    # one; BLOCK_ROWS = 97 cuts the same streams into cell blocks of under
+    # 200 rows and every row-wise pass into blocks of at most 97 rows, and
+    # every report keeps its bits
+    from isoplab.cli import REGISTRY, RunConfig
+    count = 2 * cell_block_rows(n) + 17
+    cfg = RunConfig(samples=count)
+    plans = [plan for plan in (runner(cfg, p, n)
+                               for _, runner in REGISTRY.values())
+             if isinstance(plan, CellPlan)]
+    assert -(-count // cell_block_rows(n)) == 3
+    want = repr(run_cell(p, n, plans, count, cfg.seed))
+    monkeypatch.setattr(isoplab.geometry, "BLOCK_ROWS", 97)
+    assert cell_block_rows(n) < 200
+    assert repr(run_cell(p, n, plans, count, cfg.seed)) == want
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -485,6 +506,7 @@ def test_streamed_tail_checks_equal_the_batch_recipe(p):
     # the same recipe on whole sample_ball batches of the cell's held-out
     # and grading streams
     n, count, seed, levels = 3, STREAM_COUNT, 37, [0.5, 0.9, 0.99]
+    assert -(-count // cell_block_rows(n)) == 3
     params = PBallParams(p, n)
     calib, batch = (
         _stream_batch(sample_ball, params, count, seed, role).points
@@ -533,18 +555,18 @@ def test_lipschitz_spot_check_catches_liars():
 
 
 def test_sz_concentration_spot_checks_within_every_leading_block():
-    # at n = 256 a block has 127 rows, so the first LIPSCHITZ_ROWS rows of
-    # the grading stream span two blocks; a functional that lies only on
-    # the second block's rows raises, and one that lies only past
+    # at n = 512 a cell block has 128 rows, so the first LIPSCHITZ_ROWS
+    # rows of the grading stream span two blocks; a functional that lies
+    # only on the second block's rows raises, and one that lies only past
     # LIPSCHITZ_ROWS is not seen
-    p, n, count, seed = 1.5, 256, 400, 41
-    step = block_rows(n + 1)
-    assert step == 127 and step < LIPSCHITZ_ROWS < 2 * step
+    p, n, count, seed = 1.5, 512, 400, 41
+    step = cell_block_rows(n)
+    assert step == 128 and step < LIPSCHITZ_ROWS < 2 * step
     rows = _stream_batch(sample_ball, PBallParams(p, n), count, seed).points
 
     class BlockLiar(isoplab.fields.CoordinateFunctional):
         # 100 x_1 on the given rows: a coordinate differs by about
-        # n^{-1/p} = 0.025 between two points, which lie about 0.6 apart
+        # n^{-1/p} = 0.016 between two points, which lie about 0.6 apart
         def __init__(self, lying):
             super().__init__(n)
             self.lying = {x.tobytes() for x in lying}
@@ -1018,7 +1040,9 @@ def test_cutoff_chain_rows_equal_the_composed_fields(p):
     # otherwise, so its norms, link means and errors agree to 1e-12 and
     # its counts exactly, in one block and across two blocks plus a
     # partial one
-    for count in (4000, 2 * BLOCK_ROWS + 17):
+    counts = (4000, 2 * cell_block_rows(3) + 17)
+    assert [-(-count // cell_block_rows(3)) for count in counts] == [1, 3]
+    for count in counts:
         _assert_chain_rows_equal_composed_fields(p, count)
 
 

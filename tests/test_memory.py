@@ -38,8 +38,8 @@ from isoplab.cli import REGISTRY, RunConfig
 from isoplab.fields import LinearRamp
 from isoplab.geometry import (PBallParams, coordinate_half_space,
                               jacobian_op_norms, lp_norm, map_row_blocks)
-from isoplab.inequality_suite import (CellPlan, bobkov_plan, check_lemma5,
-                                      cutoff_chain_plan,
+from isoplab.inequality_suite import (CellPlan, bobkov_plan, cell_block_rows,
+                                      check_lemma5, cutoff_chain_plan,
                                       functional_equivalence_plan,
                                       lemma4_plan, run_cell)
 from isoplab.montecarlo import integrate_grad
@@ -113,6 +113,17 @@ def test_cell_peak_is_a_few_columns():
     # 5.1 columns
     peak = _traced_peak(lambda: _default_cell(4, ROWS))
     assert peak <= 5 * ROWS * 8, peak / (ROWS * 8)
+
+
+def test_one_block_cell_peak_per_row():
+    # a default (1.5, 4) cell of one cell block: the draw's g and X rows
+    # and columns, the shared scalars, the chain's primitives and columns
+    # written in place, and the three count-sized columns, 218 B/row;
+    # drawing the product rows beside the ball rows and forming the chain's
+    # columns afresh peaked at 312 B/row
+    rows = cell_block_rows(4)
+    peak = _traced_peak(lambda: _default_cell(4, rows))
+    assert peak <= 240 * rows, peak / rows
 
 
 def test_cell_peak_does_not_grow_with_count():

@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 
 from isoplab import geometry, sampling
+from isoplab.inequality_suite import GRADING, _cell_pass, cell_block_rows
 from isoplab.geometry import (
     BLOCK_ROWS,
     PBallParams,
@@ -33,8 +34,10 @@ from isoplab.sampling import (
     SampleBatch,
     ball_blocks,
     ball_sampler,
+    cell_blocks,
     child_seed,
     product_ball_blocks,
+    product_rows,
     rejection_sample_ball,
     rejection_sampler,
     sample_ball,
@@ -304,6 +307,41 @@ def test_ball_guard_covers_every_streamed_block(monkeypatch):
 def test_ball_guard_covers_every_product_ball_block(monkeypatch):
     assert _guarded_rows(product_ball_blocks, monkeypatch) == [
         block_rows(4), block_rows(4), 10]
+    # the cells' stream: the guard reads every cell block's own X rows
+    params, rows = PBallParams(1.5, 3), cell_block_rows(3)
+    checked = []
+    real = sampling._check_ball_norms
+    monkeypatch.setattr(sampling, "_check_ball_norms",
+                        lambda pts, p: checked.append(pts) or real(pts, p))
+    blocks = list(_cell_pass(params, 2 * rows + 10, 97, GRADING))
+    assert [len(b) for b in blocks] == [rows, rows, 10]
+    assert len(checked) == 3
+    assert all(pts is b.X for pts, b in zip(checked, blocks))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_cell_blocks_are_the_product_ball_rows(p):
+    # the cells' stream forms no product rows, yet its g and e give those
+    # of product_ball_blocks bit for bit, as do its X and |z|_p, at any
+    # block size; every block is drawn into the same buffers
+    for n, count in ((3, 2 * block_rows(4) + 17),
+                     (64, 3 * block_rows(65) + 5)):
+        params = PBallParams(p, n)
+        pairs = list(product_ball_blocks(params, count, 91))
+        Z, X, zp = (np.concatenate([block[k] for _, block in pairs])
+                    for k in range(3))
+        for rows in (7, cell_block_rows(n), count):
+            got, buffers = [], set()
+            for lo, (g, Xb, e, zpb) in cell_blocks(params, count, 91, rows):
+                assert lo == len(got) * rows
+                got.append((product_rows(g, e, p), Xb.copy(), zpb.copy()))
+                buffers.add(Xb.__array_interface__["data"][0])
+            assert len(buffers) == 1
+            for k, want in enumerate((Z, X, zp)):
+                assert _same_bits(np.concatenate([b[k] for b in got]),
+                                  want), (n, rows, k)
+    with pytest.raises(ValueError):
+        cell_blocks(PBallParams(p, 3), 0, 91, 7)
 
 
 def test_ball_rejects_empty_batches():
