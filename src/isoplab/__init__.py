@@ -69,9 +69,9 @@ from .sampling import (
     SampleBatch,
     ball_blocks,
     ball_sampler,
+    cell_blocks,
     child_seed,
     rejection_sample_ball,
-    product_ball_blocks,
     rejection_sampler,
     sample_ball,
     sample_product,

@@ -130,7 +130,7 @@ def map_row_blocks(fn, inputs, count: int) -> list:
     taken in blocks of ``block_rows`` of the widest input's row width, or a
     block stream of count rows: an iterable of (first row, block) pairs, a
     block being one array or a tuple of arrays, such as the samplers'
-    ``ball_blocks`` and ``product_ball_blocks``, or another object whose
+    ``ball_blocks`` and ``cell_blocks``, or another object whose
     len is its row count.  ``fn`` receives the arrays of one block and
     returns a sequence of arrays, each holding a value per row of the
     block.  Each
@@ -206,8 +206,11 @@ def row_dot(X, v: np.ndarray) -> np.ndarray:
 def _lp_norm_direct(x: np.ndarray, p: float) -> np.ndarray:
     if p == 2.0:
         return np.sqrt(row_sum(np.square(x)))
-    s = row_sum(pow_p(np.abs(x), p))
-    return s if p == 1.0 else s ** (1.0 / p)
+    a = np.abs(x)
+    if p == 1.0:
+        return row_sum(a)
+    a **= p         # pow_p's a ** p, in |x|'s own temporary
+    return row_sum(a) ** (1.0 / p)
 
 
 def lp_norm(x, p: float):

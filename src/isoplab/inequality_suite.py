@@ -57,13 +57,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import _special as special
-from . import geometry, measures1d
+from . import measures1d
 from .fields import (
     CUTOFF_C1,
     CUTOFF_C2,
@@ -76,7 +75,6 @@ from .fields import (
 )
 from .geometry import (
     BallComplement,
-    HalfSpace,
     PBallParams,
     ball_log_volume,
     block_rows,
@@ -247,32 +245,21 @@ def cell_seed(seed: int, p: float, n: int, role: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-# what a cell block holds per row beside its rows g and X: the draw's e
-# and |z|_p, x_1, |x|_2 and its sorted copy, and the chain's primitives
-# and temporaries
-CELL_COLUMNS = 16
-# the values of a cell block, in row-shaped temporaries of a row-wise pass
-# (``block_rows``: 4 * BLOCK_ROWS values, 256 KB at BLOCK_ROWS = 8192)
-CELL_BLOCK_TEMPORARIES = 10
-
-
 def cell_block_rows(n: int) -> int:
-    """Rows per block of a cell stream.  A cell block holds 2n + CELL_COLUMNS
-    values per row and as many values in all as CELL_BLOCK_TEMPORARIES
-    temporaries of a row-wise pass; and each of its (rows, n) arrays, g, X
-    and a plan's temporaries over X, holds at most two such temporaries'
-    values, so wide rows keep blocks of temporaries of ``block_rows`` size.
-    At least one row."""
-    temporary = 4 * geometry.BLOCK_ROWS
-    return max(1, min(CELL_BLOCK_TEMPORARIES * temporary
-                      // (2 * n + CELL_COLUMNS), 2 * temporary // n))
+    """Rows per block of a cell stream: twice ``block_rows(n + 1)``.  A
+    cell block forms no (rows, n + 1) product rows, and the cut-off chain,
+    whose per-point columns are the most, forms them ``block_rows(n + 1)``
+    rows at a time, so a cell's peak stays near that of ``block_rows``
+    blocks while each numpy call of the draw and of the other plans covers
+    twice the points."""
+    return 2 * block_rows(n + 1)
 
 
 class CellBlock:
     """Rows lo, lo + 1, ... of a cell stream (``sampling.cell_blocks``):
     the product rows' mu_p coordinates g and Exp(1) variates e, so that a
     product row is z = (g, e^{1/p}), their ball points X = T(z), zp = |z|_p
-    from the draw, and named per-row primitives: x_1, |x|_2 and the set
+    from the draw, and named per-row primitives: |x|_2 and the set
     scalars, which several plans read, each computed once per block on
     first read, and the chain's E, W and w_1.  The arrays are the pass's
     buffers, overwritten by its next block, so a plan copies what it
@@ -311,57 +298,38 @@ class CellBlock:
         """|x|_2 sorted."""
         return self.sorted(BallComplement(1.0))
 
-    @property
-    def x1(self) -> np.ndarray:
-        """x_1, the scalar of every half-space along e_1."""
-        return self.scalar(_first_axis(self.X.shape[1]))
+    def product_rows(self, rows: slice) -> np.ndarray:
+        """The product rows z of the block's ``rows`` as a new array."""
+        return product_rows(self.g[rows], self.e[rows], self.p)
 
-    def product_rows(self, lo: int, hi: int) -> np.ndarray:
-        """The product rows z of block rows lo to hi as a new array."""
-        return product_rows(self.g[lo:hi], self.e[lo:hi], self.p)
+    # the chain's primitives of the product rows, formed for a slice of
+    # the block on each call: the chain reads each once per slice and
+    # drops it after its last use
 
-    # the chain's primitives of the product rows, formed on each read: the
-    # chain reads each once per block and drops it after its last use
-
-    @property
-    def E(self) -> np.ndarray:
+    def E(self, rows: slice) -> np.ndarray:
         """z_{n+1}^p, from z_{n+1} = e^{1/p} as the product row holds it:
         it equals e only up to rounding."""
-        return pow_p(np.power(self.e, 1.0 / self.p), self.p)
+        return pow_p(np.power(self.e[rows], 1.0 / self.p), self.p)
 
-    @property
-    def w1(self) -> np.ndarray:
+    def w1(self, rows: slice) -> np.ndarray:
         """lp_dual(z)_1 = sign(z_1)|z_1|^{p-1}."""
-        return lp_dual(self.g[:, 0], self.p)
+        return lp_dual(self.g[rows, 0], self.p)
 
-    @property
-    def W(self):
+    def W(self, rows: slice):
         """|lp_dual(z)|_2^2 = sum |z_i|^{2p-2}: the float n + 1 at p = 1,
         where every coordinate is nonzero almost surely, and zp^2 at p = 2;
         in between a row-wise pass over the product rows, formed for it
-        alone: at once when a row is no wider than the block's
-        CELL_COLUMNS columns, else ``block_rows(n + 1)`` rows at a time."""
-        p, width = self.p, self.g.shape[1] + 1
+        alone."""
+        p = self.p
         if p == 1.0:
-            return float(width)
+            return float(self.g.shape[1] + 1)
         if p == 2.0:
-            return self.zp * self.zp
-        W = np.empty(len(self))
-        step = len(self) if width <= CELL_COLUMNS else block_rows(width)
-        for lo in range(0, len(self), step):
-            Z = self.product_rows(lo, lo + step)
-            np.abs(Z, out=Z)
-            Z **= 2.0 * p - 2.0
-            W[lo:lo + step] = row_sum(Z)
-        return W
-
-
-@lru_cache(maxsize=None)
-def _first_axis(n: int) -> HalfSpace:
-    """{x_1 >= 0} in R^n: a set whose scalar is x_1."""
-    xi = np.zeros(n)
-    xi[0] = 1.0
-    return HalfSpace(xi, 0.0)
+            zp = self.zp[rows]
+            return zp * zp
+        Z = self.product_rows(rows)
+        np.abs(Z, out=Z)
+        Z **= 2.0 * p - 2.0
+        return row_sum(Z)
 
 
 def _norm2(b: CellBlock) -> tuple:
@@ -451,6 +419,7 @@ def run_cell(p: float, n: int, plans, count: int, seed: int) -> list:
         for block in _cell_pass(params, count, seed, GRADING):
             for fold in folds:
                 fold(block)
+        block = None    # frees the pass's buffer before the reports
     return [report() for _, report in graded]
 
 
@@ -1372,17 +1341,18 @@ def cutoff_chain_norms(f, h1, h2, x1, r, zp, e, W, w1) -> tuple:
     return fv, gv, grad_f, fh1, g, gh2
 
 
-def _transfer_op_norms(b: CellBlock, p: float) -> np.ndarray:
-    """|D*T(z)| of the block's rows among the stream's first TRANSFER_ROWS.
-    Their product rows are formed and scanned in slices of half a block
-    of ``jacobian_op_norms``, whose temporaries are about four times its
-    rows, so the scan adds no more to a block than the chain's own
-    columns do."""
-    rows = min(len(b), max(TRANSFER_ROWS - b.lo, 0))
+def _transfer_op_norms(b: CellBlock, rows: slice, p: float) -> np.ndarray:
+    """|D*T(z)| of the block's ``rows`` (a slice with a start and a stop)
+    among the stream's first TRANSFER_ROWS.  Their product rows are formed and
+    scanned in slices of half a block of ``jacobian_op_norms``, whose
+    temporaries are about four times its rows, so the scan adds no more
+    than the chain's own columns do."""
+    hi = min(rows.stop, len(b), max(TRANSFER_ROWS - b.lo, 0))
     step = block_rows(2 * (b.g.shape[1] + 1))
     return np.concatenate([np.empty(0)] + [
-        jacobian_op_norms(b.product_rows(lo, min(lo + step, rows)), p)[0]
-        for lo in range(0, rows, step)])
+        jacobian_op_norms(b.product_rows(slice(lo, min(lo + step, hi))),
+                          p)[0]
+        for lo in range(rows.start, hi, step)])
 
 
 def cutoff_chain_plan(p: float, n: int) -> CellPlan:
@@ -1430,6 +1400,7 @@ def cutoff_chain_plan(p: float, n: int) -> CellPlan:
     xi = np.zeros(n)
     xi[0] = 1.0
     f = LinearRamp(xi, 0.0, float(marginal_isf(params, 0.2)))
+    x1_set = f.superlevel(0.0)      # a set whose scalar is x_1
     h1 = CutoffH1Field(p, n)
     h2 = CutoffH2Field(p, n)
 
@@ -1441,12 +1412,20 @@ def cutoff_chain_plan(p: float, n: int) -> CellPlan:
 
     def fold(b, links, flags):
         # every link reads the block's per-point primitives x_1, |x|_2,
-        # |z|_p, E, W and w_1 (``cutoff_chain_norms``); the Jacobian scan
-        # forms the product rows of the first TRANSFER_ROWS rows alone
-        ops = _transfer_op_norms(b, p)
-        r, zp = b.norm2, b.zp
+        # |z|_p, E, W and w_1 (``cutoff_chain_norms``), block_rows(n + 1)
+        # rows at a time, so that its columns take no more than a block of
+        # a row-wise pass; the Jacobian scan forms the product rows of the
+        # first TRANSFER_ROWS rows alone
+        x1, r, zp = b.scalar(x1_set), b.norm2, b.zp
+        step = block_rows(n + 1)
+        for lo in range(0, len(b), step):
+            rows = slice(lo, lo + step)
+            chain_rows(b, rows, x1[rows], r[rows], zp[rows], links, flags)
+
+    def chain_rows(b, rows, x1, r, zp, links, flags):
+        ops = _transfer_op_norms(b, rows, p)
         fv, plateau, gf, gfh1, gg, ggh2 = cutoff_chain_norms(
-            f, h1, h2, b.x1, r, zp, b.E, b.W, b.w1)
+            f, h1, h2, x1, r, zp, b.E(rows), b.W(rows), b.w1(rows))
         transfer_rhs = ops * gfh1[:ops.size]
         for flag, hits in (
                 ("plateau_one", plateau >= 1.0 - 1e-12),

@@ -21,7 +21,7 @@ thresholds fixed before any point is drawn.
 Estimators draw nothing and see neither points nor sets.  Each reads a
 summary of a stream of per-point values (a scalar, gradient norm or
 functional at every drawn point) that the caller folds block by block in
-its own pass over the stream (a cell's ``sampling.product_ball_blocks``),
+its own pass over the stream (a cell's ``sampling.cell_blocks``),
 and plain numbers.  A statistic is one of two kinds, and so is its
 summary:
 

@@ -16,19 +16,18 @@ at small n is a rejection sampler from a grid envelope: the cells of side
 probability, a uniform point inside it kept when it lies in the ball, and
 fair signs attached.
 
-Streams: the laws are drawn as block streams of (first row, block) pairs
-of ``geometry.block_rows(n + 1)`` rows: ``ball_blocks`` yields ball
-points, and ``product_ball_blocks`` yields product rows Z beside their
-ball points X = T(Z) and their norms |z|_p, from one draw.
-``sample_product`` and ``sample_ball`` draw the same streams into the
-rows of one array.  ``cell_blocks``, the stream a (p, n) cell reads,
-yields the draw of ``product_ball_blocks`` in blocks of a given size
-without forming Z: the mu_p rows g and the Exp(1) column e of Z =
-(g, e^{1/p}) (``product_rows`` forms Z where a reader needs it), beside
-X and |z|_p.  A consumer that needs only per-point values reads the
-stream block by block and folds each block into what it keeps, so it
-never holds a (count, n) batch.  The ball-norm guard runs on every ball
-block.
+Streams: the laws are drawn as block streams of (first row, block) pairs.
+``ball_blocks`` yields ball points in blocks of
+``geometry.block_rows(n + 1)`` rows, and ``sample_product`` and
+``sample_ball`` draw the same streams into the rows of one array.
+``cell_blocks``, the stream a (p, n) cell reads, yields both from one
+draw in blocks of a given size without forming the product rows: the
+mu_p rows g and the Exp(1) column e of z = (g, e^{1/p})
+(``product_rows`` forms z where a reader needs it), beside the ball
+points X = T(z) and |z|_p.  A consumer that needs only per-point values
+reads a stream block by block and folds each block into what it keeps,
+so it never holds a (count, n) batch.  The ball-norm guard runs on every
+ball block.
 
 Determinism: a stream has one PCG64 generator per draw role (the mu_p
 block, the second draw block, that is U or the second Exp(1), and E), the
@@ -43,14 +42,11 @@ either, and a rejection batch has the same prefix property.
 Memory: a block stream holds one block and its draw temporaries, at most
 BLOCK_ROWS * 4 values each, however wide the rows are; the samplers hold
 their output beside that, and the rejection oracle its output and one
-chunk of candidates.  ``cell_blocks`` draws every block into one buffer
-of the pass, 2n + 2 values per row (g, X, e and |z|_p; X holds the
-second draw block and the |g_i|^p until it is formed), and its blocks
-are sized by the cell (``inequality_suite.cell_block_rows``) from what
-a cell block holds per row: those 2n values and about sixteen columns of
-per-point scalars and temporaries, so narrow rows get blocks of 13 to
-18 thousand rows at n <= 4, and wide ones keep each (rows, n) array at
-two row-wise temporaries' size.
+chunk of candidates.  ``cell_blocks`` draws every block into buffers of
+the pass, 2n + 2 values per row (g, X, e and |z|_p; X holds the second
+draw block and the |g_i|^p until it is formed); a cell takes
+blocks of ``inequality_suite.cell_block_rows(n)`` rows, twice
+``block_rows(n + 1)``, since it forms no (rows, n + 1) product block.
 """
 
 from __future__ import annotations
@@ -74,7 +70,6 @@ __all__ = [
     "SampleBatch",
     "child_seed",
     "ball_blocks",
-    "product_ball_blocks",
     "cell_blocks",
     "product_rows",
     "sample_product",
@@ -167,13 +162,6 @@ def _factor_rows(rngs: tuple, g: np.ndarray, p: float,
     return re.standard_exponential(out=e)
 
 
-def _second_block(Z: np.ndarray, shape: tuple) -> np.ndarray:
-    """The leading values of the C-contiguous block Z as a C-contiguous
-    array of ``shape``: room for the second draw block before Z is
-    written."""
-    return Z.reshape(-1)[:math.prod(shape)].reshape(shape)
-
-
 def _to_product(Z: np.ndarray, g: np.ndarray, e: np.ndarray, p: float):
     """Product-law rows (g, E^{1/p}) into the (rows, n + 1) block Z."""
     Z[:, :-1] = g
@@ -199,7 +187,8 @@ def _product_rows(rngs: tuple, Z: np.ndarray, p: float) -> None:
     """Product-law rows into a C-contiguous (rows, n + 1) block; the
     block's own memory holds the second draw block until g is copied in."""
     g = np.empty((Z.shape[0], Z.shape[1] - 1))
-    _to_product(Z, g, _factor_rows(rngs, g, p, _second_block(Z, g.shape)), p)
+    scratch = Z.reshape(-1)[:g.size].reshape(g.shape)
+    _to_product(Z, g, _factor_rows(rngs, g, p, scratch), p)
 
 
 def _ball_rows(rngs: tuple, X: np.ndarray, p: float) -> None:
@@ -209,28 +198,15 @@ def _ball_rows(rngs: tuple, X: np.ndarray, p: float) -> None:
     _to_ball(X, s, p)
 
 
-def _product_ball_rows(rngs: tuple, Z: np.ndarray, X: np.ndarray,
-                       zp: np.ndarray, p: float) -> None:
-    """The product rows into Z, their ball points T(Z) into X and their
-    norms |z|_p into zp from one draw: g is drawn into X, copied into Z,
-    then scaled in place by s^{-1/p}, and zp is s^{1/p} of the same
-    s = sum |g_i|^p + E."""
-    s = _factor_rows(rngs, X, p, _second_block(Z, X.shape))
-    _to_product(Z, X, s, p)
-    _add_pow_sum(X, s, p)
-    np.power(s, 1.0 / p, out=zp)
-    _to_ball(X, s, p)
-
-
 def _cell_rows(rngs: tuple, g: np.ndarray, X: np.ndarray, e: np.ndarray,
                zp: np.ndarray, p: float) -> None:
     """The product rows' mu_p block into g and Exp(1) column into e, their
     ball points T(z) into X and norms |z|_p into zp, from one draw: X
     holds the second draw block, then the |g_i|^p summed into
     s = sum |g_i|^p + e, then g / s^{1/p}; zp is s^{1/p}.  Every step is
-    ``_product_ball_rows``'s operation on the same values (the sum is
-    taken as row_sum + e, which rounds as e + row_sum), so the bits are
-    its bits."""
+    ``_ball_rows``'s operation on the same values (the sum is taken as
+    row_sum + e, which rounds as e + row_sum), so X is ``sample_ball``'s
+    rows bit for bit."""
     _factor_rows(rngs, g, p, X, e)
     if p == 2.0:
         np.multiply(g, g, out=X)
@@ -248,23 +224,24 @@ def _cell_rows(rngs: tuple, g: np.ndarray, X: np.ndarray, e: np.ndarray,
 
 def cell_blocks(params: PBallParams, count: int, seed: int, rows: int):
     """(first row, (g, X, e, zp)) blocks of up to ``rows`` rows of the
-    ``product_ball_blocks`` stream for the same (params, count, seed), bit
-    for bit, without forming its product rows: a product row is
+    product rows of ``sample_product`` and the ball points of
+    ``sample_ball`` for the same (params, count, seed), bit for bit, from
+    one draw and without forming the product rows: a product row is
     z = (g, e^{1/p}) (``product_rows``), with g its mu_p coordinates and e
     its Exp(1) variate; X = T(z) passes the ball-norm guard, and zp is
-    |z|_p from the draw.  The four arrays are views of one buffer of the
-    pass, a (rows, n) array each for g and X and a column each for e and
-    zp, taken in one allocation, which the pass allocates and frees once:
-    every block overwrites the last, so a reader copies what it keeps."""
+    |z|_p as s^{1/p} of the s = |z|_p^p that T divides by, so it needs no
+    pass over z; it is within rounding of ``lp_norm(z, p)``, not bit-equal
+    to it.  The four arrays are views of buffers of the pass, allocated
+    once: every block overwrites the last, so a reader copies what it
+    keeps."""
     if count < 1:
         raise ValueError("count must be >= 1")
     n, step = params.n, min(rows, count)
 
     def blocks():
         rngs = _role_rngs(seed)
-        flat = np.empty(step * (2 * n + 2))
-        buffers = (*flat[:2 * step * n].reshape(2, step, n),
-                   *flat[2 * step * n:].reshape(2, step))
+        buffers = (np.empty((step, n)), np.empty((step, n)), np.empty(step),
+                   np.empty(step))
         for lo in range(0, count, step):
             block = tuple(buf[:count - lo] for buf in buffers)
             _cell_rows(rngs, *block, params.p)
@@ -275,7 +252,7 @@ def cell_blocks(params: PBallParams, count: int, seed: int, rows: int):
 def product_rows(g: np.ndarray, e: np.ndarray, p: float) -> np.ndarray:
     """The product rows z = (g, e^{1/p}) of a ``cell_blocks`` block's g and
     e as a new (rows, n + 1) array, bit for bit those of
-    ``product_ball_blocks``."""
+    ``sample_product``."""
     Z = np.empty((g.shape[0], g.shape[1] + 1))
     _to_product(Z, g, e, p)
     return Z
@@ -307,18 +284,6 @@ def ball_blocks(params: PBallParams, count: int, seed: int):
     at a time; every block passes the ball-norm guard."""
     return ((lo, X) for lo, (X,) in
             _row_blocks(params, count, seed, _ball_rows, ((params.n,),)))
-
-
-def product_ball_blocks(params: PBallParams, count: int, seed: int):
-    """(first row, (Z, X, zp)) triples: the rows of ``sample_product`` and
-    of ``sample_ball`` for the same (params, count, seed), bit for bit,
-    and the rows' |z|_p, in blocks of ``block_rows(n + 1)`` rows from one
-    draw; X = T(Z) passes the ball-norm guard.  zp is s^{1/p} of the
-    s = |z|_p^p that T divides by, so it needs no pass over Z; it is
-    within rounding of ``lp_norm(Z, p)``, not bit-equal to it."""
-    n = params.n
-    return _row_blocks(params, count, seed, _product_ball_rows,
-                       ((n + 1,), (n,), ()))
 
 
 def sample_product(params: PBallParams, count: int, seed: int) -> SampleBatch:

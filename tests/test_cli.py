@@ -31,7 +31,7 @@ from isoplab.cli import (
     run,
 )
 from isoplab.geometry import PBallParams, coordinate_half_space
-from isoplab.sampling import product_ball_blocks
+from isoplab.sampling import sample_ball
 
 
 def _run_cli(args, env_extra=None, cwd=None):
@@ -340,8 +340,7 @@ def test_default_run_draws_two_streams_per_cell(tmp_path, monkeypatch):
         raise AssertionError("a check drew a stream of its own")
 
     monkeypatch.setattr(iq, "cell_blocks", counting)
-    for name in ("ball_blocks", "product_ball_blocks", "sample_ball",
-                 "sample_product"):
+    for name in ("ball_blocks", "sample_ball", "sample_product"):
         monkeypatch.setattr(iq, name, refuse, raising=False)
     cfg = RunConfig(out_dir=str(tmp_path))
     assert run(cfg) == 0
@@ -407,10 +406,9 @@ def test_no_default_lhs_estimates_a_closed_form(p, monkeypatch):
     if p == 2.0:
         assert calls == []
         return
-    held_out = product_ball_blocks(
+    held_out = sample_ball(
         params, cfg.samples, iq.cell_seed(cfg.seed, p, n, iq.HELD_OUT))
-    radii = np.sort(np.concatenate(
-        [geometry.lp_norm(X, 2.0) for _, (_, X, _) in held_out]))
+    radii = np.sort(geometry.lp_norm(held_out.points, 2.0))
     radial = iq._default_plateau_catalog(params, radii)[1]
     assert calls == [[radial.superlevel((k + 0.5) / 64.0).threshold
                       for k in range(64)]]

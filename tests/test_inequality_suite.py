@@ -88,7 +88,7 @@ from isoplab.montecarlo import (
     estimate_tail,
     mean_ci,
 )
-from isoplab.sampling import product_ball_blocks, sample_ball, sample_product
+from isoplab.sampling import cell_blocks, sample_ball, sample_product
 
 
 def _column(fn, points):
@@ -106,9 +106,11 @@ def _stream_batch(sample, params, count, seed, role=GRADING):
 def _stream_zp(params, count, seed, role=GRADING):
     """|z|_p of the (p, n) cell's stream in ``role`` as the draw gives it,
     s^{1/p} of the s = |z|_p^p that T divides by."""
-    blocks = product_ball_blocks(params, count,
-                                 cell_seed(seed, params.p, params.n, role))
-    return np.concatenate([zp for _, (_, _, zp) in blocks])
+    blocks = cell_blocks(params, count,
+                         cell_seed(seed, params.p, params.n, role),
+                         cell_block_rows(params.n))
+    # each block overwrites the last
+    return np.concatenate([zp.copy() for _, (_, _, _, zp) in blocks])
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +557,13 @@ def test_lipschitz_spot_check_catches_liars():
 
 
 def test_sz_concentration_spot_checks_within_every_leading_block():
-    # at n = 512 a cell block has 128 rows, so the first LIPSCHITZ_ROWS
+    # at n = 512 a cell block has 126 rows, so the first LIPSCHITZ_ROWS
     # rows of the grading stream span two blocks; a functional that lies
     # only on the second block's rows raises, and one that lies only past
     # LIPSCHITZ_ROWS is not seen
     p, n, count, seed = 1.5, 512, 400, 41
     step = cell_block_rows(n)
-    assert step == 128 and step < LIPSCHITZ_ROWS < 2 * step
+    assert step == 126 and step < LIPSCHITZ_ROWS < 2 * step
     rows = _stream_batch(sample_ball, PBallParams(p, n), count, seed).points
 
     class BlockLiar(isoplab.fields.CoordinateFunctional):

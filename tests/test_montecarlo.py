@@ -8,6 +8,7 @@ columns from drawn points block by block, as the checks do from their
 streams, and the summary tests fold columns over random block partitions.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -579,6 +580,22 @@ def test_moment_sum_depends_on_the_values_not_the_blocks():
     est = mean_ci(short)
     assert est.mean == float(short.mean())
     assert est.std_err == float(short.std(ddof=1) / np.sqrt(short.size))
+    # five streams side by side, their whole runs reduced together and
+    # their deviations formed in the blocks themselves: per stream, the
+    # bits of Moments.of on each run merged in order, whatever the blocks
+    rows = rng.exponential(size=(5, 3 * MOMENT_ROWS + 17))
+    runs = [functools.reduce(Moments.merge, (
+        Moments.of(row[lo:lo + MOMENT_ROWS])
+        for lo in range(0, row.size, MOMENT_ROWS))) for row in rows]
+    for cap in (1, 97, MOMENT_ROWS, 3 * MOMENT_ROWS + 17):
+        sums, lo = MomentSum(5), 0
+        for block in _random_blocks(rows[0], rng, cap):
+            sums.add(np.ascontiguousarray(rows[:, lo:lo + block.size]),
+                     overwrite=True)
+            lo += block.size
+        assert sums.stream_moments() == runs, cap
+    # a Moments gives the interval of its values
+    assert [mean_ci(m) for m in runs] == [mean_ci(row) for row in rows]
 
 
 def test_one_value_keeps_a_zero_std_err():

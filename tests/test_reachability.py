@@ -41,7 +41,6 @@ _MARGINALS = ("test_sampling.py::"
 _LAWS = "perfbench/layers.py LAW_FACTORIES"
 _FUNCTIONALS = ("test_inequality_suite.py::"
                 "test_sz_concentration_of_the_other_catalog_functionals")
-_CELL_STREAM = "test_sampling.py::test_cell_blocks_are_the_product_ball_rows"
 ALLOWED = {
     # the composed fields behind the cut-off chain's closed form
     "fields.CutoffH1Field.from_norm": (ORACLE, _CHAIN),
@@ -72,10 +71,6 @@ ALLOWED = {
     # the one-point differential behind the batched operator norms
     "geometry.jacobian_T": (ORACLE, _OP_NORMS),
     "geometry.JacobianResult.__post_init__": (ORACLE, _OP_NORMS),
-    # the product and ball stream that forms its product rows, which the
-    # cells' stream is checked against bit for bit
-    "sampling.product_ball_blocks": (ORACLE, _CELL_STREAM),
-    "sampling._product_ball_rows": (ORACLE, _CELL_STREAM),
     # the factor laws the sampled coordinates are tested against
     "measures1d.make_mu_p.<locals>.cdf": (ORACLE, _MARGINALS),
     "measures1d.make_nu_p.<locals>.cdf": (ORACLE, _MARGINALS),
@@ -107,7 +102,6 @@ ALLOWED = {
     "geometry.bgmn_map": (PERFBENCH, "perfbench/layers.py FUNCTIONS"),
     "sampling.sample_product": (PERFBENCH, "perfbench/layers.py FUNCTIONS"),
     "sampling._product_rows": (PERFBENCH, "sample_product's fill"),
-    "sampling._second_block": (PERFBENCH, "sample_product's fill"),
     "sampling.child_seed": (PERFBENCH, "perfbench/worker.py oracle_cells"),
     "measures1d.make_exponential": (PERFBENCH, _LAWS),
     "measures1d.make_gamma": (PERFBENCH, _LAWS),

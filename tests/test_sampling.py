@@ -36,7 +36,6 @@ from isoplab.sampling import (
     ball_sampler,
     cell_blocks,
     child_seed,
-    product_ball_blocks,
     product_rows,
     rejection_sample_ball,
     rejection_sampler,
@@ -241,15 +240,24 @@ def test_bits_do_not_depend_on_the_block_size(sample, p, monkeypatch):
         monkeypatch.undo()
 
 
+def _cell_rows_of(params, count, seed, rows) -> list:
+    """(first row, (Z, X, zp)) copies of the cell stream's blocks: each
+    block overwrites the last, so its arrays are copied."""
+    p = params.p
+    return [(lo, (product_rows(g, e, p), X.copy(), zp.copy()))
+            for lo, (g, X, e, zp) in cell_blocks(params, count, seed, rows)]
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_block_streams_are_the_batches_rows(p):
     params = PBallParams(p, 5)
     step = block_rows(params.n + 1)
     count = 3 * step + 50
+
     def product_half(params, count, seed):
-        # the Z half of the product and ball stream
+        # the product rows of the cells' stream, in blocks of step rows
         return ((lo, Z) for lo, (Z, _, _) in
-                product_ball_blocks(params, count, seed))
+                _cell_rows_of(params, count, seed, step))
 
     for stream, sample in ((ball_blocks, sample_ball),
                            (product_half, sample_product)):
@@ -263,30 +271,37 @@ def test_block_streams_are_the_batches_rows(p):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_product_ball_blocks_are_both_streams_bit_for_bit(p):
-    # one draw gives the product rows Z and their ball points X = T(Z): the
-    # rows of sample_product and sample_ball at the same seed, across row
-    # blocks (8192 rows at n = 3, 512 at n = 64) and as prefixes of larger
-    # batches; with them, |z|_p as s^{1/p} of the s that T divides by,
-    # within rounding of the norm of Z and T's exact divisor: X zp is Z's
-    # first n coordinates
-    for n, counts in ((3, (1, 8192, 8193, 2 * block_rows(4) + 17)),
-                      (64, (1, 3 * block_rows(65) + 5))):
+    # the cells' stream forms no product rows, yet one draw gives its g
+    # and e, whose product rows z are those of sample_product, and their
+    # ball points X = T(z), the rows of sample_ball at the same seed, bit
+    # for bit at any block size (7 rows, a cell block of 16384 rows at
+    # n = 3 or 256 at n = 64, the whole count) and as prefixes of larger
+    # batches; every block is drawn into the same buffers.  With them,
+    # |z|_p as s^{1/p} of the s that T divides by, within rounding of the
+    # norm of z and T's exact divisor: X zp is z's first n coordinates
+    for n, counts in ((3, (1, 8192, 8193, 2 * cell_block_rows(3) + 17)),
+                      (64, (1, 3 * cell_block_rows(64) + 5))):
         params = PBallParams(p, n)
         larger = max(counts) + 300
         Z_all = sample_product(params, larger, 91).points
         X_all = sample_ball(params, larger, 91).points
         for count in counts:
-            pairs = list(product_ball_blocks(params, count, 91))
-            assert [lo for lo, _ in pairs] == list(
-                range(0, count, block_rows(n + 1)))
-            Z = np.concatenate([Zb for _, (Zb, _, _) in pairs])
-            X = np.concatenate([Xb for _, (_, Xb, _) in pairs])
-            zp = np.concatenate([zb for _, (_, _, zb) in pairs])
-            assert _same_bits(Z, Z_all[:count]), (n, count)
-            assert _same_bits(X, X_all[:count]), (n, count)
+            for rows in (7, cell_block_rows(n), count):
+                pairs = _cell_rows_of(params, count, 91, rows)
+                assert [lo for lo, _ in pairs] == list(range(0, count, rows))
+                Z, X, zp = (np.concatenate([block[k] for _, block in pairs])
+                            for k in range(3))
+                assert _same_bits(Z, Z_all[:count]), (n, count, rows)
+                assert _same_bits(X, X_all[:count]), (n, count, rows)
             np.testing.assert_allclose(zp, lp_norm(Z, p), rtol=1e-14)
             np.testing.assert_allclose(X * zp[:, None], Z[:, :-1],
                                        rtol=1e-14, atol=1e-300)
+        buffers = {X.__array_interface__["data"][0] for _, (_, X, _, _) in
+                   cell_blocks(params, 2 * cell_block_rows(n) + 5, 91,
+                               cell_block_rows(n))}
+        assert len(buffers) == 1
+    with pytest.raises(ValueError):
+        cell_blocks(PBallParams(p, 3), 0, 91, 7)
 
 
 def _guarded_rows(stream, monkeypatch) -> list:
@@ -305,8 +320,6 @@ def test_ball_guard_covers_every_streamed_block(monkeypatch):
 
 
 def test_ball_guard_covers_every_product_ball_block(monkeypatch):
-    assert _guarded_rows(product_ball_blocks, monkeypatch) == [
-        block_rows(4), block_rows(4), 10]
     # the cells' stream: the guard reads every cell block's own X rows
     params, rows = PBallParams(1.5, 3), cell_block_rows(3)
     checked = []
@@ -317,31 +330,6 @@ def test_ball_guard_covers_every_product_ball_block(monkeypatch):
     assert [len(b) for b in blocks] == [rows, rows, 10]
     assert len(checked) == 3
     assert all(pts is b.X for pts, b in zip(checked, blocks))
-
-
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
-def test_cell_blocks_are_the_product_ball_rows(p):
-    # the cells' stream forms no product rows, yet its g and e give those
-    # of product_ball_blocks bit for bit, as do its X and |z|_p, at any
-    # block size; every block is drawn into the same buffers
-    for n, count in ((3, 2 * block_rows(4) + 17),
-                     (64, 3 * block_rows(65) + 5)):
-        params = PBallParams(p, n)
-        pairs = list(product_ball_blocks(params, count, 91))
-        Z, X, zp = (np.concatenate([block[k] for _, block in pairs])
-                    for k in range(3))
-        for rows in (7, cell_block_rows(n), count):
-            got, buffers = [], set()
-            for lo, (g, Xb, e, zpb) in cell_blocks(params, count, 91, rows):
-                assert lo == len(got) * rows
-                got.append((product_rows(g, e, p), Xb.copy(), zpb.copy()))
-                buffers.add(Xb.__array_interface__["data"][0])
-            assert len(buffers) == 1
-            for k, want in enumerate((Z, X, zp)):
-                assert _same_bits(np.concatenate([b[k] for b in got]),
-                                  want), (n, rows, k)
-    with pytest.raises(ValueError):
-        cell_blocks(PBallParams(p, 3), 0, 91, 7)
 
 
 def test_ball_rejects_empty_batches():
